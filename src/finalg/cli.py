@@ -3,8 +3,11 @@
 Every report is deterministic, line-oriented ``key: value`` text on
 stdout; diagnostics go to stderr.  Exit codes: 0 when the requested
 property holds (or the computation succeeded), 1 when a checked
-property fails (a witness is always printed), 2 for usage, parse, or
-resource-limit errors.
+property fails, 2 for usage, parse, or resource-limit errors.  On exit
+1, ``check`` in identity mode, ``uprop``, ``rho-chain``, ``equi`` and
+``dalg-check`` print a witness; ``check --equation-generators``,
+``convert roundtrip`` and an unstabilized ``free`` print only their
+verdict or report.
 """
 from __future__ import annotations
 
@@ -15,8 +18,8 @@ from typing import Optional, Sequence, TextIO
 
 from . import variety as variety_mod
 from .algebras import enumerate_algebras, evaluate
-from .core import FinSet, enumerate_maps
-from .dsl import SpecModel, parse_spec
+from .core import FinSet
+from .dsl import SpecModel, parse_spec, parse_term
 from .equations import (
     equation_to_identity,
     identity_to_equation,
@@ -36,7 +39,7 @@ from .monadic import (
     induced_pair,
     powerset_instance,
 )
-from .terms import Term, format_term, stage, stage_sizes, variables
+from .terms import format_term, stage, stage_sizes, variables
 
 
 class _UsageError(Exception):
@@ -75,16 +78,6 @@ def _model_identity(model: SpecModel, name: str):
     return model.natural_identity(name)
 
 
-def _parse_term_text(model: SpecModel, sig_name: str, text: str) -> Term:
-    sig = _model_signature(model, sig_name)
-    ops = " ".join(f"op {name} : {arity}" for name, arity in sig)
-    context = f"signature {sig_name} {{ {ops} }}\n"
-    if model.vars:
-        context += "vars " + " ".join(model.vars) + "\n"
-    probe = parse_spec(context + f"identity probe_ over {sig_name} : {text} = {text}")
-    return probe.identities["probe_"].lhs
-
-
 def _format_subset(s: tuple) -> str:
     return "{" + ",".join(str(a) for a in s) + "}"
 
@@ -105,7 +98,7 @@ def _cmd_eval(args, model: SpecModel, out: TextIO) -> int:
     decl = model.algebras.get(args.algebra)
     if decl is None:
         raise ValidationError(f"unknown algebra {args.algebra!r}")
-    term = _parse_term_text(model, decl.sig_name, args.term)
+    term = parse_term(model, decl.sig_name, args.term)
     binding = {}
     if args.assign:
         for piece in args.assign.split(","):
@@ -189,21 +182,24 @@ def _cmd_convert(args, model: SpecModel, out: TextIO) -> int:
     return 0 if report.equal else 1
 
 
-def _cmd_free(args, model: SpecModel, out: TextIO) -> int:
+def _saturate_presentation(args, model: SpecModel):
+    """The presentation's signature and identities, and its saturation on
+    ``--generators`` generators."""
     if args.presentation not in model.presentations:
         raise ValidationError(f"unknown presentation {args.presentation!r}")
-    decl = model.presentations[args.presentation]
-    sig = model.signatures[decl.sig_name]
+    sig = model.signatures[model.presentations[args.presentation].sig_name]
     ids = model.presentation_identities(args.presentation)
     x = _generators(args.generators)
-    result = variety_mod.saturate(sig, ids, x, args.max_depth, args.max_universe)
+    return sig, ids, variety_mod.saturate(sig, ids, x, args.max_depth, args.max_universe)
+
+
+def _cmd_free(args, model: SpecModel, out: TextIO) -> int:
+    sig, _, result = _saturate_presentation(args, model)
+    counts = "class-counts: " + " ".join(str(c) for c in result.state.class_counts)
     if isinstance(result, variety_mod.Stabilized):
         print("status: stabilized", file=out)
         print(f"at-depth: {result.at_depth}", file=out)
-        print(
-            "class-counts: " + " ".join(str(c) for c in result.state.class_counts),
-            file=out,
-        )
+        print(counts, file=out)
         print(f"carrier: {len(result.algebra.carrier)}", file=out)
         for t in result.algebra.carrier:
             print(f"element: {format_term(t)}", file=out)
@@ -217,36 +213,24 @@ def _cmd_free(args, model: SpecModel, out: TextIO) -> int:
         return 0
     print("status: unstabilized", file=out)
     print(f"depth-bound: {result.depth_bound}", file=out)
-    print(
-        "class-counts: " + " ".join(str(c) for c in result.state.class_counts), file=out
-    )
+    print(counts, file=out)
     print(f"universe-size: {len(result.state.universe)}", file=out)
     return 1
 
 
 def _cmd_uprop(args, model: SpecModel, out: TextIO) -> int:
-    if args.presentation not in model.presentations:
-        raise ValidationError(f"unknown presentation {args.presentation!r}")
-    decl = model.presentations[args.presentation]
-    sig = model.signatures[decl.sig_name]
-    ids = model.presentation_identities(args.presentation)
-    x = _generators(args.generators)
-    result = variety_mod.saturate(sig, ids, x, args.max_depth, args.max_universe)
+    _, ids, result = _saturate_presentation(args, model)
     if not isinstance(result, variety_mod.Stabilized):
         raise ValidationError("saturation did not stabilize; cannot test freeness")
     target = _model_algebra(model, args.target)
-    ok = variety_mod.check_universal_property(result, ids, target)
-    assignments = len(target.carrier) ** len(x)
-    print(f"assignments: {assignments}", file=out)
-    print(f"unique-extensions: {'true' if ok else 'false'}", file=out)
-    if not ok:
-        for f in enumerate_maps(x, target.carrier):
-            count = variety_mod.extension_count(result, target, f)
-            if count != 1:
-                pairs = " ".join(f"{a}={f.table[a]}" for a in x)
-                print(f"witness-assignment: {pairs}", file=out)
-                print(f"witness-extensions: {count}", file=out)
-                break
+    witness = variety_mod.universal_property_witness(result, ids, target)
+    print(f"assignments: {len(target.carrier) ** args.generators}", file=out)
+    print(f"unique-extensions: {'true' if witness is None else 'false'}", file=out)
+    if witness is not None:
+        f, count = witness
+        pairs = " ".join(f"{a}={f.table[a]}" for a in f.dom)
+        print(f"witness-assignment: {pairs}", file=out)
+        print(f"witness-extensions: {count}", file=out)
         return 1
     return 0
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .algebras import FinAlgebra
 from .core import FinSet
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, from_sigma
 from .terms import Node, Term, Var, format_term, variables
@@ -351,6 +351,22 @@ class _Parser:
 def parse_spec(text: str) -> SpecModel:
     """Parse and validate a declaration file; raises :class:`ParseError`."""
     return _Parser(text).parse()
+
+
+def parse_term(model: SpecModel, sig_name: str, text: str) -> Term:
+    """Parse one term over a declared signature and the model's variables.
+
+    Raises :class:`ParseError` with positions within ``text``, also when
+    tokens follow the term.
+    """
+    if sig_name not in model.signatures:
+        raise ValidationError(f"unknown signature {sig_name!r}")
+    parser = _Parser(text)
+    term = parser._term(model, model.signatures[sig_name])
+    if not parser._at_end():
+        tok = parser._peek()
+        raise ParseError(f"unexpected {tok.text!r} after the term", tok.line, tok.col)
+    return term
 
 
 def format_model(model: SpecModel) -> str:

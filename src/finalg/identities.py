@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .algebras import FinAlgebra, enumerate_algebras, evaluate
 from .core import FinMap, FinSet
@@ -206,7 +206,29 @@ def _as_tuple(ids) -> tuple[NaturalIdentity, ...]:
     return tuple(ids)
 
 
-def equivalent_upto(a, b, max_size: int, max_count: int = 1_000_000) -> ClassComparison:
+def compare_classes(
+    sig: Signature,
+    max_size: int,
+    in_left: Callable[[FinAlgebra], bool],
+    in_right: Callable[[FinAlgebra], bool],
+) -> ClassComparison:
+    """Compare two classes of algebras, given by membership predicates, on
+    every algebra over ``sig`` with carrier ``0..n-1`` for n = 1..max_size.
+
+    ``checked`` counts the algebras tried; the witness is the first one
+    that lies in exactly one of the classes.
+    """
+    checked = 0
+    for size in range(1, max_size + 1):
+        carrier = FinSet(tuple(range(size)))
+        for alg in enumerate_algebras(sig, carrier):
+            checked += 1
+            if in_left(alg) != in_right(alg):
+                return ClassComparison(False, alg, checked)
+    return ClassComparison(True, None, checked)
+
+
+def equivalent_upto(a, b, max_size: int) -> ClassComparison:
     """Whether two identities (or sets of identities) induce the same class
     of algebras over every carrier of size ≤ max_size.
 
@@ -220,11 +242,9 @@ def equivalent_upto(a, b, max_size: int, max_count: int = 1_000_000) -> ClassCom
     for ident in left + right:
         if ident.sig != sig:
             raise ValidationError("all identities must share a signature")
-    checked = 0
-    for size in range(1, max_size + 1):
-        carrier = FinSet(tuple(range(size)))
-        for alg in enumerate_algebras(sig, carrier, max_count):
-            checked += 1
-            if satisfies_all(alg, left) != satisfies_all(alg, right):
-                return ClassComparison(False, alg, checked)
-    return ClassComparison(True, None, checked)
+    return compare_classes(
+        sig,
+        max_size,
+        lambda alg: satisfies_all(alg, left),
+        lambda alg: satisfies_all(alg, right),
+    )

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebras import FinAlgebra, enumerate_algebras, evaluate
+from .algebras import FinAlgebra, evaluate
 from .core import FinMap, FinSet, atom_key, enumerate_maps
 from .errors import ValidationError
 from .functors import Signature
@@ -29,6 +29,7 @@ from .identities import (
     NaturalIdentity,
     NaturalTerm,
     canonical_vars,
+    compare_classes,
     satisfies,
 )
 from .terms import Node, Term, Var, check_term, stage, substitute, variables
@@ -130,16 +131,9 @@ def rho_level(chain: RhoChain, k: int, elem: Term) -> Term:
 
 
 def translate(chain: RhoChain, elem: Term) -> Term:
-    """The unbounded translation (the induced monad map on all elements)."""
-    match elem:
-        case Var(name):
-            return Var(name)
-        case Node(op, children):
-            i = chain.component_index(op)
-            translated = tuple(translate(chain, c) for c in children)
-            names = canonical_vars(chain.domain[i])
-            return substitute(chain.data[i], dict(zip(names, translated)))
-    raise ValidationError(f"not a term: {elem!r}")
+    """The unbounded translation (the induced monad map on all elements):
+    the level map at the element's own height."""
+    return rho_level(chain, elem.height, elem)
 
 
 @dataclass(frozen=True)
@@ -241,18 +235,23 @@ def equi_check(ident: NaturalIdentity, k: int, max_size: int) -> ClassComparison
     derivative over every algebra with carrier ≤ max_size."""
     if k < 1:
         raise ValidationError("level must be at least 1")
-    checked = 0
-    for size in range(1, max_size + 1):
-        carrier = FinSet(tuple(range(size)))
-        for alg in enumerate_algebras(ident.sig, carrier):
-            checked += 1
-            if satisfies(alg, ident) != satisfies_level(alg, ident, k):
-                return ClassComparison(False, alg, checked)
-    return ClassComparison(True, None, checked)
+    return compare_classes(
+        ident.sig,
+        max_size,
+        lambda alg: satisfies(alg, ident),
+        lambda alg: satisfies_level(alg, ident, k),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Power-set monad and its Eilenberg-Moore structures
+
+
+def _subsets(s: FinSet) -> FinSet:
+    """Every subset of ``s`` as a tuple in the order of ``s``."""
+    return FinSet(tuple(
+        combo for r in range(len(s) + 1) for combo in itertools.combinations(s.elements, r)
+    ))
 
 
 def _union(subsets: Iterable[tuple]) -> tuple:
@@ -276,12 +275,7 @@ class PowersetMonadInstance:
 
     @classmethod
     def build(cls, base: FinSet) -> "PowersetMonadInstance":
-        subsets = [
-            tuple(combo)
-            for r in range(len(base) + 1)
-            for combo in itertools.combinations(base.elements, r)
-        ]
-        obj = FinSet(tuple(subsets))
+        obj = _subsets(base)
         eta = FinMap(base, obj, {a: (a,) for a in base})
         return cls(base, obj, eta)
 
@@ -289,24 +283,7 @@ class PowersetMonadInstance:
         return _union(family)
 
     def double(self) -> FinSet:
-        subsets = [
-            tuple(combo)
-            for r in range(len(self.object) + 1)
-            for combo in itertools.combinations(self.object.elements, r)
-        ]
-        return FinSet(tuple(subsets))
-
-    def mu_map(self) -> FinMap:
-        dbl = self.double()
-        return FinMap(dbl, self.object, {fam: self.mu_element(fam) for fam in dbl})
-
-    def map_subsets(self, f: FinMap) -> FinMap:
-        """Functor action on a map of base sets: image of each subset."""
-        target = PowersetMonadInstance.build(f.cod)
-        table = {
-            s: tuple(sorted({f.table[a] for a in s}, key=atom_key)) for s in self.object
-        }
-        return FinMap(self.object, target.object, table)
+        return _subsets(self.object)
 
 
 def powerset_instance(base: FinSet) -> PowersetMonadInstance:
@@ -463,12 +440,9 @@ def variety_vs_dalg(ident: NaturalIdentity, max_size: int, bound: int) -> ClassC
     """Compare direct satisfaction with diagram-algebra compatibility over
     every algebra with carrier ≤ max_size."""
     d = DiagramOfMonads.from_identity(ident)
-    checked = 0
-    for size in range(1, max_size + 1):
-        carrier = FinSet(tuple(range(size)))
-        for alg in enumerate_algebras(ident.sig, carrier):
-            checked += 1
-            pair = induced_pair(alg, d, bound)
-            if satisfies(alg, ident) != dalg_check(d, pair, bound):
-                return ClassComparison(False, alg, checked)
-    return ClassComparison(True, None, checked)
+    return compare_classes(
+        ident.sig,
+        max_size,
+        lambda alg: satisfies(alg, ident),
+        lambda alg: dalg_check(d, induced_pair(alg, d, bound), bound),
+    )

@@ -10,11 +10,15 @@ of height ≤ d is congruent to a node over minimal representatives, the
 registered universe represents every class of the full stage set while
 staying exponentially smaller.
 
-Saturation stabilizes at depth d when the canonical map from depth-(d-1)
-classes to depth-d classes is a bijection and the node signature over
-every tuple of surviving classes is already known; the quotient then
-carries a total finite algebra and the variable embedding becomes the
-unit of the free algebra.
+The engine's only record of the classes is its root map: the keys of
+``rep`` are exactly the live union-find roots, each mapped to the least
+term of its class.  Saturation stabilizes at depth d when the roots
+after depth d-1 still name distinct classes after depth d and those are
+all the classes (the images of the earlier roots are always among the
+current roots, so equal counts make the map a bijection), and the node
+signature over every tuple of classes is already known; the quotient
+then carries a total finite algebra and the variable embedding becomes
+the unit of the free algebra.
 """
 from __future__ import annotations
 
@@ -129,16 +133,19 @@ class _Engine:
         self.parents.setdefault(ra, []).extend(moved)
         return True
 
-    def drain(self) -> bool:
-        progress = False
+    def drain(self) -> None:
         while self.pending:
-            a, b = self.pending.popleft()
-            progress |= self.union(a, b)
-        return progress
+            self.union(*self.pending.popleft())
 
     def class_roots(self) -> list[int]:
-        return sorted({self.find(i) for i in range(len(self.terms))},
-                      key=lambda r: self.rep[r].sort_key())
+        return sorted(self.rep, key=lambda r: self.rep[r].sort_key())
+
+    def partition(self) -> Partition:
+        """The classes of every registered term, over the registered universe."""
+        groups: dict[int, list[Term]] = {}
+        for i, t in enumerate(self.terms):
+            groups.setdefault(self.find(i), []).append(t)
+        return Partition(FinSet(tuple(self.terms)), groups.values())
 
     def lookup_sig(self, op: str, arg_roots: tuple[int, ...]) -> Optional[int]:
         nid = self.sig_table.get((op, arg_roots))
@@ -202,11 +209,7 @@ def _flatten(ids: Iterable[NaturalIdentity], sig: Signature) -> list[tuple]:
 
 def _extract_state(engine: _Engine, sig: Signature, x: FinSet, depth: int,
                    counts: list[int]) -> CongruenceState:
-    universe = FinSet(tuple(engine.terms))
-    groups: dict[int, list[Term]] = {}
-    for i, t in enumerate(engine.terms):
-        groups.setdefault(engine.find(i), []).append(t)
-    classes = Partition(universe, groups.values())
+    classes = engine.partition()
     op_tables: dict = {name: {} for name, _ in sig}
     for nid, arg_ids in enumerate(engine.node_args):
         if arg_ids is None:
@@ -214,9 +217,24 @@ def _extract_state(engine: _Engine, sig: Signature, x: FinSet, depth: int,
         reps = tuple(engine.rep[engine.find(a)] for a in arg_ids)
         op_tables[engine.node_op[nid]][reps] = engine.rep[engine.find(nid)]
     return CongruenceState(
-        sig, x, depth, universe, classes, op_tables, tuple(counts),
+        sig, x, depth, classes.base, classes, op_tables, tuple(counts),
         tuple(engine.instance_log),
     )
+
+
+def _closed_tables(engine: _Engine, sig: Signature, ordered: list[int]) -> Optional[dict]:
+    """Operation tables on the representatives of the ``ordered`` classes, or
+    None when the node signature over some tuple of them is not registered."""
+    tables: dict = {}
+    for name, arity in sig:
+        table = {}
+        for arg_roots in itertools.product(ordered, repeat=arity):
+            root = engine.lookup_sig(name, arg_roots)
+            if root is None:
+                return None
+            table[tuple(engine.rep[r] for r in arg_roots)] = engine.rep[root]
+        tables[name] = table
+    return tables
 
 
 def saturate(
@@ -239,8 +257,7 @@ def saturate(
     for a in x:
         engine.register(Var(a))
     counts: list[int] = []
-    size_after_depth = [len(engine.terms)]
-    roots_after_depth = [[engine.find(i) for i in range(len(engine.terms))]]
+    prev_roots = set(engine.rep)
     applied: set = set()
 
     for depth in range(1, depth_bound + 1):
@@ -281,42 +298,19 @@ def saturate(
             if engine.merge_count == merges_before and len(engine.terms) == terms_before:
                 break
 
-        counts.append(len({engine.find(i) for i in range(len(engine.terms))}))
-        size_after_depth.append(len(engine.terms))
-        roots_after_depth.append([engine.find(i) for i in range(len(engine.terms))])
-
-        prev_roots = set(roots_after_depth[depth - 1])
-        prev_now = {engine.find(r) for r in prev_roots}
-        injective = len(prev_now) == len(prev_roots)
-        current = {engine.find(i) for i in range(size_after_depth[depth])}
-        surjective = current <= prev_now
-        closed = True
-        if injective and surjective:
-            ordered = sorted(prev_now, key=lambda r: engine.rep[r].sort_key())
-            for name, arity in sig:
-                for arg_roots in itertools.product(ordered, repeat=arity):
-                    root = engine.lookup_sig(name, arg_roots)
-                    if root is None or root not in prev_now:
-                        closed = False
-                        break
-                if not closed:
-                    break
-        if injective and surjective and closed:
-            state = _extract_state(engine, sig, x, depth, counts)
-            ordered = sorted(prev_now, key=lambda r: engine.rep[r].sort_key())
-            carrier = FinSet(tuple(engine.rep[r] for r in ordered))
-            tables: dict = {}
-            for name, arity in sig:
-                table = {}
-                for arg_roots in itertools.product(ordered, repeat=arity):
-                    reps_args = tuple(engine.rep[r] for r in arg_roots)
-                    table[reps_args] = engine.rep[engine.lookup_sig(name, arg_roots)]
-                tables[name] = table
-            algebra = FinAlgebra(sig, carrier, tables)
-            unit = FinMap(
-                x, carrier, {a: engine.rep[engine.find(engine.index[Var(a)])] for a in x}
-            )
-            return Stabilized(algebra, unit, depth, state)
+        counts.append(len(engine.rep))
+        if len(prev_roots) == len({engine.find(r) for r in prev_roots}) == len(engine.rep):
+            ordered = engine.class_roots()
+            tables = _closed_tables(engine, sig, ordered)
+            if tables is not None:
+                state = _extract_state(engine, sig, x, depth, counts)
+                carrier = FinSet(tuple(engine.rep[r] for r in ordered))
+                algebra = FinAlgebra(sig, carrier, tables)
+                unit = FinMap(
+                    x, carrier, {a: engine.rep[engine.find(engine.index[Var(a)])] for a in x}
+                )
+                return Stabilized(algebra, unit, depth, state)
+        prev_roots = set(engine.rep)
 
     state = _extract_state(engine, sig, x, depth_bound, counts)
     return Unstabilized(state, depth_bound)
@@ -371,11 +365,7 @@ def audit_derivations(res) -> bool:
     for a, b in state.instance_pairs:
         engine.union(engine.register(a), engine.register(b))
         engine.drain()
-    groups: dict[int, list[Term]] = {}
-    for i, t in enumerate(engine.terms):
-        groups.setdefault(engine.find(i), []).append(t)
-    replayed = Partition(FinSet(tuple(engine.terms)), groups.values())
-    return replayed == state.classes
+    return engine.partition() == state.classes
 
 
 def extension_count(res: Stabilized, target: FinAlgebra, f: FinMap) -> int:
@@ -389,16 +379,26 @@ def extension_count(res: Stabilized, target: FinAlgebra, f: FinMap) -> int:
     return count
 
 
-def check_universal_property(
+def universal_property_witness(
     res: Stabilized, ids: Sequence[NaturalIdentity], target: FinAlgebra
-) -> bool:
-    """Whether every assignment of the generators into ``target`` extends to
-    exactly one algebra morphism from the free algebra."""
+) -> Optional[tuple[FinMap, int]]:
+    """The first assignment of the generators into ``target`` that does not
+    extend to exactly one algebra morphism from the free algebra, with its
+    number of extensions, or None when every assignment does."""
     if not isinstance(res, Stabilized):
         raise ValidationError("universal property requires a stabilized result")
     if not satisfies_all(target, ids):
         raise ValidationError("target algebra is outside the variety")
     for f in enumerate_maps(res.unit.dom, target.carrier):
-        if extension_count(res, target, f) != 1:
-            return False
-    return True
+        count = extension_count(res, target, f)
+        if count != 1:
+            return f, count
+    return None
+
+
+def check_universal_property(
+    res: Stabilized, ids: Sequence[NaturalIdentity], target: FinAlgebra
+) -> bool:
+    """Whether every assignment of the generators into ``target`` extends to
+    exactly one algebra morphism from the free algebra."""
+    return universal_property_witness(res, ids, target) is None

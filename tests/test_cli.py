@@ -48,6 +48,22 @@ def test_eval_rejects_atom_outside_carrier(corpus_file):
     assert "7" in err
 
 
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ("m(x)", "line 1, col 1: operation 'm' takes 2 arguments, got 1"),
+        ("m(x,y) extra", "line 1, col 8: unexpected 'extra' after the term"),
+    ],
+)
+def test_eval_term_errors_point_into_the_term(corpus_file, term, message):
+    code, out, err = invoke(
+        ["eval", "--spec", corpus_file, "--algebra", "Or", "--term", term]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: {message}\n"
+
+
 def test_check_associativity_holds(corpus_file):
     code, out, _ = invoke(
         ["check", "--spec", corpus_file, "--algebra", "B", "--identity", "massoc"]

@@ -20,8 +20,14 @@ from finalg import (
     substitute,
     word_equal,
 )
-from finalg.variety import audit_derivations, extension_count, _flatten
-from conftest import MAGMA, MONOID_SIG, e, m, two_element, v
+from finalg.dsl import parse_spec
+from finalg.variety import (
+    _flatten,
+    audit_derivations,
+    extension_count,
+    universal_property_witness,
+)
+from conftest import MAGMA, MONOID_SIG, X, Y, e, ident, m, two_element, v
 
 
 def gens(n):
@@ -250,3 +256,72 @@ def test_universal_property_requires_stabilized(monoid_ids, or_monoid):
     res = saturate(MONOID_SIG, monoid_ids, gens(1), 3)
     with pytest.raises(ValidationError):
         check_universal_property(res, monoid_ids, or_monoid)
+
+
+def test_universal_property_witness_outside_the_presented_variety(
+    assoc, comm, idem, or_magma
+):
+    """The free left-zero magma is not free for semilattices: x1 -> 0,
+    x2 -> 1 has no extension, since m(x1,x2) = x1 but 0 or 1 = 1."""
+    lzero = ident(MAGMA, m(X, Y), X, ("x", "y"))
+    res = saturate(MAGMA, [lzero], gens(2), 3)
+    semilattice = [assoc, comm, idem]
+    f, count = universal_property_witness(res, semilattice, or_magma)
+    assert f.table == {"x1": 0, "x2": 1}
+    assert count == 0
+    assert not check_universal_property(res, semilattice, or_magma)
+    assert universal_property_witness(res, [lzero], two_element([0, 0, 1, 1])) is None
+
+
+TRAJECTORY_SPEC = """\
+signature Magma { op m : 2 }
+signature Monoid { op m : 2 op e : 0 }
+signature Lattice { op j : 2 op k : 2 }
+vars x y z
+identity assoc over Magma : m(m(x,y),z) = m(x,m(y,z))
+identity comm over Magma : m(x,y) = m(y,x)
+identity idem over Magma : m(x,x) = x
+identity lzero over Magma : m(x,y) = x
+identity massoc over Monoid : m(m(x,y),z) = m(x,m(y,z))
+identity lunit over Monoid : m(e(),x) = x
+identity runit over Monoid : m(x,e()) = x
+identity sqe over Monoid : m(x,x) = e()
+identity jassoc over Lattice : j(j(x,y),z) = j(x,j(y,z))
+identity kassoc over Lattice : k(k(x,y),z) = k(x,k(y,z))
+identity jcomm over Lattice : j(x,y) = j(y,x)
+identity kcomm over Lattice : k(x,y) = k(y,x)
+identity jabs over Lattice : j(x,k(x,y)) = x
+identity kabs over Lattice : k(x,j(x,y)) = x
+identity dist over Lattice : k(x,j(y,z)) = j(k(x,y),k(x,z))
+presentation BoolGroup = Monoid with massoc lunit runit sqe
+presentation Semilattice = Magma with assoc comm idem
+presentation DistLat = Lattice with jassoc kassoc jcomm kcomm jabs kabs dist
+presentation Band = Magma with assoc idem
+presentation LeftZero = Magma with lzero
+"""
+
+
+@pytest.mark.parametrize(
+    "presentation, n, bound, at_depth, counts, universe, instances",
+    [
+        ("BoolGroup", 3, 6, 4, (10, 52, 8, 8), 4050, 1195),
+        ("Semilattice", 3, 6, 4, (6, 10, 7, 7), 691, 356),
+        ("DistLat", 2, 6, 4, (8, 56, 4, 4), 8186, 1558),
+        # The count holds at 8 over depths 2 and 3 without stabilizing:
+        # an unchanged class count alone is not the stop rule.
+        ("Band", 2, 6, 5, (4, 8, 8, 6, 6), 430, 222),
+        ("DistLat", 1, 6, 4, (3, 10, 1, 1), 292, 86),
+        ("LeftZero", 4, 6, 1, (4,), 20, 16),
+    ],
+)
+def test_saturation_trajectory(presentation, n, bound, at_depth, counts, universe, instances):
+    """Pins the depth at which saturation stops and the class count after
+    every depth, so a slip in the stop test shows."""
+    model = parse_spec(TRAJECTORY_SPEC)
+    sig = model.signatures[model.presentations[presentation].sig_name]
+    res = saturate(sig, model.presentation_identities(presentation), gens(n), bound)
+    assert isinstance(res, Stabilized)
+    assert res.at_depth == at_depth
+    assert res.state.class_counts == counts
+    assert len(res.state.universe) == universe
+    assert len(res.state.instance_pairs) == instances
