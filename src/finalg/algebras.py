@@ -11,12 +11,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from .core import FinMap, FinSet
+from .core import MAX_ENUMERATION, FinMap, FinSet
 from .errors import ResourceLimitError, ValidationError
 from .functors import SigF, Signature, apply_obj
 from .terms import Node, Term, Var
-
-MAX_ENUMERATION = 1_000_000
 
 
 class FinAlgebra:

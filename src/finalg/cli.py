@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative(text: str) -> int:
+    """The argparse type of every size, bound, generator and level argument."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _generators(n: int) -> FinSet:
     return FinSet(tuple(f"x{i + 1}" for i in range(n)))
 
@@ -302,10 +313,10 @@ def _build_parser() -> _Parser:
 
     p = add("chain", _cmd_chain)
     p.add_argument("--signature", required=True)
-    p.add_argument("--generators", type=int, required=True)
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--generators", type=_non_negative, required=True)
+    p.add_argument("--upto", type=_non_negative, required=True)
     p.add_argument("--terms", action="store_true")
-    p.add_argument("--max-stage-size", type=int, default=1_000_000)
+    p.add_argument("--max-stage-size", type=_non_negative, default=1_000_000)
 
     p = add("eval", _cmd_eval)
     p.add_argument("--algebra", required=True)
@@ -315,52 +326,52 @@ def _build_parser() -> _Parser:
     p = add("check", _cmd_check)
     p.add_argument("--algebra", required=True)
     p.add_argument("--identity", required=True)
-    p.add_argument("--equation-generators", type=int, default=None)
+    p.add_argument("--equation-generators", type=_non_negative, default=None)
 
     p = add("enumerate", _cmd_enumerate)
     p.add_argument("--signature", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_non_negative, required=True)
     p.add_argument("--identity", action="append")
     p.add_argument("--print-tables", action="store_true")
-    p.add_argument("--max-count", type=int, default=1_000_000)
+    p.add_argument("--max-count", type=_non_negative, default=1_000_000)
 
     p = add("convert", _cmd_convert)
     p.add_argument("mode", choices=["to-equation", "to-identity", "roundtrip"])
     p.add_argument("--identity", required=True)
-    p.add_argument("--generators", type=int, required=True)
-    p.add_argument("--max-size", type=int, default=2)
+    p.add_argument("--generators", type=_non_negative, required=True)
+    p.add_argument("--max-size", type=_non_negative, default=2)
 
     p = add("free", _cmd_free)
     p.add_argument("--presentation", required=True)
-    p.add_argument("--generators", type=int, required=True)
-    p.add_argument("--max-depth", type=int, required=True)
-    p.add_argument("--max-universe", type=int, default=variety_mod.MAX_UNIVERSE)
+    p.add_argument("--generators", type=_non_negative, required=True)
+    p.add_argument("--max-depth", type=_non_negative, required=True)
+    p.add_argument("--max-universe", type=_non_negative, default=variety_mod.MAX_UNIVERSE)
 
     p = add("uprop", _cmd_uprop)
     p.add_argument("--presentation", required=True)
-    p.add_argument("--generators", type=int, required=True)
-    p.add_argument("--max-depth", type=int, required=True)
+    p.add_argument("--generators", type=_non_negative, required=True)
+    p.add_argument("--max-depth", type=_non_negative, required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--max-universe", type=int, default=variety_mod.MAX_UNIVERSE)
+    p.add_argument("--max-universe", type=_non_negative, default=variety_mod.MAX_UNIVERSE)
 
     p = add("rho-chain", _cmd_rho_chain)
     p.add_argument("--identity", required=True)
     p.add_argument("--side", choices=["lhs", "rhs"], default="lhs")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--generators", type=int, default=2)
+    p.add_argument("--bound", type=_non_negative, required=True)
+    p.add_argument("--generators", type=_non_negative, default=2)
 
     p = add("equi", _cmd_equi)
     p.add_argument("--identity", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--level", type=_non_negative, required=True)
+    p.add_argument("--max-size", type=_non_negative, required=True)
 
     p = add("em-check", _cmd_em_check, needs_spec=False)
-    p.add_argument("--size", type=int, default=2)
+    p.add_argument("--size", type=_non_negative, default=2)
 
     p = add("dalg-check", _cmd_dalg_check)
     p.add_argument("--identity", required=True)
     p.add_argument("--algebra", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_non_negative, required=True)
 
     return parser
 

@@ -15,7 +15,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+
+# The map and algebra enumerators refuse to start beyond this many items.
+MAX_ENUMERATION = 1_000_000
 
 
 def atom_key(atom):
@@ -234,7 +237,18 @@ def kernel_pair(proj: FinMap) -> list[tuple]:
 
 
 def enumerate_maps(a: FinSet, b: FinSet) -> Iterator[FinMap]:
-    """All |b|^|a| total maps a → b, each exactly once, in canonical order."""
+    """All |b|^|a| total maps a → b, each exactly once, in canonical order.
+
+    Raises :class:`ResourceLimitError` at the call, before any map is
+    built, when there are more than ``MAX_ENUMERATION`` of them.
+    """
+    total = len(b) ** len(a)
+    if total > MAX_ENUMERATION:
+        raise ResourceLimitError(
+            f"map enumeration from {len(a)} into {len(b)} atoms", total, MAX_ENUMERATION
+        )
     elems = a.elements
-    for images in itertools.product(b.elements, repeat=len(elems)):
-        yield FinMap(a, b, dict(zip(elems, images)))
+    return (
+        FinMap(a, b, dict(zip(elems, images)))
+        for images in itertools.product(b.elements, repeat=len(elems))
+    )

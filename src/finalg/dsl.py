@@ -11,8 +11,9 @@ must be declared before use)::
     presentation NAME = SIG with IDENTITY ...
 
 Terms are written ``op(arg,...)`` with nullary operations as ``op()``
-and variables bare.  Atoms in algebra blocks are bare identifiers or
-numerals, kept verbatim as strings.
+and variables bare, nested at most ``MAX_TERM_DEPTH`` deep.  Atoms in
+algebra blocks are bare identifiers or numerals, kept verbatim as
+strings.
 """
 from __future__ import annotations
 
@@ -38,6 +39,11 @@ KEYWORDS = {
     "carrier",
     "with",
 }
+
+# Terms nested deeper are refused with a parse error.  The parser and the
+# term functions downstream of it (sort keys, evaluation) recurse per
+# level; at 256 levels they exceed Python's default recursion limit.
+MAX_TERM_DEPTH = 128
 
 _TOKEN = re.compile(r"->|[A-Za-z_][A-Za-z0-9_]*|\d+|[{}():=,]|\S")
 
@@ -204,18 +210,22 @@ class _Parser:
             raise ParseError(f"unknown signature {tok.text!r}", tok.line, tok.col)
         return tok.text
 
-    def _term(self, model: SpecModel, sig: Signature) -> Term:
+    def _term(self, model: SpecModel, sig: Signature, depth: int = 0) -> Term:
         head = self._next()
         if head.text in KEYWORDS or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", head.text):
             raise ParseError(f"expected a term, found {head.text!r}", head.line, head.col)
         if not self._at_end() and self._peek().text == "(":
+            if depth == MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"term nested deeper than {MAX_TERM_DEPTH} levels", head.line, head.col
+                )
             self._expect("(")
             args = []
             if self._peek().text != ")":
-                args.append(self._term(model, sig))
+                args.append(self._term(model, sig, depth + 1))
                 while self._peek().text == ",":
                     self._next()
-                    args.append(self._term(model, sig))
+                    args.append(self._term(model, sig, depth + 1))
             self._expect(")")
             if head.text not in sig:
                 raise ParseError(f"unknown operation {head.text!r}", head.line, head.col)

@@ -6,6 +6,11 @@ the variable embedding ``iota``, the node constructor ``q_node``, the
 stage inclusions ``w_embed``, and the one-step injection ``y_inject``.
 In this finite-set instantiation all connecting maps are injections, so
 stages are literally nested sets of terms and ``w_embed`` is inclusion.
+
+A :class:`Node`'s hash is fixed at construction from its operation and
+its children's stored hashes, so hashing a term (and every dict or set
+lookup keyed on one) costs O(1) and never recurses, however deep the
+term.  Equality stays structural.
 """
 from __future__ import annotations
 
@@ -55,6 +60,10 @@ class Node(Term):
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "_hash", hash((self.op, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def height(self) -> int:

@@ -12,13 +12,18 @@ staying exponentially smaller.
 
 The engine's only record of the classes is its root map: the keys of
 ``rep`` are exactly the live union-find roots, each mapped to the least
-term of its class.  Saturation stabilizes at depth d when the roots
-after depth d-1 still name distinct classes after depth d and those are
-all the classes (the images of the earlier roots are always among the
-current roots, so equal counts make the map a bijection), and the node
-signature over every tuple of classes is already known; the quotient
-then carries a total finite algebra and the variable embedding becomes
-the unit of the free algebra.
+term of its class.  The engine is also the hashcons of its terms:
+``nodes`` maps ``(op, child ids)`` to the id of the registered node with
+exactly those children, so identity instances and frontier nodes are
+built on integer ids and a ``Term`` is made only for a new node.
+
+Saturation stabilizes at depth d when the roots after depth d-1 still
+name distinct classes after depth d and those are all the classes (the
+images of the earlier roots are always among the current roots, so
+equal counts make the map a bijection), and the node signature over
+every tuple of classes is already known; the quotient then carries a
+total finite algebra and the variable embedding becomes the unit of the
+free algebra.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from .core import FinMap, FinSet, Partition, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, canonical_vars, satisfies_all
-from .terms import Node, Term, Var, substitute
+from .terms import Node, Term, Var
 
 MAX_UNIVERSE = 500_000
 
@@ -57,7 +62,8 @@ def _occurrence_depths(t: Term, depth: int = 0, acc: Optional[dict] = None) -> d
 
 
 class _Engine:
-    """Union-find over registered terms with congruence closure."""
+    """Union-find over registered terms with congruence closure; ``nodes``
+    is keyed on exact child ids, ``sig_table`` on child roots."""
 
     def __init__(self):
         self.index: dict[Term, int] = {}
@@ -67,6 +73,7 @@ class _Engine:
         self.rep: dict[int, Term] = {}
         self.node_args: list[Optional[tuple[int, ...]]] = []
         self.node_op: list[Optional[str]] = []
+        self.nodes: dict[tuple, int] = {}
         self.sig_table: dict[tuple, int] = {}
         self.parents: dict[int, list[int]] = {}
         self.pending: deque[tuple[int, int]] = deque()
@@ -87,9 +94,25 @@ class _Engine:
         if tid is not None:
             return tid
         if isinstance(t, Node):
-            arg_ids = tuple(self.register(a) for a in t.args)
-        else:
-            arg_ids = None
+            return self._add(t, tuple(self.register(a) for a in t.args))
+        return self._add(t, None)
+
+    def node(self, op: str, arg_ids: tuple[int, ...]) -> int:
+        """The id of the node ``op`` over the registered ``arg_ids``; its
+        term is built only when the node is new."""
+        nid = self.nodes.get((op, arg_ids))
+        if nid is None:
+            nid = self._add(Node(op, tuple(self.terms[a] for a in arg_ids)), arg_ids)
+        return nid
+
+    def instantiate(self, side: Term, g: dict) -> int:
+        """The id of ``side`` with each variable replaced by the term of its
+        bound id in ``g``."""
+        if isinstance(side, Node):
+            return self.node(side.op, tuple(self.instantiate(a, g) for a in side.args))
+        return g[side.name]
+
+    def _add(self, t: Term, arg_ids: Optional[tuple[int, ...]]) -> int:
         tid = len(self.terms)
         self.index[t] = tid
         self.terms.append(t)
@@ -97,8 +120,9 @@ class _Engine:
         self.rank.append(0)
         self.rep[tid] = t
         self.node_args.append(arg_ids)
-        self.node_op.append(t.op if isinstance(t, Node) else None)
+        self.node_op.append(t.op if arg_ids is not None else None)
         if arg_ids is not None:
+            self.nodes[(t.op, arg_ids)] = tid
             key = (t.op, tuple(self.find(a) for a in arg_ids))
             other = self.sig_table.get(key)
             if other is None:
@@ -261,10 +285,10 @@ def saturate(
     applied: set = set()
 
     for depth in range(1, depth_bound + 1):
-        frontier_reps = [engine.rep[r] for r in engine.class_roots()]
+        frontier = [engine.index[engine.rep[r]] for r in engine.class_roots()]
         for name, arity in sig:
-            for args in itertools.product(frontier_reps, repeat=arity):
-                engine.register(Node(name, args))
+            for arg_ids in itertools.product(frontier, repeat=arity):
+                engine.node(name, arg_ids)
         if len(engine.terms) > max_universe:
             raise ResourceLimitError("saturation universe", len(engine.terms), max_universe)
         engine.drain()
@@ -272,24 +296,26 @@ def saturate(
         while True:
             merges_before = engine.merge_count
             terms_before = len(engine.terms)
-            reps = [engine.rep[r] for r in engine.class_roots()]
+            reps = [
+                (engine.index[t], t.height)
+                for t in (engine.rep[r] for r in engine.class_roots())
+            ]
             for comp_id, used, offsets, left, right, ground in components:
                 if ground > depth:
                     continue
                 pools = [
-                    [t for t in reps if t.height + offsets[v] <= depth] for v in used
+                    [tid for tid, height in reps if height + offsets[v] <= depth]
+                    for v in used
                 ]
                 for images in itertools.product(*pools):
-                    key = (comp_id, tuple(engine.index[t] for t in images))
+                    key = (comp_id, images)
                     if key in applied:
                         continue
                     applied.add(key)
                     g = dict(zip(used, images))
-                    li = substitute(left, g)
-                    ri = substitute(right, g)
-                    a, b = engine.register(li), engine.register(ri)
+                    a, b = engine.instantiate(left, g), engine.instantiate(right, g)
                     if engine.union(a, b):
-                        engine.instance_log.append((li, ri))
+                        engine.instance_log.append((engine.terms[a], engine.terms[b]))
                 engine.drain()
             if len(engine.terms) > max_universe:
                 raise ResourceLimitError(

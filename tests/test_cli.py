@@ -3,6 +3,7 @@ import io
 import pytest
 
 from finalg.cli import run
+from finalg.dsl import MAX_TERM_DEPTH
 
 
 def invoke(argv):
@@ -62,6 +63,27 @@ def test_eval_term_errors_point_into_the_term(corpus_file, term, message):
     assert code == 2
     assert out == ""
     assert err == f"parse error: {message}\n"
+
+
+def test_eval_refuses_terms_nested_too_deep(corpus_file):
+    """A term nested past the DSL's bound is a parse error at the first
+    node beyond it, not an uncaught RecursionError."""
+    term = "m(" * 1500 + "x" + ",y)" * 1500
+    code, out, err = invoke(
+        ["eval", "--spec", corpus_file, "--algebra", "Or", "--term", term]
+    )
+    assert code == 2
+    assert out == ""
+    col = 2 * MAX_TERM_DEPTH + 1
+    assert err == (
+        f"parse error: line 1, col {col}: term nested deeper than {MAX_TERM_DEPTH} levels\n"
+    )
+    ok = "m(" * MAX_TERM_DEPTH + "x" + ",y)" * MAX_TERM_DEPTH
+    code, out, _ = invoke(
+        ["eval", "--spec", corpus_file, "--algebra", "Or", "--term", ok, "--assign", "x=0,y=1"]
+    )
+    assert code == 0
+    assert out == "value: 1\n"
 
 
 def test_check_associativity_holds(corpus_file):
@@ -249,6 +271,34 @@ def test_resource_guard_is_clean_diagnostic(corpus_file):
     )
     assert code == 2
     assert "resource limit" in err
+
+
+def test_em_check_refuses_unbounded_enumeration():
+    """Size 5 has 5^32 candidate maps: refused before the walk starts."""
+    code, out, err = invoke(["em-check", "--size", "5"])
+    assert code == 2
+    assert out == ""
+    assert "resource limit: map enumeration" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["enumerate", "--signature", "Magma", "--size", "-2"], "--size"),
+        (["em-check", "--size", "-1"], "--size"),
+        (["rho-chain", "--identity", "comm", "--bound", "-3"], "--bound"),
+        (["chain", "--signature", "Magma", "--generators", "-1", "--upto", "2"],
+         "--generators"),
+        (["equi", "--identity", "comm", "--level", "-1", "--max-size", "2"], "--level"),
+    ],
+)
+def test_negative_sizes_and_bounds_are_usage_errors(argv, option, corpus_file):
+    if argv[0] != "em-check":
+        argv = [argv[0], "--spec", corpus_file] + argv[1:]
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: argument {option}: expected a non-negative integer")
 
 
 @pytest.mark.parametrize(

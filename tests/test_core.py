@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from finalg import (
     FinMap,
     FinSet,
+    ResourceLimitError,
     ValidationError,
     coproduct,
     enumerate_maps,
@@ -11,6 +12,7 @@ from finalg import (
     quotient,
     stage,
 )
+from finalg.core import MAX_ENUMERATION
 from conftest import MAGMA, m, v
 
 
@@ -130,6 +132,16 @@ def test_enumerate_maps_unique_and_deterministic():
     assert len(set(tables)) == 9
     again = [tuple(sorted(f.table.items())) for f in enumerate_maps(FinSet(("x", "y")), FinSet((0, 1, 2)))]
     assert tables == again
+
+
+def test_enumerate_maps_bounded_before_it_starts():
+    """3^13 maps exceed the bound: refused at the call, not mid-walk."""
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_maps(FinSet(tuple(range(13))), FinSet((0, 1, 2)))
+    assert info.value.needed == 3**13
+    assert info.value.limit == MAX_ENUMERATION
+    first = next(enumerate_maps(FinSet(tuple(range(12))), FinSet((0, 1, 2))))
+    assert set(first.table.values()) == {0}
 
 
 small_atoms = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5, unique=True)

@@ -34,6 +34,18 @@ def test_heights():
     assert m(m(v("x"), v("y")), v("x")).height == 2
 
 
+def test_deep_term_hashes_without_recursion():
+    """A node's hash is fixed at construction from its children's stored
+    hashes, so hashing a 5000-deep chain never recurses."""
+    deep = v("x")
+    for _ in range(5000):
+        deep = Node("f", (deep,))
+    assert hash(deep) == hash(("f", (deep.args[0],)))
+    table = {deep: "top", deep.args[0]: "below"}
+    assert table[deep] == "top"
+    assert table[deep.args[0]] == "below"
+
+
 def test_stage_sizes_magma_one_generator():
     sizes = [1]
     for _ in range(3):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -13,6 +14,7 @@ from finalg import (
     Var,
     check_universal_property,
     enumerate_maps,
+    format_term,
     is_morphism,
     satisfies,
     saturate,
@@ -301,6 +303,28 @@ presentation LeftZero = Magma with lzero
 """
 
 
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# Per case: a digest of the applied identity instances in order, the free
+# algebra's carrier, and a digest of its operation tables.
+TRAJECTORY_RESULTS = {
+    ("BoolGroup", 3): ("def702e17d354077",
+                       "x1 x2 x3 e() m(x1,x2) m(x1,x3) m(x2,x3) m(x1,m(x2,x3))",
+                       "a11586f91a2d1de5"),
+    ("Semilattice", 3): ("12df3cca5a80e749",
+                         "x1 x2 x3 m(x1,x2) m(x1,x3) m(x2,x3) m(x1,m(x2,x3))",
+                         "b77c6078da1c23f5"),
+    ("DistLat", 2): ("762d7710ce41dc74", "x1 x2 j(x1,x2) k(x1,x2)", "a385ec4e2755e792"),
+    ("Band", 2): ("2f062d84d0bc04c1",
+                  "x1 x2 m(x1,x2) m(x2,x1) m(x1,m(x2,x1)) m(x2,m(x1,x2))",
+                  "8bf59e31b74ed2a8"),
+    ("DistLat", 1): ("596024d520e69f73", "x1", "130abbef8d5435c3"),
+    ("LeftZero", 4): ("6483a02841880249", "x1 x2 x3 x4", "6483a02841880249"),
+}
+
+
 @pytest.mark.parametrize(
     "presentation, n, bound, at_depth, counts, universe, instances",
     [
@@ -315,8 +339,10 @@ presentation LeftZero = Magma with lzero
     ],
 )
 def test_saturation_trajectory(presentation, n, bound, at_depth, counts, universe, instances):
-    """Pins the depth at which saturation stops and the class count after
-    every depth, so a slip in the stop test shows."""
+    """Pins the depth at which saturation stops, the class count after
+    every depth, the applied identity instances in order, and the free
+    algebra's carrier and tables, so a slip in the stop test or in how
+    instances are built shows."""
     model = parse_spec(TRAJECTORY_SPEC)
     sig = model.signatures[model.presentations[presentation].sig_name]
     res = saturate(sig, model.presentation_identities(presentation), gens(n), bound)
@@ -325,3 +351,14 @@ def test_saturation_trajectory(presentation, n, bound, at_depth, counts, univers
     assert res.state.class_counts == counts
     assert len(res.state.universe) == universe
     assert len(res.state.instance_pairs) == instances
+    pairs_digest, carrier, tables_digest = TRAJECTORY_RESULTS[(presentation, n)]
+    assert _digest(
+        f"{format_term(a)} = {format_term(b)}" for a, b in res.state.instance_pairs
+    ) == pairs_digest
+    alg = res.algebra
+    assert " ".join(format_term(t) for t in alg.carrier) == carrier
+    assert _digest(
+        f"{op}({','.join(map(format_term, args))}) = {format_term(alg.tables[op][args])}"
+        for op, arity in sig
+        for args in itertools.product(alg.carrier.elements, repeat=arity)
+    ) == tables_digest
