@@ -48,7 +48,6 @@ from .identities import (
     from_sigma,
     raise_arity,
     satisfies,
-    satisfies_transform,
 )
 from .monadic import (
     DAlgebraPair,

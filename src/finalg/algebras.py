@@ -2,14 +2,20 @@
 
 An algebra is a finite carrier plus one total operation table per
 symbol; equivalently a single structure map F(A) → A, available as a
-derived view.  Term evaluation is structural recursion on the term, so
-it is automatically independent of the stage a term is viewed in.
+derived view.  A term is evaluated by compiling it once into nested
+closures (``compile_term``) that fold it through the tables, with its
+variables resolved to positions in a value tuple; the fold depends only
+on the term, so it is independent of the stage a term is viewed in.
+Callers that evaluate one term under many assignments compile it once:
+``identities.violation`` runs each identity's sides, compiled once, over
+the assignments in ``itertools.product`` order and reports the first
+failure.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .core import MAX_ENUMERATION, FinMap, FinSet
 from .errors import ResourceLimitError, ValidationError
@@ -86,26 +92,52 @@ class Assignment:
 Binding = Union[Assignment, Mapping]
 
 
-def _lookup(binding: Binding, name):
-    table = binding.map.table if isinstance(binding, Assignment) else binding
-    try:
-        return table[name]
-    except KeyError:
-        raise ValidationError(f"unbound variable {name!r}") from None
+Compiled = Callable[[Mapping[str, Mapping], Sequence], object]
+
+
+def compile_term(t: Term, names: Sequence) -> Compiled:
+    """Compile ``t`` into ``f(tables, values)``, the fold of ``t`` through
+    ``tables`` with variable ``names[j]`` bound to ``values[j]``.
+
+    Variables are resolved to positions here; a variable outside ``names``
+    is refused now, not when the closure runs.
+    """
+    return _compile(t, {name: j for j, name in enumerate(names)})
+
+
+def _compile(t: Term, index: Mapping) -> Compiled:
+    if type(t) is Var:
+        try:
+            j = index[t.name]
+        except KeyError:
+            raise ValidationError(f"unbound variable {t.name!r}") from None
+        return lambda tables, values: values[j]
+    if type(t) is not Node:
+        raise ValidationError(f"not a term: {t!r}")
+    op, args = t.op, t.args
+    if len(args) == 2:
+        f, g = _compile(args[0], index), _compile(args[1], index)
+        return lambda tables, values: tables[op][(f(tables, values), g(tables, values))]
+    if len(args) == 1:
+        f = _compile(args[0], index)
+        return lambda tables, values: tables[op][(f(tables, values),)]
+    if not args:
+        return lambda tables, values: tables[op][()]
+    subs = [_compile(a, index) for a in args]
+    return lambda tables, values: tables[op][tuple([f(tables, values) for f in subs])]
 
 
 def evaluate(alg: FinAlgebra, t: Term, binding: Binding):
     """Fold a term through the algebra's tables under a variable binding."""
-    match t:
-        case Var(name):
-            return _lookup(binding, name)
-        case Node(op, args):
-            try:
-                table = alg.tables[op]
-            except KeyError:
-                raise ValidationError(f"unknown operation {op!r}") from None
-            return table[tuple(evaluate(alg, a, binding) for a in args)]
-    raise ValidationError(f"not a term: {t!r}")
+    table = binding.map.table if isinstance(binding, Assignment) else binding
+    f = compile_term(t, tuple(table))
+    try:
+        return f(alg.tables, tuple(table.values()))
+    except KeyError as exc:
+        op = exc.args[0]
+        if type(op) is str and op not in alg.tables:
+            raise ValidationError(f"unknown operation {op!r}") from None
+        raise
 
 
 def is_morphism(src: FinAlgebra, dst: FinAlgebra, h: FinMap) -> bool:

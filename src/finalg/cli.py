@@ -39,7 +39,11 @@ from .monadic import (
     induced_pair,
     powerset_instance,
 )
-from .terms import format_term, stage, stage_sizes, variables
+from .terms import format_term, iter_stage_sizes, stage, variables
+
+# ``chain`` refuses to print a stage size above this (the sizes grow doubly
+# exponentially, so each step past it would cost more than the last).
+MAX_PRINTED_STAGE_SIZE = 10**30
 
 
 class _UsageError(Exception):
@@ -96,7 +100,11 @@ def _format_subset(s: tuple) -> str:
 def _cmd_chain(args, model: SpecModel, out: TextIO) -> int:
     sig = _model_signature(model, args.signature)
     x = _generators(args.generators)
-    sizes = stage_sizes(sig, x, args.upto)
+    sizes = []
+    for k, size in zip(range(args.upto + 1), iter_stage_sizes(sig, x)):
+        if size > MAX_PRINTED_STAGE_SIZE:
+            raise ResourceLimitError(f"printed size of stage {k}", size, MAX_PRINTED_STAGE_SIZE)
+        sizes.append(size)
     print("sizes: " + " ".join(str(s) for s in sizes), file=out)
     if args.terms:
         st = stage(sig, x, args.upto, args.max_stage_size)

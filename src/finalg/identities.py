@@ -5,19 +5,22 @@ Yoneda correspondence, one term of height ≤ n per component, written
 over canonical variables v1..vkᵢ.  A natural identity is a pair of
 natural terms with a common domain; an algebra satisfies it when both
 sides evaluate equally under every assignment of the canonical
-variables into the carrier.
+variables into the carrier.  Each identity compiles its component sides
+once (``NaturalIdentity.sides``) and ``violation`` runs them over the
+assignments in ``itertools.product`` order, reporting the first failure.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
-from .algebras import FinAlgebra, enumerate_algebras, evaluate
-from .core import FinMap, FinSet
+from .algebras import Compiled, FinAlgebra, compile_term, enumerate_algebras
+from .core import FinSet
 from .errors import ValidationError
-from .functors import FunctorExpr, ReprF, Signature, SumF, apply_obj
-from .terms import Term, Var, check_term, relabel, stage, substitute, variables
+from .functors import FunctorExpr, ReprF, Signature, SumF
+from .terms import Term, check_term, relabel, variables
 
 
 def canonical_vars(k: int) -> tuple[str, ...]:
@@ -91,6 +94,15 @@ class NaturalIdentity:
     def arity(self) -> int:
         return self.lhs.arity
 
+    @cached_property
+    def sides(self) -> tuple[tuple[int, Compiled, Compiled], ...]:
+        """Per component, ``(k, lhs, rhs)`` with both sides compiled over
+        the canonical variables v1..vk (see ``compile_term``)."""
+        return tuple(
+            (k, compile_term(left, canonical_vars(k)), compile_term(right, canonical_vars(k)))
+            for k, left, right in zip(self.domain, self.lhs.data, self.rhs.data)
+        )
+
 
 def domain_expr(t: Union[NaturalTerm, NaturalIdentity]) -> FunctorExpr:
     """The domain functor as an expression: a sum of representables."""
@@ -101,13 +113,10 @@ def violation(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:
     """First failing instance as (component index, assignment tuple), or None."""
     if alg.sig != ident.sig:
         raise ValidationError("signature mismatch between algebra and identity")
-    carrier = alg.carrier.elements
-    for i, k in enumerate(ident.domain):
-        names = canonical_vars(k)
-        left, right = ident.lhs.data[i], ident.rhs.data[i]
+    carrier, tables = alg.carrier.elements, alg.tables
+    for i, (k, left, right) in enumerate(ident.sides):
         for values in itertools.product(carrier, repeat=k):
-            binding = dict(zip(names, values))
-            if evaluate(alg, left, binding) != evaluate(alg, right, binding):
+            if left(tables, values) != right(tables, values):
                 return (i, values)
     return None
 
@@ -120,28 +129,6 @@ def satisfies(alg: FinAlgebra, ident: NaturalIdentity) -> bool:
 
 def satisfies_all(alg: FinAlgebra, idents: Iterable[NaturalIdentity]) -> bool:
     return all(satisfies(alg, ident) for ident in idents)
-
-
-def satisfies_transform(alg: FinAlgebra, ident: NaturalIdentity) -> bool:
-    """Independent satisfaction route: materialize both transformation
-    components at the carrier as maps G(A) → stage(A) and compare the literal
-    composites with term evaluation stage(A) → A."""
-    if alg.sig != ident.sig:
-        raise ValidationError("signature mismatch between algebra and identity")
-    ga = apply_obj(domain_expr(ident), alg.carrier)
-    st = stage(ident.sig, alg.carrier, ident.arity).terms
-
-    def component(nt: NaturalTerm) -> FinMap:
-        table = {}
-        for (i, args) in ga:
-            names = canonical_vars(ident.domain[i])
-            inst = substitute(nt.data[i], {v: Var(a) for v, a in zip(names, args)})
-            table[(i, args)] = inst
-        return FinMap(ga, st, table)
-
-    identity_binding = {a: a for a in alg.carrier}
-    eps = FinMap(st, alg.carrier, {t: evaluate(alg, t, identity_binding) for t in st})
-    return component(ident.lhs).then(eps) == component(ident.rhs).then(eps)
 
 
 def bundle(idents: Iterable[NaturalIdentity]) -> NaturalIdentity:

@@ -194,40 +194,19 @@ def satisfies_level(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:
     """
     if alg.sig != ident.sig:
         raise ValidationError("signature mismatch between algebra and identity")
+    tables = alg.tables
     pairs = {(a, a) for a in alg.carrier}
     for _ in range(k):
         new = set(pairs)
-        for i, ki in enumerate(ident.domain):
-            names = canonical_vars(ki)
-            left, right = ident.lhs.data[i], ident.rhs.data[i]
+        for ki, left, right in ident.sides:
             for combo in itertools.product(pairs, repeat=ki):
-                lbind = {v: p[0] for v, p in zip(names, combo)}
-                rbind = {v: p[1] for v, p in zip(names, combo)}
-                new.add(
-                    (evaluate(alg, left, lbind), evaluate(alg, right, rbind))
-                )
+                lvalues = [p[0] for p in combo]
+                rvalues = [p[1] for p in combo]
+                new.add((left(tables, lvalues), right(tables, rvalues)))
         if new == pairs:
             break
         pairs = new
     return all(a == b for a, b in pairs)
-
-
-def satisfies_level_enumerated(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:
-    """Literal route for cross-checks: materialize stage k of the domain
-    chain over the carrier, translate each element through both level maps,
-    and evaluate.  Feasible only for small domains."""
-    if alg.sig != ident.sig:
-        raise ValidationError("signature mismatch between algebra and identity")
-    lhs_chain = RhoChain.from_natural_term(ident.lhs)
-    rhs_chain = RhoChain.from_natural_term(ident.rhs)
-    gsig = lhs_chain.domain_signature()
-    binding = {a: a for a in alg.carrier}
-    for elem in stage(gsig, alg.carrier, k).terms:
-        lhs = evaluate(alg, rho_level(lhs_chain, k, elem), binding)
-        rhs = evaluate(alg, rho_level(rhs_chain, k, elem), binding)
-        if lhs != rhs:
-            return False
-    return True
 
 
 def equi_check(ident: NaturalIdentity, k: int, max_size: int) -> ClassComparison:
@@ -296,10 +275,15 @@ def em_satisfies(m: PowersetMonadInstance, alpha: FinMap) -> bool:
     subsets agrees with folding its union."""
     if alpha.dom != m.object or alpha.cod != m.base:
         raise ValidationError("structure map must go from subsets to the base")
+    return _em_laws(m, alpha, m.double())
+
+
+def _em_laws(m: PowersetMonadInstance, alpha: FinMap, families: FinSet) -> bool:
+    """The unit and multiplication laws, the latter over ``families``."""
     for a in m.base:
         if alpha.table[(a,)] != a:
             return False
-    for family in m.double():
+    for family in families:
         via_mu = alpha.table[m.mu_element(family)]
         mapped = tuple(sorted({alpha.table[s] for s in family}, key=atom_key))
         if alpha.table[mapped] != via_mu:
@@ -308,8 +292,13 @@ def em_satisfies(m: PowersetMonadInstance, alpha: FinMap) -> bool:
 
 
 def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
-    """All Eilenberg-Moore structure maps on the base, by exhaustive search."""
-    return [alpha for alpha in enumerate_maps(m.object, m.base) if em_satisfies(m, alpha)]
+    """All Eilenberg-Moore structure maps on the base, by exhaustive search.
+
+    The candidates are bounded before the family set ``m.double()`` is
+    built, once for all of them."""
+    candidates = enumerate_maps(m.object, m.base)
+    families = m.double()
+    return [alpha for alpha in candidates if _em_laws(m, alpha, families)]
 
 
 def em_to_algebra(

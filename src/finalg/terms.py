@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import FinMap, FinSet, atom_key
 from .errors import ResourceLimitError, ValidationError
@@ -160,13 +160,15 @@ class Stage:
     terms: FinSet
 
 
-def stage_sizes(sig: Signature, x: FinSet, upto: int) -> list[int]:
-    """Stage cardinalities 0..upto via |S_{k+1}| = Σ_σ |S_k|^{ar(σ)} + |x|."""
-    sizes = [len(x)]
-    for _ in range(upto):
-        prev = sizes[-1]
-        sizes.append(sum(prev**arity for _, arity in sig) + len(x))
-    return sizes
+def iter_stage_sizes(sig: Signature, x: FinSet) -> Iterator[int]:
+    """Stage cardinalities 0, 1, 2, ... via |S_{k+1}| = Σ_σ |S_k|^{ar(σ)} + |x|.
+
+    The sizes grow doubly exponentially, so a caller with a bound compares
+    each size with it as it comes, before asking for the next."""
+    size = len(x)
+    while True:
+        yield size
+        size = sum(size**arity for _, arity in sig) + len(x)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +187,7 @@ def stage(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> 
     """Build stage ``n`` over variable set ``x``; guards against blow-up."""
     if n < 0:
         raise ValidationError("negative stage index")
-    for k, size in enumerate(stage_sizes(sig, x, n)):
+    for k, size in zip(range(n + 1), iter_stage_sizes(sig, x)):
         if size > max_size:
             raise ResourceLimitError(f"stage {k} over {len(x)} variables", size, max_size)
     return Stage(sig, x, n, _stage_terms(sig, x, n))

@@ -54,6 +54,16 @@ def idem():
 
 
 @pytest.fixture(scope="session")
+def lzero():
+    return ident(MAGMA, m(X, Y), X, ("x", "y"))
+
+
+@pytest.fixture(scope="session")
+def rect():
+    return ident(MAGMA, m(m(X, Y), Z), m(X, Z), ("x", "y", "z"))
+
+
+@pytest.fixture(scope="session")
 def semilattice_unit_ids():
     """Presentation of join semilattices with a least element."""
     return [

@@ -7,6 +7,7 @@ from finalg import (
     Node,
     ResourceLimitError,
     SigF,
+    Signature,
     ValidationError,
     apply_obj,
     enumerate_algebras,
@@ -53,6 +54,36 @@ def test_evaluate_table_walk(or_magma, or_monoid):
 def test_evaluate_unbound_variable(or_magma):
     with pytest.raises(ValidationError):
         evaluate(or_magma, v("x"), {})
+
+
+def test_evaluate_unknown_operation(or_magma):
+    with pytest.raises(ValidationError, match="unknown operation 'k'"):
+        evaluate(or_magma, m(v("x"), Node("k", (v("x"),))), {"x": 0})
+
+
+def test_evaluate_not_a_term(or_magma):
+    with pytest.raises(ValidationError, match="not a term: 'y'"):
+        evaluate(or_magma, m(v("x"), "y"), {"x": 0})
+    with pytest.raises(ValidationError, match="not a term"):
+        evaluate(or_magma, 5, {})
+
+
+def test_evaluate_every_arity():
+    """Nullary under unary, and a ternary node: each arity the evaluator
+    compiles differently."""
+    sig = Signature((("s", 1), ("e", 0), ("maj", 3)))
+    bits = FinSet((0, 1))
+    tables = {
+        "s": {(a,): 1 - a for a in bits},
+        "e": {(): 1},
+        "maj": {(a, b, c): int(a + b + c >= 2) for a in bits for b in bits for c in bits},
+    }
+    alg = FinAlgebra(sig, bits, tables)
+    e1 = Node("e", ())
+    assert evaluate(alg, Node("s", (e1,)), {}) == 0
+    assert evaluate(alg, Node("s", (Node("s", (e1,)),)), {}) == 1
+    t = Node("maj", (v("x"), Node("s", (v("y"),)), e1))
+    assert [evaluate(alg, t, {"x": x, "y": y}) for x in bits for y in bits] == [1, 0, 1, 1]
 
 
 def test_evaluate_with_assignment_object(or_magma):

@@ -1,9 +1,11 @@
 import io
+import time
 
 import pytest
 
-from finalg.cli import run
+from finalg.cli import MAX_PRINTED_STAGE_SIZE, run
 from finalg.dsl import MAX_TERM_DEPTH
+from conftest import CORPUS_TEXT
 
 
 def invoke(argv):
@@ -84,6 +86,38 @@ def test_eval_refuses_terms_nested_too_deep(corpus_file):
     )
     assert code == 0
     assert out == "value: 1\n"
+
+
+def test_chain_refuses_sizes_past_the_print_bound(corpus_file):
+    code, out, err = invoke(
+        ["chain", "--spec", corpus_file, "--signature", "Magma",
+         "--generators", "1", "--upto", "40"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        f"resource limit: printed size of stage 8: needs {(((458330**2 + 1)**2 + 1)**2 + 1)}, "
+        f"limit is {MAX_PRINTED_STAGE_SIZE}"
+    )
+
+
+def test_convert_deep_identity_is_refused_promptly(tmp_path):
+    """An identity of height 100 needs stage 100 of the chain: refused at
+    the first stage over the bound, not after computing the sizes up to 100."""
+    lhs = "x"
+    for _ in range(100):
+        lhs = f"m({lhs},x)"
+    spec = tmp_path / "deep.alg"
+    spec.write_text(CORPUS_TEXT + f"identity deep over Magma : {lhs} = x\n", encoding="utf-8")
+    start = time.monotonic()
+    code, out, err = invoke(
+        ["convert", "to-identity", "--spec", str(spec), "--identity", "deep",
+         "--generators", "1"]
+    )
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource limit: stage 6 over 1 variables")
 
 
 def test_check_associativity_holds(corpus_file):

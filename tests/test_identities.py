@@ -13,10 +13,10 @@ from finalg import (
     from_sigma,
     raise_arity,
     satisfies,
-    satisfies_transform,
 )
 from finalg.identities import canonical_vars, domain_expr, violation
 from conftest import MAGMA, MONOID_SIG, e, ident, m, v
+from oracles import reference_violation, satisfies_transform
 
 
 def test_canonical_vars():
@@ -145,16 +145,26 @@ def test_yoneda_renaming_invariance(or_magma, left_projection):
 
 
 @pytest.mark.parametrize("size", [1, 2])
-def test_transform_route_agrees(size, comm, assoc, idem):
+def test_transform_route_agrees(size, comm, assoc, idem, lzero, rect):
+    """Satisfaction agrees with the transform route, and the witness with
+    the reference fold, for every corpus magma identity and a bundle whose
+    second component can fail alone."""
     carrier = FinSet(tuple(range(size)))
+    identities = (comm, assoc, idem, lzero, rect, bundle([idem, comm]))
     for alg in enumerate_algebras(MAGMA, carrier):
-        for identity in (comm, assoc, idem):
+        for identity in identities:
             assert satisfies(alg, identity) == satisfies_transform(alg, identity)
+            assert violation(alg, identity) == reference_violation(alg, identity)
+
+
+def test_violation_matches_reference_on_three_points(assoc):
+    for alg in enumerate_algebras(MAGMA, FinSet((0, 1, 2))):
+        assert violation(alg, assoc) == reference_violation(alg, assoc)
 
 
 def test_transform_route_agrees_with_nullary(monoid_ids):
     for alg in enumerate_algebras(MONOID_SIG, FinSet((0, 1))):
-        for identity in monoid_ids:
-            assert satisfies(alg, identity) == satisfies_transform(alg, identity)
         bundled = bundle(monoid_ids)
-        assert satisfies(alg, bundled) == satisfies_transform(alg, bundled)
+        for identity in (*monoid_ids, bundled):
+            assert satisfies(alg, identity) == satisfies_transform(alg, identity)
+            assert violation(alg, identity) == reference_violation(alg, identity)

@@ -34,12 +34,12 @@ from finalg.monadic import (
     em_to_algebra,
     induced_pair,
     satisfies_level,
-    satisfies_level_enumerated,
     translate,
     wrap_term,
 )
 from finalg.variety import Stabilized
 from conftest import MAGMA, MONOID_SIG, e, ident, m, two_element, v
+from oracles import satisfies_level_enumerated
 
 TWO = FinSet(("x", "y"))
 

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from finalg import (
@@ -20,7 +23,7 @@ from finalg import (
     w_embed,
     y_inject,
 )
-from finalg.terms import check_term, relabel, stage_sizes, variables
+from finalg.terms import check_term, iter_stage_sizes, relabel, variables
 from conftest import MAGMA, MONOID_SIG, m, v
 
 
@@ -51,7 +54,7 @@ def test_stage_sizes_magma_one_generator():
     for _ in range(3):
         sizes.append(sizes[-1] ** 2 + 1)
     assert sizes == [1, 2, 5, 26]
-    assert stage_sizes(MAGMA, ONE, 3) == sizes
+    assert list(itertools.islice(iter_stage_sizes(MAGMA, ONE), 4)) == sizes
     assert [len(stage(MAGMA, ONE, n).terms) for n in range(4)] == sizes
 
 
@@ -80,6 +83,16 @@ def test_stage_contains_exactly_bounded_heights():
 def test_stage_resource_guard():
     with pytest.raises(ResourceLimitError):
         stage(MAGMA, TWO, 5, max_size=1000)
+
+
+def test_stage_refuses_at_the_first_size_over_the_bound():
+    """Stage sizes grow doubly exponentially; stage 30 is refused at stage 6,
+    without computing the sizes beyond it."""
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError) as info:
+        stage(MAGMA, ONE, 30)
+    assert time.monotonic() - start < 1
+    assert info.value.what == "stage 6 over 1 variables"
 
 
 def test_iota():
