@@ -7,7 +7,7 @@ by congruence saturation, and free-monad machinery (level maps,
 Eilenberg-Moore checks, algebras for a two-arrow diagram of monads).
 """
 
-from .algebras import Assignment, FinAlgebra, enumerate_algebras, evaluate, is_morphism
+from .algebras import FinAlgebra, enumerate_algebras, evaluate, is_morphism
 from .core import (
     FinMap,
     FinSet,
@@ -37,7 +37,6 @@ from .functors import (
     SumF,
     apply_map,
     apply_obj,
-    is_finitary,
 )
 from .identities import (
     NaturalIdentity,
@@ -52,7 +51,6 @@ from .identities import (
 from .monadic import (
     DAlgebraPair,
     DiagramOfMonads,
-    FreeMonadView,
     PowersetMonadInstance,
     RhoChain,
     check_monad_map,

@@ -14,8 +14,7 @@ failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import MAX_ENUMERATION, FinMap, FinSet
 from .errors import ResourceLimitError, ValidationError
@@ -47,9 +46,6 @@ class FinAlgebra:
         self.carrier = carrier
         self.tables = {name: dict(tables[name]) for name, _ in sig}
 
-    def op(self, name: str, *args):
-        return self.tables[name][args]
-
     def structure_map(self) -> FinMap:
         """The single structure map F(A) → A over the signature functor."""
         dom = apply_obj(SigF(self.sig), self.carrier)
@@ -74,22 +70,6 @@ class FinAlgebra:
 
     def __repr__(self) -> str:
         return f"FinAlgebra({self.sig.names()}, carrier={len(self.carrier)})"
-
-
-@dataclass(eq=True, frozen=False)
-class Assignment:
-    """A total assignment of variables into an algebra's carrier."""
-
-    vars: FinSet
-    target: FinAlgebra
-    map: FinMap
-
-    def __post_init__(self):
-        if self.map.dom != self.vars or self.map.cod != self.target.carrier:
-            raise ValidationError("assignment map must go from vars to the carrier")
-
-
-Binding = Union[Assignment, Mapping]
 
 
 Compiled = Callable[[Mapping[str, Mapping], Sequence], object]
@@ -127,12 +107,11 @@ def _compile(t: Term, index: Mapping) -> Compiled:
     return lambda tables, values: tables[op][tuple([f(tables, values) for f in subs])]
 
 
-def evaluate(alg: FinAlgebra, t: Term, binding: Binding):
+def evaluate(alg: FinAlgebra, t: Term, binding: Mapping):
     """Fold a term through the algebra's tables under a variable binding."""
-    table = binding.map.table if isinstance(binding, Assignment) else binding
-    f = compile_term(t, tuple(table))
+    f = compile_term(t, tuple(binding))
     try:
-        return f(alg.tables, tuple(table.values()))
+        return f(alg.tables, tuple(binding.values()))
     except KeyError as exc:
         op = exc.args[0]
         if type(op) is str and op not in alg.tables:

@@ -12,6 +12,7 @@ verdict or report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import sys
 from typing import Optional, Sequence, TextIO
@@ -30,13 +31,13 @@ from .errors import FinalgError, ParseError, ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import satisfies, violation
 from .monadic import (
+    DAlgebraPair,
     DiagramOfMonads,
     RhoChain,
     check_monad_map,
     dalg_violation,
     em_structures,
     equi_check,
-    induced_pair,
     powerset_instance,
 )
 from .terms import format_term, iter_stage_sizes, stage, variables
@@ -299,8 +300,7 @@ def _cmd_dalg_check(args, model: SpecModel, out: TextIO) -> int:
     ident = _model_identity(model, args.identity)
     alg = _model_algebra(model, args.algebra)
     diagram = DiagramOfMonads.from_identity(ident)
-    pair = induced_pair(alg, diagram, args.bound)
-    witness = dalg_violation(diagram, pair, args.bound)
+    witness = dalg_violation(DAlgebraPair(alg, diagram, args.bound))
     print(f"compatible: {'true' if witness is None else 'false'}", file=out)
     if witness is not None:
         print(f"witness: {format_term(witness)}", file=out)
@@ -390,7 +390,8 @@ def run(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(list(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 2

@@ -66,9 +66,6 @@ class FinSet:
         return f"FinSet({{{inner}}})"
 
 
-EMPTY = FinSet()
-
-
 class FinMap:
     """A total map between finite sets, tabulated atom by atom."""
 
@@ -103,9 +100,6 @@ class FinMap:
         if self.cod != other.dom:
             raise ValidationError("composition mismatch: codomain != domain")
         return FinMap(self.dom, other.cod, {a: other.table[b] for a, b in self.table.items()})
-
-    def image(self) -> FinSet:
-        return FinSet(tuple(set(self.table.values())))
 
     def is_injective(self) -> bool:
         return len(set(self.table.values())) == len(self.dom)

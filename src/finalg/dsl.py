@@ -26,7 +26,7 @@ from .core import FinSet
 from .errors import ParseError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, from_sigma
-from .terms import Node, Term, Var, format_term, variables
+from .terms import MAX_TERM_DEPTH, Node, Term, Var, format_term, variables
 
 KEYWORDS = {
     "signature",
@@ -39,11 +39,6 @@ KEYWORDS = {
     "carrier",
     "with",
 }
-
-# Terms nested deeper are refused with a parse error.  The parser and the
-# term functions downstream of it (sort keys, evaluation) recurse per
-# level; at 256 levels they exceed Python's default recursion limit.
-MAX_TERM_DEPTH = 128
 
 _TOKEN = re.compile(r"->|[A-Za-z_][A-Za-z0-9_]*|\d+|[{}():=,]|\S")
 

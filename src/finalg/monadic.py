@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebras import FinAlgebra, evaluate
+from .algebras import FinAlgebra
 from .core import FinMap, FinSet, atom_key, enumerate_maps
 from .errors import ValidationError
 from .functors import Signature
@@ -54,25 +54,6 @@ def mu_flatten(sig: Signature, x: FinSet, tt: Term) -> Term:
                 raise ValidationError(f"arity mismatch at {op!r}")
             return Node(op, tuple(mu_flatten(sig, x, a) for a in args))
     raise ValidationError(f"not a term: {tt!r}")
-
-
-def wrap_term(t: Term) -> Term:
-    """The unit of the free monad at the term level: a term becomes a slot."""
-    return Var(t)
-
-
-@dataclass(frozen=True)
-class FreeMonadView:
-    """The free monad over a signature: unit = variable embedding,
-    multiplication = substitution."""
-
-    sig: Signature
-
-    def eta(self, atom) -> Term:
-        return Var(atom)
-
-    def mu(self, x: FinSet, tt: Term) -> Term:
-        return mu_flatten(self.sig, x, tt)
 
 
 def _component_ops(domain: tuple[int, ...]) -> Signature:
@@ -130,12 +111,6 @@ def rho_level(chain: RhoChain, k: int, elem: Term) -> Term:
     raise ValidationError(f"not a term: {elem!r}")
 
 
-def translate(chain: RhoChain, elem: Term) -> Term:
-    """The unbounded translation (the induced monad map on all elements):
-    the level map at the element's own height."""
-    return rho_level(chain, elem.height, elem)
-
-
 @dataclass(frozen=True)
 class MonadMapReport:
     holds: bool
@@ -154,6 +129,7 @@ def check_monad_map(chain: RhoChain, bound: int, x: Optional[FinSet] = None) -> 
     if x is None:
         x = FinSet(("x1", "x2"))
     gsig = chain.domain_signature()
+    stage(gsig, x, bound)  # refuses an over-large bound before any work
     checked = 0
     failures = []
 
@@ -320,7 +296,8 @@ def em_to_algebra(
 @dataclass(frozen=True)
 class DiagramOfMonads:
     """Two free monads (over the domain ops and over the signature) with the
-    two induced monad maps given by term translation."""
+    two induced monad maps given by term translation along ``f_chain`` and
+    ``g_chain`` (``rho_level`` at each element's own height)."""
 
     sig: Signature
     domain: tuple[int, ...]
@@ -338,11 +315,17 @@ class DiagramOfMonads:
 
 
 class DAlgebraPair:
-    """A carrier with one structure map per monad, tabulated to a depth.
+    """A carrier with one structure map per monad of the diagram.
 
-    ``alpha1`` folds terms over the signature; ``alpha0`` folds terms over
-    the domain ops.  Beyond the tabulated depth both fall back to direct
-    evaluation, which is what the tables were built from.
+    ``alpha1_of`` folds a term over the signature through the algebra's
+    tables, memoised in ``alpha1``.  ``alpha0_of`` folds a term over the
+    domain ops along ``f_chain``, memoised in ``alpha0``: a node folds
+    its generating term through ``alpha1_of`` at its children's values.
+    A fold through tables respects substitution, so that value is the
+    ``alpha1_of`` of the node's translation along ``f_chain`` (the level
+    map ``rho_level`` at the node's height), without building the
+    translation.  The constructor fills both memos over the stages up to
+    ``bound``, so an over-large stage is refused before any check runs.
     """
 
     __slots__ = ("algebra", "diagram", "bound", "alpha1", "alpha0")
@@ -353,39 +336,44 @@ class DAlgebraPair:
         self.algebra = algebra
         self.diagram = diagram
         self.bound = bound
-        binding = {a: a for a in algebra.carrier}
-        self.alpha1 = {
-            t: evaluate(algebra, t, binding)
-            for t in stage(algebra.sig, algebra.carrier, bound).terms
-        }
-        gsig = diagram.f_chain.domain_signature()
-        self.alpha0 = {
-            t: evaluate(algebra, translate(diagram.f_chain, t), binding)
-            for t in stage(gsig, algebra.carrier, bound).terms
-        }
+        self.alpha1: dict = {}
+        self.alpha0: dict = {}
+        for t in stage(algebra.sig, algebra.carrier, bound).terms:
+            self.alpha1_of(t)
+        for t in stage(diagram.f_chain.domain_signature(), algebra.carrier, bound).terms:
+            self.alpha0_of(t)
 
     def alpha1_of(self, t: Term):
-        value = self.alpha1.get(t)
-        if value is None:
-            value = evaluate(self.algebra, t, {a: a for a in self.algebra.carrier})
+        if t in self.alpha1:
+            return self.alpha1[t]
+        if type(t) is Var:
+            if t.name not in self.algebra.carrier:
+                raise ValidationError(f"unbound variable {t.name!r}")
+            value = t.name
+        else:
+            value = self.algebra.tables[t.op][tuple([self.alpha1_of(a) for a in t.args])]
+        self.alpha1[t] = value
         return value
 
     def alpha0_of(self, t: Term):
-        value = self.alpha0.get(t)
-        if value is None:
-            value = evaluate(
-                self.algebra,
-                translate(self.diagram.f_chain, t),
-                {a: a for a in self.algebra.carrier},
-            )
+        return self.fold_along(self.diagram.f_chain, t, self.alpha0)
+
+    def fold_along(self, chain: RhoChain, t: Term, memo: dict):
+        """The fold of domain term ``t`` along ``chain``, memoised in ``memo``."""
+        if t in memo:
+            return memo[t]
+        if type(t) is Var:
+            value = self.alpha1_of(t)
+        else:
+            i = chain.component_index(t.op)
+            names = canonical_vars(chain.domain[i])
+            slots = {v: Var(self.fold_along(chain, a, memo)) for v, a in zip(names, t.args)}
+            value = self.alpha1_of(substitute(chain.data[i], slots))
+        memo[t] = value
         return value
 
 
-def induced_pair(alg: FinAlgebra, d: DiagramOfMonads, bound: int) -> DAlgebraPair:
-    return DAlgebraPair(alg, d, bound)
-
-
-def _em_valid(pair: DAlgebraPair, gside: bool, bound: int) -> bool:
+def _em_valid(pair: DAlgebraPair, gside: bool) -> bool:
     """Unit law plus the one-node multiplication law; full flattening at the
     bound follows by structural induction from the one-node case."""
     alg = pair.algebra
@@ -394,7 +382,7 @@ def _em_valid(pair: DAlgebraPair, gside: bool, bound: int) -> bool:
         if fold(Var(a)) != a:
             return False
     sig = pair.diagram.f_chain.domain_signature() if gside else alg.sig
-    inner = stage(sig, alg.carrier, max(bound - 1, 0)).terms
+    inner = stage(sig, alg.carrier, max(pair.bound - 1, 0)).terms
     for name, arity in sig:
         for args in itertools.product(inner.elements, repeat=arity):
             spliced = fold(Node(name, args))
@@ -404,25 +392,26 @@ def _em_valid(pair: DAlgebraPair, gside: bool, bound: int) -> bool:
     return True
 
 
-def dalg_violation(d: DiagramOfMonads, pair: DAlgebraPair, bound: int) -> Optional[Term]:
-    """First domain-chain element where the two routes disagree, or None."""
-    if not _em_valid(pair, gside=False, bound=bound):
+def dalg_violation(pair: DAlgebraPair) -> Optional[Term]:
+    """First domain-chain element up to the pair's bound where the two
+    arrows disagree, or None: ``alpha0_of`` folds along ``f_chain``, so
+    the element's fold along ``g_chain`` is compared with it."""
+    if not _em_valid(pair, gside=False):
         raise ValidationError("signature-side structure map violates the monad laws")
-    if not _em_valid(pair, gside=True, bound=bound):
+    if not _em_valid(pair, gside=True):
         raise ValidationError("domain-side structure map violates the monad laws")
-    gsig = d.f_chain.domain_signature()
-    for t in stage(gsig, pair.algebra.carrier, bound).terms:
-        via_f = pair.alpha1_of(translate(d.f_chain, t))
-        via_g = pair.alpha1_of(translate(d.g_chain, t))
-        if via_f != pair.alpha0_of(t) or via_g != pair.alpha0_of(t):
+    d = pair.diagram
+    via_g: dict = {}
+    for t in stage(d.f_chain.domain_signature(), pair.algebra.carrier, pair.bound).terms:
+        if pair.fold_along(d.g_chain, t, via_g) != pair.alpha0_of(t):
             return t
     return None
 
 
-def dalg_check(d: DiagramOfMonads, pair: DAlgebraPair, bound: int) -> bool:
-    """Whether the pair is compatible with both arrows of the diagram on
-    every domain-chain element up to the bound."""
-    return dalg_violation(d, pair, bound) is None
+def dalg_check(pair: DAlgebraPair) -> bool:
+    """Whether the pair is compatible with both arrows of its diagram on
+    every domain-chain element up to its bound."""
+    return dalg_violation(pair) is None
 
 
 def variety_vs_dalg(ident: NaturalIdentity, max_size: int, bound: int) -> ClassComparison:
@@ -433,5 +422,5 @@ def variety_vs_dalg(ident: NaturalIdentity, max_size: int, bound: int) -> ClassC
         ident.sig,
         max_size,
         lambda alg: satisfies(alg, ident),
-        lambda alg: dalg_check(d, induced_pair(alg, d, bound), bound),
+        lambda alg: dalg_check(DAlgebraPair(alg, d, bound)),
     )

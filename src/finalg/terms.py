@@ -27,6 +27,12 @@ from .functors import SigF, Signature, apply_obj
 # overrides the bound explicitly.
 MAX_STAGE_SIZE = 1_000_000
 
+# Terms are at most this high: the parser refuses deeper input and
+# ``stage`` refuses higher indices.  The term functions (structural
+# equality, sort keys, evaluation) recurse per level; at 256 levels they
+# exceed Python's default recursion limit.
+MAX_TERM_DEPTH = 128
+
 
 class Term:
     """Base class; a term is either a :class:`Var` or a :class:`Node`."""
@@ -184,12 +190,17 @@ def _stage_terms(sig: Signature, x: FinSet, n: int) -> FinSet:
 
 
 def stage(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> Stage:
-    """Build stage ``n`` over variable set ``x``; guards against blow-up."""
+    """Build stage ``n`` over variable set ``x``; guards against blow-up.
+
+    Refused when a size up to stage ``n`` exceeds ``max_size``, and then
+    when ``n`` exceeds ``MAX_TERM_DEPTH``."""
     if n < 0:
         raise ValidationError("negative stage index")
     for k, size in zip(range(n + 1), iter_stage_sizes(sig, x)):
         if size > max_size:
             raise ResourceLimitError(f"stage {k} over {len(x)} variables", size, max_size)
+    if n > MAX_TERM_DEPTH:
+        raise ResourceLimitError(f"term height of stage {n}", n, MAX_TERM_DEPTH)
     return Stage(sig, x, n, _stage_terms(sig, x, n))
 
 

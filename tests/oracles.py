@@ -1,13 +1,41 @@
-"""Reference oracles for cross-checks.
+"""Reference oracles for cross-checks, and the free-monad helpers that
+only the tests use (``translate``, ``wrap_term``, ``FreeMonadView``).
 
-They evaluate terms with ``fold``, a plain recursive walk written here,
-so they stay independent of the evaluator that finalg compiles.
+The oracles evaluate terms with ``fold``, a plain recursive walk written
+here, so they stay independent of the evaluator that finalg compiles and
+of the memoised folds of ``monadic.DAlgebraPair``.
 """
 import itertools
+from dataclasses import dataclass
 
-from finalg import FinMap, Var, apply_obj, stage, substitute
+from finalg import FinMap, FinSet, Signature, Term, Var, apply_obj, stage, substitute
 from finalg.identities import canonical_vars, domain_expr
-from finalg.monadic import RhoChain, rho_level
+from finalg.monadic import RhoChain, mu_flatten, rho_level
+
+
+def translate(chain: RhoChain, elem: Term) -> Term:
+    """The unbounded translation (the induced monad map on all elements):
+    the level map at the element's own height."""
+    return rho_level(chain, elem.height, elem)
+
+
+def wrap_term(t: Term) -> Term:
+    """The unit of the free monad at the term level: a term becomes a slot."""
+    return Var(t)
+
+
+@dataclass(frozen=True)
+class FreeMonadView:
+    """The free monad over a signature: unit = variable embedding,
+    multiplication = substitution."""
+
+    sig: Signature
+
+    def eta(self, atom) -> Term:
+        return Var(atom)
+
+    def mu(self, x: FinSet, tt: Term) -> Term:
+        return mu_flatten(self.sig, x, tt)
 
 
 def fold(alg, t, binding):

@@ -20,7 +20,7 @@ from finalg import (
     w_embed,
     y_inject,
 )
-from finalg.algebras import Assignment, count_algebras
+from finalg.algebras import count_algebras
 from conftest import MAGMA, MONOID_SIG, m, v
 
 
@@ -84,12 +84,6 @@ def test_evaluate_every_arity():
     assert evaluate(alg, Node("s", (Node("s", (e1,)),)), {}) == 1
     t = Node("maj", (v("x"), Node("s", (v("y"),)), e1))
     assert [evaluate(alg, t, {"x": x, "y": y}) for x in bits for y in bits] == [1, 0, 1, 1]
-
-
-def test_evaluate_with_assignment_object(or_magma):
-    vars_ = FinSet(("x",))
-    a = Assignment(vars_, or_magma, FinMap(vars_, or_magma.carrier, {"x": 0}))
-    assert evaluate(or_magma, m(v("x"), v("x")), a) == 0
 
 
 def test_is_morphism_identity(or_magma, or_monoid):

@@ -120,6 +120,61 @@ def test_convert_deep_identity_is_refused_promptly(tmp_path):
     assert err.startswith("resource limit: stage 6 over 1 variables")
 
 
+UNARY_SPEC = """\
+signature Un { op s : 1 }
+vars x
+identity inv over Un : s(s(x)) = x
+algebra Flip over Un { carrier { 0 1 } op s { (0) -> 1 (1) -> 0 } }
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stage_index",
+    [
+        (["chain", "--signature", "Un", "--generators", "1", "--terms", "--upto", "300"], 300),
+        (["dalg-check", "--identity", "inv", "--algebra", "Flip", "--bound", "300"], 300),
+        (["rho-chain", "--identity", "inv", "--bound", "3000"], 3000),
+    ],
+)
+def test_unary_stage_index_is_bounded(argv, stage_index, tmp_path):
+    """On a unary signature the stage sizes stay small at any index, so the
+    term height bound is what refuses these, at once and without a traceback."""
+    spec = tmp_path / "unary.alg"
+    spec.write_text(UNARY_SPEC, encoding="utf-8")
+    start = time.monotonic()
+    code, out, err = invoke([argv[0], "--spec", str(spec)] + argv[1:])
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert err == (
+        f"resource limit: term height of stage {stage_index}: needs {stage_index}, "
+        f"limit is {MAX_TERM_DEPTH}\n"
+    )
+    assert "Traceback" not in out + err
+
+
+def test_dalg_check_refuses_before_folding(corpus_file):
+    """Both structure maps are filled over their stages before any check, so
+    an over-large stage is refused at once."""
+    start = time.monotonic()
+    code, out, err = invoke(
+        ["dalg-check", "--spec", corpus_file, "--identity", "assoc",
+         "--algebra", "Or", "--bound", "3"]
+    )
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "resource limit: stage 3 over 2 variables: needs 1006012010, limit is 1000000\n"
+    )
+
+
+def test_help_goes_to_out():
+    code, out, err = invoke(["em-check", "--help"])
+    assert code == 0
+    assert out.startswith("usage: finalg em-check [-h] [--size SIZE]\n")
+    assert err == ""
+
+
 def test_check_associativity_holds(corpus_file):
     code, out, _ = invoke(
         ["check", "--spec", corpus_file, "--algebra", "B", "--identity", "massoc"]

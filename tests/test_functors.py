@@ -15,7 +15,6 @@ from finalg import (
     apply_map,
     apply_obj,
     enumerate_maps,
-    is_finitary,
 )
 from conftest import MAGMA, MONOID_SIG
 
@@ -86,10 +85,3 @@ def test_apply_map_preserves_composition(f):
     for g in enumerate_maps(a, b):
         for h in enumerate_maps(b, c):
             assert apply_map(f, g.then(h)) == apply_map(f, g).then(apply_map(f, h))
-
-
-def test_is_finitary_across_grammar():
-    assert is_finitary(IdF())
-    assert is_finitary(SumF((SigF(MAGMA), SigF(MONOID_SIG))))
-    assert is_finitary(CompF(SigF(MAGMA), SigF(MAGMA)))
-    assert is_finitary(CopowerF(4, ReprF(2)))

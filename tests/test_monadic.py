@@ -6,12 +6,12 @@ from finalg import (
     DiagramOfMonads,
     FinMap,
     FinSet,
-    FreeMonadView,
     Node,
     RhoChain,
     ValidationError,
     Var,
     check_monad_map,
+    DAlgebraPair,
     dalg_check,
     em_satisfies,
     em_structures,
@@ -19,6 +19,7 @@ from finalg import (
     enumerate_maps,
     equi_check,
     evaluate,
+    format_term,
     is_morphism,
     mu_flatten,
     powerset_instance,
@@ -32,14 +33,11 @@ from finalg.core import atom_key
 from finalg.monadic import (
     dalg_violation,
     em_to_algebra,
-    induced_pair,
     satisfies_level,
-    translate,
-    wrap_term,
 )
 from finalg.variety import Stabilized
 from conftest import MAGMA, MONOID_SIG, e, ident, m, two_element, v
-from oracles import satisfies_level_enumerated
+from oracles import FreeMonadView, fold, satisfies_level_enumerated, translate, wrap_term
 
 TWO = FinSet(("x", "y"))
 
@@ -315,27 +313,69 @@ def test_em_structures_are_the_free_semilattice_shapes(semilattice_unit_ids):
 # --- algebras for the two-arrow diagram of monads --------------------------
 
 
-def test_dalg_identity_translations_collapse():
-    taut = ident(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), ("x", "y"))
-    d = DiagramOfMonads.from_identity(taut)
-    for alg in enumerate_algebras(MAGMA, FinSet((0, 1))):
-        assert dalg_check(d, induced_pair(alg, d, 2), 2)
+# ``dalg_violation`` at bound 2 on the 16 two-point magmas, in
+# ``enumerate_algebras`` order (tables m(0,0) m(0,1) m(1,0) m(1,1) counting
+# up from 0000), as the rendered witness or None.  The values come from the
+# earlier check that evaluated both translations of every element.
+N = None
+DALG_WITNESSES = {
+    "comm": (N, N, "c0(0,1)", "c0(0,1)", "c0(0,1)", "c0(0,1)", N, N,
+             N, N, "c0(0,1)", "c0(0,1)", "c0(0,1)", "c0(0,1)", N, N),
+    "idem": ("c0(1)", N, "c0(1)", N, "c0(1)", N, "c0(1)", N,
+             "c0(0)", "c0(0)", "c0(0)", "c0(0)", "c0(0)", "c0(0)", "c0(0)", "c0(0)"),
+    "lzero": ("c0(1,0)", "c0(1,0)", "c0(1,1)", N, "c0(0,1)", "c0(0,1)", "c0(0,1)", "c0(0,1)",
+              "c0(0,0)", "c0(0,0)", "c0(0,0)", "c0(0,0)", "c0(0,0)", "c0(0,0)", "c0(0,0)",
+              "c0(0,0)"),
+    "assoc": (N, N, "c0(1,0,1)", N, "c0(1,0,1)", N, N, N,
+              "c0(0,0,1)", N, "c0(0,0,0)", "c0(0,0,0)", "c0(0,0,0)", "c0(0,0,0)", "c0(0,0,1)",
+              N),
+    "rect": (N, "c0(1,0,1)", "c0(1,1,0)", N, "c0(0,1,1)", N, "c0(0,1,0)", "c0(0,1,0)",
+             "c0(0,0,0)", "c0(0,0,0)", N, "c0(0,0,1)", "c0(0,0,0)", "c0(0,0,0)", "c0(0,0,1)", N),
+    "taut": (N,) * 16,
+}
+
+
+@pytest.mark.parametrize("name", list(DALG_WITNESSES))
+def test_dalg_witnesses_on_two_point_magmas(name, request):
+    if name == "taut":
+        identity = ident(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), ("x", "y"))
+    else:
+        identity = request.getfixturevalue(name)
+    d = DiagramOfMonads.from_identity(identity)
+    two = FinSet((0, 1))
+    elements = stage(d.f_chain.domain_signature(), two, 2).terms
+    translations = [(t, translate(d.f_chain, t), translate(d.g_chain, t)) for t in elements]
+    binding = {a: a for a in two}
+    witnesses = []
+    for alg in enumerate_algebras(MAGMA, two):
+        pair = DAlgebraPair(alg, d, 2)
+        witness = dalg_violation(pair)
+        witnesses.append(None if witness is None else format_term(witness))
+        assert dalg_check(pair) == (witness is None)
+        # Each fold along an arrow is the algebra's value of the translation.
+        via_g: dict = {}
+        for t, f_image, g_image in translations:
+            assert pair.alpha0_of(t) == fold(alg, f_image, binding)
+            assert pair.fold_along(d.g_chain, t, via_g) == fold(alg, g_image, binding)
+    assert tuple(witnesses) == DALG_WITNESSES[name]
 
 
 def test_dalg_symmetric_vs_projection(comm, or_magma, left_projection):
     d = DiagramOfMonads.from_identity(comm)
-    assert dalg_check(d, induced_pair(or_magma, d, 2), 2)
-    witness = dalg_violation(d, induced_pair(left_projection, d, 2), 2)
+    assert dalg_check(DAlgebraPair(or_magma, d, 2))
+    witness = dalg_violation(DAlgebraPair(left_projection, d, 2))
     assert witness is not None
     assert translate(d.f_chain, witness) != translate(d.g_chain, witness)
 
 
 def test_dalg_rejects_corrupted_structure_map(comm, or_magma):
     d = DiagramOfMonads.from_identity(comm)
-    pair = induced_pair(or_magma, d, 2)
+    pair = DAlgebraPair(or_magma, d, 2)
+    with pytest.raises(ValidationError, match="unbound variable 7"):
+        pair.alpha1_of(Var(7))
     pair.alpha1[Var(0)] = 1
     with pytest.raises(ValidationError):
-        dalg_check(d, pair, 2)
+        dalg_check(pair)
 
 
 def test_variety_vs_dalg_commutativity(comm):
