@@ -50,9 +50,7 @@ from .identities import (
 )
 from .monadic import (
     DAlgebraPair,
-    DiagramOfMonads,
     PowersetMonadInstance,
-    RhoChain,
     check_monad_map,
     dalg_check,
     em_satisfies,

@@ -32,8 +32,6 @@ from .functors import Signature
 from .identities import satisfies, violation
 from .monadic import (
     DAlgebraPair,
-    DiagramOfMonads,
-    RhoChain,
     check_monad_map,
     dalg_violation,
     em_structures,
@@ -258,8 +256,7 @@ def _cmd_uprop(args, model: SpecModel, out: TextIO) -> int:
 def _cmd_rho_chain(args, model: SpecModel, out: TextIO) -> int:
     ident = _model_identity(model, args.identity)
     source = ident.lhs if args.side == "lhs" else ident.rhs
-    chain = RhoChain.from_natural_term(source)
-    report = check_monad_map(chain, args.bound, _generators(args.generators))
+    report = check_monad_map(source, args.bound, _generators(args.generators))
     print(f"checked: {report.checked}", file=out)
     print(f"holds: {'true' if report.holds else 'false'}", file=out)
     if not report.holds:
@@ -299,8 +296,7 @@ def _cmd_em_check(args, model: Optional[SpecModel], out: TextIO) -> int:
 def _cmd_dalg_check(args, model: SpecModel, out: TextIO) -> int:
     ident = _model_identity(model, args.identity)
     alg = _model_algebra(model, args.algebra)
-    diagram = DiagramOfMonads.from_identity(ident)
-    witness = dalg_violation(DAlgebraPair(alg, diagram, args.bound))
+    witness = dalg_violation(DAlgebraPair(alg, ident, args.bound))
     print(f"compatible: {'true' if witness is None else 'false'}", file=out)
     if witness is not None:
         print(f"witness: {format_term(witness)}", file=out)

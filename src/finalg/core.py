@@ -101,12 +101,6 @@ class FinMap:
             raise ValidationError("composition mismatch: codomain != domain")
         return FinMap(self.dom, other.cod, {a: other.table[b] for a, b in self.table.items()})
 
-    def is_injective(self) -> bool:
-        return len(set(self.table.values())) == len(self.dom)
-
-    def is_surjective(self) -> bool:
-        return len(set(self.table.values())) == len(self.cod)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinMap)

@@ -26,7 +26,7 @@ from .core import FinSet
 from .errors import ParseError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, from_sigma
-from .terms import MAX_TERM_DEPTH, Node, Term, Var, format_term, variables
+from .terms import MAX_TERM_DEPTH, Node, Term, Var, variables
 
 KEYWORDS = {
     "signature",
@@ -372,40 +372,3 @@ def parse_term(model: SpecModel, sig_name: str, text: str) -> Term:
         tok = parser._peek()
         raise ParseError(f"unexpected {tok.text!r} after the term", tok.line, tok.col)
     return term
-
-
-def format_model(model: SpecModel) -> str:
-    """Canonical text for a model; parsing it back yields an equal model."""
-    lines: list[str] = []
-    for name, sig in model.signatures.items():
-        lines.append(f"signature {name} {{")
-        for op, arity in sig:
-            lines.append(f"  op {op} : {arity}")
-        lines.append("}")
-        lines.append("")
-    if model.vars:
-        lines.append("vars " + " ".join(model.vars))
-        lines.append("")
-    for name, decl in model.identities.items():
-        lines.append(
-            f"identity {name} over {decl.sig_name} : "
-            f"{format_term(decl.lhs)} = {format_term(decl.rhs)}"
-        )
-    if model.identities:
-        lines.append("")
-    for name, decl in model.algebras.items():
-        lines.append(f"algebra {name} over {decl.sig_name} {{")
-        lines.append("  carrier { " + " ".join(decl.algebra.carrier.elements) + " }")
-        for op, arity in model.signatures[decl.sig_name]:
-            lines.append(f"  op {op} {{")
-            table = decl.algebra.tables[op]
-            for combo in itertools.product(decl.algebra.carrier.elements, repeat=arity):
-                lines.append(f"    ({','.join(combo)}) -> {table[combo]}")
-            lines.append("  }")
-        lines.append("}")
-        lines.append("")
-    for name, decl in model.presentations.items():
-        lines.append(
-            f"presentation {name} = {decl.sig_name} with " + " ".join(decl.identity_names)
-        )
-    return "\n".join(lines).rstrip() + "\n"

@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .algebras import Compiled, FinAlgebra, compile_term, enumerate_algebras
 from .core import FinSet
 from .errors import ValidationError
-from .functors import FunctorExpr, ReprF, Signature, SumF
+from .functors import Signature
 from .terms import Term, check_term, relabel, variables
 
 
@@ -102,11 +102,6 @@ class NaturalIdentity:
             (k, compile_term(left, canonical_vars(k)), compile_term(right, canonical_vars(k)))
             for k, left, right in zip(self.domain, self.lhs.data, self.rhs.data)
         )
-
-
-def domain_expr(t: Union[NaturalTerm, NaturalIdentity]) -> FunctorExpr:
-    """The domain functor as an expression: a sum of representables."""
-    return SumF(tuple(ReprF(k) for k in t.domain))
 
 
 def violation(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:

@@ -3,11 +3,13 @@
 The free monad over a signature functor has all finite terms as its
 carrier; the unit is the variable embedding and the multiplication is
 substitution (flattening a term whose variable slots hold terms).  A
-transformation out of a domain functor G = ∐ᵢ hom(kᵢ, -) extends level
-by level along G's own term chain: variables map by the unit, a G-node
-maps by instantiating the generating term at the already-translated
-children and flattening.  Everything here is bounded by an explicit
-depth and checked element by element.
+transformation out of a domain functor G = ∐ᵢ hom(kᵢ, -), given as a
+``NaturalTerm``, extends level by level along G's own term chain:
+variables map by the unit, a G-node maps by instantiating the generating
+term at the already-translated children and flattening.  A
+``NaturalIdentity`` induces a two-arrow diagram of monads whose arrows
+are these translations along its ``lhs`` and ``rhs``.  Everything here
+is bounded by an explicit depth and checked element by element.
 
 The power-set monad is carried alongside as the worked Eilenberg-Moore
 example: subsets are canonically sorted tuples, the unit forms
@@ -22,7 +24,7 @@ from typing import Iterable, Optional
 
 from .algebras import FinAlgebra
 from .core import FinMap, FinSet, atom_key, enumerate_maps
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import (
     ClassComparison,
@@ -32,7 +34,7 @@ from .identities import (
     compare_classes,
     satisfies,
 )
-from .terms import Node, Term, Var, check_term, stage, substitute, variables
+from .terms import MAX_TERM_DEPTH, Node, Term, Var, check_term, stage, substitute, variables
 
 
 def mu_flatten(sig: Signature, x: FinSet, tt: Term) -> Term:
@@ -56,58 +58,33 @@ def mu_flatten(sig: Signature, x: FinSet, tt: Term) -> Term:
     raise ValidationError(f"not a term: {tt!r}")
 
 
-def _component_ops(domain: tuple[int, ...]) -> Signature:
+def domain_signature(domain: tuple[int, ...]) -> Signature:
+    """The operations of the domain chain of ∐ᵢ hom(kᵢ, -): one ``ci`` of
+    arity kᵢ per component."""
     return Signature(tuple((f"c{i}", k) for i, k in enumerate(domain)))
 
 
-@dataclass(frozen=True)
-class RhoChain:
-    """A transformation ∐ᵢ hom(kᵢ, -) → terms, extended along the domain's
-    own term chain: one generating term per component, any height."""
-
-    sig: Signature
-    domain: tuple[int, ...]
-    data: tuple[Term, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(int(k) for k in self.domain))
-        object.__setattr__(self, "data", tuple(self.data))
-        if len(self.domain) != len(self.data):
-            raise ValidationError("one generating term per component required")
-        for k, t in zip(self.domain, self.data):
-            check_term(self.sig, t)
-            extra = variables(t) - set(canonical_vars(k))
-            if extra:
-                raise ValidationError(f"variable {sorted(extra)[0]!r} outside v1..v{k}")
-
-    @classmethod
-    def from_natural_term(cls, nt: NaturalTerm) -> "RhoChain":
-        return cls(nt.sig, nt.domain, nt.data)
-
-    def domain_signature(self) -> Signature:
-        return _component_ops(self.domain)
-
-    def component_index(self, op: str) -> int:
-        for i in range(len(self.domain)):
-            if op == f"c{i}":
-                return i
-        raise ValidationError(f"unknown domain component {op!r}")
+def _component(domain: tuple[int, ...], op: str) -> int:
+    for i in range(len(domain)):
+        if op == f"c{i}":
+            return i
+    raise ValidationError(f"unknown domain component {op!r}")
 
 
-def rho_level(chain: RhoChain, k: int, elem: Term) -> Term:
-    """Translate an element of the domain's stage k: variables map by the
-    unit; a node instantiates the generating term at its translated
-    children and flattens."""
+def rho_level(nt: NaturalTerm, k: int, elem: Term) -> Term:
+    """Translate an element of stage k of ``nt``'s domain chain: variables
+    map by the unit; a node instantiates its component's generating term
+    at its translated children and flattens."""
     match elem:
         case Var(name):
             return Var(name)
         case Node(op, children):
             if k < 1:
                 raise ValidationError("level 0 of the domain chain holds only variables")
-            i = chain.component_index(op)
-            translated = tuple(rho_level(chain, k - 1, c) for c in children)
-            names = canonical_vars(chain.domain[i])
-            return substitute(chain.data[i], dict(zip(names, translated)))
+            i = _component(nt.domain, op)
+            translated = tuple(rho_level(nt, k - 1, c) for c in children)
+            names = canonical_vars(nt.domain[i])
+            return substitute(nt.data[i], dict(zip(names, translated)))
     raise ValidationError(f"not a term: {elem!r}")
 
 
@@ -121,31 +98,37 @@ class MonadMapReport:
         return self.holds
 
 
-def check_monad_map(chain: RhoChain, bound: int, x: Optional[FinSet] = None) -> MonadMapReport:
+def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
     """Element-by-element verification, over stages of the domain chain up
     to ``bound``, that the level maps restrict correctly: variables go to
     variables, one-node elements reproduce the generating terms, and
-    higher levels agree with lower ones on included elements."""
-    if x is None:
-        x = FinSet(("x1", "x2"))
-    gsig = chain.domain_signature()
+    higher levels agree with lower ones on included elements.
+
+    A translation is at most ``bound`` times the highest generating term
+    high, so that product is refused above ``MAX_TERM_DEPTH`` before any
+    translation is built."""
+    gsig = domain_signature(nt.domain)
     stage(gsig, x, bound)  # refuses an over-large bound before any work
+    height = bound * max((t.height for t in nt.data), default=0)
+    if height > MAX_TERM_DEPTH:
+        raise ResourceLimitError(f"term height of translations at bound {bound}",
+                                 height, MAX_TERM_DEPTH)
     checked = 0
     failures = []
 
     for k in range(bound + 1):
         for a in x:
             checked += 1
-            if rho_level(chain, k, Var(a)) != Var(a):
+            if rho_level(nt, k, Var(a)) != Var(a):
                 failures.append(("unit", k, Var(a)))
 
-    for i, ki in enumerate(chain.domain):
+    for i, ki in enumerate(nt.domain):
         names = canonical_vars(ki)
         for args in itertools.product(x.elements, repeat=ki):
             elem = Node(f"c{i}", tuple(Var(a) for a in args))
-            expected = substitute(chain.data[i], {v: Var(a) for v, a in zip(names, args)})
+            expected = substitute(nt.data[i], {v: Var(a) for v, a in zip(names, args)})
             checked += 1
-            if rho_level(chain, 1, elem) != expected:
+            if rho_level(nt, 1, elem) != expected:
                 failures.append(("one-step", 1, elem))
 
     for j in range(bound + 1):
@@ -153,7 +136,7 @@ def check_monad_map(chain: RhoChain, bound: int, x: Optional[FinSet] = None) -> 
         for k in range(j, bound + 1):
             for elem in elems:
                 checked += 1
-                if rho_level(chain, k, elem) != rho_level(chain, j, elem):
+                if rho_level(nt, k, elem) != rho_level(nt, j, elem):
                     failures.append(("compatibility", (j, k), elem))
 
     return MonadMapReport(not failures, checked, tuple(failures))
@@ -228,12 +211,6 @@ class PowersetMonadInstance:
     object: FinSet
     eta: FinMap
 
-    @classmethod
-    def build(cls, base: FinSet) -> "PowersetMonadInstance":
-        obj = _subsets(base)
-        eta = FinMap(base, obj, {a: (a,) for a in base})
-        return cls(base, obj, eta)
-
     def mu_element(self, family: tuple) -> tuple:
         return _union(family)
 
@@ -242,7 +219,8 @@ class PowersetMonadInstance:
 
 
 def powerset_instance(base: FinSet) -> PowersetMonadInstance:
-    return PowersetMonadInstance.build(base)
+    obj = _subsets(base)
+    return PowersetMonadInstance(base, obj, FinMap(base, obj, {a: (a,) for a in base}))
 
 
 def em_satisfies(m: PowersetMonadInstance, alpha: FinMap) -> bool:
@@ -277,70 +255,52 @@ def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
     return [alpha for alpha in candidates if _em_laws(m, alpha, families)]
 
 
-def em_to_algebra(
-    m: PowersetMonadInstance, alpha: FinMap, join: str = "m", unit: str = "e"
-) -> FinAlgebra:
-    """The binary-join/least-element algebra induced by an E-M structure."""
-    sig = Signature(((join, 2), (unit, 0)))
+def em_to_algebra(m: PowersetMonadInstance, alpha: FinMap) -> FinAlgebra:
+    """The binary-join ``m``/least-element ``e`` algebra induced by an E-M
+    structure."""
+    sig = Signature((("m", 2), ("e", 0)))
     table = {}
     for a in m.base:
         for b in m.base:
             table[(a, b)] = alpha.table[tuple(sorted({a, b}, key=atom_key))]
-    return FinAlgebra(sig, m.base, {join: table, unit: {(): alpha.table[()]}})
+    return FinAlgebra(sig, m.base, {"m": table, "e": {(): alpha.table[()]}})
 
 
 # ---------------------------------------------------------------------------
 # Algebras for the two-object, two-arrow diagram of monads
 
 
-@dataclass(frozen=True)
-class DiagramOfMonads:
-    """Two free monads (over the domain ops and over the signature) with the
-    two induced monad maps given by term translation along ``f_chain`` and
-    ``g_chain`` (``rho_level`` at each element's own height)."""
-
-    sig: Signature
-    domain: tuple[int, ...]
-    f_chain: RhoChain
-    g_chain: RhoChain
-
-    @classmethod
-    def from_identity(cls, ident: NaturalIdentity) -> "DiagramOfMonads":
-        return cls(
-            ident.sig,
-            ident.domain,
-            RhoChain.from_natural_term(ident.lhs),
-            RhoChain.from_natural_term(ident.rhs),
-        )
-
-
 class DAlgebraPair:
-    """A carrier with one structure map per monad of the diagram.
+    """A carrier with one structure map per monad of the diagram induced by
+    ``identity``: the free monads over the domain ops and over the
+    signature, with the monad maps given by term translation along
+    ``identity.lhs`` and ``identity.rhs`` (``rho_level`` at each element's
+    own height).
 
     ``alpha1_of`` folds a term over the signature through the algebra's
     tables, memoised in ``alpha1``.  ``alpha0_of`` folds a term over the
-    domain ops along ``f_chain``, memoised in ``alpha0``: a node folds
-    its generating term through ``alpha1_of`` at its children's values.
-    A fold through tables respects substitution, so that value is the
-    ``alpha1_of`` of the node's translation along ``f_chain`` (the level
-    map ``rho_level`` at the node's height), without building the
-    translation.  The constructor fills both memos over the stages up to
-    ``bound``, so an over-large stage is refused before any check runs.
+    domain ops along ``lhs``, memoised in ``alpha0``: a node folds its
+    generating term through ``alpha1_of`` at its children's values.  A
+    fold through tables respects substitution, so that value is the
+    ``alpha1_of`` of the node's translation along ``lhs``, without
+    building the translation.  The constructor fills both memos over the
+    stages up to ``bound``, so an over-large stage is refused before any
+    check runs.
     """
 
-    __slots__ = ("algebra", "diagram", "bound", "alpha1", "alpha0")
+    __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0")
 
-    def __init__(self, algebra: FinAlgebra, diagram: DiagramOfMonads, bound: int):
-        if algebra.sig != diagram.sig:
+    def __init__(self, algebra: FinAlgebra, identity: NaturalIdentity, bound: int):
+        if algebra.sig != identity.sig:
             raise ValidationError("algebra signature differs from the diagram")
         self.algebra = algebra
-        self.diagram = diagram
+        self.identity = identity
         self.bound = bound
         self.alpha1: dict = {}
         self.alpha0: dict = {}
         for t in stage(algebra.sig, algebra.carrier, bound).terms:
             self.alpha1_of(t)
-        for t in stage(diagram.f_chain.domain_signature(), algebra.carrier, bound).terms:
+        for t in stage(domain_signature(identity.domain), algebra.carrier, bound).terms:
             self.alpha0_of(t)
 
     def alpha1_of(self, t: Term):
@@ -356,19 +316,19 @@ class DAlgebraPair:
         return value
 
     def alpha0_of(self, t: Term):
-        return self.fold_along(self.diagram.f_chain, t, self.alpha0)
+        return self.fold_along(self.identity.lhs, t, self.alpha0)
 
-    def fold_along(self, chain: RhoChain, t: Term, memo: dict):
-        """The fold of domain term ``t`` along ``chain``, memoised in ``memo``."""
+    def fold_along(self, nt: NaturalTerm, t: Term, memo: dict):
+        """The fold of domain term ``t`` along ``nt``, memoised in ``memo``."""
         if t in memo:
             return memo[t]
         if type(t) is Var:
             value = self.alpha1_of(t)
         else:
-            i = chain.component_index(t.op)
-            names = canonical_vars(chain.domain[i])
-            slots = {v: Var(self.fold_along(chain, a, memo)) for v, a in zip(names, t.args)}
-            value = self.alpha1_of(substitute(chain.data[i], slots))
+            i = _component(nt.domain, t.op)
+            names = canonical_vars(nt.domain[i])
+            slots = {v: Var(self.fold_along(nt, a, memo)) for v, a in zip(names, t.args)}
+            value = self.alpha1_of(substitute(nt.data[i], slots))
         memo[t] = value
         return value
 
@@ -381,7 +341,7 @@ def _em_valid(pair: DAlgebraPair, gside: bool) -> bool:
     for a in alg.carrier:
         if fold(Var(a)) != a:
             return False
-    sig = pair.diagram.f_chain.domain_signature() if gside else alg.sig
+    sig = domain_signature(pair.identity.domain) if gside else alg.sig
     inner = stage(sig, alg.carrier, max(pair.bound - 1, 0)).terms
     for name, arity in sig:
         for args in itertools.product(inner.elements, repeat=arity):
@@ -394,16 +354,16 @@ def _em_valid(pair: DAlgebraPair, gside: bool) -> bool:
 
 def dalg_violation(pair: DAlgebraPair) -> Optional[Term]:
     """First domain-chain element up to the pair's bound where the two
-    arrows disagree, or None: ``alpha0_of`` folds along ``f_chain``, so
-    the element's fold along ``g_chain`` is compared with it."""
+    arrows disagree, or None: ``alpha0_of`` folds along ``lhs``, so the
+    element's fold along ``rhs`` is compared with it."""
     if not _em_valid(pair, gside=False):
         raise ValidationError("signature-side structure map violates the monad laws")
     if not _em_valid(pair, gside=True):
         raise ValidationError("domain-side structure map violates the monad laws")
-    d = pair.diagram
-    via_g: dict = {}
-    for t in stage(d.f_chain.domain_signature(), pair.algebra.carrier, pair.bound).terms:
-        if pair.fold_along(d.g_chain, t, via_g) != pair.alpha0_of(t):
+    ident = pair.identity
+    via_rhs: dict = {}
+    for t in stage(domain_signature(ident.domain), pair.algebra.carrier, pair.bound).terms:
+        if pair.fold_along(ident.rhs, t, via_rhs) != pair.alpha0_of(t):
             return t
     return None
 
@@ -417,10 +377,9 @@ def dalg_check(pair: DAlgebraPair) -> bool:
 def variety_vs_dalg(ident: NaturalIdentity, max_size: int, bound: int) -> ClassComparison:
     """Compare direct satisfaction with diagram-algebra compatibility over
     every algebra with carrier ≤ max_size."""
-    d = DiagramOfMonads.from_identity(ident)
     return compare_classes(
         ident.sig,
         max_size,
         lambda alg: satisfies(alg, ident),
-        lambda alg: dalg_check(DAlgebraPair(alg, d, bound)),
+        lambda alg: dalg_check(DAlgebraPair(alg, ident, bound)),
     )

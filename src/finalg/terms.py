@@ -209,36 +209,36 @@ def iota(st: Stage) -> FinMap:
     return FinMap(st.x, st.terms, {a: Var(a) for a in st.x})
 
 
-def q_node(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> FinMap:
+def q_node(sig: Signature, x: FinSet, n: int) -> FinMap:
     """The node constructor F(stage n) → stage n+1, sending a tuple to its node."""
-    src = apply_obj(SigF(sig), stage(sig, x, n, max_size).terms)
-    dst = stage(sig, x, n + 1, max_size).terms
+    src = apply_obj(SigF(sig), stage(sig, x, n).terms)
+    dst = stage(sig, x, n + 1).terms
     return FinMap(src, dst, {(name, args): Node(name, args) for (name, args) in src})
 
 
-def w_embed(st_m: Stage, n: int, max_size: int = MAX_STAGE_SIZE) -> FinMap:
+def w_embed(st_m: Stage, n: int) -> FinMap:
     """The inclusion stage m ⊆ stage n for m ≤ n."""
     if n < st_m.n:
         raise ValidationError(f"cannot embed stage {st_m.n} into lower stage {n}")
-    dst = stage(st_m.sig, st_m.x, n, max_size).terms
+    dst = stage(st_m.sig, st_m.x, n).terms
     return FinMap(st_m.terms, dst, {t: t for t in st_m.terms})
 
 
-def y_inject(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> FinMap:
+def y_inject(sig: Signature, x: FinSet, n: int) -> FinMap:
     """The one-step injection F(X) → stage n (n ≥ 1): a tuple of variables
     becomes its height-1 node, included into stage n."""
     if n < 1:
         raise ValidationError("y_inject needs stage index ≥ 1")
     src = apply_obj(SigF(sig), x)
-    dst = stage(sig, x, n, max_size).terms
+    dst = stage(sig, x, n).terms
     table = {
         (name, args): Node(name, tuple(Var(a) for a in args)) for (name, args) in src
     }
     return FinMap(src, dst, table)
 
 
-def stage_map(sig: Signature, f: FinMap, n: int, max_size: int = MAX_STAGE_SIZE) -> FinMap:
+def stage_map(sig: Signature, f: FinMap, n: int) -> FinMap:
     """Functorial action of stage n on a variable map: relabel variables."""
-    src = stage(sig, f.dom, n, max_size).terms
-    dst = stage(sig, f.cod, n, max_size).terms
+    src = stage(sig, f.dom, n).terms
+    dst = stage(sig, f.cod, n).terms
     return FinMap(src, dst, {t: relabel(t, f.table) for t in src})

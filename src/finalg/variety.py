@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .algebras import FinAlgebra, evaluate, is_morphism
+from .algebras import FinAlgebra, is_morphism
 from .core import FinMap, FinSet, Partition, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
@@ -342,19 +342,17 @@ def saturate(
     return Unstabilized(state, depth_bound)
 
 
-def _state_of(res: Union[FreeAlgebraResult, CongruenceState]) -> CongruenceState:
-    if isinstance(res, CongruenceState):
-        return res
+def _state_of(res: FreeAlgebraResult) -> CongruenceState:
     if isinstance(res, (Stabilized, Unstabilized)):
         return res.state
     raise ValidationError(f"not a saturation result: {res!r}")
 
 
 def word_equal(res, t1: Term, t2: Term) -> bool:
-    """Whether two terms denote the same element of the (partial) quotient."""
-    if isinstance(res, Stabilized):
-        binding = res.unit.table
-        return evaluate(res.algebra, t1, binding) == evaluate(res.algebra, t2, binding)
+    """Whether two terms denote the same element of the (partial) quotient.
+
+    A stabilized state's operation tables are total on its classes, so
+    normalizing through them resolves every term there."""
     state = _state_of(res)
 
     def normalize(t: Term) -> Term:

@@ -1,5 +1,7 @@
-"""Reference oracles for cross-checks, and the free-monad helpers that
-only the tests use (``translate``, ``wrap_term``, ``FreeMonadView``).
+"""Reference oracles for cross-checks, the free-monad helpers that only
+the tests use (``translate``, ``wrap_term``, ``FreeMonadView``), and the
+other names only the tests use: ``is_injective``, ``is_surjective``,
+``domain_expr`` and ``format_model``.
 
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
@@ -8,15 +10,79 @@ of the memoised folds of ``monadic.DAlgebraPair``.
 import itertools
 from dataclasses import dataclass
 
-from finalg import FinMap, FinSet, Signature, Term, Var, apply_obj, stage, substitute
-from finalg.identities import canonical_vars, domain_expr
-from finalg.monadic import RhoChain, mu_flatten, rho_level
+from finalg import (
+    FinMap,
+    FinSet,
+    FunctorExpr,
+    ReprF,
+    Signature,
+    SumF,
+    Term,
+    Var,
+    apply_obj,
+    format_term,
+    stage,
+    substitute,
+)
+from finalg.dsl import SpecModel
+from finalg.identities import NaturalIdentity, NaturalTerm, canonical_vars
+from finalg.monadic import domain_signature, mu_flatten, rho_level
 
 
-def translate(chain: RhoChain, elem: Term) -> Term:
+def translate(nt: NaturalTerm, elem: Term) -> Term:
     """The unbounded translation (the induced monad map on all elements):
     the level map at the element's own height."""
-    return rho_level(chain, elem.height, elem)
+    return rho_level(nt, elem.height, elem)
+
+
+def is_injective(f: FinMap) -> bool:
+    return len(set(f.table.values())) == len(f.dom)
+
+
+def is_surjective(f: FinMap) -> bool:
+    return len(set(f.table.values())) == len(f.cod)
+
+
+def domain_expr(t: NaturalTerm | NaturalIdentity) -> FunctorExpr:
+    """The domain functor as an expression: a sum of representables."""
+    return SumF(tuple(ReprF(k) for k in t.domain))
+
+
+def format_model(model: SpecModel) -> str:
+    """Canonical text for a model; parsing it back yields an equal model."""
+    lines: list[str] = []
+    for name, sig in model.signatures.items():
+        lines.append(f"signature {name} {{")
+        for op, arity in sig:
+            lines.append(f"  op {op} : {arity}")
+        lines.append("}")
+        lines.append("")
+    if model.vars:
+        lines.append("vars " + " ".join(model.vars))
+        lines.append("")
+    for name, decl in model.identities.items():
+        lines.append(
+            f"identity {name} over {decl.sig_name} : "
+            f"{format_term(decl.lhs)} = {format_term(decl.rhs)}"
+        )
+    if model.identities:
+        lines.append("")
+    for name, decl in model.algebras.items():
+        lines.append(f"algebra {name} over {decl.sig_name} {{")
+        lines.append("  carrier { " + " ".join(decl.algebra.carrier.elements) + " }")
+        for op, arity in model.signatures[decl.sig_name]:
+            lines.append(f"  op {op} {{")
+            table = decl.algebra.tables[op]
+            for combo in itertools.product(decl.algebra.carrier.elements, repeat=arity):
+                lines.append(f"    ({','.join(combo)}) -> {table[combo]}")
+            lines.append("  }")
+        lines.append("}")
+        lines.append("")
+    for name, decl in model.presentations.items():
+        lines.append(
+            f"presentation {name} = {decl.sig_name} with " + " ".join(decl.identity_names)
+        )
+    return "\n".join(lines).rstrip() + "\n"
 
 
 def wrap_term(t: Term) -> Term:
@@ -80,13 +146,10 @@ def satisfies_level_enumerated(alg, ident, k):
     """Materialize stage k of the domain chain over the carrier, translate
     each element through both level maps, and evaluate.  Feasible only for
     small domains."""
-    lhs_chain = RhoChain.from_natural_term(ident.lhs)
-    rhs_chain = RhoChain.from_natural_term(ident.rhs)
-    gsig = lhs_chain.domain_signature()
     binding = {a: a for a in alg.carrier}
-    for elem in stage(gsig, alg.carrier, k).terms:
-        lhs = fold(alg, rho_level(lhs_chain, k, elem), binding)
-        rhs = fold(alg, rho_level(rhs_chain, k, elem), binding)
+    for elem in stage(domain_signature(ident.domain), alg.carrier, k).terms:
+        lhs = fold(alg, rho_level(ident.lhs, k, elem), binding)
+        rhs = fold(alg, rho_level(ident.rhs, k, elem), binding)
         if lhs != rhs:
             return False
     return True

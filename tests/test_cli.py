@@ -152,6 +152,30 @@ def test_unary_stage_index_is_bounded(argv, stage_index, tmp_path):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("bound", [17, 40])
+def test_rho_chain_refuses_translations_past_the_height_bound(bound, tmp_path):
+    """A translation is up to bound × 8 high here; past the term height bound
+    it is refused before any is built, not compared until RecursionError."""
+    spec = tmp_path / "unary.alg"
+    spec.write_text(
+        UNARY_SPEC + "identity inv8 over Un : s(s(s(s(s(s(s(s(x)))))))) = x\n",
+        encoding="utf-8",
+    )
+    argv = ["rho-chain", "--spec", str(spec), "--identity", "inv8", "--generators", "1"]
+    start = time.monotonic()
+    code, out, err = invoke(argv + ["--bound", str(bound)])
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"resource limit: term height of translations at bound {bound}: "
+        f"needs {8 * bound}, limit is {MAX_TERM_DEPTH}\n"
+    )
+    code, out, _ = invoke(argv + ["--bound", "16"])
+    assert code == 0
+    assert "holds: true" in out
+
+
 def test_dalg_check_refuses_before_folding(corpus_file):
     """Both structure maps are filled over their stages before any check, so
     an over-large stage is refused at once."""
@@ -326,6 +350,16 @@ def test_dalg_check(corpus_file):
     assert code == 1
     assert "compatible: false" in out
     assert "witness:" in out
+
+
+def test_dalg_check_signature_mismatch(corpus_file):
+    code, out, err = invoke(
+        ["dalg-check", "--spec", corpus_file, "--identity", "comm",
+         "--algebra", "B", "--bound", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: algebra signature differs from the diagram\n"
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -7,10 +7,10 @@ from finalg.dsl import (
     IdentityDecl,
     PresentationDecl,
     SpecModel,
-    format_model,
     parse_spec,
 )
 from conftest import CORPUS_TEXT
+from oracles import format_model
 
 
 MONOID_TEXT = """\

@@ -14,9 +14,9 @@ from finalg import (
     raise_arity,
     satisfies,
 )
-from finalg.identities import canonical_vars, domain_expr, violation
+from finalg.identities import canonical_vars, violation
 from conftest import MAGMA, MONOID_SIG, e, ident, m, v
-from oracles import reference_violation, satisfies_transform
+from oracles import domain_expr, reference_violation, satisfies_transform
 
 
 def test_canonical_vars():

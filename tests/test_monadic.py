@@ -3,11 +3,10 @@ import itertools
 import pytest
 
 from finalg import (
-    DiagramOfMonads,
     FinMap,
     FinSet,
+    NaturalTerm,
     Node,
-    RhoChain,
     ValidationError,
     Var,
     check_monad_map,
@@ -32,12 +31,20 @@ from finalg import (
 from finalg.core import atom_key
 from finalg.monadic import (
     dalg_violation,
+    domain_signature,
     em_to_algebra,
     satisfies_level,
 )
 from finalg.variety import Stabilized
 from conftest import MAGMA, MONOID_SIG, e, ident, m, two_element, v
-from oracles import FreeMonadView, fold, satisfies_level_enumerated, translate, wrap_term
+from oracles import (
+    FreeMonadView,
+    fold,
+    is_injective,
+    satisfies_level_enumerated,
+    translate,
+    wrap_term,
+)
 
 TWO = FinSet(("x", "y"))
 
@@ -100,7 +107,7 @@ def test_mu_flatten_validates_slots():
 
 @pytest.fixture(scope="module")
 def comm_chain():
-    return RhoChain(MAGMA, (2,), (m(v("v2"), v("v1")),))
+    return NaturalTerm(MAGMA, (2,), 1, (m(v("v2"), v("v1")),))
 
 
 def test_rho_level_unit(comm_chain):
@@ -123,6 +130,11 @@ def test_rho_level_zero_rejects_nodes(comm_chain):
         rho_level(comm_chain, 0, Node("c0", (v("x"), v("y"))))
 
 
+def test_rho_level_rejects_unknown_component(comm_chain):
+    with pytest.raises(ValidationError, match="^unknown domain component 'c1'$"):
+        rho_level(comm_chain, 1, Node("c1", (v("x"), v("y"))))
+
+
 def test_rho_chain_compatibility(comm_chain):
     report = check_monad_map(comm_chain, 3, TWO)
     assert report.holds
@@ -130,7 +142,7 @@ def test_rho_chain_compatibility(comm_chain):
 
 
 def test_rho_chain_of_signature_injection():
-    chain = RhoChain(MAGMA, (2,), (m(v("v1"), v("v2")),))
+    chain = NaturalTerm(MAGMA, (2,), 1, (m(v("v1"), v("v2")),))
 
     def rename(t):
         match t:
@@ -140,18 +152,17 @@ def test_rho_chain_of_signature_injection():
                 return Node("m", tuple(rename(a) for a in args))
 
     for k in range(3):
-        for elem in stage(chain.domain_signature(), TWO, k).terms:
+        for elem in stage(domain_signature(chain.domain), TWO, k).terms:
             assert rho_level(chain, k, elem) == rename(elem)
 
 
 def test_rho_chain_ternary_compatibility(assoc):
-    chain = RhoChain.from_natural_term(assoc.lhs)
-    assert check_monad_map(chain, 2, TWO).holds
+    assert check_monad_map(assoc.lhs, 2, TWO).holds
 
 
 def test_monad_map_commutes_with_substitution(comm):
-    chain = RhoChain.from_natural_term(comm.lhs)
-    gsig = chain.domain_signature()
+    chain = comm.lhs
+    gsig = domain_signature(chain.domain)
     assert translate(chain, v("x")) == v("x")
     inner = list(stage(gsig, TWO, 1).terms)
     shapes = stage(gsig, FinSet(("s1", "s2")), 1).terms
@@ -305,7 +316,7 @@ def test_em_structures_are_the_free_semilattice_shapes(semilattice_unit_ids):
         bijections = [
             h
             for h in enumerate_maps(res.algebra.carrier, alg.carrier)
-            if h.is_injective() and is_morphism(res.algebra, alg, h)
+            if is_injective(h) and is_morphism(res.algebra, alg, h)
         ]
         assert len(bijections) == 1
 
@@ -341,14 +352,13 @@ def test_dalg_witnesses_on_two_point_magmas(name, request):
         identity = ident(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), ("x", "y"))
     else:
         identity = request.getfixturevalue(name)
-    d = DiagramOfMonads.from_identity(identity)
     two = FinSet((0, 1))
-    elements = stage(d.f_chain.domain_signature(), two, 2).terms
-    translations = [(t, translate(d.f_chain, t), translate(d.g_chain, t)) for t in elements]
+    elements = stage(domain_signature(identity.domain), two, 2).terms
+    translations = [(t, translate(identity.lhs, t), translate(identity.rhs, t)) for t in elements]
     binding = {a: a for a in two}
     witnesses = []
     for alg in enumerate_algebras(MAGMA, two):
-        pair = DAlgebraPair(alg, d, 2)
+        pair = DAlgebraPair(alg, identity, 2)
         witness = dalg_violation(pair)
         witnesses.append(None if witness is None else format_term(witness))
         assert dalg_check(pair) == (witness is None)
@@ -356,21 +366,25 @@ def test_dalg_witnesses_on_two_point_magmas(name, request):
         via_g: dict = {}
         for t, f_image, g_image in translations:
             assert pair.alpha0_of(t) == fold(alg, f_image, binding)
-            assert pair.fold_along(d.g_chain, t, via_g) == fold(alg, g_image, binding)
+            assert pair.fold_along(identity.rhs, t, via_g) == fold(alg, g_image, binding)
     assert tuple(witnesses) == DALG_WITNESSES[name]
 
 
 def test_dalg_symmetric_vs_projection(comm, or_magma, left_projection):
-    d = DiagramOfMonads.from_identity(comm)
-    assert dalg_check(DAlgebraPair(or_magma, d, 2))
-    witness = dalg_violation(DAlgebraPair(left_projection, d, 2))
+    assert dalg_check(DAlgebraPair(or_magma, comm, 2))
+    witness = dalg_violation(DAlgebraPair(left_projection, comm, 2))
     assert witness is not None
-    assert translate(d.f_chain, witness) != translate(d.g_chain, witness)
+    assert translate(comm.lhs, witness) != translate(comm.rhs, witness)
+
+
+def test_dalg_rejects_algebra_of_another_signature(comm):
+    monoid = two_element([0, 1, 1, 1], unit=0)
+    with pytest.raises(ValidationError, match="^algebra signature differs from the diagram$"):
+        DAlgebraPair(monoid, comm, 2)
 
 
 def test_dalg_rejects_corrupted_structure_map(comm, or_magma):
-    d = DiagramOfMonads.from_identity(comm)
-    pair = DAlgebraPair(or_magma, d, 2)
+    pair = DAlgebraPair(or_magma, comm, 2)
     with pytest.raises(ValidationError, match="unbound variable 7"):
         pair.alpha1_of(Var(7))
     pair.alpha1[Var(0)] = 1

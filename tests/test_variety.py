@@ -14,6 +14,7 @@ from finalg import (
     Var,
     check_universal_property,
     enumerate_maps,
+    evaluate,
     format_term,
     is_morphism,
     satisfies,
@@ -193,6 +194,13 @@ def test_word_equal_on_stabilized(semilattice_unit_ids):
     deep = m(m(x1, x2), m(x2, m(x1, m(x2, x2))))
     assert word_equal(res, deep, deep)
     assert word_equal(res, deep, m(x1, x2))
+    terms = stage(MONOID_SIG, gens(2), 2).terms
+    assert len(terms) == 52
+    values = {t: evaluate(res.algebra, t, res.unit.table) for t in terms}
+    for s, t in itertools.product(terms, repeat=2):
+        assert word_equal(res, s, t) == (values[s] == values[t])
+    with pytest.raises(ValidationError, match="outside the generators"):
+        word_equal(res, v("x3"), x1)
 
 
 def test_word_equal_on_unstabilized_state(monoid_ids):
