@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import FinAlgebra, evaluate
+from .algebras import FinAlgebra, compile_term
 from .core import FinSet, Partition, atom_key, enumerate_maps, kernel_pair, quotient
 from .errors import ValidationError
 from .functors import Signature
@@ -47,15 +47,18 @@ def satisfies_equation(alg: FinAlgebra, eq: EquationArrow) -> bool:
     """Whether every assignment's evaluation map is constant on every block."""
     if alg.sig != eq.sig:
         raise ValidationError("signature mismatch between algebra and equation")
-    for f in enumerate_maps(eq.var_object, alg.carrier):
-        binding = f.table
-        for block in eq.part.blocks:
-            if len(block) == 1:
-                continue
-            value = evaluate(alg, block[0], binding)
-            for t in block[1:]:
-                if evaluate(alg, t, binding) != value:
-                    return False
+    maps = enumerate_maps(eq.var_object, alg.carrier)
+    names = eq.var_object.elements
+    blocks = [
+        [compile_term(t, names) for t in block] for block in eq.part.blocks if len(block) > 1
+    ]
+    tables = alg.tables
+    for f in maps:
+        values = tuple(f.table.values())
+        for first, *rest in blocks:
+            value = first(tables, values)
+            if any(g(tables, values) != value for g in rest):
+                return False
     return True
 
 

@@ -177,7 +177,9 @@ def iter_stage_sizes(sig: Signature, x: FinSet) -> Iterator[int]:
         size = sum(size**arity for _, arity in sig) + len(x)
 
 
-@lru_cache(maxsize=None)
+# One call caches at most 2 * (MAX_TERM_DEPTH + 1) stages (the two chains
+# ``dalg-check`` walks), and the bound stops growth for the process's life.
+@lru_cache(maxsize=512)
 def _stage_terms(sig: Signature, x: FinSet, n: int) -> FinSet:
     if n == 0:
         return FinSet(tuple(Var(a) for a in x))

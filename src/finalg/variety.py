@@ -10,20 +10,23 @@ of height ≤ d is congruent to a node over minimal representatives, the
 registered universe represents every class of the full stage set while
 staying exponentially smaller.
 
-The engine's only record of the classes is its root map: the keys of
-``rep`` are exactly the live union-find roots, each mapped to the least
-term of its class.  The engine is also the hashcons of its terms:
-``nodes`` maps ``(op, child ids)`` to the id of the registered node with
-exactly those children, so identity instances and frontier nodes are
-built on integer ids and a ``Term`` is made only for a new node.
+The engine keeps one term store and one class record.  ``nodes``, the
+hashcons of its terms, maps ``(op, child ids)`` to the id of the node
+with exactly those children (the generators are ids 0..|x|-1), so
+identity instances and frontier nodes are built on integer ids and a
+``Term`` is made only for a new node.  The keys of ``rep`` are exactly
+the live union-find roots, each mapped to the id of its class's least
+term.  One pass over ``nodes`` reads the operation tables off these; it
+decides stabilization and fills the state.  The derivation audit replays
+the recorded identity instances over the same universe in a fresh
+engine and compares each term's least class member with the result's.
 
 Saturation stabilizes at depth d when the roots after depth d-1 still
 name distinct classes after depth d and those are all the classes (the
 images of the earlier roots are always among the current roots, so
-equal counts make the map a bijection), and the node signature over
-every tuple of classes is already known; the quotient then carries a
-total finite algebra and the variable embedding becomes the unit of the
-free algebra.
+equal counts make the map a bijection), and every operation table over
+the classes is total; the quotient then carries a finite algebra and
+the variable embedding becomes the unit of the free algebra.
 """
 from __future__ import annotations
 
@@ -63,14 +66,14 @@ def _occurrence_depths(t: Term, depth: int = 0, acc: Optional[dict] = None) -> d
 
 class _Engine:
     """Union-find over registered terms with congruence closure; ``nodes``
-    is keyed on exact child ids, ``sig_table`` on child roots."""
+    (the one term store) is keyed on exact child ids, ``sig_table`` on
+    child roots, and ``rep`` maps each root to its least term's id."""
 
-    def __init__(self):
-        self.index: dict[Term, int] = {}
+    def __init__(self, x: FinSet):
         self.terms: list[Term] = []
         self.parent: list[int] = []
         self.rank: list[int] = []
-        self.rep: dict[int, Term] = {}
+        self.rep: dict[int, int] = {}
         self.node_args: list[Optional[tuple[int, ...]]] = []
         self.node_op: list[Optional[str]] = []
         self.nodes: dict[tuple, int] = {}
@@ -79,6 +82,8 @@ class _Engine:
         self.pending: deque[tuple[int, int]] = deque()
         self.instance_log: list[tuple] = []
         self.merge_count = 0
+        for a in x:
+            self._add(Var(a), None)
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -89,13 +94,9 @@ class _Engine:
             parent[i], i = root, parent[i]
         return root
 
-    def register(self, t: Term) -> int:
-        tid = self.index.get(t)
-        if tid is not None:
-            return tid
-        if isinstance(t, Node):
-            return self._add(t, tuple(self.register(a) for a in t.args))
-        return self._add(t, None)
+    def least(self, i: int) -> Term:
+        """The least term of the class of id ``i``."""
+        return self.terms[self.rep[self.find(i)]]
 
     def node(self, op: str, arg_ids: tuple[int, ...]) -> int:
         """The id of the node ``op`` over the registered ``arg_ids``; its
@@ -114,11 +115,10 @@ class _Engine:
 
     def _add(self, t: Term, arg_ids: Optional[tuple[int, ...]]) -> int:
         tid = len(self.terms)
-        self.index[t] = tid
         self.terms.append(t)
         self.parent.append(tid)
         self.rank.append(0)
-        self.rep[tid] = t
+        self.rep[tid] = tid
         self.node_args.append(arg_ids)
         self.node_op.append(t.op if arg_ids is not None else None)
         if arg_ids is not None:
@@ -143,9 +143,10 @@ class _Engine:
             self.rank[ra] += 1
         self.parent[rb] = ra
         self.merge_count += 1
-        if self.rep[rb].sort_key() < self.rep[ra].sort_key():
-            self.rep[ra] = self.rep[rb]
-        del self.rep[rb]
+        rep = self.rep
+        if self.terms[rep[rb]].sort_key() < self.terms[rep[ra]].sort_key():
+            rep[ra] = rep[rb]
+        del rep[rb]
         moved = self.parents.pop(rb, [])
         for nid in moved:
             key = (self.node_op[nid], tuple(self.find(x) for x in self.node_args[nid]))
@@ -161,19 +162,10 @@ class _Engine:
         while self.pending:
             self.union(*self.pending.popleft())
 
-    def class_roots(self) -> list[int]:
-        return sorted(self.rep, key=lambda r: self.rep[r].sort_key())
-
-    def partition(self) -> Partition:
-        """The classes of every registered term, over the registered universe."""
-        groups: dict[int, list[Term]] = {}
-        for i, t in enumerate(self.terms):
-            groups.setdefault(self.find(i), []).append(t)
-        return Partition(FinSet(tuple(self.terms)), groups.values())
-
-    def lookup_sig(self, op: str, arg_roots: tuple[int, ...]) -> Optional[int]:
-        nid = self.sig_table.get((op, arg_roots))
-        return None if nid is None else self.find(nid)
+    def least_ids(self) -> list[int]:
+        """The id of each class's least term, in canonical term order."""
+        terms = self.terms
+        return sorted(self.rep.values(), key=lambda i: terms[i].sort_key())
 
 
 @dataclass(frozen=True)
@@ -231,34 +223,26 @@ def _flatten(ids: Iterable[NaturalIdentity], sig: Signature) -> list[tuple]:
     return components
 
 
-def _extract_state(engine: _Engine, sig: Signature, x: FinSet, depth: int,
-                   counts: list[int]) -> CongruenceState:
-    classes = engine.partition()
-    op_tables: dict = {name: {} for name, _ in sig}
-    for nid, arg_ids in enumerate(engine.node_args):
-        if arg_ids is None:
-            continue
-        reps = tuple(engine.rep[engine.find(a)] for a in arg_ids)
-        op_tables[engine.node_op[nid]][reps] = engine.rep[engine.find(nid)]
-    return CongruenceState(
-        sig, x, depth, classes.base, classes, op_tables, tuple(counts),
-        tuple(engine.instance_log),
-    )
-
-
-def _closed_tables(engine: _Engine, sig: Signature, ordered: list[int]) -> Optional[dict]:
-    """Operation tables on the representatives of the ``ordered`` classes, or
-    None when the node signature over some tuple of them is not registered."""
-    tables: dict = {}
-    for name, arity in sig:
-        table = {}
-        for arg_roots in itertools.product(ordered, repeat=arity):
-            root = engine.lookup_sig(name, arg_roots)
-            if root is None:
-                return None
-            table[tuple(engine.rep[r] for r in arg_roots)] = engine.rep[root]
-        tables[name] = table
+def _op_tables(engine: _Engine, sig: Signature) -> dict:
+    """Each operation's table on the least terms of the classes: every
+    registered node sends the classes of its children to its own class."""
+    tables: dict = {name: {} for name, _ in sig}
+    least = engine.least
+    for (op, arg_ids), nid in engine.nodes.items():
+        tables[op][tuple(least(a) for a in arg_ids)] = least(nid)
     return tables
+
+
+def _extract_state(engine: _Engine, sig: Signature, x: FinSet, depth: int,
+                   counts: list[int], op_tables: dict) -> CongruenceState:
+    groups: dict[int, list[Term]] = {}
+    for i, t in enumerate(engine.terms):
+        groups.setdefault(engine.find(i), []).append(t)
+    universe = FinSet(tuple(engine.terms))
+    return CongruenceState(
+        sig, x, depth, universe, Partition(universe, groups.values()), op_tables,
+        tuple(counts), tuple(engine.instance_log),
+    )
 
 
 def saturate(
@@ -277,15 +261,13 @@ def saturate(
     if depth_bound < 1:
         raise ValidationError("depth bound must be at least 1")
     components = _flatten(ids, sig)
-    engine = _Engine()
-    for a in x:
-        engine.register(Var(a))
+    engine = _Engine(x)
     counts: list[int] = []
     prev_roots = set(engine.rep)
     applied: set = set()
 
     for depth in range(1, depth_bound + 1):
-        frontier = [engine.index[engine.rep[r]] for r in engine.class_roots()]
+        frontier = engine.least_ids()
         for name, arity in sig:
             for arg_ids in itertools.product(frontier, repeat=arity):
                 engine.node(name, arg_ids)
@@ -296,10 +278,7 @@ def saturate(
         while True:
             merges_before = engine.merge_count
             terms_before = len(engine.terms)
-            reps = [
-                (engine.index[t], t.height)
-                for t in (engine.rep[r] for r in engine.class_roots())
-            ]
+            reps = [(tid, engine.terms[tid].height) for tid in engine.least_ids()]
             for comp_id, used, offsets, left, right, ground in components:
                 if ground > depth:
                     continue
@@ -326,19 +305,16 @@ def saturate(
 
         counts.append(len(engine.rep))
         if len(prev_roots) == len({engine.find(r) for r in prev_roots}) == len(engine.rep):
-            ordered = engine.class_roots()
-            tables = _closed_tables(engine, sig, ordered)
-            if tables is not None:
-                state = _extract_state(engine, sig, x, depth, counts)
-                carrier = FinSet(tuple(engine.rep[r] for r in ordered))
+            tables = _op_tables(engine, sig)
+            if all(len(tables[name]) == len(engine.rep) ** arity for name, arity in sig):
+                state = _extract_state(engine, sig, x, depth, counts, tables)
+                carrier = FinSet(tuple(engine.terms[i] for i in engine.rep.values()))
                 algebra = FinAlgebra(sig, carrier, tables)
-                unit = FinMap(
-                    x, carrier, {a: engine.rep[engine.find(engine.index[Var(a)])] for a in x}
-                )
+                unit = FinMap(x, carrier, {a: engine.least(i) for i, a in enumerate(x)})
                 return Stabilized(algebra, unit, depth, state)
         prev_roots = set(engine.rep)
 
-    state = _extract_state(engine, sig, x, depth_bound, counts)
+    state = _extract_state(engine, sig, x, depth_bound, counts, _op_tables(engine, sig))
     return Unstabilized(state, depth_bound)
 
 
@@ -376,20 +352,29 @@ def word_equal(res, t1: Term, t2: Term) -> bool:
 
 def audit_derivations(res) -> bool:
     """Replay the recorded identity instances through a fresh congruence
-    closure over the same universe and compare the partitions.
+    closure over the same universe and compare the classes.
 
-    Equality certifies that every merge the engine performed is derivable
-    from an identity instance plus congruence/transitivity steps.
+    Every universe term's least class member in the replay must be its
+    representative in the result; over the same universe that is equality
+    of the two partitions, and it certifies that every merge the engine
+    performed is derivable from an identity instance plus
+    congruence/transitivity steps.
     """
     state = _state_of(res)
-    engine = _Engine()
+    if state.classes.base != state.universe:
+        return False
+    engine = _Engine(state.x)
+    ids = {t: i for i, t in enumerate(engine.terms)}
     for t in state.universe:
-        engine.register(t)
+        if t not in ids:
+            ids[t] = engine._add(t, tuple(ids[a] for a in t.args))
     engine.drain()
     for a, b in state.instance_pairs:
-        engine.union(engine.register(a), engine.register(b))
+        if a not in ids or b not in ids:
+            return False
+        engine.union(ids[a], ids[b])
         engine.drain()
-    return engine.partition() == state.classes
+    return all(engine.least(ids[t]) == state.classes.rep(t) for t in state.universe)
 
 
 def extension_count(res: Stabilized, target: FinAlgebra, f: FinMap) -> int:

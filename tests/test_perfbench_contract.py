@@ -1,0 +1,46 @@
+"""The finalg names the benchmark in ``perfbench/`` calls, with their
+parameter names, reached by the module paths it uses.  The benchmark is
+not part of this suite, so a renamed or re-shaped name would otherwise
+show only when the benchmark runs."""
+import dataclasses
+import inspect
+
+import pytest
+
+import finalg
+import finalg.cli
+import finalg.dsl
+import finalg.terms
+
+CALLED = [
+    ("variety", "saturate", ("sig", "ids", "x", "depth_bound", "max_universe")),
+    ("variety", "audit_derivations", ("res",)),
+    ("variety", "check_universal_property", ("res", "ids", "target")),
+    ("algebras", "enumerate_algebras", ("sig", "carrier", "max_count")),
+    ("identities", "satisfies", ("alg", "ident")),
+    ("identities", "bundle", ("idents",)),
+    ("identities", "equivalent_upto", ("a", "b", "max_size")),
+    (None, "from_sigma", ("sig", "lhs", "rhs", "vars")),
+    ("terms", "relabel", ("t", "f")),
+    ("terms", "variables", ("t",)),
+    ("equations", "roundtrip_class_equal", ("ident", "x_sizes", "max_size")),
+    ("monadic", "equi_check", ("ident", "k", "max_size")),
+    ("monadic", "variety_vs_dalg", ("ident", "max_size", "bound")),
+    ("monadic", "em_structures", ("m",)),
+    ("monadic", "powerset_instance", ("base",)),
+    ("cli", "run", ("argv", "out", "err")),
+    ("dsl", "parse_spec", ("text",)),
+]
+
+
+@pytest.mark.parametrize("module, name, params", CALLED)
+def test_benchmark_names_keep_their_parameters(module, name, params):
+    owner = finalg if module is None else getattr(finalg, module)
+    assert tuple(inspect.signature(getattr(owner, name)).parameters) == params
+
+
+def test_benchmark_reads_the_stage_cache_and_the_state():
+    assert callable(finalg.terms._stage_terms.cache_info)
+    fields = {f.name for f in dataclasses.fields(finalg.variety.CongruenceState)}
+    assert {"universe", "classes", "instance_pairs"} <= fields
+    assert {f.name for f in dataclasses.fields(finalg.variety.Stabilized)} >= {"algebra", "unit"}

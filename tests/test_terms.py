@@ -23,7 +23,14 @@ from finalg import (
     w_embed,
     y_inject,
 )
-from finalg.terms import check_term, iter_stage_sizes, relabel, variables
+from finalg.terms import (
+    MAX_TERM_DEPTH,
+    _stage_terms,
+    check_term,
+    iter_stage_sizes,
+    relabel,
+    variables,
+)
 from conftest import MAGMA, MONOID_SIG, m, v
 from oracles import is_injective, is_surjective
 
@@ -239,3 +246,15 @@ def test_variables_and_format():
     check_term(MONOID_SIG, t)
     with pytest.raises(ValidationError):
         check_term(MAGMA, Node("m", (v("x"),)))
+
+
+def test_stage_cache_is_bounded():
+    """Every stage of a nullary-only signature is cheap, so the stages up
+    to the height bound over a few generator sets overfill the cache."""
+    point = Signature((("e", 0),))
+    for n in range(5):
+        stage(point, FinSet(tuple(f"g{i}" for i in range(n))), MAX_TERM_DEPTH)
+    info = _stage_terms.cache_info()
+    assert info.maxsize is not None
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize

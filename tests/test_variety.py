@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -6,6 +7,7 @@ import pytest
 from finalg import (
     FinMap,
     FinSet,
+    Partition,
     Node,
     ResourceLimitError,
     Stabilized,
@@ -370,3 +372,25 @@ def test_saturation_trajectory(presentation, n, bound, at_depth, counts, univers
         for op, arity in sig
         for args in itertools.product(alg.carrier.elements, repeat=arity)
     ) == tables_digest
+
+
+def test_derivation_audit_refuses_tampered_states():
+    """The audit replays the recorded instances and compares every class,
+    so dropping the instances, merging two classes or splitting one shows.
+    (Dropping only the last instance is not a tamper that must show: some
+    recorded merges are redundant.)"""
+    model = parse_spec(TRAJECTORY_SPEC)
+    sig = model.signatures[model.presentations["Band"].sig_name]
+    res = saturate(sig, model.presentation_identities("Band"), gens(2), 6)
+    assert audit_derivations(res)
+    state = res.state
+    blocks = list(state.classes.blocks)
+    largest = max(blocks, key=len)
+    merged = [blocks[0] + blocks[1]] + blocks[2:]
+    split = [b for b in blocks if b is not largest] + [largest[:1], largest[1:]]
+    for tampered in (
+        dataclasses.replace(state, instance_pairs=()),
+        dataclasses.replace(state, classes=Partition(state.universe, merged)),
+        dataclasses.replace(state, classes=Partition(state.universe, split)),
+    ):
+        assert not audit_derivations(dataclasses.replace(res, state=tampered))
