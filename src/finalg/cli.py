@@ -19,7 +19,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import variety as variety_mod
 from .algebras import enumerate_algebras, evaluate
-from .core import FinSet
+from .core import MAX_ENUMERATION, FinSet
 from .dsl import SpecModel, parse_spec, parse_term
 from .equations import (
     equation_to_identity,
@@ -28,7 +28,6 @@ from .equations import (
     satisfies_equation,
 )
 from .errors import FinalgError, ParseError, ResourceLimitError, ValidationError
-from .functors import Signature
 from .identities import satisfies, violation
 from .monadic import (
     DAlgebraPair,
@@ -38,7 +37,7 @@ from .monadic import (
     equi_check,
     powerset_instance,
 )
-from .terms import format_term, iter_stage_sizes, stage, variables
+from .terms import MAX_STAGE_SIZE, format_term, iter_stage_sizes, stage
 
 # ``chain`` refuses to print a stage size above this (the sizes grow doubly
 # exponentially, so each step past it would cost more than the last).
@@ -74,22 +73,15 @@ def _load(path: str) -> SpecModel:
         return parse_spec(handle.read())
 
 
-def _model_signature(model: SpecModel, name: str) -> Signature:
-    if name not in model.signatures:
-        raise ValidationError(f"unknown signature {name!r}")
-    return model.signatures[name]
+def _declared(table: dict, kind: str, name: str):
+    """The declaration ``name`` in one of the model's tables, or a refusal."""
+    if name not in table:
+        raise ValidationError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
-def _model_algebra(model: SpecModel, name: str):
-    if name not in model.algebras:
-        raise ValidationError(f"unknown algebra {name!r}")
-    return model.algebras[name].algebra
-
-
-def _model_identity(model: SpecModel, name: str):
-    if name not in model.identities:
-        raise ValidationError(f"unknown identity {name!r}")
-    return model.natural_identity(name)
+def _identity(model: SpecModel, name: str):
+    return model.natural_identity(_declared(model.identities, "identity", name).name)
 
 
 def _format_subset(s: tuple) -> str:
@@ -97,7 +89,7 @@ def _format_subset(s: tuple) -> str:
 
 
 def _cmd_chain(args, model: SpecModel, out: TextIO) -> int:
-    sig = _model_signature(model, args.signature)
+    sig = _declared(model.signatures, "signature", args.signature)
     x = _generators(args.generators)
     sizes = []
     for k, size in zip(range(args.upto + 1), iter_stage_sizes(sig, x)):
@@ -113,9 +105,7 @@ def _cmd_chain(args, model: SpecModel, out: TextIO) -> int:
 
 
 def _cmd_eval(args, model: SpecModel, out: TextIO) -> int:
-    decl = model.algebras.get(args.algebra)
-    if decl is None:
-        raise ValidationError(f"unknown algebra {args.algebra!r}")
+    decl = _declared(model.algebras, "algebra", args.algebra)
     term = parse_term(model, decl.sig_name, args.term)
     binding = {}
     if args.assign:
@@ -124,6 +114,10 @@ def _cmd_eval(args, model: SpecModel, out: TextIO) -> int:
                 raise ValidationError(f"bad assignment {piece!r}, expected var=atom")
             var, value = piece.split("=", 1)
             var, value = var.strip(), value.strip()
+            if var not in model.vars:
+                raise ValidationError(f"undeclared variable {var!r}")
+            if var in binding:
+                raise ValidationError(f"variable {var!r} assigned twice")
             if value not in decl.algebra.carrier:
                 raise ValidationError(f"atom {value!r} not in the carrier")
             binding[var] = value
@@ -133,8 +127,8 @@ def _cmd_eval(args, model: SpecModel, out: TextIO) -> int:
 
 
 def _cmd_check(args, model: SpecModel, out: TextIO) -> int:
-    alg = _model_algebra(model, args.algebra)
-    ident = _model_identity(model, args.identity)
+    alg = _declared(model.algebras, "algebra", args.algebra).algebra
+    ident = _identity(model, args.identity)
     if args.equation_generators is not None:
         arrow = identity_to_equation(ident, _generators(args.equation_generators))
         ok = satisfies_equation(alg, arrow)
@@ -146,10 +140,7 @@ def _cmd_check(args, model: SpecModel, out: TextIO) -> int:
     print(f"satisfies: {'true' if witness is None else 'false'}", file=out)
     if witness is not None:
         component, values = witness
-        decl = model.identities[args.identity]
-        used = variables(decl.lhs) | variables(decl.rhs)
-        names = FinSet(tuple(v for v in model.vars if v in used)).elements
-        pairs = " ".join(f"{n}={v}" for n, v in zip(names, values))
+        pairs = " ".join(f"{n}={v}" for n, v in zip(model.identity_vars(args.identity), values))
         print(f"witness-component: {component}", file=out)
         print(f"witness-assignment: {pairs}", file=out)
         return 1
@@ -157,9 +148,9 @@ def _cmd_check(args, model: SpecModel, out: TextIO) -> int:
 
 
 def _cmd_enumerate(args, model: SpecModel, out: TextIO) -> int:
-    sig = _model_signature(model, args.signature)
+    sig = _declared(model.signatures, "signature", args.signature)
     carrier = FinSet(tuple(str(i) for i in range(args.size)))
-    idents = [_model_identity(model, name) for name in args.identity or []]
+    idents = [_identity(model, name) for name in args.identity or []]
     count = 0
     for alg in enumerate_algebras(sig, carrier, args.max_count):
         if all(satisfies(alg, ident) for ident in idents):
@@ -175,7 +166,7 @@ def _cmd_enumerate(args, model: SpecModel, out: TextIO) -> int:
 
 
 def _cmd_convert(args, model: SpecModel, out: TextIO) -> int:
-    ident = _model_identity(model, args.identity)
+    ident = _identity(model, args.identity)
     x = _generators(args.generators)
     if args.mode == "to-equation":
         arrow = identity_to_equation(ident, x)
@@ -203,9 +194,8 @@ def _cmd_convert(args, model: SpecModel, out: TextIO) -> int:
 def _saturate_presentation(args, model: SpecModel):
     """The presentation's signature and identities, and its saturation on
     ``--generators`` generators."""
-    if args.presentation not in model.presentations:
-        raise ValidationError(f"unknown presentation {args.presentation!r}")
-    sig = model.signatures[model.presentations[args.presentation].sig_name]
+    decl = _declared(model.presentations, "presentation", args.presentation)
+    sig = model.signatures[decl.sig_name]
     ids = model.presentation_identities(args.presentation)
     x = _generators(args.generators)
     return sig, ids, variety_mod.saturate(sig, ids, x, args.max_depth, args.max_universe)
@@ -240,7 +230,7 @@ def _cmd_uprop(args, model: SpecModel, out: TextIO) -> int:
     _, ids, result = _saturate_presentation(args, model)
     if not isinstance(result, variety_mod.Stabilized):
         raise ValidationError("saturation did not stabilize; cannot test freeness")
-    target = _model_algebra(model, args.target)
+    target = _declared(model.algebras, "algebra", args.target).algebra
     witness = variety_mod.universal_property_witness(result, ids, target)
     print(f"assignments: {len(target.carrier) ** args.generators}", file=out)
     print(f"unique-extensions: {'true' if witness is None else 'false'}", file=out)
@@ -254,7 +244,7 @@ def _cmd_uprop(args, model: SpecModel, out: TextIO) -> int:
 
 
 def _cmd_rho_chain(args, model: SpecModel, out: TextIO) -> int:
-    ident = _model_identity(model, args.identity)
+    ident = _identity(model, args.identity)
     source = ident.lhs if args.side == "lhs" else ident.rhs
     report = check_monad_map(source, args.bound, _generators(args.generators))
     print(f"checked: {report.checked}", file=out)
@@ -267,7 +257,7 @@ def _cmd_rho_chain(args, model: SpecModel, out: TextIO) -> int:
 
 
 def _cmd_equi(args, model: SpecModel, out: TextIO) -> int:
-    ident = _model_identity(model, args.identity)
+    ident = _identity(model, args.identity)
     cmp = equi_check(ident, args.level, args.max_size)
     print(f"checked: {cmp.checked}", file=out)
     print(f"equivalent: {'true' if cmp.equal else 'false'}", file=out)
@@ -294,8 +284,8 @@ def _cmd_em_check(args, model: Optional[SpecModel], out: TextIO) -> int:
 
 
 def _cmd_dalg_check(args, model: SpecModel, out: TextIO) -> int:
-    ident = _model_identity(model, args.identity)
-    alg = _model_algebra(model, args.algebra)
+    ident = _identity(model, args.identity)
+    alg = _declared(model.algebras, "algebra", args.algebra).algebra
     witness = dalg_violation(DAlgebraPair(alg, ident, args.bound))
     print(f"compatible: {'true' if witness is None else 'false'}", file=out)
     if witness is not None:
@@ -320,7 +310,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--generators", type=_non_negative, required=True)
     p.add_argument("--upto", type=_non_negative, required=True)
     p.add_argument("--terms", action="store_true")
-    p.add_argument("--max-stage-size", type=_non_negative, default=1_000_000)
+    p.add_argument("--max-stage-size", type=_non_negative, default=MAX_STAGE_SIZE)
 
     p = add("eval", _cmd_eval)
     p.add_argument("--algebra", required=True)
@@ -337,7 +327,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--size", type=_non_negative, required=True)
     p.add_argument("--identity", action="append")
     p.add_argument("--print-tables", action="store_true")
-    p.add_argument("--max-count", type=_non_negative, default=1_000_000)
+    p.add_argument("--max-count", type=_non_negative, default=MAX_ENUMERATION)
 
     p = add("convert", _cmd_convert)
     p.add_argument("mode", choices=["to-equation", "to-identity", "roundtrip"])

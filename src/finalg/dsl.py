@@ -96,12 +96,15 @@ class SpecModel:
     algebras: dict = field(default_factory=dict)
     presentations: dict = field(default_factory=dict)
 
+    def identity_vars(self, name: str) -> FinSet:
+        decl = self.identities[name]
+        used = variables(decl.lhs) | variables(decl.rhs)
+        return FinSet(tuple(v for v in self.vars if v in used))
+
     def natural_identity(self, name: str) -> NaturalIdentity:
         decl = self.identities[name]
         sig = self.signatures[decl.sig_name]
-        used = variables(decl.lhs) | variables(decl.rhs)
-        occurring = FinSet(tuple(v for v in self.vars if v in used))
-        return from_sigma(sig, decl.lhs, decl.rhs, occurring)
+        return from_sigma(sig, decl.lhs, decl.rhs, self.identity_vars(name))
 
     def presentation_identities(self, name: str) -> list[NaturalIdentity]:
         decl = self.presentations[name]

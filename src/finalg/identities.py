@@ -5,9 +5,9 @@ Yoneda correspondence, one term of height ≤ n per component, written
 over canonical variables v1..vkᵢ.  A natural identity is a pair of
 natural terms with a common domain; an algebra satisfies it when both
 sides evaluate equally under every assignment of the canonical
-variables into the carrier.  Each identity compiles its component sides
-once (``NaturalIdentity.sides``) and ``violation`` runs them over the
-assignments in ``itertools.product`` order, reporting the first failure.
+variables into the carrier.  Each component compiles once, in
+``NaturalTerm.compiled``; ``violation`` runs an identity's compiled sides
+over the assignments in ``itertools.product`` order, reporting the first failure.
 """
 from __future__ import annotations
 
@@ -51,6 +51,11 @@ class NaturalTerm:
             extra = variables(t) - set(canonical_vars(k))
             if extra:
                 raise ValidationError(f"variable {sorted(extra)[0]!r} outside v1..v{k}")
+
+    @cached_property
+    def compiled(self) -> tuple[Compiled, ...]:
+        """Per component, its data term compiled over v1..vk (``compile_term``)."""
+        return tuple(compile_term(t, canonical_vars(k)) for k, t in zip(self.domain, self.data))
 
 
 def raise_arity(t: NaturalTerm, n: int) -> NaturalTerm:
@@ -96,12 +101,8 @@ class NaturalIdentity:
 
     @cached_property
     def sides(self) -> tuple[tuple[int, Compiled, Compiled], ...]:
-        """Per component, ``(k, lhs, rhs)`` with both sides compiled over
-        the canonical variables v1..vk (see ``compile_term``)."""
-        return tuple(
-            (k, compile_term(left, canonical_vars(k)), compile_term(right, canonical_vars(k)))
-            for k, left, right in zip(self.domain, self.lhs.data, self.rhs.data)
-        )
+        """Per component, ``(k, lhs, rhs)`` with both sides compiled."""
+        return tuple(zip(self.domain, self.lhs.compiled, self.rhs.compiled))
 
 
 def violation(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:

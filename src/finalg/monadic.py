@@ -6,7 +6,8 @@ substitution (flattening a term whose variable slots hold terms).  A
 transformation out of a domain functor G = ∐ᵢ hom(kᵢ, -), given as a
 ``NaturalTerm``, extends level by level along G's own term chain:
 variables map by the unit, a G-node maps by instantiating the generating
-term at the already-translated children and flattening.  A
+term at the already-translated children and flattening; in an algebra it
+folds by its component's ``NaturalTerm.compiled`` closure instead.  A
 ``NaturalIdentity`` induces a two-arrow diagram of monads whose arrows
 are these translations along its ``lhs`` and ``rhs``.  Everything here
 is bounded by an explicit depth and checked element by element.
@@ -102,7 +103,8 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
     """Element-by-element verification, over stages of the domain chain up
     to ``bound``, that the level maps restrict correctly: variables go to
     variables, one-node elements reproduce the generating terms, and
-    higher levels agree with lower ones on included elements.
+    higher levels agree with lower ones on included elements, each level
+    map tabulated once over its stage.
 
     A translation is at most ``bound`` times the highest generating term
     high, so that product is refused above ``MAX_TERM_DEPTH`` before any
@@ -113,13 +115,15 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
     if height > MAX_TERM_DEPTH:
         raise ResourceLimitError(f"term height of translations at bound {bound}",
                                  height, MAX_TERM_DEPTH)
+    levels = [{e: rho_level(nt, k, e) for e in stage(gsig, x, k).terms}
+              for k in range(bound + 1)]
     checked = 0
     failures = []
 
     for k in range(bound + 1):
         for a in x:
             checked += 1
-            if rho_level(nt, k, Var(a)) != Var(a):
+            if levels[k][Var(a)] != Var(a):
                 failures.append(("unit", k, Var(a)))
 
     for i, ki in enumerate(nt.domain):
@@ -132,11 +136,10 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
                 failures.append(("one-step", 1, elem))
 
     for j in range(bound + 1):
-        elems = stage(gsig, x, j).terms
         for k in range(j, bound + 1):
-            for elem in elems:
+            for elem in levels[j]:
                 checked += 1
-                if rho_level(nt, k, elem) != rho_level(nt, j, elem):
+                if levels[k][elem] != levels[j][elem]:
                     failures.append(("compatibility", (j, k), elem))
 
     return MonadMapReport(not failures, checked, tuple(failures))
@@ -278,14 +281,14 @@ class DAlgebraPair:
     own height).
 
     ``alpha1_of`` folds a term over the signature through the algebra's
-    tables, memoised in ``alpha1``.  ``alpha0_of`` folds a term over the
-    domain ops along ``lhs``, memoised in ``alpha0``: a node folds its
-    generating term through ``alpha1_of`` at its children's values.  A
-    fold through tables respects substitution, so that value is the
-    ``alpha1_of`` of the node's translation along ``lhs``, without
-    building the translation.  The constructor fills both memos over the
-    stages up to ``bound``, so an over-large stage is refused before any
-    check runs.
+    tables, memoised in ``alpha1``.  ``fold_along`` folds a term over the
+    domain ops along a natural term: a variable by ``alpha1_of``, a node
+    by its component's ``NaturalTerm.compiled`` closure on its children's
+    folds.  A fold through tables respects substitution, so that value is
+    the ``alpha1_of`` of the translation, without building it.
+    ``alpha0_of`` is the fold along ``lhs``, memoised in ``alpha0``.  The
+    constructor fills both memos over the stages up to ``bound``, so an
+    over-large stage is refused before any check runs.
     """
 
     __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0")
@@ -325,30 +328,33 @@ class DAlgebraPair:
         if type(t) is Var:
             value = self.alpha1_of(t)
         else:
-            i = _component(nt.domain, t.op)
-            names = canonical_vars(nt.domain[i])
-            slots = {v: Var(self.fold_along(nt, a, memo)) for v, a in zip(names, t.args)}
-            value = self.alpha1_of(substitute(nt.data[i], slots))
+            step = nt.compiled[_component(nt.domain, t.op)]
+            value = step(self.algebra.tables, [self.fold_along(nt, a, memo) for a in t.args])
         memo[t] = value
         return value
 
 
 def _em_valid(pair: DAlgebraPair, gside: bool) -> bool:
-    """Unit law plus the one-node multiplication law; full flattening at the
-    bound follows by structural induction from the one-node case."""
-    alg = pair.algebra
+    """Unit law plus the one-node multiplication law: a node's fold is one
+    step on its children's folds (its table, or on the domain side its
+    ``lhs`` closure), and a step off the carrier has no table entry.  Full
+    flattening at the bound follows by structural induction."""
+    alg, lhs = pair.algebra, pair.identity.lhs.compiled
     fold = pair.alpha0_of if gside else pair.alpha1_of
     for a in alg.carrier:
         if fold(Var(a)) != a:
             return False
     sig = domain_signature(pair.identity.domain) if gside else alg.sig
     inner = stage(sig, alg.carrier, max(pair.bound - 1, 0)).terms
-    for name, arity in sig:
-        for args in itertools.product(inner.elements, repeat=arity):
-            spliced = fold(Node(name, args))
-            collapsed = fold(Node(name, tuple(Var(fold(a)) for a in args)))
-            if spliced != collapsed:
-                return False
+    try:
+        for i, (name, arity) in enumerate(sig):
+            for args in itertools.product(inner.elements, repeat=arity):
+                values = [fold(a) for a in args]
+                step = lhs[i](alg.tables, values) if gside else alg.tables[name][tuple(values)]
+                if fold(Node(name, args)) != step:
+                    return False
+    except KeyError:
+        return False
     return True
 
 

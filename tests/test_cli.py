@@ -42,6 +42,28 @@ def test_eval(corpus_file):
     assert out == "value: 1\n"
 
 
+@pytest.mark.parametrize(
+    "assign, message",
+    [
+        ("x=0,x=1", "error: variable 'x' assigned twice\n"),
+        ("q=0,x=0,y=1", "error: undeclared variable 'q'\n"),
+    ],
+)
+def test_eval_refuses_nonsense_assignments(corpus_file, assign, message):
+    code, out, err = invoke(
+        ["eval", "--spec", corpus_file, "--algebra", "Or", "--term", "m(x,y)", "--assign", assign]
+    )
+    assert (code, out, err) == (2, "", message)
+
+
+def test_eval_accepts_declared_unused_variables(corpus_file):
+    code, out, _ = invoke(
+        ["eval", "--spec", corpus_file, "--algebra", "Or",
+         "--term", "m(x,y)", "--assign", "x=0,y=1,z=1"]
+    )
+    assert (code, out) == (0, "value: 1\n")
+
+
 def test_eval_rejects_atom_outside_carrier(corpus_file):
     code, out, err = invoke(
         ["eval", "--spec", corpus_file, "--algebra", "Or",
@@ -174,6 +196,20 @@ def test_rho_chain_refuses_translations_past_the_height_bound(bound, tmp_path):
     code, out, _ = invoke(argv + ["--bound", "16"])
     assert code == 0
     assert "holds: true" in out
+
+
+def test_rho_chain_tabulates_each_level_once(tmp_path):
+    """Every (j, k, element) comparison reads tabulated level maps, so the
+    work is not quadratic in translations rebuilt per pair of levels."""
+    spec = tmp_path / "unary.alg"
+    spec.write_text(UNARY_SPEC, encoding="utf-8")
+    start = time.monotonic()
+    code, out, err = invoke(
+        ["rho-chain", "--spec", str(spec), "--identity", "inv", "--bound", "48",
+         "--generators", "2"]
+    )
+    assert time.monotonic() - start < 5
+    assert (code, out, err) == (0, "checked: 41750\nholds: true\n", "")
 
 
 def test_dalg_check_refuses_before_folding(corpus_file):

@@ -9,6 +9,7 @@ from finalg import (
     Node,
     ValidationError,
     Var,
+    bundle,
     check_monad_map,
     DAlgebraPair,
     dalg_check,
@@ -139,6 +140,13 @@ def test_rho_chain_compatibility(comm_chain):
     report = check_monad_map(comm_chain, 3, TWO)
     assert report.holds
     assert report.checked > 1500
+
+
+@pytest.mark.parametrize("bound, checked", [(0, 8), (1, 18), (2, 66), (3, 1560)])
+def test_rho_chain_checked_counts(comm_chain, bound, checked):
+    """Units per level, one-step elements, then every (j, k, element) pair."""
+    report = check_monad_map(comm_chain, bound, TWO)
+    assert (report.holds, report.checked, report.failures) == (True, checked, ())
 
 
 def test_rho_chain_of_signature_injection():
@@ -343,6 +351,10 @@ DALG_WITNESSES = {
     "rect": (N, "c0(1,0,1)", "c0(1,1,0)", N, "c0(0,1,1)", N, "c0(0,1,0)", "c0(0,1,0)",
              "c0(0,0,0)", "c0(0,0,0)", N, "c0(0,0,1)", "c0(0,0,0)", "c0(0,0,0)", "c0(0,0,1)", N),
     "taut": (N,) * 16,
+    # The bundle's domain has two components, so its witnesses fold
+    # through c1 (the idem part) as well as c0.
+    "comm+idem": ("c1(1)", N, "c1(1)", "c0(0,1)", "c1(1)", "c0(0,1)", "c1(1)", N,
+                  "c1(0)", "c1(0)", "c1(0)", "c1(0)", "c1(0)", "c1(0)", "c1(0)", "c1(0)"),
 }
 
 
@@ -350,6 +362,8 @@ DALG_WITNESSES = {
 def test_dalg_witnesses_on_two_point_magmas(name, request):
     if name == "taut":
         identity = ident(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), ("x", "y"))
+    elif name == "comm+idem":
+        identity = bundle([request.getfixturevalue("comm"), request.getfixturevalue("idem")])
     else:
         identity = request.getfixturevalue(name)
     two = FinSet((0, 1))
@@ -390,6 +404,15 @@ def test_dalg_rejects_corrupted_structure_map(comm, or_magma):
     pair.alpha1[Var(0)] = 1
     with pytest.raises(ValidationError):
         dalg_check(pair)
+    # Values outside the carrier have no table entry; they are refused as
+    # a law violation, not a KeyError, on either side and at any depth.
+    tampered = [("alpha1", Var(0)), ("alpha1", m(Var(1), Var(1))),
+                ("alpha0", Node("c0", (Var(1), Var(1))))]
+    for memo, key in tampered:
+        pair = DAlgebraPair(or_magma, comm, 2)
+        getattr(pair, memo)[key] = 7
+        with pytest.raises(ValidationError):
+            dalg_check(pair)
 
 
 def test_variety_vs_dalg_commutativity(comm):
