@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import sys
 from typing import Optional, Sequence, TextIO
@@ -69,8 +70,12 @@ def _generators(n: int) -> FinSet:
 
 
 def _load(path: str) -> SpecModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_spec(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except ValueError as exc:  # bytes that are not UTF-8, or a NUL in the path
+        raise ValidationError(f"cannot read {path!r}: {exc}") from None
+    return parse_spec(text)
 
 
 def _declared(table: dict, kind: str, name: str):
@@ -294,7 +299,13 @@ def _cmd_dalg_check(args, model: SpecModel, out: TextIO) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves no state on it: every call gets a fresh namespace, every
+    default is immutable, and ``append`` starts a new list on each call.
+    """
     parser = _Parser(prog="finalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

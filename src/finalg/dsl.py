@@ -14,11 +14,18 @@ Terms are written ``op(arg,...)`` with nullary operations as ``op()``
 and variables bare, nested at most ``MAX_TERM_DEPTH`` deep.  Atoms in
 algebra blocks are bare identifiers or numerals, kept verbatim as
 strings.
+
+The tokenizer makes one pass per line with a single compiled pattern whose
+last alternative catches any other character and refuses it, and yields
+plain ``(text, line, col)`` tuples; the parser walks that list by index
+up to an end sentinel.  Every error is a :class:`ParseError` with the
+1-based line and column of the token at fault.
 """
 from __future__ import annotations
 
 import itertools
 import re
+import string
 from dataclasses import dataclass, field
 
 from .algebras import FinAlgebra
@@ -40,27 +47,30 @@ KEYWORDS = {
     "with",
 }
 
-_TOKEN = re.compile(r"->|[A-Za-z_][A-Za-z0-9_]*|\d+|[{}():=,]|\S")
+# One compiled pass classifies every token: punctuation, names and numerals
+# match the plain alternatives, and any other non-space character lands in
+# the one group, which refuses it.  Numerals keep ``\d`` (any Unicode
+# decimal digit), which ``int`` reads too.
+_TOKEN = re.compile(r"->|[{}():=,]|[A-Za-z_][A-Za-z0-9_]*|\d+|(\S)")
+_PUNCT = frozenset(("->", "{", "}", "(", ")", ":", "=", ","))
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    r"""The tokens of ``text`` as ``(text, line, col)``, both 1-based.
 
-
-def _tokenize(text: str) -> list[_Tok]:
+    Lines are those of ``str.splitlines`` and ``#`` comments end at the
+    line's end, so positions count ``\r\n``, ``\x0c`` and ``\u2028`` as
+    line breaks.
+    """
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for match in _TOKEN.finditer(body):
-            tok = match.group()
-            if tok not in {"->", "{", "}", "(", ")", ":", "=", ","} and not re.fullmatch(
-                r"[A-Za-z_][A-Za-z0-9_]*|\d+", tok
-            ):
-                raise ParseError(f"unexpected character {tok!r}", lineno, match.start() + 1)
-            out.append(_Tok(tok, lineno, match.start() + 1))
+        for match in _TOKEN.finditer(line.split("#", 1)[0]):
+            if match.lastindex:
+                raise ParseError(
+                    f"unexpected character {match.group()!r}", lineno, match.start() + 1
+                )
+            out.append((match.group(), lineno, match.start() + 1))
     return out
 
 
@@ -112,90 +122,93 @@ class SpecModel:
 
 
 class _Parser:
+    """Recursive descent over the token list, which ends in a sentinel.
+
+    The sentinel ``("", line, col)`` repeats the last token's position
+    (line 1, col 1 for no tokens): looking ahead needs no bounds check, and
+    consuming past the input reports ``unexpected end of input`` there.
+    """
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        toks = _tokenize(text)
+        _, line, col = toks[-1] if toks else ("", 1, 1)
+        self.end = len(toks)
+        toks.append(("", line, col))
+        self.toks = toks
         self.pos = 0
 
     def _at_end(self) -> bool:
-        return self.pos >= len(self.toks)
+        return self.pos == self.end
 
-    def _peek(self) -> _Tok:
-        if self._at_end():
-            last = self.toks[-1] if self.toks else _Tok("", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
-        return self.toks[self.pos]
+    def _peek(self) -> str:
+        """The next token's text; ``""`` at the end."""
+        return self.toks[self.pos][0]
 
-    def _next(self) -> _Tok:
-        tok = self._peek()
+    def _next(self) -> tuple[str, int, int]:
+        tok = self.toks[self.pos]
+        if self.pos == self.end:
+            raise ParseError("unexpected end of input", tok[1], tok[2])
         self.pos += 1
         return tok
 
-    def _expect(self, text: str) -> _Tok:
+    def _expect(self, text: str) -> tuple[str, int, int]:
         tok = self._next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok[0] != text:
+            raise ParseError(f"expected {text!r}, found {tok[0]!r}", tok[1], tok[2])
         return tok
 
-    def _name(self, what: str) -> _Tok:
+    def _name(self, what: str) -> tuple[str, int, int]:
         tok = self._next()
-        if tok.text in KEYWORDS:
-            raise ParseError(f"keyword {tok.text!r} cannot name a {what}", tok.line, tok.col)
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
-            raise ParseError(f"expected a {what} name, found {tok.text!r}", tok.line, tok.col)
+        text, line, col = tok
+        if text in KEYWORDS:
+            raise ParseError(f"keyword {text!r} cannot name a {what}", line, col)
+        if text[0] not in _NAME_START:
+            raise ParseError(f"expected a {what} name, found {text!r}", line, col)
         return tok
 
-    def _atom(self) -> _Tok:
+    def _atom(self) -> tuple[str, int, int]:
         tok = self._next()
-        if tok.text in KEYWORDS or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|\d+", tok.text):
-            raise ParseError(f"expected an atom, found {tok.text!r}", tok.line, tok.col)
+        text, line, col = tok
+        if text in KEYWORDS or text in _PUNCT:
+            raise ParseError(f"expected an atom, found {text!r}", line, col)
         return tok
 
     def parse(self) -> SpecModel:
         model = SpecModel()
         while not self._at_end():
-            tok = self._next()
-            if tok.text == "signature":
-                self._signature(model)
-            elif tok.text == "vars":
-                self._vars(model)
-            elif tok.text == "identity":
-                self._identity(model)
-            elif tok.text == "algebra":
-                self._algebra(model)
-            elif tok.text == "presentation":
-                self._presentation(model)
-            else:
-                raise ParseError(f"expected a declaration, found {tok.text!r}", tok.line, tok.col)
+            keyword, line, col = self._next()
+            declare = _DECLARATIONS.get(keyword)
+            if declare is None:
+                raise ParseError(f"expected a declaration, found {keyword!r}", line, col)
+            declare(self, model)
         return model
 
     def _signature(self, model: SpecModel) -> None:
-        name = self._name("signature")
-        if name.text in model.signatures:
-            raise ParseError(f"signature {name.text!r} already defined", name.line, name.col)
+        name, line, col = self._name("signature")
+        if name in model.signatures:
+            raise ParseError(f"signature {name!r} already defined", line, col)
         self._expect("{")
         ops = []
-        while self._peek().text != "}":
+        while self._peek() != "}":
             self._expect("op")
-            op = self._name("operation")
+            op, op_line, op_col = self._name("operation")
             self._expect(":")
-            arity = self._next()
-            if not arity.text.isdigit():
-                raise ParseError(
-                    f"expected an arity, found {arity.text!r}", arity.line, arity.col
-                )
-            if any(existing == op.text for existing, _ in ops):
-                raise ParseError(f"operation {op.text!r} already defined", op.line, op.col)
-            ops.append((op.text, int(arity.text)))
+            arity, line, col = self._next()
+            if not arity.isdigit():
+                raise ParseError(f"expected an arity, found {arity!r}", line, col)
+            if any(existing == op for existing, _ in ops):
+                raise ParseError(f"operation {op!r} already defined", op_line, op_col)
+            ops.append((op, int(arity)))
         self._expect("}")
-        model.signatures[name.text] = Signature(tuple(ops))
+        model.signatures[name] = Signature(tuple(ops))
 
     def _vars(self, model: SpecModel) -> None:
         names = []
-        while not self._at_end() and self.toks[self.pos].text not in KEYWORDS:
-            names.append(self._name("variable").text)
+        while not self._at_end() and self._peek() not in KEYWORDS:
+            names.append(self._name("variable")[0])
         if not names:
-            tok = self.toks[self.pos - 1]
-            raise ParseError("vars declaration names no variables", tok.line, tok.col)
+            _, line, col = self.toks[self.pos - 1]
+            raise ParseError("vars declaration names no variables", line, col)
         merged = list(model.vars)
         for n in names:
             if n not in merged:
@@ -203,45 +216,42 @@ class _Parser:
         model.vars = tuple(merged)
 
     def _sig_ref(self, model: SpecModel) -> str:
-        tok = self._name("signature")
-        if tok.text not in model.signatures:
-            raise ParseError(f"unknown signature {tok.text!r}", tok.line, tok.col)
-        return tok.text
+        name, line, col = self._name("signature")
+        if name not in model.signatures:
+            raise ParseError(f"unknown signature {name!r}", line, col)
+        return name
 
     def _term(self, model: SpecModel, sig: Signature, depth: int = 0) -> Term:
-        head = self._next()
-        if head.text in KEYWORDS or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", head.text):
-            raise ParseError(f"expected a term, found {head.text!r}", head.line, head.col)
-        if not self._at_end() and self._peek().text == "(":
-            if depth == MAX_TERM_DEPTH:
-                raise ParseError(
-                    f"term nested deeper than {MAX_TERM_DEPTH} levels", head.line, head.col
-                )
-            self._expect("(")
-            args = []
-            if self._peek().text != ")":
+        head, line, col = self._next()
+        if head in KEYWORDS or head[0] not in _NAME_START:
+            raise ParseError(f"expected a term, found {head!r}", line, col)
+        if self._peek() != "(":
+            if head not in model.vars:
+                raise ParseError(f"unknown variable {head!r}", line, col)
+            return Var(head)
+        if depth == MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", line, col)
+        self.pos += 1
+        args = []
+        if self._peek() != ")":
+            args.append(self._term(model, sig, depth + 1))
+            while self._peek() == ",":
+                self.pos += 1
                 args.append(self._term(model, sig, depth + 1))
-                while self._peek().text == ",":
-                    self._next()
-                    args.append(self._term(model, sig, depth + 1))
-            self._expect(")")
-            if head.text not in sig:
-                raise ParseError(f"unknown operation {head.text!r}", head.line, head.col)
-            if sig.arity(head.text) != len(args):
-                raise ParseError(
-                    f"operation {head.text!r} takes {sig.arity(head.text)} arguments, got {len(args)}",
-                    head.line,
-                    head.col,
-                )
-            return Node(head.text, tuple(args))
-        if head.text not in model.vars:
-            raise ParseError(f"unknown variable {head.text!r}", head.line, head.col)
-        return Var(head.text)
+        self._expect(")")
+        if head not in sig:
+            raise ParseError(f"unknown operation {head!r}", line, col)
+        arity = sig.arity(head)
+        if arity != len(args):
+            raise ParseError(
+                f"operation {head!r} takes {arity} arguments, got {len(args)}", line, col
+            )
+        return Node(head, tuple(args))
 
     def _identity(self, model: SpecModel) -> None:
-        name = self._name("identity")
-        if name.text in model.identities:
-            raise ParseError(f"identity {name.text!r} already defined", name.line, name.col)
+        name, line, col = self._name("identity")
+        if name in model.identities:
+            raise ParseError(f"identity {name!r} already defined", line, col)
         self._expect("over")
         sig_name = self._sig_ref(model)
         self._expect(":")
@@ -249,12 +259,12 @@ class _Parser:
         lhs = self._term(model, sig)
         self._expect("=")
         rhs = self._term(model, sig)
-        model.identities[name.text] = IdentityDecl(name.text, sig_name, lhs, rhs)
+        model.identities[name] = IdentityDecl(name, sig_name, lhs, rhs)
 
     def _algebra(self, model: SpecModel) -> None:
-        name = self._name("algebra")
-        if name.text in model.algebras:
-            raise ParseError(f"algebra {name.text!r} already defined", name.line, name.col)
+        name, line, col = self._name("algebra")
+        if name in model.algebras:
+            raise ParseError(f"algebra {name!r} already defined", line, col)
         self._expect("over")
         sig_name = self._sig_ref(model)
         sig = model.signatures[sig_name]
@@ -262,98 +272,93 @@ class _Parser:
         self._expect("carrier")
         self._expect("{")
         atoms = []
-        while self._peek().text != "}":
-            tok = self._atom()
-            if tok.text in atoms:
-                raise ParseError(f"duplicate carrier atom {tok.text!r}", tok.line, tok.col)
-            atoms.append(tok.text)
+        while self._peek() != "}":
+            atom, line, col = self._atom()
+            if atom in atoms:
+                raise ParseError(f"duplicate carrier atom {atom!r}", line, col)
+            atoms.append(atom)
         self._expect("}")
         carrier = FinSet(tuple(atoms))
         tables: dict = {}
-        while self._peek().text != "}":
+        while self._peek() != "}":
             self._expect("op")
-            op = self._name("operation")
-            if op.text not in sig:
-                raise ParseError(f"unknown operation {op.text!r}", op.line, op.col)
-            if op.text in tables:
-                raise ParseError(f"table for {op.text!r} already given", op.line, op.col)
-            arity = sig.arity(op.text)
+            op, line, col = self._name("operation")
+            if op not in sig:
+                raise ParseError(f"unknown operation {op!r}", line, col)
+            if op in tables:
+                raise ParseError(f"table for {op!r} already given", line, col)
+            arity = sig.arity(op)
             self._expect("{")
             table: dict = {}
-            while self._peek().text != "}":
-                lp = self._expect("(")
+            while self._peek() != "}":
+                _, line, col = self._expect("(")
                 args = []
-                if self._peek().text != ")":
-                    args.append(self._atom().text)
-                    while self._peek().text == ",":
-                        self._next()
-                        args.append(self._atom().text)
+                if self._peek() != ")":
+                    args.append(self._atom()[0])
+                    while self._peek() == ",":
+                        self.pos += 1
+                        args.append(self._atom()[0])
                 self._expect(")")
                 self._expect("->")
-                value = self._atom()
+                value, value_line, value_col = self._atom()
                 if len(args) != arity:
                     raise ParseError(
-                        f"tuple of length {len(args)} for {op.text!r} of arity {arity}",
-                        lp.line,
-                        lp.col,
+                        f"tuple of length {len(args)} for {op!r} of arity {arity}", line, col
                     )
                 for a in args:
                     if a not in carrier:
-                        raise ParseError(f"atom {a!r} not in carrier", lp.line, lp.col)
-                if value.text not in carrier:
-                    raise ParseError(
-                        f"atom {value.text!r} not in carrier", value.line, value.col
-                    )
+                        raise ParseError(f"atom {a!r} not in carrier", line, col)
+                if value not in carrier:
+                    raise ParseError(f"atom {value!r} not in carrier", value_line, value_col)
                 key = tuple(args)
                 if key in table:
-                    raise ParseError(
-                        f"tuple ({','.join(args)}) already mapped", lp.line, lp.col
-                    )
-                table[key] = value.text
-            close = self._expect("}")
+                    raise ParseError(f"tuple ({','.join(args)}) already mapped", line, col)
+                table[key] = value
+            _, line, col = self._expect("}")
             for combo in itertools.product(atoms, repeat=arity):
-                if tuple(combo) not in table:
+                if combo not in table:
                     raise ParseError(
-                        f"table for {op.text!r} missing tuple ({','.join(combo)})",
-                        close.line,
-                        close.col,
+                        f"table for {op!r} missing tuple ({','.join(combo)})", line, col
                     )
-            tables[op.text] = table
-        close = self._expect("}")
+            tables[op] = table
+        _, line, col = self._expect("}")
         for op_name, _ in sig:
             if op_name not in tables:
                 raise ParseError(
-                    f"algebra {name.text!r} missing table for {op_name!r}",
-                    close.line,
-                    close.col,
+                    f"algebra {name!r} missing table for {op_name!r}", line, col
                 )
-        model.algebras[name.text] = AlgebraDecl(
-            name.text, sig_name, FinAlgebra(sig, carrier, tables)
-        )
+        model.algebras[name] = AlgebraDecl(name, sig_name, FinAlgebra(sig, carrier, tables))
 
     def _presentation(self, model: SpecModel) -> None:
-        name = self._name("presentation")
-        if name.text in model.presentations:
-            raise ParseError(
-                f"presentation {name.text!r} already defined", name.line, name.col
-            )
+        name, line, col = self._name("presentation")
+        if name in model.presentations:
+            raise ParseError(f"presentation {name!r} already defined", line, col)
         self._expect("=")
         sig_name = self._sig_ref(model)
         self._expect("with")
         idents = []
-        while not self._at_end() and self.toks[self.pos].text not in KEYWORDS:
-            tok = self._name("identity")
-            if tok.text not in model.identities:
-                raise ParseError(f"unknown identity {tok.text!r}", tok.line, tok.col)
-            if model.identities[tok.text].sig_name != sig_name:
+        while not self._at_end() and self._peek() not in KEYWORDS:
+            ident, line, col = self._name("identity")
+            if ident not in model.identities:
+                raise ParseError(f"unknown identity {ident!r}", line, col)
+            if model.identities[ident].sig_name != sig_name:
                 raise ParseError(
-                    f"identity {tok.text!r} is over a different signature", tok.line, tok.col
+                    f"identity {ident!r} is over a different signature", line, col
                 )
-            idents.append(tok.text)
+            idents.append(ident)
         if not idents:
-            tok = self.toks[self.pos - 1]
-            raise ParseError("presentation lists no identities", tok.line, tok.col)
-        model.presentations[name.text] = PresentationDecl(name.text, sig_name, tuple(idents))
+            _, line, col = self.toks[self.pos - 1]
+            raise ParseError("presentation lists no identities", line, col)
+        model.presentations[name] = PresentationDecl(name, sig_name, tuple(idents))
+
+
+_DECLARATIONS = {
+    "signature": _Parser._signature,
+    "vars": _Parser._vars,
+    "identity": _Parser._identity,
+    "algebra": _Parser._algebra,
+    "presentation": _Parser._presentation,
+}
 
 
 def parse_spec(text: str) -> SpecModel:
@@ -372,6 +377,6 @@ def parse_term(model: SpecModel, sig_name: str, text: str) -> Term:
     parser = _Parser(text)
     term = parser._term(model, model.signatures[sig_name])
     if not parser._at_end():
-        tok = parser._peek()
-        raise ParseError(f"unexpected {tok.text!r} after the term", tok.line, tok.col)
+        extra, line, col = parser._next()
+        raise ParseError(f"unexpected {extra!r} after the term", line, col)
     return term

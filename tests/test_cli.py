@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from finalg.cli import MAX_PRINTED_STAGE_SIZE, run
+from finalg.cli import MAX_PRINTED_STAGE_SIZE, _build_parser, run
 from finalg.dsl import MAX_TERM_DEPTH
 from conftest import CORPUS_TEXT
 
@@ -407,6 +407,54 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
     assert out == ""
     assert "line 3" in err
+
+
+def test_non_utf8_spec_is_one_error_line(tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = invoke(["check", "--spec", str(bad), "--algebra", "Or", "--identity", "comm"])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read {str(bad)!r}: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+
+
+def test_nul_in_spec_path_is_one_error_line():
+    code, out, err = invoke(["check", "--spec", "a\0b", "--algebra", "Or", "--identity", "comm"])
+    assert (code, out, err) == (2, "", "error: cannot read 'a\\x00b': embedded null byte\n")
+
+
+_S = ["--spec", "{spec}"]
+_ENUM = ["enumerate", *_S, "--signature", "Magma", "--size", "2"]
+_PRES = ["--presentation", "SemilatticeUnit", "--generators", "2", "--max-depth", "5"]
+_CHECK = ["check", *_S, "--algebra", "LeftProj", "--identity", "comm"]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (_ENUM + ["--identity", "comm", "--identity", "idem"], _ENUM),
+        (["chain", *_S, "--signature", "Magma", "--generators", "-1", "--upto", "1"], _CHECK),
+        (["chain", *_S, "--generators", "1"], _CHECK),
+        (["--help"], _CHECK),
+        (["free", "--help"], ["free", *_S, *_PRES]),
+        (["free", *_S, *_PRES, "--max-universe", "20"], ["uprop", *_S, *_PRES, "--target", "B"]),
+        (
+            ["free", *_S, *_PRES, "--max-universe", "2000"],
+            ["uprop", *_S, *_PRES, "--target", "B", "--max-universe", "20"],
+        ),
+    ],
+)
+def test_shared_parser_keeps_no_state_between_calls(first, second, corpus_file, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    first, second = ([a.replace("{spec}", corpus_file) for a in argv] for argv in (first, second))
+    _build_parser.cache_clear()
+    alone = invoke(second)
+    _build_parser.cache_clear()
+    invoke(first)
+    assert invoke(second) == alone
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_usage_error_exit_code():

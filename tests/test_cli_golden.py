@@ -1,0 +1,45 @@
+"""Byte-for-byte CLI outputs over the shipped declaration files.
+
+``data/cli_golden.json`` records argv, exit code, stdout and stderr for
+every command over ``workbench.alg`` and ``perfbench/corpus/corpus.alg``,
+unknown names of every kind, usage errors, and ``--help`` for the top
+level and each subcommand.  The records were made with the argument
+parser rebuilt on every call and the per-token tokenizer, so they pin
+that the shared parser and the one-pass tokenizer change no output.  In
+argv and outputs, ``{workbench}``, ``{corpus}`` and ``{missing}`` stand
+for the two files and a path that does not exist.  The cases run in
+file order in one process, so state left between calls would show too.
+"""
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from finalg.cli import run
+
+REPO = Path(__file__).resolve().parents[1]
+CASES = json.loads((Path(__file__).with_name("data") / "cli_golden.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", CASES, ids=[f"{i:03d}-{'-'.join(c['argv'][:1])}" for i, c in enumerate(CASES)]
+)
+def test_cli_output_is_unchanged(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = {
+        "{workbench}": str(REPO / "workbench.alg"),
+        "{corpus}": str(REPO / "perfbench" / "corpus" / "corpus.alg"),
+        "{missing}": str(tmp_path / "missing.alg"),
+    }
+
+    def fill(text):
+        for placeholder, path in paths.items():
+            text = text.replace(placeholder, path)
+        return text
+
+    out, err = io.StringIO(), io.StringIO()
+    code = run([fill(arg) for arg in case["argv"]], out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        case["code"], fill(case["out"]), fill(case["err"])
+    )

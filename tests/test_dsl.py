@@ -1,13 +1,16 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
 
-from finalg import FinAlgebra, FinSet, Node, ParseError, Signature, Var
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from finalg import FinAlgebra, FinalgError, FinSet, Node, ParseError, Signature, Var
 from finalg.dsl import (
     AlgebraDecl,
     IdentityDecl,
     PresentationDecl,
     SpecModel,
     parse_spec,
+    parse_term,
 )
 from conftest import CORPUS_TEXT
 from oracles import format_model
@@ -179,3 +182,132 @@ def small_models(draw):
 @given(small_models())
 def test_roundtrip_on_random_models(model):
     assert parse_spec(format_model(model)) == model
+
+
+# Every row: what is parsed ("spec" for parse_spec, "term" for parse_term
+# over S below), the text, and the ParseError message, line and column.
+SIG = "signature S { op m : 2 op e : 0 }\nvars x y\n"
+ERROR_POSITIONS = [
+    # a bad character, before and after a comment (after one it is ignored)
+    ("spec", "signature S { op m : - }", "unexpected character '-'", 1, 22),
+    ("spec", "signature S @ # comment", "unexpected character '@'", 1, 13),
+    ("spec", "# comment @\nsignature S \u00e9", "unexpected character '\u00e9'", 2, 13),
+    ("spec", "signature S { op m : 2 } # \u00e9 @ - ignored\nvars x -",
+     "unexpected character '-'", 2, 8),
+    ("spec", "vars # @ \u00e9\n", "vars declaration names no variables", 1, 1),
+    ("spec", "\ufeffsignature S { op m : 2 }", "unexpected character '\\ufeff'", 1, 1),
+    ("spec", "signature S { op m : 2 }\n\ufeff", "unexpected character '\\ufeff'", 2, 1),
+    ("spec", "signature S {\n  op m : 2 ~\n}", "unexpected character '~'", 2, 12),
+    # empty input, and the end of input inside each kind of declaration
+    ("term", "", "unexpected end of input", 1, 1),
+    ("term", "   # only a comment", "unexpected end of input", 1, 1),
+    ("spec", "signature", "unexpected end of input", 1, 1),
+    ("spec", "signature S", "unexpected end of input", 1, 11),
+    ("spec", "signature S { op m :", "unexpected end of input", 1, 20),
+    ("spec", "signature S { op m : 2", "unexpected end of input", 1, 22),
+    ("spec", "vars", "vars declaration names no variables", 1, 1),
+    ("spec", SIG + "identity", "unexpected end of input", 3, 1),
+    ("spec", SIG + "identity i over S :", "unexpected end of input", 3, 19),
+    ("spec", SIG + "identity i over S : m(x,", "unexpected end of input", 3, 24),
+    ("spec", SIG + "identity i over S : m(x,y) =", "unexpected end of input", 3, 28),
+    ("spec", SIG + "algebra", "unexpected end of input", 3, 1),
+    ("spec", SIG + "algebra A over S { carrier { 0", "unexpected end of input", 3, 30),
+    ("spec", SIG + "algebra A over S { carrier { 0 } op m { (0,",
+     "unexpected end of input", 3, 43),
+    ("spec", SIG + "algebra A over S { carrier { 0 } op m { (0,0) ->",
+     "unexpected end of input", 3, 47),
+    ("spec", SIG + "algebra A over S { carrier { 0 } op m { (0,0) -> 0 }",
+     "unexpected end of input", 3, 52),
+    ("spec", SIG + "identity i over S : x = x\npresentation", "unexpected end of input", 4, 1),
+    ("spec", SIG + "identity i over S : x = x\npresentation P = S with",
+     "presentation lists no identities", 4, 20),
+    ("term", "m(x,", "unexpected end of input", 1, 4),
+    ("term", "m(", "unexpected end of input", 1, 2),
+    # a keyword or a numeral where a name belongs
+    ("spec", "signature vars { op m : 2 }", "keyword 'vars' cannot name a signature", 1, 11),
+    ("spec", "signature 3 { op m : 2 }", "expected a signature name, found '3'", 1, 11),
+    ("spec", "signature S { op carrier : 2 }", "keyword 'carrier' cannot name a operation", 1, 18),
+    ("spec", "signature S { op 7 : 2 }", "expected a operation name, found '7'", 1, 18),
+    ("spec", "vars x 1", "expected a variable name, found '1'", 1, 8),
+    ("spec", SIG + "identity over over S : x = x", "keyword 'over' cannot name a identity", 3, 10),
+    ("spec", SIG + "identity 12 over S : x = x", "expected a identity name, found '12'", 3, 10),
+    ("spec", SIG + "identity i over S : over = x", "expected a term, found 'over'", 3, 21),
+    ("spec", SIG + "identity i over S : 0 = x", "expected a term, found '0'", 3, 21),
+    ("spec", SIG + "algebra A over S { carrier { 0 with } }", "expected an atom, found 'with'", 3, 32),
+    ("spec", SIG + "identity i over S : x = x\npresentation P = S with i 5",
+     "expected a identity name, found '5'", 4, 27),
+    ("term", "vars", "expected a term, found 'vars'", 1, 1),
+    ("term", "4", "expected a term, found '4'", 1, 1),
+    # -> out of place
+    ("spec", "signature S -> { op m : 2 }", "expected '{', found '->'", 1, 13),
+    ("spec", "signature S { op m -> 2 }", "expected ':', found '->'", 1, 20),
+    ("spec", "signature S { op m : -> }", "expected an arity, found '->'", 1, 22),
+    ("spec", "->", "expected a declaration, found '->'", 1, 1),
+    ("spec", SIG + "identity i over S : -> = x", "expected a term, found '->'", 3, 21),
+    ("spec", SIG + "algebra A over S { carrier { 0 -> } }", "expected an atom, found '->'", 3, 32),
+    ("spec", SIG + "algebra A over S { carrier { 0 } op m { (0 -> 0) -> 0 } }",
+     "expected ')', found '->'", 3, 44),
+    ("term", "m(x,->)", "expected a term, found '->'", 1, 5),
+    ("term", "x ->", "unexpected '->' after the term", 1, 3),
+    # lines split by \r\n, \x0c, \u2028 and \x0b, as str.splitlines splits them
+    ("spec", "signature S {\r\n  op m : 2\r\n  op m : 1\r\n}", "operation 'm' already defined", 3, 6),
+    ("spec", "signature S {\x0c op m : x }", "expected an arity, found 'x'", 2, 9),
+    ("spec", "signature S { op m : 2 }\x0cvars\x0cidentity", "vars declaration names no variables", 2, 1),
+    ("spec", "signature S {\u2028op m : 2\u2028op e : q }", "expected an arity, found 'q'", 3, 8),
+    ("spec", "# c\r\n# c\x0c# c\u2028signature S { op m : @ }", "unexpected character '@'", 4, 22),
+    ("spec", "signature S { op m : 2 }\r\n\r\nvars x\x0bidentity i over S : m(x) = x",
+     "operation 'm' takes 2 arguments, got 1", 4, 21),
+    # resolution errors point at the token at fault
+    ("spec", SIG + "identity i over S : m(x,q) = x", "unknown variable 'q'", 3, 25),
+    ("spec", SIG + "identity i over S : f(x) = x", "unknown operation 'f'", 3, 21),
+    ("spec", SIG + "algebra A over S {\n carrier { 0 1 }\n op m { (0,0) -> 0 (0,1) -> 0 (1,0) -> 0 }"
+     "\n op e { () -> 1 }\n}", "table for 'm' missing tuple (1,1)", 5, 42),
+    ("spec", SIG + "algebra A over S { carrier { 0 0 } }", "duplicate carrier atom '0'", 3, 32),
+    ("spec", SIG + "algebra A over S { carrier { 0 } op m { (0) -> 0 } }",
+     "tuple of length 1 for 'm' of arity 2", 3, 41),
+    ("spec", SIG + "algebra A over S { carrier { 0 } op m { (0,1) -> 0 } }",
+     "atom '1' not in carrier", 3, 41),
+    ("spec", SIG + "algebra A over S { carrier { 0 } op m { (0,0) -> 2 } }",
+     "atom '2' not in carrier", 3, 50),
+    ("spec", SIG + "algebra A over S { carrier { 0 } op e { () -> 0 } }",
+     "algebra 'A' missing table for 'm'", 3, 51),
+    ("term", "m(x,y) extra", "unexpected 'extra' after the term", 1, 8),
+    ("term", "m(x)", "operation 'm' takes 2 arguments, got 1", 1, 1),
+]
+
+
+@pytest.mark.parametrize("kind, text, message, line, col", ERROR_POSITIONS)
+def test_parse_error_positions(kind, text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        if kind == "spec":
+            parse_spec(text)
+        else:
+            parse_term(parse_spec(SIG), "S", text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+CORPUS_MODEL = parse_spec(CORPUS_TEXT)
+CORPUS_TOKENS = sorted(set(re.findall(r"->|\w+|\S", CORPUS_TEXT)))
+STRAY = ["@", "-", ">", "#", "~", "\u00e9", "\ufeff", "\u0663", "\u00b2", "\r\n", "\x0c", "\u2028"]
+token_soup = st.lists(
+    st.tuples(st.sampled_from(CORPUS_TOKENS + STRAY), st.sampled_from(["", " ", "\n"])),
+    max_size=30,
+).map(lambda pieces: "".join(tok + gap for tok, gap in pieces))
+
+
+@st.composite
+def spliced_corpus(draw):
+    """The corpus with one stretch of it replaced by token soup."""
+    start = draw(st.integers(0, len(CORPUS_TEXT)))
+    stop = draw(st.integers(start, min(len(CORPUS_TEXT), start + 40)))
+    return CORPUS_TEXT[:start] + draw(token_soup) + CORPUS_TEXT[stop:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(token_soup, spliced_corpus()), st.sampled_from(["Magma", "Monoid"]))
+def test_parsers_return_or_refuse(text, sig_name):
+    for parse in (parse_spec, lambda t: parse_term(CORPUS_MODEL, sig_name, t)):
+        try:
+            parse(text)
+        except FinalgError:
+            pass
