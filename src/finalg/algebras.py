@@ -10,6 +10,15 @@ Callers that evaluate one term under many assignments compile it once:
 ``identities.violation`` runs each identity's sides, compiled once, over
 the assignments in ``itertools.product`` order and reports the first
 failure.
+
+``FinAlgebra(...)`` checks that every table is total with values in the
+carrier and that no table names an unknown operation.
+``FinAlgebra._trusted`` checks nothing; its callers are
+``enumerate_algebras``, whose tables are total by construction, and the
+declaration parser, which has already checked each table and reported
+any fault with its position.  Algebras built from other values (a
+quotient, an Eilenberg-Moore structure) go through the checked
+constructor.
 """
 from __future__ import annotations
 
@@ -23,7 +32,8 @@ from .terms import Node, Term, Var
 
 
 class FinAlgebra:
-    """Finite carrier plus a total operation table per symbol."""
+    """Finite carrier plus a total operation table per symbol, keyed in
+    signature order."""
 
     __slots__ = ("sig", "carrier", "tables")
 
@@ -45,6 +55,16 @@ class FinAlgebra:
         self.sig = sig
         self.carrier = carrier
         self.tables = {name: dict(tables[name]) for name, _ in sig}
+
+    @classmethod
+    def _trusted(cls, sig: Signature, carrier: FinSet, tables: dict) -> "FinAlgebra":
+        """The algebra of ``tables``, which must be total, within the carrier
+        and keyed in signature order; they are kept, not copied."""
+        alg = object.__new__(cls)
+        alg.sig = sig
+        alg.carrier = carrier
+        alg.tables = tables
+        return alg
 
     def structure_map(self) -> FinMap:
         """The single structure map F(A) → A over the signature functor."""
@@ -162,4 +182,4 @@ def enumerate_algebras(
             name: dict(zip(keys, images))
             for (name, keys), images in zip(keys_per_op, choice)
         }
-        yield FinAlgebra(sig, carrier, tables)
+        yield FinAlgebra._trusted(sig, carrier, tables)

@@ -67,7 +67,14 @@ class FinSet:
 
 
 class FinMap:
-    """A total map between finite sets, tabulated atom by atom."""
+    """A total map between finite sets, tabulated atom by atom.
+
+    The constructor checks that the table is total on ``dom`` with every
+    image in ``cod``, and copies it in ``dom`` order.  ``_trusted`` checks
+    and copies nothing; only ``enumerate_maps``, whose tables are total by
+    construction, calls it.  Every other map, the chain's connecting maps
+    included, goes through the checked constructor.
+    """
 
     __slots__ = ("dom", "cod", "table")
 
@@ -84,6 +91,16 @@ class FinMap:
         self.dom = dom
         self.cod = cod
         self.table = cleaned
+
+    @classmethod
+    def _trusted(cls, dom: FinSet, cod: FinSet, table: dict) -> "FinMap":
+        """The map of ``table``, which must be keyed by ``dom`` in its order
+        with images in ``cod``; the table is kept, not copied."""
+        f = object.__new__(cls)
+        f.dom = dom
+        f.cod = cod
+        f.table = table
+        return f
 
     @classmethod
     def identity(cls, s: FinSet) -> "FinMap":
@@ -237,6 +254,6 @@ def enumerate_maps(a: FinSet, b: FinSet) -> Iterator[FinMap]:
         )
     elems = a.elements
     return (
-        FinMap(a, b, dict(zip(elems, images)))
+        FinMap._trusted(a, b, dict(zip(elems, images)))
         for images in itertools.product(b.elements, repeat=len(elems))
     )

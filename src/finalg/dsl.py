@@ -19,7 +19,10 @@ The tokenizer makes one pass per line with a single compiled pattern whose
 last alternative catches any other character and refuses it, and yields
 plain ``(text, line, col)`` tuples; the parser walks that list by index
 up to an end sentinel.  Every error is a :class:`ParseError` with the
-1-based line and column of the token at fault.
+1-based line and column of the token at fault.  An algebra block is
+checked as it is read (atoms in the carrier, every tuple mapped once,
+every operation given a table), so the parser builds the algebra with
+``FinAlgebra._trusted`` and nothing is checked twice.
 """
 from __future__ import annotations
 
@@ -158,12 +161,13 @@ class _Parser:
         return tok
 
     def _name(self, what: str) -> tuple[str, int, int]:
+        """The next token as a name; ``what`` carries its article ("an identity")."""
         tok = self._next()
         text, line, col = tok
         if text in KEYWORDS:
-            raise ParseError(f"keyword {text!r} cannot name a {what}", line, col)
+            raise ParseError(f"keyword {text!r} cannot name {what}", line, col)
         if text[0] not in _NAME_START:
-            raise ParseError(f"expected a {what} name, found {text!r}", line, col)
+            raise ParseError(f"expected {what} name, found {text!r}", line, col)
         return tok
 
     def _atom(self) -> tuple[str, int, int]:
@@ -184,14 +188,14 @@ class _Parser:
         return model
 
     def _signature(self, model: SpecModel) -> None:
-        name, line, col = self._name("signature")
+        name, line, col = self._name("a signature")
         if name in model.signatures:
             raise ParseError(f"signature {name!r} already defined", line, col)
         self._expect("{")
         ops = []
         while self._peek() != "}":
             self._expect("op")
-            op, op_line, op_col = self._name("operation")
+            op, op_line, op_col = self._name("an operation")
             self._expect(":")
             arity, line, col = self._next()
             if not arity.isdigit():
@@ -205,7 +209,7 @@ class _Parser:
     def _vars(self, model: SpecModel) -> None:
         names = []
         while not self._at_end() and self._peek() not in KEYWORDS:
-            names.append(self._name("variable")[0])
+            names.append(self._name("a variable")[0])
         if not names:
             _, line, col = self.toks[self.pos - 1]
             raise ParseError("vars declaration names no variables", line, col)
@@ -216,7 +220,7 @@ class _Parser:
         model.vars = tuple(merged)
 
     def _sig_ref(self, model: SpecModel) -> str:
-        name, line, col = self._name("signature")
+        name, line, col = self._name("a signature")
         if name not in model.signatures:
             raise ParseError(f"unknown signature {name!r}", line, col)
         return name
@@ -249,7 +253,7 @@ class _Parser:
         return Node(head, tuple(args))
 
     def _identity(self, model: SpecModel) -> None:
-        name, line, col = self._name("identity")
+        name, line, col = self._name("an identity")
         if name in model.identities:
             raise ParseError(f"identity {name!r} already defined", line, col)
         self._expect("over")
@@ -262,7 +266,7 @@ class _Parser:
         model.identities[name] = IdentityDecl(name, sig_name, lhs, rhs)
 
     def _algebra(self, model: SpecModel) -> None:
-        name, line, col = self._name("algebra")
+        name, line, col = self._name("an algebra")
         if name in model.algebras:
             raise ParseError(f"algebra {name!r} already defined", line, col)
         self._expect("over")
@@ -282,7 +286,7 @@ class _Parser:
         tables: dict = {}
         while self._peek() != "}":
             self._expect("op")
-            op, line, col = self._name("operation")
+            op, line, col = self._name("an operation")
             if op not in sig:
                 raise ParseError(f"unknown operation {op!r}", line, col)
             if op in tables:
@@ -327,10 +331,14 @@ class _Parser:
                 raise ParseError(
                     f"algebra {name!r} missing table for {op_name!r}", line, col
                 )
-        model.algebras[name] = AlgebraDecl(name, sig_name, FinAlgebra(sig, carrier, tables))
+        # Signature order, as the checked constructor keys them; the hash reads it.
+        tables = {op_name: tables[op_name] for op_name, _ in sig}
+        model.algebras[name] = AlgebraDecl(
+            name, sig_name, FinAlgebra._trusted(sig, carrier, tables)
+        )
 
     def _presentation(self, model: SpecModel) -> None:
-        name, line, col = self._name("presentation")
+        name, line, col = self._name("a presentation")
         if name in model.presentations:
             raise ParseError(f"presentation {name!r} already defined", line, col)
         self._expect("=")
@@ -338,7 +346,7 @@ class _Parser:
         self._expect("with")
         idents = []
         while not self._at_end() and self._peek() not in KEYWORDS:
-            ident, line, col = self._name("identity")
+            ident, line, col = self._name("an identity")
             if ident not in model.identities:
                 raise ParseError(f"unknown identity {ident!r}", line, col)
             if model.identities[ident].sig_name != sig_name:

@@ -59,7 +59,11 @@ class NaturalTerm:
 
 
 def raise_arity(t: NaturalTerm, n: int) -> NaturalTerm:
-    """View the same data at a higher stage; the connecting map is inclusion."""
+    """View the same data at a higher stage; the connecting map is inclusion.
+
+    At ``t``'s own arity this is ``t`` itself."""
+    if n == t.arity:
+        return t
     if n < t.arity:
         raise ValidationError(f"cannot lower arity {t.arity} to {n}")
     return NaturalTerm(t.sig, t.domain, n, t.data)

@@ -82,11 +82,14 @@ def rho_level(nt: NaturalTerm, k: int, elem: Term) -> Term:
         case Node(op, children):
             if k < 1:
                 raise ValidationError("level 0 of the domain chain holds only variables")
-            i = _component(nt.domain, op)
-            translated = tuple(rho_level(nt, k - 1, c) for c in children)
-            names = canonical_vars(nt.domain[i])
-            return substitute(nt.data[i], dict(zip(names, translated)))
+            return _instantiate(nt, op, [rho_level(nt, k - 1, c) for c in children])
     raise ValidationError(f"not a term: {elem!r}")
+
+
+def _instantiate(nt: NaturalTerm, op: str, translated: list) -> Term:
+    """The generating term of domain op ``op`` at the translated children."""
+    i = _component(nt.domain, op)
+    return substitute(nt.data[i], dict(zip(canonical_vars(nt.domain[i]), translated)))
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,10 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
     """Element-by-element verification, over stages of the domain chain up
     to ``bound``, that the level maps restrict correctly: variables go to
     variables, one-node elements reproduce the generating terms, and
-    higher levels agree with lower ones on included elements, each level
-    map tabulated once over its stage.
+    higher levels agree with lower ones on included elements.  Each level
+    map is tabulated once over its stage, a node's entry instantiating its
+    generating term at its children's entries one level down (the value
+    ``rho_level`` computes).
 
     A translation is at most ``bound`` times the highest generating term
     high, so that product is refused above ``MAX_TERM_DEPTH`` before any
@@ -115,8 +120,13 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
     if height > MAX_TERM_DEPTH:
         raise ResourceLimitError(f"term height of translations at bound {bound}",
                                  height, MAX_TERM_DEPTH)
-    levels = [{e: rho_level(nt, k, e) for e in stage(gsig, x, k).terms}
-              for k in range(bound + 1)]
+    levels: list[dict] = []
+    for k in range(bound + 1):
+        below = levels[-1] if levels else {}
+        levels.append({
+            e: e if type(e) is Var else _instantiate(nt, e.op, [below[c] for c in e.args])
+            for e in stage(gsig, x, k).terms
+        })
     checked = 0
     failures = []
 
@@ -337,22 +347,27 @@ class DAlgebraPair:
 def _em_valid(pair: DAlgebraPair, gside: bool) -> bool:
     """Unit law plus the one-node multiplication law: a node's fold is one
     step on its children's folds (its table, or on the domain side its
-    ``lhs`` closure), and a step off the carrier has no table entry.  Full
-    flattening at the bound follows by structural induction."""
+    ``lhs`` closure), and a step off the carrier has no table entry.  The
+    nodes checked are those of the stage at the pair's bound (at least 1),
+    the stage the constructor folded.  Full flattening at the bound follows
+    by structural induction."""
     alg, lhs = pair.algebra, pair.identity.lhs.compiled
     fold = pair.alpha0_of if gside else pair.alpha1_of
     for a in alg.carrier:
         if fold(Var(a)) != a:
             return False
     sig = domain_signature(pair.identity.domain) if gside else alg.sig
-    inner = stage(sig, alg.carrier, max(pair.bound - 1, 0)).terms
     try:
-        for i, (name, arity) in enumerate(sig):
-            for args in itertools.product(inner.elements, repeat=arity):
-                values = [fold(a) for a in args]
-                step = lhs[i](alg.tables, values) if gside else alg.tables[name][tuple(values)]
-                if fold(Node(name, args)) != step:
-                    return False
+        for t in stage(sig, alg.carrier, max(pair.bound, 1)).terms:
+            if type(t) is Var:
+                continue
+            values = [fold(a) for a in t.args]
+            if gside:
+                step = lhs[_component(pair.identity.domain, t.op)](alg.tables, values)
+            else:
+                step = alg.tables[t.op][tuple(values)]
+            if fold(t) != step:
+                return False
     except KeyError:
         return False
     return True

@@ -226,16 +226,17 @@ ERROR_POSITIONS = [
     # a keyword or a numeral where a name belongs
     ("spec", "signature vars { op m : 2 }", "keyword 'vars' cannot name a signature", 1, 11),
     ("spec", "signature 3 { op m : 2 }", "expected a signature name, found '3'", 1, 11),
-    ("spec", "signature S { op carrier : 2 }", "keyword 'carrier' cannot name a operation", 1, 18),
-    ("spec", "signature S { op 7 : 2 }", "expected a operation name, found '7'", 1, 18),
+    ("spec", "signature S { op carrier : 2 }", "keyword 'carrier' cannot name an operation", 1, 18),
+    ("spec", "signature S { op 7 : 2 }", "expected an operation name, found '7'", 1, 18),
     ("spec", "vars x 1", "expected a variable name, found '1'", 1, 8),
-    ("spec", SIG + "identity over over S : x = x", "keyword 'over' cannot name a identity", 3, 10),
-    ("spec", SIG + "identity 12 over S : x = x", "expected a identity name, found '12'", 3, 10),
+    ("spec", SIG + "identity over over S : x = x", "keyword 'over' cannot name an identity", 3, 10),
+    ("spec", SIG + "identity 12 over S : x = x", "expected an identity name, found '12'", 3, 10),
     ("spec", SIG + "identity i over S : over = x", "expected a term, found 'over'", 3, 21),
     ("spec", SIG + "identity i over S : 0 = x", "expected a term, found '0'", 3, 21),
+    ("spec", SIG + "algebra 9 over S { carrier { 0 } }", "expected an algebra name, found '9'", 3, 9),
     ("spec", SIG + "algebra A over S { carrier { 0 with } }", "expected an atom, found 'with'", 3, 32),
     ("spec", SIG + "identity i over S : x = x\npresentation P = S with i 5",
-     "expected a identity name, found '5'", 4, 27),
+     "expected an identity name, found '5'", 4, 27),
     ("term", "vars", "expected a term, found 'vars'", 1, 1),
     ("term", "4", "expected a term, found '4'", 1, 1),
     # -> out of place

@@ -415,6 +415,21 @@ def test_dalg_rejects_corrupted_structure_map(comm, or_magma):
             dalg_check(pair)
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_dalg_refuses_a_wrong_fold_at_the_top_stage(comm, or_magma, bound):
+    """The laws are checked on every node of the pair's top stage (stage 1
+    at bound 0): an in-carrier but wrong fold there is refused."""
+    top = max(bound, 1)
+    sides = (("alpha1", or_magma.sig), ("alpha0", domain_signature(comm.domain)))
+    for memo, sig in sides:
+        pair = DAlgebraPair(or_magma, comm, bound)
+        node = next(t for t in stage(sig, or_magma.carrier, top).terms if t.height == top)
+        value = getattr(pair, f"{memo}_of")(node)
+        getattr(pair, memo)[node] = 1 - value
+        with pytest.raises(ValidationError, match="violates the monad laws"):
+            dalg_check(pair)
+
+
 def test_variety_vs_dalg_commutativity(comm):
     assert variety_vs_dalg(comm, 2, 2).equal
 

@@ -4,6 +4,7 @@ not part of this suite, so a renamed or re-shaped name would otherwise
 show only when the benchmark runs."""
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +45,24 @@ def test_benchmark_reads_the_stage_cache_and_the_state():
     fields = {f.name for f in dataclasses.fields(finalg.variety.CongruenceState)}
     assert {"universe", "classes", "instance_pairs"} <= fields
     assert {f.name for f in dataclasses.fields(finalg.variety.Stabilized)} >= {"algebra", "unit"}
+
+
+def test_benchmark_reads_the_values_built_without_a_second_check():
+    """``enumerate_algebras``, ``enumerate_maps`` (through ``em_structures``)
+    and the declaration parser build these with no second check; the
+    benchmark's references read their attributes directly."""
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.alg"
+    magma = finalg.Signature((("m", 2),))
+    enumerated = next(finalg.enumerate_algebras(magma, finalg.FinSet((0, 1))))
+    parsed = finalg.dsl.parse_spec(corpus.read_text()).algebras["Or"].algebra
+    for alg, atoms in ((enumerated, (0, 1)), (parsed, ("0", "1"))):
+        assert alg.sig == magma
+        assert alg.carrier.elements == atoms
+        assert set(alg.tables) == {"m"}
+        assert set(alg.tables["m"]) == {(a, b) for a in atoms for b in atoms}
+    base = finalg.FinSet((0, 1))
+    mapped = next(finalg.enumerate_maps(base, base))
+    assert mapped.table == {0: 0, 1: 0}
+    powerset = finalg.powerset_instance(base)
+    alpha = finalg.em_structures(powerset)[0]
+    assert set(alpha.table) == set(powerset.object)
