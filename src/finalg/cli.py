@@ -227,7 +227,7 @@ def _cmd_free(args, model: SpecModel, out: TextIO) -> int:
     print("status: unstabilized", file=out)
     print(f"depth-bound: {result.depth_bound}", file=out)
     print(counts, file=out)
-    print(f"universe-size: {len(result.state.universe)}", file=out)
+    print(f"universe-size: {len(result.state.terms)}", file=out)
     return 1
 
 

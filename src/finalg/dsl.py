@@ -10,10 +10,10 @@ must be declared before use)::
     algebra NAME over SIG { carrier { ATOM ... } op NAME { (ATOMS) -> ATOM ... } }
     presentation NAME = SIG with IDENTITY ...
 
-Terms are written ``op(arg,...)`` with nullary operations as ``op()``
-and variables bare, nested at most ``MAX_TERM_DEPTH`` deep.  Atoms in
-algebra blocks are bare identifiers or numerals, kept verbatim as
-strings.
+An arity is an ASCII numeral no larger than ``MAX_ARITY``.  Terms are
+written ``op(arg,...)`` with nullary operations as ``op()`` and variables
+bare, nested at most ``MAX_TERM_DEPTH`` deep.  Atoms in algebra blocks
+are bare identifiers or numerals, kept verbatim as strings.
 
 The tokenizer makes one pass per line with a single compiled pattern whose
 last alternative catches any other character and refuses it, and yields
@@ -37,6 +37,11 @@ from .errors import ParseError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, from_sigma
 from .terms import MAX_TERM_DEPTH, Node, Term, Var, variables
+
+# An operation takes at most this many arguments.  The largest arity in use
+# is 3; at 16 a table over two atoms already has 65536 rows, and stage 1
+# over two generators 65538 terms.
+MAX_ARITY = 16
 
 KEYWORDS = {
     "signature",
@@ -198,11 +203,14 @@ class _Parser:
             op, op_line, op_col = self._name("an operation")
             self._expect(":")
             arity, line, col = self._next()
-            if not arity.isdigit():
+            if not (arity.isascii() and arity.isdigit()):
                 raise ParseError(f"expected an arity, found {arity!r}", line, col)
+            digits = arity.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_ARITY)) or int(digits) > MAX_ARITY:
+                raise ParseError(f"arity larger than {MAX_ARITY}", line, col)
             if any(existing == op for existing, _ in ops):
                 raise ParseError(f"operation {op!r} already defined", op_line, op_col)
-            ops.append((op, int(arity)))
+            ops.append((op, int(digits)))
         self._expect("}")
         model.signatures[name] = Signature(tuple(ops))
 

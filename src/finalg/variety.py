@@ -16,10 +16,21 @@ with exactly those children (the generators are ids 0..|x|-1), so
 identity instances and frontier nodes are built on integer ids and a
 ``Term`` is made only for a new node.  The keys of ``rep`` are exactly
 the live union-find roots, each mapped to the id of its class's least
-term.  One pass over ``nodes`` reads the operation tables off these; it
-decides stabilization and fills the state.  The derivation audit replays
-the recorded identity instances over the same universe in a fresh
-engine and compares each term's least class member with the result's.
+term.  One pass over ``nodes`` reads the operation tables off these.
+
+Every union the engine performs goes into a log with its reason: an
+identity instance, given by its component and the ids bound to the
+component's variables, or a congruence step between two nodes of one
+operation whose children were already joined (proof-producing congruence
+closure, after Nieuwenhuis & Oliveras, "Fast congruence closure and
+extensions", 2007).  The result's :class:`CongruenceState` keeps the
+engine's plain arrays and that log, and builds the canonical universe
+and partition only when they are first read.  ``audit_derivations``
+checks this certificate with its own union-find and no engine code.
+Once it has shown that every carrier term folds to itself under the
+unit, a morphism extending an assignment can only be the fold of each
+carrier term under it, so the universal property is checked without
+enumerating maps out of the free algebra.
 
 Saturation stabilizes at depth d when the roots after depth d-1 still
 name distinct classes after depth d and those are all the classes (the
@@ -33,16 +44,22 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from .algebras import FinAlgebra, is_morphism
+from .algebras import FinAlgebra, compile_term, is_morphism
 from .core import FinMap, FinSet, Partition, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, canonical_vars, satisfies_all
-from .terms import Node, Term, Var
+from .terms import Node, Term, Var, variables
 
 MAX_UNIVERSE = 500_000
+
+# The reason logged for a union between two nodes of one operation whose
+# children were already joined; an identity instance logs
+# ``(component, images)`` instead.
+CONGRUENCE = "congruence"
 
 
 def _occurrence_depths(t: Term, depth: int = 0, acc: Optional[dict] = None) -> dict:
@@ -67,7 +84,8 @@ def _occurrence_depths(t: Term, depth: int = 0, acc: Optional[dict] = None) -> d
 class _Engine:
     """Union-find over registered terms with congruence closure; ``nodes``
     (the one term store) is keyed on exact child ids, ``sig_table`` on
-    child roots, and ``rep`` maps each root to its least term's id."""
+    child roots, ``rep`` maps each root to its least term's id, and
+    ``union_log`` holds every union with its reason."""
 
     def __init__(self, x: FinSet):
         self.terms: list[Term] = []
@@ -80,8 +98,7 @@ class _Engine:
         self.sig_table: dict[tuple, int] = {}
         self.parents: dict[int, list[int]] = {}
         self.pending: deque[tuple[int, int]] = deque()
-        self.instance_log: list[tuple] = []
-        self.merge_count = 0
+        self.union_log: list[tuple[int, int, object]] = []
         for a in x:
             self._add(Var(a), None)
 
@@ -93,10 +110,6 @@ class _Engine:
         while parent[i] != root:
             parent[i], i = root, parent[i]
         return root
-
-    def least(self, i: int) -> Term:
-        """The least term of the class of id ``i``."""
-        return self.terms[self.rep[self.find(i)]]
 
     def node(self, op: str, arg_ids: tuple[int, ...]) -> int:
         """The id of the node ``op`` over the registered ``arg_ids``; its
@@ -133,16 +146,18 @@ class _Engine:
                 self.parents.setdefault(root, []).append(tid)
         return tid
 
-    def union(self, a: int, b: int) -> bool:
+    def union(self, a: int, b: int, reason) -> None:
+        """Join the classes of ``a`` and ``b``, logging ``reason`` when they
+        were distinct."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
+            return
         if self.rank[ra] < self.rank[rb]:
             ra, rb = rb, ra
         elif self.rank[ra] == self.rank[rb]:
             self.rank[ra] += 1
         self.parent[rb] = ra
-        self.merge_count += 1
+        self.union_log.append((a, b, reason))
         rep = self.rep
         if self.terms[rep[rb]].sort_key() < self.terms[rep[ra]].sort_key():
             rep[ra] = rep[rb]
@@ -156,11 +171,11 @@ class _Engine:
             elif self.find(other) != self.find(nid):
                 self.pending.append((other, nid))
         self.parents.setdefault(ra, []).extend(moved)
-        return True
 
     def drain(self) -> None:
         while self.pending:
-            self.union(*self.pending.popleft())
+            a, b = self.pending.popleft()
+            self.union(a, b, CONGRUENCE)
 
     def least_ids(self) -> list[int]:
         """The id of each class's least term, in canonical term order."""
@@ -170,18 +185,56 @@ class _Engine:
 
 @dataclass(frozen=True)
 class CongruenceState:
-    """Snapshot of a saturation run: the registered universe, its classes,
-    the induced partial operation tables on class representatives, the
-    class count per processed depth, and the applied identity instances."""
+    """What a saturation run leaves: its certificate and its partial tables.
+
+    Id ``i`` names the registered term ``terms[i]``; the generators are
+    ids 0..|x|-1, with no operation or children, and every other id is
+    the node ``node_op[i]`` over the ids ``node_args[i]``.  ``least[i]``
+    is the id of the least term of ``i``'s class.  Each ``union_log``
+    entry ``(a, b, reason)`` joined the classes of ``a`` and ``b``; its
+    reason is ``(component, images)`` for an instance of the flattened
+    identity component with that index, its used variables bound to the
+    ids ``images``, or ``CONGRUENCE``.  ``op_tables`` are the operation
+    tables on the classes' least terms, and ``class_counts`` the class
+    count after each processed depth.
+
+    ``universe``, ``classes`` and ``instance_pairs`` are read off these
+    arrays on first access and kept.
+    """
 
     sig: Signature
     x: FinSet
+    identities: tuple[NaturalIdentity, ...]
     depth: int
-    universe: FinSet
-    classes: Partition
+    terms: tuple[Term, ...]
+    node_op: tuple[Optional[str], ...]
+    node_args: tuple[Optional[tuple[int, ...]], ...]
+    least: tuple[int, ...]
+    union_log: tuple[tuple[int, int, object], ...]
     op_tables: dict
     class_counts: tuple[int, ...]
-    instance_pairs: tuple[tuple[Term, Term], ...]
+
+    @cached_property
+    def universe(self) -> FinSet:
+        """The registered terms as a canonical set."""
+        return FinSet(self.terms)
+
+    @cached_property
+    def classes(self) -> Partition:
+        """The classes of the registered terms as a canonical partition."""
+        groups: dict[int, list[Term]] = {}
+        for t, c in zip(self.terms, self.least):
+            groups.setdefault(c, []).append(t)
+        return Partition(self.universe, groups.values())
+
+    @cached_property
+    def instance_pairs(self) -> tuple[tuple[Term, Term], ...]:
+        """The two sides of each identity instance that merged classes, in
+        the order of the merges."""
+        terms = self.terms
+        return tuple(
+            (terms[a], terms[b]) for a, b, reason in self.union_log if reason != CONGRUENCE
+        )
 
 
 @dataclass(frozen=True)
@@ -223,25 +276,29 @@ def _flatten(ids: Iterable[NaturalIdentity], sig: Signature) -> list[tuple]:
     return components
 
 
-def _op_tables(engine: _Engine, sig: Signature) -> dict:
-    """Each operation's table on the least terms of the classes: every
-    registered node sends the classes of its children to its own class."""
+def _least(engine: _Engine) -> tuple[int, ...]:
+    """The id of the least term of each id's class."""
+    rep, find = engine.rep, engine.find
+    return tuple([rep[find(i)] for i in range(len(engine.terms))])
+
+
+def _op_tables(engine: _Engine, sig: Signature, least: Sequence[int]) -> dict:
+    """Each operation's table on the least terms of the classes, given the
+    least id of each id's class: every registered node sends the classes
+    of its children to its own class."""
     tables: dict = {name: {} for name, _ in sig}
-    least = engine.least
+    terms = engine.terms
     for (op, arg_ids), nid in engine.nodes.items():
-        tables[op][tuple(least(a) for a in arg_ids)] = least(nid)
+        tables[op][tuple([terms[least[a]] for a in arg_ids])] = terms[least[nid]]
     return tables
 
 
-def _extract_state(engine: _Engine, sig: Signature, x: FinSet, depth: int,
-                   counts: list[int], op_tables: dict) -> CongruenceState:
-    groups: dict[int, list[Term]] = {}
-    for i, t in enumerate(engine.terms):
-        groups.setdefault(engine.find(i), []).append(t)
-    universe = FinSet(tuple(engine.terms))
+def _state(engine: _Engine, sig: Signature, x: FinSet, ids: Sequence[NaturalIdentity],
+           depth: int, counts: list[int], least: tuple[int, ...],
+           op_tables: dict) -> CongruenceState:
     return CongruenceState(
-        sig, x, depth, universe, Partition(universe, groups.values()), op_tables,
-        tuple(counts), tuple(engine.instance_log),
+        sig, x, tuple(ids), depth, tuple(engine.terms), tuple(engine.node_op),
+        tuple(engine.node_args), least, tuple(engine.union_log), op_tables, tuple(counts),
     )
 
 
@@ -276,7 +333,7 @@ def saturate(
         engine.drain()
 
         while True:
-            merges_before = engine.merge_count
+            merges_before = len(engine.union_log)
             terms_before = len(engine.terms)
             reps = [(tid, engine.terms[tid].height) for tid in engine.least_ids()]
             for comp_id, used, offsets, left, right, ground in components:
@@ -292,29 +349,30 @@ def saturate(
                         continue
                     applied.add(key)
                     g = dict(zip(used, images))
-                    a, b = engine.instantiate(left, g), engine.instantiate(right, g)
-                    if engine.union(a, b):
-                        engine.instance_log.append((engine.terms[a], engine.terms[b]))
+                    engine.union(engine.instantiate(left, g), engine.instantiate(right, g), key)
                 engine.drain()
             if len(engine.terms) > max_universe:
                 raise ResourceLimitError(
                     "saturation universe", len(engine.terms), max_universe
                 )
-            if engine.merge_count == merges_before and len(engine.terms) == terms_before:
+            if len(engine.union_log) == merges_before and len(engine.terms) == terms_before:
                 break
 
         counts.append(len(engine.rep))
         if len(prev_roots) == len({engine.find(r) for r in prev_roots}) == len(engine.rep):
-            tables = _op_tables(engine, sig)
+            least = _least(engine)
+            tables = _op_tables(engine, sig, least)
             if all(len(tables[name]) == len(engine.rep) ** arity for name, arity in sig):
-                state = _extract_state(engine, sig, x, depth, counts, tables)
+                state = _state(engine, sig, x, ids, depth, counts, least, tables)
                 carrier = FinSet(tuple(engine.terms[i] for i in engine.rep.values()))
                 algebra = FinAlgebra(sig, carrier, tables)
-                unit = FinMap(x, carrier, {a: engine.least(i) for i, a in enumerate(x)})
+                unit = FinMap(x, carrier, {a: engine.terms[least[i]] for i, a in enumerate(x)})
                 return Stabilized(algebra, unit, depth, state)
         prev_roots = set(engine.rep)
 
-    state = _extract_state(engine, sig, x, depth_bound, counts, _op_tables(engine, sig))
+    least = _least(engine)
+    state = _state(engine, sig, x, ids, depth_bound, counts, least,
+                   _op_tables(engine, sig, least))
     return Unstabilized(state, depth_bound)
 
 
@@ -333,10 +391,10 @@ def word_equal(res, t1: Term, t2: Term) -> bool:
 
     def normalize(t: Term) -> Term:
         match t:
-            case Var(_):
-                if t not in state.classes.base:
+            case Var(name):
+                if name not in state.x:
                     raise ValidationError(f"variable {t!r} outside the generators")
-                return state.classes.rep(t)
+                return state.terms[state.least[state.x.elements.index(name)]]
             case Node(op, args):
                 reps = tuple(normalize(a) for a in args)
                 found = state.op_tables[op].get(reps)
@@ -351,41 +409,162 @@ def word_equal(res, t1: Term, t2: Term) -> bool:
 
 
 def audit_derivations(res) -> bool:
-    """Replay the recorded identity instances through a fresh congruence
-    closure over the same universe and compare the classes.
+    """Check the certificate a saturation result carries, with a plain
+    union-find and none of the engine's code.
 
-    Every universe term's least class member in the replay must be its
-    representative in the result; over the same universe that is equality
-    of the two partitions, and it certifies that every merge the engine
-    performed is derivable from an identity instance plus
-    congruence/transitivity steps.
+    It checks that the generators are the first ids and that each other
+    id's term is its operation applied to its children's terms, each child
+    registered before it; that each logged union is justified when it is
+    replayed: an identity reason rebuilds exactly its two ids from the
+    recorded component and images, and a congruence reason joins two nodes
+    of one operation whose children are already joined; that the replayed
+    classes are the claimed ones, each named by a member; that the classes
+    are closed under congruence and every registered node agrees with the
+    operation tables, which hold nothing else.  For a stabilized result it
+    also checks that the carrier is the set of class representatives, the
+    unit sends each generator to its class, the algebra satisfies every
+    identity, and every carrier term folds to itself under the unit, so
+    the unit generates the algebra.
     """
     state = _state_of(res)
-    if state.classes.base != state.universe:
+    try:
+        return _certified(res, state)
+    except (IndexError, KeyError, TypeError, ValueError):
         return False
-    engine = _Engine(state.x)
-    ids = {t: i for i, t in enumerate(engine.terms)}
-    for t in state.universe:
-        if t not in ids:
-            ids[t] = engine._add(t, tuple(ids[a] for a in t.args))
-    engine.drain()
-    for a, b in state.instance_pairs:
+
+
+def _certified(res, state: CongruenceState) -> bool:
+    terms, ops, kids, least = state.terms, state.node_op, state.node_args, state.least
+    n, gens, arity = len(terms), state.x.elements, dict(state.sig)
+    if not len(ops) == len(kids) == len(least) == n >= len(gens):
+        return False
+    if any(terms[i] != Var(a) or kids[i] is not None for i, a in enumerate(gens)):
+        return False
+    index: dict[tuple, int] = {}
+    for i in range(len(gens), n):
+        t, args = terms[i], kids[i]
+        if (
+            type(t) is not Node or t.op != ops[i] or arity.get(t.op) != len(args)
+            or args and not 0 <= min(args) <= max(args) < i
+            or t.args != tuple([terms[c] for c in args])
+            or index.setdefault((t.op, args), i) != i
+        ):
+            return False
+
+    sides = []
+    for ident in state.identities:
+        if ident.sig != state.sig:
+            return False
+        for k, left, right in zip(ident.domain, ident.lhs.data, ident.rhs.data):
+            occurring = variables(left) | variables(right)
+            sides.append((left, right, [v for v in canonical_vars(k) if v in occurring]))
+
+    def rebuild(t: Term, g: dict) -> int:
+        if type(t) is Var:
+            return g[t.name]
+        return index[(t.op, tuple([rebuild(a, g) for a in t.args]))]
+
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    ids = range(n)
+    for a, b, reason in state.union_log:
         if a not in ids or b not in ids:
             return False
-        engine.union(ids[a], ids[b])
-        engine.drain()
-    return all(engine.least(ids[t]) == state.classes.rep(t) for t in state.universe)
+        if reason == CONGRUENCE:
+            if ops[a] is None or ops[a] != ops[b] or any(
+                find(p) != find(q) for p, q in zip(kids[a], kids[b])
+            ):
+                return False
+        else:
+            comp, images = reason
+            if comp not in range(len(sides)) or not all(i in ids for i in images):
+                return False
+            left, right, used = sides[comp]
+            if len(images) != len(used):
+                return False
+            g = dict(zip(used, images))
+            if rebuild(left, g) != a or rebuild(right, g) != b:
+                return False
+        parent[find(b)] = find(a)
+
+    claimed: dict[int, int] = {}
+    for i in ids:
+        if claimed.setdefault(find(i), least[i]) != least[i]:
+            return False
+    reps = set(claimed.values())
+    if len(reps) != len(claimed) or any(least[c] != c for c in reps):
+        return False
+
+    closure: dict[tuple, int] = {}
+    for i in range(len(gens), n):
+        if closure.setdefault((ops[i], tuple([least[c] for c in kids[i]])), least[i]) != least[i]:
+            return False
+    stabilized = isinstance(res, Stabilized)
+    for tables in (state.op_tables, res.algebra.tables) if stabilized else (state.op_tables,):
+        if sum(len(table) for table in tables.values()) != len(closure):
+            return False
+        for (op, args), c in closure.items():
+            if tables[op][tuple([terms[a] for a in args])] != terms[c]:
+                return False
+    if not stabilized:
+        return True
+    algebra, unit = res.algebra, res.unit
+    return (
+        algebra.sig == state.sig
+        and set(algebra.carrier) == {terms[c] for c in reps}
+        and unit.dom == state.x
+        and all(unit.table[a] == terms[least[i]] for i, a in enumerate(gens))
+        and satisfies_all(algebra, state.identities)
+        and _unit_folds(res) is not None
+    )
+
+
+def _unit_folds(res: Stabilized) -> Optional[list]:
+    """Each carrier term with its fold compiled over the generators, when
+    every carrier term folds to itself under the unit (the unit generates
+    the algebra); None when one does not."""
+    algebra, names = res.algebra, res.unit.dom.elements
+    folds = [(t, compile_term(t, names)) for t in algebra.carrier]
+    unit = tuple(res.unit.table[a] for a in names)
+    if all(fold(algebra.tables, unit) == t for t, fold in folds):
+        return folds
+    return None
+
+
+def _extensions(res: Stabilized, target: FinAlgebra, f: FinMap, folds) -> int:
+    free = res.algebra
+    if folds is None:
+        count = 0
+        for h in enumerate_maps(free.carrier, target.carrier):
+            if all(h.table[res.unit.table[a]] == f.table[a] for a in res.unit.dom):
+                if is_morphism(free, target, h):
+                    count += 1
+        return count
+    if free.sig != target.sig:
+        raise ValidationError("signature mismatch")
+    values = tuple(f.table[a] for a in res.unit.dom)
+    h = FinMap(free.carrier, target.carrier,
+               {t: fold(target.tables, values) for t, fold in folds})
+    if any(h.table[res.unit.table[a]] != f.table[a] for a in res.unit.dom):
+        return 0
+    return int(is_morphism(free, target, h))
 
 
 def extension_count(res: Stabilized, target: FinAlgebra, f: FinMap) -> int:
-    """How many algebra morphisms out of the free algebra extend ``f``."""
-    free = res.algebra
-    count = 0
-    for h in enumerate_maps(free.carrier, target.carrier):
-        if all(h.table[res.unit.table[a]] == f.table[a] for a in res.unit.dom):
-            if is_morphism(free, target, h):
-                count += 1
-    return count
+    """How many algebra morphisms out of the free algebra extend ``f``.
+
+    When every carrier term folds to itself under the unit, a morphism h
+    with h∘unit = f sends each carrier term t to h(fold of t under the
+    unit) = fold of t under f, so the count is 1 when that fold is a
+    morphism extending f and 0 when it is not.  Otherwise every map out
+    of the carrier is tried."""
+    return _extensions(res, target, f, _unit_folds(res))
 
 
 def universal_property_witness(
@@ -398,8 +577,9 @@ def universal_property_witness(
         raise ValidationError("universal property requires a stabilized result")
     if not satisfies_all(target, ids):
         raise ValidationError("target algebra is outside the variety")
+    folds = _unit_folds(res)
     for f in enumerate_maps(res.unit.dom, target.carrier):
-        count = extension_count(res, target, f)
+        count = _extensions(res, target, f, folds)
         if count != 1:
             return f, count
     return None

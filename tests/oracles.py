@@ -5,7 +5,9 @@ other names only the tests use: ``is_injective``, ``is_surjective``,
 
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
-of the memoised folds of ``monadic.DAlgebraPair``.
+of the memoised folds of ``monadic.DAlgebraPair``.  The universal-property
+oracles try every map out of a free algebra's carrier, where
+``finalg.variety`` folds the carrier terms once it knows they generate.
 """
 import itertools
 from dataclasses import dataclass
@@ -20,7 +22,9 @@ from finalg import (
     Term,
     Var,
     apply_obj,
+    enumerate_maps,
     format_term,
+    is_morphism,
     stage,
     substitute,
 )
@@ -153,3 +157,24 @@ def satisfies_level_enumerated(alg, ident, k):
         if lhs != rhs:
             return False
     return True
+
+
+def extension_count_enumerated(res, target, f):
+    """How many maps out of a free algebra's carrier are morphisms into
+    ``target`` extending ``f`` along the unit: every map is tried."""
+    free, unit = res.algebra, res.unit.table
+    return sum(
+        is_morphism(free, target, h)
+        for h in enumerate_maps(free.carrier, target.carrier)
+        if all(h.table[unit[a]] == f.table[a] for a in res.unit.dom)
+    )
+
+
+def universal_property_witness_enumerated(res, target):
+    """The first assignment of the generators into ``target`` without
+    exactly one extension, with its count by enumeration, or None."""
+    for f in enumerate_maps(res.unit.dom, target.carrier):
+        count = extension_count_enumerated(res, target, f)
+        if count != 1:
+            return f, count
+    return None

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from finalg import FinAlgebra, FinalgError, FinSet, Node, ParseError, Signature, Var
 from finalg.dsl import (
+    MAX_ARITY,
     AlgebraDecl,
     IdentityDecl,
     PresentationDecl,
@@ -243,6 +244,11 @@ ERROR_POSITIONS = [
     ("spec", "signature S -> { op m : 2 }", "expected '{', found '->'", 1, 13),
     ("spec", "signature S { op m -> 2 }", "expected ':', found '->'", 1, 20),
     ("spec", "signature S { op m : -> }", "expected an arity, found '->'", 1, 22),
+    # an arity is an ASCII numeral of at most MAX_ARITY, refused before it is read
+    ("spec", "signature S { op m : " + "9" * 5000 + " }", "arity larger than 16", 1, 22),
+    ("spec", "signature S { op m : \u0663 }", "expected an arity, found '\u0663'", 1, 22),
+    ("spec", "signature S { op m : 100000 }", "arity larger than 16", 1, 22),
+    ("spec", "signature S { op m : 017 }", "arity larger than 16", 1, 22),
     ("spec", "->", "expected a declaration, found '->'", 1, 1),
     ("spec", SIG + "identity i over S : -> = x", "expected a term, found '->'", 3, 21),
     ("spec", SIG + "algebra A over S { carrier { 0 -> } }", "expected an atom, found '->'", 3, 32),
@@ -275,6 +281,13 @@ ERROR_POSITIONS = [
     ("term", "m(x,y) extra", "unexpected 'extra' after the term", 1, 8),
     ("term", "m(x)", "operation 'm' takes 2 arguments, got 1", 1, 1),
 ]
+
+
+def test_arity_up_to_the_bound():
+    for text, arity in (("16", 16), ("0016", 16), ("00", 0), ("3", 3)):
+        sig = parse_spec(f"signature S {{ op m : {text} }}").signatures["S"]
+        assert tuple(sig) == (("m", arity),)
+    assert MAX_ARITY == 16
 
 
 @pytest.mark.parametrize("kind, text, message, line, col", ERROR_POSITIONS)

@@ -13,6 +13,8 @@ import finalg.cli
 import finalg.dsl
 import finalg.terms
 
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.alg"
+
 CALLED = [
     ("variety", "saturate", ("sig", "ids", "x", "depth_bound", "max_universe")),
     ("variety", "audit_derivations", ("res",)),
@@ -41,20 +43,36 @@ def test_benchmark_names_keep_their_parameters(module, name, params):
 
 
 def test_benchmark_reads_the_stage_cache_and_the_state():
+    """The state builds ``universe``, ``classes`` and ``instance_pairs`` on
+    first access, so they are read off real results, as the benchmark does:
+    their sizes under tracing, and the blocks of an unstabilized answer."""
     assert callable(finalg.terms._stage_terms.cache_info)
-    fields = {f.name for f in dataclasses.fields(finalg.variety.CongruenceState)}
-    assert {"universe", "classes", "instance_pairs"} <= fields
     assert {f.name for f in dataclasses.fields(finalg.variety.Stabilized)} >= {"algebra", "unit"}
+    model = finalg.dsl.parse_spec(CORPUS.read_text())
+    x = finalg.FinSet(("x1",))
+    for name, depth, kind in (("Semilattice", 6, finalg.Stabilized),
+                              ("MonoidPres", 3, finalg.Unstabilized)):
+        sig = model.signatures[model.presentations[name].sig_name]
+        res = finalg.variety.saturate(sig, model.presentation_identities(name), x, depth)
+        assert isinstance(res, kind)
+        state = res.state
+        assert len(state.universe) == len(state.terms) > 0
+        assert 0 < len(state.classes) <= len(state.universe)
+        assert len(state.instance_pairs) > 0
+        assert all(isinstance(a, finalg.Term) and isinstance(b, finalg.Term)
+                   for a, b in state.instance_pairs)
+        blocks = state.classes.blocks
+        assert sum(map(len, blocks)) == len(state.universe)
+        assert all(isinstance(t, finalg.Term) for block in blocks for t in block)
 
 
 def test_benchmark_reads_the_values_built_without_a_second_check():
     """``enumerate_algebras``, ``enumerate_maps`` (through ``em_structures``)
     and the declaration parser build these with no second check; the
     benchmark's references read their attributes directly."""
-    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.alg"
     magma = finalg.Signature((("m", 2),))
     enumerated = next(finalg.enumerate_algebras(magma, finalg.FinSet((0, 1))))
-    parsed = finalg.dsl.parse_spec(corpus.read_text()).algebras["Or"].algebra
+    parsed = finalg.dsl.parse_spec(CORPUS.read_text()).algebras["Or"].algebra
     for alg, atoms in ((enumerated, (0, 1)), (parsed, ("0", "1"))):
         assert alg.sig == magma
         assert alg.carrier.elements == atoms

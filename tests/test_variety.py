@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 
 from finalg import (
+    FinAlgebra,
     FinMap,
     FinSet,
-    Partition,
     Node,
     ResourceLimitError,
     Stabilized,
@@ -25,13 +26,17 @@ from finalg import (
     substitute,
     word_equal,
 )
+from finalg.core import MAX_ENUMERATION
 from finalg.dsl import parse_spec
+from finalg.identities import satisfies_all
 from finalg.variety import (
+    CONGRUENCE,
     _flatten,
     audit_derivations,
     extension_count,
     universal_property_witness,
 )
+from oracles import extension_count_enumerated, universal_property_witness_enumerated
 from conftest import MAGMA, MONOID_SIG, X, Y, e, ident, m, two_element, v
 
 
@@ -270,6 +275,76 @@ def test_universal_property_requires_stabilized(monoid_ids, or_monoid):
         check_universal_property(res, monoid_ids, or_monoid)
 
 
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.alg"
+# The corpus presentations whose free algebras are finite (the other four,
+# MonoidPres, CommMonoid, Semigroup and CommSemigroup, never stabilize),
+# and a trivial one whose unit sends every generator to one element.
+FINITE_PRESENTATIONS = (
+    "Semilattice", "Band", "RectBand", "LeftZero", "SemilatticeUnit", "BoolGroup", "DistLat",
+    "Trivial",
+)
+TRIVIAL = "identity triv over Magma : x = y\npresentation Trivial = Magma with triv\n"
+
+
+def test_universal_property_by_generation_matches_enumeration():
+    """On every finite presentation on 0-2 generators, into every corpus
+    algebra of its signature, the fold of the carrier terms counts the
+    same extensions as trying every map; and for every presentation of that
+    signature whose variety holds the target, inside the presented variety
+    or not, the witnesses agree."""
+    model = parse_spec(CORPUS.read_text() + TRIVIAL)
+    compared = 0
+    for name in FINITE_PRESENTATIONS:
+        sig_name = model.presentations[name].sig_name
+        sig = model.signatures[sig_name]
+        varieties = [model.presentation_identities(p) for p, decl in model.presentations.items()
+                     if decl.sig_name == sig_name]
+        targets = [d.algebra for d in model.algebras.values() if d.sig_name == sig_name]
+        for n in (0, 1, 2):
+            res = saturate(sig, model.presentation_identities(name), gens(n), 6)
+            assert isinstance(res, Stabilized)
+            for target in targets:
+                for f in enumerate_maps(res.unit.dom, target.carrier):
+                    assert extension_count(res, target, f) == extension_count_enumerated(
+                        res, target, f)
+                for ids in varieties:
+                    if satisfies_all(target, ids):
+                        assert universal_property_witness(res, ids, target) == (
+                            universal_property_witness_enumerated(res, target))
+                        compared += 1
+    assert compared > 100
+
+
+def test_universal_property_without_generation_tries_every_map():
+    """A unit that misses a carrier element does not generate the algebra;
+    extensions are then counted by trying every map, and there can be two."""
+    model = parse_spec(CORPUS.read_text())
+    res = saturate(MAGMA, model.presentation_identities("LeftZero"), gens(2), 3)
+    x1 = Var("x1")
+    collapsed = dataclasses.replace(res, unit=FinMap(res.unit.dom, res.algebra.carrier,
+                                                     {"x1": x1, "x2": x1}))
+    assert not audit_derivations(collapsed)
+    target = model.algebras["LeftProj"].algebra
+    counts = [extension_count(collapsed, target, f)
+              for f in enumerate_maps(res.unit.dom, target.carrier)]
+    assert counts == [2, 0, 0, 2]
+    assert counts == [extension_count_enumerated(collapsed, target, f)
+                      for f in enumerate_maps(res.unit.dom, target.carrier)]
+
+
+def test_universal_property_past_the_map_enumeration_bound():
+    """The free semilattice on 4 generators has 15 elements; there are 3^15
+    maps from it into a 3-element chain, above the map enumeration bound,
+    but the unit generates it, so each of the 81 assignments is one fold."""
+    model = parse_spec(CORPUS.read_text())
+    ids = model.presentation_identities("Semilattice")
+    res = saturate(model.signatures["Magma"], ids, gens(4), 6)
+    chain = model.algebras["Max3"].algebra
+    assert len(res.algebra.carrier) == 15
+    assert len(chain.carrier) ** 15 > MAX_ENUMERATION
+    assert check_universal_property(res, ids, chain)
+
+
 def test_universal_property_witness_outside_the_presented_variety(
     assoc, comm, idem, or_magma
 ):
@@ -374,23 +449,78 @@ def test_saturation_trajectory(presentation, n, bound, at_depth, counts, univers
     ) == tables_digest
 
 
-def test_derivation_audit_refuses_tampered_states():
-    """The audit replays the recorded instances and compares every class,
-    so dropping the instances, merging two classes or splitting one shows.
-    (Dropping only the last instance is not a tamper that must show: some
-    recorded merges are redundant.)"""
+def _band_result():
     model = parse_spec(TRAJECTORY_SPEC)
     sig = model.signatures[model.presentations["Band"].sig_name]
-    res = saturate(sig, model.presentation_identities("Band"), gens(2), 6)
-    assert audit_derivations(res)
+    return saturate(sig, model.presentation_identities("Band"), gens(2), 6)
+
+
+def _tampered(res, identity):
+    """Tampered copies of a stabilized result, each by what was changed."""
     state = res.state
-    blocks = list(state.classes.blocks)
-    largest = max(blocks, key=len)
-    merged = [blocks[0] + blocks[1]] + blocks[2:]
-    split = [b for b in blocks if b is not largest] + [largest[:1], largest[1:]]
-    for tampered in (
-        dataclasses.replace(state, instance_pairs=()),
-        dataclasses.replace(state, classes=Partition(state.universe, merged)),
-        dataclasses.replace(state, classes=Partition(state.universe, split)),
-    ):
-        assert not audit_derivations(dataclasses.replace(res, state=tampered))
+    log, least, terms = state.union_log, state.least, state.terms
+    congruences = [k for k, (_, _, reason) in enumerate(log) if reason == CONGRUENCE]
+    kids = state.node_args
+    # An instance joining two nodes whose children end in different classes,
+    # which no congruence step could justify.
+    instance = next(
+        k for k, (a, b, reason) in enumerate(log)
+        if reason != CONGRUENCE and kids[a] and kids[b]
+        and any(least[p] != least[q] for p, q in zip(kids[a], kids[b]))
+    )
+    a, b, (component, images) = log[instance]
+
+    def relogged(reason):
+        return dataclasses.replace(
+            state, union_log=log[:instance] + ((a, b, reason),) + log[instance + 1:])
+
+    reps = sorted(set(least))
+    largest = max(reps, key=least.count)
+    member = next(i for i, c in enumerate(least) if c == largest and i != largest)
+    x1, x2 = Var("x1"), Var("x2")
+    tables = {op: dict(table) for op, table in res.algebra.tables.items()}
+    tables["m"][(x1, x2)] = x1
+    dropped = congruences[0]
+    return {
+        "identity instances dropped": dataclasses.replace(
+            state, union_log=tuple(log[k] for k in congruences)),
+        "two classes merged": dataclasses.replace(
+            state, least=tuple(reps[0] if c == reps[1] else c for c in least)),
+        "a class split": dataclasses.replace(
+            state, least=tuple(member if i == member else c for i, c in enumerate(least))),
+        "a congruence union dropped": dataclasses.replace(
+            state, union_log=log[:dropped] + log[dropped + 1:]),
+        "a spurious union added": dataclasses.replace(
+            state, union_log=log + ((3, 4, CONGRUENCE),)),
+        "an instance's images corrupted": relogged((component, tuple(i + 1 for i in images))),
+        "an instance given as a congruence": relogged(CONGRUENCE),
+        "a node's term changed": dataclasses.replace(
+            state, terms=terms[:-1] + (m(terms[-1], x1),)),
+        "an identity the algebra fails added": dataclasses.replace(
+            state, identities=state.identities + (identity,)),
+        "a generator sent to another class": FinMap(
+            res.unit.dom, res.algebra.carrier, {"x1": x1, "x2": x1}),
+        "a table entry changed": (
+            FinAlgebra(res.algebra.sig, res.algebra.carrier, tables),
+            dataclasses.replace(state, op_tables=tables)),
+    }
+
+
+def test_derivation_audit_refuses_tampered_states(comm):
+    """The audit checks every union's reason, the claimed classes, the
+    tables against every node, and that the algebra is in the variety and
+    generated by its unit, so each tamper of the certificate shows."""
+    res = _band_result()
+    assert audit_derivations(res)
+    x1, x2 = Var("x1"), Var("x2")
+    assert res.state.terms[3:5] == (m(x1, x2), m(x2, x1))
+    for what, tampered in _tampered(res, comm).items():
+        if isinstance(tampered, FinMap):
+            tampered = dataclasses.replace(res, unit=tampered)
+        elif isinstance(tampered, tuple):
+            algebra, state = tampered
+            assert evaluate(algebra, m(x1, x2), res.unit.table) != m(x1, x2)
+            tampered = dataclasses.replace(res, algebra=algebra, state=state)
+        else:
+            tampered = dataclasses.replace(res, state=tampered)
+        assert not audit_derivations(tampered), what
