@@ -5,7 +5,9 @@ stage 0 is the variables alone.  The connecting maps of the chain are
 the variable embedding ``iota``, the node constructor ``q_node``, the
 stage inclusions ``w_embed``, and the one-step injection ``y_inject``.
 In this finite-set instantiation all connecting maps are injections, so
-stages are literally nested sets of terms and ``w_embed`` is inclusion.
+stages are literally nested sets of terms and ``w_embed`` is inclusion:
+stage n is built from the cached stage n-1's own terms and the nodes of
+height exactly n over them, so it holds stage n-1's term objects.
 
 A :class:`Node`'s hash is fixed at construction from its operation and
 its children's stored hashes, so hashing a term (and every dict or set
@@ -184,10 +186,11 @@ def _stage_terms(sig: Signature, x: FinSet, n: int) -> FinSet:
     if n == 0:
         return FinSet(tuple(Var(a) for a in x))
     prev = _stage_terms(sig, x, n - 1).elements
-    atoms = [Var(a) for a in x]
+    atoms = list(prev)
     for name, arity in sig:
         for args in itertools.product(prev, repeat=arity):
-            atoms.append(Node(name, args))
+            if 1 + max((a.height for a in args), default=0) == n:
+                atoms.append(Node(name, args))
     return FinSet(tuple(atoms))
 
 

@@ -14,9 +14,13 @@ The engine keeps one term store and one class record.  ``nodes``, the
 hashcons of its terms, maps ``(op, child ids)`` to the id of the node
 with exactly those children (the generators are ids 0..|x|-1), so
 identity instances and frontier nodes are built on integer ids and a
-``Term`` is made only for a new node.  The keys of ``rep`` are exactly
-the live union-find roots, each mapped to the id of its class's least
-term.  One pass over ``nodes`` reads the operation tables off these.
+``Term`` is made only for a new node, whose operation is that term's
+own.  The keys of ``rep`` are exactly the live union-find roots, each
+mapped to the id of its class's least term.  A union keeps the root
+with the longer list of parent nodes and files the shorter list again
+(Downey, Sethi & Tarjan, 1980); which root survives changes neither
+``rep`` nor the classes after any drain.  One pass over ``nodes`` reads
+the operation tables off these.
 
 Every union the engine performs goes into a log with its reason: an
 identity instance, given by its component and the ids bound to the
@@ -90,10 +94,8 @@ class _Engine:
     def __init__(self, x: FinSet):
         self.terms: list[Term] = []
         self.parent: list[int] = []
-        self.rank: list[int] = []
         self.rep: dict[int, int] = {}
         self.node_args: list[Optional[tuple[int, ...]]] = []
-        self.node_op: list[Optional[str]] = []
         self.nodes: dict[tuple, int] = {}
         self.sig_table: dict[tuple, int] = {}
         self.parents: dict[int, list[int]] = {}
@@ -130,47 +132,43 @@ class _Engine:
         tid = len(self.terms)
         self.terms.append(t)
         self.parent.append(tid)
-        self.rank.append(0)
         self.rep[tid] = tid
         self.node_args.append(arg_ids)
-        self.node_op.append(t.op if arg_ids is not None else None)
         if arg_ids is not None:
             self.nodes[(t.op, arg_ids)] = tid
-            key = (t.op, tuple(self.find(a) for a in arg_ids))
-            other = self.sig_table.get(key)
-            if other is None:
-                self.sig_table[key] = tid
-            elif self.find(other) != tid:
-                self.pending.append((other, tid))
-            for root in set(key[1]):
+            for root in set(self._file(tid)):
                 self.parents.setdefault(root, []).append(tid)
         return tid
 
+    def _file(self, nid: int) -> tuple[int, ...]:
+        """File node ``nid`` in ``sig_table`` under its operation and child
+        roots, queueing a congruence with the node already filed there when
+        that one is in another class; returns the child roots."""
+        roots = tuple([self.find(a) for a in self.node_args[nid]])
+        other = self.sig_table.setdefault((self.terms[nid].op, roots), nid)
+        if self.find(other) != self.find(nid):
+            self.pending.append((other, nid))
+        return roots
+
     def union(self, a: int, b: int, reason) -> None:
         """Join the classes of ``a`` and ``b``, logging ``reason`` when they
-        were distinct."""
+        were distinct; the root with fewer parent nodes is merged away."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
-        if self.rank[ra] < self.rank[rb]:
+        parents = self.parents
+        if len(parents.get(ra, ())) < len(parents.get(rb, ())):
             ra, rb = rb, ra
-        elif self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
         self.parent[rb] = ra
         self.union_log.append((a, b, reason))
         rep = self.rep
         if self.terms[rep[rb]].sort_key() < self.terms[rep[ra]].sort_key():
             rep[ra] = rep[rb]
         del rep[rb]
-        moved = self.parents.pop(rb, [])
+        moved = parents.pop(rb, [])
         for nid in moved:
-            key = (self.node_op[nid], tuple(self.find(x) for x in self.node_args[nid]))
-            other = self.sig_table.get(key)
-            if other is None:
-                self.sig_table[key] = nid
-            elif self.find(other) != self.find(nid):
-                self.pending.append((other, nid))
-        self.parents.setdefault(ra, []).extend(moved)
+            self._file(nid)
+        parents.setdefault(ra, []).extend(moved)
 
     def drain(self) -> None:
         while self.pending:
@@ -188,8 +186,8 @@ class CongruenceState:
     """What a saturation run leaves: its certificate and its partial tables.
 
     Id ``i`` names the registered term ``terms[i]``; the generators are
-    ids 0..|x|-1, with no operation or children, and every other id is
-    the node ``node_op[i]`` over the ids ``node_args[i]``.  ``least[i]``
+    ids 0..|x|-1, with ``node_args[i]`` None, and every other id is the
+    node ``terms[i].op`` over the ids ``node_args[i]``.  ``least[i]``
     is the id of the least term of ``i``'s class.  Each ``union_log``
     entry ``(a, b, reason)`` joined the classes of ``a`` and ``b``; its
     reason is ``(component, images)`` for an instance of the flattened
@@ -207,7 +205,6 @@ class CongruenceState:
     identities: tuple[NaturalIdentity, ...]
     depth: int
     terms: tuple[Term, ...]
-    node_op: tuple[Optional[str], ...]
     node_args: tuple[Optional[tuple[int, ...]], ...]
     least: tuple[int, ...]
     union_log: tuple[tuple[int, int, object], ...]
@@ -276,29 +273,19 @@ def _flatten(ids: Iterable[NaturalIdentity], sig: Signature) -> list[tuple]:
     return components
 
 
-def _least(engine: _Engine) -> tuple[int, ...]:
-    """The id of the least term of each id's class."""
-    rep, find = engine.rep, engine.find
-    return tuple([rep[find(i)] for i in range(len(engine.terms))])
-
-
-def _op_tables(engine: _Engine, sig: Signature, least: Sequence[int]) -> dict:
-    """Each operation's table on the least terms of the classes, given the
-    least id of each id's class: every registered node sends the classes
-    of its children to its own class."""
+def _state(engine: _Engine, sig: Signature, x: FinSet, ids: Sequence[NaturalIdentity],
+           depth: int, counts: list[int]) -> CongruenceState:
+    """The engine's arrays and log as a state, with each operation's table
+    on the least terms of the classes: every registered node sends the
+    classes of its children to its own class."""
+    rep, find, terms = engine.rep, engine.find, engine.terms
+    least = tuple([rep[find(i)] for i in range(len(terms))])
     tables: dict = {name: {} for name, _ in sig}
-    terms = engine.terms
     for (op, arg_ids), nid in engine.nodes.items():
         tables[op][tuple([terms[least[a]] for a in arg_ids])] = terms[least[nid]]
-    return tables
-
-
-def _state(engine: _Engine, sig: Signature, x: FinSet, ids: Sequence[NaturalIdentity],
-           depth: int, counts: list[int], least: tuple[int, ...],
-           op_tables: dict) -> CongruenceState:
     return CongruenceState(
-        sig, x, tuple(ids), depth, tuple(engine.terms), tuple(engine.node_op),
-        tuple(engine.node_args), least, tuple(engine.union_log), op_tables, tuple(counts),
+        sig, x, tuple(ids), depth, tuple(terms), tuple(engine.node_args), least,
+        tuple(engine.union_log), tables, tuple(counts),
     )
 
 
@@ -325,11 +312,17 @@ def saturate(
 
     for depth in range(1, depth_bound + 1):
         frontier = engine.least_ids()
+        # The frontier adds every node over it that is not registered yet;
+        # the registered ones are counted only when the plain bound is over.
+        needed = len(engine.terms) + sum(len(frontier) ** arity for _, arity in sig)
+        if needed > max_universe:
+            inside = set(frontier)
+            needed -= sum(all(a in inside for a in arg_ids) for _, arg_ids in engine.nodes)
+            if needed > max_universe:
+                raise ResourceLimitError("saturation universe", needed, max_universe)
         for name, arity in sig:
             for arg_ids in itertools.product(frontier, repeat=arity):
                 engine.node(name, arg_ids)
-        if len(engine.terms) > max_universe:
-            raise ResourceLimitError("saturation universe", len(engine.terms), max_universe)
         engine.drain()
 
         while True:
@@ -360,20 +353,17 @@ def saturate(
 
         counts.append(len(engine.rep))
         if len(prev_roots) == len({engine.find(r) for r in prev_roots}) == len(engine.rep):
-            least = _least(engine)
-            tables = _op_tables(engine, sig, least)
+            state = _state(engine, sig, x, ids, depth, counts)
+            tables = state.op_tables
             if all(len(tables[name]) == len(engine.rep) ** arity for name, arity in sig):
-                state = _state(engine, sig, x, ids, depth, counts, least, tables)
                 carrier = FinSet(tuple(engine.terms[i] for i in engine.rep.values()))
                 algebra = FinAlgebra(sig, carrier, tables)
-                unit = FinMap(x, carrier, {a: engine.terms[least[i]] for i, a in enumerate(x)})
+                unit = FinMap(x, carrier,
+                              {a: state.terms[state.least[i]] for i, a in enumerate(x)})
                 return Stabilized(algebra, unit, depth, state)
         prev_roots = set(engine.rep)
 
-    least = _least(engine)
-    state = _state(engine, sig, x, ids, depth_bound, counts, least,
-                   _op_tables(engine, sig, least))
-    return Unstabilized(state, depth_bound)
+    return Unstabilized(_state(engine, sig, x, ids, depth_bound, counts), depth_bound)
 
 
 def _state_of(res: FreeAlgebraResult) -> CongruenceState:
@@ -434,9 +424,9 @@ def audit_derivations(res) -> bool:
 
 
 def _certified(res, state: CongruenceState) -> bool:
-    terms, ops, kids, least = state.terms, state.node_op, state.node_args, state.least
+    terms, kids, least = state.terms, state.node_args, state.least
     n, gens, arity = len(terms), state.x.elements, dict(state.sig)
-    if not len(ops) == len(kids) == len(least) == n >= len(gens):
+    if not len(kids) == len(least) == n >= len(gens):
         return False
     if any(terms[i] != Var(a) or kids[i] is not None for i, a in enumerate(gens)):
         return False
@@ -444,7 +434,7 @@ def _certified(res, state: CongruenceState) -> bool:
     for i in range(len(gens), n):
         t, args = terms[i], kids[i]
         if (
-            type(t) is not Node or t.op != ops[i] or arity.get(t.op) != len(args)
+            type(t) is not Node or arity.get(t.op) != len(args)
             or args and not 0 <= min(args) <= max(args) < i
             or t.args != tuple([terms[c] for c in args])
             or index.setdefault((t.op, args), i) != i
@@ -477,7 +467,7 @@ def _certified(res, state: CongruenceState) -> bool:
         if a not in ids or b not in ids:
             return False
         if reason == CONGRUENCE:
-            if ops[a] is None or ops[a] != ops[b] or any(
+            if kids[a] is None or kids[b] is None or terms[a].op != terms[b].op or any(
                 find(p) != find(q) for p, q in zip(kids[a], kids[b])
             ):
                 return False
@@ -503,7 +493,8 @@ def _certified(res, state: CongruenceState) -> bool:
 
     closure: dict[tuple, int] = {}
     for i in range(len(gens), n):
-        if closure.setdefault((ops[i], tuple([least[c] for c in kids[i]])), least[i]) != least[i]:
+        key = (terms[i].op, tuple([least[c] for c in kids[i]]))
+        if closure.setdefault(key, least[i]) != least[i]:
             return False
     stabilized = isinstance(res, Stabilized)
     for tables in (state.op_tables, res.algebra.tables) if stabilized else (state.op_tables,):

@@ -248,6 +248,16 @@ def test_variables_and_format():
         check_term(MAGMA, Node("m", (v("x"),)))
 
 
+@pytest.mark.parametrize("sig", [MAGMA, MONOID_SIG, Signature((("s", 1),))])
+def test_stages_hold_the_earlier_stages_terms(sig):
+    """Stage n is built on stage n-1's own terms, so a memo keyed on one
+    stage's terms is hit by the next stage's by identity."""
+    for n in range(1, 4):
+        earlier = stage(sig, TWO, n - 1).terms
+        later = {id(t) for t in stage(sig, TWO, n).terms}
+        assert all(id(t) in later for t in earlier)
+
+
 def test_stage_cache_is_bounded():
     """Every stage of a nullary-only signature is cheap, so the stages up
     to the height bound over a few generator sets overfill the cache."""

@@ -11,6 +11,7 @@ from finalg import (
     FinSet,
     Node,
     ResourceLimitError,
+    Signature,
     Stabilized,
     Unstabilized,
     ValidationError,
@@ -31,6 +32,7 @@ from finalg.dsl import parse_spec
 from finalg.identities import satisfies_all
 from finalg.variety import (
     CONGRUENCE,
+    _Engine,
     _flatten,
     audit_derivations,
     extension_count,
@@ -223,6 +225,26 @@ def test_word_equal_on_unstabilized_state(monoid_ids):
 def test_saturate_resource_guard(monoid_ids):
     with pytest.raises(ResourceLimitError):
         saturate(MONOID_SIG, monoid_ids, gens(2), 6, max_universe=50)
+
+
+def test_saturate_refuses_a_depth_before_building_it(monkeypatch):
+    """Depth 2 of t(x,x,x) = x on three generators would hold 19686 terms;
+    it is refused with that size before any of its nodes is built."""
+    ternary = Signature((("t", 3),))
+    x = v("x")
+    ids = [ident(ternary, Node("t", (x, x, x)), x, ("x",))]
+    built = []
+    add = _Engine._add
+
+    def counted(self, t, arg_ids):
+        built.append(t)
+        return add(self, t, arg_ids)
+
+    monkeypatch.setattr(_Engine, "_add", counted)
+    with pytest.raises(ResourceLimitError, match="needs 19686, limit is 100$"):
+        saturate(ternary, ids, gens(3), 2, max_universe=100)
+    assert len(built) == 3 + 27
+    assert max(t.height for t in built) == 1
 
 
 def test_saturate_rejects_bad_depth(monoid_ids):
@@ -492,6 +514,8 @@ def _tampered(res, identity):
             state, union_log=log[:dropped] + log[dropped + 1:]),
         "a spurious union added": dataclasses.replace(
             state, union_log=log + ((3, 4, CONGRUENCE),)),
+        "a congruence between a node and a generator": dataclasses.replace(
+            state, union_log=log + ((3, 0, CONGRUENCE),)),
         "an instance's images corrupted": relogged((component, tuple(i + 1 for i in images))),
         "an instance given as a congruence": relogged(CONGRUENCE),
         "a node's term changed": dataclasses.replace(
