@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .core import MAX_ENUMERATION, FinMap, FinSet
-from .errors import ResourceLimitError, ValidationError
+from .core import MAX_ENUMERATION, FinMap, FinSet, bounded_power
+from .errors import ValidationError
 from .functors import SigF, Signature, apply_obj
 from .terms import Node, Term, Var
 
@@ -154,22 +154,19 @@ def is_morphism(src: FinAlgebra, dst: FinAlgebra, h: FinMap) -> bool:
     return True
 
 
-def count_algebras(sig: Signature, carrier: FinSet) -> int:
-    """The number of algebras on the carrier: Π_σ |A|^(|A|^ar(σ))."""
+def count_algebras(sig: Signature, carrier: FinSet, max_count: int = MAX_ENUMERATION) -> int:
+    """The number Π_σ |A|^(|A|^ar(σ)) of algebras on the carrier, or a
+    :class:`ResourceLimitError` when it exceeds ``max_count``."""
     n = len(carrier)
-    count = 1
-    for _, arity in sig:
-        count *= n ** (n**arity)
-    return count
+    cells = sum(n**arity for _, arity in sig)
+    return bounded_power("algebra enumeration", n, cells, max_count)
 
 
 def enumerate_algebras(
     sig: Signature, carrier: FinSet, max_count: int = MAX_ENUMERATION
 ) -> Iterator[FinAlgebra]:
     """All algebras on the carrier, exactly once, in canonical table order."""
-    total = count_algebras(sig, carrier)
-    if total > max_count:
-        raise ResourceLimitError("algebra enumeration", total, max_count)
+    count_algebras(sig, carrier, max_count)
     keys_per_op = [
         (name, list(itertools.product(carrier.elements, repeat=arity)))
         for name, arity in sig

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import variety as variety_mod
 from .algebras import enumerate_algebras, evaluate
-from .core import MAX_ENUMERATION, FinSet
+from .core import MAX_ENUMERATION, FinSet, bounded_power, count_maps
 from .dsl import SpecModel, parse_spec, parse_term
 from .equations import (
     equation_to_identity,
@@ -273,9 +273,11 @@ def _cmd_equi(args, model: SpecModel, out: TextIO) -> int:
 
 
 def _cmd_em_check(args, model: Optional[SpecModel], out: TextIO) -> int:
+    # Both counts are bounded before any subset is built.
+    subsets = bounded_power(f"subsets of {args.size} atoms", 2, args.size, MAX_ENUMERATION)
+    candidates = count_maps(subsets, args.size)
     base = FinSet(tuple(str(i) for i in range(args.size)))
     m = powerset_instance(base)
-    candidates = len(base) ** len(m.object)
     valid = em_structures(m)
     print(f"base-size: {args.size}", file=out)
     print(f"candidates: {candidates}", file=out)

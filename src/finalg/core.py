@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, at_least
 
 # The map and algebra enumerators refuse to start beyond this many items.
 MAX_ENUMERATION = 1_000_000
@@ -241,17 +241,32 @@ def kernel_pair(proj: FinMap) -> list[tuple]:
     return pairs
 
 
+def bounded_power(what: str, base: int, exp: int, limit: int) -> int:
+    """``base ** exp``, or :class:`ResourceLimitError` for ``what`` when it
+    exceeds ``limit``.  Once its lower bound ``2 ** bits`` is past both
+    ``limit`` and ``2 ** 65536``, the power is refused and never built."""
+    bits = (base.bit_length() - 1) * exp
+    if bits > max(1 << 16, limit.bit_length()):
+        raise ResourceLimitError(what, at_least(bits), limit)
+    total = base ** exp
+    if total > limit:
+        raise ResourceLimitError(what, total, limit)
+    return total
+
+
+def count_maps(dom_size: int, cod_size: int) -> int:
+    """``cod_size ** dom_size``, the number of maps; refused above ``MAX_ENUMERATION``."""
+    return bounded_power(f"map enumeration from {dom_size} into {cod_size} atoms",
+                         cod_size, dom_size, MAX_ENUMERATION)
+
+
 def enumerate_maps(a: FinSet, b: FinSet) -> Iterator[FinMap]:
     """All |b|^|a| total maps a → b, each exactly once, in canonical order.
 
     Raises :class:`ResourceLimitError` at the call, before any map is
     built, when there are more than ``MAX_ENUMERATION`` of them.
     """
-    total = len(b) ** len(a)
-    if total > MAX_ENUMERATION:
-        raise ResourceLimitError(
-            f"map enumeration from {len(a)} into {len(b)} atoms", total, MAX_ENUMERATION
-        )
+    count_maps(len(a), len(b))
     elems = a.elements
     return (
         FinMap._trusted(a, b, dict(zip(elems, images)))

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from finalg import (
     FinMap,
     FinSet,
-    FunctorExpr,
-    ReprF,
+    SigF,
     Signature,
-    SumF,
     Term,
     Var,
     apply_obj,
@@ -47,9 +45,10 @@ def is_surjective(f: FinMap) -> bool:
     return len(set(f.table.values())) == len(f.cod)
 
 
-def domain_expr(t: NaturalTerm | NaturalIdentity) -> FunctorExpr:
-    """The domain functor as an expression: a sum of representables."""
-    return SumF(tuple(ReprF(k) for k in t.domain))
+def domain_expr(t: NaturalTerm | NaturalIdentity) -> SigF:
+    """The domain functor ∐ᵢ hom(kᵢ, -) as the signature functor with one
+    operation ``ci`` of arity kᵢ per component."""
+    return SigF(domain_signature(t.domain))
 
 
 def format_model(model: SpecModel) -> str:
@@ -136,9 +135,11 @@ def satisfies_transform(alg, ident):
 
     def component(nt):
         table = {}
-        for (i, args) in ga:
-            names = canonical_vars(ident.domain[i])
-            table[(i, args)] = substitute(nt.data[i], {v: Var(a) for v, a in zip(names, args)})
+        for i, k in enumerate(ident.domain):
+            names = canonical_vars(k)
+            for args in itertools.product(alg.carrier.elements, repeat=k):
+                table[(f"c{i}", args)] = substitute(
+                    nt.data[i], {v: Var(a) for v, a in zip(names, args)})
         return FinMap(ga, st, table)
 
     identity_binding = {a: a for a in alg.carrier}

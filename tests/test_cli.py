@@ -3,8 +3,11 @@ import time
 
 import pytest
 
+from finalg import FinMap, FinSet, Node, Var, cli, enumerate_algebras
 from finalg.cli import MAX_PRINTED_STAGE_SIZE, _build_parser, run
 from finalg.dsl import MAX_TERM_DEPTH
+from finalg.identities import ClassComparison
+from finalg.monadic import MonadMapReport
 from conftest import CORPUS_TEXT
 
 
@@ -486,6 +489,88 @@ def test_em_check_refuses_unbounded_enumeration():
     assert code == 2
     assert out == ""
     assert "resource limit: map enumeration" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["enumerate", "--spec", "{corpus}", "--signature", "Magma", "--size", "60"],
+         "resource limit: algebra enumeration: needs at least 10^6401, limit is 1000000\n"),
+        (["em-check", "--size", "12"],
+         "resource limit: map enumeration from 4096 into 12 atoms: "
+         "needs at least 10^4420, limit is 1000000\n"),
+        (["check", "--spec", "{unary}", "--algebra", "Flip", "--identity", "inv",
+          "--equation-generators", "20000"],
+         "resource limit: map enumeration from 20000 into 2 atoms: "
+         "needs at least 10^6020, limit is 1000000\n"),
+    ],
+    ids=["enumerate-60", "em-check-12", "check-equation-20000"],
+)
+def test_demands_too_long_to_print_are_stated_as_lower_bounds(argv, err, corpus_file, tmp_path):
+    """60^3600, 12^4096 and 2^20000 have more digits than ``str`` prints:
+    each refusal is one line with a power of ten below the demand."""
+    unary = tmp_path / "unary.alg"
+    unary.write_text(UNARY_SPEC, encoding="utf-8")
+    argv = [a.format(corpus=corpus_file, unary=unary) for a in argv]
+    assert invoke(argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["enumerate", "--spec", "{corpus}", "--signature", "Magma", "--size", "3000"],
+         "resource limit: algebra enumeration: needs at least 10^29801969, limit is 1000000\n"),
+        (["em-check", "--size", "18"],
+         "resource limit: map enumeration from 262144 into 18 atoms: "
+         "needs at least 10^315652, limit is 1000000\n"),
+        (["em-check", "--size", "25"],
+         "resource limit: subsets of 25 atoms: needs 33554432, limit is 1000000\n"),
+    ],
+    ids=["enumerate-3000", "em-check-18", "em-check-25"],
+)
+def test_large_enumerations_are_refused_before_any_work(argv, err, corpus_file):
+    """The count is compared with its bound before the power is built and
+    before any subset of the base exists."""
+    start = time.monotonic()
+    result = invoke([a.format(corpus=corpus_file) for a in argv])
+    assert time.monotonic() - start < 0.5
+    assert result == (2, "", err)
+
+
+def test_uprop_prints_the_witness_on_a_disagreement(corpus_file, monkeypatch):
+    def disagree(res, ids, target):
+        return FinMap(res.unit.dom, target.carrier, {"x1": "1"}), 2
+
+    monkeypatch.setattr(cli.variety_mod, "universal_property_witness", disagree)
+    assert invoke(
+        ["uprop", "--spec", corpus_file, "--presentation", "SemilatticeUnit",
+         "--generators", "1", "--max-depth", "5", "--target", "B"]
+    ) == (1, "assignments: 2\nunique-extensions: false\n"
+             "witness-assignment: x1=1\nwitness-extensions: 2\n", "")
+
+
+def test_equi_prints_the_witness_on_a_disagreement(corpus_file, monkeypatch):
+    def disagree(ident, level, max_size):
+        witness = next(enumerate_algebras(ident.sig, FinSet(("0", "1"))))
+        return ClassComparison(False, witness, 7)
+
+    monkeypatch.setattr(cli, "equi_check", disagree)
+    assert invoke(
+        ["equi", "--spec", corpus_file, "--identity", "comm", "--level", "2",
+         "--max-size", "2"]
+    ) == (1, "checked: 7\nequivalent: false\nwitness-carrier: 2\n", "")
+
+
+def test_rho_chain_prints_the_witness_on_a_disagreement(corpus_file, monkeypatch):
+    elem = Node("c0", (Var("x1"), Var("x2")))
+
+    def disagree(nt, bound, x):
+        return MonadMapReport(False, 9, (("compatibility", (0, 1), elem),))
+
+    monkeypatch.setattr(cli, "check_monad_map", disagree)
+    assert invoke(
+        ["rho-chain", "--spec", corpus_file, "--identity", "comm", "--bound", "2"]
+    ) == (1, "checked: 9\nholds: false\nwitness: compatibility at (0, 1) on c0(x1,x2)\n", "")
 
 
 @pytest.mark.parametrize(

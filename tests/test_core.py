@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,7 @@ from finalg import (
     quotient,
     stage,
 )
-from finalg.core import MAX_ENUMERATION
+from finalg.core import MAX_ENUMERATION, bounded_power
 from conftest import MAGMA, m, v
 from oracles import is_injective, is_surjective
 
@@ -141,8 +143,30 @@ def test_enumerate_maps_bounded_before_it_starts():
         enumerate_maps(FinSet(tuple(range(13))), FinSet((0, 1, 2)))
     assert info.value.needed == 3**13
     assert info.value.limit == MAX_ENUMERATION
+    assert str(info.value) == (
+        "map enumeration from 13 into 3 atoms: needs 1594323, limit is 1000000")
     first = next(enumerate_maps(FinSet(tuple(range(12))), FinSet((0, 1, 2))))
     assert set(first.table.values()) == {0}
+
+
+@pytest.mark.parametrize(
+    "base, exp", [(7, 6000), (2, 20000), (60, 3600), (18, 262144), (3000, 9_000_000)]
+)
+def test_demands_too_long_to_print_are_stated_from_below(base, exp):
+    """Past what ``str`` prints, the refusal states a power of ten 10^k with
+    10^k <= base^exp; the two largest powers are never built."""
+    with pytest.raises(ResourceLimitError) as info:
+        bounded_power("demand", base, exp, MAX_ENUMERATION)
+    message = str(info.value)
+    assert message.startswith("demand: needs at least 10^")
+    assert message.endswith(f", limit is {MAX_ENUMERATION}")
+    k = int(message.split("10^")[1].split(",")[0])
+    assert exp * math.log10(base) / 2 <= k <= exp * math.log10(base)
+
+
+def test_bounded_power_admits_its_limit():
+    assert bounded_power("demand", 10, 6, MAX_ENUMERATION) == MAX_ENUMERATION
+    assert bounded_power("demand", 0, 0, 1) == 1
 
 
 small_atoms = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5, unique=True)

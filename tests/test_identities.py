@@ -4,8 +4,8 @@ from finalg import (
     FinSet,
     NaturalIdentity,
     NaturalTerm,
-    ReprF,
-    SumF,
+    SigF,
+    Signature,
     ValidationError,
     bundle,
     enumerate_algebras,
@@ -102,7 +102,7 @@ def test_bundle_monoid_shape(monoid_ids):
     bundled = bundle(monoid_ids)
     assert bundled.domain == (3, 1, 1)
     assert bundled.arity == 2
-    assert domain_expr(bundled) == SumF((ReprF(3), ReprF(1), ReprF(1)))
+    assert domain_expr(bundled) == SigF(Signature((("c0", 3), ("c1", 1), ("c2", 1))))
 
 
 def test_bundle_satisfaction(monoid_ids, or_monoid, and_monoid):

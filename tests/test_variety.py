@@ -499,6 +499,8 @@ def _tampered(res, identity):
     reps = sorted(set(least))
     largest = max(reps, key=least.count)
     member = next(i for i, c in enumerate(least) if c == largest and i != largest)
+    n = len(terms)
+    components = sum(len(i.domain) for i in state.identities)
     x1, x2 = Var("x1"), Var("x2")
     tables = {op: dict(table) for op, table in res.algebra.tables.items()}
     tables["m"][(x1, x2)] = x1
@@ -527,6 +529,21 @@ def _tampered(res, identity):
         "a table entry changed": (
             FinAlgebra(res.algebra.sig, res.algebra.carrier, tables),
             dataclasses.replace(state, op_tables=tables)),
+        # Each row below passes every other test of the checker, so exactly
+        # one test refuses it.
+        "a class entry for no id": dataclasses.replace(state, least=least + (0,)),
+        "a generator given children": dataclasses.replace(state, node_args=((),) + kids[1:]),
+        "a union naming an id by a negative index": dataclasses.replace(
+            state, union_log=log + ((3, 3 - n, CONGRUENCE),)),
+        "an instance naming its component by a negative index": relogged(
+            (component - components, images)),
+        "an instance with an extra image": relogged((component, images + images[:1])),
+        "an instance's ends swapped": dataclasses.replace(
+            state, union_log=log[:instance] + ((b, a, (component, images)),)
+            + log[instance + 1:]),
+        "a table entry added": dataclasses.replace(
+            state, op_tables={**state.op_tables,
+                              "m": {**state.op_tables["m"], (Var("x3"), x1): x1}}),
     }
 
 
@@ -548,3 +565,44 @@ def test_derivation_audit_refuses_tampered_states(comm):
         else:
             tampered = dataclasses.replace(res, state=tampered)
         assert not audit_derivations(tampered), what
+
+
+def _unclosed(state):
+    """The state with its last congruence union dropped, each class renamed
+    to its least id once the log is replayed without it, and tables read
+    off the first node of each operation and child classes: consistent
+    everywhere except that two nodes over joined children stay apart."""
+    log, kids, terms = state.union_log, state.node_args, state.terms
+    last = max(k for k, (_, _, reason) in enumerate(log) if reason == CONGRUENCE)
+    log = log[:last] + log[last + 1:]
+    parent = list(range(len(terms)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for p, q, _ in log:
+        p, q = find(p), find(q)
+        parent[max(p, q)] = min(p, q)
+    least = tuple(find(i) for i in range(len(terms)))
+    tables = {op: {} for op in state.op_tables}
+    for i in range(len(state.x), len(terms)):
+        args = tuple(terms[least[c]] for c in kids[i])
+        tables[terms[i].op].setdefault(args, terms[least[i]])
+    return dataclasses.replace(state, union_log=log, least=least, op_tables=tables)
+
+
+def test_derivation_audit_refuses_tampered_unstabilized_states():
+    """Without a carrier, unit or variety check to fall back on, the
+    identity signature check and the congruence closure check each refuse
+    their tamper alone."""
+    state = _band_result().state
+    assert audit_derivations(Unstabilized(state, state.depth))
+    other = ident(MONOID_SIG, m(X, Y), m(Y, X), ("x", "y"))
+    for what, tampered in {
+        "an identity over another signature added": dataclasses.replace(
+            state, identities=state.identities + (other,)),
+        "a congruence union dropped, the rest made consistent": _unclosed(state),
+    }.items():
+        assert not audit_derivations(Unstabilized(tampered, state.depth)), what
