@@ -14,11 +14,11 @@ failure.
 ``FinAlgebra(...)`` checks that every table is total with values in the
 carrier and that no table names an unknown operation.
 ``FinAlgebra._trusted`` checks nothing; its callers are
-``enumerate_algebras``, whose tables are total by construction, and the
-declaration parser, which has already checked each table and reported
-any fault with its position.  Algebras built from other values (a
-quotient, an Eilenberg-Moore structure) go through the checked
-constructor.
+``enumerate_algebras`` and ``_orbit_representatives``, whose tables are
+total by construction, and the declaration parser, which has already
+checked each table and reported any fault with its position.  Algebras
+built from other values (a quotient, an Eilenberg-Moore structure) go
+through the checked constructor.
 """
 from __future__ import annotations
 
@@ -180,3 +180,97 @@ def enumerate_algebras(
             for (name, keys), images in zip(keys_per_op, choice)
         }
         yield FinAlgebra._trusted(sig, carrier, tables)
+
+
+def _orbit_representatives(sig: Signature, carrier: FinSet) -> Iterator[tuple[int, FinAlgebra]]:
+    """The lex-least member of each isomorphism orbit of algebras on the
+    carrier, as ``(rank, algebra)`` in the order of ``enumerate_algebras``;
+    ``rank`` is the algebra's position in that enumeration.
+
+    An algebra is the vector of its table cells, laid out as
+    ``enumerate_algebras`` lays them out, with values as carrier
+    positions.  A carrier permutation p sends it to the vector whose cell
+    at key p(a) holds p of the cell at key a.  The walk fills the cells in
+    order, one iterative depth-first pass (a 1-point carrier has one cell
+    per operation, however many there are), and drops a prefix, with every
+    completion, when a permutation maps each completion to a smaller one:
+    - when a cell's value exceeds the least value named by no key or value
+      before it, swapping the two does (SEM's least-number heuristic);
+    - when a permutation maps the known part of the prefix to a smaller
+      one (orderly generation, Read 1978).  Each permutation's action on
+      cell indices is tabulated once.
+    Once an operation has positive arity, every element is named by some
+    key and every permutation is tried; otherwise the first rule alone is
+    exact.  The caller bounds the count first (``count_algebras``), which
+    keeps a carrier with a positive-arity operation at 7 points or fewer.
+    """
+    n, elems = len(carrier), carrier.elements
+    cell_of, layout = {}, []  # layout per operation: name, first cell, end cell, keys
+    for name, arity in sig:
+        start = len(cell_of)
+        for key in itertools.product(range(n), repeat=arity):
+            cell_of[name, key] = len(cell_of)
+        layout.append((name, start, len(cell_of), list(itertools.product(elems, repeat=arity))))
+    cells = len(cell_of)
+    named = [max(key, default=-1) for _, key in cell_of]  # greatest position a key names
+    # Per permutation p other than the identity: p, and per cell the cell
+    # at the key that p sends to this cell's key.
+    actions = []
+    if any(arity for _, arity in sig):
+        for p in itertools.islice(itertools.permutations(range(n)), 1, None):
+            inverse = sorted(range(n), key=p.__getitem__)
+            source = [cell_of[name, tuple(inverse[b] for b in key)] for name, key in cell_of]
+            actions.append((p, source, 0))
+
+    def build(vector):
+        values = [elems[x] for x in vector]
+        tables = {name: dict(zip(op_keys, values[start:end]))
+                  for name, start, end, op_keys in layout}
+        rank = 0
+        for x in vector:
+            rank = rank * n + x
+        return rank, FinAlgebra._trusted(sig, carrier, tables)
+
+    if cells == 0:
+        yield build(())
+        return
+
+    vector = [-1] * cells
+
+    def undecided(parent, known):
+        """The permutations of ``parent`` whose image of the first ``known``
+        cells is not yet greater, each with the cell where the comparison
+        waits for an unknown value; None once an image is smaller."""
+        out = []
+        for p, source, j in parent:
+            while j < known and source[j] < known:
+                image, value = p[vector[source[j]]], vector[j]
+                if image != value:
+                    break
+                j += 1
+            else:
+                out.append((p, source, j))
+                continue
+            if image < value:
+                return None
+        return out
+
+    # Per cell j: the greatest position named by a key up to j or a value
+    # before j, and the permutations still undecided on the cells before j.
+    high, live = named[:1] + [0] * (cells - 1), [actions] + [None] * (cells - 1)
+    j = 0
+    while j >= 0:
+        vector[j] += 1
+        if vector[j] > high[j] + 1 or vector[j] == n:
+            vector[j] = -1
+            j -= 1
+            continue
+        pending = undecided(live[j], j + 1)
+        if pending is None:
+            continue
+        if j + 1 == cells:
+            yield build(vector)
+            continue
+        j += 1
+        high[j] = max(high[j - 1], vector[j - 1], named[j])
+        live[j] = pending

@@ -38,7 +38,7 @@ from .monadic import (
     equi_check,
     powerset_instance,
 )
-from .terms import MAX_STAGE_SIZE, format_term, iter_stage_sizes, stage
+from .terms import MAX_STAGE_SIZE, _stage_bounds, format_term, iter_stage_sizes, stage
 
 # ``chain`` refuses to print a stage size above this (the sizes grow doubly
 # exponentially, so each step past it would cost more than the last).
@@ -135,7 +135,14 @@ def _cmd_check(args, model: SpecModel, out: TextIO) -> int:
     alg = _declared(model.algebras, "algebra", args.algebra).algebra
     ident = _identity(model, args.identity)
     if args.equation_generators is not None:
-        arrow = identity_to_equation(ident, _generators(args.equation_generators))
+        x = _generators(args.equation_generators)
+        # Both demands are known from N and the carrier, so they are refused
+        # before the stage and its quotient are built, in the order the
+        # conversion and then ``satisfies_equation`` would refuse them.
+        _stage_bounds(ident.sig, x, ident.arity)
+        if alg.sig == ident.sig:
+            count_maps(len(x), len(alg.carrier))
+        arrow = identity_to_equation(ident, x)
         ok = satisfies_equation(alg, arrow)
         print("mode: equation", file=out)
         print(f"satisfies: {'true' if ok else 'false'}", file=out)

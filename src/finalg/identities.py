@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .algebras import Compiled, FinAlgebra, compile_term, enumerate_algebras
+from .algebras import (
+    Compiled,
+    FinAlgebra,
+    _orbit_representatives,
+    compile_term,
+    count_algebras,
+)
 from .core import FinSet
 from .errors import ValidationError
 from .functors import Signature
@@ -177,7 +183,11 @@ def from_sigma(sig: Signature, lhs: Term, rhs: Term, vars: FinSet) -> NaturalIde
 
 @dataclass(frozen=True)
 class ClassComparison:
-    """Outcome of comparing two satisfied classes over bounded carriers."""
+    """Outcome of comparing two satisfied classes over bounded carriers.
+
+    ``checked`` is nominal: the number of algebras that plain enumeration
+    would have tried, up to and including the witness, or all of them
+    when the classes agree.  ``compare_classes`` evaluates fewer."""
 
     equal: bool
     witness: Optional[FinAlgebra]
@@ -202,16 +212,23 @@ def compare_classes(
     """Compare two classes of algebras, given by membership predicates, on
     every algebra over ``sig`` with carrier ``0..n-1`` for n = 1..max_size.
 
-    ``checked`` counts the algebras tried; the witness is the first one
-    that lies in exactly one of the classes.
+    The witness is the first algebra, in the order of
+    ``enumerate_algebras``, that lies in exactly one of the classes.  Both
+    predicates must be invariant under relabelling the carrier (as
+    ``satisfies_all``, ``satisfies_level`` and ``dalg_check`` are): then
+    the first such algebra is the lex-least member of its isomorphism
+    orbit, so only those members are evaluated, in the same order.
+    ``checked`` is nominal, the carrier's count of algebras up to the
+    witness's rank; each size's count is bounded before its walk starts.
     """
     checked = 0
     for size in range(1, max_size + 1):
         carrier = FinSet(tuple(range(size)))
-        for alg in enumerate_algebras(sig, carrier):
-            checked += 1
+        total = count_algebras(sig, carrier)
+        for rank, alg in _orbit_representatives(sig, carrier):
             if in_left(alg) != in_right(alg):
-                return ClassComparison(False, alg, checked)
+                return ClassComparison(False, alg, checked + rank + 1)
+        checked += total
     return ClassComparison(True, None, checked)
 
 

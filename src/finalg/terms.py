@@ -194,11 +194,10 @@ def _stage_terms(sig: Signature, x: FinSet, n: int) -> FinSet:
     return FinSet(tuple(atoms))
 
 
-def stage(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> Stage:
-    """Build stage ``n`` over variable set ``x``; guards against blow-up.
-
-    Refused when a size up to stage ``n`` exceeds ``max_size``, and then
-    when ``n`` exceeds ``MAX_TERM_DEPTH``."""
+def _stage_bounds(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> None:
+    """Refuse stage ``n`` over ``x`` as ``stage`` does, from the sizes alone:
+    when a size up to stage ``n`` exceeds ``max_size``, and then when ``n``
+    exceeds ``MAX_TERM_DEPTH``."""
     if n < 0:
         raise ValidationError("negative stage index")
     for k, size in zip(range(n + 1), iter_stage_sizes(sig, x)):
@@ -206,6 +205,12 @@ def stage(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> 
             raise ResourceLimitError(f"stage {k} over {len(x)} variables", size, max_size)
     if n > MAX_TERM_DEPTH:
         raise ResourceLimitError(f"term height of stage {n}", n, MAX_TERM_DEPTH)
+
+
+def stage(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> Stage:
+    """Build stage ``n`` over variable set ``x``, once ``_stage_bounds``
+    admits it."""
+    _stage_bounds(sig, x, n, max_size)
     return Stage(sig, x, n, _stage_terms(sig, x, n))
 
 

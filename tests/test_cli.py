@@ -518,6 +518,40 @@ def test_demands_too_long_to_print_are_stated_as_lower_bounds(argv, err, corpus_
 @pytest.mark.parametrize(
     "argv, err",
     [
+        (["check", "--spec", "{unary}", "--algebra", "Flip", "--identity", "inv",
+          "--equation-generators", "20000"],
+         "resource limit: map enumeration from 20000 into 2 atoms: "
+         "needs at least 10^6020, limit is 1000000\n"),
+        (["check", "--spec", "{corpus}", "--algebra", "Or", "--identity", "assoc",
+          "--equation-generators", "21"],
+         "resource limit: map enumeration from 21 into 2 atoms: "
+         "needs 2097152, limit is 1000000\n"),
+        (["check", "--spec", "{corpus}", "--algebra", "Or", "--identity", "assoc",
+          "--equation-generators", "100"],
+         "resource limit: stage 2 over 100 variables: needs 102010100, limit is 1000000\n"),
+    ],
+    ids=["flip-20000", "or-21", "or-100"],
+)
+def test_equation_check_is_bounded_before_the_conversion(argv, err, corpus_file, tmp_path,
+                                                         monkeypatch):
+    """The stage sizes and the |A|^N assignments are known from N and the
+    carrier, so an over-large demand is refused before the equation arrow is
+    built; a stage over its bound is still refused first."""
+    def fail(ident, x):
+        raise AssertionError("identity_to_equation called")
+
+    monkeypatch.setattr(cli, "identity_to_equation", fail)
+    unary = tmp_path / "unary.alg"
+    unary.write_text(UNARY_SPEC, encoding="utf-8")
+    start = time.monotonic()
+    result = invoke([a.format(corpus=corpus_file, unary=unary) for a in argv])
+    assert time.monotonic() - start < 0.5
+    assert result == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
         (["enumerate", "--spec", "{corpus}", "--signature", "Magma", "--size", "3000"],
          "resource limit: algebra enumeration: needs at least 10^29801969, limit is 1000000\n"),
         (["em-check", "--size", "18"],

@@ -29,6 +29,7 @@ from finalg import (
     stage,
     variety_vs_dalg,
 )
+from finalg import monadic
 from finalg.core import atom_key
 from finalg.monadic import (
     dalg_violation,
@@ -220,6 +221,22 @@ def test_equi_tautology():
 def test_equi_level_one_matches_direct_satisfaction(comm):
     for alg in enumerate_algebras(MAGMA, FinSet((0, 1))):
         assert satisfies_level(alg, comm, 1) == satisfies(alg, comm)
+
+
+def test_equi_evaluates_one_algebra_per_isomorphism_orbit(idem, monkeypatch):
+    """Magmas on 1, 2 and 3 points fall into 1 + 10 + 3330 orbits; the
+    comparison evaluates one algebra from each, while ``checked`` still
+    counts all 19,700."""
+    calls = []
+
+    def counting(alg, ident):
+        calls.append(len(alg.carrier))
+        return satisfies(alg, ident)
+
+    monkeypatch.setattr(monadic, "satisfies", counting)
+    cmp = equi_check(idem, 1, 3)
+    assert (cmp.equal, cmp.checked) == (True, 19700)
+    assert [calls.count(size) for size in (1, 2, 3)] == [1, 10, 3330]
 
 
 # --- evaluation is an Eilenberg-Moore structure ----------------------------
