@@ -2,27 +2,44 @@
 
 An algebra is a finite carrier plus one total operation table per
 symbol; equivalently a single structure map F(A) → A, available as a
-derived view.  A term is evaluated by compiling it once into nested
-closures (``compile_term``) that fold it through the tables, with its
-variables resolved to positions in a value tuple; the fold depends only
+derived view.  The tables are stored flat: per operation, in signature
+order, a tuple of carrier *positions* (indices into
+``carrier.elements``), whose cell ``i`` holds the image of the ``i``-th
+argument tuple of ``itertools.product(carrier.elements, repeat=arity)``.
+On an ``n``-point carrier the arguments at positions ``a1..ak`` sit in
+cell ``(..(a1·n + a2)·n ..)·n + ak``, mixed radix with stride ``n``, as in
+the cell arrays of the finite model finders SEM and Mace4.  An
+enumerated algebra's flat tables are the ``itertools.product`` tuple
+itself.  ``FinAlgebra.tables``, the ``{name: {args: value}}`` view of
+elements, is built from them on first access, for printing, witnesses
+and callers outside the evaluator.
+
+A term is evaluated by compiling it once into nested closures
+(``compile_term``) that fold it on positions through the flat tables,
+with its operations resolved to their index in the signature and its
+variables to positions in a value tuple; the stride is an argument, so
+one compiled term serves every carrier size, and the fold depends only
 on the term, so it is independent of the stage a term is viewed in.
-Callers that evaluate one term under many assignments compile it once:
-``identities.violation`` runs each identity's sides, compiled once, over
-the assignments in ``itertools.product`` order and reports the first
-failure.
+Values are mapped between carrier elements and positions only where a
+caller passes elements in or takes them out.  Callers that evaluate one
+term under many assignments compile it once: ``identities.satisfies``
+runs each identity's sides, compiled once, over the position
+assignments in ``itertools.product`` order.
 
 ``FinAlgebra(...)`` checks that every table is total with values in the
-carrier and that no table names an unknown operation.
-``FinAlgebra._trusted`` checks nothing; its callers are
-``enumerate_algebras`` and ``_orbit_representatives``, whose tables are
-total by construction, and the declaration parser, which has already
-checked each table and reported any fault with its position.  Algebras
-built from other values (a quotient, an Eilenberg-Moore structure) go
-through the checked constructor.
+carrier and that no table names an unknown operation, then stores the
+tables flat.  ``FinAlgebra._trusted`` takes flat tables and checks
+nothing; its callers are ``enumerate_algebras`` and
+``_orbit_representatives``, whose tables are total by construction, and
+the declaration parser, which has already checked each table, reported
+any fault with its position, and flattens it with ``_flatten_tables``.
+Algebras built from other values (a quotient, an Eilenberg-Moore
+structure) go through the checked constructor.
 """
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import MAX_ENUMERATION, FinMap, FinSet, bounded_power
@@ -30,12 +47,14 @@ from .errors import ValidationError
 from .functors import SigF, Signature, apply_obj
 from .terms import Node, Term, Var
 
+Flat = tuple[tuple[int, ...], ...]
+
 
 class FinAlgebra:
-    """Finite carrier plus a total operation table per symbol, keyed in
-    signature order."""
+    """Finite carrier plus a total operation table per symbol, stored as
+    flat tables of carrier positions in signature order."""
 
-    __slots__ = ("sig", "carrier", "tables")
+    __slots__ = ("sig", "carrier", "flat", "_tables")
 
     def __init__(self, sig: Signature, carrier: FinSet, tables: Mapping[str, Mapping]):
         for name, arity in sig:
@@ -54,23 +73,44 @@ class FinAlgebra:
             raise ValidationError(f"table for unknown operation {sorted(extra)[0]!r}")
         self.sig = sig
         self.carrier = carrier
-        self.tables = {name: dict(tables[name]) for name, _ in sig}
+        self.flat = _flatten_tables(sig, carrier, tables)
+        self._tables = None
 
     @classmethod
-    def _trusted(cls, sig: Signature, carrier: FinSet, tables: dict) -> "FinAlgebra":
-        """The algebra of ``tables``, which must be total, within the carrier
-        and keyed in signature order; they are kept, not copied."""
+    def _trusted(cls, sig: Signature, carrier: FinSet, flat: Flat) -> "FinAlgebra":
+        """The algebra of the flat tables ``flat``, which must hold one
+        table per operation in signature order, each with a position for
+        every argument tuple; they are kept, not copied."""
         alg = object.__new__(cls)
         alg.sig = sig
         alg.carrier = carrier
-        alg.tables = tables
+        alg.flat = flat
+        alg._tables = None
         return alg
+
+    @property
+    def tables(self) -> Mapping[str, Mapping[tuple, object]]:
+        """The operation tables as read-only ``{name: {args: value}}``
+        mappings of carrier elements, in signature order, built from the
+        flat tables on first access."""
+        if self._tables is None:
+            self._tables = self._table_view()
+        return self._tables
+
+    def _table_view(self) -> Mapping[str, Mapping[tuple, object]]:
+        elems = self.carrier.elements
+        view = {}
+        for (name, arity), cells in zip(self.sig, self.flat):
+            keys = itertools.product(elems, repeat=arity)
+            view[name] = MappingProxyType({args: elems[p] for args, p in zip(keys, cells)})
+        return MappingProxyType(view)
 
     def structure_map(self) -> FinMap:
         """The single structure map F(A) → A over the signature functor."""
         dom = apply_obj(SigF(self.sig), self.carrier)
+        tables = self.tables
         return FinMap(
-            dom, self.carrier, {(name, args): self.tables[name][args] for (name, args) in dom}
+            dom, self.carrier, {(name, args): tables[name][args] for (name, args) in dom}
         )
 
     def __eq__(self, other) -> bool:
@@ -78,65 +118,115 @@ class FinAlgebra:
             isinstance(other, FinAlgebra)
             and self.sig == other.sig
             and self.carrier == other.carrier
-            and self.tables == other.tables
+            and self.flat == other.flat
         )
 
     def __hash__(self):
-        items = tuple(
-            (name, tuple(sorted(table.items(), key=repr)))
-            for name, table in self.tables.items()
-        )
-        return hash((self.sig, self.carrier, items))
+        return hash((self.sig, self.carrier, self.flat))
 
     def __repr__(self) -> str:
         return f"FinAlgebra({self.sig.names()}, carrier={len(self.carrier)})"
 
 
-Compiled = Callable[[Mapping[str, Mapping], Sequence], object]
+def _flatten_tables(sig: Signature, carrier: FinSet, tables: Mapping[str, Mapping]) -> Flat:
+    """The flat tables of ``tables``, which must be total with values in
+    the carrier."""
+    elems = carrier.elements
+    position = {a: i for i, a in enumerate(elems)}
+    flat = []
+    for name, arity in sig:
+        table = tables[name]
+        flat.append(tuple([position[table[args]]
+                           for args in itertools.product(elems, repeat=arity)]))
+    return tuple(flat)
 
 
-def compile_term(t: Term, names: Sequence) -> Compiled:
-    """Compile ``t`` into ``f(tables, values)``, the fold of ``t`` through
-    ``tables`` with variable ``names[j]`` bound to ``values[j]``.
+Compiled = Callable[[Flat, int, Sequence[int]], int]
 
-    Variables are resolved to positions here; a variable outside ``names``
-    is refused now, not when the closure runs.
+
+def compile_term(sig: Signature, t: Term, names: Sequence) -> Compiled:
+    """Compile ``t`` into ``f(flat, n, positions)``, the position of the
+    fold of ``t`` through the flat tables ``flat`` of ``sig`` over an
+    ``n``-point carrier, with variable ``names[j]`` bound to the element
+    at ``positions[j]``.
+
+    Operations are resolved to their index in ``sig`` and variables to
+    their index in ``names`` here: an unknown operation, a node with the
+    wrong number of arguments or a variable outside ``names`` is refused
+    now, not when the closure runs.
     """
-    return _compile(t, {name: j for j, name in enumerate(names)})
+    ops = {name: (i, arity) for i, (name, arity) in enumerate(sig)}
+    return _compile(t, ops, {name: j for j, name in enumerate(names)})
 
 
-def _compile(t: Term, index: Mapping) -> Compiled:
+def _position(v: Var, index: Mapping) -> int:
+    try:
+        return index[v.name]
+    except KeyError:
+        raise ValidationError(f"unbound variable {v.name!r}") from None
+
+
+def _compile(t: Term, ops: Mapping, index: Mapping) -> Compiled:
     if type(t) is Var:
-        try:
-            j = index[t.name]
-        except KeyError:
-            raise ValidationError(f"unbound variable {t.name!r}") from None
-        return lambda tables, values: values[j]
+        j = _position(t, index)
+        return lambda flat, n, values: values[j]
     if type(t) is not Node:
         raise ValidationError(f"not a term: {t!r}")
-    op, args = t.op, t.args
-    if len(args) == 2:
-        f, g = _compile(args[0], index), _compile(args[1], index)
-        return lambda tables, values: tables[op][(f(tables, values), g(tables, values))]
-    if len(args) == 1:
-        f = _compile(args[0], index)
-        return lambda tables, values: tables[op][(f(tables, values),)]
-    if not args:
-        return lambda tables, values: tables[op][()]
-    subs = [_compile(a, index) for a in args]
-    return lambda tables, values: tables[op][tuple([f(tables, values) for f in subs])]
+    try:
+        i, arity = ops[t.op]
+    except KeyError:
+        raise ValidationError(f"unknown operation {t.op!r}") from None
+    args = t.args
+    if len(args) != arity:
+        raise ValidationError(
+            f"operation {t.op!r} applied to {len(args)} arguments, arity is {arity}"
+        )
+    # A variable child is read in place rather than through a closure call.
+    if arity == 2:
+        a, b = args
+        if type(a) is Var and type(b) is Var:
+            j, k = _position(a, index), _position(b, index)
+            return lambda flat, n, values: flat[i][values[j] * n + values[k]]
+        if type(b) is Var:
+            f, k = _compile(a, ops, index), _position(b, index)
+            return lambda flat, n, values: flat[i][f(flat, n, values) * n + values[k]]
+        if type(a) is Var:
+            j, g = _position(a, index), _compile(b, ops, index)
+            return lambda flat, n, values: flat[i][values[j] * n + g(flat, n, values)]
+        f, g = _compile(a, ops, index), _compile(b, ops, index)
+        return lambda flat, n, values: flat[i][f(flat, n, values) * n + g(flat, n, values)]
+    if arity == 1:
+        (a,) = args
+        if type(a) is Var:
+            j = _position(a, index)
+            return lambda flat, n, values: flat[i][values[j]]
+        f = _compile(a, ops, index)
+        return lambda flat, n, values: flat[i][f(flat, n, values)]
+    if arity == 0:
+        return lambda flat, n, values: flat[i][0]
+    subs = [_compile(a, ops, index) for a in args]
+
+    def fold(flat, n, values):
+        cell = 0
+        for f in subs:
+            cell = cell * n + f(flat, n, values)
+        return flat[i][cell]
+
+    return fold
 
 
 def evaluate(alg: FinAlgebra, t: Term, binding: Mapping):
-    """Fold a term through the algebra's tables under a variable binding."""
-    f = compile_term(t, tuple(binding))
-    try:
-        return f(alg.tables, tuple(binding.values()))
-    except KeyError as exc:
-        op = exc.args[0]
-        if type(op) is str and op not in alg.tables:
-            raise ValidationError(f"unknown operation {op!r}") from None
-        raise
+    """Fold a term through the algebra's tables under a variable binding,
+    whose values must lie in the carrier."""
+    f = compile_term(alg.sig, t, tuple(binding))
+    elems = alg.carrier.elements
+    position = {a: i for i, a in enumerate(elems)}
+    values = []
+    for name, value in binding.items():
+        if value not in position:
+            raise ValidationError(f"value {value!r} of {name!r} not in the carrier")
+        values.append(position[value])
+    return elems[f(alg.flat, len(elems), values)]
 
 
 def is_morphism(src: FinAlgebra, dst: FinAlgebra, h: FinMap) -> bool:
@@ -145,11 +235,15 @@ def is_morphism(src: FinAlgebra, dst: FinAlgebra, h: FinMap) -> bool:
         raise ValidationError("signature mismatch")
     if h.dom != src.carrier or h.cod != dst.carrier:
         raise ValidationError("carrier mismatch")
-    table = h.table
-    for name, arity in src.sig:
-        s_table, d_table = src.tables[name], dst.tables[name]
-        for args in itertools.product(src.carrier.elements, repeat=arity):
-            if table[s_table[args]] != d_table[tuple(table[a] for a in args)]:
+    position = {a: i for i, a in enumerate(dst.carrier.elements)}
+    image = [position[h.table[a]] for a in src.carrier.elements]
+    n = len(dst.carrier)
+    for (_, arity), s_cells, d_cells in zip(src.sig, src.flat, dst.flat):
+        for args, value in zip(itertools.product(image, repeat=arity), s_cells):
+            cell = 0
+            for a in args:
+                cell = cell * n + a
+            if image[value] != d_cells[cell]:
                 return False
     return True
 
@@ -165,21 +259,13 @@ def count_algebras(sig: Signature, carrier: FinSet, max_count: int = MAX_ENUMERA
 def enumerate_algebras(
     sig: Signature, carrier: FinSet, max_count: int = MAX_ENUMERATION
 ) -> Iterator[FinAlgebra]:
-    """All algebras on the carrier, exactly once, in canonical table order."""
+    """All algebras on the carrier, exactly once, in canonical table order;
+    each one's flat tables are the ``itertools.product`` tuple itself."""
     count_algebras(sig, carrier, max_count)
-    keys_per_op = [
-        (name, list(itertools.product(carrier.elements, repeat=arity)))
-        for name, arity in sig
-    ]
-    images_per_op = [
-        itertools.product(carrier.elements, repeat=len(keys)) for _, keys in keys_per_op
-    ]
-    for choice in itertools.product(*images_per_op):
-        tables = {
-            name: dict(zip(keys, images))
-            for (name, keys), images in zip(keys_per_op, choice)
-        }
-        yield FinAlgebra._trusted(sig, carrier, tables)
+    n = len(carrier)
+    cells_per_op = [itertools.product(range(n), repeat=n**arity) for _, arity in sig]
+    for flat in itertools.product(*cells_per_op):
+        yield FinAlgebra._trusted(sig, carrier, flat)
 
 
 def _orbit_representatives(sig: Signature, carrier: FinSet) -> Iterator[tuple[int, FinAlgebra]]:
@@ -187,9 +273,9 @@ def _orbit_representatives(sig: Signature, carrier: FinSet) -> Iterator[tuple[in
     carrier, as ``(rank, algebra)`` in the order of ``enumerate_algebras``;
     ``rank`` is the algebra's position in that enumeration.
 
-    An algebra is the vector of its table cells, laid out as
-    ``enumerate_algebras`` lays them out, with values as carrier
-    positions.  A carrier permutation p sends it to the vector whose cell
+    An algebra is the vector of its flat tables' cells, laid end to end
+    in signature order, and each representative's flat tables are slices
+    of that vector.  A carrier permutation p sends it to the vector whose cell
     at key p(a) holds p of the cell at key a.  The walk fills the cells in
     order, one iterative depth-first pass (a 1-point carrier has one cell
     per operation, however many there are), and drops a prefix, with every
@@ -204,13 +290,13 @@ def _orbit_representatives(sig: Signature, carrier: FinSet) -> Iterator[tuple[in
     exact.  The caller bounds the count first (``count_algebras``), which
     keeps a carrier with a positive-arity operation at 7 points or fewer.
     """
-    n, elems = len(carrier), carrier.elements
-    cell_of, layout = {}, []  # layout per operation: name, first cell, end cell, keys
+    n = len(carrier)
+    cell_of, layout = {}, []  # layout per operation: first cell, end cell
     for name, arity in sig:
         start = len(cell_of)
         for key in itertools.product(range(n), repeat=arity):
             cell_of[name, key] = len(cell_of)
-        layout.append((name, start, len(cell_of), list(itertools.product(elems, repeat=arity))))
+        layout.append((start, len(cell_of)))
     cells = len(cell_of)
     named = [max(key, default=-1) for _, key in cell_of]  # greatest position a key names
     # Per permutation p other than the identity: p, and per cell the cell
@@ -223,13 +309,11 @@ def _orbit_representatives(sig: Signature, carrier: FinSet) -> Iterator[tuple[in
             actions.append((p, source, 0))
 
     def build(vector):
-        values = [elems[x] for x in vector]
-        tables = {name: dict(zip(op_keys, values[start:end]))
-                  for name, start, end, op_keys in layout}
+        flat = tuple([tuple(vector[start:end]) for start, end in layout])
         rank = 0
         for x in vector:
             rank = rank * n + x
-        return rank, FinAlgebra._trusted(sig, carrier, tables)
+        return rank, FinAlgebra._trusted(sig, carrier, flat)
 
     if cells == 0:
         yield build(())

@@ -21,8 +21,9 @@ plain ``(text, line, col)`` tuples; the parser walks that list by index
 up to an end sentinel.  Every error is a :class:`ParseError` with the
 1-based line and column of the token at fault.  An algebra block is
 checked as it is read (atoms in the carrier, every tuple mapped once,
-every operation given a table), so the parser builds the algebra with
-``FinAlgebra._trusted`` and nothing is checked twice.
+every operation given a table), so the parser flattens the tables and
+builds the algebra with ``FinAlgebra._trusted``; nothing is checked
+twice.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import re
 import string
 from dataclasses import dataclass, field
 
-from .algebras import FinAlgebra
+from .algebras import FinAlgebra, _flatten_tables
 from .core import FinSet
 from .errors import ParseError, ValidationError
 from .functors import Signature
@@ -339,11 +340,8 @@ class _Parser:
                 raise ParseError(
                     f"algebra {name!r} missing table for {op_name!r}", line, col
                 )
-        # Signature order, as the checked constructor keys them; the hash reads it.
-        tables = {op_name: tables[op_name] for op_name, _ in sig}
-        model.algebras[name] = AlgebraDecl(
-            name, sig_name, FinAlgebra._trusted(sig, carrier, tables)
-        )
+        algebra = FinAlgebra._trusted(sig, carrier, _flatten_tables(sig, carrier, tables))
+        model.algebras[name] = AlgebraDecl(name, sig_name, algebra)
 
     def _presentation(self, model: SpecModel) -> None:
         name, line, col = self._name("a presentation")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebras import FinAlgebra, compile_term
-from .core import FinSet, Partition, atom_key, enumerate_maps, kernel_pair, quotient
+from .core import FinSet, Partition, atom_key, count_maps, kernel_pair, quotient
 from .errors import ValidationError
 from .functors import Signature
 from .identities import (
@@ -23,7 +23,7 @@ from .identities import (
     canonical_vars,
     equivalent_upto,
 )
-from .terms import Var, relabel, stage, substitute
+from .terms import Var, relabel, stage, substitute, variables
 
 
 @dataclass(frozen=True, eq=True)
@@ -44,20 +44,25 @@ class EquationArrow:
 
 
 def satisfies_equation(alg: FinAlgebra, eq: EquationArrow) -> bool:
-    """Whether every assignment's evaluation map is constant on every block."""
+    """Whether every assignment's evaluation map is constant on every block.
+
+    The assignments are bounded first, as ``enumerate_maps`` bounds them.
+    A block's terms read only the variables occurring in them, so each
+    block is checked over the assignments of those variables alone."""
     if alg.sig != eq.sig:
         raise ValidationError("signature mismatch between algebra and equation")
-    maps = enumerate_maps(eq.var_object, alg.carrier)
     names = eq.var_object.elements
-    blocks = [
-        [compile_term(t, names) for t in block] for block in eq.part.blocks if len(block) > 1
-    ]
-    tables = alg.tables
-    for f in maps:
-        values = tuple(f.table.values())
-        for first, *rest in blocks:
-            value = first(tables, values)
-            if any(g(tables, values) != value for g in rest):
+    count_maps(len(names), len(alg.carrier))
+    flat, n = alg.flat, len(alg.carrier)
+    for block in eq.part.blocks:
+        if len(block) == 1:
+            continue
+        used = frozenset().union(*map(variables, block))
+        block_names = [v for v in names if v in used]
+        first, *rest = [compile_term(eq.sig, t, block_names) for t in block]
+        for values in itertools.product(range(n), repeat=len(block_names)):
+            value = first(flat, n, values)
+            if any(g(flat, n, values) != value for g in rest):
                 return False
     return True
 

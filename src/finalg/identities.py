@@ -6,8 +6,12 @@ over canonical variables v1..vkᵢ.  A natural identity is a pair of
 natural terms with a common domain; an algebra satisfies it when both
 sides evaluate equally under every assignment of the canonical
 variables into the carrier.  Each component compiles once, in
-``NaturalTerm.compiled``; ``violation`` runs an identity's compiled sides
-over the assignments in ``itertools.product`` order, reporting the first failure.
+``NaturalTerm.compiled``, into a fold on carrier positions through an
+algebra's flat tables (``algebras.compile_term``), one for every carrier
+size.  ``satisfies`` runs an identity's compiled sides over the position
+assignments in ``itertools.product`` order and stops at the first
+failure; ``violation`` reports that failure, with its assignment mapped
+back to carrier elements.
 """
 from __future__ import annotations
 
@@ -61,7 +65,9 @@ class NaturalTerm:
     @cached_property
     def compiled(self) -> tuple[Compiled, ...]:
         """Per component, its data term compiled over v1..vk (``compile_term``)."""
-        return tuple(compile_term(t, canonical_vars(k)) for k, t in zip(self.domain, self.data))
+        return tuple(
+            compile_term(self.sig, t, canonical_vars(k)) for k, t in zip(self.domain, self.data)
+        )
 
 
 def raise_arity(t: NaturalTerm, n: int) -> NaturalTerm:
@@ -115,22 +121,36 @@ class NaturalIdentity:
         return tuple(zip(self.domain, self.lhs.compiled, self.rhs.compiled))
 
 
-def violation(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:
-    """First failing instance as (component index, assignment tuple), or None."""
-    if alg.sig != ident.sig:
+def _failure(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:
+    """First failing instance as (component index, assignment of carrier
+    positions), or None."""
+    sig = ident.sig
+    # Usually the very same object: ``is`` spares the dataclass ``__eq__``
+    # on every algebra of an enumeration.
+    if alg.sig is not sig and alg.sig != sig:
         raise ValidationError("signature mismatch between algebra and identity")
-    carrier, tables = alg.carrier.elements, alg.tables
+    flat, n = alg.flat, len(alg.carrier.elements)
     for i, (k, left, right) in enumerate(ident.sides):
-        for values in itertools.product(carrier, repeat=k):
-            if left(tables, values) != right(tables, values):
+        for values in itertools.product(range(n), repeat=k):
+            if left(flat, n, values) != right(flat, n, values):
                 return (i, values)
     return None
+
+
+def violation(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:
+    """First failing instance as (component index, assignment tuple), or None."""
+    found = _failure(alg, ident)
+    if found is None:
+        return None
+    i, values = found
+    elems = alg.carrier.elements
+    return (i, tuple([elems[p] for p in values]))
 
 
 def satisfies(alg: FinAlgebra, ident: NaturalIdentity) -> bool:
     """Whether both sides evaluate equally under every assignment of the
     canonical variables into the carrier, for every component."""
-    return violation(alg, ident) is None
+    return _failure(alg, ident) is None
 
 
 def satisfies_all(alg: FinAlgebra, idents: Iterable[NaturalIdentity]) -> bool:

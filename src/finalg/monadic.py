@@ -7,9 +7,12 @@ transformation out of a domain functor G = ∐ᵢ hom(kᵢ, -), given as a
 ``NaturalTerm``, extends level by level along G's own term chain:
 variables map by the unit, a G-node maps by instantiating the generating
 term at the already-translated children and flattening; in an algebra it
-folds by its component's ``NaturalTerm.compiled`` closure instead.  A
-``NaturalIdentity`` induces a two-arrow diagram of monads whose arrows
-are these translations along its ``lhs`` and ``rhs``.  Everything here
+folds by its component's ``NaturalTerm.compiled`` closure instead, on
+carrier positions through the algebra's flat tables (see ``algebras``):
+the level-k check and the diagram algebras' structure maps hold
+positions, not elements.  A ``NaturalIdentity`` induces a two-arrow
+diagram of monads whose arrows are these translations along its ``lhs``
+and ``rhs``.  Everything here
 is bounded by an explicit depth and checked element by element.
 
 The power-set monad is carried alongside as the worked Eilenberg-Moore
@@ -23,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebras import FinAlgebra
+from .algebras import FinAlgebra, compile_term
 from .core import FinMap, FinSet, atom_key, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
@@ -162,19 +165,19 @@ def satisfies_level(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:
     domain chain, so an element only matters through its pair of fold
     values.  The reachable pair set is closed under the component folds;
     the identity holds at level k iff every pair reachable within k
-    steps is diagonal.
+    steps is diagonal.  Fold values are carrier positions.
     """
     if alg.sig != ident.sig:
         raise ValidationError("signature mismatch between algebra and identity")
-    tables = alg.tables
-    pairs = {(a, a) for a in alg.carrier}
+    flat, n = alg.flat, len(alg.carrier)
+    pairs = {(a, a) for a in range(n)}
     for _ in range(k):
         new = set(pairs)
         for ki, left, right in ident.sides:
             for combo in itertools.product(pairs, repeat=ki):
                 lvalues = [p[0] for p in combo]
                 rvalues = [p[1] for p in combo]
-                new.add((left(tables, lvalues), right(tables, rvalues)))
+                new.add((left(flat, n, lvalues), right(flat, n, rvalues)))
         if new == pairs:
             break
         pairs = new
@@ -290,18 +293,20 @@ class DAlgebraPair:
     ``identity.lhs`` and ``identity.rhs`` (``rho_level`` at each element's
     own height).
 
-    ``alpha1_of`` folds a term over the signature through the algebra's
-    tables, memoised in ``alpha1``.  ``fold_along`` folds a term over the
-    domain ops along a natural term: a variable by ``alpha1_of``, a node
-    by its component's ``NaturalTerm.compiled`` closure on its children's
-    folds.  A fold through tables respects substitution, so that value is
-    the ``alpha1_of`` of the translation, without building it.
-    ``alpha0_of`` is the fold along ``lhs``, memoised in ``alpha0``.  The
-    constructor fills both memos over the stages up to ``bound``, so an
-    over-large stage is refused before any check runs.
+    Every fold value is a carrier position.  ``alpha1_of`` folds a term
+    over the signature through the algebra's flat tables, a node by its
+    operation's one-node term compiled, memoised in
+    ``alpha1``.  ``fold_along`` folds a term over the domain ops along a
+    natural term: a variable by ``alpha1_of``, a node by its component's
+    ``NaturalTerm.compiled`` closure on its children's folds.  A fold
+    through tables respects substitution, so that value is the
+    ``alpha1_of`` of the translation, without building it.  ``alpha0_of``
+    is the fold along ``lhs``, memoised in ``alpha0``.  The constructor
+    fills both memos over the stages up to ``bound``, so an over-large
+    stage is refused before any check runs.
     """
 
-    __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0")
+    __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_n", "_steps")
 
     def __init__(self, algebra: FinAlgebra, identity: NaturalIdentity, bound: int):
         if algebra.sig != identity.sig:
@@ -311,65 +316,73 @@ class DAlgebraPair:
         self.bound = bound
         self.alpha1: dict = {}
         self.alpha0: dict = {}
+        # The stride, and per operation its one-node term compiled, the
+        # step a signature-side fold takes at a node.
+        self._n = len(algebra.carrier)
+        self._steps = {}
+        for name, arity in algebra.sig:
+            names = canonical_vars(arity)
+            node = Node(name, tuple(map(Var, names)))
+            self._steps[name] = compile_term(algebra.sig, node, names)
         for t in stage(algebra.sig, algebra.carrier, bound).terms:
             self.alpha1_of(t)
         for t in stage(domain_signature(identity.domain), algebra.carrier, bound).terms:
             self.alpha0_of(t)
 
-    def alpha1_of(self, t: Term):
-        if t in self.alpha1:
-            return self.alpha1[t]
-        if type(t) is Var:
-            if t.name not in self.algebra.carrier:
-                raise ValidationError(f"unbound variable {t.name!r}")
-            value = t.name
-        else:
-            value = self.algebra.tables[t.op][tuple([self.alpha1_of(a) for a in t.args])]
-        self.alpha1[t] = value
+    def alpha1_of(self, t: Term) -> int:
+        value = self.alpha1.get(t)
+        if value is None:
+            if type(t) is Var:
+                carrier = self.algebra.carrier
+                if t.name not in carrier:
+                    raise ValidationError(f"unbound variable {t.name!r}")
+                value = carrier.elements.index(t.name)
+            else:
+                args = [self.alpha1_of(a) for a in t.args]
+                value = self._steps[t.op](self.algebra.flat, self._n, args)
+            self.alpha1[t] = value
         return value
 
-    def alpha0_of(self, t: Term):
+    def alpha0_of(self, t: Term) -> int:
         return self.fold_along(self.identity.lhs, t, self.alpha0)
 
-    def fold_along(self, nt: NaturalTerm, t: Term, memo: dict):
+    def fold_along(self, nt: NaturalTerm, t: Term, memo: dict) -> int:
         """The fold of domain term ``t`` along ``nt``, memoised in ``memo``."""
-        if t in memo:
-            return memo[t]
-        if type(t) is Var:
-            value = self.alpha1_of(t)
-        else:
-            step = nt.compiled[_component(nt.domain, t.op)]
-            value = step(self.algebra.tables, [self.fold_along(nt, a, memo) for a in t.args])
-        memo[t] = value
+        value = memo.get(t)
+        if value is None:
+            if type(t) is Var:
+                value = self.alpha1_of(t)
+            else:
+                step = nt.compiled[_component(nt.domain, t.op)]
+                args = [self.fold_along(nt, a, memo) for a in t.args]
+                value = step(self.algebra.flat, self._n, args)
+            memo[t] = value
         return value
 
 
 def _em_valid(pair: DAlgebraPair, gside: bool) -> bool:
     """Unit law plus the one-node multiplication law: a node's fold is one
     step on its children's folds (its table, or on the domain side its
-    ``lhs`` closure), and a step off the carrier has no table entry.  The
-    nodes checked are those of the stage at the pair's bound (at least 1),
-    the stage the constructor folded.  Full flattening at the bound follows
-    by structural induction."""
+    ``lhs`` closure).  The nodes checked are those of the stage at the
+    pair's bound (at least 1), the stage the constructor folded, in stage
+    order, so a node's children are checked before the node reads their
+    folds as positions.  Full flattening at the bound follows by
+    structural induction."""
     alg, lhs = pair.algebra, pair.identity.lhs.compiled
     fold = pair.alpha0_of if gside else pair.alpha1_of
-    for a in alg.carrier:
-        if fold(Var(a)) != a:
+    for j, a in enumerate(alg.carrier):
+        if fold(Var(a)) != j:
             return False
     sig = domain_signature(pair.identity.domain) if gside else alg.sig
-    try:
-        for t in stage(sig, alg.carrier, max(pair.bound, 1)).terms:
-            if type(t) is Var:
-                continue
-            values = [fold(a) for a in t.args]
-            if gside:
-                step = lhs[_component(pair.identity.domain, t.op)](alg.tables, values)
-            else:
-                step = alg.tables[t.op][tuple(values)]
-            if fold(t) != step:
-                return False
-    except KeyError:
-        return False
+    for t in stage(sig, alg.carrier, max(pair.bound, 1)).terms:
+        if type(t) is Var:
+            continue
+        if gside:
+            step = lhs[_component(pair.identity.domain, t.op)]
+        else:
+            step = pair._steps[t.op]
+        if fold(t) != step(alg.flat, pair._n, [fold(a) for a in t.args]):
+            return False
     return True
 
 

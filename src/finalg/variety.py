@@ -517,13 +517,15 @@ def _certified(res, state: CongruenceState) -> bool:
 
 
 def _unit_folds(res: Stabilized) -> Optional[list]:
-    """Each carrier term with its fold compiled over the generators, when
-    every carrier term folds to itself under the unit (the unit generates
-    the algebra); None when one does not."""
+    """Per carrier term, in carrier order, its fold compiled over the
+    generators, when every carrier term folds to itself under the unit
+    (the unit generates the algebra); None when one does not."""
     algebra, names = res.algebra, res.unit.dom.elements
-    folds = [(t, compile_term(t, names)) for t in algebra.carrier]
-    unit = tuple(res.unit.table[a] for a in names)
-    if all(fold(algebra.tables, unit) == t for t, fold in folds):
+    carrier = algebra.carrier.elements
+    folds = [compile_term(algebra.sig, t, names) for t in carrier]
+    position = {t: j for j, t in enumerate(carrier)}
+    unit = [position[res.unit.table[a]] for a in names]
+    if all(fold(algebra.flat, len(carrier), unit) == j for j, fold in enumerate(folds)):
         return folds
     return None
 
@@ -539,9 +541,12 @@ def _extensions(res: Stabilized, target: FinAlgebra, f: FinMap, folds) -> int:
         return count
     if free.sig != target.sig:
         raise ValidationError("signature mismatch")
-    values = tuple(f.table[a] for a in res.unit.dom)
+    elems = target.carrier.elements
+    position = {a: j for j, a in enumerate(elems)}
+    values = [position[f.table[a]] for a in res.unit.dom]
+    flat, n = target.flat, len(elems)
     h = FinMap(free.carrier, target.carrier,
-               {t: fold(target.tables, values) for t, fold in folds})
+               {t: elems[fold(flat, n, values)] for t, fold in zip(free.carrier, folds)})
     if any(h.table[res.unit.table[a]] != f.table[a] for a in res.unit.dom):
         return 0
     return int(is_morphism(free, target, h))

@@ -1,3 +1,7 @@
+import itertools
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from finalg import (
@@ -9,6 +13,7 @@ from finalg import (
     SigF,
     Signature,
     ValidationError,
+    Var,
     apply_obj,
     enumerate_algebras,
     evaluate,
@@ -20,8 +25,10 @@ from finalg import (
     w_embed,
     y_inject,
 )
-from finalg.algebras import count_algebras
-from conftest import MAGMA, MONOID_SIG, m, v
+from finalg.algebras import compile_term, count_algebras
+from finalg.dsl import parse_spec
+from conftest import CORPUS_TEXT, MAGMA, MONOID_SIG, m, v
+from oracles import fold
 
 
 def test_tables_must_be_total():
@@ -86,6 +93,66 @@ def test_evaluate_every_arity():
     assert [evaluate(alg, t, {"x": x, "y": y}) for x in bits for y in bits] == [1, 0, 1, 1]
 
 
+def test_evaluate_refuses_a_value_outside_the_carrier(or_magma):
+    """A bare variable bound outside the carrier is refused, not returned,
+    and so is one under an operation."""
+    with pytest.raises(ValidationError, match="^value 'zzz' of 'x' not in the carrier$"):
+        evaluate(or_magma, v("x"), {"x": "zzz"})
+    with pytest.raises(ValidationError, match="^value 'zzz' of 'x' not in the carrier$"):
+        evaluate(or_magma, m(v("x"), v("x")), {"x": "zzz"})
+    with pytest.raises(ValidationError, match="^value 'zzz' of 'y' not in the carrier$"):
+        evaluate(or_magma, m(v("x"), v("x")), {"x": 1, "y": "zzz"})
+
+
+def test_evaluate_refuses_a_wrong_arity(or_magma):
+    message = "^operation 'm' applied to 1 arguments, arity is 2$"
+    with pytest.raises(ValidationError, match=message):
+        evaluate(or_magma, Node("m", (v("x"),)), {"x": 0})
+
+
+MIXED = Signature((("c", 0), ("u", 1), ("b", 2), ("t", 3)))
+
+
+def _random_term(rng, names, nodes):
+    """A random term over ``MIXED`` with about ``nodes`` operation nodes."""
+    if nodes == 0:
+        return Var(rng.choice(names)) if rng.random() < 0.8 else Node("c", ())
+    op = rng.choice(("u", "b", "t"))
+    arity = MIXED.arity(op)
+    split = sorted(rng.randrange(nodes) for _ in range(arity - 1))
+    sizes = [hi - lo for lo, hi in zip([0] + split, split + [nodes - 1])]
+    return Node(op, tuple(_random_term(rng, names, k) for k in sizes))
+
+
+@pytest.mark.parametrize("kind", ["ints", "strings", "terms"])
+def test_compiled_terms_agree_with_the_recursive_fold(kind):
+    """``compile_term`` folds on positions through the flat tables; mapped
+    back to elements, every value is the recursive fold's through a plain
+    dict of the same tables, over a signature with every arity up to 3."""
+    rng = random.Random(kind)
+    atoms = {
+        "ints": (0, 1, 2),
+        "strings": ("p", "q", "r"),
+        "terms": (Var("a"), Node("f", (Var("a"),)), Node("f", (Node("f", (Var("a"),)),))),
+    }[kind]
+    carrier = FinSet(atoms)
+    elems, names = carrier.elements, ("x", "y", "z")
+    for _ in range(8):
+        tables = {
+            name: {args: rng.choice(elems) for args in itertools.product(elems, repeat=arity)}
+            for name, arity in MIXED
+        }
+        alg = FinAlgebra(MIXED, carrier, tables)
+        plain = SimpleNamespace(tables=tables)
+        for nodes in (0, 1, 2, 3, 5, 8, 13):
+            t = _random_term(rng, names, nodes)
+            f = compile_term(MIXED, t, names)
+            for positions in itertools.product(range(len(elems)), repeat=3):
+                binding = dict(zip(names, (elems[p] for p in positions)))
+                assert elems[f(alg.flat, len(elems), positions)] == fold(plain, t, binding)
+                assert evaluate(alg, t, binding) == fold(plain, t, binding)
+
+
 def test_is_morphism_identity(or_magma, or_monoid):
     assert is_morphism(or_magma, or_magma, FinMap.identity(or_magma.carrier))
     assert is_morphism(or_monoid, or_monoid, FinMap.identity(or_monoid.carrier))
@@ -128,6 +195,61 @@ def test_enumerate_deterministic_and_guarded():
     assert first == second
     with pytest.raises(ResourceLimitError):
         list(enumerate_algebras(MAGMA, FinSet(range(4)), max_count=1000))
+
+
+def _reference_enumeration(sig, carrier):
+    """The tables of every algebra on the carrier, built as dicts in
+    canonical order, one ``itertools.product`` choice of images each."""
+    keys_per_op = [
+        (name, list(itertools.product(carrier.elements, repeat=arity))) for name, arity in sig
+    ]
+    images_per_op = [
+        itertools.product(carrier.elements, repeat=len(keys)) for _, keys in keys_per_op
+    ]
+    for choice in itertools.product(*images_per_op):
+        yield {name: dict(zip(keys, images)) for (name, keys), images in zip(keys_per_op, choice)}
+
+
+def _items(tables):
+    return [(name, list(table.items())) for name, table in tables.items()]
+
+
+@pytest.mark.parametrize(
+    "sig, size",
+    [(MAGMA, 3), (MONOID_SIG, 2), (Signature((("t", 3),)), 2), (Signature(()), 2)],
+    ids=["magma-3", "magma-unit-2", "ternary-2", "no-operations-2"],
+)
+def test_enumeration_order_and_tables_match_the_dict_reference(sig, size):
+    """Each enumerated algebra's table view holds, key for key and in
+    order, the dicts the reference builds for the same position."""
+    carrier = FinSet(tuple(range(size)))
+    got = [_items(alg.tables) for alg in enumerate_algebras(sig, carrier)]
+    assert got == [_items(tables) for tables in _reference_enumeration(sig, carrier)]
+
+
+def test_equal_tables_make_equal_algebras_whatever_the_constructor():
+    """The checked constructor, the declaration parser and the enumerator
+    build equal, hash-equal algebras from equal tables."""
+    parsed = parse_spec(CORPUS_TEXT)
+    magma = parsed.signatures["Magma"]
+    from_dsl = parsed.algebras["Or"].algebra
+    carrier = FinSet(("0", "1"))
+    table = {(a, b): max(a, b) for a in carrier for b in carrier}
+    checked = FinAlgebra(magma, carrier, {"m": table})
+    enumerated = [alg for alg in enumerate_algebras(magma, carrier) if alg.tables == {"m": table}]
+    assert len(enumerated) == 1
+    assert checked == from_dsl == enumerated[0]
+    assert hash(checked) == hash(from_dsl) == hash(enumerated[0])
+    assert checked.tables == from_dsl.tables == enumerated[0].tables == {"m": table}
+    other = parsed.algebras["LeftProj"].algebra
+    assert other != checked and other.flat != checked.flat
+
+
+def test_table_view_is_read_only(or_magma):
+    with pytest.raises(TypeError):
+        or_magma.tables["m"][(0, 0)] = 1
+    with pytest.raises(TypeError):
+        or_magma.tables["m"] = {}
 
 
 def _all_corpus_algebras():

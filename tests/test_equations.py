@@ -4,12 +4,15 @@ import pytest
 
 from finalg import (
     EquationArrow,
+    FinAlgebra,
     FinSet,
     Node,
     Partition,
     ValidationError,
+    Signature,
     Var,
     enumerate_algebras,
+    enumerate_maps,
     equation_to_identity,
     from_sigma,
     identity_to_equation,
@@ -20,7 +23,8 @@ from finalg import (
     substitute,
 )
 from finalg.identities import canonical_vars
-from conftest import MAGMA, MONOID_SIG, m, v
+from conftest import MAGMA, MONOID_SIG, ident, m, v
+from oracles import fold
 
 TWO = FinSet(("x", "y"))
 
@@ -160,3 +164,36 @@ def test_roundtrip_associativity(assoc):
 def test_roundtrip_tautology():
     taut = from_sigma(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), FinSet(("x", "y")))
     assert roundtrip_class_equal(taut, [1, 2], 2).equal
+
+
+def reference_satisfies_equation(alg, arrow):
+    """Every map of the variables into the carrier, every block evaluated
+    whole by the recursive fold."""
+    for f in enumerate_maps(arrow.var_object, alg.carrier):
+        for block in arrow.part.blocks:
+            if len({fold(alg, t, f.table) for t in block}) > 1:
+                return False
+    return True
+
+
+UNARY = Signature((("s", 1),))
+FLIP = FinAlgebra(UNARY, FinSet((0, 1)), {"s": {(0,): 1, (1,): 0}})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_wise_check_matches_every_map(n, comm, assoc, or_magma, left_projection):
+    """Checking each block over its own variables gives the answer that
+    every map of all N variables gives, true and false alike."""
+    x = FinSet(tuple(f"x{i + 1}" for i in range(n)))
+    flip_cases = [(FLIP, ident(UNARY, Node("s", (Node("s", (v("x"),)),)), v("x"), ("x",))),
+                  (FLIP, ident(UNARY, Node("s", (v("x"),)), v("x"), ("x",)))]
+    magma_cases = [(alg, identity) for alg in (or_magma, left_projection)
+                   for identity in (comm, assoc)]
+    answers = []
+    for alg, identity in flip_cases + magma_cases:
+        arrow = identity_to_equation(identity, x)
+        expected = reference_satisfies_equation(alg, arrow)
+        assert satisfies_equation(alg, arrow) == expected
+        answers.append(expected)
+    assert answers[:2] == [True, False]
+    assert answers[2:] == [True, True, n == 1, True]

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from finalg import (
+    FinAlgebra,
     FinSet,
     NaturalIdentity,
     NaturalTerm,
@@ -19,6 +20,7 @@ from finalg import (
 )
 from finalg.algebras import _orbit_representatives
 from finalg.identities import ClassComparison, canonical_vars, compare_classes, violation
+from finalg.monadic import equi_check, variety_vs_dalg
 from conftest import MAGMA, MONOID_SIG, e, ident, m, v
 from oracles import domain_expr, reference_violation, satisfies_transform
 
@@ -164,6 +166,23 @@ def test_transform_route_agrees(size, comm, assoc, idem, lzero, rect):
 def test_violation_matches_reference_on_three_points(assoc):
     for alg in enumerate_algebras(MAGMA, FinSet((0, 1, 2))):
         assert violation(alg, assoc) == reference_violation(alg, assoc)
+
+
+def test_bounded_carrier_checks_read_only_the_flat_tables(monkeypatch, comm, assoc, idem):
+    """Enumeration, satisfaction, violations, the level-k check and the
+    diagram algebras fold on the flat tables: with the table view's
+    builder refusing, the counts over all 3-point magmas still come out."""
+    def refuse(alg):
+        raise AssertionError("table view built")
+
+    monkeypatch.setattr(FinAlgebra, "_table_view", refuse)
+    three = FinSet((0, 1, 2))
+    assert [sum(satisfies(alg, i) for alg in enumerate_algebras(MAGMA, three))
+            for i in (comm, assoc, idem)] == [729, 113, 729]
+    assert sum(violation(alg, assoc) is None for alg in enumerate_algebras(MAGMA, three)) == 113
+    assert equivalent_upto(comm, comm, 3).equal
+    assert equi_check(assoc, 2, 2).equal
+    assert variety_vs_dalg(comm, 2, 2).equal
 
 
 def test_transform_route_agrees_with_nullary(monoid_ids):
