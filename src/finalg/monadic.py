@@ -38,7 +38,17 @@ from .identities import (
     compare_classes,
     satisfies,
 )
-from .terms import MAX_TERM_DEPTH, Node, Term, Var, check_term, stage, substitute, variables
+from .terms import (
+    MAX_TERM_DEPTH,
+    Node,
+    Term,
+    Var,
+    _stage_bounds,
+    check_term,
+    stage,
+    substitute,
+    variables,
+)
 
 
 def mu_flatten(sig: Signature, x: FinSet, tt: Term) -> Term:
@@ -69,8 +79,12 @@ def domain_signature(domain: tuple[int, ...]) -> Signature:
 
 
 def _component(domain: tuple[int, ...], op: str) -> int:
-    for i in range(len(domain)):
-        if op == f"c{i}":
+    """The index ``i`` of the domain operation ``op``, which
+    ``domain_signature`` names ``ci``: read off the name's digits."""
+    digits = op[1:] if isinstance(op, str) and op[:1] == "c" else ""
+    if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
+        i = int(digits)
+        if i < len(domain):
             return i
     raise ValidationError(f"unknown domain component {op!r}")
 
@@ -114,11 +128,12 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
     generating term at its children's entries one level down (the value
     ``rho_level`` computes).
 
-    A translation is at most ``bound`` times the highest generating term
-    high, so that product is refused above ``MAX_TERM_DEPTH`` before any
-    translation is built."""
+    An over-large stage is refused from its size as ``stage`` refuses it;
+    then, since a translation is at most ``bound`` times the highest
+    generating term high, that product is refused above
+    ``MAX_TERM_DEPTH``; both before any stage or translation is built."""
     gsig = domain_signature(nt.domain)
-    stage(gsig, x, bound)  # refuses an over-large bound before any work
+    _stage_bounds(gsig, x, bound)
     height = bound * max((t.height for t in nt.data), default=0)
     if height > MAX_TERM_DEPTH:
         raise ResourceLimitError(f"term height of translations at bound {bound}",

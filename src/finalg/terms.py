@@ -9,10 +9,10 @@ stages are literally nested sets of terms and ``w_embed`` is inclusion:
 stage n is built from the cached stage n-1's own terms and the nodes of
 height exactly n over them, so it holds stage n-1's term objects.
 
-A :class:`Node`'s hash is fixed at construction from its operation and
-its children's stored hashes, so hashing a term (and every dict or set
-lookup keyed on one) costs O(1) and never recurses, however deep the
-term.  Equality stays structural.
+A term's hash is fixed at construction: a :class:`Var`'s from its name,
+a :class:`Node`'s from its operation and its children's stored hashes,
+so hashing a term (and every dict or set lookup keyed on one) costs O(1)
+and never recurses, however deep the term.  Equality stays structural.
 """
 from __future__ import annotations
 
@@ -45,6 +45,12 @@ class Term:
 @dataclass(frozen=True)
 class Var(Term):
     name: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def height(self) -> int:

@@ -15,7 +15,13 @@ hashcons of its terms, maps ``(op, child ids)`` to the id of the node
 with exactly those children (the generators are ids 0..|x|-1), so
 identity instances and frontier nodes are built on integer ids and a
 ``Term`` is made only for a new node, whose operation is that term's
-own.  The keys of ``rep`` are exactly the live union-find roots, each
+own.  Each identity side is compiled once into a post-order list of
+steps over registers that start with the images of its variables, and
+an instance runs that list, each step filing one node over ids.  When an
+id is registered the engine also stores its term's height, size and
+sort key, the key built from its children's keys, so it orders classes
+and bounds instance pools without asking a ``Term`` for any of them.
+The keys of ``rep`` are exactly the live union-find roots, each
 mapped to the id of its class's least term.  A union keeps the root
 with the longer list of parent nodes and files the shorter list again
 (Downey, Sethi & Tarjan, 1980); which root survives changes neither
@@ -89,10 +95,16 @@ class _Engine:
     """Union-find over registered terms with congruence closure; ``nodes``
     (the one term store) is keyed on exact child ids, ``sig_table`` on
     child roots, ``rep`` maps each root to its least term's id, and
-    ``union_log`` holds every union with its reason."""
+    ``union_log`` holds every union with its reason.  ``height``,
+    ``size`` and ``key`` hold, per id, its term's height, size and
+    ``sort_key()``, computed from the children's entries when the id is
+    registered; ``build`` runs a side compiled by ``_compile_side``."""
 
     def __init__(self, x: FinSet):
         self.terms: list[Term] = []
+        self.height: list[int] = []
+        self.size: list[int] = []
+        self.key: list[tuple] = []
         self.parent: list[int] = []
         self.rep: dict[int, int] = {}
         self.node_args: list[Optional[tuple[int, ...]]] = []
@@ -121,16 +133,31 @@ class _Engine:
             nid = self._add(Node(op, tuple(self.terms[a] for a in arg_ids)), arg_ids)
         return nid
 
-    def instantiate(self, side: Term, g: dict) -> int:
-        """The id of ``side`` with each variable replaced by the term of its
-        bound id in ``g``."""
-        if isinstance(side, Node):
-            return self.node(side.op, tuple(self.instantiate(a, g) for a in side.args))
-        return g[side.name]
+    def build(self, side: tuple, images: tuple[int, ...]) -> int:
+        """The id of a side compiled by ``_compile_side``, its variables bound
+        to the ids ``images``: each step files the node over the ids in its
+        slots, and the register list grows by that node's id."""
+        steps, out = side
+        regs = list(images)
+        node = self.node
+        for op, slots in steps:
+            regs.append(node(op, tuple([regs[s] for s in slots])))
+        return regs[out]
 
     def _add(self, t: Term, arg_ids: Optional[tuple[int, ...]]) -> int:
         tid = len(self.terms)
         self.terms.append(t)
+        height, size, key = self.height, self.size, self.key
+        if arg_ids is None:
+            height.append(0)
+            size.append(1)
+            key.append(t.sort_key())
+        else:
+            h = 1 + max([height[a] for a in arg_ids], default=0)
+            s = 1 + sum([size[a] for a in arg_ids])
+            height.append(h)
+            size.append(s)
+            key.append((h, s, (1, t.op, tuple([key[a] for a in arg_ids]))))
         self.parent.append(tid)
         self.rep[tid] = tid
         self.node_args.append(arg_ids)
@@ -161,8 +188,8 @@ class _Engine:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.union_log.append((a, b, reason))
-        rep = self.rep
-        if self.terms[rep[rb]].sort_key() < self.terms[rep[ra]].sort_key():
+        rep, key = self.rep, self.key
+        if key[rep[rb]] < key[rep[ra]]:
             rep[ra] = rep[rb]
         del rep[rb]
         moved = parents.pop(rb, [])
@@ -177,8 +204,7 @@ class _Engine:
 
     def least_ids(self) -> list[int]:
         """The id of each class's least term, in canonical term order."""
-        terms = self.terms
-        return sorted(self.rep.values(), key=lambda i: terms[i].sort_key())
+        return sorted(self.rep.values(), key=self.key.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -273,6 +299,25 @@ def _flatten(ids: Iterable[NaturalIdentity], sig: Signature) -> list[tuple]:
     return components
 
 
+def _compile_side(side: Term, used: Sequence) -> tuple:
+    """``side`` as ``(steps, out)``: its nodes in post-order, left to right,
+    each step ``(op, slots)`` reading the registers at ``slots`` and writing
+    the next one, and the register of the side's value.  The registers
+    start with the images of ``used``, in that order."""
+    slot = {v: i for i, v in enumerate(used)}
+    steps: list[tuple[str, tuple[int, ...]]] = []
+
+    def walk(t: Term) -> int:
+        if not isinstance(t, Node):
+            return slot[t.name]
+        slots = tuple([walk(a) for a in t.args])
+        steps.append((t.op, slots))
+        return len(slot) + len(steps) - 1
+
+    out = walk(side)
+    return tuple(steps), out
+
+
 def _state(engine: _Engine, sig: Signature, x: FinSet, ids: Sequence[NaturalIdentity],
            depth: int, counts: list[int]) -> CongruenceState:
     """The engine's arrays and log as a state, with each operation's table
@@ -304,8 +349,12 @@ def saturate(
     """
     if depth_bound < 1:
         raise ValidationError("depth bound must be at least 1")
-    components = _flatten(ids, sig)
+    components = [
+        (comp_id, used, offsets, _compile_side(left, used), _compile_side(right, used), ground)
+        for comp_id, used, offsets, left, right, ground in _flatten(ids, sig)
+    ]
     engine = _Engine(x)
+    height, build = engine.height, engine.build
     counts: list[int] = []
     prev_roots = set(engine.rep)
     applied: set = set()
@@ -328,7 +377,7 @@ def saturate(
         while True:
             merges_before = len(engine.union_log)
             terms_before = len(engine.terms)
-            reps = [(tid, engine.terms[tid].height) for tid in engine.least_ids()]
+            reps = [(tid, height[tid]) for tid in engine.least_ids()]
             for comp_id, used, offsets, left, right, ground in components:
                 if ground > depth:
                     continue
@@ -341,8 +390,7 @@ def saturate(
                     if key in applied:
                         continue
                     applied.add(key)
-                    g = dict(zip(used, images))
-                    engine.union(engine.instantiate(left, g), engine.instantiate(right, g), key)
+                    engine.union(build(left, images), build(right, images), key)
                 engine.drain()
             if len(engine.terms) > max_universe:
                 raise ResourceLimitError(

@@ -7,6 +7,8 @@ from finalg import (
     FinSet,
     NaturalTerm,
     Node,
+    ResourceLimitError,
+    Signature,
     ValidationError,
     Var,
     bundle,
@@ -29,7 +31,7 @@ from finalg import (
     stage,
     variety_vs_dalg,
 )
-from finalg import monadic
+from finalg import monadic, terms
 from finalg.core import atom_key
 from finalg.monadic import (
     dalg_violation,
@@ -135,6 +137,43 @@ def test_rho_level_zero_rejects_nodes(comm_chain):
 def test_rho_level_rejects_unknown_component(comm_chain):
     with pytest.raises(ValidationError, match="^unknown domain component 'c1'$"):
         rho_level(comm_chain, 1, Node("c1", (v("x"), v("y"))))
+
+
+def test_component_reads_the_index_off_the_name():
+    """Every name ``domain_signature`` gives resolves to its index, and a
+    name the search over those names would not find is refused alike."""
+    domain = tuple(range(1, 13))
+    names = [name for name, _ in domain_signature(domain)]
+    assert [monadic._component(domain, name) for name in names] == list(range(12))
+    for op in ["c12", "c", "c01", "c00", "c-1", "c+1", "c 1", "c1 ", "c\u0663", "c\u00b2",
+               "C0", "d0", "", "0", 0, None]:
+        with pytest.raises(ValidationError, match="^unknown domain component "):
+            monadic._component(domain, op)
+
+
+UNARY_INV = ident(Signature((("s", 1),)), Node("s", (Node("s", (v("x"),)),)), v("x"), ("x",))
+
+
+@pytest.mark.parametrize("chain, bound, error, message", [
+    (UNARY_INV.lhs, 128, ResourceLimitError,
+     "^term height of translations at bound 128: needs 256, limit is 128$"),
+    (UNARY_INV.lhs, 3000, ResourceLimitError,
+     "^term height of stage 3000: needs 3000, limit is 128$"),
+    (NaturalTerm(MAGMA, (2,), 1, (m(v("v2"), v("v1")),)), 5, ResourceLimitError,
+     "^stage 4 over 2 variables: needs 2090918, limit is 1000000$"),
+    (UNARY_INV.lhs, -1, ValidationError, "^negative stage index$"),
+])
+def test_check_monad_map_refuses_before_building_a_stage(monkeypatch, chain, bound, error,
+                                                         message):
+    """``rho-chain --bound 128`` on s(s(x)) = x is refused from the bound
+    alone, and so are an over-large stage and a negative bound: no stage
+    of the domain chain is built first."""
+    def unbuilt(*args):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(terms, "_stage_terms", unbuilt)
+    with pytest.raises(error, match=message):
+        check_monad_map(chain, bound, TWO)
 
 
 def test_rho_chain_compatibility(comm_chain):

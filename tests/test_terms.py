@@ -57,6 +57,25 @@ def test_deep_term_hashes_without_recursion():
     assert table[deep.args[0]] == "below"
 
 
+def test_variable_hash_is_stored_at_construction():
+    """A variable hashes its name once, when it is built, to the value the
+    dataclass hash gave, so set and dict orders do not change."""
+    class Atom:
+        hashed = 0
+
+        def __hash__(self):
+            Atom.hashed += 1
+            return 7
+
+    atom = Atom()
+    var = v(atom)
+    assert Atom.hashed == 1
+    assert {var: 1}[var] == 1 and var in {var} and hash(var) == hash((atom,))
+    assert Atom.hashed == 2
+    for name in ("x", 0, ("a", 1), m(v("x"), v("y"))):
+        assert hash(v(name)) == hash((name,))
+
+
 def test_stage_sizes_magma_one_generator():
     sizes = [1]
     for _ in range(3):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from finalg import (
 )
 from finalg.core import MAX_ENUMERATION
 from finalg.dsl import parse_spec
+from finalg import variety
 from finalg.identities import satisfies_all
 from finalg.variety import (
     CONGRUENCE,
@@ -606,3 +608,128 @@ def test_derivation_audit_refuses_tampered_unstabilized_states():
         "a congruence union dropped, the rest made consistent": _unclosed(state),
     }.items():
         assert not audit_derivations(Unstabilized(tampered, state.depth)), what
+
+
+def _matrix_cases():
+    """Every distinct free_variety query of the benchmark and every corpus
+    presentation on 0-2 generators at depth 3: 50 saturation runs."""
+    model = parse_spec(CORPUS.read_text())
+    queries = json.loads((CORPUS.parent / "workloads.json").read_text())["free_variety"]
+    cases = {(q["presentation"], q["generators"], q["depth"])
+             for q in queries["round"] + queries["warmup"]}
+    cases |= {(name, n, 3) for name in model.presentations for n in (0, 1, 2)}
+    return model, sorted(cases)
+
+
+def _engines_left(monkeypatch):
+    """The engine of every saturation run, as it is when its state is read."""
+    engines = []
+    state_of = variety._state
+
+    def recorded(engine, *rest):
+        engines.append(engine)
+        return state_of(engine, *rest)
+
+    monkeypatch.setattr(variety, "_state", recorded)
+    return engines
+
+
+def _check_engine_keys(engine):
+    terms = engine.terms
+    assert len(engine.key) == len(engine.height) == len(engine.size) == len(terms)
+    for i, t in enumerate(terms):
+        assert engine.key[i] == t.sort_key()
+        assert engine.height[i] == t.height
+        assert engine.size[i] == t.size
+    members: dict = {}
+    for i in range(len(terms)):
+        members.setdefault(engine.find(i), []).append(i)
+    assert set(members) == set(engine.rep)
+    for root, ids in members.items():
+        assert engine.rep[root] == min(ids, key=lambda i: terms[i].sort_key())
+
+
+def test_engine_keys_are_the_terms_own(monkeypatch):
+    """The height, size and sort key the engine keeps per id are those of
+    the id's term, and each class is named by its least term, on the
+    trajectory presentations and on the 50-case matrix."""
+    engines = _engines_left(monkeypatch)
+    trajectory = parse_spec(TRAJECTORY_SPEC)
+    runs = [(trajectory, name, n, 6) for name, n in TRAJECTORY_RESULTS]
+    model, cases = _matrix_cases()
+    assert len(cases) == 50
+    runs += [(model, name, n, depth) for name, n, depth in cases]
+    for spec, name, n, depth in runs:
+        sig = spec.signatures[spec.presentations[name].sig_name]
+        saturate(sig, spec.presentation_identities(name), gens(n), depth)
+    assert len(engines) == len(runs)
+    for engine in engines:
+        _check_engine_keys(engine)
+
+
+def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
+    """For every applied identity instance, each compiled side returns the
+    id that instantiating the side term recursively returns, and the nodes
+    it registers are the new nodes of that walk in post-order."""
+    compiled = {}
+    compile_side = variety._compile_side
+
+    def recorded(side, used):
+        out = compile_side(side, used)
+        compiled[id(out)] = (out, side, used)
+        return out
+
+    built = []
+    build = _Engine.build
+
+    def checked(engine, side, images):
+        before = len(engine.terms)
+        got = build(engine, side, images)
+        _, term, used = compiled[id(side)]
+        g = dict(zip(used, images))
+        new = []
+
+        def instantiate(t):
+            if isinstance(t, Node):
+                nid = engine.nodes[(t.op, tuple(instantiate(a) for a in t.args))]
+                if nid >= before and nid not in new:
+                    new.append(nid)
+                return nid
+            return g[t.name]
+
+        assert instantiate(term) == got
+        assert new == list(range(before, len(engine.terms)))
+        built.append(got)
+        return got
+
+    monkeypatch.setattr(variety, "_compile_side", recorded)
+    monkeypatch.setattr(_Engine, "build", checked)
+    model = parse_spec(TRAJECTORY_SPEC)
+    for name, n in TRAJECTORY_RESULTS:
+        sig = model.signatures[model.presentations[name].sig_name]
+        res = saturate(sig, model.presentation_identities(name), gens(n), 6)
+        assert audit_derivations(res)
+    assert len(built) > 10_000
+
+
+@pytest.mark.parametrize("side", [
+    m(m(X, Y), m(Y, m(X, X))),
+    m(m(e(), X), m(m(Y, e()), m(e(), X))),
+    m(X, X),
+    X,
+])
+def test_compiled_side_registers_new_nodes_in_post_order(side):
+    """On a fresh engine every node of the side is new: the compiled side
+    registers them in the order the recursive instantiation does."""
+    def instantiate(engine, t, g):
+        if isinstance(t, Node):
+            return engine.node(t.op, tuple(instantiate(engine, a, g) for a in t.args))
+        return g[t.name]
+
+    used = ("x", "y")
+    compiled = variety._compile_side(side, used)
+    one, other = _Engine(gens(2)), _Engine(gens(2))
+    for images in [(1, 0), (0, 1), (1, 0)]:
+        got = one.build(compiled, images)
+        assert got == instantiate(other, side, dict(zip(used, images)))
+        assert one.terms == other.terms and one.node_args == other.node_args
