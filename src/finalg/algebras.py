@@ -1,11 +1,12 @@
 """Finite algebras over a signature: evaluation, morphisms, enumeration.
 
 An algebra is a finite carrier plus one total operation table per
-symbol; equivalently a single structure map F(A) → A, available as a
-derived view.  The tables are stored flat: per operation, in signature
-order, a tuple of carrier *positions* (indices into
-``carrier.elements``), whose cell ``i`` holds the image of the ``i``-th
-argument tuple of ``itertools.product(carrier.elements, repeat=arity)``.
+symbol; equivalently a single structure map F(A) → A, whose atoms
+``(name, args)`` the tables already index.  The tables are stored flat:
+per operation, in signature order, a tuple of carrier *positions*
+(indices into ``carrier.elements``), whose cell ``i`` holds the image of
+the ``i``-th argument tuple of
+``itertools.product(carrier.elements, repeat=arity)``.
 On an ``n``-point carrier the arguments at positions ``a1..ak`` sit in
 cell ``(..(a1·n + a2)·n ..)·n + ak``, mixed radix with stride ``n``, as in
 the cell arrays of the finite model finders SEM and Mace4.  An
@@ -44,7 +45,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import MAX_ENUMERATION, FinMap, FinSet, bounded_power
 from .errors import ValidationError
-from .functors import SigF, Signature, apply_obj
+from .functors import Signature
 from .terms import Node, Term, Var
 
 Flat = tuple[tuple[int, ...], ...]
@@ -104,14 +105,6 @@ class FinAlgebra:
             keys = itertools.product(elems, repeat=arity)
             view[name] = MappingProxyType({args: elems[p] for args, p in zip(keys, cells)})
         return MappingProxyType(view)
-
-    def structure_map(self) -> FinMap:
-        """The single structure map F(A) → A over the signature functor."""
-        dom = apply_obj(SigF(self.sig), self.carrier)
-        tables = self.tables
-        return FinMap(
-            dom, self.carrier, {(name, args): tables[name][args] for (name, args) in dom}
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -112,12 +112,6 @@ class FinMap:
         except KeyError:
             raise ValidationError(f"{atom!r} not in domain") from None
 
-    def then(self, other: "FinMap") -> "FinMap":
-        """Post-compose: ``f.then(g)`` is g∘f."""
-        if self.cod != other.dom:
-            raise ValidationError("composition mismatch: codomain != domain")
-        return FinMap(self.dom, other.cod, {a: other.table[b] for a, b in self.table.items()})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinMap)

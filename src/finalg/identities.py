@@ -241,6 +241,8 @@ def compare_classes(
     ``checked`` is nominal, the carrier's count of algebras up to the
     witness's rank; each size's count is bounded before its walk starts.
     """
+    if max_size < 1:
+        raise ValidationError("max size must be at least 1")
     checked = 0
     for size in range(1, max_size + 1):
         carrier = FinSet(tuple(range(size)))

@@ -286,17 +286,6 @@ def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
     return [alpha for alpha in candidates if _em_laws(m, alpha, families)]
 
 
-def em_to_algebra(m: PowersetMonadInstance, alpha: FinMap) -> FinAlgebra:
-    """The binary-join ``m``/least-element ``e`` algebra induced by an E-M
-    structure."""
-    sig = Signature((("m", 2), ("e", 0)))
-    table = {}
-    for a in m.base:
-        for b in m.base:
-            table[(a, b)] = alpha.table[tuple(sorted({a, b}, key=atom_key))]
-    return FinAlgebra(sig, m.base, {"m": table, "e": {(): alpha.table[()]}})
-
-
 # ---------------------------------------------------------------------------
 # Algebras for the two-object, two-arrow diagram of monads
 
@@ -316,7 +305,9 @@ class DAlgebraPair:
     ``NaturalTerm.compiled`` closure on its children's folds.  A fold
     through tables respects substitution, so that value is the
     ``alpha1_of`` of the translation, without building it.  ``alpha0_of``
-    is the fold along ``lhs``, memoised in ``alpha0``.  The constructor
+    is the fold along ``lhs``, memoised in ``alpha0``.  A term not in the
+    memo is checked as it is folded: a node whose operation is unknown, or
+    that has the wrong number of arguments, is refused.  The constructor
     fills both memos over the stages up to ``bound``, so an over-large
     stage is refused before any check runs.
     """
@@ -331,14 +322,14 @@ class DAlgebraPair:
         self.bound = bound
         self.alpha1: dict = {}
         self.alpha0: dict = {}
-        # The stride, and per operation its one-node term compiled, the
-        # step a signature-side fold takes at a node.
+        # The stride, and per operation its arity and its one-node term
+        # compiled, the step a signature-side fold takes at a node.
         self._n = len(algebra.carrier)
         self._steps = {}
         for name, arity in algebra.sig:
             names = canonical_vars(arity)
             node = Node(name, tuple(map(Var, names)))
-            self._steps[name] = compile_term(algebra.sig, node, names)
+            self._steps[name] = arity, compile_term(algebra.sig, node, names)
         for t in stage(algebra.sig, algebra.carrier, bound).terms:
             self.alpha1_of(t)
         for t in stage(domain_signature(identity.domain), algebra.carrier, bound).terms:
@@ -353,8 +344,13 @@ class DAlgebraPair:
                     raise ValidationError(f"unbound variable {t.name!r}")
                 value = carrier.elements.index(t.name)
             else:
+                arity, step = self._steps.get(t.op, (None, None))
+                if len(t.args) != arity:
+                    raise ValidationError(
+                        f"no operation {t.op!r} of arity {len(t.args)} in the signature"
+                    )
                 args = [self.alpha1_of(a) for a in t.args]
-                value = self._steps[t.op](self.algebra.flat, self._n, args)
+                value = step(self.algebra.flat, self._n, args)
             self.alpha1[t] = value
         return value
 
@@ -368,7 +364,10 @@ class DAlgebraPair:
             if type(t) is Var:
                 value = self.alpha1_of(t)
             else:
-                step = nt.compiled[_component(nt.domain, t.op)]
+                i = _component(nt.domain, t.op)
+                if len(t.args) != nt.domain[i]:
+                    raise ValidationError(f"arity mismatch at {t.op!r}")
+                step = nt.compiled[i]
                 args = [self.fold_along(nt, a, memo) for a in t.args]
                 value = step(self.algebra.flat, self._n, args)
             memo[t] = value
@@ -395,7 +394,7 @@ def _em_valid(pair: DAlgebraPair, gside: bool) -> bool:
         if gside:
             step = lhs[_component(pair.identity.domain, t.op)]
         else:
-            step = pair._steps[t.op]
+            step = pair._steps[t.op][1]
         if fold(t) != step(alg.flat, pair._n, [fold(a) for a in t.args]):
             return False
     return True

@@ -52,13 +52,8 @@ class Var(Term):
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
-    def height(self) -> int:
-        return 0
-
-    @cached_property
-    def size(self) -> int:
-        return 1
+    height = 0
+    size = 1
 
     def sort_key(self):
         return (0, 1, (0, atom_key(self.name)))

@@ -18,9 +18,10 @@ identity instances and frontier nodes are built on integer ids and a
 own.  Each identity side is compiled once into a post-order list of
 steps over registers that start with the images of its variables, and
 an instance runs that list, each step filing one node over ids.  When an
-id is registered the engine also stores its term's height, size and
-sort key, the key built from its children's keys, so it orders classes
-and bounds instance pools without asking a ``Term`` for any of them.
+id is registered the engine also stores its term's sort key, which
+begins with the term's height and size and is built from its children's
+keys, so it orders classes and bounds instance pools without asking a
+``Term`` for any of them.
 The keys of ``rep`` are exactly the live union-find roots, each
 mapped to the id of its class's least term.  A union keeps the root
 with the longer list of parent nodes and files the shorter list again
@@ -39,8 +40,8 @@ and partition only when they are first read.  ``audit_derivations``
 checks this certificate with its own union-find and no engine code.
 Once it has shown that every carrier term folds to itself under the
 unit, a morphism extending an assignment can only be the fold of each
-carrier term under it, so the universal property is checked without
-enumerating maps out of the free algebra.
+carrier term under it, so the universal property is checked by that
+fold alone, and refused for a result whose unit does not generate.
 
 Saturation stabilizes at depth d when the roots after depth d-1 still
 name distinct classes after depth d and those are all the classes (the
@@ -95,15 +96,13 @@ class _Engine:
     """Union-find over registered terms with congruence closure; ``nodes``
     (the one term store) is keyed on exact child ids, ``sig_table`` on
     child roots, ``rep`` maps each root to its least term's id, and
-    ``union_log`` holds every union with its reason.  ``height``,
-    ``size`` and ``key`` hold, per id, its term's height, size and
-    ``sort_key()``, computed from the children's entries when the id is
-    registered; ``build`` runs a side compiled by ``_compile_side``."""
+    ``union_log`` holds every union with its reason.  ``key`` holds, per
+    id, its term's ``sort_key()``, which begins ``(height, size, ...)``,
+    computed from the children's keys when the id is registered;
+    ``build`` runs a side compiled by ``_compile_side``."""
 
     def __init__(self, x: FinSet):
         self.terms: list[Term] = []
-        self.height: list[int] = []
-        self.size: list[int] = []
         self.key: list[tuple] = []
         self.parent: list[int] = []
         self.rep: dict[int, int] = {}
@@ -147,17 +146,12 @@ class _Engine:
     def _add(self, t: Term, arg_ids: Optional[tuple[int, ...]]) -> int:
         tid = len(self.terms)
         self.terms.append(t)
-        height, size, key = self.height, self.size, self.key
         if arg_ids is None:
-            height.append(0)
-            size.append(1)
-            key.append(t.sort_key())
+            self.key.append(t.sort_key())
         else:
-            h = 1 + max([height[a] for a in arg_ids], default=0)
-            s = 1 + sum([size[a] for a in arg_ids])
-            height.append(h)
-            size.append(s)
-            key.append((h, s, (1, t.op, tuple([key[a] for a in arg_ids]))))
+            kids = tuple([self.key[a] for a in arg_ids])
+            self.key.append((1 + max([k[0] for k in kids], default=0),
+                             1 + sum([k[1] for k in kids]), (1, t.op, kids)))
         self.parent.append(tid)
         self.rep[tid] = tid
         self.node_args.append(arg_ids)
@@ -354,7 +348,7 @@ def saturate(
         for comp_id, used, offsets, left, right, ground in _flatten(ids, sig)
     ]
     engine = _Engine(x)
-    height, build = engine.height, engine.build
+    sort_keys, build = engine.key, engine.build
     counts: list[int] = []
     prev_roots = set(engine.rep)
     applied: set = set()
@@ -377,7 +371,7 @@ def saturate(
         while True:
             merges_before = len(engine.union_log)
             terms_before = len(engine.terms)
-            reps = [(tid, height[tid]) for tid in engine.least_ids()]
+            reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids()]
             for comp_id, used, offsets, left, right, ground in components:
                 if ground > depth:
                     continue
@@ -578,54 +572,37 @@ def _unit_folds(res: Stabilized) -> Optional[list]:
     return None
 
 
-def _extensions(res: Stabilized, target: FinAlgebra, f: FinMap, folds) -> int:
-    free = res.algebra
-    if folds is None:
-        count = 0
-        for h in enumerate_maps(free.carrier, target.carrier):
-            if all(h.table[res.unit.table[a]] == f.table[a] for a in res.unit.dom):
-                if is_morphism(free, target, h):
-                    count += 1
-        return count
-    if free.sig != target.sig:
-        raise ValidationError("signature mismatch")
-    elems = target.carrier.elements
-    position = {a: j for j, a in enumerate(elems)}
-    values = [position[f.table[a]] for a in res.unit.dom]
-    flat, n = target.flat, len(elems)
-    h = FinMap(free.carrier, target.carrier,
-               {t: elems[fold(flat, n, values)] for t, fold in zip(free.carrier, folds)})
-    if any(h.table[res.unit.table[a]] != f.table[a] for a in res.unit.dom):
-        return 0
-    return int(is_morphism(free, target, h))
-
-
-def extension_count(res: Stabilized, target: FinAlgebra, f: FinMap) -> int:
-    """How many algebra morphisms out of the free algebra extend ``f``.
-
-    When every carrier term folds to itself under the unit, a morphism h
-    with h∘unit = f sends each carrier term t to h(fold of t under the
-    unit) = fold of t under f, so the count is 1 when that fold is a
-    morphism extending f and 0 when it is not.  Otherwise every map out
-    of the carrier is tried."""
-    return _extensions(res, target, f, _unit_folds(res))
-
-
 def universal_property_witness(
     res: Stabilized, ids: Sequence[NaturalIdentity], target: FinAlgebra
 ) -> Optional[tuple[FinMap, int]]:
     """The first assignment of the generators into ``target`` that does not
     extend to exactly one algebra morphism from the free algebra, with its
-    number of extensions, or None when every assignment does."""
+    number of extensions, or None when every assignment does.
+
+    The unit must generate the free algebra: every carrier term folds to
+    itself under it.  A morphism h with h∘unit = f then sends each carrier
+    term t to h(fold of t under the unit) = fold of t under f, so ``f``
+    has one extension when that fold is a morphism extending it, and none
+    when it is not."""
     if not isinstance(res, Stabilized):
         raise ValidationError("universal property requires a stabilized result")
     if not satisfies_all(target, ids):
         raise ValidationError("target algebra is outside the variety")
     folds = _unit_folds(res)
-    for f in enumerate_maps(res.unit.dom, target.carrier):
-        count = _extensions(res, target, f, folds)
-        if count != 1:
-            return f, count
+    if folds is None:
+        raise ValidationError("the unit does not generate the algebra")
+    free, gens, unit = res.algebra, res.unit.dom, res.unit.table
+    if free.sig != target.sig:
+        raise ValidationError("signature mismatch")
+    elems = target.carrier.elements
+    position = {a: j for j, a in enumerate(elems)}
+    flat, n = target.flat, len(elems)
+    for f in enumerate_maps(gens, target.carrier):
+        values = [position[f.table[a]] for a in gens]
+        h = FinMap(free.carrier, target.carrier,
+                   {t: elems[fold(flat, n, values)] for t, fold in zip(free.carrier, folds)})
+        if any(h.table[unit[a]] != f.table[a] for a in gens) or not is_morphism(free, target, h):
+            return f, 0
     return None
 
 

@@ -1,7 +1,8 @@
 """Reference oracles for cross-checks, the free-monad helpers that only
 the tests use (``translate``, ``wrap_term``, ``FreeMonadView``), and the
 other names only the tests use: ``is_injective``, ``is_surjective``,
-``domain_expr`` and ``format_model``.
+``domain_expr``, ``format_model``, ``then``, ``structure_map`` and
+``em_to_algebra``.
 
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
@@ -13,11 +14,13 @@ import itertools
 from dataclasses import dataclass
 
 from finalg import (
+    FinAlgebra,
     FinMap,
     FinSet,
     SigF,
     Signature,
     Term,
+    ValidationError,
     Var,
     apply_obj,
     enumerate_maps,
@@ -26,6 +29,7 @@ from finalg import (
     stage,
     substitute,
 )
+from finalg.core import atom_key
 from finalg.dsl import SpecModel
 from finalg.identities import NaturalIdentity, NaturalTerm, canonical_vars
 from finalg.monadic import domain_signature, mu_flatten, rho_level
@@ -49,6 +53,32 @@ def domain_expr(t: NaturalTerm | NaturalIdentity) -> SigF:
     """The domain functor ∐ᵢ hom(kᵢ, -) as the signature functor with one
     operation ``ci`` of arity kᵢ per component."""
     return SigF(domain_signature(t.domain))
+
+
+def then(f: FinMap, g: FinMap) -> FinMap:
+    """Post-composition: ``then(f, g)`` is g∘f."""
+    if f.cod != g.dom:
+        raise ValidationError("composition mismatch: codomain != domain")
+    return FinMap(f.dom, g.cod, {a: g.table[b] for a, b in f.table.items()})
+
+
+def structure_map(alg: FinAlgebra) -> FinMap:
+    """An algebra's tables as the single structure map F(A) → A over the
+    signature functor."""
+    dom = apply_obj(SigF(alg.sig), alg.carrier)
+    tables = alg.tables
+    return FinMap(dom, alg.carrier, {(name, args): tables[name][args] for (name, args) in dom})
+
+
+def em_to_algebra(m, alpha: FinMap) -> FinAlgebra:
+    """The binary-join ``m``/least-element ``e`` algebra induced by an
+    Eilenberg-Moore structure ``alpha`` of the power-set monad ``m``."""
+    sig = Signature((("m", 2), ("e", 0)))
+    table = {}
+    for a in m.base:
+        for b in m.base:
+            table[(a, b)] = alpha.table[tuple(sorted({a, b}, key=atom_key))]
+    return FinAlgebra(sig, m.base, {"m": table, "e": {(): alpha.table[()]}})
 
 
 def format_model(model: SpecModel) -> str:
@@ -144,7 +174,7 @@ def satisfies_transform(alg, ident):
 
     identity_binding = {a: a for a in alg.carrier}
     eps = FinMap(st, alg.carrier, {t: fold(alg, t, identity_binding) for t in st})
-    return component(ident.lhs).then(eps) == component(ident.rhs).then(eps)
+    return then(component(ident.lhs), eps) == then(component(ident.rhs), eps)
 
 
 def satisfies_level_enumerated(alg, ident, k):

@@ -33,10 +33,10 @@ from finalg import (
     w_embed,
     y_inject,
 )
-from finalg.monadic import em_structures, em_to_algebra, equi_check
+from finalg.monadic import em_structures, equi_check
 from finalg.cli import run as cli_run
 from conftest import CORPUS_TEXT, MAGMA, MONOID_SIG
-from oracles import is_injective
+from oracles import em_to_algebra, is_injective, structure_map, then
 
 
 @contextmanager
@@ -71,7 +71,7 @@ def test_criterion_1_evaluation_identities():
                 ]
                 y_maps = [y_inject(sig, a, n) for n in range(1, 4)]
                 for alg in enumerate_algebras(sig, a):
-                    alpha = alg.structure_map()
+                    alpha = structure_map(alg)
                     for q in q_maps:
                         for (name, args), node in q.table.items():
                             folded = tuple(evaluate(alg, t, binding) for t in args)
@@ -97,11 +97,11 @@ def test_criterion_2_chain_law():
                 for m_idx in range(3):
                     for n_idx in range(m_idx, 3):
                         st_m = stage(sig, x, m_idx)
-                        left = q_node(sig, x, m_idx).then(
-                            w_embed(stage(sig, x, m_idx + 1), n_idx + 1)
+                        left = then(
+                            q_node(sig, x, m_idx), w_embed(stage(sig, x, m_idx + 1), n_idx + 1)
                         )
-                        right = apply_map(SigF(sig), w_embed(st_m, n_idx)).then(
-                            q_node(sig, x, n_idx)
+                        right = then(
+                            apply_map(SigF(sig), w_embed(st_m, n_idx)), q_node(sig, x, n_idx)
                         )
                         assert left == right
 

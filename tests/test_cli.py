@@ -319,6 +319,15 @@ def test_convert_roundtrip(corpus_file):
     assert "equal: true" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["equi", "--identity", "comm", "--level", "2", "--max-size", "0"],
+    ["convert", "roundtrip", "--identity", "comm", "--generators", "2", "--max-size", "0"],
+])
+def test_an_empty_size_range_is_refused(argv, corpus_file):
+    assert invoke(argv + ["--spec", corpus_file]) == (
+        2, "", "error: max size must be at least 1\n")
+
+
 def test_free_stabilizes(corpus_file):
     code, out, _ = invoke(
         ["free", "--spec", corpus_file, "--presentation", "SemilatticeUnit",

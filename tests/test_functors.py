@@ -12,6 +12,7 @@ from finalg import (
 )
 from finalg.monadic import domain_signature
 from conftest import MAGMA, MONOID_SIG
+from oracles import then
 
 
 def test_signature_validation():
@@ -61,4 +62,4 @@ def test_apply_map_preserves_composition(f):
     a, b, c = FinSet((0, 1)), FinSet((0, 1, 2)), FinSet((0, 1))
     for g in enumerate_maps(a, b):
         for h in enumerate_maps(b, c):
-            assert apply_map(f, g.then(h)) == apply_map(f, g).then(apply_map(f, h))
+            assert apply_map(f, then(g, h)) == then(apply_map(f, g), apply_map(f, h))

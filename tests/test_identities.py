@@ -19,6 +19,7 @@ from finalg import (
     satisfies,
 )
 from finalg.algebras import _orbit_representatives
+from finalg.equations import roundtrip_class_equal
 from finalg.identities import ClassComparison, canonical_vars, compare_classes, violation
 from finalg.monadic import equi_check, variety_vs_dalg
 from conftest import MAGMA, MONOID_SIG, e, ident, m, v
@@ -198,6 +199,22 @@ def test_transform_route_agrees_with_nullary(monoid_ids):
 
 UNARY2 = Signature((("f", 1), ("g", 1)))
 CONSTANTS = Signature((("a", 0), ("b", 0), ("c", 0)))
+
+
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_class_comparisons_refuse_an_empty_size_range(comm, assoc, max_size):
+    """No carrier has size at most 0: such a bound is refused, not answered
+    with ``equal`` over no algebras, by every caller of the comparison."""
+    calls = [
+        lambda: compare_classes(MAGMA, max_size, bool, bool),
+        lambda: equivalent_upto(comm, assoc, max_size),
+        lambda: equi_check(assoc, 2, max_size),
+        lambda: variety_vs_dalg(comm, max_size, 2),
+        lambda: roundtrip_class_equal(comm, [2], max_size),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^max size must be at least 1$"):
+            call()
 
 
 def _reference_compare(sig, max_size, in_left, in_right):

@@ -36,13 +36,13 @@ from finalg.core import atom_key
 from finalg.monadic import (
     dalg_violation,
     domain_signature,
-    em_to_algebra,
     satisfies_level,
 )
 from finalg.variety import Stabilized
 from conftest import MAGMA, MONOID_SIG, e, ident, m, two_element, v
 from oracles import (
     FreeMonadView,
+    em_to_algebra,
     fold,
     is_injective,
     satisfies_level_enumerated,
@@ -469,6 +469,24 @@ def test_dalg_rejects_corrupted_structure_map(comm, or_magma):
         getattr(pair, memo)[key] = 7
         with pytest.raises(ValidationError):
             dalg_check(pair)
+
+
+@pytest.mark.parametrize("side, term", [
+    ("alpha1", Node("zz", ())),
+    ("alpha1", Node("m", (Var(0),))),
+    ("alpha1", Node("m", (Var(0), Var(1), Var(1)))),
+    ("alpha0", Node("zz", ())),
+    ("alpha0", Node("c0", (Var(0),))),
+    ("alpha0", Node("c0", (Var(0), Var(1), Var(1)))),
+])
+def test_dalg_refuses_a_node_outside_its_signature(comm, or_magma, side, term):
+    """A node with an unknown operation or the wrong number of arguments is
+    refused on either side, and nothing is memoised."""
+    pair = DAlgebraPair(or_magma, comm, 2)
+    memo = dict(getattr(pair, side))
+    with pytest.raises(ValidationError):
+        getattr(pair, f"{side}_of")(term)
+    assert getattr(pair, side) == memo
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2])

@@ -32,7 +32,7 @@ from finalg.terms import (
     variables,
 )
 from conftest import MAGMA, MONOID_SIG, m, v
-from oracles import is_injective, is_surjective
+from oracles import is_injective, is_surjective, then
 
 
 ONE = FinSet(("u",))
@@ -175,7 +175,7 @@ def test_w_cocone_coherence():
             for n in range(mid, 3):
                 st_k = stage(MAGMA, TWO, k)
                 st_m = stage(MAGMA, TWO, mid)
-                assert w_embed(st_k, mid).then(w_embed(st_m, n)) == w_embed(st_k, n)
+                assert then(w_embed(st_k, mid), w_embed(st_m, n)) == w_embed(st_k, n)
 
 
 def test_chain_square_law():
@@ -183,11 +183,11 @@ def test_chain_square_law():
         for m_idx in range(3):
             for n_idx in range(m_idx, 3):
                 st_m = stage(sig, TWO, m_idx)
-                left = q_node(sig, TWO, m_idx).then(
-                    w_embed(stage(sig, TWO, m_idx + 1), n_idx + 1)
+                left = then(
+                    q_node(sig, TWO, m_idx), w_embed(stage(sig, TWO, m_idx + 1), n_idx + 1)
                 )
-                right = apply_map(SigF(sig), w_embed(st_m, n_idx)).then(
-                    q_node(sig, TWO, n_idx)
+                right = then(
+                    apply_map(SigF(sig), w_embed(st_m, n_idx)), q_node(sig, TWO, n_idx)
                 )
                 assert left == right
 
@@ -211,7 +211,7 @@ def test_y_inject_is_w_after_q0():
             w1n = w_embed(stage(sig, TWO, 1), n)
             fx = apply_obj(SigF(sig), TWO)
             var_iso = apply_map(SigF(sig), iota(stage(sig, TWO, 0)))
-            assert y == var_iso.then(q0).then(w1n)
+            assert y == then(then(var_iso, q0), w1n)
 
 
 def test_stage_map_identity_and_relabel():
@@ -227,24 +227,22 @@ def test_stage_map_functorial():
     three = FinSet(("a", "b", "c"))
     for f in enumerate_maps(TWO, three):
         for g in enumerate_maps(three, ONE):
-            lhs = stage_map(MAGMA, f.then(g), 2)
-            rhs = stage_map(MAGMA, f, 2).then(stage_map(MAGMA, g, 2))
+            lhs = stage_map(MAGMA, then(f, g), 2)
+            rhs = then(stage_map(MAGMA, f, 2), stage_map(MAGMA, g, 2))
             assert lhs == rhs
 
 
 def test_stage_map_commutes_with_chain_maps():
     for f in enumerate_maps(TWO, ONE):
         n = 2
-        assert iota(stage(MAGMA, TWO, n)).then(stage_map(MAGMA, f, n)) == f.then(
-            iota(stage(MAGMA, ONE, n))
+        assert then(iota(stage(MAGMA, TWO, n)), stage_map(MAGMA, f, n)) == then(
+            f, iota(stage(MAGMA, ONE, n))
         )
-        q_then_map = q_node(MAGMA, TWO, 1).then(stage_map(MAGMA, f, 2))
-        map_then_q = apply_map(SigF(MAGMA), stage_map(MAGMA, f, 1)).then(
-            q_node(MAGMA, ONE, 1)
-        )
+        q_then_map = then(q_node(MAGMA, TWO, 1), stage_map(MAGMA, f, 2))
+        map_then_q = then(apply_map(SigF(MAGMA), stage_map(MAGMA, f, 1)), q_node(MAGMA, ONE, 1))
         assert q_then_map == map_then_q
-        w_then_map = w_embed(stage(MAGMA, TWO, 1), 2).then(stage_map(MAGMA, f, 2))
-        map_then_w = stage_map(MAGMA, f, 1).then(w_embed(stage(MAGMA, ONE, 1), 2))
+        w_then_map = then(w_embed(stage(MAGMA, TWO, 1), 2), stage_map(MAGMA, f, 2))
+        map_then_w = then(stage_map(MAGMA, f, 1), w_embed(stage(MAGMA, ONE, 1), 2))
         assert w_then_map == map_then_w
 
 
