@@ -10,10 +10,12 @@ term at the already-translated children and flattening; in an algebra it
 folds by its component's ``NaturalTerm.compiled`` closure instead, on
 carrier positions through the algebra's flat tables (see ``algebras``):
 the level-k check and the diagram algebras' structure maps hold
-positions, not elements.  A ``NaturalIdentity`` induces a two-arrow
-diagram of monads whose arrows are these translations along its ``lhs``
-and ``rhs``.  Everything here
-is bounded by an explicit depth and checked element by element.
+positions, not elements.  Either way an arrow is one lookup table from
+each domain operation ``ci`` to kᵢ and the component's part, its data
+term to translate or its closure to fold.  A ``NaturalIdentity`` induces
+a two-arrow diagram of monads whose arrows are these translations along
+its ``lhs`` and ``rhs``.  Everything here is bounded by an explicit
+depth and checked element by element.
 
 The power-set monad is carried alongside as the worked Eilenberg-Moore
 example: subsets are canonically sorted tuples, the unit forms
@@ -78,35 +80,38 @@ def domain_signature(domain: tuple[int, ...]) -> Signature:
     return Signature(tuple((f"c{i}", k) for i, k in enumerate(domain)))
 
 
-def _component(domain: tuple[int, ...], op: str) -> int:
-    """The index ``i`` of the domain operation ``op``, which
-    ``domain_signature`` names ``ci``: read off the name's digits."""
-    digits = op[1:] if isinstance(op, str) and op[:1] == "c" else ""
-    if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
-        i = int(digits)
-        if i < len(domain):
-            return i
-    raise ValidationError(f"unknown domain component {op!r}")
+def _arrow(nt: NaturalTerm, parts: tuple) -> dict:
+    """The lookup table of the arrow along ``nt``: each domain operation
+    ``ci`` to its arity kᵢ and ``parts[i]``."""
+    return {name: (k, part) for (name, k), part in zip(domain_signature(nt.domain), parts)}
 
 
 def rho_level(nt: NaturalTerm, k: int, elem: Term) -> Term:
     """Translate an element of stage k of ``nt``'s domain chain: variables
     map by the unit; a node instantiates its component's generating term
     at its translated children and flattens."""
+    return _translate(_arrow(nt, nt.data), k, elem)
+
+
+def _translate(table: dict, k: int, elem: Term) -> Term:
     match elem:
         case Var(name):
             return Var(name)
         case Node(op, children):
             if k < 1:
                 raise ValidationError("level 0 of the domain chain holds only variables")
-            return _instantiate(nt, op, [rho_level(nt, k - 1, c) for c in children])
+            return _instantiate(table, op, [_translate(table, k - 1, c) for c in children])
     raise ValidationError(f"not a term: {elem!r}")
 
 
-def _instantiate(nt: NaturalTerm, op: str, translated: list) -> Term:
+def _instantiate(table: dict, op: str, translated: list) -> Term:
     """The generating term of domain op ``op`` at the translated children."""
-    i = _component(nt.domain, op)
-    return substitute(nt.data[i], dict(zip(canonical_vars(nt.domain[i]), translated)))
+    k, term = table.get(op, (None, None))
+    if k is None:
+        raise ValidationError(f"unknown domain component {op!r}")
+    if len(translated) != k:
+        raise ValidationError(f"arity mismatch at {op!r}")
+    return substitute(term, dict(zip(canonical_vars(k), translated)))
 
 
 @dataclass(frozen=True)
@@ -138,11 +143,12 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
     if height > MAX_TERM_DEPTH:
         raise ResourceLimitError(f"term height of translations at bound {bound}",
                                  height, MAX_TERM_DEPTH)
+    table = _arrow(nt, nt.data)
     levels: list[dict] = []
     for k in range(bound + 1):
         below = levels[-1] if levels else {}
         levels.append({
-            e: e if type(e) is Var else _instantiate(nt, e.op, [below[c] for c in e.args])
+            e: e if type(e) is Var else _instantiate(table, e.op, [below[c] for c in e.args])
             for e in stage(gsig, x, k).terms
         })
     checked = 0
@@ -297,22 +303,23 @@ class DAlgebraPair:
     ``identity.lhs`` and ``identity.rhs`` (``rho_level`` at each element's
     own height).
 
-    Every fold value is a carrier position.  ``alpha1_of`` folds a term
-    over the signature through the algebra's flat tables, a node by its
-    operation's one-node term compiled, memoised in
-    ``alpha1``.  ``fold_along`` folds a term over the domain ops along a
-    natural term: a variable by ``alpha1_of``, a node by its component's
-    ``NaturalTerm.compiled`` closure on its children's folds.  A fold
-    through tables respects substitution, so that value is the
-    ``alpha1_of`` of the translation, without building it.  ``alpha0_of``
-    is the fold along ``lhs``, memoised in ``alpha0``.  A term not in the
-    memo is checked as it is folded: a node whose operation is unknown, or
-    that has the wrong number of arguments, is refused.  The constructor
-    fills both memos over the stages up to ``bound``, so an over-large
-    stage is refused before any check runs.
+    Every fold value is a carrier position, folded by one memoised
+    ``_fold`` through a table from each operation to its arity and step.
+    The constructor builds the signature's (each operation's one-node term
+    compiled) and each arrow's (``_arrow`` of its ``NaturalTerm.compiled``).
+    ``alpha1_of`` folds a term over the signature, memoised in ``alpha1``;
+    ``fold_along`` folds a term over the domain ops along ``lhs`` or
+    ``rhs`` into the caller's memo, and ``alpha0_of`` is the fold along
+    ``lhs``, memoised in ``alpha0``.  A fold through tables respects
+    substitution, so that value is the ``alpha1_of`` of the translation,
+    without building it.  A term not in the memo is checked as it is
+    folded: a non-term, an unbound variable, or a node whose operation is
+    unknown or has the wrong number of arguments is refused.  The
+    constructor fills both memos over the stages up to ``bound``, so an
+    over-large stage is refused before any check runs.
     """
 
-    __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_n", "_steps")
+    __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_n", "_sig", "_lhs", "_rhs")
 
     def __init__(self, algebra: FinAlgebra, identity: NaturalIdentity, bound: int):
         if algebra.sig != identity.sig:
@@ -322,80 +329,71 @@ class DAlgebraPair:
         self.bound = bound
         self.alpha1: dict = {}
         self.alpha0: dict = {}
-        # The stride, and per operation its arity and its one-node term
-        # compiled, the step a signature-side fold takes at a node.
         self._n = len(algebra.carrier)
-        self._steps = {}
+        self._sig = {}
         for name, arity in algebra.sig:
             names = canonical_vars(arity)
             node = Node(name, tuple(map(Var, names)))
-            self._steps[name] = arity, compile_term(algebra.sig, node, names)
+            self._sig[name] = arity, compile_term(algebra.sig, node, names)
+        self._lhs = _arrow(identity.lhs, identity.lhs.compiled)
+        self._rhs = _arrow(identity.rhs, identity.rhs.compiled)
         for t in stage(algebra.sig, algebra.carrier, bound).terms:
             self.alpha1_of(t)
         for t in stage(domain_signature(identity.domain), algebra.carrier, bound).terms:
             self.alpha0_of(t)
 
     def alpha1_of(self, t: Term) -> int:
-        value = self.alpha1.get(t)
-        if value is None:
-            if type(t) is Var:
-                carrier = self.algebra.carrier
-                if t.name not in carrier:
-                    raise ValidationError(f"unbound variable {t.name!r}")
-                value = carrier.elements.index(t.name)
-            else:
-                arity, step = self._steps.get(t.op, (None, None))
-                if len(t.args) != arity:
-                    raise ValidationError(
-                        f"no operation {t.op!r} of arity {len(t.args)} in the signature"
-                    )
-                args = [self.alpha1_of(a) for a in t.args]
-                value = step(self.algebra.flat, self._n, args)
-            self.alpha1[t] = value
-        return value
+        return self._fold(self._sig, t, self.alpha1)
 
     def alpha0_of(self, t: Term) -> int:
-        return self.fold_along(self.identity.lhs, t, self.alpha0)
+        return self._fold(self._lhs, t, self.alpha0)
 
     def fold_along(self, nt: NaturalTerm, t: Term, memo: dict) -> int:
-        """The fold of domain term ``t`` along ``nt``, memoised in ``memo``."""
+        """The fold of domain term ``t`` along ``nt``, one of the pair's two
+        arrows, memoised in ``memo``."""
+        if nt is self.identity.lhs:
+            return self._fold(self._lhs, t, memo)
+        if nt is self.identity.rhs:
+            return self._fold(self._rhs, t, memo)
+        raise ValidationError("natural term is not an arrow of the pair's diagram")
+
+    def _fold(self, table: dict, t: Term, memo: dict) -> int:
         value = memo.get(t)
         if value is None:
             if type(t) is Var:
-                value = self.alpha1_of(t)
-            else:
-                i = _component(nt.domain, t.op)
-                if len(t.args) != nt.domain[i]:
-                    raise ValidationError(f"arity mismatch at {t.op!r}")
-                step = nt.compiled[i]
-                args = [self.fold_along(nt, a, memo) for a in t.args]
+                if t.name not in self.algebra.carrier:
+                    raise ValidationError(f"unbound variable {t.name!r}")
+                value = self.algebra.carrier.elements.index(t.name)
+            elif type(t) is Node:
+                arity, step = table.get(t.op, (None, None))
+                if len(t.args) != arity:
+                    raise ValidationError(f"no operation {t.op!r} of arity {len(t.args)}")
+                args = [self._fold(table, a, memo) for a in t.args]
                 value = step(self.algebra.flat, self._n, args)
+            else:
+                raise ValidationError(f"not a term: {t!r}")
             memo[t] = value
         return value
 
 
-def _em_valid(pair: DAlgebraPair, gside: bool) -> bool:
-    """Unit law plus the one-node multiplication law: a node's fold is one
-    step on its children's folds (its table, or on the domain side its
-    ``lhs`` closure).  The nodes checked are those of the stage at the
-    pair's bound (at least 1), the stage the constructor folded, in stage
-    order, so a node's children are checked before the node reads their
-    folds as positions.  Full flattening at the bound follows by
-    structural induction."""
-    alg, lhs = pair.algebra, pair.identity.lhs.compiled
-    fold = pair.alpha0_of if gside else pair.alpha1_of
+def _em_valid(pair: DAlgebraPair, sig: Signature, table: dict, memo: dict) -> bool:
+    """Unit law plus the one-node multiplication law of the structure map
+    folding terms over ``sig`` through ``table`` into ``memo``: a node's
+    fold is its table step on its children's folds.  The nodes checked
+    are those of the stage at the pair's bound (at least 1), the stage the
+    constructor folded, in stage order, so a node's children are checked
+    before the node reads their folds as positions.  Full flattening at
+    the bound follows by structural induction."""
+    alg, fold = pair.algebra, pair._fold
     for j, a in enumerate(alg.carrier):
-        if fold(Var(a)) != j:
+        if fold(table, Var(a), memo) != j:
             return False
-    sig = domain_signature(pair.identity.domain) if gside else alg.sig
     for t in stage(sig, alg.carrier, max(pair.bound, 1)).terms:
         if type(t) is Var:
             continue
-        if gside:
-            step = lhs[_component(pair.identity.domain, t.op)]
-        else:
-            step = pair._steps[t.op][1]
-        if fold(t) != step(alg.flat, pair._n, [fold(a) for a in t.args]):
+        step = table[t.op][1]
+        args = [fold(table, a, memo) for a in t.args]
+        if fold(table, t, memo) != step(alg.flat, pair._n, args):
             return False
     return True
 
@@ -404,14 +402,14 @@ def dalg_violation(pair: DAlgebraPair) -> Optional[Term]:
     """First domain-chain element up to the pair's bound where the two
     arrows disagree, or None: ``alpha0_of`` folds along ``lhs``, so the
     element's fold along ``rhs`` is compared with it."""
-    if not _em_valid(pair, gside=False):
+    gsig = domain_signature(pair.identity.domain)
+    if not _em_valid(pair, pair.algebra.sig, pair._sig, pair.alpha1):
         raise ValidationError("signature-side structure map violates the monad laws")
-    if not _em_valid(pair, gside=True):
+    if not _em_valid(pair, gsig, pair._lhs, pair.alpha0):
         raise ValidationError("domain-side structure map violates the monad laws")
-    ident = pair.identity
     via_rhs: dict = {}
-    for t in stage(domain_signature(ident.domain), pair.algebra.carrier, pair.bound).terms:
-        if pair.fold_along(ident.rhs, t, via_rhs) != pair.alpha0_of(t):
+    for t in stage(gsig, pair.algebra.carrier, pair.bound).terms:
+        if pair.fold_along(pair.identity.rhs, t, via_rhs) != pair.alpha0_of(t):
             return t
     return None
 

@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from finalg import (
+    FinAlgebra,
     FinMap,
     FinSet,
+    NaturalIdentity,
     NaturalTerm,
     Node,
     ResourceLimitError,
@@ -139,16 +141,56 @@ def test_rho_level_rejects_unknown_component(comm_chain):
         rho_level(comm_chain, 1, Node("c1", (v("x"), v("y"))))
 
 
-def test_component_reads_the_index_off_the_name():
-    """Every name ``domain_signature`` gives resolves to its index, and a
-    name the search over those names would not find is refused alike."""
-    domain = tuple(range(1, 13))
-    names = [name for name, _ in domain_signature(domain)]
-    assert [monadic._component(domain, name) for name in names] == list(range(12))
-    for op in ["c12", "c", "c01", "c00", "c-1", "c+1", "c 1", "c1 ", "c\u0663", "c\u00b2",
-               "C0", "d0", "", "0", 0, None]:
-        with pytest.raises(ValidationError, match="^unknown domain component "):
-            monadic._component(domain, op)
+@pytest.mark.parametrize("children", [(v("a"), v("b"), v("c")), (v("a"),)])
+def test_rho_level_refuses_a_wrong_number_of_children(comm, children):
+    """A domain node is refused unless it has its component's arity: extra
+    children are not dropped, and a missing one is not reported as an
+    unbound variable of the generating term."""
+    with pytest.raises(ValidationError, match="^arity mismatch at 'c0'$"):
+        rho_level(comm.lhs, 1, Node("c0", children))
+
+
+DOZEN = tuple(range(1, 13))
+DOZEN_NAMES = [name for name, _ in domain_signature(DOZEN)]
+NOT_DOZEN_NAMES = ["c12", "c", "c01", "c00", "c-1", "c+1", "c 1", "c1 ", "c\u0663", "c\u00b2",
+                   "C0", "d0", "", "0", 0, None]
+
+
+@pytest.fixture(scope="module")
+def dozen():
+    """An identity whose domain has 12 components, ``ci`` of arity i+1 and
+    generating term its last variable, and a pair on the one-point magma."""
+    last = NaturalTerm(MAGMA, DOZEN, 0, tuple(v(f"v{k}") for k in DOZEN))
+    first = NaturalTerm(MAGMA, DOZEN, 0, tuple(v("v1") for _ in DOZEN))
+    identity = NaturalIdentity(last, first)
+    point = FinAlgebra(MAGMA, FinSet((0,)), {"m": {(0, 0): 0}})
+    return identity, DAlgebraPair(point, identity, 1)
+
+
+def test_every_domain_name_resolves_to_its_component(dozen):
+    identity, pair = dozen
+    for i, name in enumerate(DOZEN_NAMES):
+        node = Node(name, tuple(Var(j) for j in range(i + 1)))
+        assert rho_level(identity.lhs, 1, node) == Var(i)
+        node = Node(name, (Var(0),) * (i + 1))
+        assert pair.fold_along(identity.lhs, node, {}) == 0
+        assert pair.fold_along(identity.rhs, node, {}) == 0
+
+
+@pytest.mark.parametrize("op", NOT_DOZEN_NAMES)
+def test_a_name_outside_the_domain_is_refused(dozen, op):
+    """Only the names ``domain_signature`` gives are domain operations: no
+    index past the last, no other spelling of a number, no other letter."""
+    identity, pair = dozen
+    node = Node(op, (Var(0),))
+    with pytest.raises(ValidationError, match="^unknown domain component "):
+        rho_level(identity.lhs, 1, node)
+    memo = dict(pair.alpha0)
+    with pytest.raises(ValidationError, match="^no operation "):
+        pair.alpha0_of(node)
+    assert pair.alpha0 == memo
+    with pytest.raises(ValidationError, match="^no operation "):
+        pair.fold_along(identity.rhs, node, {})
 
 
 UNARY_INV = ident(Signature((("s", 1),)), Node("s", (Node("s", (v("x"),)),)), v("x"), ("x",))
@@ -478,15 +520,29 @@ def test_dalg_rejects_corrupted_structure_map(comm, or_magma):
     ("alpha0", Node("zz", ())),
     ("alpha0", Node("c0", (Var(0),))),
     ("alpha0", Node("c0", (Var(0), Var(1), Var(1)))),
+    ("alpha1", "x"),
+    ("alpha1", Node("m", (Var(0), "y"))),
+    ("alpha0", Node("c0", (Var(0), "y"))),
 ])
 def test_dalg_refuses_a_node_outside_its_signature(comm, or_magma, side, term):
-    """A node with an unknown operation or the wrong number of arguments is
-    refused on either side, and nothing is memoised."""
+    """A node with an unknown operation or the wrong number of arguments,
+    and a non-term at the top or as a child, is refused on either side,
+    and nothing is memoised."""
     pair = DAlgebraPair(or_magma, comm, 2)
     memo = dict(getattr(pair, side))
     with pytest.raises(ValidationError):
         getattr(pair, f"{side}_of")(term)
     assert getattr(pair, side) == memo
+
+
+def test_fold_along_refuses_a_term_outside_the_diagram(comm, idem, or_magma):
+    """Only the pair's own two arrows are folded along: an equal natural
+    term that is another object, or another identity's, is refused."""
+    pair = DAlgebraPair(or_magma, comm, 2)
+    copy = NaturalTerm(comm.lhs.sig, comm.lhs.domain, comm.lhs.arity, comm.lhs.data)
+    for nt in (idem.lhs, copy):
+        with pytest.raises(ValidationError, match="^natural term is not an arrow of the pair's"):
+            pair.fold_along(nt, Node("c0", (Var(0),)), {})
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2])

@@ -5,7 +5,9 @@ either exported in ``finalg.__all__`` or named somewhere else in
 ``src/finalg`` or ``perfbench``: outside its own definition, as a name,
 an attribute, an imported name or a dotted string.  A method that
 overrides one of a base class is reached through the base, so it is not
-asked for.  Helpers that only tests call belong in ``tests/oracles.py``.
+asked for.  Every private (one leading underscore) module-level function
+and class is named there too; ``__all__`` does not excuse it.  Helpers
+that only tests call belong in ``tests/oracles.py``.
 """
 import ast
 import importlib
@@ -54,7 +56,14 @@ def _references(tree):
                     yield part, node.lineno
 
 
-def test_every_public_definition_is_exported_or_used():
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unreferenced(definitions, excused=()):
+    """The ``(module, tree) -> (name, first, last)`` definitions of
+    ``src/finalg`` not in ``excused`` and named nowhere in ``SOURCES``
+    outside their own lines."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     refs: dict = {}
     for path, tree in trees.items():
@@ -65,12 +74,24 @@ def test_every_public_definition_is_exported_or_used():
         if path.parent.name != "finalg":
             continue
         module = importlib.import_module(f"finalg.{path.stem}")
-        for name, first, last in _definitions(module, tree):
-            if name in finalg.__all__:
+        for name, first, last in definitions(module, tree):
+            if name in excused:
                 continue
             if not any(
                 other != path or not first <= line <= last
                 for other, line in refs.get(name, ())
             ):
                 unused.append(f"{path.name}:{first} {name}")
-    assert unused == []
+    return unused
+
+
+def test_every_public_definition_is_exported_or_used():
+    assert _unreferenced(_definitions, finalg.__all__) == []
+
+
+def test_every_private_helper_is_used():
+    def helpers(module, tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
+                yield node.name, node.lineno, node.end_lineno
+    assert _unreferenced(helpers) == []
