@@ -124,8 +124,7 @@ class FinAlgebra:
 def _flatten_tables(sig: Signature, carrier: FinSet, tables: Mapping[str, Mapping]) -> Flat:
     """The flat tables of ``tables``, which must be total with values in
     the carrier."""
-    elems = carrier.elements
-    position = {a: i for i, a in enumerate(elems)}
+    elems, position = carrier.elements, carrier.position
     flat = []
     for name, arity in sig:
         table = tables[name]
@@ -212,8 +211,7 @@ def evaluate(alg: FinAlgebra, t: Term, binding: Mapping):
     """Fold a term through the algebra's tables under a variable binding,
     whose values must lie in the carrier."""
     f = compile_term(alg.sig, t, tuple(binding))
-    elems = alg.carrier.elements
-    position = {a: i for i, a in enumerate(elems)}
+    elems, position = alg.carrier.elements, alg.carrier.position
     values = []
     for name, value in binding.items():
         if value not in position:
@@ -228,7 +226,7 @@ def is_morphism(src: FinAlgebra, dst: FinAlgebra, h: FinMap) -> bool:
         raise ValidationError("signature mismatch")
     if h.dom != src.carrier or h.cod != dst.carrier:
         raise ValidationError("carrier mismatch")
-    position = {a: i for i, a in enumerate(dst.carrier.elements)}
+    position = dst.carrier.position
     image = [position[h.table[a]] for a in src.carrier.elements]
     n = len(dst.carrier)
     for (_, arity), s_cells, d_cells in zip(src.sig, src.flat, dst.flat):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ResourceLimitError, ValidationError, at_least
@@ -37,12 +38,13 @@ def atom_key(atom):
 
 @dataclass(frozen=True)
 class FinSet:
-    """A finite set: distinct atoms kept in canonical order."""
+    """A finite set: distinct atoms kept in canonical order.
+
+    ``position`` is the read-only map from each atom to its index in
+    ``elements``; membership tests read it."""
 
     elements: tuple = ()
-    _members: frozenset = field(
-        init=False, repr=False, compare=False, hash=False, default=frozenset()
-    )
+    position: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(sorted(self.elements, key=atom_key))
@@ -50,7 +52,7 @@ class FinSet:
             if a == b:
                 raise ValidationError(f"duplicate atom: {a!r}")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_members", frozenset(elems))
+        object.__setattr__(self, "position", MappingProxyType(dict(zip(elems, itertools.count()))))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -59,7 +61,7 @@ class FinSet:
         return iter(self.elements)
 
     def __contains__(self, atom) -> bool:
-        return atom in self._members
+        return atom in self.position
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.elements)
@@ -102,10 +104,6 @@ class FinMap:
         f.table = table
         return f
 
-    @classmethod
-    def identity(cls, s: FinSet) -> "FinMap":
-        return cls(s, s, {a: a for a in s})
-
     def __call__(self, atom):
         try:
             return self.table[atom]
@@ -131,7 +129,7 @@ class FinMap:
 class Partition:
     """A partition of a finite set; each block is keyed by its least atom."""
 
-    __slots__ = ("base", "blocks", "_rep")
+    __slots__ = ("base", "blocks")
 
     def __init__(self, base: FinSet, blocks: Iterable[Iterable]):
         canon = []
@@ -152,19 +150,13 @@ class Partition:
         canon.sort(key=lambda items: atom_key(items[0]))
         self.base = base
         self.blocks = tuple(canon)
-        self._rep = {a: items[0] for items in canon for a in items}
-
-    def rep(self, atom):
-        try:
-            return self._rep[atom]
-        except KeyError:
-            raise ValidationError(f"{atom!r} not in base") from None
 
     def representatives(self) -> FinSet:
         return FinSet(tuple(items[0] for items in self.blocks))
 
     def projection(self) -> FinMap:
-        return FinMap(self.base, self.representatives(), dict(self._rep))
+        return FinMap(self.base, self.representatives(),
+                      {a: items[0] for items in self.blocks for a in items})
 
     def __len__(self) -> int:
         return len(self.blocks)

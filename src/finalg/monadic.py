@@ -363,7 +363,7 @@ class DAlgebraPair:
             if type(t) is Var:
                 if t.name not in self.algebra.carrier:
                     raise ValidationError(f"unbound variable {t.name!r}")
-                value = self.algebra.carrier.elements.index(t.name)
+                value = self.algebra.carrier.position[t.name]
             elif type(t) is Node:
                 arity, step = table.get(t.op, (None, None))
                 if len(t.args) != arity:

@@ -15,9 +15,11 @@ hashcons of its terms, maps ``(op, child ids)`` to the id of the node
 with exactly those children (the generators are ids 0..|x|-1), so
 identity instances and frontier nodes are built on integer ids and a
 ``Term`` is made only for a new node, whose operation is that term's
-own.  Each identity side is compiled once into a post-order list of
-steps over registers that start with the images of its variables, and
-an instance runs that list, each step filing one node over ids.  When an
+own.  Each identity component is prepared once: one walk per side
+compiles it into a post-order list of steps over registers that start
+with the images of the component's variables, and records each
+variable's deepest occurrence, which bounds the height of its images.
+An instance runs those lists, each step filing one node over ids.  When an
 id is registered the engine also stores its term's sort key, which
 begins with the term's height and size and is built from its children's
 keys, so it orders classes and bounds instance pools without asking a
@@ -63,7 +65,7 @@ from .core import FinMap, FinSet, Partition, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, canonical_vars, satisfies_all
-from .terms import Node, Term, Var, variables
+from .terms import Node, Term, Var, check_term, variables
 
 MAX_UNIVERSE = 500_000
 
@@ -71,25 +73,6 @@ MAX_UNIVERSE = 500_000
 # children were already joined; an identity instance logs
 # ``(component, images)`` instead.
 CONGRUENCE = "congruence"
-
-
-def _occurrence_depths(t: Term, depth: int = 0, acc: Optional[dict] = None) -> dict:
-    """Deepest occurrence of each variable, measured from the root.
-
-    The height of t[g] is max(t.height, max_v(occ_v + height(g(v)))), so
-    these depths turn the fits-in-stage test into a per-variable bound.
-    """
-    if acc is None:
-        acc = {}
-    match t:
-        case Var(name):
-            acc[name] = max(acc.get(name, 0), depth)
-        case Node(_, args):
-            for a in args:
-                _occurrence_depths(a, depth + 1, acc)
-        case _:
-            raise ValidationError(f"not a term: {t!r}")
-    return acc
 
 
 class _Engine:
@@ -210,9 +193,10 @@ class CongruenceState:
     node ``terms[i].op`` over the ids ``node_args[i]``.  ``least[i]``
     is the id of the least term of ``i``'s class.  Each ``union_log``
     entry ``(a, b, reason)`` joined the classes of ``a`` and ``b``; its
-    reason is ``(component, images)`` for an instance of the flattened
-    identity component with that index, its used variables bound to the
-    ids ``images``, or ``CONGRUENCE``.  ``op_tables`` are the operation
+    reason is ``(component, images)`` for an instance of the identity
+    component with that index, the components of all identities numbered
+    in order, its used variables bound in canonical order to the ids
+    ``images``, or ``CONGRUENCE``.  ``op_tables`` are the operation
     tables on the classes' least terms, and ``class_counts`` the class
     count after each processed depth.
 
@@ -271,44 +255,46 @@ class Unstabilized:
 FreeAlgebraResult = Union[Stabilized, Unstabilized]
 
 
-def _flatten(ids: Iterable[NaturalIdentity], sig: Signature) -> list[tuple]:
-    """One entry per identity component: used variables in canonical order,
-    per-variable occurrence-depth offsets, the two data terms, and the
-    height of the ground skeleton."""
+def _components(ids: Iterable[NaturalIdentity], sig: Signature) -> list[tuple]:
+    """One entry per identity component, in order: ``(deepest, left,
+    right, ground)``.  ``deepest`` maps the component's used variables, in
+    canonical order, to their deepest occurrence in either side, ``left``
+    and ``right`` are the sides compiled over those variables by
+    ``_compile_side``, and ``ground`` is the height of the taller side."""
     components = []
-    comp_id = 0
     for ident in ids:
         if ident.sig != sig:
             raise ValidationError("identity signature differs from presentation")
-        for c, k in enumerate(ident.domain):
-            left, right = ident.lhs.data[c], ident.rhs.data[c]
-            occ_l = _occurrence_depths(left)
-            occ_r = _occurrence_depths(right)
-            used = tuple(v for v in canonical_vars(k) if v in occ_l or v in occ_r)
-            offsets = {v: max(occ_l.get(v, 0), occ_r.get(v, 0)) for v in used}
-            components.append(
-                (comp_id, used, offsets, left, right, max(left.height, right.height))
-            )
-            comp_id += 1
+        for k, left, right in zip(ident.domain, ident.lhs.data, ident.rhs.data):
+            occurring = variables(left) | variables(right)
+            deepest = {v: 0 for v in canonical_vars(k) if v in occurring}
+            components.append((deepest, _compile_side(left, deepest),
+                               _compile_side(right, deepest), max(left.height, right.height)))
     return components
 
 
-def _compile_side(side: Term, used: Sequence) -> tuple:
+def _compile_side(side: Term, deepest: dict) -> tuple:
     """``side`` as ``(steps, out)``: its nodes in post-order, left to right,
     each step ``(op, slots)`` reading the registers at ``slots`` and writing
     the next one, and the register of the side's value.  The registers
-    start with the images of ``used``, in that order."""
-    slot = {v: i for i, v in enumerate(used)}
+    start with the images of the variables of ``deepest``, in its order.
+
+    The same walk raises each variable's entry in ``deepest`` to the depth
+    of its deepest occurrence, measured from the root.  The height of
+    side[g] is max(side.height, max_v(deepest_v + height(g(v)))), so these
+    depths turn the fits-in-stage test into a per-variable bound."""
+    slot = {v: i for i, v in enumerate(deepest)}
     steps: list[tuple[str, tuple[int, ...]]] = []
 
-    def walk(t: Term) -> int:
+    def walk(t: Term, depth: int) -> int:
         if not isinstance(t, Node):
+            deepest[t.name] = max(deepest[t.name], depth)
             return slot[t.name]
-        slots = tuple([walk(a) for a in t.args])
+        slots = tuple([walk(a, depth + 1) for a in t.args])
         steps.append((t.op, slots))
         return len(slot) + len(steps) - 1
 
-    out = walk(side)
+    out = walk(side, 0)
     return tuple(steps), out
 
 
@@ -343,10 +329,7 @@ def saturate(
     """
     if depth_bound < 1:
         raise ValidationError("depth bound must be at least 1")
-    components = [
-        (comp_id, used, offsets, _compile_side(left, used), _compile_side(right, used), ground)
-        for comp_id, used, offsets, left, right, ground in _flatten(ids, sig)
-    ]
+    components = _components(ids, sig)
     engine = _Engine(x)
     sort_keys, build = engine.key, engine.build
     counts: list[int] = []
@@ -372,12 +355,12 @@ def saturate(
             merges_before = len(engine.union_log)
             terms_before = len(engine.terms)
             reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids()]
-            for comp_id, used, offsets, left, right, ground in components:
+            for comp_id, (deepest, left, right, ground) in enumerate(components):
                 if ground > depth:
                     continue
                 pools = [
-                    [tid for tid, height in reps if height + offsets[v] <= depth]
-                    for v in used
+                    [tid for tid, height in reps if height + offset <= depth]
+                    for offset in deepest.values()
                 ]
                 for images in itertools.product(*pools):
                     key = (comp_id, images)
@@ -417,25 +400,22 @@ def _state_of(res: FreeAlgebraResult) -> CongruenceState:
 def word_equal(res, t1: Term, t2: Term) -> bool:
     """Whether two terms denote the same element of the (partial) quotient.
 
-    A stabilized state's operation tables are total on its classes, so
-    normalizing through them resolves every term there."""
+    Both terms are checked against the signature first.  A stabilized
+    state's operation tables are total on its classes, so normalizing
+    through them resolves every well-formed term there."""
     state = _state_of(res)
+    check_term(state.sig, t1)
+    check_term(state.sig, t2)
 
     def normalize(t: Term) -> Term:
-        match t:
-            case Var(name):
-                if name not in state.x:
-                    raise ValidationError(f"variable {t!r} outside the generators")
-                return state.terms[state.least[state.x.elements.index(name)]]
-            case Node(op, args):
-                reps = tuple(normalize(a) for a in args)
-                found = state.op_tables[op].get(reps)
-                if found is None:
-                    raise ValidationError(
-                        f"term not resolvable at depth {state.depth}: {t!r}"
-                    )
-                return found
-        raise ValidationError(f"not a term: {t!r}")
+        if type(t) is Var:
+            if t.name not in state.x:
+                raise ValidationError(f"variable {t!r} outside the generators")
+            return state.terms[state.least[state.x.position[t.name]]]
+        found = state.op_tables[t.op].get(tuple([normalize(a) for a in t.args]))
+        if found is None:
+            raise ValidationError(f"term not resolvable at depth {state.depth}: {t!r}")
+        return found
 
     return normalize(t1) == normalize(t2)
 
@@ -565,7 +545,7 @@ def _unit_folds(res: Stabilized) -> Optional[list]:
     algebra, names = res.algebra, res.unit.dom.elements
     carrier = algebra.carrier.elements
     folds = [compile_term(algebra.sig, t, names) for t in carrier]
-    position = {t: j for j, t in enumerate(carrier)}
+    position = algebra.carrier.position
     unit = [position[res.unit.table[a]] for a in names]
     if all(fold(algebra.flat, len(carrier), unit) == j for j, fold in enumerate(folds)):
         return folds
@@ -594,8 +574,7 @@ def universal_property_witness(
     free, gens, unit = res.algebra, res.unit.dom, res.unit.table
     if free.sig != target.sig:
         raise ValidationError("signature mismatch")
-    elems = target.carrier.elements
-    position = {a: j for j, a in enumerate(elems)}
+    elems, position = target.carrier.elements, target.carrier.position
     flat, n = target.flat, len(elems)
     for f in enumerate_maps(gens, target.carrier):
         values = [position[f.table[a]] for a in gens]

@@ -1,8 +1,8 @@
 """Reference oracles for cross-checks, the free-monad helpers that only
 the tests use (``translate``, ``wrap_term``, ``FreeMonadView``), and the
 other names only the tests use: ``is_injective``, ``is_surjective``,
-``domain_expr``, ``format_model``, ``then``, ``structure_map`` and
-``em_to_algebra``.
+``domain_expr``, ``format_model``, ``then``, ``identity_map``,
+``block_rep``, ``structure_map`` and ``em_to_algebra``.
 
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
@@ -17,6 +17,7 @@ from finalg import (
     FinAlgebra,
     FinMap,
     FinSet,
+    Partition,
     SigF,
     Signature,
     Term,
@@ -60,6 +61,19 @@ def then(f: FinMap, g: FinMap) -> FinMap:
     if f.cod != g.dom:
         raise ValidationError("composition mismatch: codomain != domain")
     return FinMap(f.dom, g.cod, {a: g.table[b] for a, b in f.table.items()})
+
+
+def identity_map(s: FinSet) -> FinMap:
+    """The identity map of ``s``."""
+    return FinMap(s, s, {a: a for a in s})
+
+
+def block_rep(part: Partition, atom):
+    """The least atom of the block of ``part`` that holds ``atom``."""
+    for items in part.blocks:
+        if atom in items:
+            return items[0]
+    raise ValidationError(f"{atom!r} not in base")
 
 
 def structure_map(alg: FinAlgebra) -> FinMap:

@@ -28,7 +28,7 @@ from finalg import (
 from finalg.algebras import compile_term, count_algebras
 from finalg.dsl import parse_spec
 from conftest import CORPUS_TEXT, MAGMA, MONOID_SIG, m, v
-from oracles import fold, structure_map
+from oracles import fold, identity_map, structure_map
 
 
 def test_tables_must_be_total():
@@ -154,8 +154,8 @@ def test_compiled_terms_agree_with_the_recursive_fold(kind):
 
 
 def test_is_morphism_identity(or_magma, or_monoid):
-    assert is_morphism(or_magma, or_magma, FinMap.identity(or_magma.carrier))
-    assert is_morphism(or_monoid, or_monoid, FinMap.identity(or_monoid.carrier))
+    assert is_morphism(or_magma, or_magma, identity_map(or_magma.carrier))
+    assert is_morphism(or_monoid, or_monoid, identity_map(or_monoid.carrier))
 
 
 def test_is_morphism_negation_swap(or_magma, and_magma):
@@ -174,7 +174,7 @@ def test_is_morphism_constant_and_projection(or_magma, or_monoid, left_projectio
 
 def test_is_morphism_signature_mismatch(or_magma, or_monoid):
     with pytest.raises(ValidationError):
-        is_morphism(or_magma, or_monoid, FinMap.identity(or_magma.carrier))
+        is_morphism(or_magma, or_monoid, identity_map(or_magma.carrier))
 
 
 def test_enumerate_counts():

@@ -16,7 +16,7 @@ from finalg import (
 )
 from finalg.core import MAX_ENUMERATION, bounded_power
 from conftest import MAGMA, m, v
-from oracles import is_injective, is_surjective, then
+from oracles import identity_map, is_injective, is_surjective, then
 
 
 def test_finset_canonical_order():
@@ -35,6 +35,19 @@ def test_finset_mixed_kinds_sort_deterministically():
     assert s.elements == (1, "a", (0, "a"))
 
 
+@pytest.mark.parametrize("atoms", [(), ("b", "a", "c"), ("a", 1, (0, "a")), (v("y"), v("x"))])
+def test_finset_position_follows_elements_and_is_read_only(atoms):
+    s = FinSet(atoms)
+    assert list(s.position.items()) == [(a, i) for i, a in enumerate(s.elements)]
+    assert all(a in s for a in atoms) and "zz" not in s
+    with pytest.raises(TypeError):
+        s.position["zz"] = 0
+    with pytest.raises(AttributeError):
+        s.position = {}
+    assert FinSet(atoms) == s and hash(FinSet(atoms)) == hash(s)
+    assert "position" not in repr(s)
+
+
 def test_finmap_totality_and_codomain():
     a, b = FinSet(("x",)), FinSet((0, 1))
     with pytest.raises(ValidationError):
@@ -51,7 +64,7 @@ def test_finmap_composition():
     f = FinMap(a, b, {"x": 0, "y": 1})
     g = FinMap(b, b, {0: 1, 1: 1})
     assert then(f, g)("x") == 1
-    assert then(FinMap.identity(a), f) == f
+    assert then(identity_map(a), f) == f
 
 
 def test_coproduct_empty_left():
@@ -105,7 +118,7 @@ def test_quotient_rejects_unknown_atom():
 
 
 def test_kernel_pair_of_injection():
-    f = FinMap.identity(FinSet(("a", "b")))
+    f = identity_map(FinSet(("a", "b")))
     assert sorted(kernel_pair(f)) == [("a", "a"), ("b", "b")]
 
 

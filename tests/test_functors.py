@@ -12,7 +12,7 @@ from finalg import (
 )
 from finalg.monadic import domain_signature
 from conftest import MAGMA, MONOID_SIG
-from oracles import then
+from oracles import identity_map, then
 
 
 def test_signature_validation():
@@ -42,9 +42,9 @@ def test_sigf_cardinality_formula():
 
 def test_apply_map_identity_law():
     x = FinSet((0, 1))
-    h = FinMap.identity(x)
+    h = identity_map(x)
     for f in [SigF(MAGMA), SigF(MONOID_SIG), SigF(domain_signature((3, 1, 1)))]:
-        assert apply_map(f, h) == FinMap.identity(apply_obj(f, x))
+        assert apply_map(f, h) == identity_map(apply_obj(f, x))
 
 
 def test_apply_map_pointwise_on_sigf():

@@ -32,7 +32,7 @@ from finalg.terms import (
     variables,
 )
 from conftest import MAGMA, MONOID_SIG, m, v
-from oracles import is_injective, is_surjective, then
+from oracles import identity_map, is_injective, is_surjective, then
 
 
 ONE = FinSet(("u",))
@@ -153,7 +153,7 @@ def test_iota_q_jointly_bijective():
 
 def test_w_embed_identity_and_iota():
     st = stage(MAGMA, TWO, 2)
-    assert w_embed(st, 2) == FinMap.identity(st.terms)
+    assert w_embed(st, 2) == identity_map(st.terms)
     st0 = stage(MAGMA, TWO, 0)
     w03 = w_embed(st0, 3)
     emb3 = iota(stage(MAGMA, TWO, 3))
@@ -215,8 +215,8 @@ def test_y_inject_is_w_after_q0():
 
 
 def test_stage_map_identity_and_relabel():
-    ident = FinMap.identity(TWO)
-    assert stage_map(MAGMA, ident, 1) == FinMap.identity(stage(MAGMA, TWO, 1).terms)
+    ident = identity_map(TWO)
+    assert stage_map(MAGMA, ident, 1) == identity_map(stage(MAGMA, TWO, 1).terms)
     collapse = FinMap(TWO, ONE, {"x": "u", "y": "u"})
     sm = stage_map(MAGMA, collapse, 1)
     assert sm(m(v("x"), v("y"))) == m(v("u"), v("u"))

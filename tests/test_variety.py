@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -35,16 +36,44 @@ from finalg.identities import satisfies_all
 from finalg.variety import (
     CONGRUENCE,
     _Engine,
-    _flatten,
     audit_derivations,
     universal_property_witness,
 )
-from oracles import extension_count_enumerated, universal_property_witness_enumerated
-from conftest import MAGMA, MONOID_SIG, X, Y, e, ident, m, two_element, v
+from oracles import (
+    block_rep,
+    extension_count_enumerated,
+    identity_map,
+    universal_property_witness_enumerated,
+)
+from conftest import MAGMA, MONOID_SIG, X, Y, Z, e, ident, m, two_element, v
 
 
 def gens(n):
     return FinSet(tuple(f"x{i + 1}" for i in range(n)))
+
+
+def reference_components(ids):
+    """Per identity component, in order, ``(used, offsets, left, right,
+    ground)`` read off the data terms by a plain depth walk: the canonical
+    variables occurring in either side in canonical order, each one's
+    deepest occurrence in either side, the two sides, and the height of
+    the taller side."""
+    def depths(t, depth, acc):
+        if isinstance(t, Node):
+            for a in t.args:
+                depths(a, depth + 1, acc)
+        else:
+            acc[t.name] = max(acc.get(t.name, 0), depth)
+        return acc
+
+    components = []
+    for ident in ids:
+        for k, left, right in zip(ident.domain, ident.lhs.data, ident.rhs.data):
+            occ_l, occ_r = depths(left, 0, {}), depths(right, 0, {})
+            used = tuple(u for u in (f"v{i + 1}" for i in range(k)) if u in occ_l or u in occ_r)
+            offsets = {u: max(occ_l.get(u, 0), occ_r.get(u, 0)) for u in used}
+            components.append((used, offsets, left, right, max(left.height, right.height)))
+    return components
 
 
 def full_stage_classes(sig, ids, x, depth):
@@ -66,11 +95,11 @@ def full_stage_classes(sig, ids, x, depth):
         parent[rb] = ra
         return True
 
-    components = _flatten(ids, sig)
+    components = reference_components(ids)
     changed = True
     while changed:
         changed = False
-        for _, used, offsets, left, right, ground in components:
+        for used, offsets, left, right, ground in components:
             if ground > depth:
                 continue
             pools = [[t for t in st if t.height + offsets[u] <= depth] for u in used]
@@ -166,7 +195,7 @@ def test_engine_classes_match_full_stage_oracle_monoid(monoid_ids, depth):
     state = res.state
     for block in state.classes.blocks:
         assert len({rep_of[t] for t in block}) == 1
-    engine_rep = {t: state.classes.rep(t) for t in state.universe}
+    engine_rep = {t: block_rep(state.classes, t) for t in state.universe}
     for t, u in itertools.combinations(state.universe.elements, 2):
         assert (engine_rep[t] == engine_rep[u]) == (rep_of[t] == rep_of[u])
 
@@ -187,7 +216,7 @@ def test_partition_refines_across_depths(monoid_ids):
     shallow = saturate(MONOID_SIG, monoid_ids, gens(1), 2).state
     deep = saturate(MONOID_SIG, monoid_ids, gens(1), 3).state
     for block in shallow.classes.blocks:
-        deep_reps = {deep.classes.rep(t) for t in block}
+        deep_reps = {block_rep(deep.classes, t) for t in block}
         assert len(deep_reps) == 1
 
 
@@ -211,6 +240,17 @@ def test_word_equal_on_stabilized(semilattice_unit_ids):
         assert word_equal(res, s, t) == (values[s] == values[t])
     with pytest.raises(ValidationError, match="outside the generators"):
         word_equal(res, v("x3"), x1)
+    # A term outside the signature is refused as malformed, on either side
+    # and before either side is normalised, not reported as unresolvable.
+    for bad, message in [
+        (Node("zz", ()), "unknown operation 'zz'"),
+        (m(x1, Node("zz", ())), "unknown operation 'zz'"),
+        (Node("m", (x1,)), "operation 'm' applied to 1 arguments, arity is 2"),
+        (Node("m", (x1, x2, x1)), "operation 'm' applied to 3 arguments, arity is 2"),
+    ]:
+        for t1, t2 in [(bad, x1), (x1, bad), (v("x3"), bad)]:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                word_equal(res, t1, t2)
 
 
 def test_word_equal_on_unstabilized_state(monoid_ids):
@@ -219,7 +259,7 @@ def test_word_equal_on_unstabilized_state(monoid_ids):
     assert word_equal(res, m(x1, e()), x1)
     assert not word_equal(res, x1, m(x1, x1))
     unresolved = m(m(x1, x1), m(m(x1, x1), m(x1, x1)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="term not resolvable at depth 2"):
         word_equal(res, unresolved, x1)
 
 
@@ -271,7 +311,7 @@ def test_universal_property_at_the_unit(semilattice_unit_ids):
         if all(h.table[res.unit.table[a]] == unit_as_assignment.table[a] for a in res.unit.dom)
         and is_morphism(free, free, h)
     ]
-    assert extensions == [FinMap.identity(free.carrier)]
+    assert extensions == [identity_map(free.carrier)]
 
 
 def test_universal_property_from_empty_generators(semilattice_unit_ids, or_monoid, and_monoid):
@@ -673,9 +713,9 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
     compiled = {}
     compile_side = variety._compile_side
 
-    def recorded(side, used):
-        out = compile_side(side, used)
-        compiled[id(out)] = (out, side, used)
+    def recorded(side, deepest):
+        out = compile_side(side, deepest)
+        compiled[id(out)] = (out, side, tuple(deepest))
         return out
 
     built = []
@@ -726,9 +766,36 @@ def test_compiled_side_registers_new_nodes_in_post_order(side):
         return g[t.name]
 
     used = ("x", "y")
-    compiled = variety._compile_side(side, used)
+    compiled = variety._compile_side(side, dict.fromkeys(used, 0))
     one, other = _Engine(gens(2)), _Engine(gens(2))
     for images in [(1, 0), (0, 1), (1, 0)]:
         got = one.build(compiled, images)
         assert got == instantiate(other, side, dict(zip(used, images)))
         assert one.terms == other.terms and one.node_args == other.node_args
+
+
+def test_components_match_a_reference_depth_walk():
+    """Per identity component, the saturation engine's used variables, in
+    order, their offsets and the ground height are those a plain depth walk
+    over the data terms finds, on the trajectory presentations, the 50-case
+    matrix and an identity with a variable that occurs on neither side."""
+    trajectory = parse_spec(TRAJECTORY_SPEC)
+    runs = [(trajectory, name) for name, _ in TRAJECTORY_RESULTS]
+    model, cases = _matrix_cases()
+    assert len(cases) == 50
+    runs += [(model, name) for name, _, _ in cases]
+    presentations = [
+        (spec.signatures[spec.presentations[name].sig_name], spec.presentation_identities(name))
+        for spec, name in runs
+    ]
+    unused_y = ident(MAGMA, m(m(X, Z), Z), m(Z, X), ("x", "y", "z"))
+    presentations.append((MAGMA, [unused_y]))
+    assert tuple(variety._components([unused_y], MAGMA)[0][0].items()) == (("v1", 2), ("v3", 2))
+    for sig, ids in presentations:
+        got = variety._components(ids, sig)
+        want = reference_components(ids)
+        assert len(got) == len(want) > 0
+        for (deepest, _, _, ground), (used, offsets, _, _, height) in zip(got, want):
+            assert tuple(deepest) == used
+            assert deepest == offsets
+            assert ground == height
