@@ -22,10 +22,12 @@ variables to positions in a value tuple; the stride is an argument, so
 one compiled term serves every carrier size, and the fold depends only
 on the term, so it is independent of the stage a term is viewed in.
 Values are mapped between carrier elements and positions only where a
-caller passes elements in or takes them out.  Callers that evaluate one
-term under many assignments compile it once: ``identities.satisfies``
-runs each identity's sides, compiled once, over the position
-assignments in ``itertools.product`` order.
+caller passes elements in or takes them out.  The bounded-carrier
+checks of identities, which evaluate the same terms under every
+assignment, run code generated once per identity instead
+(``identities.NaturalIdentity.check`` and ``step``); its emitter
+resolves operations and variables with ``compile_term``'s helper,
+``_resolve``, and so refuses the same terms.
 
 ``FinAlgebra(...)`` checks that every table is total with values in the
 carrier and that no table names an unknown operation, then stores the
@@ -147,8 +149,32 @@ def compile_term(sig: Signature, t: Term, names: Sequence) -> Compiled:
     wrong number of arguments or a variable outside ``names`` is refused
     now, not when the closure runs.
     """
-    ops = {name: (i, arity) for i, (name, arity) in enumerate(sig)}
-    return _compile(t, ops, {name: j for j, name in enumerate(names)})
+    return _compile(t, _operations(sig), {name: j for j, name in enumerate(names)})
+
+
+def _operations(sig: Signature) -> dict:
+    """Each operation name of ``sig`` to its index and arity."""
+    return {name: (i, arity) for i, (name, arity) in enumerate(sig)}
+
+
+def _resolve(t: Term, ops: Mapping, index: Mapping) -> tuple[int, tuple | None]:
+    """``(j, None)`` for a variable with ``index[name] = j``, or ``(i, args)``
+    for a node whose operation has index ``i`` in ``ops`` (``_operations``).
+    A non-term, an unbound variable, an unknown operation and a node with
+    the wrong number of arguments are refused."""
+    if type(t) is Var:
+        return _position(t, index), None
+    if type(t) is not Node:
+        raise ValidationError(f"not a term: {t!r}")
+    try:
+        i, arity = ops[t.op]
+    except KeyError:
+        raise ValidationError(f"unknown operation {t.op!r}") from None
+    if len(t.args) != arity:
+        raise ValidationError(
+            f"operation {t.op!r} applied to {len(t.args)} arguments, arity is {arity}"
+        )
+    return i, t.args
 
 
 def _position(v: Var, index: Mapping) -> int:
@@ -159,20 +185,10 @@ def _position(v: Var, index: Mapping) -> int:
 
 
 def _compile(t: Term, ops: Mapping, index: Mapping) -> Compiled:
-    if type(t) is Var:
-        j = _position(t, index)
-        return lambda flat, n, values: values[j]
-    if type(t) is not Node:
-        raise ValidationError(f"not a term: {t!r}")
-    try:
-        i, arity = ops[t.op]
-    except KeyError:
-        raise ValidationError(f"unknown operation {t.op!r}") from None
-    args = t.args
-    if len(args) != arity:
-        raise ValidationError(
-            f"operation {t.op!r} applied to {len(args)} arguments, arity is {arity}"
-        )
+    i, args = _resolve(t, ops, index)
+    if args is None:
+        return lambda flat, n, values: values[i]
+    arity = len(args)
     # A variable child is read in place rather than through a closure call.
     if arity == 2:
         a, b = args

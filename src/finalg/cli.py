@@ -93,7 +93,7 @@ def _format_subset(s: tuple) -> str:
     return "{" + ",".join(str(a) for a in s) + "}"
 
 
-def _cmd_chain(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_chain(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     sig = _declared(model.signatures, "signature", args.signature)
     x = _generators(args.generators)
     sizes = []
@@ -109,7 +109,7 @@ def _cmd_chain(args, model: SpecModel, out: TextIO) -> int:
     return 0
 
 
-def _cmd_eval(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_eval(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     decl = _declared(model.algebras, "algebra", args.algebra)
     term = parse_term(model, decl.sig_name, args.term)
     binding = {}
@@ -131,7 +131,7 @@ def _cmd_eval(args, model: SpecModel, out: TextIO) -> int:
     return 0
 
 
-def _cmd_check(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_check(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     alg = _declared(model.algebras, "algebra", args.algebra).algebra
     ident = _identity(model, args.identity)
     if args.equation_generators is not None:
@@ -159,7 +159,7 @@ def _cmd_check(args, model: SpecModel, out: TextIO) -> int:
     return 0
 
 
-def _cmd_enumerate(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_enumerate(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     sig = _declared(model.signatures, "signature", args.signature)
     carrier = FinSet(tuple(str(i) for i in range(args.size)))
     idents = [_identity(model, name) for name in args.identity or []]
@@ -177,7 +177,7 @@ def _cmd_enumerate(args, model: SpecModel, out: TextIO) -> int:
     return 0
 
 
-def _cmd_convert(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_convert(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     ident = _identity(model, args.identity)
     x = _generators(args.generators)
     if args.mode == "to-equation":
@@ -203,7 +203,7 @@ def _cmd_convert(args, model: SpecModel, out: TextIO) -> int:
     return 0 if report.equal else 1
 
 
-def _saturate_presentation(args, model: SpecModel):
+def _saturate_presentation(args: argparse.Namespace, model: SpecModel):
     """The presentation's signature and identities, and its saturation on
     ``--generators`` generators."""
     decl = _declared(model.presentations, "presentation", args.presentation)
@@ -213,7 +213,7 @@ def _saturate_presentation(args, model: SpecModel):
     return sig, ids, variety_mod.saturate(sig, ids, x, args.max_depth, args.max_universe)
 
 
-def _cmd_free(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_free(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     sig, _, result = _saturate_presentation(args, model)
     counts = "class-counts: " + " ".join(str(c) for c in result.state.class_counts)
     if isinstance(result, variety_mod.Stabilized):
@@ -238,7 +238,7 @@ def _cmd_free(args, model: SpecModel, out: TextIO) -> int:
     return 1
 
 
-def _cmd_uprop(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_uprop(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     _, ids, result = _saturate_presentation(args, model)
     if not isinstance(result, variety_mod.Stabilized):
         raise ValidationError("saturation did not stabilize; cannot test freeness")
@@ -255,7 +255,7 @@ def _cmd_uprop(args, model: SpecModel, out: TextIO) -> int:
     return 0
 
 
-def _cmd_rho_chain(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_rho_chain(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     ident = _identity(model, args.identity)
     source = ident.lhs if args.side == "lhs" else ident.rhs
     report = check_monad_map(source, args.bound, _generators(args.generators))
@@ -268,7 +268,7 @@ def _cmd_rho_chain(args, model: SpecModel, out: TextIO) -> int:
     return 0
 
 
-def _cmd_equi(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_equi(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     ident = _identity(model, args.identity)
     cmp = equi_check(ident, args.level, args.max_size)
     print(f"checked: {cmp.checked}", file=out)
@@ -279,7 +279,7 @@ def _cmd_equi(args, model: SpecModel, out: TextIO) -> int:
     return 0
 
 
-def _cmd_em_check(args, model: Optional[SpecModel], out: TextIO) -> int:
+def _cmd_em_check(args: argparse.Namespace, model: Optional[SpecModel], out: TextIO) -> int:
     # Both counts are bounded before any subset is built.
     subsets = bounded_power(f"subsets of {args.size} atoms", 2, args.size, MAX_ENUMERATION)
     candidates = count_maps(subsets, args.size)
@@ -297,7 +297,7 @@ def _cmd_em_check(args, model: Optional[SpecModel], out: TextIO) -> int:
     return 0
 
 
-def _cmd_dalg_check(args, model: SpecModel, out: TextIO) -> int:
+def _cmd_dalg_check(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     ident = _identity(model, args.identity)
     alg = _declared(model.algebras, "algebra", args.algebra).algebra
     witness = dalg_violation(DAlgebraPair(alg, ident, args.bound))

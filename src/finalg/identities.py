@@ -5,25 +5,36 @@ Yoneda correspondence, one term of height ≤ n per component, written
 over canonical variables v1..vkᵢ.  A natural identity is a pair of
 natural terms with a common domain; an algebra satisfies it when both
 sides evaluate equally under every assignment of the canonical
-variables into the carrier.  Each component compiles once, in
-``NaturalTerm.compiled``, into a fold on carrier positions through an
-algebra's flat tables (``algebras.compile_term``), one for every carrier
-size.  ``satisfies`` runs an identity's compiled sides over the position
-assignments in ``itertools.product`` order and stops at the first
-failure; ``violation`` reports that failure, with its assignment mapped
-back to carrier elements.
+variables into the carrier.
+
+``satisfies`` and ``violation`` run an identity's ``check`` and
+``monadic.satisfies_level`` its ``step``: straight-line functions
+generated once per identity as source text over the flat tables of
+``algebras``, with one ``for`` loop per variable and one line per term
+node, and ``exec``'d (``_generated``, a bounded cache keyed by the
+identity's data, so an identity parsed again reuses them).  ``check``
+stops at the first failure in ``itertools.product`` order; ``violation``
+reports it, with its assignment mapped back to carrier elements.
+Terms folded only a few times keep the closures of
+``algebras.compile_term`` (``NaturalTerm.compiled`` holds one per
+component, for ``monadic.DAlgebraPair``): generating code costs about
+20 times as much as building closures, so it pays only in a loop over
+many assignments.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional
 
 from .algebras import (
     Compiled,
     FinAlgebra,
+    Flat,
+    _operations,
     _orbit_representatives,
+    _resolve,
     compile_term,
     count_algebras,
 )
@@ -103,7 +114,8 @@ class NaturalIdentity:
         object.__setattr__(self, "rhs", raise_arity(self.rhs, n))
         object.__setattr__(self, "arity_couple", couple)
 
-    @property
+    # Cached: ``satisfies`` reads it on every algebra of an enumeration.
+    @cached_property
     def sig(self) -> Signature:
         return self.lhs.sig
 
@@ -116,25 +128,190 @@ class NaturalIdentity:
         return self.lhs.arity
 
     @cached_property
-    def sides(self) -> tuple[tuple[int, Compiled, Compiled], ...]:
-        """Per component, ``(k, lhs, rhs)`` with both sides compiled."""
-        return tuple(zip(self.domain, self.lhs.compiled, self.rhs.compiled))
+    def check(self) -> Callable[[Flat, int], Optional[tuple]]:
+        """``check(flat, n)``: the first failing ``(component index,
+        positions)``, in ``itertools.product`` order, of the algebra with
+        flat tables ``flat`` on ``n`` points, or None (``_CheckSource``)."""
+        return _generated("check", self.sig, self.domain, self.lhs.data, self.rhs.data)
+
+    @cached_property
+    def step(self) -> Callable[[Flat, int, Iterable, Callable], None]:
+        """``step(flat, n, pairs, add)``: ``add`` each pair of fold values
+        of both sides, per component, over every assignment of the
+        canonical variables to pairs of ``pairs`` (``_StepSource``)."""
+        return _generated("step", self.sig, self.domain, self.lhs.data, self.rhs.data)
+
+
+# A generated function nests at most this many loops: Python refuses one
+# with more than 20 statically nested blocks, so the variables from the
+# last level on iterate together in one ``product`` loop, in product order.
+_MAX_NESTING = 16
+
+class _Source:
+    """The text of a generated function over ``sig``'s flat tables, laid
+    out one component at a time.
+
+    The text holds only integers and fixed local names: ``flat``, ``n``,
+    ``r``, ``pairs``, ``add``, ``product``, the tables
+    ``tI = flat[I]``, the strides ``sE = n**E``, the loop positions ``pJ``
+    (or ``aJ`` and ``bJ``, a pair's left and right values) and the node
+    values ``xK``.  Operations resolve to table indices and variables to
+    loop positions through ``algebras._resolve``, with ``compile_term``'s
+    refusals.
+    """
+
+    header, prologue, footer = "", (), ""
+
+    def __init__(self, ops: dict):
+        self.ops = ops
+        self.tables: set[int] = set()
+        self.strides = 0
+        self.nodes = 0
+        self.body: list[str] = []
+
+    def value(self, t: Term, index: dict, var: str, memo: dict, levels: list) -> tuple[str, int]:
+        """The name holding ``t``'s value and the depth of the loop that
+        binds its last variable (0 when ground); loop ``index[v]`` binds
+        variable ``v`` to ``var`` followed by ``index[v]``.  A node new to
+        ``memo`` appends its line ``xK = tI[cell]`` to ``levels[depth]``;
+        the cell is a flat sum of argument values times strides."""
+        got = memo.get(t)
+        if got is None:
+            i, args = _resolve(t, self.ops, index)
+            if args is None:
+                got = f"{var}{i}", i + 1
+            else:
+                parts = [self.value(a, index, var, memo, levels) for a in args]
+                arity = len(parts)
+                cell = [f"{name} * s{arity - 1 - m}" for m, (name, _) in enumerate(parts[:-1])]
+                cell.append(parts[-1][0] if parts else "0")
+                name, depth = f"x{self.nodes}", max((d for _, d in parts), default=0)
+                levels[depth].append(f"{name} = t{i}[{' + '.join(cell)}]")
+                self.nodes += 1
+                self.tables.add(i)
+                self.strides = max(self.strides, arity - 1)
+                got = name, depth
+            memo[t] = got
+        return got
+
+    def nest(self, levels: list, depth: int, tail: list) -> None:
+        """Append ``levels[0]``, then per depth ``j`` below ``depth`` the
+        loop ``self.loop(j, j + 1)`` with ``levels[j + 1]`` inside it, and
+        ``tail`` innermost; past ``_MAX_NESTING`` loops, one
+        ``self.loop(j, depth)`` binds the remaining variables."""
+        cut = depth if depth <= _MAX_NESTING else _MAX_NESTING - 1
+        loops = [(j, j + 1) for j in range(cut)] + [(cut, depth)] * (cut < depth)
+        indent = "    "
+        self.body.extend(indent + line for line in levels[0])
+        for start, end in loops:
+            self.body.append(indent + self.loop(start, end))
+            indent += "    "
+            self.body.extend(indent + line for level in levels[start + 1:end + 1] for line in level)
+        self.body.extend(indent + line for line in tail)
+
+    def text(self) -> str:
+        lines = [self.header] + ["    " + line for line in self.prologue]
+        lines += [f"    t{i} = flat[{i}]" for i in sorted(self.tables)]
+        lines += [f"    s{e} = s{e - 1} * n" if e > 1 else "    s1 = n"
+                  for e in range(1, self.strides + 1)]
+        return "\n".join(lines + self.body + ["    " + self.footer]) + "\n"
+
+
+class _CheckSource(_Source):
+    """``check(flat, n)``.  Per component, one ``for`` per canonical
+    variable that either side reads, in index order, each node's line at
+    the shallowest loop that binds its variables (a subterm the sides
+    share is computed once) and the comparison innermost, which returns
+    the failing positions with the unread variables at 0.  A failure
+    depends on the read variables alone, so that is the first failure in
+    ``itertools.product`` order."""
+
+    header, prologue, footer = "def check(flat, n):", ("r = range(n)",), "return None"
+
+    def component(self, i: int, names: tuple, index: dict, left: Term, right: Term) -> None:
+        memo: dict = {}
+        levels: list = [[] for _ in range(len(index) + 1)]
+        (a, _), (b, _) = (self.value(t, index, "p", memo, levels) for t in (left, right))
+        if a != b:
+            positions = "".join(f"p{index[v]}, " if v in index else "0, " for v in names)
+            self.nest(levels, len(index), [f"if {a} != {b}:", f"    return {i}, ({positions})"])
+
+    def loop(self, j: int, end: int) -> str:
+        if end == j + 1:
+            return f"for p{j} in r:"
+        return f"for {', '.join(f'p{m}' for m in range(j, end))} in product(r, repeat={end - j}):"
+
+
+class _StepSource(_Source):
+    """``step(flat, n, pairs, add)``: per component, the loops of
+    ``_CheckSource`` over ``pairs`` instead, the left side read from the
+    left values ``aJ`` and the right side from ``bJ``, and
+    ``add((left, right))`` innermost."""
+
+    header, footer = "def step(flat, n, pairs, add):", "return None"
+
+    def component(self, i: int, names: tuple, index: dict, left: Term, right: Term) -> None:
+        levels: list = [[] for _ in range(len(index) + 1)]
+        a, _ = self.value(left, index, "a", {}, levels)
+        b, _ = self.value(right, index, "b", {}, levels)
+        self.nest(levels, len(index), [f"add(({a}, {b}))"])
+
+    def loop(self, j: int, end: int) -> str:
+        if end == j + 1:
+            return f"for a{j}, b{j} in pairs:"
+        names = ", ".join(f"(a{m}, b{m})" for m in range(j, end))
+        return f"for {names} in product(pairs, repeat={end - j}):"
+
+
+def _source(kind: str, sig: Signature, domain: tuple, lhs: tuple, rhs: tuple) -> str:
+    """The text of ``kind``'s generated function.
+
+    A component that differs from an earlier one only by a renaming of
+    its variables is left out: it adds the same pairs, and it fails only
+    where the earlier one, checked first, has already failed."""
+    source = _CheckSource if kind == "check" else _StepSource
+    ops, seen = _operations(sig), set()
+    src = source(ops)
+    for i, (k, left, right) in enumerate(zip(domain, lhs, rhs)):
+        names, order = canonical_vars(k), {}
+        positions = {v: j for j, v in enumerate(names)}
+        shape = (_shape(left, ops, positions, order), _shape(right, ops, positions, order))
+        if shape in seen:
+            continue
+        seen.add(shape)
+        index = {names[j]: d for d, j in enumerate(sorted(order))}
+        src.component(i, names, index, left, right)
+    return src.text()
+
+
+def _shape(t: Term, ops: dict, index: dict, order: dict):
+    """``t`` as nested tuples of table indices, each variable numbered in
+    order of first occurrence: ``order`` maps its position in ``index``
+    to that number, and is shared by both sides."""
+    i, args = _resolve(t, ops, index)
+    if args is None:
+        return order.setdefault(i, len(order))
+    return (i, *[_shape(a, ops, index, order) for a in args])
+
+
+# Generated functions by kind and identity data, so an identity parsed or
+# built again reuses them; bounded for the process's life.
+@lru_cache(maxsize=256)
+def _generated(kind: str, sig: Signature, domain: tuple, lhs: tuple, rhs: tuple) -> Callable:
+    namespace = {"__builtins__": {"range": range}, "product": itertools.product}
+    source = _source(kind, sig, domain, lhs, rhs)
+    exec(compile(source, f"<identity {kind}>", "exec"), namespace)
+    return namespace[kind]
 
 
 def _failure(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:
     """First failing instance as (component index, assignment of carrier
     positions), or None."""
-    sig = ident.sig
     # Usually the very same object: ``is`` spares the dataclass ``__eq__``
     # on every algebra of an enumeration.
-    if alg.sig is not sig and alg.sig != sig:
+    if alg.sig is not ident.sig and alg.sig != ident.sig:
         raise ValidationError("signature mismatch between algebra and identity")
-    flat, n = alg.flat, len(alg.carrier.elements)
-    for i, (k, left, right) in enumerate(ident.sides):
-        for values in itertools.product(range(n), repeat=k):
-            if left(flat, n, values) != right(flat, n, values):
-                return (i, values)
-    return None
+    return ident.check(alg.flat, len(alg.carrier.elements))
 
 
 def violation(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:

@@ -8,14 +8,16 @@ transformation out of a domain functor G = ∐ᵢ hom(kᵢ, -), given as a
 variables map by the unit, a G-node maps by instantiating the generating
 term at the already-translated children and flattening; in an algebra it
 folds by its component's ``NaturalTerm.compiled`` closure instead, on
-carrier positions through the algebra's flat tables (see ``algebras``):
-the level-k check and the diagram algebras' structure maps hold
-positions, not elements.  Either way an arrow is one lookup table from
-each domain operation ``ci`` to kᵢ and the component's part, its data
-term to translate or its closure to fold.  A ``NaturalIdentity`` induces
-a two-arrow diagram of monads whose arrows are these translations along
-its ``lhs`` and ``rhs``.  Everything here is bounded by an explicit
-depth and checked element by element.
+carrier positions through the algebra's flat tables (see ``algebras``),
+so the diagram algebras' structure maps hold positions, not elements.
+Either way an arrow is one lookup table from each domain operation
+``ci`` to kᵢ and the component's part, its data term to translate or its
+closure to fold.  The level-k check folds both arrows at once, on pairs
+of positions, by the identity's generated ``step`` (see
+``identities``).  A ``NaturalIdentity`` induces a two-arrow diagram of
+monads whose arrows are these translations along its ``lhs`` and
+``rhs``.  Everything here is bounded by an explicit depth and checked
+element by element.
 
 The power-set monad is carried alongside as the worked Eilenberg-Moore
 example: subsets are canonically sorted tuples, the unit forms
@@ -184,22 +186,19 @@ def satisfies_level(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:
 
     The two level maps evaluate through the algebra as folds over the
     domain chain, so an element only matters through its pair of fold
-    values.  The reachable pair set is closed under the component folds;
-    the identity holds at level k iff every pair reachable within k
-    steps is diagonal.  Fold values are carrier positions.
+    values.  The reachable pair set is closed under the component folds,
+    one round per call of the identity's generated ``step``; the
+    identity holds at level k iff every pair reachable within k steps is
+    diagonal.  Fold values are carrier positions.
     """
-    if alg.sig != ident.sig:
+    if alg.sig is not ident.sig and alg.sig != ident.sig:
         raise ValidationError("signature mismatch between algebra and identity")
-    flat, n = alg.flat, len(alg.carrier)
+    flat, n, step = alg.flat, len(alg.carrier), ident.step
     pairs = {(a, a) for a in range(n)}
     for _ in range(k):
         new = set(pairs)
-        for ki, left, right in ident.sides:
-            for combo in itertools.product(pairs, repeat=ki):
-                lvalues = [p[0] for p in combo]
-                rvalues = [p[1] for p in combo]
-                new.add((left(flat, n, lvalues), right(flat, n, rvalues)))
-        if new == pairs:
+        step(flat, n, pairs, new.add)
+        if len(new) == len(pairs):
             break
         pairs = new
     return all(a == b for a, b in pairs)
@@ -322,7 +321,7 @@ class DAlgebraPair:
     __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_n", "_sig", "_lhs", "_rhs")
 
     def __init__(self, algebra: FinAlgebra, identity: NaturalIdentity, bound: int):
-        if algebra.sig != identity.sig:
+        if algebra.sig is not identity.sig and algebra.sig != identity.sig:
             raise ValidationError("algebra signature differs from the diagram")
         self.algebra = algebra
         self.identity = identity
