@@ -7,19 +7,20 @@ natural terms with a common domain; an algebra satisfies it when both
 sides evaluate equally under every assignment of the canonical
 variables into the carrier.
 
-``satisfies`` and ``violation`` run an identity's ``check`` and
-``monadic.satisfies_level`` its ``step``: straight-line functions
-generated once per identity as source text over the flat tables of
-``algebras``, with one ``for`` loop per variable and one line per term
-node, and ``exec``'d (``_generated``, a bounded cache keyed by the
-identity's data, so an identity parsed again reuses them).  ``check``
-stops at the first failure in ``itertools.product`` order; ``violation``
-reports it, with its assignment mapped back to carrier elements.
-Terms folded only a few times keep the closures of
+``satisfies`` and ``violation`` run an identity's ``check``: a
+straight-line function generated once per identity as source text over
+the flat tables of ``algebras``, with one ``for`` loop per variable and
+one line per term node, and ``exec``'d (``_generated``, a bounded cache
+keyed by the identity's data, so an identity parsed again reuses it).
+``check`` stops at the first failure in ``itertools.product`` order;
+``violation`` reports it, with its assignment mapped back to carrier
+elements.  Elsewhere terms fold through the closures of
 ``algebras.compile_term`` (``NaturalTerm.compiled`` holds one per
-component, for ``monadic.DAlgebraPair``): generating code costs about
-20 times as much as building closures, so it pays only in a loop over
-many assignments.
+component): generating code costs about 20 times as much as building
+closures, so it pays only in a loop over many assignments.
+``monadic.satisfies_level`` folds the closures over every assignment all
+the same, so that ``monadic.equi_check`` compares two independent
+evaluators.
 """
 from __future__ import annotations
 
@@ -61,6 +62,8 @@ class NaturalTerm:
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(int(k) for k in self.domain))
         object.__setattr__(self, "data", tuple(self.data))
+        if any(k < 0 for k in self.domain):
+            raise ValidationError(f"negative domain component {min(self.domain)}")
         if len(self.domain) != len(self.data):
             raise ValidationError("one data term per domain component required")
         for k, t in zip(self.domain, self.data):
@@ -132,14 +135,7 @@ class NaturalIdentity:
         """``check(flat, n)``: the first failing ``(component index,
         positions)``, in ``itertools.product`` order, of the algebra with
         flat tables ``flat`` on ``n`` points, or None (``_CheckSource``)."""
-        return _generated("check", self.sig, self.domain, self.lhs.data, self.rhs.data)
-
-    @cached_property
-    def step(self) -> Callable[[Flat, int, Iterable, Callable], None]:
-        """``step(flat, n, pairs, add)``: ``add`` each pair of fold values
-        of both sides, per component, over every assignment of the
-        canonical variables to pairs of ``pairs`` (``_StepSource``)."""
-        return _generated("step", self.sig, self.domain, self.lhs.data, self.rhs.data)
+        return _generated(self.sig, self.domain, self.lhs.data, self.rhs.data)
 
 
 # A generated function nests at most this many loops: Python refuses one
@@ -147,20 +143,24 @@ class NaturalIdentity:
 # last level on iterate together in one ``product`` loop, in product order.
 _MAX_NESTING = 16
 
-class _Source:
-    """The text of a generated function over ``sig``'s flat tables, laid
-    out one component at a time.
+
+class _CheckSource:
+    """The text of ``check(flat, n)`` over ``sig``'s flat tables, laid out
+    one component at a time.
+
+    Per component: one ``for`` per canonical variable that either side
+    reads, in index order, each node's line at the shallowest loop that
+    binds its variables (a subterm the sides share is computed once) and
+    the comparison innermost, which returns the failing positions with
+    the unread variables at 0.  A failure depends on the read variables
+    alone, so that is the first failure in ``itertools.product`` order.
 
     The text holds only integers and fixed local names: ``flat``, ``n``,
-    ``r``, ``pairs``, ``add``, ``product``, the tables
-    ``tI = flat[I]``, the strides ``sE = n**E``, the loop positions ``pJ``
-    (or ``aJ`` and ``bJ``, a pair's left and right values) and the node
-    values ``xK``.  Operations resolve to table indices and variables to
-    loop positions through ``algebras._resolve``, with ``compile_term``'s
-    refusals.
+    ``r``, ``product``, the tables ``tI = flat[I]``, the strides
+    ``sE = n**E``, the loop positions ``pJ`` and the node values ``xK``.
+    Operations resolve to table indices and variables to loop positions
+    through ``algebras._resolve``, with ``compile_term``'s refusals.
     """
-
-    header, prologue, footer = "", (), ""
 
     def __init__(self, ops: dict):
         self.ops = ops
@@ -169,19 +169,19 @@ class _Source:
         self.nodes = 0
         self.body: list[str] = []
 
-    def value(self, t: Term, index: dict, var: str, memo: dict, levels: list) -> tuple[str, int]:
+    def value(self, t: Term, index: dict, memo: dict, levels: list) -> tuple[str, int]:
         """The name holding ``t``'s value and the depth of the loop that
         binds its last variable (0 when ground); loop ``index[v]`` binds
-        variable ``v`` to ``var`` followed by ``index[v]``.  A node new to
+        variable ``v`` to ``p`` followed by ``index[v]``.  A node new to
         ``memo`` appends its line ``xK = tI[cell]`` to ``levels[depth]``;
         the cell is a flat sum of argument values times strides."""
         got = memo.get(t)
         if got is None:
             i, args = _resolve(t, self.ops, index)
             if args is None:
-                got = f"{var}{i}", i + 1
+                got = f"p{i}", i + 1
             else:
-                parts = [self.value(a, index, var, memo, levels) for a in args]
+                parts = [self.value(a, index, memo, levels) for a in args]
                 arity = len(parts)
                 cell = [f"{name} * s{arity - 1 - m}" for m, (name, _) in enumerate(parts[:-1])]
                 cell.append(parts[-1][0] if parts else "0")
@@ -194,84 +194,47 @@ class _Source:
             memo[t] = got
         return got
 
-    def nest(self, levels: list, depth: int, tail: list) -> None:
-        """Append ``levels[0]``, then per depth ``j`` below ``depth`` the
-        loop ``self.loop(j, j + 1)`` with ``levels[j + 1]`` inside it, and
-        ``tail`` innermost; past ``_MAX_NESTING`` loops, one
-        ``self.loop(j, depth)`` binds the remaining variables."""
+    def component(self, i: int, names: tuple, index: dict, left: Term, right: Term) -> None:
+        """Append component ``i``'s loops and comparison, unless both sides
+        are the same value.  Past ``_MAX_NESTING`` loops, one ``product``
+        loop binds the remaining variables."""
+        memo: dict = {}
+        depth = len(index)
+        levels: list = [[] for _ in range(depth + 1)]
+        (a, _), (b, _) = (self.value(t, index, memo, levels) for t in (left, right))
+        if a == b:
+            return
         cut = depth if depth <= _MAX_NESTING else _MAX_NESTING - 1
         loops = [(j, j + 1) for j in range(cut)] + [(cut, depth)] * (cut < depth)
         indent = "    "
         self.body.extend(indent + line for line in levels[0])
         for start, end in loops:
-            self.body.append(indent + self.loop(start, end))
+            if end == start + 1:
+                self.body.append(f"{indent}for p{start} in r:")
+            else:
+                loop = ", ".join(f"p{m}" for m in range(start, end))
+                self.body.append(f"{indent}for {loop} in product(r, repeat={end - start}):")
             indent += "    "
             self.body.extend(indent + line for level in levels[start + 1:end + 1] for line in level)
-        self.body.extend(indent + line for line in tail)
+        positions = "".join(f"p{index[v]}, " if v in index else "0, " for v in names)
+        self.body += [f"{indent}if {a} != {b}:", f"{indent}    return {i}, ({positions})"]
 
     def text(self) -> str:
-        lines = [self.header] + ["    " + line for line in self.prologue]
+        lines = ["def check(flat, n):", "    r = range(n)"]
         lines += [f"    t{i} = flat[{i}]" for i in sorted(self.tables)]
         lines += [f"    s{e} = s{e - 1} * n" if e > 1 else "    s1 = n"
                   for e in range(1, self.strides + 1)]
-        return "\n".join(lines + self.body + ["    " + self.footer]) + "\n"
+        return "\n".join(lines + self.body + ["    return None"]) + "\n"
 
 
-class _CheckSource(_Source):
-    """``check(flat, n)``.  Per component, one ``for`` per canonical
-    variable that either side reads, in index order, each node's line at
-    the shallowest loop that binds its variables (a subterm the sides
-    share is computed once) and the comparison innermost, which returns
-    the failing positions with the unread variables at 0.  A failure
-    depends on the read variables alone, so that is the first failure in
-    ``itertools.product`` order."""
-
-    header, prologue, footer = "def check(flat, n):", ("r = range(n)",), "return None"
-
-    def component(self, i: int, names: tuple, index: dict, left: Term, right: Term) -> None:
-        memo: dict = {}
-        levels: list = [[] for _ in range(len(index) + 1)]
-        (a, _), (b, _) = (self.value(t, index, "p", memo, levels) for t in (left, right))
-        if a != b:
-            positions = "".join(f"p{index[v]}, " if v in index else "0, " for v in names)
-            self.nest(levels, len(index), [f"if {a} != {b}:", f"    return {i}, ({positions})"])
-
-    def loop(self, j: int, end: int) -> str:
-        if end == j + 1:
-            return f"for p{j} in r:"
-        return f"for {', '.join(f'p{m}' for m in range(j, end))} in product(r, repeat={end - j}):"
-
-
-class _StepSource(_Source):
-    """``step(flat, n, pairs, add)``: per component, the loops of
-    ``_CheckSource`` over ``pairs`` instead, the left side read from the
-    left values ``aJ`` and the right side from ``bJ``, and
-    ``add((left, right))`` innermost."""
-
-    header, footer = "def step(flat, n, pairs, add):", "return None"
-
-    def component(self, i: int, names: tuple, index: dict, left: Term, right: Term) -> None:
-        levels: list = [[] for _ in range(len(index) + 1)]
-        a, _ = self.value(left, index, "a", {}, levels)
-        b, _ = self.value(right, index, "b", {}, levels)
-        self.nest(levels, len(index), [f"add(({a}, {b}))"])
-
-    def loop(self, j: int, end: int) -> str:
-        if end == j + 1:
-            return f"for a{j}, b{j} in pairs:"
-        names = ", ".join(f"(a{m}, b{m})" for m in range(j, end))
-        return f"for {names} in product(pairs, repeat={end - j}):"
-
-
-def _source(kind: str, sig: Signature, domain: tuple, lhs: tuple, rhs: tuple) -> str:
-    """The text of ``kind``'s generated function.
+def _source(sig: Signature, domain: tuple, lhs: tuple, rhs: tuple) -> str:
+    """The text of the identity's generated ``check``.
 
     A component that differs from an earlier one only by a renaming of
-    its variables is left out: it adds the same pairs, and it fails only
-    where the earlier one, checked first, has already failed."""
-    source = _CheckSource if kind == "check" else _StepSource
+    its variables is left out: it fails only where the earlier one,
+    checked first, has already failed."""
     ops, seen = _operations(sig), set()
-    src = source(ops)
+    src = _CheckSource(ops)
     for i, (k, left, right) in enumerate(zip(domain, lhs, rhs)):
         names, order = canonical_vars(k), {}
         positions = {v: j for j, v in enumerate(names)}
@@ -294,14 +257,13 @@ def _shape(t: Term, ops: dict, index: dict, order: dict):
     return (i, *[_shape(a, ops, index, order) for a in args])
 
 
-# Generated functions by kind and identity data, so an identity parsed or
-# built again reuses them; bounded for the process's life.
+# Generated checks by identity data, so an identity parsed or built again
+# reuses them; bounded for the process's life.
 @lru_cache(maxsize=256)
-def _generated(kind: str, sig: Signature, domain: tuple, lhs: tuple, rhs: tuple) -> Callable:
+def _generated(sig: Signature, domain: tuple, lhs: tuple, rhs: tuple) -> Callable:
     namespace = {"__builtins__": {"range": range}, "product": itertools.product}
-    source = _source(kind, sig, domain, lhs, rhs)
-    exec(compile(source, f"<identity {kind}>", "exec"), namespace)
-    return namespace[kind]
+    exec(compile(_source(sig, domain, lhs, rhs), "<identity check>", "exec"), namespace)
+    return namespace["check"]
 
 
 def _failure(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:

@@ -12,10 +12,10 @@ carrier positions through the algebra's flat tables (see ``algebras``),
 so the diagram algebras' structure maps hold positions, not elements.
 Either way an arrow is one lookup table from each domain operation
 ``ci`` to kᵢ and the component's part, its data term to translate or its
-closure to fold.  The level-k check folds both arrows at once, on pairs
-of positions, by the identity's generated ``step`` (see
-``identities``).  A ``NaturalIdentity`` induces a two-arrow diagram of
-monads whose arrows are these translations along its ``lhs`` and
+closure to fold.  The level-k check folds both arrows' closures at
+every assignment, independently of the identity's generated ``check``
+(see ``identities``).  A ``NaturalIdentity`` induces a two-arrow diagram
+of monads whose arrows are these translations along its ``lhs`` and
 ``rhs``.  Everything here is bounded by an explicit depth and checked
 element by element.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .algebras import FinAlgebra, compile_term
-from .core import FinMap, FinSet, atom_key, enumerate_maps
+from .core import MAX_ENUMERATION, FinMap, FinSet, atom_key, bounded_power, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import (
@@ -186,22 +186,26 @@ def satisfies_level(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:
 
     The two level maps evaluate through the algebra as folds over the
     domain chain, so an element only matters through its pair of fold
-    values.  The reachable pair set is closed under the component folds,
-    one round per call of the identity's generated ``step``; the
-    identity holds at level k iff every pair reachable within k steps is
-    diagonal.  Fold values are carrier positions.
+    values, and the identity holds at level k iff every pair reachable
+    from the diagonal within k rounds of the component folds is diagonal.
+    From the diagonal, the first round adds exactly the pairs
+    ``(lhs(a), rhs(a))`` over every assignment ``a``.  Either all of them
+    are diagonal and the closure stops, or a non-diagonal pair is already
+    reached and the set only grows; so for k ≥ 1 only the first round
+    decides.  It folds each component's ``NaturalTerm.compiled`` closures
+    on carrier positions, not the identity's generated ``check``, and
+    stops at the first assignment where the sides differ.
     """
     if alg.sig is not ident.sig and alg.sig != ident.sig:
         raise ValidationError("signature mismatch between algebra and identity")
-    flat, n, step = alg.flat, len(alg.carrier), ident.step
-    pairs = {(a, a) for a in range(n)}
-    for _ in range(k):
-        new = set(pairs)
-        step(flat, n, pairs, new.add)
-        if len(new) == len(pairs):
-            break
-        pairs = new
-    return all(a == b for a, b in pairs)
+    if k < 1:
+        return True
+    flat, n = alg.flat, len(alg.carrier)
+    for arity, left, right in zip(ident.domain, ident.lhs.compiled, ident.rhs.compiled):
+        for a in itertools.product(range(n), repeat=arity):
+            if left(flat, n, a) != right(flat, n, a):
+                return False
+    return True
 
 
 def equi_check(ident: NaturalIdentity, k: int, max_size: int) -> ClassComparison:
@@ -222,7 +226,9 @@ def equi_check(ident: NaturalIdentity, k: int, max_size: int) -> ClassComparison
 
 
 def _subsets(s: FinSet) -> FinSet:
-    """Every subset of ``s`` as a tuple in the order of ``s``."""
+    """Every subset of ``s`` as a tuple in the order of ``s``; refused
+    above ``MAX_ENUMERATION`` before any is built."""
+    bounded_power(f"subsets of {len(s)} atoms", 2, len(s), MAX_ENUMERATION)
     return FinSet(tuple(
         combo for r in range(len(s) + 1) for combo in itertools.combinations(s.elements, r)
     ))

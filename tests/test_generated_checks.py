@@ -1,11 +1,13 @@
-"""The generated identity checkers: ``NaturalIdentity.check`` (behind
-``satisfies`` and ``violation``) and ``NaturalIdentity.step`` (behind
-``satisfies_level``) against the reference oracles, at the emitter's
-edges, and in the cache that holds them."""
+"""The generated identity checker ``NaturalIdentity.check`` (behind
+``satisfies`` and ``violation``) against the reference oracles, at the
+emitter's edges, and in the cache that holds it; ``satisfies_level``,
+which folds the closures instead, against the enumerated levels on the
+same identities."""
+import ast
 import io
-import itertools
 import re
 import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +39,7 @@ from finalg.identities import (
 from finalg.monadic import satisfies_level
 from finalg.terms import MAX_TERM_DEPTH
 from conftest import CORPUS_TEXT, MAGMA, MONOID_SIG, ident, m, v
-from oracles import fold, reference_violation, satisfies_level_enumerated
+from oracles import reference_violation, satisfies_level_enumerated
 
 WEIRD = "x); import os; ("
 
@@ -77,29 +79,6 @@ def _wide_variables(k):
     two = FinAlgebra(sig, FinSet((0, 1)), {"p": {(a, b): a for a in (0, 1) for b in (0, 1)}})
     one = FinAlgebra(sig, FinSet((0,)), {"p": {(0, 0): 0}})
     return identity, one, two
-
-
-def _reference_step(alg, identity, pairs):
-    """Per component, the fold of the left side at the pairs' left values
-    and of the right side at their right values, for every assignment of
-    the canonical variables to the pairs, in carrier positions."""
-    elems, out = alg.carrier.elements, set()
-    for k, left, right in zip(identity.domain, identity.lhs.data, identity.rhs.data):
-        names = canonical_vars(k)
-        for combo in itertools.product(sorted(pairs), repeat=k):
-            at = [dict(zip(names, (elems[p[side]] for p in combo))) for side in (0, 1)]
-            out.add((elems.index(fold(alg, left, at[0])), elems.index(fold(alg, right, at[1]))))
-    return out
-
-
-def _assert_steps_match(alg, identity):
-    n = len(alg.carrier)
-    everything = list(itertools.product(range(n), repeat=2))
-    for size in range(1, len(everything) + 1):
-        for pairs in itertools.combinations(everything, size):
-            got = set()
-            identity.step(alg.flat, n, set(pairs), got.add)
-            assert got == _reference_step(alg, identity, pairs)
 
 
 @pytest.fixture(scope="module")
@@ -155,20 +134,12 @@ def test_level_check_matches_the_enumerated_levels(name, magma_identities):
                 satisfies_level_enumerated(alg, identity, k)
 
 
-@pytest.mark.parametrize("name", ["comm", "assoc", "lzero", "rect", "bundle"])
-def test_step_adds_the_pairs_of_both_folds_from_any_pair_set(name, magma_identities):
-    """``satisfies_level`` only ever passes diagonal-closed pair sets;
-    the step itself keeps left and right apart on any set."""
-    for alg in _magmas(2):
-        _assert_steps_match(alg, magma_identities[name])
-
-
 # --- the emitter's edges ----------------------------------------------------
 
 
 def test_twenty_five_variables_nest_past_the_block_limit():
     identity, one, two = _wide_variables(25)
-    source = _source("check", *_data(identity))
+    source = _source(*_data(identity))
     assert "product(r, repeat=" in source
     assert max(len(line) - len(line.lstrip()) for line in source.splitlines()) // 4 <= 20
     assert satisfies(one, identity)
@@ -197,11 +168,9 @@ def test_every_loop_past_the_first_in_one_product(monkeypatch):
                  ident(MAGMA, m(x, y), x, ("x", "y")),
                  ident(MAGMA, m(m(x, y), z), m(x, m(y, z)), ("x", "y", "z"))]
         for identity in fresh:
-            for kind in ("check", "step"):
-                assert "product(" in _source(kind, *_data(identity))
+            assert "product(" in _source(*_data(identity))
             for alg in _magmas(2):
                 assert violation(alg, identity) == reference_violation(alg, identity)
-                _assert_steps_match(alg, identity)
                 for k in (1, 2):
                     assert satisfies_level(alg, identity, k) == \
                         satisfies_level_enumerated(alg, identity, k)
@@ -234,10 +203,9 @@ def test_wide_operation_on_one_point():
     one = FinAlgebra(sig, FinSet(("a",)), {"w": {("a",) * 30: "a"}})
     assert violation(one, identity) is None
     assert satisfies_level(one, identity, 3)
-    for kind in ("check", "step"):
-        source = _source(kind, *_data(identity))
-        assert "s29" in source
-        assert _bracket_depth(source) <= 2
+    source = _source(*_data(identity))
+    assert "s29" in source
+    assert _bracket_depth(source) <= 2
 
 
 def test_term_of_the_greatest_height():
@@ -265,8 +233,8 @@ def _bracket_depth(source):
     return deepest
 
 
-_VOCABULARY = {"def", "check", "step", "flat", "n", "r", "pairs", "add", "product",
-               "repeat", "range", "for", "in", "if", "return", "None"}
+_VOCABULARY = {"def", "check", "flat", "n", "r", "product", "repeat", "range", "for", "in",
+               "if", "return", "None"}
 
 
 def _names(source):
@@ -286,18 +254,15 @@ def test_generated_text_holds_only_the_emitter_vocabulary(corpus, magma_identiti
         _wide_variables(25)[0],
     ]
     for identity in cases:
-        for kind in ("check", "step"):
-            for tok in _names(_source(kind, *_data(identity))):
-                assert tok.type == tokenize.NAME, tok
-                assert tok.string in _VOCABULARY or re.fullmatch(r"[tspabx]\d+", tok.string), \
-                    tok.string
+        for tok in _names(_source(*_data(identity))):
+            assert tok.type == tokenize.NAME, tok
+            assert tok.string in _VOCABULARY or re.fullmatch(r"[tspx]\d+", tok.string), tok.string
     weird = cases[0]
     alg = FinAlgebra(weird_sig, FinSet((0, 1)), {
         WEIRD: {(a, b): a for a in (0, 1) for b in (0, 1)}, "e": {(): 0}})
     assert violation(alg, weird) == reference_violation(alg, weird) == (0, (0, 1))
 
 
-@pytest.mark.parametrize("kind", ["check", "step"])
 @pytest.mark.parametrize("bad", [
     Node("zz", (Var("v1"),)),
     Node("m", (Var("v1"),)),
@@ -305,19 +270,40 @@ def test_generated_text_holds_only_the_emitter_vocabulary(corpus, magma_identiti
     Node("m", (Var("v1"), 5)),
     "v1",
 ])
-def test_emitter_refuses_as_compile_term_does(kind, bad):
+def test_emitter_refuses_as_compile_term_does(bad):
     with pytest.raises(ValidationError) as expected:
         compile_term(MAGMA, bad, canonical_vars(1))
     with pytest.raises(ValidationError) as got:
-        _source(kind, MAGMA, (1,), (bad,), (Var("v1"),))
+        _source(MAGMA, (1,), (bad,), (Var("v1"),))
     assert str(got.value) == str(expected.value)
 
 
 def test_renamed_components_are_generated_once(assoc):
     back = _back(assoc, 4)
-    source = _source("check", *_data(back))
+    source = _source(*_data(back))
     # One comparison per component shape: the 5 ways to identify x, y, z.
     assert source.count("if ") == 5
+
+
+def _exec_calls(tree, path, scope="<module>"):
+    """(file, enclosing function) of every call of ``exec`` under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "exec") or \
+                    (isinstance(func, ast.Attribute) and func.attr == "exec"):
+                yield path.name, scope
+        yield from _exec_calls(node, path, inner)
+
+
+def test_exec_is_called_only_where_the_check_is_generated():
+    """The emitter's safety argument (the text holds only integers and
+    fixed names) covers the one call site in ``identities._generated``."""
+    calls = []
+    for path in sorted(Path(identities.__file__).parent.glob("*.py")):
+        calls += _exec_calls(ast.parse(path.read_text(encoding="utf-8")), path)
+    assert calls == [("identities.py", "_generated")]
 
 
 # --- the cache --------------------------------------------------------------
@@ -329,11 +315,10 @@ def test_cache_is_bounded_and_keyed_by_the_identity_data():
     first = parse_spec(CORPUS_TEXT).natural_identity("assoc")
     second = parse_spec(CORPUS_TEXT).natural_identity("assoc")
     assert first == second and first is not second
-    for kind in ("check", "step"):
-        made = getattr(first, kind)
-        hits = _generated.cache_info().hits
-        assert getattr(second, kind) is made
-        assert _generated.cache_info().hits == hits + 1
+    made = first.check
+    hits = _generated.cache_info().hits
+    assert second.check is made
+    assert _generated.cache_info().hits == hits + 1
 
 
 def test_generated_checks_are_shared_across_signature_objects():
@@ -355,7 +340,6 @@ def test_lopsided_sides_read_different_variables():
     for size in (1, 2):
         for alg in enumerate_algebras(sig, FinSet(tuple(range(size)))):
             assert violation(alg, identity) == reference_violation(alg, identity)
-            _assert_steps_match(alg, identity)
             for k in (1, 2):
                 assert satisfies_level(alg, identity, k) == \
                     satisfies_level_enumerated(alg, identity, k)

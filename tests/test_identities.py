@@ -37,6 +37,8 @@ def test_natural_term_validation():
         NaturalTerm(MAGMA, (1,), 1, (m(v("v1"), v("v2")),))
     with pytest.raises(ValidationError):
         NaturalTerm(MAGMA, (1, 2), 1, (v("v1"),))
+    with pytest.raises(ValidationError, match="negative domain component -1"):
+        NaturalTerm(MONOID_SIG, (-1,), 1, (e(),))
 
 
 def test_identity_normalizes_arity_couple():

@@ -24,6 +24,7 @@ from finalg import (
     equi_check,
     evaluate,
     format_term,
+    from_sigma,
     is_morphism,
     mu_flatten,
     powerset_instance,
@@ -320,6 +321,19 @@ def test_equi_evaluates_one_algebra_per_isomorphism_orbit(idem, monkeypatch):
     assert [calls.count(size) for size in (1, 2, 3)] == [1, 10, 3330]
 
 
+def test_equi_compares_the_closures_with_the_generated_check():
+    """A fault in the closures that ``satisfies_level`` folds shows up as a
+    witness: here the right side folds the left side's closure, so every
+    magma passes the level check while the generated check still refuses
+    the non-commutative ones."""
+    comm = from_sigma(MAGMA, m(v("x"), v("y")), m(v("y"), v("x")), FinSet(("x", "y")))
+    vars(comm.rhs)["compiled"] = comm.lhs.compiled
+    cmp = equi_check(comm, 2, 2)
+    assert (cmp.equal, cmp.checked) == (False, 4)
+    assert cmp.witness is not None and not satisfies(cmp.witness, comm)
+    assert satisfies_level(cmp.witness, comm, 2)
+
+
 # --- evaluation is an Eilenberg-Moore structure ----------------------------
 
 
@@ -371,6 +385,22 @@ def test_powerset_multiplication_associative(size):
             sorted({inst.mu_element(f) for f in fam}, key=atom_key)
         )
         assert inst.mu_element(mapped) == outer_first
+
+
+def test_power_sets_are_bounded_before_they_are_built(monkeypatch):
+    """Both the subsets of a base and the families of subsets that
+    ``em_satisfies`` folds over are refused before any is built."""
+    inst = powerset_instance(FinSet(tuple(range(5))))
+    alpha = FinMap(inst.object, inst.base, {s: 0 for s in inst.object})
+
+    def unbuilt(*args):
+        raise AssertionError("subsets built before the bound")
+
+    monkeypatch.setattr(itertools, "combinations", unbuilt)
+    with pytest.raises(ResourceLimitError, match="subsets of 21 atoms: needs 2097152"):
+        powerset_instance(FinSet(tuple(range(21))))
+    with pytest.raises(ResourceLimitError, match="subsets of 32 atoms: needs 4294967296"):
+        em_satisfies(inst, alpha)
 
 
 def test_em_satisfies_join():
