@@ -5,6 +5,7 @@ which folds the closures instead, against the enumerated levels on the
 same identities."""
 import ast
 import io
+import itertools
 import re
 import tokenize
 from pathlib import Path
@@ -39,7 +40,7 @@ from finalg.identities import (
 from finalg.monadic import satisfies_level
 from finalg.terms import MAX_TERM_DEPTH
 from conftest import CORPUS_TEXT, MAGMA, MONOID_SIG, ident, m, v
-from oracles import reference_violation, satisfies_level_enumerated
+from oracles import fold, reference_violation, satisfies_level_enumerated
 
 WEIRD = "x); import os; ("
 
@@ -132,6 +133,34 @@ def test_level_check_matches_the_enumerated_levels(name, magma_identities):
         for k in (1, 2):
             assert satisfies_level(alg, identity, k) == \
                 satisfies_level_enumerated(alg, identity, k)
+
+
+def _reference_round(alg, identity):
+    """Per component, the fold of the left side and of the right side at
+    every assignment of the canonical variables, in carrier positions."""
+    elems, out = alg.carrier.elements, set()
+    for k, left, right in zip(identity.domain, identity.lhs.data, identity.rhs.data):
+        names = canonical_vars(k)
+        for values in itertools.product(elems, repeat=k):
+            at = dict(zip(names, values))
+            out.add((elems.index(fold(alg, left, at)), elems.index(fold(alg, right, at))))
+    return out
+
+
+@pytest.mark.parametrize("name", ["comm", "assoc", "lzero", "rect", "bundle"])
+def test_closure_round_adds_the_pairs_of_both_folds_from_the_diagonal(name, magma_identities):
+    """The one round ``satisfies_level`` folds: the components' compiled
+    closures at every assignment give exactly the pairs of the reference
+    folds, and the level check holds iff all of them are diagonal."""
+    identity = magma_identities[name]
+    for alg in _magmas(2):
+        flat, n = alg.flat, len(alg.carrier)
+        got = {(left(flat, n, a), right(flat, n, a))
+               for k, left, right in zip(identity.domain, identity.lhs.compiled,
+                                         identity.rhs.compiled)
+               for a in itertools.product(range(n), repeat=k)}
+        assert got == _reference_round(alg, identity)
+        assert satisfies_level(alg, identity, 1) == all(x == y for x, y in got)
 
 
 # --- the emitter's edges ----------------------------------------------------
@@ -263,6 +292,7 @@ def test_generated_text_holds_only_the_emitter_vocabulary(corpus, magma_identiti
     assert violation(alg, weird) == reference_violation(alg, weird) == (0, (0, 1))
 
 
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
 @pytest.mark.parametrize("bad", [
     Node("zz", (Var("v1"),)),
     Node("m", (Var("v1"),)),
@@ -270,11 +300,12 @@ def test_generated_text_holds_only_the_emitter_vocabulary(corpus, magma_identiti
     Node("m", (Var("v1"), 5)),
     "v1",
 ])
-def test_emitter_refuses_as_compile_term_does(bad):
+def test_emitter_refuses_as_compile_term_does(bad, side):
+    sides = ((bad,), (Var("v1"),)) if side == "lhs" else ((Var("v1"),), (bad,))
     with pytest.raises(ValidationError) as expected:
         compile_term(MAGMA, bad, canonical_vars(1))
     with pytest.raises(ValidationError) as got:
-        _source(MAGMA, (1,), (bad,), (Var("v1"),))
+        _source(MAGMA, (1,), *sides)
     assert str(got.value) == str(expected.value)
 
 
