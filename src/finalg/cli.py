@@ -16,7 +16,8 @@ import contextlib
 import functools
 import itertools
 import sys
-from typing import Optional, Sequence, TextIO
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, TextIO
 
 from . import variety as variety_mod
 from .algebras import enumerate_algebras, evaluate
@@ -66,7 +67,22 @@ def _non_negative(text: str) -> int:
 
 
 def _generators(n: int) -> FinSet:
+    """The generator set ``x1..xn``, which is stage 0: refused, before it is
+    built, above the bound every stage has."""
+    if n > MAX_STAGE_SIZE:
+        raise ResourceLimitError(f"stage 0 over {n} variables", n, MAX_STAGE_SIZE)
     return FinSet(tuple(f"x{i + 1}" for i in range(n)))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse(text: str) -> SpecModel:
+    """The model of one declaration text, shared by every call that reads
+    it, so its tables are read-only views.  A text that does not parse
+    raises each time, since an exception is not a cache entry."""
+    model = parse_spec(text)
+    for table in ("signatures", "identities", "algebras", "presentations"):
+        setattr(model, table, MappingProxyType(getattr(model, table)))
+    return model
 
 
 def _load(path: str) -> SpecModel:
@@ -75,10 +91,10 @@ def _load(path: str) -> SpecModel:
             text = handle.read()
     except ValueError as exc:  # bytes that are not UTF-8, or a NUL in the path
         raise ValidationError(f"cannot read {path!r}: {exc}") from None
-    return parse_spec(text)
+    return _parse(text)
 
 
-def _declared(table: dict, kind: str, name: str):
+def _declared(table: Mapping, kind: str, name: str):
     """The declaration ``name`` in one of the model's tables, or a refusal."""
     if name not in table:
         raise ValidationError(f"unknown {kind} {name!r}")
@@ -391,7 +407,12 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
-    """Entry point; returns the process exit code instead of exiting."""
+    """Entry point; returns the process exit code instead of exiting.
+
+    The declaration file is read on every call and each distinct text is
+    parsed once per process: ``_parse`` keeps the last few models, keyed on
+    the text, never the path or the modification time.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -419,3 +440,7 @@ def run(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     raise SystemExit(run(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,11 +1,15 @@
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from finalg import FinMap, FinSet, Node, Var, cli, enumerate_algebras
 from finalg.cli import MAX_PRINTED_STAGE_SIZE, _build_parser, run
-from finalg.dsl import MAX_TERM_DEPTH
+from finalg.dsl import MAX_TERM_DEPTH, parse_spec
 from finalg.identities import ClassComparison
 from finalg.monadic import MonadMapReport
 from conftest import CORPUS_TEXT
@@ -663,3 +667,90 @@ def test_byte_identical_reruns(argv, corpus_file):
     first = invoke(argv)
     second = invoke(argv)
     assert first == second
+
+
+_GIANT = str(10**12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--signature", "Magma", "--generators", _GIANT, "--upto", "0"],
+        ["free", "--presentation", "SemilatticeUnit", "--generators", _GIANT,
+         "--max-depth", "5"],
+        ["uprop", "--presentation", "SemilatticeUnit", "--generators", _GIANT,
+         "--max-depth", "5", "--target", "B"],
+        ["convert", "to-equation", "--identity", "comm", "--generators", _GIANT],
+        ["rho-chain", "--identity", "comm", "--bound", "1", "--generators", _GIANT],
+        ["check", "--algebra", "Or", "--identity", "comm", "--equation-generators", _GIANT],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_generator_sets_are_bounded_before_they_are_built(argv, corpus_file):
+    """The generators are stage 0, so a count above the stage bound is
+    refused before a single generator is made."""
+    start = time.monotonic()
+    result = invoke([argv[0], "--spec", corpus_file, *argv[1:]])
+    assert time.monotonic() - start < 1
+    assert result == (2, "", f"resource limit: stage 0 over {_GIANT} variables: "
+                             f"needs {_GIANT}, limit is 1000000\n")
+
+
+_EXTRA = """
+algebra Extra over Magma {
+  carrier { 0 1 }
+  op m { (0,0) -> 0 (0,1) -> 0 (1,0) -> 1 (1,1) -> 1 }
+}
+"""
+
+
+def test_an_edited_declaration_file_is_parsed_again(tmp_path):
+    spec = tmp_path / "spec.alg"
+    spec.write_text(CORPUS_TEXT, encoding="utf-8")
+    argv = ["check", "--spec", str(spec), "--algebra", "Extra", "--identity", "comm"]
+    assert invoke(argv) == (2, "", "error: unknown algebra 'Extra'\n")
+    spec.write_text(CORPUS_TEXT + _EXTRA, encoding="utf-8")
+    assert invoke(argv) == (1, "mode: identity\nsatisfies: false\nwitness-component: 0\n"
+                               "witness-assignment: x=0 y=1\n", "")
+
+
+def test_a_parse_error_is_never_cached(tmp_path):
+    spec = tmp_path / "spec.alg"
+    spec.write_text(CORPUS_TEXT + "identity broken over Magma : m(x = x\n", encoding="utf-8")
+    argv = ["chain", "--spec", str(spec), "--signature", "Magma", "--generators", "1",
+            "--upto", "1"]
+    misses = cli._parse.cache_info().misses
+    for _ in range(2):
+        assert invoke(argv) == (2, "", "parse error: line 59, col 34: expected ')', found '='\n")
+    assert cli._parse.cache_info().misses == misses + 2
+    spec.write_text(CORPUS_TEXT, encoding="utf-8")
+    assert invoke(argv) == (0, "sizes: 1 2\n", "")
+
+
+def test_files_with_one_text_share_one_read_only_model(tmp_path):
+    a, b = tmp_path / "a.alg", tmp_path / "b.alg"
+    for path in (a, b):
+        path.write_text(CORPUS_TEXT, encoding="utf-8")
+    model = cli._load(str(a))
+    assert cli._load(str(b)) is model
+    assert model == parse_spec(CORPUS_TEXT)
+    for table in (model.signatures, model.identities, model.algebras, model.presentations):
+        with pytest.raises(TypeError):
+            table["Or"] = None
+    assert cli._parse.cache_info().maxsize == 8
+
+
+@pytest.mark.parametrize("module", ["finalg", "finalg.cli"])
+def test_the_module_forms_run_the_command(module, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=60)
+
+    done = python_m("em-check", "--size", "2")
+    assert (done.returncode, done.stdout, done.stderr) == invoke(["em-check", "--size", "2"])
+    done = python_m("em-check", "--size", "-1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage error: argument --size: ")
