@@ -17,12 +17,12 @@ import functools
 import itertools
 import sys
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import variety as variety_mod
 from .algebras import enumerate_algebras, evaluate
 from .core import MAX_ENUMERATION, FinSet, bounded_power, count_maps
-from .dsl import SpecModel, parse_spec, parse_term
+from .dsl import SpecModel, _declared, parse_spec, parse_term
 from .equations import (
     equation_to_identity,
     identity_to_equation,
@@ -94,17 +94,6 @@ def _load(path: str) -> SpecModel:
     return _parse(text)
 
 
-def _declared(table: Mapping, kind: str, name: str):
-    """The declaration ``name`` in one of the model's tables, or a refusal."""
-    if name not in table:
-        raise ValidationError(f"unknown {kind} {name!r}")
-    return table[name]
-
-
-def _identity(model: SpecModel, name: str):
-    return model.natural_identity(_declared(model.identities, "identity", name).name)
-
-
 def _format_subset(s: tuple) -> str:
     return "{" + ",".join(str(a) for a in s) + "}"
 
@@ -149,7 +138,7 @@ def _cmd_eval(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
 
 def _cmd_check(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     alg = _declared(model.algebras, "algebra", args.algebra).algebra
-    ident = _identity(model, args.identity)
+    ident = model.natural_identity(args.identity)
     if args.equation_generators is not None:
         x = _generators(args.equation_generators)
         # Both demands are known from N and the carrier, so they are refused
@@ -178,7 +167,7 @@ def _cmd_check(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
 def _cmd_enumerate(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     sig = _declared(model.signatures, "signature", args.signature)
     carrier = FinSet(tuple(str(i) for i in range(args.size)))
-    idents = [_identity(model, name) for name in args.identity or []]
+    idents = [model.natural_identity(name) for name in args.identity or []]
     count = 0
     for alg in enumerate_algebras(sig, carrier, args.max_count):
         if all(satisfies(alg, ident) for ident in idents):
@@ -194,7 +183,7 @@ def _cmd_enumerate(args: argparse.Namespace, model: SpecModel, out: TextIO) -> i
 
 
 def _cmd_convert(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
-    ident = _identity(model, args.identity)
+    ident = model.natural_identity(args.identity)
     x = _generators(args.generators)
     if args.mode == "to-equation":
         arrow = identity_to_equation(ident, x)
@@ -272,7 +261,7 @@ def _cmd_uprop(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
 
 
 def _cmd_rho_chain(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
-    ident = _identity(model, args.identity)
+    ident = model.natural_identity(args.identity)
     source = ident.lhs if args.side == "lhs" else ident.rhs
     report = check_monad_map(source, args.bound, _generators(args.generators))
     print(f"checked: {report.checked}", file=out)
@@ -285,7 +274,7 @@ def _cmd_rho_chain(args: argparse.Namespace, model: SpecModel, out: TextIO) -> i
 
 
 def _cmd_equi(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
-    ident = _identity(model, args.identity)
+    ident = model.natural_identity(args.identity)
     cmp = equi_check(ident, args.level, args.max_size)
     print(f"checked: {cmp.checked}", file=out)
     print(f"equivalent: {'true' if cmp.equal else 'false'}", file=out)
@@ -314,7 +303,7 @@ def _cmd_em_check(args: argparse.Namespace, model: Optional[SpecModel], out: Tex
 
 
 def _cmd_dalg_check(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
-    ident = _identity(model, args.identity)
+    ident = model.natural_identity(args.identity)
     alg = _declared(model.algebras, "algebra", args.algebra).algebra
     witness = dalg_violation(DAlgebraPair(alg, ident, args.bound))
     print(f"compatible: {'true' if witness is None else 'false'}", file=out)
@@ -411,7 +400,9 @@ def run(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
 
     The declaration file is read on every call and each distinct text is
     parsed once per process: ``_parse`` keeps the last few models, keyed on
-    the text, never the path or the modification time.
+    the text, never the path or the modification time.  A model builds each
+    identity it is asked for once and keeps it, so every call that reads
+    the same text after the first reuses the identities built before.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr

@@ -105,28 +105,57 @@ class PresentationDecl:
     identity_names: tuple[str, ...]
 
 
+def _declared(table, kind: str, name: str):
+    """The declaration ``name`` in one of a model's tables, or a refusal."""
+    if name not in table:
+        raise ValidationError(f"unknown {kind} {name!r}")
+    return table[name]
+
+
 @dataclass(eq=True)
 class SpecModel:
-    """Everything a declaration file defines, resolved and validated."""
+    """Everything a declaration file defines, resolved and validated.
+
+    Each declared identity is built into a :class:`NaturalIdentity` on its
+    first request and the same object is returned after that.  The memo is
+    private to the model, takes no part in equality or ``repr``, and is
+    keyed on what the identity is built from (its declaration, signature
+    and the model's variables), never the name, so replacing any of them
+    builds the identity again.  A build that would leave it with more
+    entries than there are declared identities clears it first, since
+    only entries of replaced data can fill it.
+    """
 
     signatures: dict = field(default_factory=dict)
     vars: tuple = ()
     identities: dict = field(default_factory=dict)
     algebras: dict = field(default_factory=dict)
     presentations: dict = field(default_factory=dict)
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _build(self, name: str) -> tuple[FinSet, NaturalIdentity]:
+        """The declared variables that identity ``name`` reads, and its
+        natural identity over them."""
+        decl = _declared(self.identities, "identity", name)
+        sig = self.signatures[decl.sig_name]
+        key = (decl, sig, self.vars)
+        entry = self._built.get(key)
+        if entry is None:
+            if len(self._built) >= len(self.identities):
+                self._built.clear()
+            used = variables(decl.lhs) | variables(decl.rhs)
+            ivars = FinSet(tuple(v for v in self.vars if v in used))
+            entry = self._built[key] = (ivars, from_sigma(sig, decl.lhs, decl.rhs, ivars))
+        return entry
 
     def identity_vars(self, name: str) -> FinSet:
-        decl = self.identities[name]
-        used = variables(decl.lhs) | variables(decl.rhs)
-        return FinSet(tuple(v for v in self.vars if v in used))
+        return self._build(name)[0]
 
     def natural_identity(self, name: str) -> NaturalIdentity:
-        decl = self.identities[name]
-        sig = self.signatures[decl.sig_name]
-        return from_sigma(sig, decl.lhs, decl.rhs, self.identity_vars(name))
+        return self._build(name)[1]
 
     def presentation_identities(self, name: str) -> list[NaturalIdentity]:
-        decl = self.presentations[name]
+        decl = _declared(self.presentations, "presentation", name)
         return [self.natural_identity(n) for n in decl.identity_names]
 
 

@@ -125,7 +125,18 @@ def roundtrip_class_equal(
     ident: NaturalIdentity, x_sizes: Sequence[int], max_size: int
 ) -> RoundtripReport:
     """Convert identity → equation arrow → identity for each variable-object
-    size and compare the satisfied classes over carriers ≤ max_size."""
+    size and compare the satisfied classes over carriers ≤ max_size.
+
+    No sizes, a negative one, or a ``max_size`` below 1 is refused before
+    any stage is built."""
+    x_sizes = tuple(x_sizes)
+    if not x_sizes:
+        raise ValidationError("round trip needs at least one variable-object size")
+    for size in x_sizes:
+        if size < 0:
+            raise ValidationError(f"negative variable-object size {size}")
+    if max_size < 1:
+        raise ValidationError("max size must be at least 1")
     outcomes = []
     for size in x_sizes:
         x = FinSet(tuple(f"x{i + 1}" for i in range(size)))

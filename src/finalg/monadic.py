@@ -194,11 +194,14 @@ def satisfies_level(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:
     reached and the set only grows; so for k ≥ 1 only the first round
     decides.  It folds each component's ``NaturalTerm.compiled`` closures
     on carrier positions, not the identity's generated ``check``, and
-    stops at the first assignment where the sides differ.
+    stops at the first assignment where the sides differ.  Level 0 adds
+    no pair and holds in every algebra; a negative level is refused.
     """
     if alg.sig is not ident.sig and alg.sig != ident.sig:
         raise ValidationError("signature mismatch between algebra and identity")
     if k < 1:
+        if k < 0:
+            raise ValidationError(f"level must be non-negative, got {k}")
         return True
     flat, n = alg.flat, len(alg.carrier)
     for arity, left, right in zip(ident.domain, ident.lhs.compiled, ident.rhs.compiled):

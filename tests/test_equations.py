@@ -22,6 +22,7 @@ from finalg import (
     stage,
     substitute,
 )
+from finalg import equations
 from finalg.identities import canonical_vars
 from conftest import MAGMA, MONOID_SIG, ident, m, v
 from oracles import fold
@@ -197,3 +198,20 @@ def test_block_wise_check_matches_every_map(n, comm, assoc, or_magma, left_proje
         answers.append(expected)
     assert answers[:2] == [True, False]
     assert answers[2:] == [True, True, n == 1, True]
+
+
+@pytest.mark.parametrize("sizes, max_size, message", [
+    ([-3], 2, "negative variable-object size -3"),
+    ([2, -1], 2, "negative variable-object size -1"),
+    ([], 2, "round trip needs at least one variable-object size"),
+    ([2], 0, "max size must be at least 1"),
+])
+def test_roundtrip_refuses_nonsense_sizes_before_any_stage(comm, sizes, max_size, message,
+                                                           monkeypatch):
+    def fail(*args):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(equations, "stage", fail)
+    with pytest.raises(ValidationError) as exc:
+        roundtrip_class_equal(comm, sizes, max_size)
+    assert str(exc.value) == message

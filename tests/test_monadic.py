@@ -596,3 +596,11 @@ def test_variety_vs_dalg_commutativity(comm):
 
 def test_variety_vs_dalg_associativity(assoc):
     assert variety_vs_dalg(assoc, 2, 2).equal
+
+
+def test_a_negative_level_is_refused(comm):
+    left_projection = two_element((0, 0, 1, 1))
+    assert not satisfies(left_projection, comm)
+    assert satisfies_level(left_projection, comm, 0)
+    with pytest.raises(ValidationError, match="level must be non-negative, got -1"):
+        satisfies_level(left_projection, comm, -1)
