@@ -54,6 +54,16 @@ class FinSet:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "position", MappingProxyType(dict(zip(elems, itertools.count()))))
 
+    @classmethod
+    def _trusted(cls, elements: tuple) -> "FinSet":
+        """The set of ``elements``, which must be distinct atoms already in
+        canonical order; neither is checked and nothing is sorted."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "elements", elements)
+        object.__setattr__(s, "position",
+                           MappingProxyType(dict(zip(elements, itertools.count()))))
+        return s
+
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -7,7 +7,9 @@ stage inclusions ``w_embed``, and the one-step injection ``y_inject``.
 In this finite-set instantiation all connecting maps are injections, so
 stages are literally nested sets of terms and ``w_embed`` is inclusion:
 stage n is built from the cached stage n-1's own terms and the nodes of
-height exactly n over them, so it holds stage n-1's term objects.
+height exactly n over them, so it holds stage n-1's term objects.  The
+new nodes all sort after stage n-1, so only they are sorted, by size,
+operation and their children's positions in stage n-1.
 
 A term's hash is fixed at construction: a :class:`Var`'s from its name,
 a :class:`Node`'s from its operation and its children's stored hashes,
@@ -186,13 +188,19 @@ def iter_stage_sizes(sig: Signature, x: FinSet) -> Iterator[int]:
 def _stage_terms(sig: Signature, x: FinSet, n: int) -> FinSet:
     if n == 0:
         return FinSet(tuple(Var(a) for a in x))
-    prev = _stage_terms(sig, x, n - 1).elements
-    atoms = list(prev)
+    prev = _stage_terms(sig, x, n - 1)
+    position = prev.position
+    # Every node of height n sorts after every term of stage n-1, and two
+    # of them compare by size, operation and then their children, whose
+    # order is their order in stage n-1.
+    new = []
     for name, arity in sig:
-        for args in itertools.product(prev, repeat=arity):
+        for args in itertools.product(prev.elements, repeat=arity):
             if 1 + max((a.height for a in args), default=0) == n:
-                atoms.append(Node(name, args))
-    return FinSet(tuple(atoms))
+                new.append((1 + sum([a.size for a in args]), name,
+                            tuple([position[a] for a in args]), args))
+    new.sort(key=lambda entry: entry[:3])
+    return FinSet._trusted(prev.elements + tuple([Node(name, args) for _, name, _, args in new]))
 
 
 def _stage_bounds(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> None:

@@ -23,13 +23,21 @@ An instance runs those lists, each step filing one node over ids.  When an
 id is registered the engine also stores its term's sort key, which
 begins with the term's height and size and is built from its children's
 keys, so it orders classes and bounds instance pools without asking a
-``Term`` for any of them.
+``Term`` for any of them.  Since a key begins with the height, an
+instance pool, which holds the roots of height at most the depth less a
+variable's offset, is a prefix of the sorted roots: an instance pass
+sorts only the roots no higher than the depth less the least offset.
 The keys of ``rep`` are exactly the live union-find roots, each
 mapped to the id of its class's least term.  A union keeps the root
-with the longer list of parent nodes and files the shorter list again
-(Downey, Sethi & Tarjan, 1980); which root survives changes neither
-``rep`` nor the classes after any drain.  One pass over ``nodes`` reads
-the operation tables off these.
+with the longer list of parent nodes (Downey, Sethi & Tarjan, 1980) and
+marks the nodes it moves dirty; a drain files each dirty node again
+once per round, after that round's pending unions, as egg's deferred
+rebuild does (Willsey et al., "egg: Fast and Extensible Equality
+Saturation", POPL 2021).  Congruence closure is confluent, so neither
+which root survives nor the filing order changes ``rep`` or the classes
+after any drain; they change only which congruence unions are logged,
+and in what order.  One pass over ``nodes`` reads the operation tables
+off these.
 
 Every union the engine performs goes into a log with its reason: an
 identity instance, given by its component and the ids bound to the
@@ -82,7 +90,14 @@ class _Engine:
     ``union_log`` holds every union with its reason.  ``key`` holds, per
     id, its term's ``sort_key()``, which begins ``(height, size, ...)``,
     computed from the children's keys when the id is registered;
-    ``build`` runs a side compiled by ``_compile_side``."""
+    ``build`` runs a side compiled by ``_compile_side``.
+
+    A union moves the parent nodes of the root it merges away onto the
+    surviving root and marks them ``dirty``; ``drain`` files each dirty
+    node again once per round, after the round's pending unions, so a node
+    is not filed again for every child class that merges.  ``least_ids``
+    given a height sorts only the roots whose least term is no higher,
+    the prefix an instance pass's pools read."""
 
     def __init__(self, x: FinSet):
         self.terms: list[Term] = []
@@ -94,13 +109,16 @@ class _Engine:
         self.sig_table: dict[tuple, int] = {}
         self.parents: dict[int, list[int]] = {}
         self.pending: deque[tuple[int, int]] = deque()
+        self.dirty: list[int] = []
         self.union_log: list[tuple[int, int, object]] = []
         for a in x:
             self._add(Var(a), None)
 
     def find(self, i: int) -> int:
         parent = self.parent
-        root = i
+        root = parent[i]
+        if root == i or parent[root] == root:
+            return root
         while parent[root] != root:
             root = parent[root]
         while parent[i] != root:
@@ -112,7 +130,7 @@ class _Engine:
         term is built only when the node is new."""
         nid = self.nodes.get((op, arg_ids))
         if nid is None:
-            nid = self._add(Node(op, tuple(self.terms[a] for a in arg_ids)), arg_ids)
+            nid = self._add(Node(op, tuple([self.terms[a] for a in arg_ids])), arg_ids)
         return nid
 
     def build(self, side: tuple, images: tuple[int, ...]) -> int:
@@ -121,42 +139,51 @@ class _Engine:
         slots, and the register list grows by that node's id."""
         steps, out = side
         regs = list(images)
-        node = self.node
+        nodes, node = self.nodes, self.node
         for op, slots in steps:
-            regs.append(node(op, tuple([regs[s] for s in slots])))
+            args = tuple([regs[s] for s in slots])
+            nid = nodes.get((op, args))
+            regs.append(node(op, args) if nid is None else nid)
         return regs[out]
 
     def _add(self, t: Term, arg_ids: Optional[tuple[int, ...]]) -> int:
         tid = len(self.terms)
         self.terms.append(t)
-        if arg_ids is None:
-            self.key.append(t.sort_key())
-        else:
-            kids = tuple([self.key[a] for a in arg_ids])
-            self.key.append((1 + max([k[0] for k in kids], default=0),
-                             1 + sum([k[1] for k in kids]), (1, t.op, kids)))
         self.parent.append(tid)
         self.rep[tid] = tid
         self.node_args.append(arg_ids)
-        if arg_ids is not None:
-            self.nodes[(t.op, arg_ids)] = tid
-            for root in set(self._file(tid)):
-                self.parents.setdefault(root, []).append(tid)
+        key = self.key
+        if arg_ids is None:
+            key.append(t.sort_key())
+            return tid
+        kids = tuple([key[a] for a in arg_ids])
+        key.append((1 + max([k[0] for k in kids], default=0),
+                    1 + sum([k[1] for k in kids]), (1, t.op, kids)))
+        self.nodes[(t.op, arg_ids)] = tid
+        parents = self.parents
+        for root in set(self._file(tid)):
+            filed = parents.get(root)
+            if filed is None:
+                parents[root] = [tid]
+            else:
+                filed.append(tid)
         return tid
 
     def _file(self, nid: int) -> tuple[int, ...]:
         """File node ``nid`` in ``sig_table`` under its operation and child
         roots, queueing a congruence with the node already filed there when
         that one is in another class; returns the child roots."""
-        roots = tuple([self.find(a) for a in self.node_args[nid]])
+        find = self.find
+        roots = tuple([find(a) for a in self.node_args[nid]])
         other = self.sig_table.setdefault((self.terms[nid].op, roots), nid)
-        if self.find(other) != self.find(nid):
+        if other != nid and find(other) != find(nid):
             self.pending.append((other, nid))
         return roots
 
     def union(self, a: int, b: int, reason) -> None:
         """Join the classes of ``a`` and ``b``, logging ``reason`` when they
-        were distinct; the root with fewer parent nodes is merged away."""
+        were distinct; the root with fewer parent nodes is merged away, and
+        its parent nodes are marked dirty."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
@@ -169,19 +196,37 @@ class _Engine:
         if key[rep[rb]] < key[rep[ra]]:
             rep[ra] = rep[rb]
         del rep[rb]
-        moved = parents.pop(rb, [])
-        for nid in moved:
-            self._file(nid)
-        parents.setdefault(ra, []).extend(moved)
+        moved = parents.pop(rb, None)
+        if moved:
+            self.dirty.extend(moved)
+            kept = parents.get(ra)
+            if kept is None:
+                parents[ra] = moved
+            else:
+                kept.extend(moved)
 
     def drain(self) -> None:
-        while self.pending:
-            a, b = self.pending.popleft()
-            self.union(a, b, CONGRUENCE)
+        """Close under congruence: union the pending pairs, then file each
+        dirty node again once, until neither is left."""
+        pending, union, file = self.pending, self.union, self._file
+        while pending or self.dirty:
+            while pending:
+                a, b = pending.popleft()
+                union(a, b, CONGRUENCE)
+            dirty, self.dirty = self.dirty, []
+            for nid in dict.fromkeys(dirty):
+                file(nid)
 
-    def least_ids(self) -> list[int]:
-        """The id of each class's least term, in canonical term order."""
-        return sorted(self.rep.values(), key=self.key.__getitem__)
+    def least_ids(self, height: Optional[int] = None) -> list[int]:
+        """The id of each class's least term, in canonical term order; with
+        ``height``, only those of classes whose least term is no higher,
+        which are a prefix of the full order, since a key begins with the
+        height."""
+        key = self.key
+        ids = self.rep.values()
+        if height is not None:
+            ids = [i for i in ids if key[i][0] <= height]
+        return sorted(ids, key=key.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -330,6 +375,9 @@ def saturate(
     if depth_bound < 1:
         raise ValidationError("depth bound must be at least 1")
     components = _components(ids, sig)
+    # A pool holds the roots of height at most depth - offset, so no pool
+    # reads a root higher than depth - (the least offset).
+    least_offset = min((o for deepest, *_ in components for o in deepest.values()), default=0)
     engine = _Engine(x)
     sort_keys, build = engine.key, engine.build
     counts: list[int] = []
@@ -354,7 +402,7 @@ def saturate(
         while True:
             merges_before = len(engine.union_log)
             terms_before = len(engine.terms)
-            reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids()]
+            reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids(depth - least_offset)]
             for comp_id, (deepest, left, right, ground) in enumerate(components):
                 if ground > depth:
                     continue

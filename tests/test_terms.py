@@ -285,3 +285,35 @@ def test_stage_cache_is_bounded():
     assert info.maxsize is not None
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize
+
+
+STAGE_ORDER_SIGS = {
+    "unary": Signature((("s", 1),)),
+    "binary": MAGMA,
+    "mixed": Signature((("e", 0), ("s", 1), ("m", 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_ORDER_SIGS))
+@pytest.mark.parametrize("n_gens", [0, 1, 2])
+def test_stages_are_in_checked_order(name, n_gens):
+    """Stage n keeps stage n-1's tuple and sorts only its new nodes; every
+    stage up to the index ``stage`` admits (under a 50,000-term bound, so
+    the test stays small) equals the checked ``FinSet`` of the same atoms,
+    element by element and in order, fed to it in reverse."""
+    sig = STAGE_ORDER_SIGS[name]
+    x = FinSet(tuple(f"x{i}" for i in range(n_gens)))
+    bound = 50_000
+    admitted = 0
+    for size, n in zip(iter_stage_sizes(sig, x), range(MAX_TERM_DEPTH + 1)):
+        if size > bound:
+            break
+        admitted = n
+    with pytest.raises(ResourceLimitError):
+        stage(sig, x, admitted + 1, bound)
+    for n in range(admitted + 1):
+        built = stage(sig, x, n, bound).terms
+        checked = FinSet(tuple(reversed(built.elements)))
+        assert built.elements == checked.elements
+        assert dict(built.position) == dict(checked.position)
+        assert len(built) == next(itertools.islice(iter_stage_sizes(sig, x), n, None))

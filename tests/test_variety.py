@@ -799,3 +799,141 @@ def test_components_match_a_reference_depth_walk():
             assert tuple(deepest) == used
             assert deepest == offsets
             assert ground == height
+
+
+def _state_lines(state):
+    """What a saturation run decides, one line per item: the registered
+    terms in id order, each id's least class member, the identity instances
+    that merged classes with their reasons, the operation tables in a
+    canonical order, and the class count after each depth.  The congruence
+    entries of the union log are left out: their order and pairs depend on
+    the engine's filing order, not on the classes."""
+    yield from (format_term(t) for t in state.terms)
+    yield " ".join(map(str, state.least))
+    yield from (
+        f"{format_term(state.terms[a])} = {format_term(state.terms[b])} {reason}"
+        for a, b, reason in state.union_log if reason != CONGRUENCE
+    )
+    for op, table in sorted(state.op_tables.items()):
+        yield from sorted(
+            f"{op}({','.join(map(format_term, args))}) = {format_term(value)}"
+            for args, value in table.items()
+        )
+    yield " ".join(map(str, state.class_counts))
+
+
+# Per case of ``_matrix_cases``: a digest of ``_state_lines``.
+MATRIX_RESULTS = {
+    ('Band', 0, 3): 'c7757c0896cbfe61',
+    ('Band', 1, 3): 'e0ccba619a84642e',
+    ('Band', 1, 6): 'e0ccba619a84642e',
+    ('Band', 2, 3): 'b0f0043928347516',
+    ('Band', 2, 6): '4533ce57fa2b1035',
+    ('BoolGroup', 0, 3): 'ca25d8bbf7d91408',
+    ('BoolGroup', 1, 3): '02a0560a695f0d66',
+    ('BoolGroup', 1, 6): '02a0560a695f0d66',
+    ('BoolGroup', 2, 3): '4fd6af5e732c44fd',
+    ('BoolGroup', 2, 6): '9e7e2cebbea036ba',
+    ('BoolGroup', 3, 6): '7c265772f6254eea',
+    ('CommMonoid', 0, 3): '9fd773e7bd0260f5',
+    ('CommMonoid', 1, 3): '0df620339a4ac603',
+    ('CommMonoid', 2, 3): '62306490e62ae93d',
+    ('CommSemigroup', 0, 3): 'c7757c0896cbfe61',
+    ('CommSemigroup', 1, 3): '64a6f725d7eb75e8',
+    ('CommSemigroup', 1, 5): '46368ffbb909d8ad',
+    ('CommSemigroup', 2, 3): 'b8743ef86fbbdc83',
+    ('DistLat', 0, 3): 'c7757c0896cbfe61',
+    ('DistLat', 1, 3): 'd0221b81d0c39229',
+    ('DistLat', 1, 6): 'e6f4c47e35f7b3e9',
+    ('DistLat', 2, 3): 'f9f21a1d0bd5f924',
+    ('DistLat', 2, 6): '108b4b4b550e53be',
+    ('LeftZero', 0, 3): 'c7757c0896cbfe61',
+    ('LeftZero', 1, 3): 'd94adf458ee9e537',
+    ('LeftZero', 2, 3): 'ffee75b547ea07cc',
+    ('LeftZero', 4, 6): '6d5344675089cc24',
+    ('MonoidPres', 0, 3): 'ca25d8bbf7d91408',
+    ('MonoidPres', 1, 3): 'c2a4529d398a5ae9',
+    ('MonoidPres', 1, 4): '7d4c6eb4dbdae3a9',
+    ('MonoidPres', 1, 5): '4ccf6d207589bbde',
+    ('MonoidPres', 2, 3): 'c337aff857d48eaf',
+    ('RectBand', 0, 3): 'c7757c0896cbfe61',
+    ('RectBand', 1, 3): 'e0ccba619a84642e',
+    ('RectBand', 1, 6): 'e0ccba619a84642e',
+    ('RectBand', 2, 3): '9706b64dede8cc78',
+    ('RectBand', 2, 6): '9706b64dede8cc78',
+    ('RectBand', 3, 6): '698b934d84725935',
+    ('Semigroup', 0, 3): 'c7757c0896cbfe61',
+    ('Semigroup', 1, 3): 'd243292e67a9a0ce',
+    ('Semigroup', 2, 3): 'a08917b0f5eb93b1',
+    ('Semilattice', 0, 3): 'c7757c0896cbfe61',
+    ('Semilattice', 1, 3): 'f6dd570dab362bec',
+    ('Semilattice', 1, 6): 'f6dd570dab362bec',
+    ('Semilattice', 2, 3): '8c50e6bc4c7ca2cd',
+    ('Semilattice', 2, 6): '8c50e6bc4c7ca2cd',
+    ('Semilattice', 3, 6): '004609bb43307442',
+    ('SemilatticeUnit', 0, 3): '9fd773e7bd0260f5',
+    ('SemilatticeUnit', 1, 3): 'c82aec4a0a954301',
+    ('SemilatticeUnit', 2, 3): '40bb35bf25b7e7e1',
+}
+
+
+def test_matrix_results_are_pinned():
+    """Every run of the 50-case matrix registers the same terms, classes,
+    identity instances, tables and class counts, and passes the audit, so
+    an engine change that moves any of them shows."""
+    model, cases = _matrix_cases()
+    assert len(cases) == 50
+    got = {}
+    for name, n, depth in cases:
+        sig = model.signatures[model.presentations[name].sig_name]
+        res = saturate(sig, model.presentation_identities(name), gens(n), depth)
+        assert audit_derivations(res), (name, n, depth)
+        got[(name, n, depth)] = _digest(_state_lines(res.state))
+    assert got == MATRIX_RESULTS
+
+
+def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
+    """On the trajectory cases, the 50-case matrix, a presentation with no
+    identities and one with a variable of offset 0: when an engine's state
+    is read nothing is pending or dirty, and every registered node is filed
+    in ``sig_table`` under its operation and its children's current roots,
+    in its own class; and every capped sort of an instance pass returns the
+    full order of the roots, cut at its height.  With no identities, or an
+    offset-0 variable, the cap keeps every root."""
+    engines = _engines_left(monkeypatch)
+    sorts = []
+    least_ids = _Engine.least_ids
+
+    def recorded(engine, height=None):
+        got = least_ids(engine, height)
+        if height is not None:
+            sorts.append((engine, height, got, least_ids(engine)))
+        return got
+
+    monkeypatch.setattr(_Engine, "least_ids", recorded)
+    trajectory = parse_spec(TRAJECTORY_SPEC)
+    runs = [(trajectory, name, n, 6) for name, n in TRAJECTORY_RESULTS]
+    model, cases = _matrix_cases()
+    assert len(cases) == 50
+    runs += [(model, name, n, depth) for name, n, depth in cases]
+    for spec, name, n, depth in runs:
+        sig = spec.signatures[spec.presentations[name].sig_name]
+        saturate(sig, spec.presentation_identities(name), gens(n), depth)
+    uncapped = set()
+    for ids in ([], [ident(MONOID_SIG, X, e(), ("x",))]):
+        saturate(MONOID_SIG, ids, gens(2), 3)
+        uncapped.add(id(engines[-1]))
+    assert len(engines) == len(runs) + 2
+    for engine in engines:
+        assert not engine.pending and not engine.dirty
+        find = engine.find
+        for i, args in enumerate(engine.node_args):
+            if args is not None:
+                filed = engine.sig_table[(engine.terms[i].op, tuple(find(a) for a in args))]
+                assert find(filed) == find(i)
+    assert {id(engine) for engine, *_ in sorts} == {id(engine) for engine in engines}
+    for engine, height, got, full in sorts:
+        assert got == [i for i in full if engine.key[i][0] <= height]
+        if id(engine) in uncapped:
+            assert got == full
+    assert any(len(got) < len(full) for _, _, got, full in sorts)
