@@ -25,7 +25,7 @@ from .equations import (
     satisfies_equation,
 )
 from .errors import FinalgError, ParseError, ResourceLimitError, ValidationError
-from .functors import SigF, Signature, apply_map, apply_obj
+from .functors import Signature, apply_map, apply_obj
 from .identities import (
     NaturalIdentity,
     NaturalTerm,

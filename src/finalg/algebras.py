@@ -21,13 +21,15 @@ with its operations resolved to their index in the signature and its
 variables to positions in a value tuple; the stride is an argument, so
 one compiled term serves every carrier size, and the fold depends only
 on the term, so it is independent of the stage a term is viewed in.
+A binary node reads a variable child in place; any other node folds
+its children's closures into its cell index in a loop.
 Values are mapped between carrier elements and positions only where a
 caller passes elements in or takes them out.  The bounded-carrier
-checks of identities, which evaluate the same terms under every
-assignment, run code generated once per identity instead
-(``identities.NaturalIdentity.check`` and ``step``); its emitter
-resolves operations and variables with ``compile_term``'s helper,
-``_resolve``, and so refuses the same terms.
+check of an identity, which evaluates the same terms under every
+assignment, runs code generated once per identity instead
+(``identities.NaturalIdentity.check``); its emitter resolves
+operations and variables with ``compile_term``'s helper, ``_resolve``,
+and so refuses the same terms.
 
 ``FinAlgebra(...)`` checks that every table is total with values in the
 carrier and that no table names an unknown operation, then stores the
@@ -203,15 +205,6 @@ def _compile(t: Term, ops: Mapping, index: Mapping) -> Compiled:
             return lambda flat, n, values: flat[i][values[j] * n + g(flat, n, values)]
         f, g = _compile(a, ops, index), _compile(b, ops, index)
         return lambda flat, n, values: flat[i][f(flat, n, values) * n + g(flat, n, values)]
-    if arity == 1:
-        (a,) = args
-        if type(a) is Var:
-            j = _position(a, index)
-            return lambda flat, n, values: flat[i][values[j]]
-        f = _compile(a, ops, index)
-        return lambda flat, n, values: flat[i][f(flat, n, values)]
-    if arity == 0:
-        return lambda flat, n, values: flat[i][0]
     subs = [_compile(a, ops, index) for a in args]
 
     def fold(flat, n, values):

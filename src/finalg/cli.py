@@ -424,7 +424,7 @@ def run(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=err)
         return 2
-    except (ValidationError, FinalgError, OSError) as exc:
+    except (FinalgError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -1,4 +1,6 @@
-"""Signatures and their signature functors X ↦ ∐_σ X^{ar(σ)}.
+"""Signatures and their signature functors X ↦ ∐_σ X^{ar(σ)}; a
+``Signature`` presents its functor, which ``apply_obj`` and ``apply_map``
+apply to finite sets and maps.
 
 A domain functor ∐ᵢ hom(kᵢ, -) is the signature functor of
 ``monadic.domain_signature``.  With finite arities a signature functor
@@ -47,24 +49,17 @@ class Signature:
         return any(op == name for op, _ in self.ops)
 
 
-@dataclass(frozen=True)
-class SigF:
-    """X ↦ ∐_σ X^{ar(σ)}, with atoms ``(name, args)``."""
-
-    sig: Signature
-
-
-def apply_obj(f: SigF, x: FinSet) -> FinSet:
-    """The signature functor on a finite set."""
+def apply_obj(sig: Signature, x: FinSet) -> FinSet:
+    """The signature functor on a finite set, with atoms ``(name, args)``."""
     atoms = []
-    for name, arity in f.sig:
+    for name, arity in sig:
         for args in itertools.product(x.elements, repeat=arity):
             atoms.append((name, args))
     return FinSet(tuple(atoms))
 
 
-def apply_map(f: SigF, h: FinMap) -> FinMap:
+def apply_map(sig: Signature, h: FinMap) -> FinMap:
     """The signature functor on a map: each argument is sent along ``h``."""
-    dom = apply_obj(f, h.dom)
+    dom = apply_obj(sig, h.dom)
     table = {(name, args): (name, tuple(h.table[a] for a in args)) for (name, args) in dom}
-    return FinMap(dom, apply_obj(f, h.cod), table)
+    return FinMap(dom, apply_obj(sig, h.cod), table)

@@ -324,7 +324,8 @@ class DAlgebraPair:
     folded: a non-term, an unbound variable, or a node whose operation is
     unknown or has the wrong number of arguments is refused.  The
     constructor fills both memos over the stages up to ``bound``, so an
-    over-large stage is refused before any check runs.
+    over-large stage is refused before any check runs.  The arrows are
+    compared on stage 1 only; ``dalg_violation`` says why that suffices.
     """
 
     __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_n", "_sig", "_lhs", "_rhs")
@@ -409,14 +410,18 @@ def _em_valid(pair: DAlgebraPair, sig: Signature, table: dict, memo: dict) -> bo
 def dalg_violation(pair: DAlgebraPair) -> Optional[Term]:
     """First domain-chain element up to the pair's bound where the two
     arrows disagree, or None: ``alpha0_of`` folds along ``lhs``, so the
-    element's fold along ``rhs`` is compared with it."""
+    element's fold along ``rhs`` is compared with it.  Only stage 1 is
+    walked (stage 0 at bound 0): once ``_em_valid`` passes, a node's fold
+    along an arrow is its component on its children's folds, so arrows
+    that agree on each one-node ``ci(a1..ak)`` agree at every height, and
+    stage 1 is a prefix of every higher stage."""
     gsig = domain_signature(pair.identity.domain)
     if not _em_valid(pair, pair.algebra.sig, pair._sig, pair.alpha1):
         raise ValidationError("signature-side structure map violates the monad laws")
     if not _em_valid(pair, gsig, pair._lhs, pair.alpha0):
         raise ValidationError("domain-side structure map violates the monad laws")
     via_rhs: dict = {}
-    for t in stage(gsig, pair.algebra.carrier, pair.bound).terms:
+    for t in stage(gsig, pair.algebra.carrier, min(pair.bound, 1)).terms:
         if pair.fold_along(pair.identity.rhs, t, via_rhs) != pair.alpha0_of(t):
             return t
     return None

@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 
 from .core import FinMap, FinSet, atom_key
 from .errors import ResourceLimitError, ValidationError
-from .functors import SigF, Signature, apply_obj
+from .functors import Signature, apply_obj
 
 # Stage sets are refused beyond this many terms unless the caller
 # overrides the bound explicitly.
@@ -230,7 +230,7 @@ def iota(st: Stage) -> FinMap:
 
 def q_node(sig: Signature, x: FinSet, n: int) -> FinMap:
     """The node constructor F(stage n) → stage n+1, sending a tuple to its node."""
-    src = apply_obj(SigF(sig), stage(sig, x, n).terms)
+    src = apply_obj(sig, stage(sig, x, n).terms)
     dst = stage(sig, x, n + 1).terms
     return FinMap(src, dst, {(name, args): Node(name, args) for (name, args) in src})
 
@@ -248,7 +248,7 @@ def y_inject(sig: Signature, x: FinSet, n: int) -> FinMap:
     becomes its height-1 node, included into stage n."""
     if n < 1:
         raise ValidationError("y_inject needs stage index ≥ 1")
-    src = apply_obj(SigF(sig), x)
+    src = apply_obj(sig, x)
     dst = stage(sig, x, n).terms
     table = {
         (name, args): Node(name, tuple(Var(a) for a in args)) for (name, args) in src

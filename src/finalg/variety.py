@@ -183,7 +183,7 @@ class _Engine:
     def union(self, a: int, b: int, reason) -> None:
         """Join the classes of ``a`` and ``b``, logging ``reason`` when they
         were distinct; the root with fewer parent nodes is merged away, and
-        its parent nodes are marked dirty."""
+        its parent nodes are marked dirty and join the kept root's list."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
@@ -199,11 +199,7 @@ class _Engine:
         moved = parents.pop(rb, None)
         if moved:
             self.dirty.extend(moved)
-            kept = parents.get(ra)
-            if kept is None:
-                parents[ra] = moved
-            else:
-                kept.extend(moved)
+            parents[ra].extend(moved)
 
     def drain(self) -> None:
         """Close under congruence: union the pending pairs, then file each

@@ -4,6 +4,10 @@ other names only the tests use: ``is_injective``, ``is_surjective``,
 ``domain_expr``, ``format_model``, ``then``, ``identity_map``,
 ``block_rep``, ``structure_map`` and ``em_to_algebra``.
 
+``dalg_violation_full_walk`` keeps the walk ``monadic.dalg_violation``
+made over every stage up to a pair's bound, before it stopped at
+stage 1, as the reference for that cut.
+
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
 of the memoised folds of ``monadic.DAlgebraPair``.  The universal-property
@@ -18,7 +22,6 @@ from finalg import (
     FinMap,
     FinSet,
     Partition,
-    SigF,
     Signature,
     Term,
     ValidationError,
@@ -50,10 +53,10 @@ def is_surjective(f: FinMap) -> bool:
     return len(set(f.table.values())) == len(f.cod)
 
 
-def domain_expr(t: NaturalTerm | NaturalIdentity) -> SigF:
+def domain_expr(t: NaturalTerm | NaturalIdentity) -> Signature:
     """The domain functor ∐ᵢ hom(kᵢ, -) as the signature functor with one
     operation ``ci`` of arity kᵢ per component."""
-    return SigF(domain_signature(t.domain))
+    return domain_signature(t.domain)
 
 
 def then(f: FinMap, g: FinMap) -> FinMap:
@@ -79,7 +82,7 @@ def block_rep(part: Partition, atom):
 def structure_map(alg: FinAlgebra) -> FinMap:
     """An algebra's tables as the single structure map F(A) → A over the
     signature functor."""
-    dom = apply_obj(SigF(alg.sig), alg.carrier)
+    dom = apply_obj(alg.sig, alg.carrier)
     tables = alg.tables
     return FinMap(dom, alg.carrier, {(name, args): tables[name][args] for (name, args) in dom})
 
@@ -222,4 +225,17 @@ def universal_property_witness_enumerated(res, target):
         count = extension_count_enumerated(res, target, f)
         if count != 1:
             return f, count
+    return None
+
+
+def dalg_violation_full_walk(pair):
+    """The first element of the domain chain's stage at the pair's bound
+    whose folds along the pair's two arrows differ, or None: every stage up
+    to the bound is walked, not only stage 1.  The structure maps' laws
+    are not checked here."""
+    gsig = domain_signature(pair.identity.domain)
+    via_rhs: dict = {}
+    for t in stage(gsig, pair.algebra.carrier, pair.bound).terms:
+        if pair.fold_along(pair.identity.rhs, t, via_rhs) != pair.alpha0_of(t):
+            return t
     return None

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 from finalg import (
     FinSet,
     Node,
-    SigF,
     Stabilized,
     Unstabilized,
     Var,
@@ -101,7 +100,7 @@ def test_criterion_2_chain_law():
                             q_node(sig, x, m_idx), w_embed(stage(sig, x, m_idx + 1), n_idx + 1)
                         )
                         right = then(
-                            apply_map(SigF(sig), w_embed(st_m, n_idx)), q_node(sig, x, n_idx)
+                            apply_map(sig, w_embed(st_m, n_idx)), q_node(sig, x, n_idx)
                         )
                         assert left == right
 

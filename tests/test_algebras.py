@@ -10,7 +10,6 @@ from finalg import (
     FinSet,
     Node,
     ResourceLimitError,
-    SigF,
     Signature,
     ValidationError,
     Var,
@@ -43,7 +42,7 @@ def test_tables_must_be_total():
 
 def test_structure_map_view(or_magma):
     alpha = structure_map(or_magma)
-    assert alpha.dom == apply_obj(SigF(MAGMA), or_magma.carrier)
+    assert alpha.dom == apply_obj(MAGMA, or_magma.carrier)
     assert alpha(("m", (0, 1))) == 1
 
 

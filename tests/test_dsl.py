@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg import FinAlgebra, FinalgError, FinSet, Node, ParseError, Signature, Var
+from finalg import FinAlgebra, FinalgError, FinSet, Node, ParseError, Signature, ValidationError, Var
 from finalg.dsl import (
     MAX_ARITY,
     AlgebraDecl,
@@ -325,3 +325,36 @@ def test_parsers_return_or_refuse(text, sig_name):
             parse(text)
         except FinalgError:
             pass
+
+
+DECLARATION_REFUSALS = [
+    # a name defined twice is refused at its second definition
+    (SIG + "identity i over S : x = x\nidentity i over S : y = y",
+     "identity 'i' already defined", 4, 10),
+    (SIG + "algebra A over S { carrier { 0 } op m { (0,0) -> 0 } op e { () -> 0 } }\n"
+     "algebra A over S { carrier { 0 } }", "algebra 'A' already defined", 4, 9),
+    (SIG + "identity i over S : x = x\npresentation P = S with i\npresentation P = S with i",
+     "presentation 'P' already defined", 5, 14),
+    # an algebra block names an unknown operation, gives a table twice, maps a tuple twice
+    (SIG + "algebra A over S { carrier { 0 } op f { } }", "unknown operation 'f'", 3, 37),
+    (SIG + "algebra A over S { carrier { 0 } op e { () -> 0 } op e { () -> 0 } }",
+     "table for 'e' already given", 3, 54),
+    (SIG + "algebra A over S { carrier { 0 } op e { () -> 0 () -> 0 } }",
+     "tuple () already mapped", 3, 49),
+    # a presentation names an identity over another signature
+    (SIG + "signature T { op m : 2 }\nidentity i over T : x = x\npresentation P = S with i",
+     "identity 'i' is over a different signature", 5, 25),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", DECLARATION_REFUSALS)
+def test_declaration_refusals_point_at_the_token(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_spec(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+def test_parse_term_refuses_an_unknown_signature():
+    with pytest.raises(ValidationError, match="^unknown signature 'T'$") as exc:
+        parse_term(parse_spec(SIG), "T", "x")
+    assert not isinstance(exc.value, ParseError)

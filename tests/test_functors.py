@@ -3,7 +3,6 @@ import pytest
 from finalg import (
     FinMap,
     FinSet,
-    SigF,
     Signature,
     ValidationError,
     apply_map,
@@ -27,8 +26,8 @@ def test_signature_validation():
 
 def test_sigf_object_sizes():
     two = FinSet((0, 1))
-    assert len(apply_obj(SigF(MAGMA), two)) == 4
-    assert len(apply_obj(SigF(MONOID_SIG), FinSet(()))) == 1
+    assert len(apply_obj(MAGMA, two)) == 4
+    assert len(apply_obj(MONOID_SIG, FinSet(()))) == 1
 
 
 def test_sigf_cardinality_formula():
@@ -37,25 +36,25 @@ def test_sigf_cardinality_formula():
         for size in range(5):
             x = FinSet(tuple(range(size)))
             expected = sum(size**arity for _, arity in sig)
-            assert len(apply_obj(SigF(sig), x)) == expected
+            assert len(apply_obj(sig, x)) == expected
 
 
 def test_apply_map_identity_law():
     x = FinSet((0, 1))
     h = identity_map(x)
-    for f in [SigF(MAGMA), SigF(MONOID_SIG), SigF(domain_signature((3, 1, 1)))]:
+    for f in [MAGMA, MONOID_SIG, domain_signature((3, 1, 1))]:
         assert apply_map(f, h) == identity_map(apply_obj(f, x))
 
 
 def test_apply_map_pointwise_on_sigf():
     h = FinMap(FinSet((0, 1)), FinSet((0,)), {0: 0, 1: 0})
-    fh = apply_map(SigF(MAGMA), h)
+    fh = apply_map(MAGMA, h)
     assert fh(("m", (0, 1))) == ("m", (0, 0))
 
 
 @pytest.mark.parametrize(
     "f",
-    [SigF(MAGMA), SigF(MONOID_SIG), SigF(domain_signature((2, 1)))],
+    [MAGMA, MONOID_SIG, domain_signature((2, 1))],
     ids=["magma", "monoid", "domain"],
 )
 def test_apply_map_preserves_composition(f):

@@ -8,7 +8,6 @@ from finalg import (
     NaturalIdentity,
     NaturalTerm,
     ResourceLimitError,
-    SigF,
     Signature,
     ValidationError,
     bundle,
@@ -111,7 +110,7 @@ def test_bundle_monoid_shape(monoid_ids):
     bundled = bundle(monoid_ids)
     assert bundled.domain == (3, 1, 1)
     assert bundled.arity == 2
-    assert domain_expr(bundled) == SigF(Signature((("c0", 3), ("c1", 1), ("c2", 1))))
+    assert domain_expr(bundled) == Signature((("c0", 3), ("c1", 1), ("c2", 1)))
 
 
 def test_bundle_satisfaction(monoid_ids, or_monoid, and_monoid):

@@ -45,6 +45,7 @@ from finalg.variety import Stabilized
 from conftest import MAGMA, MONOID_SIG, e, ident, m, two_element, v
 from oracles import (
     FreeMonadView,
+    dalg_violation_full_walk,
     em_to_algebra,
     fold,
     is_injective,
@@ -510,6 +511,44 @@ def test_dalg_witnesses_on_two_point_magmas(name, request):
             assert pair.alpha0_of(t) == fold(alg, f_image, binding)
             assert pair.fold_along(identity.rhs, t, via_g) == fold(alg, g_image, binding)
     assert tuple(witnesses) == DALG_WITNESSES[name]
+
+
+UNARY = Signature((("s", 1),))
+
+
+def _dalg_cases():
+    """(identity name, largest carrier size) for the stage-1 cross-check."""
+    return [(name, 2) for name in ("comm", "assoc", "idem", "lzero", "taut", "comm+idem")] + [
+        ("s(s(x))=x", 3)
+    ]
+
+
+@pytest.mark.parametrize("name, max_size", _dalg_cases())
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_dalg_violation_matches_the_full_stage_walk(name, max_size, bound, request):
+    """Comparing the arrows on stage 1 gives the full walk's witness, or
+    None, on every algebra up to ``max_size`` points; a stage over the
+    size bound is refused by both, when the pair is built."""
+    if name == "taut":
+        identity = ident(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), ("x", "y"))
+    elif name == "comm+idem":
+        identity = bundle([request.getfixturevalue("comm"), request.getfixturevalue("idem")])
+    elif name == "s(s(x))=x":
+        x = v("x")
+        identity = ident(UNARY, Node("s", (Node("s", (x,)),)), x, ("x",))
+    else:
+        identity = request.getfixturevalue(name)
+    checked = 0
+    for size in range(1, max_size + 1):
+        for alg in enumerate_algebras(identity.sig, FinSet(tuple(range(size)))):
+            try:
+                pair = DAlgebraPair(alg, identity, bound)
+            except ResourceLimitError:
+                assert (name, bound) == ("assoc", 3)
+                continue
+            assert dalg_violation(pair) == dalg_violation_full_walk(pair)
+            checked += 1
+    assert checked or (name, bound) == ("assoc", 3)
 
 
 def test_dalg_symmetric_vs_projection(comm, or_magma, left_projection):

@@ -8,7 +8,6 @@ from finalg import (
     FinSet,
     Node,
     ResourceLimitError,
-    SigF,
     Signature,
     ValidationError,
     apply_map,
@@ -187,7 +186,7 @@ def test_chain_square_law():
                     q_node(sig, TWO, m_idx), w_embed(stage(sig, TWO, m_idx + 1), n_idx + 1)
                 )
                 right = then(
-                    apply_map(SigF(sig), w_embed(st_m, n_idx)), q_node(sig, TWO, n_idx)
+                    apply_map(sig, w_embed(st_m, n_idx)), q_node(sig, TWO, n_idx)
                 )
                 assert left == right
 
@@ -209,8 +208,8 @@ def test_y_inject_is_w_after_q0():
             y = y_inject(sig, TWO, n)
             q0 = q_node(sig, TWO, 0)
             w1n = w_embed(stage(sig, TWO, 1), n)
-            fx = apply_obj(SigF(sig), TWO)
-            var_iso = apply_map(SigF(sig), iota(stage(sig, TWO, 0)))
+            fx = apply_obj(sig, TWO)
+            var_iso = apply_map(sig, iota(stage(sig, TWO, 0)))
             assert y == then(then(var_iso, q0), w1n)
 
 
@@ -239,7 +238,7 @@ def test_stage_map_commutes_with_chain_maps():
             f, iota(stage(MAGMA, ONE, n))
         )
         q_then_map = then(q_node(MAGMA, TWO, 1), stage_map(MAGMA, f, 2))
-        map_then_q = then(apply_map(SigF(MAGMA), stage_map(MAGMA, f, 1)), q_node(MAGMA, ONE, 1))
+        map_then_q = then(apply_map(MAGMA, stage_map(MAGMA, f, 1)), q_node(MAGMA, ONE, 1))
         assert q_then_map == map_then_q
         w_then_map = then(w_embed(stage(MAGMA, TWO, 1), 2), stage_map(MAGMA, f, 2))
         map_then_w = then(stage_map(MAGMA, f, 1), w_embed(stage(MAGMA, ONE, 1), 2))
