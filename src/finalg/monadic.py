@@ -82,17 +82,17 @@ def domain_signature(domain: tuple[int, ...]) -> Signature:
     return Signature(tuple((f"c{i}", k) for i, k in enumerate(domain)))
 
 
-def _arrow(nt: NaturalTerm, parts: tuple) -> dict:
-    """The lookup table of the arrow along ``nt``: each domain operation
-    ``ci`` to its arity kᵢ and ``parts[i]``."""
-    return {name: (k, part) for (name, k), part in zip(domain_signature(nt.domain), parts)}
+def _arrow(gsig: Signature, parts: tuple) -> dict:
+    """The lookup table of an arrow out of the domain signature ``gsig``:
+    each domain operation ``ci`` to its arity kᵢ and ``parts[i]``."""
+    return {name: (k, part) for (name, k), part in zip(gsig, parts)}
 
 
 def rho_level(nt: NaturalTerm, k: int, elem: Term) -> Term:
     """Translate an element of stage k of ``nt``'s domain chain: variables
     map by the unit; a node instantiates its component's generating term
     at its translated children and flattens."""
-    return _translate(_arrow(nt, nt.data), k, elem)
+    return _translate(_arrow(domain_signature(nt.domain), nt.data), k, elem)
 
 
 def _translate(table: dict, k: int, elem: Term) -> Term:
@@ -145,7 +145,7 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
     if height > MAX_TERM_DEPTH:
         raise ResourceLimitError(f"term height of translations at bound {bound}",
                                  height, MAX_TERM_DEPTH)
-    table = _arrow(nt, nt.data)
+    table = _arrow(gsig, nt.data)
     levels: list[dict] = []
     for k in range(bound + 1):
         below = levels[-1] if levels else {}
@@ -323,32 +323,39 @@ class DAlgebraPair:
     without building it.  A term not in the memo is checked as it is
     folded: a non-term, an unbound variable, or a node whose operation is
     unknown or has the wrong number of arguments is refused.  The
-    constructor fills both memos over the stages up to ``bound``, so an
-    over-large stage is refused before any check runs.  The arrows are
-    compared on stage 1 only; ``dalg_violation`` says why that suffices.
+    constructor refuses an over-large or too-deep stage at ``bound`` from
+    the sizes alone, over the signature and then the domain ops, and
+    folds stage 1 of both, the one stage it builds.  ``_em_valid`` checks
+    every memo entry; ``dalg_violation`` walks stage 1 and says why that
+    suffices.
     """
 
-    __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_n", "_sig", "_lhs", "_rhs")
+    __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_stage1",
+                 "_n", "_sig", "_lhs", "_rhs")
 
     def __init__(self, algebra: FinAlgebra, identity: NaturalIdentity, bound: int):
         if algebra.sig is not identity.sig and algebra.sig != identity.sig:
             raise ValidationError("algebra signature differs from the diagram")
+        x, gsig = algebra.carrier, domain_signature(identity.domain)
+        _stage_bounds(algebra.sig, x, bound)
+        _stage_bounds(gsig, x, bound)
         self.algebra = algebra
         self.identity = identity
         self.bound = bound
         self.alpha1: dict = {}
         self.alpha0: dict = {}
-        self._n = len(algebra.carrier)
+        self._n = len(x)
         self._sig = {}
         for name, arity in algebra.sig:
             names = canonical_vars(arity)
             node = Node(name, tuple(map(Var, names)))
             self._sig[name] = arity, compile_term(algebra.sig, node, names)
-        self._lhs = _arrow(identity.lhs, identity.lhs.compiled)
-        self._rhs = _arrow(identity.rhs, identity.rhs.compiled)
-        for t in stage(algebra.sig, algebra.carrier, bound).terms:
+        self._lhs = _arrow(gsig, identity.lhs.compiled)
+        self._rhs = _arrow(gsig, identity.rhs.compiled)
+        for t in stage(algebra.sig, x, 1).terms:
             self.alpha1_of(t)
-        for t in stage(domain_signature(identity.domain), algebra.carrier, bound).terms:
+        self._stage1 = stage(gsig, x, 1).terms
+        for t in self._stage1:
             self.alpha0_of(t)
 
     def alpha1_of(self, t: Term) -> int:
@@ -367,7 +374,10 @@ class DAlgebraPair:
         raise ValidationError("natural term is not an arrow of the pair's diagram")
 
     def _fold(self, table: dict, t: Term, memo: dict) -> int:
-        value = memo.get(t)
+        try:
+            value = memo.get(t)
+        except TypeError:  # unhashable, so not a term
+            raise ValidationError(f"not a term: {t!r}") from None
         if value is None:
             if type(t) is Var:
                 if t.name not in self.algebra.carrier:
@@ -385,24 +395,26 @@ class DAlgebraPair:
         return value
 
 
-def _em_valid(pair: DAlgebraPair, sig: Signature, table: dict, memo: dict) -> bool:
+def _em_valid(pair: DAlgebraPair, table: dict, memo: dict) -> bool:
     """Unit law plus the one-node multiplication law of the structure map
-    folding terms over ``sig`` through ``table`` into ``memo``: a node's
-    fold is its table step on its children's folds.  The nodes checked
-    are those of the stage at the pair's bound (at least 1), the stage the
-    constructor folded, in stage order, so a node's children are checked
-    before the node reads their folds as positions.  Full flattening at
-    the bound follows by structural induction."""
-    alg, fold = pair.algebra, pair._fold
-    for j, a in enumerate(alg.carrier):
-        if fold(table, Var(a), memo) != j:
-            return False
-    for t in stage(sig, alg.carrier, max(pair.bound, 1)).terms:
+    folding through ``table`` into ``memo``, on every memo entry (stage 1
+    among them): each value is a carrier position, a variable's its own,
+    and a node's its table step on its children's folds; any other key
+    breaks the laws.  Entries are checked in memo order, on a snapshot
+    since a fold may add some, and ``_fold`` memoises a node after its
+    children.  Full flattening follows by structural induction."""
+    alg, fold, n = pair.algebra, pair._fold, pair._n
+    if not all(type(value) is int and 0 <= value < n for value in memo.values()):
+        return False
+    for t in list(memo):
         if type(t) is Var:
-            continue
-        step = table[t.op][1]
-        args = [fold(table, a, memo) for a in t.args]
-        if fold(table, t, memo) != step(alg.flat, pair._n, args):
+            expected = alg.carrier.position.get(t.name)
+        elif type(t) is Node and len(t.args) == table.get(t.op, (None,))[0]:
+            args = [fold(table, a, memo) for a in t.args]
+            expected = table[t.op][1](alg.flat, n, args)
+        else:
+            return False
+        if memo[t] != expected:
             return False
     return True
 
@@ -411,17 +423,17 @@ def dalg_violation(pair: DAlgebraPair) -> Optional[Term]:
     """First domain-chain element up to the pair's bound where the two
     arrows disagree, or None: ``alpha0_of`` folds along ``lhs``, so the
     element's fold along ``rhs`` is compared with it.  Only stage 1 is
-    walked (stage 0 at bound 0): once ``_em_valid`` passes, a node's fold
-    along an arrow is its component on its children's folds, so arrows
-    that agree on each one-node ``ci(a1..ak)`` agree at every height, and
-    stage 1 is a prefix of every higher stage."""
-    gsig = domain_signature(pair.identity.domain)
-    if not _em_valid(pair, pair.algebra.sig, pair._sig, pair.alpha1):
+    walked (nothing at bound 0, where stage 0 holds only variables, whose
+    folds agree): once ``_em_valid`` passes, a node's fold along an arrow
+    is its component on its children's folds, so arrows that agree on each
+    one-node ``ci(a1..ak)`` agree at every height, and stage 1 is a prefix
+    of every higher stage."""
+    if not _em_valid(pair, pair._sig, pair.alpha1):
         raise ValidationError("signature-side structure map violates the monad laws")
-    if not _em_valid(pair, gsig, pair._lhs, pair.alpha0):
+    if not _em_valid(pair, pair._lhs, pair.alpha0):
         raise ValidationError("domain-side structure map violates the monad laws")
     via_rhs: dict = {}
-    for t in stage(gsig, pair.algebra.carrier, min(pair.bound, 1)).terms:
+    for t in pair._stage1 if pair.bound else ():
         if pair.fold_along(pair.identity.rhs, t, via_rhs) != pair.alpha0_of(t):
             return t
     return None

@@ -220,8 +220,8 @@ def test_rho_chain_tabulates_each_level_once(tmp_path):
 
 
 def test_dalg_check_refuses_before_folding(corpus_file):
-    """Both structure maps are filled over their stages before any check, so
-    an over-large stage is refused at once."""
+    """The pair refuses an over-large stage from the stage sizes alone,
+    before it folds or checks anything, so the refusal comes at once."""
     start = time.monotonic()
     code, out, err = invoke(
         ["dalg-check", "--spec", corpus_file, "--identity", "assoc",

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -627,6 +628,138 @@ def test_dalg_refuses_a_wrong_fold_at_the_top_stage(comm, or_magma, bound):
         getattr(pair, memo)[node] = 1 - value
         with pytest.raises(ValidationError, match="violates the monad laws"):
             dalg_check(pair)
+
+
+FLIP = FinAlgebra(UNARY, FinSet((0, 1)), {"s": {(0,): 1, (1,): 0}})
+
+
+def _tower(op, height):
+    """``op`` applied ``height`` times to the variable 0."""
+    t = Var(0)
+    for _ in range(height):
+        t = Node(op, (t,))
+    return t
+
+
+@pytest.mark.parametrize("side, op", [("alpha1", "s"), ("alpha0", "c0")])
+@pytest.mark.parametrize("writes", [
+    [(3, "wrong")],
+    [(3, 7)],
+    [(8, "wrong")],
+    [(8, "right"), (10, "wrong")],
+    [(8, "right"), (6, 7)],
+], ids=["wrong-inside", "outside-carrier", "children-missing", "wrong-after-children-missing",
+        "outside-below-missing"])
+def test_dalg_refuses_a_wrong_fold_anywhere_in_the_memo(side, op, writes):
+    """The laws are checked on every memo entry, not on one stage: after
+    folding a tower of height 5 at bound 5, a wrong fold inside the carrier
+    at height 3, a value outside the carrier there, a node of height 8
+    whose children are not memoised, a wrong fold memoised after such a
+    node when its own fold is right, and an out-of-carrier entry memoised
+    after a node that reads it are each refused as a law violation."""
+    pair = DAlgebraPair(FLIP, UNARY_INV, 5)
+    fresh = DAlgebraPair(FLIP, UNARY_INV, 5)
+    getattr(pair, f"{side}_of")(_tower(op, 5))
+    memo = getattr(pair, side)
+    for height, value in writes:
+        key = _tower(op, height)
+        right = getattr(fresh, f"{side}_of")(key)
+        memo[key] = {"wrong": 1 - right, "right": right}.get(value, value)
+    assert _tower(op, 7) not in memo
+    with pytest.raises(ValidationError, match="violates the monad laws"):
+        dalg_check(pair)
+
+
+@pytest.mark.parametrize("side, key", [
+    ("alpha1", Var(7)),
+    ("alpha1", Node("zz", ())),
+    ("alpha1", Node("m", (Var(0),))),
+    ("alpha1", Node("c0", (Var(0), Var(1)))),
+    ("alpha1", "x"),
+    ("alpha0", Var(7)),
+    ("alpha0", Node("m", (Var(0), Var(1)))),
+    ("alpha0", Node("c0", (Var(0), Var(1), Var(1)))),
+    ("alpha0", ("c0", 0, 1)),
+])
+def test_dalg_refuses_a_memo_key_outside_its_chain(comm, or_magma, side, key):
+    """A memo key that is no variable of the carrier and no node of the
+    side's operations has no fold, so any value for it breaks the laws."""
+    pair = DAlgebraPair(or_magma, comm, 2)
+    getattr(pair, side)[key] = 0
+    with pytest.raises(ValidationError, match="violates the monad laws"):
+        dalg_check(pair)
+
+
+@pytest.mark.parametrize("fold, term", [
+    ("alpha1", [0]),
+    ("alpha0", {1: 2}),
+    ("rhs", [0]),
+    ("lhs", {0}),
+    ("alpha1", bytearray(b"m")),
+])
+def test_an_unhashable_non_term_is_refused(comm, or_magma, fold, term):
+    """An unhashable argument is refused as a non-term, as ``evaluate``
+    refuses it, and nothing is memoised."""
+    pair = DAlgebraPair(or_magma, comm, 2)
+    before = dict(pair.alpha1), dict(pair.alpha0)
+    via: dict = {}
+    with pytest.raises(ValidationError, match=f"^not a term: {re.escape(repr(term))}$"):
+        if fold in ("lhs", "rhs"):
+            pair.fold_along(getattr(comm, fold), term, via)
+        else:
+            getattr(pair, f"{fold}_of")(term)
+    with pytest.raises(ValidationError, match=f"^not a term: {re.escape(repr(term))}$"):
+        evaluate(or_magma, term, {})
+    assert (pair.alpha1, pair.alpha0, via) == (*before, {})
+
+
+def _stage_1_at_most(monkeypatch):
+    """Make building any stage above 1 fail."""
+    real = terms._stage_terms
+
+    def guarded(sig, x, n):
+        if n > 1:
+            raise AssertionError(f"stage {n} was built")
+        return real(sig, x, n)
+
+    monkeypatch.setattr(terms, "_stage_terms", guarded)
+
+
+def test_nothing_above_stage_1_is_built(monkeypatch, comm, assoc):
+    """The pair builds stage 1 of each chain and no higher stage, and its
+    answers are those it gives when any stage may be built."""
+    def answers():
+        return (variety_vs_dalg(comm, 2, 2), variety_vs_dalg(assoc, 2, 2),
+                dalg_violation(DAlgebraPair(FLIP, UNARY_INV, 128)),
+                dalg_check(DAlgebraPair(FLIP, UNARY_INV, 128)))
+
+    expected = answers()
+    _stage_1_at_most(monkeypatch)
+    assert answers() == expected
+
+
+@pytest.mark.parametrize("identity, bound, error, message", [
+    ("assoc", 3, ResourceLimitError,
+     "^stage 3 over 2 variables: needs 1006012010, limit is 1000000$"),
+    # The domain chain is over its limit at stage 3 too; the signature is
+    # checked first.
+    ("assoc", 4, ResourceLimitError,
+     "^stage 4 over 2 variables: needs 2090918, limit is 1000000$"),
+    ("s(s(x))=x", 300, ResourceLimitError,
+     "^term height of stage 300: needs 300, limit is 128$"),
+    ("s(s(x))=x", -1, ValidationError, "^negative stage index$"),
+])
+def test_dalg_refuses_from_the_sizes_alone(monkeypatch, or_magma, identity, bound, error,
+                                          message, request):
+    """An over-large or too-deep stage, and a negative bound, are refused
+    from the stage sizes before any stage above 1 is built."""
+    if identity == "s(s(x))=x":
+        algebra, identity = FLIP, UNARY_INV
+    else:
+        algebra, identity = or_magma, request.getfixturevalue(identity)
+    _stage_1_at_most(monkeypatch)
+    with pytest.raises(error, match=message):
+        DAlgebraPair(algebra, identity, bound)
 
 
 def test_variety_vs_dalg_commutativity(comm):
