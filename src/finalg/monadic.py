@@ -30,8 +30,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from . import terms
 from .algebras import FinAlgebra, compile_term
-from .core import MAX_ENUMERATION, FinMap, FinSet, atom_key, bounded_power, enumerate_maps
+from .core import MAX_ENUMERATION, FinMap, FinSet, atom_key, bounded_power, count_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import (
@@ -274,11 +275,7 @@ def em_satisfies(m: PowersetMonadInstance, alpha: FinMap) -> bool:
     subsets agrees with folding its union."""
     if alpha.dom != m.object or alpha.cod != m.base:
         raise ValidationError("structure map must go from subsets to the base")
-    return _em_laws(m, alpha, m.double())
-
-
-def _em_laws(m: PowersetMonadInstance, alpha: FinMap, families: FinSet) -> bool:
-    """The unit and multiplication laws, the latter over ``families``."""
+    families = m.double()
     for a in m.base:
         if alpha.table[(a,)] != a:
             return False
@@ -291,13 +288,50 @@ def _em_laws(m: PowersetMonadInstance, alpha: FinMap, families: FinSet) -> bool:
 
 
 def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
-    """All Eilenberg-Moore structure maps on the base, by exhaustive search.
+    """All Eilenberg-Moore structure maps on the base: the maps of
+    ``enumerate_maps`` that ``em_satisfies`` accepts, in the same order.
 
-    The candidates are bounded before the family set ``m.double()`` is
-    built, once for all of them."""
-    candidates = enumerate_maps(m.object, m.base)
-    families = m.double()
-    return [alpha for alpha in candidates if _em_laws(m, alpha, families)]
+    The unit law fixes each singleton's image to its element, so only the
+    other subsets' images are searched, in the same lexicographic order.
+    A family of none or one subset obeys the multiplication law once the
+    unit law holds, so the law is checked on the families of two or more,
+    smallest first.  A subset is the bit mask of its atoms' positions, and
+    each family's union is found once.  The full count of maps is bounded
+    before anything is built, and a map is built, by the checked
+    constructor, only once it is valid."""
+    count_maps(len(m.object), len(m.base))
+    subsets, base = m.object.elements, m.base.elements
+    masks = [sum(1 << m.base.position[a] for a in s) for s in subsets]
+    at = {mask: i for i, mask in enumerate(masks)}  # the subset of each mask
+    families = []
+    for r in range(2, len(subsets) + 1):
+        for family in itertools.combinations(range(len(subsets)), r):
+            union = 0
+            for i in family:
+                union |= masks[i]
+            families.append((at[union], family))
+    vector = [m.base.position[s[0]] if len(s) == 1 else 0 for s in subsets]
+    free = [i for i, s in enumerate(subsets) if len(s) != 1]
+    found = []
+    for images in itertools.product(range(len(base)), repeat=len(free)):
+        for i, image in zip(free, images):
+            vector[i] = image
+        if _em_law_holds(vector, families, at):
+            found.append(FinMap(m.object, m.base, {s: base[v] for s, v in zip(subsets, vector)}))
+    return found
+
+
+def _em_law_holds(vector: list, families: list, at: dict) -> bool:
+    """The multiplication law of the map sending subset ``i`` to base
+    position ``vector[i]``, on each ``(union, family)`` of ``families``."""
+    bits = [1 << v for v in vector]
+    for union, family in families:
+        mask = 0
+        for i in family:
+            mask |= bits[i]
+        if vector[union] != vector[at[mask]]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +358,9 @@ class DAlgebraPair:
     folded: a non-term, an unbound variable, or a node whose operation is
     unknown or has the wrong number of arguments is refused.  The
     constructor refuses an over-large or too-deep stage at ``bound`` from
-    the sizes alone, over the signature and then the domain ops, and
-    folds stage 1 of both, the one stage it builds.  ``_em_valid`` checks
+    the sizes alone, over the signature and then the domain ops (at bound
+    0, then stage 1 of each as well), and folds stage 1 of both, the one
+    stage it builds.  ``_em_valid`` checks
     every memo entry; ``dalg_violation`` walks stage 1 and says why that
     suffices.
     """
@@ -339,6 +374,9 @@ class DAlgebraPair:
         x, gsig = algebra.carrier, domain_signature(identity.domain)
         _stage_bounds(algebra.sig, x, bound)
         _stage_bounds(gsig, x, bound)
+        if bound < 1:  # stage 1 is folded all the same
+            _stage_bounds(algebra.sig, x, 1)
+            _stage_bounds(gsig, x, 1)
         self.algebra = algebra
         self.identity = identity
         self.bound = bound
@@ -352,9 +390,9 @@ class DAlgebraPair:
             self._sig[name] = arity, compile_term(algebra.sig, node, names)
         self._lhs = _arrow(gsig, identity.lhs.compiled)
         self._rhs = _arrow(gsig, identity.rhs.compiled)
-        for t in stage(algebra.sig, x, 1).terms:
+        for t in terms._stage_terms(algebra.sig, x, 1):
             self.alpha1_of(t)
-        self._stage1 = stage(gsig, x, 1).terms
+        self._stage1 = terms._stage_terms(gsig, x, 1)
         for t in self._stage1:
             self.alpha0_of(t)
 

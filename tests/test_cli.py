@@ -504,6 +504,13 @@ def test_em_check_refuses_unbounded_enumeration():
     assert "resource limit: map enumeration" in err
 
 
+def test_em_check_refuses_four_points():
+    """4^16 candidate maps: refused from the count, with one line."""
+    assert invoke(["em-check", "--size", "4"]) == (
+        2, "", "resource limit: map enumeration from 16 into 4 atoms: "
+        "needs 4294967296, limit is 1000000\n")
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

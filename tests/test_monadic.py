@@ -444,6 +444,30 @@ def test_exactly_two_em_structures():
     assert derived == expected
 
 
+@pytest.mark.parametrize("size, valid", [(0, 0), (1, 1), (2, 2), (3, 6)])
+def test_em_structures_are_the_enumerated_maps_that_pass_the_laws(size, valid):
+    """The search over the cells the unit law leaves open finds exactly the
+    maps that plain enumeration and ``em_satisfies`` accept, with the same
+    tables in the same order."""
+    inst = powerset_instance(FinSet(tuple(str(i) for i in range(size))))
+    expected = [alpha for alpha in enumerate_maps(inst.object, inst.base)
+                if em_satisfies(inst, alpha)]
+    got = em_structures(inst)
+    assert [list(alpha.table.items()) for alpha in got] == [
+        list(alpha.table.items()) for alpha in expected]
+    assert got == expected
+    assert len(got) == valid
+    assert all(alpha.dom is inst.object and alpha.cod is inst.base for alpha in got)
+
+
+def test_em_structures_refuses_four_points_from_the_map_count():
+    """4^16 maps are refused before any family or map is built."""
+    inst = powerset_instance(FinSet(("0", "1", "2", "3")))
+    with pytest.raises(ResourceLimitError, match=(
+            "^map enumeration from 16 into 4 atoms: needs 4294967296, limit is 1000000$")):
+        em_structures(inst)
+
+
 def test_em_structures_are_the_free_semilattice_shapes(semilattice_unit_ids):
     inst = powerset_instance(FinSet((0, 1)))
     res = saturate(MONOID_SIG, semilattice_unit_ids, FinSet(("x1",)), 6)
@@ -760,6 +784,34 @@ def test_dalg_refuses_from_the_sizes_alone(monkeypatch, or_magma, identity, boun
     _stage_1_at_most(monkeypatch)
     with pytest.raises(error, match=message):
         DAlgebraPair(algebra, identity, bound)
+
+
+WIDE = Signature((("w", 20),))
+
+
+@pytest.mark.parametrize("identity, message", [
+    # 20 variables: the domain chain's stage 1 over 2 points is 2^20 + 2.
+    (NaturalIdentity(NaturalTerm(MAGMA, (20,), 1, (m(v("v1"), v("v2")),)),
+                     NaturalTerm(MAGMA, (20,), 1, (m(v("v2"), v("v1")),))),
+     "^stage 1 over 2 variables: needs 1048578, limit is 1000000$"),
+    # A 20-ary operation: the signature's stage 1 is refused first.
+    (NaturalIdentity(NaturalTerm(WIDE, (21,), 0, (v("v1"),)),
+                     NaturalTerm(WIDE, (21,), 0, (v("v2"),))),
+     "^stage 1 over 2 variables: needs 1048578, limit is 1000000$"),
+], ids=["domain", "signature"])
+def test_dalg_at_bound_0_refuses_an_over_large_stage_1(monkeypatch, identity, message):
+    """At bound 0 the pair still folds stage 1, so an over-large stage 1 is
+    refused, before any stage is built."""
+    sig = identity.sig
+    algebra = FinAlgebra._trusted(sig, FinSet((0, 1)), tuple(
+        (0,) * 2**arity for _, arity in sig))
+
+    def unbuilt(*args):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(terms, "_stage_terms", unbuilt)
+    with pytest.raises(ResourceLimitError, match=message):
+        DAlgebraPair(algebra, identity, 0)
 
 
 def test_variety_vs_dalg_commutativity(comm):
