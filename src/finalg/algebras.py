@@ -31,20 +31,11 @@ assignment, runs code generated once per identity instead
 operations and variables with ``compile_term``'s helper, ``_resolve``,
 and so refuses the same terms.
 
-The class oracles evaluate one algebra per isomorphism orbit, the
-lex-least member, found by orderly generation over the cells
-(``_orbit_representatives``).  Which members these are depends only on
-the signature and the carrier size, so a walk that runs to its end is
-kept for the process's life in a table of at most 8 entries, as an
-array of ranks and a byte string of cells, and only for a carrier with
-at most 2^16 algebras (3-point magmas have 19,683); a walk stopped at a
-witness stores nothing.
-
 ``FinAlgebra(...)`` checks that every table is total with values in the
 carrier and that no table names an unknown operation, then stores the
 tables flat.  ``FinAlgebra._trusted`` takes flat tables and checks
-nothing; its callers are ``enumerate_algebras`` and the orbit walk and
-its table, whose tables are total by construction, and
+nothing; its callers are ``enumerate_algebras`` and
+``_orbit_representatives``, whose tables are total by construction, and
 the declaration parser, which has already checked each table, reported
 any fault with its position, and flattens it with ``_flatten_tables``.
 Algebras built from other values (a quotient, an Eilenberg-Moore
@@ -53,7 +44,6 @@ structure) go through the checked constructor.
 from __future__ import annotations
 
 import itertools
-from array import array
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
@@ -281,52 +271,10 @@ def enumerate_algebras(
     return map(partial(FinAlgebra._trusted, sig, carrier), itertools.product(*cells_per_op))
 
 
-# The orbit table: (signature, carrier size) -> (ranks, cells laid end to
-# end), oldest first.  A carrier within the bound has at most 16 cells on 2
-# or more points, and no positive-arity operation past 6 points, so by the
-# least-number rule (``_orbit_walk``) every stored cell is below 16: a byte.
-_ORBIT_TABLE_BOUND = 1 << 16
-_ORBIT_TABLE_ENTRIES = 8
-_orbit_table: dict = {}
-
-
 def _orbit_representatives(sig: Signature, carrier: FinSet) -> Iterator[tuple[int, FinAlgebra]]:
     """The lex-least member of each isomorphism orbit of algebras on the
     carrier, as ``(rank, algebra)`` in the order of ``enumerate_algebras``;
     ``rank`` is the algebra's position in that enumeration.
-
-    The answer depends only on the signature and the carrier's size, so a
-    walk (``_orbit_walk``) that runs to its end on a carrier of at most
-    ``_ORBIT_TABLE_BOUND`` algebras is kept in ``_orbit_table``, and a later
-    call on that signature and size reads it instead of walking.  A walk
-    its caller stops early, or over a larger carrier, stores nothing.  The
-    caller bounds the count first (``count_algebras``)."""
-    n = len(carrier)
-    entry = _orbit_table.get((sig, n))
-    if entry is not None:
-        ranks, cells = entry
-        starts = [0, *itertools.accumulate(n**arity for _, arity in sig)]
-        layout, size = list(zip(starts, starts[1:])), starts[-1]
-        for rank, base in zip(ranks, itertools.count(0, size)):
-            flat = tuple([tuple(cells[base + start:base + end]) for start, end in layout])
-            yield rank, FinAlgebra._trusted(sig, carrier, flat)
-        return
-    record = count_algebras(sig, carrier) <= _ORBIT_TABLE_BOUND
-    ranks, cells = array("I"), bytearray()
-    for rank, alg in _orbit_walk(sig, carrier):
-        if record:
-            ranks.append(rank)
-            for table in alg.flat:
-                cells.extend(table)
-        yield rank, alg
-    if record:
-        if len(_orbit_table) == _ORBIT_TABLE_ENTRIES:
-            del _orbit_table[next(iter(_orbit_table))]
-        _orbit_table[sig, n] = ranks, bytes(cells)
-
-
-def _orbit_walk(sig: Signature, carrier: FinSet) -> Iterator[tuple[int, FinAlgebra]]:
-    """``_orbit_representatives`` by walking the tables.
 
     An algebra is the vector of its flat tables' cells, laid end to end
     in signature order, and each representative's flat tables are slices

@@ -289,10 +289,7 @@ def violation(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:
 def satisfies(alg: FinAlgebra, ident: NaturalIdentity) -> bool:
     """Whether both sides evaluate equally under every assignment of the
     canonical variables into the carrier, for every component."""
-    # ``_failure`` inlined: this runs once per algebra of an enumeration.
-    if alg.sig is not ident.sig and alg.sig != ident.sig:
-        raise ValidationError("signature mismatch between algebra and identity")
-    return ident.check(alg.flat, len(alg.carrier.elements)) is None
+    return _failure(alg, ident) is None
 
 
 def satisfies_all(alg: FinAlgebra, idents: Iterable[NaturalIdentity]) -> bool:
@@ -382,8 +379,6 @@ def compare_classes(
     orbit, so only those members are evaluated, in the same order.
     ``checked`` is nominal, the carrier's count of algebras up to the
     witness's rank; each size's count is bounded before its walk starts.
-    A size walked to its end is read back from the orbit table by later
-    comparisons over ``sig`` (``algebras._orbit_representatives``).
     """
     if max_size < 1:
         raise ValidationError("max size must be at least 1")

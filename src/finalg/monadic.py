@@ -275,14 +275,19 @@ def em_satisfies(m: PowersetMonadInstance, alpha: FinMap) -> bool:
     subsets agrees with folding its union."""
     if alpha.dom != m.object or alpha.cod != m.base:
         raise ValidationError("structure map must go from subsets to the base")
-    families = m.double()
+    return _em_laws(m, alpha.table, ((f, m.mu_element(f)) for f in m.double()))
+
+
+def _em_laws(m: PowersetMonadInstance, table: dict, families: Iterable[tuple]) -> bool:
+    """The unit law of the map tabulated by ``table``, and its
+    multiplication law over each ``(family, union)`` of ``families``."""
+    # The base is in canonical order, so its positions sort as atom_key does.
+    rank = m.base.position.__getitem__
     for a in m.base:
-        if alpha.table[(a,)] != a:
+        if table[(a,)] != a:
             return False
-    for family in families:
-        via_mu = alpha.table[m.mu_element(family)]
-        mapped = tuple(sorted({alpha.table[s] for s in family}, key=atom_key))
-        if alpha.table[mapped] != via_mu:
+    for family, union in families:
+        if table[tuple(sorted({table[s] for s in family}, key=rank))] != table[union]:
             return False
     return True
 
@@ -291,47 +296,25 @@ def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
     """All Eilenberg-Moore structure maps on the base: the maps of
     ``enumerate_maps`` that ``em_satisfies`` accepts, in the same order.
 
-    The unit law fixes each singleton's image to its element, so only the
-    other subsets' images are searched, in the same lexicographic order.
-    A family of none or one subset obeys the multiplication law once the
-    unit law holds, so the law is checked on the families of two or more,
-    smallest first.  A subset is the bit mask of its atoms' positions, and
-    each family's union is found once.  The full count of maps is bounded
-    before anything is built, and a map is built, by the checked
-    constructor, only once it is valid."""
+    The full count of maps is bounded first.  The unit law fixes each
+    singleton's image to its element, so only the other subsets' images
+    are searched, in the same lexicographic order, and only a valid map is
+    built, by the checked constructor.  A family of none or one subset
+    obeys the multiplication law once the unit law holds, so the law is
+    checked on the families of two or more, smallest first, listed once
+    for all candidates."""
     count_maps(len(m.object), len(m.base))
-    subsets, base = m.object.elements, m.base.elements
-    masks = [sum(1 << m.base.position[a] for a in s) for s in subsets]
-    at = {mask: i for i, mask in enumerate(masks)}  # the subset of each mask
-    families = []
-    for r in range(2, len(subsets) + 1):
-        for family in itertools.combinations(range(len(subsets)), r):
-            union = 0
-            for i in family:
-                union |= masks[i]
-            families.append((at[union], family))
-    vector = [m.base.position[s[0]] if len(s) == 1 else 0 for s in subsets]
-    free = [i for i, s in enumerate(subsets) if len(s) != 1]
+    subsets = m.object.elements
+    families = [(f, m.mu_element(f)) for r in range(2, len(subsets) + 1)
+                for f in itertools.combinations(subsets, r)]
+    table = {s: s[0] for s in m.object if len(s) == 1}
+    free = [s for s in m.object if len(s) != 1]
     found = []
-    for images in itertools.product(range(len(base)), repeat=len(free)):
-        for i, image in zip(free, images):
-            vector[i] = image
-        if _em_law_holds(vector, families, at):
-            found.append(FinMap(m.object, m.base, {s: base[v] for s, v in zip(subsets, vector)}))
+    for images in itertools.product(m.base.elements, repeat=len(free)):
+        table.update(zip(free, images))
+        if _em_laws(m, table, families):
+            found.append(FinMap(m.object, m.base, table))
     return found
-
-
-def _em_law_holds(vector: list, families: list, at: dict) -> bool:
-    """The multiplication law of the map sending subset ``i`` to base
-    position ``vector[i]``, on each ``(union, family)`` of ``families``."""
-    bits = [1 << v for v in vector]
-    for union, family in families:
-        mask = 0
-        for i in family:
-            mask |= bits[i]
-        if vector[union] != vector[at[mask]]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +343,8 @@ class DAlgebraPair:
     constructor refuses an over-large or too-deep stage at ``bound`` from
     the sizes alone, over the signature and then the domain ops (at bound
     0, then stage 1 of each as well), and folds stage 1 of both, the one
-    stage it builds.  ``_em_valid`` checks
-    every memo entry; ``dalg_violation`` walks stage 1 and says why that
-    suffices.
+    stage it builds.  ``_em_valid`` checks every memo entry;
+    ``dalg_violation`` walks stage 1 and says why that suffices.
     """
 
     __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_stage1",

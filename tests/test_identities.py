@@ -17,8 +17,7 @@ from finalg import (
     raise_arity,
     satisfies,
 )
-from finalg import algebras
-from finalg.algebras import _orbit_representatives, count_algebras
+from finalg.algebras import _orbit_representatives
 from finalg.equations import roundtrip_class_equal
 from finalg.identities import ClassComparison, canonical_vars, compare_classes, violation
 from finalg.monadic import equi_check, variety_vs_dalg
@@ -350,99 +349,16 @@ def test_magma_orbit_counts(size, orbits):
     ids=["magma-2", "magma-3", "monoid-sig-2", "nullary-first-2", "unary2-3", "unary-4",
          "ternary-2", "constants-4", "no-operations-3"],
 )
-def test_orbit_representatives_are_the_lex_least_members(monkeypatch, sig, size):
+def test_orbit_representatives_are_the_lex_least_members(sig, size):
     """Exactly the algebras no relabelling makes smaller, in enumeration
-    order, each with its position in ``enumerate_algebras``: from a fresh
-    walk, which fills the orbit table, and then from the table."""
-    monkeypatch.setattr(algebras, "_orbit_table", {})
+    order, each with its position in ``enumerate_algebras``."""
     carrier = FinSet(tuple(range(size)))
     expected = [
         (rank, alg.tables) for rank, alg in enumerate(enumerate_algebras(sig, carrier))
         if _lex_least_in_orbit(alg)
     ]
-    walked = list(_orbit_representatives(sig, carrier))
-    assert list(algebras._orbit_table) == [(sig, size)]
-    read = list(_orbit_representatives(sig, carrier))
-    for got in (walked, read):
-        assert [(rank, alg.tables) for rank, alg in got] == expected
-    assert [(rank, alg.flat) for rank, alg in read] == [(rank, alg.flat) for rank, alg in walked]
-    assert all(type(table) is tuple for _, alg in read for table in alg.flat)
-    assert all(alg.carrier is carrier for _, alg in read)
-
-
-def _spy_on_walks(monkeypatch) -> list:
-    """Start from an empty orbit table, and list the ``(signature, size)``
-    of each orbit walk that starts."""
-    monkeypatch.setattr(algebras, "_orbit_table", {})
-    walks, walk = [], algebras._orbit_walk
-
-    def spy(sig, carrier):
-        walks.append((sig, len(carrier)))
-        return walk(sig, carrier)
-
-    monkeypatch.setattr(algebras, "_orbit_walk", spy)
-    return walks
-
-
-def test_a_completed_walk_is_read_back_not_walked_again(monkeypatch, idem):
-    """A comparison that walks every size fills the table; later ones over
-    the same signature, with any predicates, walk nothing and answer as
-    plain enumeration does."""
-    walks = _spy_on_walks(monkeypatch)
-    sig, max_size, in_left, in_right, checked = PARITY_CASES["magma-equal"]
-    first = compare_classes(sig, max_size, in_left, in_right)
-    assert first == ClassComparison(True, None, checked)
-    assert walks == [(MAGMA, 1), (MAGMA, 2), (MAGMA, 3)]
-    assert compare_classes(sig, max_size, in_left, in_right) == first
-    for case in ("magma-no-idempotent", "magma-full-image"):
-        sig, max_size, in_left, in_right, checked = PARITY_CASES[case]
-        cmp = compare_classes(sig, max_size, in_left, in_right)
-        assert (cmp.equal, cmp.checked, cmp.witness.tables) == _reference_compare(
-            sig, max_size, in_left, in_right)
-    assert equi_check(idem, 1, 3) == equi_check(idem, 1, 3) == ClassComparison(True, None, 19700)
-    assert walks == [(MAGMA, 1), (MAGMA, 2), (MAGMA, 3)]
-
-
-def test_a_comparison_stopped_at_a_witness_stores_nothing(monkeypatch):
-    """The size where a witness stops the walk is not stored, so the same
-    comparison walks it again, and gives the same answer."""
-    walks = _spy_on_walks(monkeypatch)
-    sig, max_size, in_left, in_right, checked = PARITY_CASES["magma-no-idempotent"]
-    first = compare_classes(sig, max_size, in_left, in_right)
-    assert (first.equal, first.checked) == (False, checked)
-    assert list(algebras._orbit_table) == [(MAGMA, 1), (MAGMA, 2)]
-    assert compare_classes(sig, max_size, in_left, in_right) == first
-    assert walks == [(MAGMA, 1), (MAGMA, 2), (MAGMA, 3), (MAGMA, 3)]
-    assert list(algebras._orbit_table) == [(MAGMA, 1), (MAGMA, 2)]
-
-
-def test_a_carrier_above_the_bound_bypasses_the_table(monkeypatch):
-    """Three constants on 40 points are 64,000 algebras, under the table's
-    bound of 2^16, and on 41 points 68,921, over it: the larger carrier is
-    walked on every call and never stored."""
-    walk = algebras._orbit_walk
-    walks = _spy_on_walks(monkeypatch)
-    small, large = FinSet(tuple(range(40))), FinSet(tuple(range(41)))
-    assert count_algebras(CONSTANTS, small) <= algebras._ORBIT_TABLE_BOUND
-    assert count_algebras(CONSTANTS, large) > algebras._ORBIT_TABLE_BOUND
-    for carrier in (small, small, large, large):
-        got = [(rank, alg.flat) for rank, alg in _orbit_representatives(CONSTANTS, carrier)]
-        assert got == [(rank, alg.flat) for rank, alg in walk(CONSTANTS, carrier)]
-    assert walks == [(CONSTANTS, 40), (CONSTANTS, 41), (CONSTANTS, 41)]
-    assert list(algebras._orbit_table) == [(CONSTANTS, 40)]
-
-
-def test_the_orbit_table_drops_its_oldest_entry_when_full(monkeypatch):
-    """The table holds a fixed number of walks; a new one past it drops
-    the oldest, which is then walked again."""
-    walks = _spy_on_walks(monkeypatch)
-    entries = algebras._ORBIT_TABLE_ENTRIES
-    compare_classes(CONSTANTS, entries + 1, bool, bool)
-    assert list(algebras._orbit_table) == [(CONSTANTS, n) for n in range(2, entries + 2)]
-    compare_classes(CONSTANTS, 1, bool, bool)
-    assert walks == [(CONSTANTS, n) for n in range(1, entries + 2)] + [(CONSTANTS, 1)]
-    assert list(algebras._orbit_table) == [(CONSTANTS, n) for n in range(3, entries + 2)] + [
-        (CONSTANTS, 1)]
+    got = [(rank, alg.tables) for rank, alg in _orbit_representatives(sig, carrier)]
+    assert got == expected
 
 
 def test_one_point_carrier_with_many_operations():
