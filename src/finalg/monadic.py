@@ -12,12 +12,14 @@ carrier positions through the algebra's flat tables (see ``algebras``),
 so the diagram algebras' structure maps hold positions, not elements.
 Either way an arrow is one lookup table from each domain operation
 ``ci`` to kᵢ and the component's part, its data term to translate or its
-closure to fold.  The level-k check folds both arrows' closures at
-every assignment, independently of the identity's generated ``check``
-(see ``identities``).  A ``NaturalIdentity`` induces a two-arrow diagram
-of monads whose arrows are these translations along its ``lhs`` and
-``rhs``.  Everything here is bounded by an explicit depth and checked
-element by element.
+closure to fold.  ``check_monad_map`` checks the unit law on each
+generator and, as one-node outer terms, the multiplication law on each
+node of one stage of G's chain.  The level-k check folds both arrows'
+closures at every assignment, independently of the identity's generated
+``check`` (see ``identities``).  A ``NaturalIdentity`` induces a
+two-arrow diagram of monads whose arrows are these translations along
+its ``lhs`` and ``rhs``.  Everything here is bounded by an explicit
+depth and checked element by element.
 
 The power-set monad is carried alongside as the worked Eilenberg-Moore
 example: subsets are canonically sorted tuples, the unit forms
@@ -50,7 +52,6 @@ from .terms import (
     Var,
     _stage_bounds,
     check_term,
-    stage,
     substitute,
     variables,
 )
@@ -119,6 +120,10 @@ def _instantiate(table: dict, op: str, translated: list) -> Term:
 
 @dataclass(frozen=True)
 class MonadMapReport:
+    """``check_monad_map``'s verdict on ``checked`` elements, one law each;
+    a failure is ``(kind, height, element)``, kind ``"unit"`` or
+    ``"multiplication"``."""
+
     holds: bool
     checked: int
     failures: tuple = ()
@@ -128,13 +133,16 @@ class MonadMapReport:
 
 
 def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
-    """Element-by-element verification, over stages of the domain chain up
-    to ``bound``, that the level maps restrict correctly: variables go to
-    variables, one-node elements reproduce the generating terms, and
-    higher levels agree with lower ones on included elements.  Each level
-    map is tabulated once over its stage, a node's entry instantiating its
-    generating term at its children's entries one level down (the value
-    ``rho_level`` computes).
+    """Check that the translation along ``nt`` is a monad map on each of
+    the ``checked`` elements of stage ``bound`` of the domain chain over
+    ``x``: a generator by the unit law ρ(v) = v (a ``unit`` witness), a node
+    by the multiplication law on its one-node outer term, ρ(ci(t1..tk)) =
+    dataᵢ[vj ↦ ρ(tj)] (a ``multiplication`` witness).  Flattening an outer
+    node gives a node over the flattened children, so the law for taller
+    outer terms follows by induction.  Stage k is a prefix of stage
+    ``bound`` and translations do not depend on the level, so one table,
+    filled child-first, serves every level; a node's entry is matched
+    against ``nt.data``, not the translation's table, building no term.
 
     An over-large stage is refused from its size as ``stage`` refuses it;
     then, since a translation is at most ``bound`` times the highest
@@ -147,39 +155,29 @@ def check_monad_map(nt: NaturalTerm, bound: int, x: FinSet) -> MonadMapReport:
         raise ResourceLimitError(f"term height of translations at bound {bound}",
                                  height, MAX_TERM_DEPTH)
     table = _arrow(gsig, nt.data)
-    levels: list[dict] = []
-    for k in range(bound + 1):
-        below = levels[-1] if levels else {}
-        levels.append({
-            e: e if type(e) is Var else _instantiate(table, e.op, [below[c] for c in e.args])
-            for e in stage(gsig, x, k).terms
-        })
-    checked = 0
+    elems = terms._stage_terms(gsig, x, bound)
+    rho: dict = {}
     failures = []
+    for e in elems:
+        if type(e) is Var:
+            rho[e] = image = _translate(table, 0, e)
+            if image != e:
+                failures.append(("unit", 0, e))
+        else:
+            translated = [rho[c] for c in e.args]
+            rho[e] = image = _instantiate(table, e.op, translated)
+            data = nt.data[int(e.op[1:])]
+            if not _matches(data, image, dict(zip(canonical_vars(len(e.args)), translated))):
+                failures.append(("multiplication", e.height, e))
+    return MonadMapReport(not failures, len(elems), tuple(failures))
 
-    for k in range(bound + 1):
-        for a in x:
-            checked += 1
-            if levels[k][Var(a)] != Var(a):
-                failures.append(("unit", k, Var(a)))
 
-    for i, ki in enumerate(nt.domain):
-        names = canonical_vars(ki)
-        for args in itertools.product(x.elements, repeat=ki):
-            elem = Node(f"c{i}", tuple(Var(a) for a in args))
-            expected = substitute(nt.data[i], {v: Var(a) for v, a in zip(names, args)})
-            checked += 1
-            if rho_level(nt, 1, elem) != expected:
-                failures.append(("one-step", 1, elem))
-
-    for j in range(bound + 1):
-        for k in range(j, bound + 1):
-            for elem in levels[j]:
-                checked += 1
-                if levels[k][elem] != levels[j][elem]:
-                    failures.append(("compatibility", (j, k), elem))
-
-    return MonadMapReport(not failures, checked, tuple(failures))
+def _matches(pattern: Term, t: Term, slots: dict) -> bool:
+    """Whether ``t`` is ``pattern`` with its variables read from ``slots``."""
+    if type(pattern) is Var:
+        return slots[pattern.name] == t
+    return (type(t) is Node and t.op == pattern.op and len(t.args) == len(pattern.args)
+            and all(_matches(p, a, slots) for p, a in zip(pattern.args, t.args)))
 
 
 def satisfies_level(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:

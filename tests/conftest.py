@@ -1,7 +1,7 @@
 """Shared corpus: signatures, identities, and small algebras."""
 import pytest
 
-from finalg import FinAlgebra, FinSet, Node, Signature, Var, from_sigma
+from finalg import FinAlgebra, FinSet, Node, Signature, Var, from_sigma, monadic
 
 
 def v(name):
@@ -185,3 +185,18 @@ def corpus_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("specs") / "corpus.alg"
     path.write_text(CORPUS_TEXT, encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def reversing_children(monkeypatch):
+    """Break the node case of the translation along a natural term: the
+    translated children are reversed whenever one of them is not a
+    variable."""
+    real = monadic._instantiate
+
+    def faulty(table, op, translated):
+        if any(type(t) is not Var for t in translated):
+            translated = translated[::-1]
+        return real(table, op, translated)
+
+    monkeypatch.setattr(monadic, "_instantiate", faulty)

@@ -7,11 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from finalg import FinMap, FinSet, Node, Var, cli, enumerate_algebras
+from finalg import FinMap, FinSet, cli, enumerate_algebras
 from finalg.cli import MAX_PRINTED_STAGE_SIZE, _build_parser, run
 from finalg.dsl import MAX_TERM_DEPTH, parse_spec
 from finalg.identities import ClassComparison
-from finalg.monadic import MonadMapReport
 from conftest import CORPUS_TEXT
 
 
@@ -205,9 +204,9 @@ def test_rho_chain_refuses_translations_past_the_height_bound(bound, tmp_path):
     assert "holds: true" in out
 
 
-def test_rho_chain_tabulates_each_level_once(tmp_path):
-    """Every (j, k, element) comparison reads tabulated level maps, so the
-    work is not quadratic in translations rebuilt per pair of levels."""
+def test_rho_chain_tabulates_one_stage_once(tmp_path):
+    """One table over stage 48 serves every level, and each element is
+    translated once, from its children's entries."""
     spec = tmp_path / "unary.alg"
     spec.write_text(UNARY_SPEC, encoding="utf-8")
     start = time.monotonic()
@@ -216,7 +215,7 @@ def test_rho_chain_tabulates_each_level_once(tmp_path):
          "--generators", "2"]
     )
     assert time.monotonic() - start < 5
-    assert (code, out, err) == (0, "checked: 41750\nholds: true\n", "")
+    assert (code, out, err) == (0, "checked: 98\nholds: true\n", "")
 
 
 def test_dalg_check_refuses_before_folding(corpus_file):
@@ -627,16 +626,11 @@ def test_equi_prints_the_witness_on_a_disagreement(corpus_file, monkeypatch):
     ) == (1, "checked: 7\nequivalent: false\nwitness-carrier: 2\n", "")
 
 
-def test_rho_chain_prints_the_witness_on_a_disagreement(corpus_file, monkeypatch):
-    elem = Node("c0", (Var("x1"), Var("x2")))
-
-    def disagree(nt, bound, x):
-        return MonadMapReport(False, 9, (("compatibility", (0, 1), elem),))
-
-    monkeypatch.setattr(cli, "check_monad_map", disagree)
+def test_rho_chain_prints_the_witness_on_a_disagreement(corpus_file, reversing_children):
     assert invoke(
         ["rho-chain", "--spec", corpus_file, "--identity", "comm", "--bound", "2"]
-    ) == (1, "checked: 9\nholds: false\nwitness: compatibility at (0, 1) on c0(x1,x2)\n", "")
+    ) == (1, "checked: 38\nholds: false\n"
+             "witness: multiplication at 2 on c0(x1,c0(x1,x1))\n", "")
 
 
 @pytest.mark.parametrize(

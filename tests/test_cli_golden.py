@@ -11,12 +11,17 @@ for the two files and a path that does not exist.  The cases run in
 file order in one process, so state left between calls would show too.
 """
 import io
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from finalg import FinSet
 from finalg.cli import run
+from finalg.dsl import parse_spec
+from finalg.monadic import domain_signature
+from finalg.terms import iter_stage_sizes
 
 REPO = Path(__file__).resolve().parents[1]
 CASES = json.loads((Path(__file__).with_name("data") / "cli_golden.json").read_text("utf-8"))
@@ -43,3 +48,20 @@ def test_cli_output_is_unchanged(case, tmp_path, monkeypatch):
     assert (code, out.getvalue(), err.getvalue()) == (
         case["code"], fill(case["out"]), fill(case["err"])
     )
+
+
+def test_rho_chain_checks_each_element_of_its_stage_once():
+    """Every golden ``rho-chain`` verdict checked exactly the elements of
+    stage ``--bound`` of the identity's domain chain over its generators."""
+    models = {name: parse_spec((REPO / path).read_text("utf-8")) for name, path in
+              [("{workbench}", "workbench.alg"), ("{corpus}", "perfbench/corpus/corpus.alg")]}
+    cases = [c for c in CASES if c["argv"][:1] == ["rho-chain"] and "--bound" in c["argv"]
+             and c["code"] == 0]
+    assert len(cases) == 54
+    for case in cases:
+        opts = dict(zip(case["argv"][1::2], case["argv"][2::2]))
+        domain = models[opts["--spec"]].natural_identity(opts["--identity"]).domain
+        x = FinSet(tuple(range(int(opts.get("--generators", 2)))))
+        sizes = iter_stage_sizes(domain_signature(domain), x)
+        size = next(itertools.islice(sizes, int(opts["--bound"]), None))
+        assert case["out"].splitlines()[0] == f"checked: {size}", case["argv"]

@@ -14,7 +14,10 @@ from finalg import (
     quotient,
     stage,
 )
-from finalg.core import MAX_ENUMERATION, bounded_power
+from finalg.core import MAX_ENUMERATION, Partition, bounded_power
+from finalg.equations import RoundtripReport
+from finalg.identities import ClassComparison
+from finalg.monadic import MonadMapReport
 from conftest import MAGMA, m, v
 from oracles import identity_map, is_injective, is_surjective, then
 
@@ -207,3 +210,24 @@ def test_quotient_projection_constant_on_blocks(atoms, data):
     for block in part.blocks:
         assert len({proj(a) for a in block}) == 1
         assert proj(block[0]) == block[0]
+
+
+@pytest.mark.parametrize("make, truth, text", [
+    (lambda: ClassComparison(False, None, 3), False,
+     "ClassComparison(equal=False, witness=None, checked=3)"),
+    (lambda: RoundtripReport(((1, ClassComparison(True, None, 2)),)), True,
+     "RoundtripReport(outcomes=((1, ClassComparison(equal=True, witness=None, checked=2)),))"),
+    (lambda: MonadMapReport(False, 2, (("unit", 0, v("x")),)), False,
+     "MonadMapReport(holds=False, checked=2, failures=(('unit', 0, Var('x')),))"),
+    (lambda: FinMap(FinSet(("a", "b")), FinSet((0,)), {"a": 0, "b": 0}), True,
+     "FinMap('a'->0, 'b'->0)"),
+    (lambda: Partition(FinSet(("a", "b", "c")), [("c", "a"), ("b",)]), True,
+     "Partition(2 blocks of 3)"),
+])
+def test_value_truth_repr_and_hash(make, truth, text):
+    """Reports are true when their verdict is; every value has a readable
+    repr and hashes as an equal copy does."""
+    value = make()
+    assert bool(value) is truth
+    assert repr(value) == text
+    assert hash(value) == hash(make())

@@ -221,17 +221,36 @@ def test_check_monad_map_refuses_before_building_a_stage(monkeypatch, chain, bou
         check_monad_map(chain, bound, TWO)
 
 
-def test_rho_chain_compatibility(comm_chain):
-    report = check_monad_map(comm_chain, 3, TWO)
-    assert report.holds
-    assert report.checked > 1500
-
-
-@pytest.mark.parametrize("bound, checked", [(0, 8), (1, 18), (2, 66), (3, 1560)])
+@pytest.mark.parametrize("bound, checked", [(0, 2), (1, 6), (2, 38), (3, 1446)])
 def test_rho_chain_checked_counts(comm_chain, bound, checked):
-    """Units per level, one-step elements, then every (j, k, element) pair."""
+    """One law per element of stage ``bound``: its size, 2, 6, 38, 1446."""
     report = check_monad_map(comm_chain, bound, TWO)
     assert (report.holds, report.checked, report.failures) == (True, checked, ())
+
+
+@pytest.mark.parametrize("name, checked, failed", [
+    ("comm", 38, 28), ("assoc", 1002, 896), ("rect", 1002, 896),
+])
+def test_check_monad_map_reports_a_wrong_node_translation(reversing_children, request, name,
+                                                         checked, failed):
+    chain = request.getfixturevalue(name).lhs
+    report = check_monad_map(chain, 2, TWO)
+    assert (report.holds, report.checked, len(report.failures)) == (False, checked, failed)
+    assert {kind for kind, _, _ in report.failures} == {"multiplication"}
+    _, height, elem = report.failures[0]
+    assert height == elem.height == 2
+
+
+def test_check_monad_map_reports_a_wrong_variable_translation(monkeypatch, comm_chain):
+    real = monadic._translate
+
+    def faulty(table, k, elem):
+        return Var("z") if type(elem) is Var else real(table, k, elem)
+
+    monkeypatch.setattr(monadic, "_translate", faulty)
+    report = check_monad_map(comm_chain, 2, TWO)
+    assert (report.holds, report.checked) == (False, 38)
+    assert report.failures == (("unit", 0, v("x")), ("unit", 0, v("y")))
 
 
 def test_rho_chain_of_signature_injection():
