@@ -45,8 +45,10 @@ from .functors import Signature
 from .terms import Term, check_term, relabel, variables
 
 
+@lru_cache(maxsize=64)
 def canonical_vars(k: int) -> tuple[str, ...]:
-    """The canonical variable names v1..vk, in index order."""
+    """The canonical variable names v1..vk, in index order; the tuple of
+    each of the last 64 arities asked for is kept."""
     return tuple(f"v{i + 1}" for i in range(k))
 
 

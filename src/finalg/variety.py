@@ -28,16 +28,22 @@ instance pool, which holds the roots of height at most the depth less a
 variable's offset, is a prefix of the sorted roots: an instance pass
 sorts only the roots no higher than the depth less the least offset.
 The keys of ``rep`` are exactly the live union-find roots, each
-mapped to the id of its class's least term.  A union keeps the root
-with the longer list of parent nodes (Downey, Sethi & Tarjan, 1980) and
-marks the nodes it moves dirty; a drain files each dirty node again
-once per round, after that round's pending unions, as egg's deferred
-rebuild does (Willsey et al., "egg: Fast and Extensible Equality
-Saturation", POPL 2021).  Congruence closure is confluent, so neither
-which root survives nor the filing order changes ``rep`` or the classes
-after any drain; they change only which congruence unions are logged,
-and in what order.  One pass over ``nodes`` reads the operation tables
-off these.
+mapped to the id of its class's least term.  ``parents`` holds, per id,
+the list of parent nodes of that root's class.  A union keeps the root
+with the longer list (Downey, Sethi & Tarjan, 1980) and marks the nodes
+it moves dirty; a drain files each dirty node again once per round,
+after that round's pending unions, as egg's deferred rebuild does
+(Willsey et al., "egg: Fast and Extensible Equality Saturation", POPL
+2021).  As egg's rebuild also does, a node whose operation and child
+roots another node already holds when it is filed is retired: the two
+have the same child classes from then on, so it is never filed again,
+a union drops it from the parent list it moves, and if it is retired
+when it is registered it joins no parent list.  Congruence closure is
+confluent, so neither which root survives nor the filing order changes
+``rep`` or the classes after any drain; they change only which
+congruence unions are logged, and in what order.  One pass over the
+live nodes reads the operation tables off these: each retired node has
+the operation, child classes and class of a live one.
 
 Every union the engine performs goes into a log with its reason: an
 identity instance, given by its component and the ids bound to the
@@ -90,29 +96,34 @@ class _Engine:
     ``union_log`` holds every union with its reason.  ``key`` holds, per
     id, its term's ``sort_key()``, which begins ``(height, size, ...)``,
     computed from the children's keys when the id is registered;
-    ``build`` runs a side compiled by ``_compile_side``.
+    ``build`` runs a side compiled by ``_compile_side``, and it and the
+    frontier register each new node through ``_register``.
 
-    A union moves the parent nodes of the root it merges away onto the
-    surviving root and marks them ``dirty``; ``drain`` files each dirty
-    node again once per round, after the round's pending unions, so a node
-    is not filed again for every child class that merges.  ``least_ids``
-    given a height sorts only the roots whose least term is no higher,
-    the prefix an instance pass's pools read."""
+    ``parents`` holds, per id, the parent nodes of that root's class, and
+    ``retired`` flags, per id, a node whose operation and child roots
+    filing found held by another node in ``sig_table`` (egg's parent
+    deduplication, Willsey et al., POPL 2021); such a node is never filed
+    again.  A union moves the live parent nodes of the root it merges away
+    onto the surviving root, dropping the retired ones, and marks them
+    ``dirty``; ``drain`` files each dirty node again once per round, after
+    the round's pending unions, so a node is not filed again for every
+    child class that merges.  ``least_ids`` given a height sorts only the
+    roots whose least term is no higher, the prefix an instance pass's
+    pools read."""
 
     def __init__(self, x: FinSet):
-        self.terms: list[Term] = []
-        self.key: list[tuple] = []
-        self.parent: list[int] = []
-        self.rep: dict[int, int] = {}
-        self.node_args: list[Optional[tuple[int, ...]]] = []
+        self.terms: list[Term] = [Var(a) for a in x]
+        self.key: list[tuple] = [t.sort_key() for t in self.terms]
+        self.parent: list[int] = list(range(len(x)))
+        self.rep: dict[int, int] = {i: i for i in self.parent}
+        self.node_args: list[Optional[tuple[int, ...]]] = [None] * len(x)
         self.nodes: dict[tuple, int] = {}
         self.sig_table: dict[tuple, int] = {}
-        self.parents: dict[int, list[int]] = {}
+        self.parents: list[Sequence[int]] = [()] * len(x)
+        self.retired = bytearray(len(x))
         self.pending: deque[tuple[int, int]] = deque()
         self.dirty: list[int] = []
         self.union_log: list[tuple[int, int, object]] = []
-        for a in x:
-            self._add(Var(a), None)
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -126,12 +137,10 @@ class _Engine:
         return root
 
     def node(self, op: str, arg_ids: tuple[int, ...]) -> int:
-        """The id of the node ``op`` over the registered ``arg_ids``; its
-        term is built only when the node is new."""
+        """The id of the node ``op`` over the registered ``arg_ids``,
+        registered when it is new."""
         nid = self.nodes.get((op, arg_ids))
-        if nid is None:
-            nid = self._add(Node(op, tuple([self.terms[a] for a in arg_ids])), arg_ids)
-        return nid
+        return self._register(op, arg_ids) if nid is None else nid
 
     def build(self, side: tuple, images: tuple[int, ...]) -> int:
         """The id of a side compiled by ``_compile_side``, its variables bound
@@ -139,56 +148,70 @@ class _Engine:
         slots, and the register list grows by that node's id."""
         steps, out = side
         regs = list(images)
-        nodes, node = self.nodes, self.node
+        nodes, register = self.nodes, self._register
         for op, slots in steps:
             args = tuple([regs[s] for s in slots])
             nid = nodes.get((op, args))
-            regs.append(node(op, args) if nid is None else nid)
+            regs.append(register(op, args) if nid is None else nid)
         return regs[out]
 
-    def _add(self, t: Term, arg_ids: Optional[tuple[int, ...]]) -> int:
-        tid = len(self.terms)
-        self.terms.append(t)
-        self.parent.append(tid)
-        self.rep[tid] = tid
+    def _register(self, op: str, arg_ids: tuple[int, ...]) -> int:
+        """Register the node ``op`` over ``arg_ids``, which ``nodes`` does not
+        hold: make its term, its key from its children's keys, and file it;
+        unless filing retires it, it joins the parent list of each of its
+        distinct child roots."""
+        terms, key = self.terms, self.key
+        nid = len(terms)
+        terms.append(Node(op, tuple([terms[a] for a in arg_ids])))
+        height = size = 0
+        for a in arg_ids:
+            k = key[a]
+            if k[0] > height:
+                height = k[0]
+            size += k[1]
+        key.append((height + 1, size + 1, (1, op, tuple([key[a] for a in arg_ids]))))
+        self.parent.append(nid)
+        self.rep[nid] = nid
         self.node_args.append(arg_ids)
-        key = self.key
-        if arg_ids is None:
-            key.append(t.sort_key())
-            return tid
-        kids = tuple([key[a] for a in arg_ids])
-        key.append((1 + max([k[0] for k in kids], default=0),
-                    1 + sum([k[1] for k in kids]), (1, t.op, kids)))
-        self.nodes[(t.op, arg_ids)] = tid
-        parents = self.parents
-        for root in set(self._file(tid)):
-            filed = parents.get(root)
-            if filed is None:
-                parents[root] = [tid]
-            else:
-                filed.append(tid)
-        return tid
+        self.parents.append(())
+        self.retired.append(0)
+        self.nodes[(op, arg_ids)] = nid
+        roots = self._file(nid)
+        if roots is not None:
+            parents = self.parents
+            for root in roots:
+                filed = parents[root]
+                if not filed:
+                    parents[root] = [nid]
+                elif filed[-1] != nid:
+                    filed.append(nid)
+        return nid
 
-    def _file(self, nid: int) -> tuple[int, ...]:
+    def _file(self, nid: int) -> Optional[tuple[int, ...]]:
         """File node ``nid`` in ``sig_table`` under its operation and child
-        roots, queueing a congruence with the node already filed there when
-        that one is in another class; returns the child roots."""
+        roots and return those roots; when another node holds them, retire
+        ``nid`` instead, queue a congruence with that node if it is in
+        another class, and return None."""
         find = self.find
         roots = tuple([find(a) for a in self.node_args[nid]])
         other = self.sig_table.setdefault((self.terms[nid].op, roots), nid)
-        if other != nid and find(other) != find(nid):
+        if other == nid:
+            return roots
+        self.retired[nid] = 1
+        if find(other) != find(nid):
             self.pending.append((other, nid))
-        return roots
+        return None
 
     def union(self, a: int, b: int, reason) -> None:
         """Join the classes of ``a`` and ``b``, logging ``reason`` when they
         were distinct; the root with fewer parent nodes is merged away, and
-        its parent nodes are marked dirty and join the kept root's list."""
+        its live parent nodes are marked dirty and join the kept root's
+        list, its retired ones dropped."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
         parents = self.parents
-        if len(parents.get(ra, ())) < len(parents.get(rb, ())):
+        if len(parents[ra]) < len(parents[rb]):
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.union_log.append((a, b, reason))
@@ -196,8 +219,11 @@ class _Engine:
         if key[rep[rb]] < key[rep[ra]]:
             rep[ra] = rep[rb]
         del rep[rb]
-        moved = parents.pop(rb, None)
+        moved, parents[rb] = parents[rb], ()
         if moved:
+            # The kept root's list is at least as long, so it is a list, not ().
+            retired = self.retired
+            moved = [p for p in moved if not retired[p]]
             self.dirty.extend(moved)
             parents[ra].extend(moved)
 
@@ -342,15 +368,18 @@ def _compile_side(side: Term, deepest: dict) -> tuple:
 def _state(engine: _Engine, sig: Signature, x: FinSet, ids: Sequence[NaturalIdentity],
            depth: int, counts: list[int]) -> CongruenceState:
     """The engine's arrays and log as a state, with each operation's table
-    on the least terms of the classes: every registered node sends the
-    classes of its children to its own class."""
-    rep, find, terms = engine.rep, engine.find, engine.terms
+    on the least terms of the classes: every live node sends the classes
+    of its children to its own class.  A retired node has the operation,
+    the child classes and the class of a live node, so it adds no entry."""
+    rep, find, terms, kids, retired = (
+        engine.rep, engine.find, engine.terms, engine.node_args, engine.retired)
     least = tuple([rep[find(i)] for i in range(len(terms))])
     tables: dict = {name: {} for name, _ in sig}
-    for (op, arg_ids), nid in engine.nodes.items():
-        tables[op][tuple([terms[least[a]] for a in arg_ids])] = terms[least[nid]]
+    for nid in range(len(x), len(terms)):
+        if not retired[nid]:
+            tables[terms[nid].op][tuple([terms[least[a]] for a in kids[nid]])] = terms[least[nid]]
     return CongruenceState(
-        sig, x, tuple(ids), depth, tuple(terms), tuple(engine.node_args), least,
+        sig, x, tuple(ids), depth, tuple(terms), tuple(kids), least,
         tuple(engine.union_log), tables, tuple(counts),
     )
 

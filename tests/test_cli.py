@@ -1,8 +1,10 @@
 import io
 import os
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -755,3 +757,19 @@ def test_the_module_forms_run_the_command(module, tmp_path):
     done = python_m("em-check", "--size", "-1")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("usage error: argument --size: ")
+
+
+@pytest.mark.parametrize("module", ["finalg", "finalg.cli"])
+def test_the_module_forms_run_the_command_in_process(module, monkeypatch, capsys):
+    """Each module run as ``__main__`` in this process calls ``cli.main``
+    on ``sys.argv``, which exits with the command's code after printing
+    its report."""
+    monkeypatch.setattr(sys, "argv", [module, "em-check", "--size", "2"])
+    with warnings.catch_warnings():
+        # runpy warns that ``finalg.cli`` is imported already; it runs a fresh copy.
+        warnings.filterwarnings("ignore", "'finalg.cli' found in sys.modules", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module(module, run_name="__main__")
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out, captured.err) == invoke(["em-check", "--size", "2"])
+    assert captured.out

@@ -274,18 +274,21 @@ def test_saturate_refuses_a_depth_before_building_it(monkeypatch):
     ternary = Signature((("t", 3),))
     x = v("x")
     ids = [ident(ternary, Node("t", (x, x, x)), x, ("x",))]
-    built = []
-    add = _Engine._add
+    registered = []
+    register = _Engine._register
 
-    def counted(self, t, arg_ids):
-        built.append(t)
-        return add(self, t, arg_ids)
+    def counted(self, op, arg_ids):
+        registered.append(self)
+        return register(self, op, arg_ids)
 
-    monkeypatch.setattr(_Engine, "_add", counted)
+    monkeypatch.setattr(_Engine, "_register", counted)
     with pytest.raises(ResourceLimitError, match="needs 19686, limit is 100$"):
         saturate(ternary, ids, gens(3), 2, max_universe=100)
-    assert len(built) == 3 + 27
-    assert max(t.height for t in built) == 1
+    # The engine makes the generators; every other term is registered.
+    engine = registered[0]
+    assert registered == [engine] * 27
+    assert len(engine.terms) == 3 + 27
+    assert max(t.height for t in engine.terms) == 1
 
 
 def test_saturate_rejects_bad_depth(monoid_ids):
@@ -937,3 +940,48 @@ def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
         if id(engine) in uncapped:
             assert got == full
     assert any(len(got) < len(full) for _, _, got, full in sorts)
+
+
+def test_engine_retires_only_congruent_duplicates(monkeypatch):
+    """On the trajectory cases and the 50-case matrix, when an engine's
+    state is read: every live node holds its operation and current child
+    roots in ``sig_table`` and is in the parent list of each of those
+    roots, every retired node's current key is held by a live node of its
+    own class, and no node was filed again after it was retired."""
+    engines = _engines_left(monkeypatch)
+    refiled = []
+    file = _Engine._file
+
+    def recorded(engine, nid):
+        if engine.retired[nid]:
+            refiled.append(nid)
+        return file(engine, nid)
+
+    monkeypatch.setattr(_Engine, "_file", recorded)
+    trajectory = parse_spec(TRAJECTORY_SPEC)
+    runs = [(trajectory, name, n, 6) for name, n in TRAJECTORY_RESULTS]
+    model, cases = _matrix_cases()
+    assert len(cases) == 50
+    runs += [(model, name, n, depth) for name, n, depth in cases]
+    for spec, name, n, depth in runs:
+        sig = spec.signatures[spec.presentations[name].sig_name]
+        saturate(sig, spec.presentation_identities(name), gens(n), depth)
+    assert len(engines) == len(runs)
+    assert not refiled
+    retired_count = 0
+    for engine in engines:
+        find, retired = engine.find, engine.retired
+        assert len(retired) == len(engine.terms)
+        parents = {root: set(engine.parents[root]) for root in engine.rep}
+        for i, args in enumerate(engine.node_args):
+            if args is None:
+                continue
+            roots = tuple(find(a) for a in args)
+            holder = engine.sig_table[(engine.terms[i].op, roots)]
+            assert not retired[holder] and find(holder) == find(i)
+            if retired[i]:
+                retired_count += 1
+            else:
+                assert holder == i
+                assert all(i in parents[root] for root in roots)
+    assert retired_count > 10_000
