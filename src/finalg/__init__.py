@@ -37,7 +37,6 @@ from .identities import (
     satisfies,
 )
 from .monadic import (
-    DAlgebraPair,
     PowersetMonadInstance,
     check_monad_map,
     dalg_check,

@@ -32,7 +32,6 @@ from .equations import (
 from .errors import FinalgError, ParseError, ResourceLimitError, ValidationError
 from .identities import satisfies, violation
 from .monadic import (
-    DAlgebraPair,
     check_monad_map,
     dalg_violation,
     em_structures,
@@ -305,7 +304,7 @@ def _cmd_em_check(args: argparse.Namespace, model: Optional[SpecModel], out: Tex
 def _cmd_dalg_check(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     ident = model.natural_identity(args.identity)
     alg = _declared(model.algebras, "algebra", args.algebra).algebra
-    witness = dalg_violation(DAlgebraPair(alg, ident, args.bound))
+    witness = dalg_violation(alg, ident, args.bound)
     print(f"compatible: {'true' if witness is None else 'false'}", file=out)
     if witness is not None:
         print(f"witness: {format_term(witness)}", file=out)

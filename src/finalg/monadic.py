@@ -6,13 +6,14 @@ substitution (flattening a term whose variable slots hold terms).  A
 transformation out of a domain functor G = ∐ᵢ hom(kᵢ, -), given as a
 ``NaturalTerm``, extends level by level along G's own term chain:
 variables map by the unit, a G-node maps by instantiating the generating
-term at the already-translated children and flattening; in an algebra it
-folds by its component's ``NaturalTerm.compiled`` closure instead, on
-carrier positions through the algebra's flat tables (see ``algebras``),
-so the diagram algebras' structure maps hold positions, not elements.
-Either way an arrow is one lookup table from each domain operation
-``ci`` to kᵢ and the component's part, its data term to translate or its
-closure to fold.  ``check_monad_map`` checks the unit law on each
+term at the already-translated children and flattening, through one
+lookup table from each domain operation ``ci`` to kᵢ and its generating
+term.  In an algebra a G-node folds by its component's
+``NaturalTerm.compiled`` closure instead, on carrier positions through
+the algebra's flat tables (see ``algebras``): those tables are the
+algebra's one structure map, and a diagram algebra holds no other, so
+its check is a walk over the one-node elements of G's stage 1.
+``check_monad_map`` checks the unit law on each
 generator and, as one-node outer terms, the multiplication law on each
 node of one stage of G's chain.  The level-k check folds both arrows'
 closures at every assignment, independently of the identity's generated
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import terms
-from .algebras import FinAlgebra, compile_term
+from .algebras import FinAlgebra
 from .core import MAX_ENUMERATION, FinMap, FinSet, atom_key, bounded_power, count_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
@@ -319,148 +320,50 @@ def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
 # Algebras for the two-object, two-arrow diagram of monads
 
 
-class DAlgebraPair:
-    """A carrier with one structure map per monad of the diagram induced by
-    ``identity``: the free monads over the domain ops and over the
-    signature, with the monad maps given by term translation along
-    ``identity.lhs`` and ``identity.rhs`` (``rho_level`` at each element's
-    own height).
+def dalg_violation(algebra: FinAlgebra, identity: NaturalIdentity,
+                   bound: int) -> Optional[Term]:
+    """First element of the domain chain's stage ``bound`` over the
+    algebra's carrier whose folds along the two arrows of the diagram
+    induced by ``identity`` (translation along ``identity.lhs`` and
+    ``identity.rhs``) differ, or None.
 
-    Every fold value is a carrier position, folded by one memoised
-    ``_fold`` through a table from each operation to its arity and step.
-    The constructor builds the signature's (each operation's one-node term
-    compiled) and each arrow's (``_arrow`` of its ``NaturalTerm.compiled``).
-    ``alpha1_of`` folds a term over the signature, memoised in ``alpha1``;
-    ``fold_along`` folds a term over the domain ops along ``lhs`` or
-    ``rhs`` into the caller's memo, and ``alpha0_of`` is the fold along
-    ``lhs``, memoised in ``alpha0``.  A fold through tables respects
-    substitution, so that value is the ``alpha1_of`` of the translation,
-    without building it.  A term not in the memo is checked as it is
-    folded: a non-term, an unbound variable, or a node whose operation is
-    unknown or has the wrong number of arguments is refused.  The
-    constructor refuses an over-large or too-deep stage at ``bound`` from
-    the sizes alone, over the signature and then the domain ops (at bound
-    0, then stage 1 of each as well), and folds stage 1 of both, the one
-    stage it builds.  ``_em_valid`` checks every memo entry;
-    ``dalg_violation`` walks stage 1 and says why that suffices.
-    """
+    The algebra's tables are its one structure map for the signature's
+    free monad, and a fold along an arrow is its structure map for the
+    domain's: a fold obeys the monad laws, so a node's fold along an arrow
+    is its component's ``NaturalTerm.compiled`` closure on its children's
+    folds.  Arrows that agree on each one-node ``ci(a1..ak)`` therefore
+    agree at every height, and stage 1 sorts first in every stage, so only
+    its nodes are compared, in stage order.  At bound 0, where the stage
+    holds only variables, whose folds agree, the answer is None.
 
-    __slots__ = ("algebra", "identity", "bound", "alpha1", "alpha0", "_stage1",
-                 "_n", "_sig", "_lhs", "_rhs")
-
-    def __init__(self, algebra: FinAlgebra, identity: NaturalIdentity, bound: int):
-        if algebra.sig is not identity.sig and algebra.sig != identity.sig:
-            raise ValidationError("algebra signature differs from the diagram")
-        x, gsig = algebra.carrier, domain_signature(identity.domain)
-        _stage_bounds(algebra.sig, x, bound)
-        _stage_bounds(gsig, x, bound)
-        if bound < 1:  # stage 1 is folded all the same
-            _stage_bounds(algebra.sig, x, 1)
-            _stage_bounds(gsig, x, 1)
-        self.algebra = algebra
-        self.identity = identity
-        self.bound = bound
-        self.alpha1: dict = {}
-        self.alpha0: dict = {}
-        self._n = len(x)
-        self._sig = {}
-        for name, arity in algebra.sig:
-            names = canonical_vars(arity)
-            node = Node(name, tuple(map(Var, names)))
-            self._sig[name] = arity, compile_term(algebra.sig, node, names)
-        self._lhs = _arrow(gsig, identity.lhs.compiled)
-        self._rhs = _arrow(gsig, identity.rhs.compiled)
-        for t in terms._stage_terms(algebra.sig, x, 1):
-            self.alpha1_of(t)
-        self._stage1 = terms._stage_terms(gsig, x, 1)
-        for t in self._stage1:
-            self.alpha0_of(t)
-
-    def alpha1_of(self, t: Term) -> int:
-        return self._fold(self._sig, t, self.alpha1)
-
-    def alpha0_of(self, t: Term) -> int:
-        return self._fold(self._lhs, t, self.alpha0)
-
-    def fold_along(self, nt: NaturalTerm, t: Term, memo: dict) -> int:
-        """The fold of domain term ``t`` along ``nt``, one of the pair's two
-        arrows, memoised in ``memo``."""
-        if nt is self.identity.lhs:
-            return self._fold(self._lhs, t, memo)
-        if nt is self.identity.rhs:
-            return self._fold(self._rhs, t, memo)
-        raise ValidationError("natural term is not an arrow of the pair's diagram")
-
-    def _fold(self, table: dict, t: Term, memo: dict) -> int:
-        try:
-            value = memo.get(t)
-        except TypeError:  # unhashable, so not a term
-            raise ValidationError(f"not a term: {t!r}") from None
-        if value is None:
-            if type(t) is Var:
-                if t.name not in self.algebra.carrier:
-                    raise ValidationError(f"unbound variable {t.name!r}")
-                value = self.algebra.carrier.position[t.name]
-            elif type(t) is Node:
-                arity, step = table.get(t.op, (None, None))
-                if len(t.args) != arity:
-                    raise ValidationError(f"no operation {t.op!r} of arity {len(t.args)}")
-                args = [self._fold(table, a, memo) for a in t.args]
-                value = step(self.algebra.flat, self._n, args)
-            else:
-                raise ValidationError(f"not a term: {t!r}")
-            memo[t] = value
-        return value
-
-
-def _em_valid(pair: DAlgebraPair, table: dict, memo: dict) -> bool:
-    """Unit law plus the one-node multiplication law of the structure map
-    folding through ``table`` into ``memo``, on every memo entry (stage 1
-    among them): each value is a carrier position, a variable's its own,
-    and a node's its table step on its children's folds; any other key
-    breaks the laws.  Entries are checked in memo order, on a snapshot
-    since a fold may add some, and ``_fold`` memoises a node after its
-    children.  Full flattening follows by structural induction."""
-    alg, fold, n = pair.algebra, pair._fold, pair._n
-    if not all(type(value) is int and 0 <= value < n for value in memo.values()):
-        return False
-    for t in list(memo):
-        if type(t) is Var:
-            expected = alg.carrier.position.get(t.name)
-        elif type(t) is Node and len(t.args) == table.get(t.op, (None,))[0]:
-            args = [fold(table, a, memo) for a in t.args]
-            expected = table[t.op][1](alg.flat, n, args)
-        else:
-            return False
-        if memo[t] != expected:
-            return False
-    return True
-
-
-def dalg_violation(pair: DAlgebraPair) -> Optional[Term]:
-    """First domain-chain element up to the pair's bound where the two
-    arrows disagree, or None: ``alpha0_of`` folds along ``lhs``, so the
-    element's fold along ``rhs`` is compared with it.  Only stage 1 is
-    walked (nothing at bound 0, where stage 0 holds only variables, whose
-    folds agree): once ``_em_valid`` passes, a node's fold along an arrow
-    is its component on its children's folds, so arrows that agree on each
-    one-node ``ci(a1..ak)`` agree at every height, and stage 1 is a prefix
-    of every higher stage."""
-    if not _em_valid(pair, pair._sig, pair.alpha1):
-        raise ValidationError("signature-side structure map violates the monad laws")
-    if not _em_valid(pair, pair._lhs, pair.alpha0):
-        raise ValidationError("domain-side structure map violates the monad laws")
-    via_rhs: dict = {}
-    for t in pair._stage1 if pair.bound else ():
-        if pair.fold_along(pair.identity.rhs, t, via_rhs) != pair.alpha0_of(t):
-            return t
+    An algebra over another signature is refused; then an over-large or
+    too-deep stage at ``bound`` from the sizes alone, over the signature
+    and then the domain ops (at bound 0, stage 1 of each as well), before
+    any stage is built."""
+    if algebra.sig is not identity.sig and algebra.sig != identity.sig:
+        raise ValidationError("algebra signature differs from the diagram")
+    x, gsig = algebra.carrier, domain_signature(identity.domain)
+    _stage_bounds(algebra.sig, x, bound)
+    _stage_bounds(gsig, x, bound)
+    if bound < 1:
+        _stage_bounds(algebra.sig, x, 1)
+        _stage_bounds(gsig, x, 1)
+        return None
+    flat, n, position = algebra.flat, len(x), x.position
+    lhs, rhs = identity.lhs.compiled, identity.rhs.compiled
+    for t in terms._stage_terms(gsig, x, 1):
+        if type(t) is Node:
+            i = int(t.op[1:])
+            a = [position[c.name] for c in t.args]
+            if lhs[i](flat, n, a) != rhs[i](flat, n, a):
+                return t
     return None
 
 
-def dalg_check(pair: DAlgebraPair) -> bool:
-    """Whether the pair is compatible with both arrows of its diagram on
-    every domain-chain element up to its bound."""
-    return dalg_violation(pair) is None
+def dalg_check(algebra: FinAlgebra, identity: NaturalIdentity, bound: int) -> bool:
+    """Whether the algebra is compatible with both arrows of the diagram
+    induced by ``identity`` on every domain-chain element up to ``bound``."""
+    return dalg_violation(algebra, identity, bound) is None
 
 
 def variety_vs_dalg(ident: NaturalIdentity, max_size: int, bound: int) -> ClassComparison:
@@ -470,5 +373,5 @@ def variety_vs_dalg(ident: NaturalIdentity, max_size: int, bound: int) -> ClassC
         ident.sig,
         max_size,
         lambda alg: satisfies(alg, ident),
-        lambda alg: dalg_check(DAlgebraPair(alg, ident, bound)),
+        lambda alg: dalg_check(alg, ident, bound),
     )

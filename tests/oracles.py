@@ -4,13 +4,13 @@ other names only the tests use: ``is_injective``, ``is_surjective``,
 ``domain_expr``, ``format_model``, ``then``, ``identity_map``,
 ``block_rep``, ``structure_map`` and ``em_to_algebra``.
 
-``dalg_violation_full_walk`` keeps the walk ``monadic.dalg_violation``
-made over every stage up to a pair's bound, before it stopped at
-stage 1, as the reference for that cut.
+``dalg_violation_full_walk`` walks every stage up to the bound, where
+``monadic.dalg_violation`` compares the arrows on stage 1 only, as the
+reference for that cut.
 
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
-of the memoised folds of ``monadic.DAlgebraPair``.  The universal-property
+of the closures in ``NaturalTerm.compiled``.  The universal-property
 oracles try every map out of a free algebra's carrier, where
 ``finalg.variety`` folds the carrier terms once it knows they generate.
 """
@@ -228,14 +228,15 @@ def universal_property_witness_enumerated(res, target):
     return None
 
 
-def dalg_violation_full_walk(pair):
-    """The first element of the domain chain's stage at the pair's bound
-    whose folds along the pair's two arrows differ, or None: every stage up
-    to the bound is walked, not only stage 1.  The structure maps' laws
-    are not checked here."""
-    gsig = domain_signature(pair.identity.domain)
-    via_rhs: dict = {}
-    for t in stage(gsig, pair.algebra.carrier, pair.bound).terms:
-        if pair.fold_along(pair.identity.rhs, t, via_rhs) != pair.alpha0_of(t):
+def dalg_violation_full_walk(algebra, identity, bound):
+    """The first element of the domain chain's stage ``bound`` over the
+    algebra's carrier whose translations along ``identity.lhs`` and
+    ``identity.rhs`` fold to different values, or None: every stage up to
+    the bound is walked, not only stage 1, and each element is translated
+    and folded as a whole."""
+    binding = {a: a for a in algebra.carrier}
+    for t in stage(domain_signature(identity.domain), algebra.carrier, bound).terms:
+        if fold(algebra, translate(identity.lhs, t), binding) != fold(
+                algebra, translate(identity.rhs, t), binding):
             return t
     return None

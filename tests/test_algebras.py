@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -72,6 +73,10 @@ def test_evaluate_not_a_term(or_magma):
         evaluate(or_magma, m(v("x"), "y"), {"x": 0})
     with pytest.raises(ValidationError, match="not a term"):
         evaluate(or_magma, 5, {})
+    # An unhashable argument is refused the same way, not as a TypeError.
+    for term in ([0], {1: 2}, {0}, bytearray(b"m")):
+        with pytest.raises(ValidationError, match=f"^not a term: {re.escape(repr(term))}$"):
+            evaluate(or_magma, term, {})
 
 
 def test_evaluate_every_arity():

@@ -221,8 +221,9 @@ def test_rho_chain_tabulates_one_stage_once(tmp_path):
 
 
 def test_dalg_check_refuses_before_folding(corpus_file):
-    """The pair refuses an over-large stage from the stage sizes alone,
-    before it folds or checks anything, so the refusal comes at once."""
+    """``dalg-check`` refuses an over-large stage from the stage sizes
+    alone, before it builds or folds anything, so the refusal comes at
+    once."""
     start = time.monotonic()
     code, out, err = invoke(
         ["dalg-check", "--spec", corpus_file, "--identity", "assoc",

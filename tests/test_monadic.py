@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import pytest
 
@@ -16,7 +15,6 @@ from finalg import (
     Var,
     bundle,
     check_monad_map,
-    DAlgebraPair,
     dalg_check,
     em_satisfies,
     em_structures,
@@ -37,6 +35,7 @@ from finalg import (
 )
 from finalg import monadic, terms
 from finalg.core import atom_key
+from finalg.identities import canonical_vars
 from finalg.monadic import (
     dalg_violation,
     domain_signature,
@@ -50,6 +49,7 @@ from oracles import (
     em_to_algebra,
     fold,
     is_injective,
+    reference_violation,
     satisfies_level_enumerated,
     translate,
     wrap_term,
@@ -161,39 +161,24 @@ NOT_DOZEN_NAMES = ["c12", "c", "c01", "c00", "c-1", "c+1", "c 1", "c1 ", "c\u066
 
 @pytest.fixture(scope="module")
 def dozen():
-    """An identity whose domain has 12 components, ``ci`` of arity i+1 and
-    generating term its last variable, and a pair on the one-point magma."""
-    last = NaturalTerm(MAGMA, DOZEN, 0, tuple(v(f"v{k}") for k in DOZEN))
-    first = NaturalTerm(MAGMA, DOZEN, 0, tuple(v("v1") for _ in DOZEN))
-    identity = NaturalIdentity(last, first)
-    point = FinAlgebra(MAGMA, FinSet((0,)), {"m": {(0, 0): 0}})
-    return identity, DAlgebraPair(point, identity, 1)
+    """A natural term whose domain has 12 components, ``ci`` of arity i+1
+    and generating term its last variable."""
+    return NaturalTerm(MAGMA, DOZEN, 0, tuple(v(f"v{k}") for k in DOZEN))
 
 
 def test_every_domain_name_resolves_to_its_component(dozen):
-    identity, pair = dozen
     for i, name in enumerate(DOZEN_NAMES):
         node = Node(name, tuple(Var(j) for j in range(i + 1)))
-        assert rho_level(identity.lhs, 1, node) == Var(i)
-        node = Node(name, (Var(0),) * (i + 1))
-        assert pair.fold_along(identity.lhs, node, {}) == 0
-        assert pair.fold_along(identity.rhs, node, {}) == 0
+        assert rho_level(dozen, 1, node) == Var(i)
 
 
 @pytest.mark.parametrize("op", NOT_DOZEN_NAMES)
 def test_a_name_outside_the_domain_is_refused(dozen, op):
     """Only the names ``domain_signature`` gives are domain operations: no
     index past the last, no other spelling of a number, no other letter."""
-    identity, pair = dozen
     node = Node(op, (Var(0),))
     with pytest.raises(ValidationError, match="^unknown domain component "):
-        rho_level(identity.lhs, 1, node)
-    memo = dict(pair.alpha0)
-    with pytest.raises(ValidationError, match="^no operation "):
-        pair.alpha0_of(node)
-    assert pair.alpha0 == memo
-    with pytest.raises(ValidationError, match="^no operation "):
-        pair.fold_along(identity.rhs, node, {})
+        rho_level(dozen, 1, node)
 
 
 UNARY_INV = ident(Signature((("s", 1),)), Node("s", (Node("s", (v("x"),)),)), v("x"), ("x",))
@@ -505,6 +490,8 @@ def test_em_structures_are_the_free_semilattice_shapes(semilattice_unit_ids):
 # --- algebras for the two-arrow diagram of monads --------------------------
 
 
+TAUT = ident(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), ("x", "y"))
+
 # ``dalg_violation`` at bound 2 on the 16 two-point magmas, in
 # ``enumerate_algebras`` order (tables m(0,0) m(0,1) m(1,0) m(1,1) counting
 # up from 0000), as the rendered witness or None.  The values come from the
@@ -531,33 +518,31 @@ DALG_WITNESSES = {
 }
 
 
+UNARY = Signature((("s", 1),))
+
+
+def _dalg_identity(name, request):
+    """The identity a dalg test case names: a conftest fixture, the
+    tautology, the bundle of comm and idem, or ``s(s(x)) = x``."""
+    if name == "taut":
+        return TAUT
+    if name == "comm+idem":
+        return bundle([request.getfixturevalue("comm"), request.getfixturevalue("idem")])
+    if name == "s(s(x))=x":
+        x = v("x")
+        return ident(UNARY, Node("s", (Node("s", (x,)),)), x, ("x",))
+    return request.getfixturevalue(name)
+
+
 @pytest.mark.parametrize("name", list(DALG_WITNESSES))
 def test_dalg_witnesses_on_two_point_magmas(name, request):
-    if name == "taut":
-        identity = ident(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), ("x", "y"))
-    elif name == "comm+idem":
-        identity = bundle([request.getfixturevalue("comm"), request.getfixturevalue("idem")])
-    else:
-        identity = request.getfixturevalue(name)
-    two = FinSet((0, 1))
-    elements = stage(domain_signature(identity.domain), two, 2).terms
-    translations = [(t, translate(identity.lhs, t), translate(identity.rhs, t)) for t in elements]
-    binding = {a: a for a in two}
+    identity = _dalg_identity(name, request)
     witnesses = []
-    for alg in enumerate_algebras(MAGMA, two):
-        pair = DAlgebraPair(alg, identity, 2)
-        witness = dalg_violation(pair)
+    for alg in enumerate_algebras(MAGMA, FinSet((0, 1))):
+        witness = dalg_violation(alg, identity, 2)
         witnesses.append(None if witness is None else format_term(witness))
-        assert dalg_check(pair) == (witness is None)
-        # Each fold along an arrow is the algebra's value of the translation.
-        via_g: dict = {}
-        for t, f_image, g_image in translations:
-            assert pair.alpha0_of(t) == fold(alg, f_image, binding)
-            assert pair.fold_along(identity.rhs, t, via_g) == fold(alg, g_image, binding)
+        assert dalg_check(alg, identity, 2) == (witness is None)
     assert tuple(witnesses) == DALG_WITNESSES[name]
-
-
-UNARY = Signature((("s", 1),))
 
 
 def _dalg_cases():
@@ -572,188 +557,94 @@ def _dalg_cases():
 def test_dalg_violation_matches_the_full_stage_walk(name, max_size, bound, request):
     """Comparing the arrows on stage 1 gives the full walk's witness, or
     None, on every algebra up to ``max_size`` points; a stage over the
-    size bound is refused by both, when the pair is built."""
-    if name == "taut":
-        identity = ident(MAGMA, m(v("x"), v("y")), m(v("x"), v("y")), ("x", "y"))
-    elif name == "comm+idem":
-        identity = bundle([request.getfixturevalue("comm"), request.getfixturevalue("idem")])
-    elif name == "s(s(x))=x":
-        x = v("x")
-        identity = ident(UNARY, Node("s", (Node("s", (x,)),)), x, ("x",))
-    else:
-        identity = request.getfixturevalue(name)
+    size bound is refused by both."""
+    identity = _dalg_identity(name, request)
     checked = 0
     for size in range(1, max_size + 1):
         for alg in enumerate_algebras(identity.sig, FinSet(tuple(range(size)))):
             try:
-                pair = DAlgebraPair(alg, identity, bound)
+                witness = dalg_violation(alg, identity, bound)
             except ResourceLimitError:
                 assert (name, bound) == ("assoc", 3)
+                with pytest.raises(ResourceLimitError):
+                    dalg_violation_full_walk(alg, identity, bound)
                 continue
-            assert dalg_violation(pair) == dalg_violation_full_walk(pair)
+            assert witness == dalg_violation_full_walk(alg, identity, bound)
             checked += 1
     assert checked or (name, bound) == ("assoc", 3)
 
 
 def test_dalg_symmetric_vs_projection(comm, or_magma, left_projection):
-    assert dalg_check(DAlgebraPair(or_magma, comm, 2))
-    witness = dalg_violation(DAlgebraPair(left_projection, comm, 2))
+    assert dalg_check(or_magma, comm, 2)
+    witness = dalg_violation(left_projection, comm, 2)
     assert witness is not None
     assert translate(comm.lhs, witness) != translate(comm.rhs, witness)
 
 
-def test_dalg_rejects_algebra_of_another_signature(comm):
-    monoid = two_element([0, 1, 1, 1], unit=0)
+@pytest.mark.parametrize("k", range(12))
+def test_dalg_reads_each_component_by_its_whole_index(comm, left_projection, k):
+    """With 12 components, stage 1 lists c0, c1, c10, c11, c2, ..., c9 as
+    strings sort; only component k, comm, fails on the left projection, so
+    the witness is a node of ck, not of a component whose name shares a
+    digit with it (c1 and c11 for k = 10)."""
+    parts = [TAUT] * 12
+    parts[k] = comm
+    identity = bundle(parts)
+    witness = dalg_violation(left_projection, identity, 2)
+    assert witness == Node(f"c{k}", (Var(0), Var(1)))
+    assert dalg_violation_full_walk(left_projection, identity, 2) == witness
+
+
+@pytest.mark.parametrize("name, max_size", _dalg_cases())
+@pytest.mark.parametrize("bound", [1, 2])
+def test_dalg_algebras_are_the_variety(name, max_size, bound, request):
+    """On every algebra up to ``max_size`` points, the check finds a
+    witness exactly when some component of the identity fails under some
+    assignment of the carrier, and a witness ``ci(a1..ak)`` names such a
+    failure: component i with its variables bound to a1..ak."""
+    identity = _dalg_identity(name, request)
+    ops = [op for op, _ in domain_signature(identity.domain)]
+    for size in range(1, max_size + 1):
+        for alg in enumerate_algebras(identity.sig, FinSet(tuple(range(size)))):
+            witness = dalg_violation(alg, identity, bound)
+            assert (witness is None) == (reference_violation(alg, identity) is None)
+            if witness is not None:
+                i = ops.index(witness.op)
+                binding = dict(zip(canonical_vars(identity.domain[i]),
+                                   (a.name for a in witness.args)))
+                assert fold(alg, identity.lhs.data[i], binding) != fold(
+                    alg, identity.rhs.data[i], binding)
+
+
+UNARY_AS_MAGMA = Signature((("m", 1),))
+
+
+@pytest.mark.parametrize("algebra", [
+    two_element([0, 1, 1, 1], unit=0),
+    FinAlgebra(Signature((("n", 2),)), FinSet((0, 1)),
+               {"n": {(a, b): a for a in (0, 1) for b in (0, 1)}}),
+    FinAlgebra(UNARY_AS_MAGMA, FinSet((0, 1)), {"m": {(0,): 1, (1,): 0}}),
+    FinAlgebra(Signature(()), FinSet((0, 1)), {}),
+], ids=["extra-op", "other-name", "other-arity", "no-op"])
+@pytest.mark.parametrize("bound", [0, 2, -1, 300])
+def test_dalg_rejects_algebra_of_another_signature(comm, algebra, bound):
+    """An algebra over another signature is refused first, before the
+    bound is looked at: a negative or too-deep bound gives the same
+    message as a valid one."""
     with pytest.raises(ValidationError, match="^algebra signature differs from the diagram$"):
-        DAlgebraPair(monoid, comm, 2)
+        dalg_violation(algebra, comm, bound)
 
 
-def test_dalg_rejects_corrupted_structure_map(comm, or_magma):
-    pair = DAlgebraPair(or_magma, comm, 2)
-    with pytest.raises(ValidationError, match="unbound variable 7"):
-        pair.alpha1_of(Var(7))
-    pair.alpha1[Var(0)] = 1
-    with pytest.raises(ValidationError):
-        dalg_check(pair)
-    # Values outside the carrier have no table entry; they are refused as
-    # a law violation, not a KeyError, on either side and at any depth.
-    tampered = [("alpha1", Var(0)), ("alpha1", m(Var(1), Var(1))),
-                ("alpha0", Node("c0", (Var(1), Var(1))))]
-    for memo, key in tampered:
-        pair = DAlgebraPair(or_magma, comm, 2)
-        getattr(pair, memo)[key] = 7
-        with pytest.raises(ValidationError):
-            dalg_check(pair)
-
-
-@pytest.mark.parametrize("side, term", [
-    ("alpha1", Node("zz", ())),
-    ("alpha1", Node("m", (Var(0),))),
-    ("alpha1", Node("m", (Var(0), Var(1), Var(1)))),
-    ("alpha0", Node("zz", ())),
-    ("alpha0", Node("c0", (Var(0),))),
-    ("alpha0", Node("c0", (Var(0), Var(1), Var(1)))),
-    ("alpha1", "x"),
-    ("alpha1", Node("m", (Var(0), "y"))),
-    ("alpha0", Node("c0", (Var(0), "y"))),
-])
-def test_dalg_refuses_a_node_outside_its_signature(comm, or_magma, side, term):
-    """A node with an unknown operation or the wrong number of arguments,
-    and a non-term at the top or as a child, is refused on either side,
-    and nothing is memoised."""
-    pair = DAlgebraPair(or_magma, comm, 2)
-    memo = dict(getattr(pair, side))
-    with pytest.raises(ValidationError):
-        getattr(pair, f"{side}_of")(term)
-    assert getattr(pair, side) == memo
-
-
-def test_fold_along_refuses_a_term_outside_the_diagram(comm, idem, or_magma):
-    """Only the pair's own two arrows are folded along: an equal natural
-    term that is another object, or another identity's, is refused."""
-    pair = DAlgebraPair(or_magma, comm, 2)
-    copy = NaturalTerm(comm.lhs.sig, comm.lhs.domain, comm.lhs.arity, comm.lhs.data)
-    for nt in (idem.lhs, copy):
-        with pytest.raises(ValidationError, match="^natural term is not an arrow of the pair's"):
-            pair.fold_along(nt, Node("c0", (Var(0),)), {})
-
-
-@pytest.mark.parametrize("bound", [0, 1, 2])
-def test_dalg_refuses_a_wrong_fold_at_the_top_stage(comm, or_magma, bound):
-    """The laws are checked on every node of the pair's top stage (stage 1
-    at bound 0): an in-carrier but wrong fold there is refused."""
-    top = max(bound, 1)
-    sides = (("alpha1", or_magma.sig), ("alpha0", domain_signature(comm.domain)))
-    for memo, sig in sides:
-        pair = DAlgebraPair(or_magma, comm, bound)
-        node = next(t for t in stage(sig, or_magma.carrier, top).terms if t.height == top)
-        value = getattr(pair, f"{memo}_of")(node)
-        getattr(pair, memo)[node] = 1 - value
-        with pytest.raises(ValidationError, match="violates the monad laws"):
-            dalg_check(pair)
+def test_dalg_accepts_an_equal_signature_that_is_another_object(comm, left_projection):
+    """Signatures are compared by value: the left projection over a fresh
+    copy of the magma signature gives the same witness as over MAGMA."""
+    copy = FinAlgebra(Signature((("m", 2),)), left_projection.carrier, left_projection.tables)
+    assert copy.sig is not comm.sig
+    assert dalg_violation(copy, comm, 2) == dalg_violation(left_projection, comm, 2) \
+        == Node("c0", (Var(0), Var(1)))
 
 
 FLIP = FinAlgebra(UNARY, FinSet((0, 1)), {"s": {(0,): 1, (1,): 0}})
-
-
-def _tower(op, height):
-    """``op`` applied ``height`` times to the variable 0."""
-    t = Var(0)
-    for _ in range(height):
-        t = Node(op, (t,))
-    return t
-
-
-@pytest.mark.parametrize("side, op", [("alpha1", "s"), ("alpha0", "c0")])
-@pytest.mark.parametrize("writes", [
-    [(3, "wrong")],
-    [(3, 7)],
-    [(8, "wrong")],
-    [(8, "right"), (10, "wrong")],
-    [(8, "right"), (6, 7)],
-], ids=["wrong-inside", "outside-carrier", "children-missing", "wrong-after-children-missing",
-        "outside-below-missing"])
-def test_dalg_refuses_a_wrong_fold_anywhere_in_the_memo(side, op, writes):
-    """The laws are checked on every memo entry, not on one stage: after
-    folding a tower of height 5 at bound 5, a wrong fold inside the carrier
-    at height 3, a value outside the carrier there, a node of height 8
-    whose children are not memoised, a wrong fold memoised after such a
-    node when its own fold is right, and an out-of-carrier entry memoised
-    after a node that reads it are each refused as a law violation."""
-    pair = DAlgebraPair(FLIP, UNARY_INV, 5)
-    fresh = DAlgebraPair(FLIP, UNARY_INV, 5)
-    getattr(pair, f"{side}_of")(_tower(op, 5))
-    memo = getattr(pair, side)
-    for height, value in writes:
-        key = _tower(op, height)
-        right = getattr(fresh, f"{side}_of")(key)
-        memo[key] = {"wrong": 1 - right, "right": right}.get(value, value)
-    assert _tower(op, 7) not in memo
-    with pytest.raises(ValidationError, match="violates the monad laws"):
-        dalg_check(pair)
-
-
-@pytest.mark.parametrize("side, key", [
-    ("alpha1", Var(7)),
-    ("alpha1", Node("zz", ())),
-    ("alpha1", Node("m", (Var(0),))),
-    ("alpha1", Node("c0", (Var(0), Var(1)))),
-    ("alpha1", "x"),
-    ("alpha0", Var(7)),
-    ("alpha0", Node("m", (Var(0), Var(1)))),
-    ("alpha0", Node("c0", (Var(0), Var(1), Var(1)))),
-    ("alpha0", ("c0", 0, 1)),
-])
-def test_dalg_refuses_a_memo_key_outside_its_chain(comm, or_magma, side, key):
-    """A memo key that is no variable of the carrier and no node of the
-    side's operations has no fold, so any value for it breaks the laws."""
-    pair = DAlgebraPair(or_magma, comm, 2)
-    getattr(pair, side)[key] = 0
-    with pytest.raises(ValidationError, match="violates the monad laws"):
-        dalg_check(pair)
-
-
-@pytest.mark.parametrize("fold, term", [
-    ("alpha1", [0]),
-    ("alpha0", {1: 2}),
-    ("rhs", [0]),
-    ("lhs", {0}),
-    ("alpha1", bytearray(b"m")),
-])
-def test_an_unhashable_non_term_is_refused(comm, or_magma, fold, term):
-    """An unhashable argument is refused as a non-term, as ``evaluate``
-    refuses it, and nothing is memoised."""
-    pair = DAlgebraPair(or_magma, comm, 2)
-    before = dict(pair.alpha1), dict(pair.alpha0)
-    via: dict = {}
-    with pytest.raises(ValidationError, match=f"^not a term: {re.escape(repr(term))}$"):
-        if fold in ("lhs", "rhs"):
-            pair.fold_along(getattr(comm, fold), term, via)
-        else:
-            getattr(pair, f"{fold}_of")(term)
-    with pytest.raises(ValidationError, match=f"^not a term: {re.escape(repr(term))}$"):
-        evaluate(or_magma, term, {})
-    assert (pair.alpha1, pair.alpha0, via) == (*before, {})
 
 
 def _stage_1_at_most(monkeypatch):
@@ -769,12 +660,12 @@ def _stage_1_at_most(monkeypatch):
 
 
 def test_nothing_above_stage_1_is_built(monkeypatch, comm, assoc):
-    """The pair builds stage 1 of each chain and no higher stage, and its
-    answers are those it gives when any stage may be built."""
+    """The check builds stage 1 of the domain chain and no higher stage,
+    and its answers are those it gives when any stage may be built."""
     def answers():
         return (variety_vs_dalg(comm, 2, 2), variety_vs_dalg(assoc, 2, 2),
-                dalg_violation(DAlgebraPair(FLIP, UNARY_INV, 128)),
-                dalg_check(DAlgebraPair(FLIP, UNARY_INV, 128)))
+                dalg_violation(FLIP, UNARY_INV, 128),
+                dalg_check(FLIP, UNARY_INV, 128))
 
     expected = answers()
     _stage_1_at_most(monkeypatch)
@@ -802,7 +693,7 @@ def test_dalg_refuses_from_the_sizes_alone(monkeypatch, or_magma, identity, boun
         algebra, identity = or_magma, request.getfixturevalue(identity)
     _stage_1_at_most(monkeypatch)
     with pytest.raises(error, match=message):
-        DAlgebraPair(algebra, identity, bound)
+        dalg_violation(algebra, identity, bound)
 
 
 WIDE = Signature((("w", 20),))
@@ -819,8 +710,8 @@ WIDE = Signature((("w", 20),))
      "^stage 1 over 2 variables: needs 1048578, limit is 1000000$"),
 ], ids=["domain", "signature"])
 def test_dalg_at_bound_0_refuses_an_over_large_stage_1(monkeypatch, identity, message):
-    """At bound 0 the pair still folds stage 1, so an over-large stage 1 is
-    refused, before any stage is built."""
+    """At bound 0 the sizes of stage 1 are still checked, so an over-large
+    stage 1 is refused, before any stage is built."""
     sig = identity.sig
     algebra = FinAlgebra._trusted(sig, FinSet((0, 1)), tuple(
         (0,) * 2**arity for _, arity in sig))
@@ -830,7 +721,7 @@ def test_dalg_at_bound_0_refuses_an_over_large_stage_1(monkeypatch, identity, me
 
     monkeypatch.setattr(terms, "_stage_terms", unbuilt)
     with pytest.raises(ResourceLimitError, match=message):
-        DAlgebraPair(algebra, identity, 0)
+        dalg_violation(algebra, identity, 0)
 
 
 def test_variety_vs_dalg_commutativity(comm):
