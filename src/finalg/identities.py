@@ -18,9 +18,9 @@ elements.  Elsewhere terms fold through the closures of
 ``algebras.compile_term`` (``NaturalTerm.compiled`` holds one per
 component): generating code costs about 20 times as much as building
 closures, so it pays only in a loop over many assignments.
-``monadic.satisfies_level`` folds the closures over every assignment all
-the same, so that ``monadic.equi_check`` compares two independent
-evaluators.
+The level and diagram-algebra checks of ``monadic`` fold the closures
+over every assignment all the same, in one walk, so that
+``monadic.equi_check`` compares two independent evaluators.
 """
 from __future__ import annotations
 

@@ -11,16 +11,16 @@ lookup table from each domain operation ``ci`` to kᵢ and its generating
 term.  In an algebra a G-node folds by its component's
 ``NaturalTerm.compiled`` closure instead, on carrier positions through
 the algebra's flat tables (see ``algebras``): those tables are the
-algebra's one structure map, and a diagram algebra holds no other, so
-its check is a walk over the one-node elements of G's stage 1.
-``check_monad_map`` checks the unit law on each
-generator and, as one-node outer terms, the multiplication law on each
-node of one stage of G's chain.  The level-k check folds both arrows'
-closures at every assignment, independently of the identity's generated
-``check`` (see ``identities``).  A ``NaturalIdentity`` induces a
-two-arrow diagram of monads whose arrows are these translations along
-its ``lhs`` and ``rhs``.  Everything here is bounded by an explicit
-depth and checked element by element.
+algebra's one structure map, and a diagram algebra holds no other.  So
+the level-k check and the diagram-algebra check are one walk, which
+folds both arrows' closures at every assignment in the order G's stage 1
+lists its one-node elements, independently of the identity's generated
+``check`` (see ``identities``); it builds no stage.  ``check_monad_map``
+checks the unit law on each generator and, as one-node outer terms, the
+multiplication law on each node of one stage of G's chain.  A
+``NaturalIdentity`` induces a two-arrow diagram of monads whose arrows
+are these translations along its ``lhs`` and ``rhs``.  Everything here
+is bounded by an explicit depth and checked element by element.
 
 The power-set monad is carried alongside as the worked Eilenberg-Moore
 example: subsets are canonically sorted tuples, the unit forms
@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
 
 from . import terms
 from .algebras import FinAlgebra
@@ -181,6 +182,27 @@ def _matches(pattern: Term, t: Term, slots: dict) -> bool:
             and all(_matches(p, a, slots) for p, a in zip(pattern.args, t.args)))
 
 
+@lru_cache(maxsize=64)
+def _stage_1_order(domain: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Each ``(i, kᵢ)`` of ``domain`` as stage 1 lists the nodes of ``ci``:
+    by arity, then by name as a string, so ``c10`` comes before ``c2``."""
+    return tuple(sorted(enumerate(domain), key=lambda c: (c[1], f"c{c[0]}")))
+
+
+def _first_difference(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:
+    """The first ``(i, positions)``, in stage-1 order and then in
+    ``itertools.product`` order, where component i's ``lhs`` and ``rhs``
+    closures differ on the carrier positions, or None."""
+    flat, n = alg.flat, len(alg.carrier)
+    lhs, rhs = ident.lhs.compiled, ident.rhs.compiled
+    for i, arity in _stage_1_order(ident.domain):
+        left, right = lhs[i], rhs[i]
+        for a in itertools.product(range(n), repeat=arity):
+            if left(flat, n, a) != right(flat, n, a):
+                return i, a
+    return None
+
+
 def satisfies_level(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:
     """Satisfaction of the level-k derived identity, decided exactly.
 
@@ -192,23 +214,14 @@ def satisfies_level(alg: FinAlgebra, ident: NaturalIdentity, k: int) -> bool:
     ``(lhs(a), rhs(a))`` over every assignment ``a``.  Either all of them
     are diagonal and the closure stops, or a non-diagonal pair is already
     reached and the set only grows; so for k ≥ 1 only the first round
-    decides.  It folds each component's ``NaturalTerm.compiled`` closures
-    on carrier positions, not the identity's generated ``check``, and
-    stops at the first assignment where the sides differ.  Level 0 adds
-    no pair and holds in every algebra; a negative level is refused.
+    decides, and ``_first_difference`` walks it.  Level 0 adds no pair and
+    holds in every algebra; a negative level is refused.
     """
     if alg.sig is not ident.sig and alg.sig != ident.sig:
         raise ValidationError("signature mismatch between algebra and identity")
-    if k < 1:
-        if k < 0:
-            raise ValidationError(f"level must be non-negative, got {k}")
-        return True
-    flat, n = alg.flat, len(alg.carrier)
-    for arity, left, right in zip(ident.domain, ident.lhs.compiled, ident.rhs.compiled):
-        for a in itertools.product(range(n), repeat=arity):
-            if left(flat, n, a) != right(flat, n, a):
-                return False
-    return True
+    if k < 0:
+        raise ValidationError(f"level must be non-negative, got {k}")
+    return k == 0 or _first_difference(alg, ident) is None
 
 
 def equi_check(ident: NaturalIdentity, k: int, max_size: int) -> ClassComparison:
@@ -230,18 +243,12 @@ def equi_check(ident: NaturalIdentity, k: int, max_size: int) -> ClassComparison
 
 def _subsets(s: FinSet) -> FinSet:
     """Every subset of ``s`` as a tuple in the order of ``s``; refused
-    above ``MAX_ENUMERATION`` before any is built."""
+    above ``MAX_ENUMERATION`` before any is built.  ``s`` is in canonical
+    order, so a subset sorts as the tuple of its elements' positions."""
     bounded_power(f"subsets of {len(s)} atoms", 2, len(s), MAX_ENUMERATION)
-    return FinSet(tuple(
-        combo for r in range(len(s) + 1) for combo in itertools.combinations(s.elements, r)
-    ))
-
-
-def _union(subsets: Iterable[tuple]) -> tuple:
-    merged = set()
-    for s in subsets:
-        merged.update(s)
-    return tuple(sorted(merged, key=atom_key))
+    elements, positions = s.elements, range(len(s))
+    index = sorted(c for r in range(len(s) + 1) for c in itertools.combinations(positions, r))
+    return FinSet._trusted(tuple([tuple([elements[p] for p in c]) for c in index]))
 
 
 @dataclass(frozen=True)
@@ -257,15 +264,23 @@ class PowersetMonadInstance:
     eta: FinMap
 
     def mu_element(self, family: tuple) -> tuple:
-        return _union(family)
-
-    def double(self) -> FinSet:
-        return _subsets(self.object)
+        return tuple(sorted(set().union(*family), key=atom_key))
 
 
 def powerset_instance(base: FinSet) -> PowersetMonadInstance:
     obj = _subsets(base)
     return PowersetMonadInstance(base, obj, FinMap(base, obj, {a: (a,) for a in base}))
+
+
+def _families(m: PowersetMonadInstance) -> Iterator[tuple[tuple, tuple]]:
+    """Each ``(family, union)`` of two or more subsets, smallest first, in
+    ``itertools.combinations`` order; the families are refused above
+    ``MAX_ENUMERATION`` at the call, before any is built.  A family of none
+    or one subset obeys the multiplication law once the unit law holds."""
+    subsets = m.object.elements
+    bounded_power(f"subsets of {len(subsets)} atoms", 2, len(subsets), MAX_ENUMERATION)
+    return ((f, m.mu_element(f)) for r in range(2, len(subsets) + 1)
+            for f in itertools.combinations(subsets, r))
 
 
 def em_satisfies(m: PowersetMonadInstance, alpha: FinMap) -> bool:
@@ -274,7 +289,7 @@ def em_satisfies(m: PowersetMonadInstance, alpha: FinMap) -> bool:
     subsets agrees with folding its union."""
     if alpha.dom != m.object or alpha.cod != m.base:
         raise ValidationError("structure map must go from subsets to the base")
-    return _em_laws(m, alpha.table, ((f, m.mu_element(f)) for f in m.double()))
+    return _em_laws(m, alpha.table, _families(m))
 
 
 def _em_laws(m: PowersetMonadInstance, table: dict, families: Iterable[tuple]) -> bool:
@@ -298,14 +313,10 @@ def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
     The full count of maps is bounded first.  The unit law fixes each
     singleton's image to its element, so only the other subsets' images
     are searched, in the same lexicographic order, and only a valid map is
-    built, by the checked constructor.  A family of none or one subset
-    obeys the multiplication law once the unit law holds, so the law is
-    checked on the families of two or more, smallest first, listed once
-    for all candidates."""
+    built, by the checked constructor.  The multiplication law is checked
+    on ``_families``, listed once for all candidates."""
     count_maps(len(m.object), len(m.base))
-    subsets = m.object.elements
-    families = [(f, m.mu_element(f)) for r in range(2, len(subsets) + 1)
-                for f in itertools.combinations(subsets, r)]
+    families = list(_families(m))
     table = {s: s[0] for s in m.object if len(s) == 1}
     free = [s for s in m.object if len(s) != 1]
     found = []
@@ -320,50 +331,39 @@ def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
 # Algebras for the two-object, two-arrow diagram of monads
 
 
-def dalg_violation(algebra: FinAlgebra, identity: NaturalIdentity,
-                   bound: int) -> Optional[Term]:
-    """First element of the domain chain's stage ``bound`` over the
-    algebra's carrier whose folds along the two arrows of the diagram
+def dalg_check(algebra: FinAlgebra, identity: NaturalIdentity, bound: int) -> bool:
+    """Whether the algebra is compatible with both arrows of the diagram
     induced by ``identity`` (translation along ``identity.lhs`` and
-    ``identity.rhs``) differ, or None.
+    ``identity.rhs``) on every domain-chain element up to ``bound``.
 
     The algebra's tables are its one structure map for the signature's
     free monad, and a fold along an arrow is its structure map for the
     domain's: a fold obeys the monad laws, so a node's fold along an arrow
     is its component's ``NaturalTerm.compiled`` closure on its children's
     folds.  Arrows that agree on each one-node ``ci(a1..ak)`` therefore
-    agree at every height, and stage 1 sorts first in every stage, so only
-    its nodes are compared, in stage order.  At bound 0, where the stage
-    holds only variables, whose folds agree, the answer is None.
+    agree at every height, so ``_first_difference`` decides; at bound 0,
+    where the stage holds only variables, whose folds agree, it holds.
 
     An algebra over another signature is refused; then an over-large or
-    too-deep stage at ``bound`` from the sizes alone, over the signature
-    and then the domain ops (at bound 0, stage 1 of each as well), before
-    any stage is built."""
+    too-deep stage at ``bound`` from the sizes alone, over the signature and
+    then the domain ops (at bound 0, stage 1 of each); no stage is built."""
     if algebra.sig is not identity.sig and algebra.sig != identity.sig:
         raise ValidationError("algebra signature differs from the diagram")
     x, gsig = algebra.carrier, domain_signature(identity.domain)
-    _stage_bounds(algebra.sig, x, bound)
-    _stage_bounds(gsig, x, bound)
-    if bound < 1:
-        _stage_bounds(algebra.sig, x, 1)
-        _stage_bounds(gsig, x, 1)
+    for sig in (algebra.sig, gsig):
+        _stage_bounds(sig, x, bound or 1)
+    return bound == 0 or _first_difference(algebra, identity) is None
+
+
+def dalg_violation(algebra: FinAlgebra, identity: NaturalIdentity,
+                   bound: int) -> Optional[Term]:
+    """The first element of the domain chain's stage ``bound`` on which
+    ``dalg_check`` fails, or None, refused as it refuses: stage 1 sorts
+    first in every stage, so it is the walk's first difference."""
+    if dalg_check(algebra, identity, bound):
         return None
-    flat, n, position = algebra.flat, len(x), x.position
-    lhs, rhs = identity.lhs.compiled, identity.rhs.compiled
-    for t in terms._stage_terms(gsig, x, 1):
-        if type(t) is Node:
-            i = int(t.op[1:])
-            a = [position[c.name] for c in t.args]
-            if lhs[i](flat, n, a) != rhs[i](flat, n, a):
-                return t
-    return None
-
-
-def dalg_check(algebra: FinAlgebra, identity: NaturalIdentity, bound: int) -> bool:
-    """Whether the algebra is compatible with both arrows of the diagram
-    induced by ``identity`` on every domain-chain element up to ``bound``."""
-    return dalg_violation(algebra, identity, bound) is None
+    i, positions = _first_difference(algebra, identity)
+    return Node(f"c{i}", tuple([Var(algebra.carrier.elements[p]) for p in positions]))
 
 
 def variety_vs_dalg(ident: NaturalIdentity, max_size: int, bound: int) -> ClassComparison:

@@ -416,6 +416,14 @@ def test_dalg_check_signature_mismatch(corpus_file):
     assert err == "error: algebra signature differs from the diagram\n"
 
 
+def test_equation_check_signature_mismatch(corpus_file):
+    """An algebra over another signature than the identity's is one error
+    line on the equation route too."""
+    result = invoke(["check", "--spec", corpus_file, "--identity", "comm", "--algebra", "B",
+                     "--equation-generators", "2"])
+    assert result == (2, "", "error: signature mismatch between algebra and equation\n")
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("signature S { op m : 2 }\nvars x\nidentity b over S : m(x) = x\n")

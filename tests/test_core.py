@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finalg import (
+    FinAlgebra,
     FinMap,
     FinSet,
     ResourceLimitError,
+    Signature,
     ValidationError,
     coproduct,
     enumerate_maps,
@@ -231,3 +233,30 @@ def test_value_truth_repr_and_hash(make, truth, text):
     assert bool(value) is truth
     assert repr(value) == text
     assert hash(value) == hash(make())
+
+
+AB, BITS = FinSet(("a", "b")), FinSet((0, 1))
+SEMI = {"m": {(x, y): max(x, y) for x in (0, 1) for y in (0, 1)}}
+
+
+@pytest.mark.parametrize("left, right", [
+    (FinMap(AB, BITS, {"a": 0, "b": 0}), FinMap(AB, BITS, {"a": 0, "b": 1})),
+    (FinMap(AB, BITS, {"a": 0, "b": 0}), FinMap(AB, FinSet((0,)), {"a": 0, "b": 0})),
+    (FinMap(AB, BITS, {"a": 0, "b": 0}), FinMap(FinSet(("a",)), BITS, {"a": 0})),
+    (FinMap(AB, BITS, {"a": 0, "b": 0}), {"a": 0, "b": 0}),
+    (Partition(AB, [("a",), ("b",)]), Partition(AB, [("a", "b")])),
+    (Partition(AB, [("a", "b")]), Partition(FinSet(("a", "b", "c")), [("a", "b"), ("c",)])),
+    (Partition(AB, [("a", "b")]), (("a", "b"),)),
+    (FinAlgebra(MAGMA, BITS, SEMI), FinAlgebra(MAGMA, BITS, {"m": {k: 0 for k in SEMI["m"]}})),
+    (FinAlgebra(MAGMA, BITS, SEMI), FinAlgebra(Signature((("n", 2),)), BITS, {"n": SEMI["m"]})),
+    (FinAlgebra(MAGMA, BITS, SEMI), FinAlgebra(MAGMA, FinSet(("0", "1")), {"m": {
+        (str(x), str(y)): str(z) for (x, y), z in SEMI["m"].items()}})),
+    (FinAlgebra(MAGMA, BITS, SEMI), SEMI),
+], ids=["map-table", "map-codomain", "map-domain", "map-other-kind",
+        "partition-blocks", "partition-base", "partition-other-kind",
+        "algebra-tables", "algebra-signature", "algebra-carrier", "algebra-other-kind"])
+def test_values_differing_in_one_part_are_unequal(left, right):
+    """A map, a partition and an algebra each compare unequal to a value
+    that differs from it in one part, or is of another kind."""
+    assert left.__eq__(right) is False
+    assert left != right

@@ -37,6 +37,7 @@ from finalg import monadic, terms
 from finalg.core import atom_key
 from finalg.identities import canonical_vars
 from finalg.monadic import (
+    _subsets,
     dalg_violation,
     domain_signature,
     satisfies_level,
@@ -393,6 +394,23 @@ def test_powerset_multiplication_associative(size):
         assert inst.mu_element(mapped) == outer_first
 
 
+@pytest.mark.parametrize("atoms", [
+    (3, 1, 0, 2),
+    ("b", 10, "a", 2, "c"),
+    ((1, "x"), "a", 0, (0,), ("b", 2), 5),
+    (Var("y"), (0, Var("x")), "a", 1),
+], ids=["ints", "ints-and-strings", "tuples", "terms"])
+def test_subsets_are_the_checked_set_of_every_combination(atoms):
+    """Sorting the subsets of a canonical base by their elements' positions
+    gives the order and positions the checked ``FinSet`` gives them."""
+    base = FinSet(atoms)
+    checked = FinSet(tuple(c for r in range(len(base) + 1)
+                           for c in itertools.combinations(base.elements, r)))
+    subsets = _subsets(base)
+    assert subsets.elements == checked.elements
+    assert dict(subsets.position) == dict(checked.position)
+
+
 def test_power_sets_are_bounded_before_they_are_built(monkeypatch):
     """Both the subsets of a base and the families of subsets that
     ``em_satisfies`` folds over are refused before any is built."""
@@ -659,17 +677,27 @@ def _stage_1_at_most(monkeypatch):
     monkeypatch.setattr(terms, "_stage_terms", guarded)
 
 
-def test_nothing_above_stage_1_is_built(monkeypatch, comm, assoc):
-    """The check builds stage 1 of the domain chain and no higher stage,
-    and its answers are those it gives when any stage may be built."""
+def test_dalg_builds_no_stage(monkeypatch, comm, assoc, left_projection):
+    """The check builds no stage of either chain: with every stage build
+    refused, it gives the witnesses and answers it gives otherwise, and
+    the witnesses at bound 2 are the pinned nodes of stage 1."""
+    twelve = bundle([TAUT] * 10 + [comm, TAUT])
+
     def answers():
         return (variety_vs_dalg(comm, 2, 2), variety_vs_dalg(assoc, 2, 2),
-                dalg_violation(FLIP, UNARY_INV, 128),
-                dalg_check(FLIP, UNARY_INV, 128))
+                dalg_violation(FLIP, UNARY_INV, 128), dalg_check(FLIP, UNARY_INV, 128),
+                dalg_violation(left_projection, comm, 2),
+                dalg_violation(left_projection, twelve, 2))
 
     expected = answers()
-    _stage_1_at_most(monkeypatch)
+
+    def unbuilt(*args):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(terms, "_stage_terms", unbuilt)
     assert answers() == expected
+    assert expected[2:] == (None, True, Node("c0", (Var(0), Var(1))),
+                            Node("c10", (Var(0), Var(1))))
 
 
 @pytest.mark.parametrize("identity, bound, error, message", [

@@ -567,6 +567,7 @@ def _tampered(res, identity):
         "an instance given as a congruence": relogged(CONGRUENCE),
         "a node's term changed": dataclasses.replace(
             state, terms=terms[:-1] + (m(terms[-1], x1),)),
+        "a node's term a variable": dataclasses.replace(state, terms=terms[:-1] + (x1,)),
         "an identity the algebra fails added": dataclasses.replace(
             state, identities=state.identities + (identity,)),
         "a generator sent to another class": FinMap(
