@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import terms
 from .algebras import FinAlgebra
-from .core import MAX_ENUMERATION, FinMap, FinSet, atom_key, bounded_power, count_maps
+from .core import MAX_ENUMERATION, FinMap, FinSet, bounded_power, count_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import (
@@ -264,7 +264,9 @@ class PowersetMonadInstance:
     eta: FinMap
 
     def mu_element(self, family: tuple) -> tuple:
-        return tuple(sorted(set().union(*family), key=atom_key))
+        """The union of ``family`` in the order of the base, which is
+        canonical, so its positions sort as ``atom_key`` does."""
+        return tuple(sorted(set().union(*family), key=self.base.position.__getitem__))
 
 
 def powerset_instance(base: FinSet) -> PowersetMonadInstance:

@@ -13,13 +13,18 @@ staying exponentially smaller.
 The engine keeps one term store and one class record.  ``nodes``, the
 hashcons of its terms, maps ``(op, child ids)`` to the id of the node
 with exactly those children (the generators are ids 0..|x|-1), so
-identity instances and frontier nodes are built on integer ids and a
-``Term`` is made only for a new node, whose operation is that term's
-own.  Each identity component is prepared once: one walk per side
-compiles it into a post-order list of steps over registers that start
-with the images of the component's variables, and records each
-variable's deepest occurrence, which bounds the height of its images.
-An instance runs those lists, each step filing one node over ids.  When an
+identity instances and frontier nodes are built on integer ids.  Each
+identity component is prepared once: one walk per side compiles it into
+a post-order list of steps over registers that start with the images of
+the component's variables, and records each variable's deepest
+occurrence, which bounds the height of its images.  An instance runs
+those lists, each step taking the node of its operation with exactly the
+children in its slots, or else, as egg's ``add`` canonicalizes an
+e-node's children before its hashcons lookup (Willsey et al., POPL
+2021), the node ``sig_table`` files under the roots of those children.
+A ``Term`` is made only when neither exists, and in ``saturate`` that
+is never so for an instance, whose every step finds a node over classes
+the frontier covered: only the frontier registers nodes.  When an
 id is registered the engine also stores its term's sort key, which
 begins with the term's height and size and is built from its children's
 keys, so it orders classes and bounds instance pools without asking a
@@ -46,25 +51,32 @@ live nodes reads the operation tables off these: each retired node has
 the operation, child classes and class of a live one.
 
 Every union the engine performs goes into a log with its reason: an
-identity instance, given by its component and the ids bound to the
-component's variables, or a congruence step between two nodes of one
-operation whose children were already joined (proof-producing congruence
-closure, after Nieuwenhuis & Oliveras, "Fast congruence closure and
-extensions", 2007).  The result's :class:`CongruenceState` keeps the
-engine's plain arrays and that log, and builds the canonical universe
-and partition only when they are first read.  ``audit_derivations``
-checks this certificate with its own union-find and no engine code.
-Once it has shown that every carrier term folds to itself under the
-unit, a morphism extending an assignment can only be the fold of each
-carrier term under it, so the universal property is checked by that
-fold alone, and refused for a result whose unit does not generate.
+identity instance, given as ``(component, images, left_steps,
+right_steps)``, the component, the ids bound to its variables and the
+ids each side's steps took, in post-order, or a congruence step between
+two nodes of one operation whose children were already joined
+(proof-producing congruence closure, after Nieuwenhuis & Oliveras, "Fast
+congruence closure and extensions", 2007).  A step's id is a node of the
+step's operation whose children are its slots' registers or in their
+classes when the union is logged, so each side is a proof by congruence
+from the classes of that moment.  The result's :class:`CongruenceState`
+keeps the engine's plain arrays and that log, and builds the canonical
+universe and partition only when they are first read.
+``audit_derivations`` checks this certificate with its own union-find
+and no engine code.  Once it has shown that every carrier term folds to
+itself under the unit, a morphism extending an assignment can only be
+the fold of each carrier term under it, so the universal property is
+checked by that fold alone, and refused for a result whose unit does not
+generate.
 
 Saturation stabilizes at depth d when the roots after depth d-1 still
 name distinct classes after depth d and those are all the classes (the
 images of the earlier roots are always among the current roots, so
-equal counts make the map a bijection), and every operation table over
-the classes is total; the quotient then carries a finite algebra and
-the variable embedding becomes the unit of the free algebra.
+equal counts make the map a bijection).  Every class then holds one id
+of depth d's frontier, which built every operation over itself, so every
+operation table over the classes is total; the quotient carries a finite
+algebra and the variable embedding becomes the unit of the free
+algebra.
 """
 from __future__ import annotations
 
@@ -85,7 +97,7 @@ MAX_UNIVERSE = 500_000
 
 # The reason logged for a union between two nodes of one operation whose
 # children were already joined; an identity instance logs
-# ``(component, images)`` instead.
+# ``(component, images, left_steps, right_steps)`` instead.
 CONGRUENCE = "congruence"
 
 
@@ -96,7 +108,8 @@ class _Engine:
     ``union_log`` holds every union with its reason.  ``key`` holds, per
     id, its term's ``sort_key()``, which begins ``(height, size, ...)``,
     computed from the children's keys when the id is registered;
-    ``build`` runs a side compiled by ``_compile_side``, and it and the
+    ``build`` runs a side compiled by ``_compile_side``, taking a node
+    ``nodes`` or else ``sig_table`` holds for each step, and it and the
     frontier register each new node through ``_register``.
 
     ``parents`` holds, per id, the parent nodes of that root's class, and
@@ -142,18 +155,25 @@ class _Engine:
         nid = self.nodes.get((op, arg_ids))
         return self._register(op, arg_ids) if nid is None else nid
 
-    def build(self, side: tuple, images: tuple[int, ...]) -> int:
-        """The id of a side compiled by ``_compile_side``, its variables bound
-        to the ids ``images``: each step files the node over the ids in its
-        slots, and the register list grows by that node's id."""
-        steps, out = side
+    def build(self, side: tuple, images: tuple[int, ...]) -> list[int]:
+        """The registers of a side compiled by ``_compile_side``, its variables
+        bound to the ids ``images``: the images, then per step the id of a
+        node of the step's operation over the ids in its slots, or over ids
+        of their classes.  A step takes the node with exactly those children
+        if there is one, else the node ``sig_table`` files under their roots,
+        and registers a new node only when neither exists."""
+        steps, _ = side
         regs = list(images)
-        nodes, register = self.nodes, self._register
+        nodes, filed, find = self.nodes, self.sig_table, self.find
         for op, slots in steps:
             args = tuple([regs[s] for s in slots])
             nid = nodes.get((op, args))
-            regs.append(register(op, args) if nid is None else nid)
-        return regs[out]
+            if nid is None:
+                nid = filed.get((op, tuple([find(a) for a in args])))
+                if nid is None:
+                    nid = self._register(op, args)
+            regs.append(nid)
+        return regs
 
     def _register(self, op: str, arg_ids: tuple[int, ...]) -> int:
         """Register the node ``op`` over ``arg_ids``, which ``nodes`` does not
@@ -260,10 +280,14 @@ class CongruenceState:
     node ``terms[i].op`` over the ids ``node_args[i]``.  ``least[i]``
     is the id of the least term of ``i``'s class.  Each ``union_log``
     entry ``(a, b, reason)`` joined the classes of ``a`` and ``b``; its
-    reason is ``(component, images)`` for an instance of the identity
-    component with that index, the components of all identities numbered
-    in order, its used variables bound in canonical order to the ids
-    ``images``, or ``CONGRUENCE``.  ``op_tables`` are the operation
+    reason is ``CONGRUENCE``, or ``(component, images, left_steps,
+    right_steps)`` for an instance of the identity component with that
+    index, the components of all identities numbered in order, its used
+    variables bound in canonical order to the ids ``images``.  The steps
+    are the ids each side's nodes resolved to, in post-order, left to
+    right: each a node over its slots' ids or ids of their classes, and
+    the last, or the image of a side that is a variable, ``a`` for the
+    left side and ``b`` for the right.  ``op_tables`` are the operation
     tables on the classes' least terms, and ``class_counts`` the class
     count after each processed depth.
 
@@ -297,8 +321,9 @@ class CongruenceState:
 
     @cached_property
     def instance_pairs(self) -> tuple[tuple[Term, Term], ...]:
-        """The two sides of each identity instance that merged classes, in
-        the order of the merges."""
+        """For each identity instance that merged classes, in the order of
+        the merges, the terms of the nodes its two sides resolved to, each
+        congruent to the literal instance side when the union was made."""
         terms = self.terms
         return tuple(
             (terms[a], terms[b]) for a, b, reason in self.union_log if reason != CONGRUENCE
@@ -404,7 +429,7 @@ def saturate(
     # reads a root higher than depth - (the least offset).
     least_offset = min((o for deepest, *_ in components for o in deepest.values()), default=0)
     engine = _Engine(x)
-    sort_keys, build = engine.key, engine.build
+    sort_keys, build, find = engine.key, engine.build, engine.find
     counts: list[int] = []
     prev_roots = set(engine.rep)
     applied: set = set()
@@ -424,9 +449,17 @@ def saturate(
                 engine.node(name, arg_ids)
         engine.drain()
 
+        # No instance registers a node, so the check above bounds ``terms``.
+        # After the frontier every term of height < depth lies in an old
+        # class, one that held a frontier id, and the frontier built every
+        # operation over the old classes.  A proper subterm of an instance
+        # side has height < depth, so every step's children lie in old
+        # classes and it finds its node in ``sig_table``.  A union keeps one
+        # of its two roots, and the old one against a class this depth
+        # made, which has no parent nodes, so those keys hold until the
+        # next drain.
         while True:
             merges_before = len(engine.union_log)
-            terms_before = len(engine.terms)
             reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids(depth - least_offset)]
             for comp_id, (deepest, left, right, ground) in enumerate(components):
                 if ground > depth:
@@ -440,25 +473,27 @@ def saturate(
                     if key in applied:
                         continue
                     applied.add(key)
-                    engine.union(build(left, images), build(right, images), key)
+                    left_regs, right_regs = build(left, images), build(right, images)
+                    a, b = left_regs[left[1]], right_regs[right[1]]
+                    if find(a) != find(b):
+                        k = len(images)
+                        engine.union(a, b, (comp_id, images,
+                                            tuple(left_regs[k:]), tuple(right_regs[k:])))
                 engine.drain()
-            if len(engine.terms) > max_universe:
-                raise ResourceLimitError(
-                    "saturation universe", len(engine.terms), max_universe
-                )
-            if len(engine.union_log) == merges_before and len(engine.terms) == terms_before:
+            if len(engine.union_log) == merges_before:
                 break
 
         counts.append(len(engine.rep))
         if len(prev_roots) == len({engine.find(r) for r in prev_roots}) == len(engine.rep):
+            # Each class now holds exactly one id of this depth's frontier,
+            # which holds one id per class of ``prev_roots``, and the frontier
+            # built every operation over itself; a retired node's operation
+            # and child classes are a live node's.  So every table is total.
             state = _state(engine, sig, x, ids, depth, counts)
-            tables = state.op_tables
-            if all(len(tables[name]) == len(engine.rep) ** arity for name, arity in sig):
-                carrier = FinSet(tuple(engine.terms[i] for i in engine.rep.values()))
-                algebra = FinAlgebra(sig, carrier, tables)
-                unit = FinMap(x, carrier,
-                              {a: state.terms[state.least[i]] for i, a in enumerate(x)})
-                return Stabilized(algebra, unit, depth, state)
+            carrier = FinSet(tuple(engine.terms[i] for i in engine.rep.values()))
+            algebra = FinAlgebra(sig, carrier, state.op_tables)
+            unit = FinMap(x, carrier, {a: state.terms[state.least[i]] for i, a in enumerate(x)})
+            return Stabilized(algebra, unit, depth, state)
         prev_roots = set(engine.rep)
 
     return Unstabilized(_state(engine, sig, x, ids, depth_bound, counts), depth_bound)
@@ -500,9 +535,12 @@ def audit_derivations(res) -> bool:
     It checks that the generators are the first ids and that each other
     id's term is its operation applied to its children's terms, each child
     registered before it; that each logged union is justified when it is
-    replayed: an identity reason rebuilds exactly its two ids from the
-    recorded component and images, and a congruence reason joins two nodes
-    of one operation whose children are already joined; that the replayed
+    replayed: for an identity reason, each side of the recorded component,
+    compiled here, is replayed over the recorded images and steps, each
+    step id a node of the step's operation whose children are its slots'
+    registers or in their replayed classes, no step id left over, and the
+    side ending in its logged id; a congruence reason joins two nodes of
+    one operation whose children are already joined; that the replayed
     classes are the claimed ones, each named by a member; that the classes
     are closed under congruence and every registered node agrees with the
     operation tables, which hold nothing else.  For a stabilized result it
@@ -525,16 +563,23 @@ def _certified(res, state: CongruenceState) -> bool:
         return False
     if any(terms[i] != Var(a) or kids[i] is not None for i, a in enumerate(gens)):
         return False
-    index: dict[tuple, int] = {}
     for i in range(len(gens), n):
         t, args = terms[i], kids[i]
         if (
             type(t) is not Node or arity.get(t.op) != len(args)
             or args and not 0 <= min(args) <= max(args) < i
             or t.args != tuple([terms[c] for c in args])
-            or index.setdefault((t.op, args), i) != i
         ):
             return False
+
+    def compiled(t: Term, slot: dict, steps: list) -> int:
+        """Append ``t``'s nodes to ``steps`` in post-order as ``(op, slots)``
+        and return the register of its value."""
+        if type(t) is Var:
+            return slot[t.name]
+        slots = tuple([compiled(a, slot, steps) for a in t.args])
+        steps.append((t.op, slots))
+        return len(slot) + len(steps) - 1
 
     sides = []
     for ident in state.identities:
@@ -542,12 +587,10 @@ def _certified(res, state: CongruenceState) -> bool:
             return False
         for k, left, right in zip(ident.domain, ident.lhs.data, ident.rhs.data):
             occurring = variables(left) | variables(right)
-            sides.append((left, right, [v for v in canonical_vars(k) if v in occurring]))
-
-    def rebuild(t: Term, g: dict) -> int:
-        if type(t) is Var:
-            return g[t.name]
-        return index[(t.op, tuple([rebuild(a, g) for a in t.args]))]
+            slot = {v: i for i, v in enumerate(v for v in canonical_vars(k) if v in occurring)}
+            left_steps, right_steps = [], []
+            sides.append((len(slot), (left_steps, compiled(left, slot, left_steps)),
+                          (right_steps, compiled(right, slot, right_steps))))
 
     parent = list(range(n))
 
@@ -558,6 +601,23 @@ def _certified(res, state: CongruenceState) -> bool:
         return i
 
     ids = range(n)
+
+    def replayed(side: tuple, images: tuple, built: tuple, end: int) -> bool:
+        """Whether the ids ``built`` replay the steps of ``side`` over
+        ``images``, ending in ``end``: each is a node of its step's
+        operation whose children are in the classes of its slots' registers."""
+        steps, out = side
+        if len(built) != len(steps):
+            return False
+        regs = [*images, *built]
+        for (op, slots), nid in zip(steps, built):
+            if nid not in ids or kids[nid] is None or terms[nid].op != op:
+                return False
+            for c, s in zip(kids[nid], slots):
+                if c != regs[s] and find(c) != find(regs[s]):
+                    return False
+        return regs[out] == end
+
     for a, b, reason in state.union_log:
         if a not in ids or b not in ids:
             return False
@@ -567,14 +627,13 @@ def _certified(res, state: CongruenceState) -> bool:
             ):
                 return False
         else:
-            comp, images = reason
+            comp, images, left_built, right_built = reason
             if comp not in range(len(sides)) or not all(i in ids for i in images):
                 return False
-            left, right, used = sides[comp]
-            if len(images) != len(used):
-                return False
-            g = dict(zip(used, images))
-            if rebuild(left, g) != a or rebuild(right, g) != b:
+            used, left, right = sides[comp]
+            if len(images) != used or not (
+                replayed(left, images, left_built, a) and replayed(right, images, right_built, b)
+            ):
                 return False
         parent[find(b)] = find(a)
 

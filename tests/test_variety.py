@@ -462,17 +462,17 @@ def _digest(lines) -> str:
 # Per case: a digest of the applied identity instances in order, the free
 # algebra's carrier, and a digest of its operation tables.
 TRAJECTORY_RESULTS = {
-    ("BoolGroup", 3): ("def702e17d354077",
+    ("BoolGroup", 3): ("0469e353b1cf8309",
                        "x1 x2 x3 e() m(x1,x2) m(x1,x3) m(x2,x3) m(x1,m(x2,x3))",
                        "a11586f91a2d1de5"),
-    ("Semilattice", 3): ("12df3cca5a80e749",
+    ("Semilattice", 3): ("6ce5be68d8a0ecd3",
                          "x1 x2 x3 m(x1,x2) m(x1,x3) m(x2,x3) m(x1,m(x2,x3))",
                          "b77c6078da1c23f5"),
-    ("DistLat", 2): ("762d7710ce41dc74", "x1 x2 j(x1,x2) k(x1,x2)", "a385ec4e2755e792"),
-    ("Band", 2): ("2f062d84d0bc04c1",
+    ("DistLat", 2): ("09798feb5e759cd7", "x1 x2 j(x1,x2) k(x1,x2)", "a385ec4e2755e792"),
+    ("Band", 2): ("0dc8f45c6bca4b5f",
                   "x1 x2 m(x1,x2) m(x2,x1) m(x1,m(x2,x1)) m(x2,m(x1,x2))",
                   "8bf59e31b74ed2a8"),
-    ("DistLat", 1): ("596024d520e69f73", "x1", "130abbef8d5435c3"),
+    ("DistLat", 1): ("191e352c3ab5a293", "x1", "130abbef8d5435c3"),
     ("LeftZero", 4): ("6483a02841880249", "x1 x2 x3 x4", "6483a02841880249"),
 }
 
@@ -480,13 +480,13 @@ TRAJECTORY_RESULTS = {
 @pytest.mark.parametrize(
     "presentation, n, bound, at_depth, counts, universe, instances",
     [
-        ("BoolGroup", 3, 6, 4, (10, 52, 8, 8), 4050, 1195),
-        ("Semilattice", 3, 6, 4, (6, 10, 7, 7), 691, 356),
-        ("DistLat", 2, 6, 4, (8, 56, 4, 4), 8186, 1558),
+        ("BoolGroup", 3, 6, 4, (10, 52, 8, 8), 2708, 799),
+        ("Semilattice", 3, 6, 4, (6, 10, 7, 7), 103, 81),
+        ("DistLat", 2, 6, 4, (8, 56, 4, 4), 6274, 487),
         # The count holds at 8 over depths 2 and 3 without stabilizing:
         # an unchanged class count alone is not the stop rule.
-        ("Band", 2, 6, 5, (4, 8, 8, 6, 6), 430, 222),
-        ("DistLat", 1, 6, 4, (3, 10, 1, 1), 292, 86),
+        ("Band", 2, 6, 5, (4, 8, 8, 6, 6), 94, 68),
+        ("DistLat", 1, 6, 4, (3, 10, 1, 1), 201, 28),
         ("LeftZero", 4, 6, 1, (4,), 20, 16),
     ],
 )
@@ -535,7 +535,7 @@ def _tampered(res, identity):
         if reason != CONGRUENCE and kids[a] and kids[b]
         and any(least[p] != least[q] for p, q in zip(kids[a], kids[b]))
     )
-    a, b, (component, images) = log[instance]
+    a, b, (component, images, left, right) = log[instance]
 
     def relogged(reason):
         return dataclasses.replace(
@@ -563,7 +563,8 @@ def _tampered(res, identity):
             state, union_log=log + ((3, 4, CONGRUENCE),)),
         "a congruence between a node and a generator": dataclasses.replace(
             state, union_log=log + ((3, 0, CONGRUENCE),)),
-        "an instance's images corrupted": relogged((component, tuple(i + 1 for i in images))),
+        "an instance's images corrupted": relogged(
+            (component, tuple(i + 1 for i in images), left, right)),
         "an instance given as a congruence": relogged(CONGRUENCE),
         "a node's term changed": dataclasses.replace(
             state, terms=terms[:-1] + (m(terms[-1], x1),)),
@@ -582,15 +583,57 @@ def _tampered(res, identity):
         "a union naming an id by a negative index": dataclasses.replace(
             state, union_log=log + ((3, 3 - n, CONGRUENCE),)),
         "an instance naming its component by a negative index": relogged(
-            (component - components, images)),
-        "an instance with an extra image": relogged((component, images + images[:1])),
+            (component - components, images, left, right)),
+        "an instance with an extra image": relogged(
+            (component, images + images[:1], left, right)),
         "an instance's ends swapped": dataclasses.replace(
-            state, union_log=log[:instance] + ((b, a, (component, images)),)
+            state, union_log=log[:instance] + ((b, a, log[instance][2]),)
             + log[instance + 1:]),
+        "an instance of the old shape, without its steps": relogged((component, images)),
+        "an instance's steps one id short": relogged((component, images, left[:-1], right)),
+        "an instance's steps one id long": relogged((component, images, left, right + right[-1:])),
+        "a step naming a node by a negative index": _step_replaced(
+            state, lambda nid, find: nid - n),
+        "a step naming an id past the last": _step_replaced(state, lambda nid, find: nid + n),
+        "a step a generator of its class": _step_replaced(
+            state, lambda nid, find: next(
+                (g for g in range(len(state.x)) if find(g) == find(nid)), None)),
+        "a step over children of other classes": _step_replaced(
+            state, lambda nid, find: next(
+                (o for o in range(len(state.x), n) if find(o) == find(nid)
+                 and terms[o].op == terms[nid].op
+                 and any(find(c) != find(d) for c, d in zip(kids[o], kids[nid]))), None)),
         "a table entry added": dataclasses.replace(
             state, op_tables={**state.op_tables,
                               "m": {**state.op_tables["m"], (Var("x3"), x1): x1}}),
     }
+
+
+def _step_replaced(state, pick):
+    """The state with one id of an identity reason's steps replaced by
+    ``pick(nid, find)``: the first id, in log order, that is not the last of
+    its side's steps and for which ``pick`` gives a node of its class other
+    than itself, ``find`` naming the classes of that point of the log.  The
+    replacement then fails only the checks on the step itself."""
+    log, parent = state.union_log, list(range(len(state.terms)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for k, (a, b, reason) in enumerate(log):
+        if reason != CONGRUENCE:
+            component, images, *sides = reason
+            for s, built in enumerate(sides):
+                for j, nid in enumerate(built[:-1]):
+                    other = pick(nid, find)
+                    if other is not None and other != nid:
+                        sides[s] = built[:j] + (other,) + built[j + 1:]
+                        return dataclasses.replace(state, union_log=(
+                            log[:k] + ((a, b, (component, images, *sides)),) + log[k + 1:]))
+        parent[find(b)] = find(a)
+    raise LookupError("no step to replace")
 
 
 def test_derivation_audit_refuses_tampered_states(comm):
@@ -611,6 +654,22 @@ def test_derivation_audit_refuses_tampered_states(comm):
         else:
             tampered = dataclasses.replace(res, state=tampered)
         assert not audit_derivations(tampered), what
+
+
+def test_derivation_audit_refuses_a_step_of_another_operation():
+    """In a Boolean group on one generator, a step naming a node of its
+    class with another operation and arity, such as e() for m(x1, x1) once
+    ``sqe`` has joined them, passes every check but the step's operation."""
+    model = parse_spec(TRAJECTORY_SPEC)
+    res = saturate(model.signatures["Monoid"], model.presentation_identities("BoolGroup"),
+                   gens(1), 6)
+    assert audit_derivations(res)
+    state = res.state
+    terms = state.terms
+    tampered = _step_replaced(state, lambda nid, find: next(
+        (o for o in range(len(state.x), len(terms))
+         if find(o) == find(nid) and terms[o].op != terms[nid].op), None))
+    assert not audit_derivations(dataclasses.replace(res, state=tampered))
 
 
 def _unclosed(state):
@@ -710,39 +769,58 @@ def test_engine_keys_are_the_terms_own(monkeypatch):
         _check_engine_keys(engine)
 
 
+def _reference_build(engine, side, g):
+    """What ``build`` must do for the side term ``side``, its variables bound
+    by ``g``, found by a recursive walk that changes nothing: the ids of the
+    side's nodes in post-order, left to right, the nodes it must register,
+    in order, as ``(op, child ids)``, and how many nodes it takes from
+    ``sig_table``.  A node is the node with exactly its children, else the
+    node ``sig_table`` files under their roots, else the next new id."""
+    steps, new, by_roots = [], {}, []
+
+    def walk(t):
+        if not isinstance(t, Node):
+            return g[t.name]
+        args = tuple(walk(a) for a in t.args)
+        nid = engine.nodes.get((t.op, args), new.get((t.op, args)))
+        if nid is None and all(a < len(engine.terms) for a in args):
+            nid = engine.sig_table.get((t.op, tuple(engine.find(a) for a in args)))
+            by_roots.append(nid is not None)
+        if nid is None:
+            nid = new[(t.op, args)] = len(engine.terms) + len(new)
+        steps.append(nid)
+        return nid
+
+    walk(side)
+    return steps, list(new), sum(by_roots)
+
+
 def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
-    """For every applied identity instance, each compiled side returns the
-    id that instantiating the side term recursively returns, and the nodes
-    it registers are the new nodes of that walk in post-order."""
+    """For every identity instance built, each compiled side returns the ids
+    the recursive reference finds for the side term's nodes, in post-order.
+    No instance registers a node, which ``saturate``'s universe bound relies
+    on, and many steps take a node that ``sig_table`` holds over their
+    children's roots."""
     compiled = {}
     compile_side = variety._compile_side
 
     def recorded(side, deepest):
         out = compile_side(side, deepest)
-        compiled[id(out)] = (out, side, tuple(deepest))
+        compiled[id(out)] = (side, tuple(deepest))
         return out
 
-    built = []
+    built, by_roots = [], []
     build = _Engine.build
 
     def checked(engine, side, images):
+        term, used = compiled[id(side)]
+        steps, new, from_table = _reference_build(engine, term, dict(zip(used, images)))
         before = len(engine.terms)
         got = build(engine, side, images)
-        _, term, used = compiled[id(side)]
-        g = dict(zip(used, images))
-        new = []
-
-        def instantiate(t):
-            if isinstance(t, Node):
-                nid = engine.nodes[(t.op, tuple(instantiate(a) for a in t.args))]
-                if nid >= before and nid not in new:
-                    new.append(nid)
-                return nid
-            return g[t.name]
-
-        assert instantiate(term) == got
-        assert new == list(range(before, len(engine.terms)))
+        assert got == [*images, *steps]
+        assert new == [] and len(engine.terms) == before
         built.append(got)
+        by_roots.append(from_table)
         return got
 
     monkeypatch.setattr(variety, "_compile_side", recorded)
@@ -753,6 +831,7 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
         res = saturate(sig, model.presentation_identities(name), gens(n), 6)
         assert audit_derivations(res)
     assert len(built) > 10_000
+    assert sum(by_roots) > 1_000
 
 
 @pytest.mark.parametrize("side", [
@@ -762,20 +841,42 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
     X,
 ])
 def test_compiled_side_registers_new_nodes_in_post_order(side):
-    """On a fresh engine every node of the side is new: the compiled side
-    registers them in the order the recursive instantiation does."""
-    def instantiate(engine, t, g):
-        if isinstance(t, Node):
-            return engine.node(t.op, tuple(instantiate(engine, a, g) for a in t.args))
-        return g[t.name]
-
+    """On a fresh engine every node of the side is new the first time: the
+    compiled side registers the nodes the recursive reference names, in its
+    order, and later builds return the ids it finds."""
     used = ("x", "y")
     compiled = variety._compile_side(side, dict.fromkeys(used, 0))
-    one, other = _Engine(gens(2)), _Engine(gens(2))
+    engine = _Engine(gens(2))
+    runs = []
     for images in [(1, 0), (0, 1), (1, 0)]:
-        got = one.build(compiled, images)
-        assert got == instantiate(other, side, dict(zip(used, images)))
-        assert one.terms == other.terms and one.node_args == other.node_args
+        steps, new, _ = _reference_build(engine, side, dict(zip(used, images)))
+        before = len(engine.terms)
+        assert engine.build(compiled, images) == [*images, *steps]
+        assert [(engine.terms[i].op, engine.node_args[i])
+                for i in range(before, len(engine.terms))] == new
+        runs.append((steps, new))
+    (first, registered), _, repeat = runs
+    assert len(registered) == len(set(first)) and repeat == (first, [])
+
+
+def test_build_takes_the_node_filed_under_its_child_roots(monkeypatch):
+    """Once x1 and x2 are joined, m(x2, x2) misses the exact-children table
+    but m(x1, x2) is filed under the same operation and child roots:
+    ``build`` returns that node and registers nothing."""
+    engine = _Engine(gens(2))
+    held = engine.node("m", (0, 1))
+    engine.union(0, 1, CONGRUENCE)
+    engine.drain()
+    assert ("m", (1, 1)) not in engine.nodes
+
+    def refused(*args):
+        raise AssertionError("registered a node its class already holds")
+
+    monkeypatch.setattr(_Engine, "_register", refused)
+    terms = len(engine.terms)
+    side = variety._compile_side(m(X, X), {"x": 0})
+    assert engine.build(side, (1,)) == [1, held]
+    assert len(engine.terms) == terms
 
 
 def test_components_match_a_reference_depth_walk():
@@ -829,55 +930,55 @@ def _state_lines(state):
 # Per case of ``_matrix_cases``: a digest of ``_state_lines``.
 MATRIX_RESULTS = {
     ('Band', 0, 3): 'c7757c0896cbfe61',
-    ('Band', 1, 3): 'e0ccba619a84642e',
-    ('Band', 1, 6): 'e0ccba619a84642e',
-    ('Band', 2, 3): 'b0f0043928347516',
-    ('Band', 2, 6): '4533ce57fa2b1035',
-    ('BoolGroup', 0, 3): 'ca25d8bbf7d91408',
-    ('BoolGroup', 1, 3): '02a0560a695f0d66',
-    ('BoolGroup', 1, 6): '02a0560a695f0d66',
-    ('BoolGroup', 2, 3): '4fd6af5e732c44fd',
-    ('BoolGroup', 2, 6): '9e7e2cebbea036ba',
-    ('BoolGroup', 3, 6): '7c265772f6254eea',
-    ('CommMonoid', 0, 3): '9fd773e7bd0260f5',
-    ('CommMonoid', 1, 3): '0df620339a4ac603',
-    ('CommMonoid', 2, 3): '62306490e62ae93d',
+    ('Band', 1, 3): '2af17537dfd36242',
+    ('Band', 1, 6): '2af17537dfd36242',
+    ('Band', 2, 3): 'd311f33886cc2c0d',
+    ('Band', 2, 6): '138555c864472d13',
+    ('BoolGroup', 0, 3): '25d84a4ea1eb2888',
+    ('BoolGroup', 1, 3): 'b8991d9221208832',
+    ('BoolGroup', 1, 6): 'b8991d9221208832',
+    ('BoolGroup', 2, 3): '93ec798d763c2424',
+    ('BoolGroup', 2, 6): 'befa6c3ebd1226f9',
+    ('BoolGroup', 3, 6): '879b02535b374a2b',
+    ('CommMonoid', 0, 3): 'a9421d08bbd18496',
+    ('CommMonoid', 1, 3): 'd8719284850eecdd',
+    ('CommMonoid', 2, 3): '22255b771116f75a',
     ('CommSemigroup', 0, 3): 'c7757c0896cbfe61',
-    ('CommSemigroup', 1, 3): '64a6f725d7eb75e8',
-    ('CommSemigroup', 1, 5): '46368ffbb909d8ad',
-    ('CommSemigroup', 2, 3): 'b8743ef86fbbdc83',
+    ('CommSemigroup', 1, 3): 'd16dcf383179f8cb',
+    ('CommSemigroup', 1, 5): 'c4a957cd948911c0',
+    ('CommSemigroup', 2, 3): '087b2ccef0697310',
     ('DistLat', 0, 3): 'c7757c0896cbfe61',
-    ('DistLat', 1, 3): 'd0221b81d0c39229',
-    ('DistLat', 1, 6): 'e6f4c47e35f7b3e9',
-    ('DistLat', 2, 3): 'f9f21a1d0bd5f924',
-    ('DistLat', 2, 6): '108b4b4b550e53be',
+    ('DistLat', 1, 3): '4e2a138d3365f8ce',
+    ('DistLat', 1, 6): '0106cc1ce02e07cb',
+    ('DistLat', 2, 3): '84ae739dbd43cc11',
+    ('DistLat', 2, 6): 'f67e39c4f48a6519',
     ('LeftZero', 0, 3): 'c7757c0896cbfe61',
-    ('LeftZero', 1, 3): 'd94adf458ee9e537',
-    ('LeftZero', 2, 3): 'ffee75b547ea07cc',
-    ('LeftZero', 4, 6): '6d5344675089cc24',
-    ('MonoidPres', 0, 3): 'ca25d8bbf7d91408',
-    ('MonoidPres', 1, 3): 'c2a4529d398a5ae9',
-    ('MonoidPres', 1, 4): '7d4c6eb4dbdae3a9',
-    ('MonoidPres', 1, 5): '4ccf6d207589bbde',
-    ('MonoidPres', 2, 3): 'c337aff857d48eaf',
+    ('LeftZero', 1, 3): '939d63d15fb15559',
+    ('LeftZero', 2, 3): '45400d9f3259b5e6',
+    ('LeftZero', 4, 6): 'eeaf2eaa28c99608',
+    ('MonoidPres', 0, 3): '25d84a4ea1eb2888',
+    ('MonoidPres', 1, 3): '2049ed68d42b2e9b',
+    ('MonoidPres', 1, 4): '91bfc4c0cbc6c4d9',
+    ('MonoidPres', 1, 5): 'e91cb2a2d1cfe07e',
+    ('MonoidPres', 2, 3): '8fee1e3e38e7c3be',
     ('RectBand', 0, 3): 'c7757c0896cbfe61',
-    ('RectBand', 1, 3): 'e0ccba619a84642e',
-    ('RectBand', 1, 6): 'e0ccba619a84642e',
-    ('RectBand', 2, 3): '9706b64dede8cc78',
-    ('RectBand', 2, 6): '9706b64dede8cc78',
-    ('RectBand', 3, 6): '698b934d84725935',
+    ('RectBand', 1, 3): '2af17537dfd36242',
+    ('RectBand', 1, 6): '2af17537dfd36242',
+    ('RectBand', 2, 3): 'fc6a2c252e9543bd',
+    ('RectBand', 2, 6): 'fc6a2c252e9543bd',
+    ('RectBand', 3, 6): '9db0d0139d47f082',
     ('Semigroup', 0, 3): 'c7757c0896cbfe61',
-    ('Semigroup', 1, 3): 'd243292e67a9a0ce',
-    ('Semigroup', 2, 3): 'a08917b0f5eb93b1',
+    ('Semigroup', 1, 3): '34d20b6513c49efe',
+    ('Semigroup', 2, 3): '35e28576487cab22',
     ('Semilattice', 0, 3): 'c7757c0896cbfe61',
-    ('Semilattice', 1, 3): 'f6dd570dab362bec',
-    ('Semilattice', 1, 6): 'f6dd570dab362bec',
-    ('Semilattice', 2, 3): '8c50e6bc4c7ca2cd',
-    ('Semilattice', 2, 6): '8c50e6bc4c7ca2cd',
-    ('Semilattice', 3, 6): '004609bb43307442',
-    ('SemilatticeUnit', 0, 3): '9fd773e7bd0260f5',
-    ('SemilatticeUnit', 1, 3): 'c82aec4a0a954301',
-    ('SemilatticeUnit', 2, 3): '40bb35bf25b7e7e1',
+    ('Semilattice', 1, 3): '6b375a43b67a715b',
+    ('Semilattice', 1, 6): '6b375a43b67a715b',
+    ('Semilattice', 2, 3): '67d502d8938f0c62',
+    ('Semilattice', 2, 6): '67d502d8938f0c62',
+    ('Semilattice', 3, 6): 'b20e8b389b0027b0',
+    ('SemilatticeUnit', 0, 3): '867e33846c4d480e',
+    ('SemilatticeUnit', 1, 3): 'cbbd1e615a438085',
+    ('SemilatticeUnit', 2, 3): '04c2b9e3218aa977',
 }
 
 
