@@ -21,34 +21,40 @@ occurrence, which bounds the height of its images.  An instance runs
 those lists, each step taking the node of its operation with exactly the
 children in its slots, or else, as egg's ``add`` canonicalizes an
 e-node's children before its hashcons lookup (Willsey et al., POPL
-2021), the node ``sig_table`` files under the roots of those children.
-A ``Term`` is made only when neither exists, and in ``saturate`` that
-is never so for an instance, whose every step finds a node over classes
-the frontier covered: only the frontier registers nodes.  When an
-id is registered the engine also stores its term's sort key, which
-begins with the term's height and size and is built from its children's
-keys, so it orders classes and bounds instance pools without asking a
-``Term`` for any of them.  Since a key begins with the height, an
-instance pool, which holds the roots of height at most the depth less a
-variable's offset, is a prefix of the sorted roots: an instance pass
-sorts only the roots no higher than the depth less the least offset.
-The keys of ``rep`` are exactly the live union-find roots, each
-mapped to the id of its class's least term.  ``parents`` holds, per id,
-the list of parent nodes of that root's class.  A union keeps the root
-with the longer list (Downey, Sethi & Tarjan, 1980) and marks the nodes
-it moves dirty; a drain files each dirty node again once per round,
-after that round's pending unions, as egg's deferred rebuild does
-(Willsey et al., "egg: Fast and Extensible Equality Saturation", POPL
-2021).  As egg's rebuild also does, a node whose operation and child
-roots another node already holds when it is filed is retired: the two
-have the same child classes from then on, so it is never filed again,
-a union drops it from the parent list it moves, and if it is retired
-when it is registered it joins no parent list.  Congruence closure is
-confluent, so neither which root survives nor the filing order changes
-``rep`` or the classes after any drain; they change only which
-congruence unions are logged, and in what order.  One pass over the
-live nodes reads the operation tables off these: each retired node has
-the operation, child classes and class of a live one.
+2021), the node ``sig_table`` files under the roots of those children:
+in ``saturate`` one exists (the argument is at the instance loop).
+
+Only the frontier registers nodes, and filing one never retires it.  At
+depth d it registers each operation over each tuple of least ids that
+``nodes`` does not hold.  The least ids are among the previous
+frontier's, over which it built every operation, and the nodes it
+registered, so by induction the tuple holds a node of height d-1 and the
+new node has height d.  A node filed under the same operation and child
+roots would be this depth's node over the same least ids, which
+``nodes`` holds, or an older one, lower than d, whose child in the class
+of that least id of height d-1 is lower than the class's least; but a
+key, which orders a class, begins with the height.  Each registered id's
+key, built from its children's keys, begins with its term's height and
+size, so it orders classes and bounds instance pools without asking a
+``Term``: an instance pool, which holds the roots of height at most the
+depth less a variable's offset, is a prefix of the sorted roots, and an
+instance pass sorts only the roots no higher than the depth less the
+least offset.  The keys of ``rep`` are exactly the live union-find
+roots, each mapped to the id of its class's least term.  ``parents``
+holds, per id, the list of parent nodes of that root's class.  A union
+keeps the root with the longer list (Downey, Sethi & Tarjan, 1980) and
+marks the nodes it moves dirty; a drain files each dirty node again once
+per round, after that round's pending unions, as egg's deferred rebuild
+does (Willsey et al., "egg: Fast and Extensible Equality Saturation",
+POPL 2021).  As egg's rebuild also does, a node whose operation and
+child roots another node holds when a drain files it again is retired:
+the two have the same child classes from then on, so it is never filed
+again and a union drops it from the parent list it moves.  Congruence
+closure is confluent, so neither which root survives nor the filing
+order changes ``rep`` or the classes after any drain; they change only
+which congruence unions are logged, and in what order.  One pass over
+the live nodes reads the operation tables off these: each retired node
+has the operation, child classes and class of a live one.
 
 Every union the engine performs goes into a log with its reason: an
 identity instance, given as ``(component, images, left_steps,
@@ -70,13 +76,16 @@ checked by that fold alone, and refused for a result whose unit does not
 generate.
 
 Saturation stabilizes at depth d when the roots after depth d-1 still
-name distinct classes after depth d and those are all the classes (the
+name distinct classes after depth d, those are all the classes (the
 images of the earlier roots are always among the current roots, so
-equal counts make the map a bijection).  Every class then holds one id
-of depth d's frontier, which built every operation over itself, so every
-operation table over the classes is total; the quotient carries a finite
-algebra and the variable embedding becomes the unit of the free
-algebra.
+equal counts make the map a bijection), and the quotient satisfies the
+identities.  Every class then holds one id of depth d's frontier, which
+built every operation over itself, so every operation table over the
+classes is total.  An instance is applied only once it fits in the
+depth, so such a quotient can still break an identity; one that keeps
+them all is in the variety, generated by the variable embedding, and
+merged only what the identities derive, so it is the free algebra with
+that embedding as its unit.
 """
 from __future__ import annotations
 
@@ -109,12 +118,12 @@ class _Engine:
     id, its term's ``sort_key()``, which begins ``(height, size, ...)``,
     computed from the children's keys when the id is registered;
     ``build`` runs a side compiled by ``_compile_side``, taking a node
-    ``nodes`` or else ``sig_table`` holds for each step, and it and the
-    frontier register each new node through ``_register``.
+    ``nodes`` or else ``sig_table`` holds for each step, and only the
+    frontier registers nodes, through ``_register``.
 
     ``parents`` holds, per id, the parent nodes of that root's class, and
-    ``retired`` flags, per id, a node whose operation and child roots
-    filing found held by another node in ``sig_table`` (egg's parent
+    ``retired`` flags, per id, a node whose operation and child roots a
+    drain's filing found held by another node in ``sig_table`` (egg's parent
     deduplication, Willsey et al., POPL 2021); such a node is never filed
     again.  A union moves the live parent nodes of the root it merges away
     onto the surviving root, dropping the retired ones, and marks them
@@ -149,19 +158,13 @@ class _Engine:
             parent[i], i = root, parent[i]
         return root
 
-    def node(self, op: str, arg_ids: tuple[int, ...]) -> int:
-        """The id of the node ``op`` over the registered ``arg_ids``,
-        registered when it is new."""
-        nid = self.nodes.get((op, arg_ids))
-        return self._register(op, arg_ids) if nid is None else nid
-
     def build(self, side: tuple, images: tuple[int, ...]) -> list[int]:
         """The registers of a side compiled by ``_compile_side``, its variables
         bound to the ids ``images``: the images, then per step the id of a
         node of the step's operation over the ids in its slots, or over ids
         of their classes.  A step takes the node with exactly those children
-        if there is one, else the node ``sig_table`` files under their roots,
-        and registers a new node only when neither exists."""
+        if there is one, else the node ``sig_table`` files under their roots;
+        it registers nothing, and raises ``KeyError`` when neither exists."""
         steps, _ = side
         regs = list(images)
         nodes, filed, find = self.nodes, self.sig_table, self.find
@@ -169,17 +172,15 @@ class _Engine:
             args = tuple([regs[s] for s in slots])
             nid = nodes.get((op, args))
             if nid is None:
-                nid = filed.get((op, tuple([find(a) for a in args])))
-                if nid is None:
-                    nid = self._register(op, args)
+                nid = filed[(op, tuple([find(a) for a in args]))]
             regs.append(nid)
         return regs
 
-    def _register(self, op: str, arg_ids: tuple[int, ...]) -> int:
+    def _register(self, op: str, arg_ids: tuple[int, ...]) -> None:
         """Register the node ``op`` over ``arg_ids``, which ``nodes`` does not
-        hold: make its term, its key from its children's keys, and file it;
-        unless filing retires it, it joins the parent list of each of its
-        distinct child roots."""
+        hold: make its term, its key from its children's keys, file it (the
+        frontier never registers a node that filing retires), and add it to
+        the parent list of each of its distinct child roots."""
         terms, key = self.terms, self.key
         nid = len(terms)
         terms.append(Node(op, tuple([terms[a] for a in arg_ids])))
@@ -196,31 +197,26 @@ class _Engine:
         self.parents.append(())
         self.retired.append(0)
         self.nodes[(op, arg_ids)] = nid
-        roots = self._file(nid)
-        if roots is not None:
-            parents = self.parents
-            for root in roots:
-                filed = parents[root]
-                if not filed:
-                    parents[root] = [nid]
-                elif filed[-1] != nid:
-                    filed.append(nid)
-        return nid
+        parents = self.parents
+        for root in self._file(nid):
+            filed = parents[root]
+            if not filed:
+                parents[root] = [nid]
+            elif filed[-1] != nid:
+                filed.append(nid)
 
-    def _file(self, nid: int) -> Optional[tuple[int, ...]]:
+    def _file(self, nid: int) -> tuple[int, ...]:
         """File node ``nid`` in ``sig_table`` under its operation and child
         roots and return those roots; when another node holds them, retire
-        ``nid`` instead, queue a congruence with that node if it is in
-        another class, and return None."""
+        ``nid`` and queue a congruence with that node if in another class."""
         find = self.find
         roots = tuple([find(a) for a in self.node_args[nid]])
         other = self.sig_table.setdefault((self.terms[nid].op, roots), nid)
-        if other == nid:
-            return roots
-        self.retired[nid] = 1
-        if find(other) != find(nid):
-            self.pending.append((other, nid))
-        return None
+        if other != nid:
+            self.retired[nid] = 1
+            if find(other) != find(nid):
+                self.pending.append((other, nid))
+        return roots
 
     def union(self, a: int, b: int, reason) -> None:
         """Join the classes of ``a`` and ``b``, logging ``reason`` when they
@@ -429,7 +425,7 @@ def saturate(
     # reads a root higher than depth - (the least offset).
     least_offset = min((o for deepest, *_ in components for o in deepest.values()), default=0)
     engine = _Engine(x)
-    sort_keys, build, find = engine.key, engine.build, engine.find
+    sort_keys, build, find, nodes = engine.key, engine.build, engine.find, engine.nodes
     counts: list[int] = []
     prev_roots = set(engine.rep)
     applied: set = set()
@@ -441,23 +437,24 @@ def saturate(
         needed = len(engine.terms) + sum(len(frontier) ** arity for _, arity in sig)
         if needed > max_universe:
             inside = set(frontier)
-            needed -= sum(all(a in inside for a in arg_ids) for _, arg_ids in engine.nodes)
+            needed -= sum(all(a in inside for a in arg_ids) for _, arg_ids in nodes)
             if needed > max_universe:
                 raise ResourceLimitError("saturation universe", needed, max_universe)
         for name, arity in sig:
             for arg_ids in itertools.product(frontier, repeat=arity):
-                engine.node(name, arg_ids)
+                if (name, arg_ids) not in nodes:
+                    engine._register(name, arg_ids)
         engine.drain()
 
-        # No instance registers a node, so the check above bounds ``terms``.
-        # After the frontier every term of height < depth lies in an old
-        # class, one that held a frontier id, and the frontier built every
-        # operation over the old classes.  A proper subterm of an instance
-        # side has height < depth, so every step's children lie in old
-        # classes and it finds its node in ``sig_table``.  A union keeps one
-        # of its two roots, and the old one against a class this depth
-        # made, which has no parent nodes, so those keys hold until the
-        # next drain.
+        # ``build`` finds every step's node, so the check above bounds
+        # ``terms``.  After the frontier every term of height < depth lies
+        # in an old class, one that held a frontier id, and the frontier
+        # built every operation over the old classes.  A proper subterm of
+        # an instance side has height < depth, so every step's children lie
+        # in old classes and it finds its node in ``sig_table``.  A union
+        # keeps one of its two roots, and the old one against a class this
+        # depth made, which has no parent nodes, so those keys hold until
+        # the next drain.
         while True:
             merges_before = len(engine.union_log)
             reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids(depth - least_offset)]
@@ -488,12 +485,14 @@ def saturate(
             # Each class now holds exactly one id of this depth's frontier,
             # which holds one id per class of ``prev_roots``, and the frontier
             # built every operation over itself; a retired node's operation
-            # and child classes are a live node's.  So every table is total.
+            # and child classes are a live node's.  So every table is total;
+            # an instance too high for this depth may not be applied yet.
             state = _state(engine, sig, x, ids, depth, counts)
             carrier = FinSet(tuple(engine.terms[i] for i in engine.rep.values()))
             algebra = FinAlgebra(sig, carrier, state.op_tables)
-            unit = FinMap(x, carrier, {a: state.terms[state.least[i]] for i, a in enumerate(x)})
-            return Stabilized(algebra, unit, depth, state)
+            if satisfies_all(algebra, ids):
+                unit = FinMap(x, carrier, {a: state.terms[state.least[i]] for i, a in enumerate(x)})
+                return Stabilized(algebra, unit, depth, state)
         prev_roots = set(engine.rep)
 
     return Unstabilized(_state(engine, sig, x, ids, depth_bound, counts), depth_bound)

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from finalg import (
     FinAlgebra,
@@ -289,6 +290,31 @@ def test_saturate_refuses_a_depth_before_building_it(monkeypatch):
     assert registered == [engine] * 27
     assert len(engine.terms) == 3 + 27
     assert max(t.height for t in engine.terms) == 1
+
+
+def _unary(t):
+    return Node("u", (t,))
+
+
+@pytest.mark.parametrize("sig, sides", [
+    # The instance of the second identity is higher than depth 2.
+    (Signature((("u", 1),)), [(_unary(_unary(X)), X), (_unary(_unary(_unary(X))), X)]),
+    # The instance x := m(x1, x1) of the first identity is higher than depth 2.
+    (MAGMA, [(m(m(Y, Y), m(X, X)), X), (m(m(X, Y), m(Y, Y)), m(X, m(Y, Y))),
+             (m(m(Y, Y), Y), m(m(Y, X), m(X, Y)))]),
+])
+def test_saturate_stabilizes_only_inside_the_variety(sig, sides):
+    """Both presentations make the free algebra on one generator trivial.
+    At depth 2 the classes of x1 and of a one-node term are closed and are
+    those of depth 1, but an identity instance over them does not fit in
+    the depth yet, so the quotient breaks an identity; saturation goes on
+    until the quotient keeps them all."""
+    ids = [ident(sig, left, right, ("x", "y")) for left, right in sides]
+    assert isinstance(saturate(sig, ids, gens(1), 3), Unstabilized)
+    res = saturate(sig, ids, gens(1), 6)
+    assert res.at_depth == 4 and res.state.class_counts == (2, 2, 1, 1)
+    assert res.algebra.carrier.elements == (Var("x1"),)
+    assert audit_derivations(res)
 
 
 def test_saturate_rejects_bad_depth(monoid_ids):
@@ -770,29 +796,26 @@ def test_engine_keys_are_the_terms_own(monkeypatch):
 
 
 def _reference_build(engine, side, g):
-    """What ``build`` must do for the side term ``side``, its variables bound
-    by ``g``, found by a recursive walk that changes nothing: the ids of the
-    side's nodes in post-order, left to right, the nodes it must register,
-    in order, as ``(op, child ids)``, and how many nodes it takes from
-    ``sig_table``.  A node is the node with exactly its children, else the
-    node ``sig_table`` files under their roots, else the next new id."""
-    steps, new, by_roots = [], {}, []
+    """What ``build`` must return for the side term ``side``, its variables
+    bound by ``g``, found by a recursive walk that changes nothing: the ids
+    of the side's nodes in post-order, left to right, and how many nodes it
+    takes from ``sig_table``.  A node is the node with exactly its
+    children, else the node ``sig_table`` files under their roots."""
+    steps, by_roots = [], []
 
     def walk(t):
         if not isinstance(t, Node):
             return g[t.name]
         args = tuple(walk(a) for a in t.args)
-        nid = engine.nodes.get((t.op, args), new.get((t.op, args)))
-        if nid is None and all(a < len(engine.terms) for a in args):
-            nid = engine.sig_table.get((t.op, tuple(engine.find(a) for a in args)))
-            by_roots.append(nid is not None)
+        nid = engine.nodes.get((t.op, args))
         if nid is None:
-            nid = new[(t.op, args)] = len(engine.terms) + len(new)
+            nid = engine.sig_table[(t.op, tuple(engine.find(a) for a in args))]
+            by_roots.append(nid)
         steps.append(nid)
         return nid
 
     walk(side)
-    return steps, list(new), sum(by_roots)
+    return steps, len(by_roots)
 
 
 def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
@@ -814,11 +837,11 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
 
     def checked(engine, side, images):
         term, used = compiled[id(side)]
-        steps, new, from_table = _reference_build(engine, term, dict(zip(used, images)))
+        steps, from_table = _reference_build(engine, term, dict(zip(used, images)))
         before = len(engine.terms)
         got = build(engine, side, images)
         assert got == [*images, *steps]
-        assert new == [] and len(engine.terms) == before
+        assert len(engine.terms) == before
         built.append(got)
         by_roots.append(from_table)
         return got
@@ -834,49 +857,65 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
     assert sum(by_roots) > 1_000
 
 
-@pytest.mark.parametrize("side", [
-    m(m(X, Y), m(Y, m(X, X))),
-    m(m(e(), X), m(m(Y, e()), m(e(), X))),
-    m(X, X),
-    X,
-])
-def test_compiled_side_registers_new_nodes_in_post_order(side):
-    """On a fresh engine every node of the side is new the first time: the
-    compiled side registers the nodes the recursive reference names, in its
-    order, and later builds return the ids it finds."""
-    used = ("x", "y")
-    compiled = variety._compile_side(side, dict.fromkeys(used, 0))
+def test_build_registers_nothing():
+    """``build`` is a lookup: on a fresh engine no node of m(x1, x2) exists,
+    so it raises ``KeyError`` and registers nothing."""
     engine = _Engine(gens(2))
-    runs = []
-    for images in [(1, 0), (0, 1), (1, 0)]:
-        steps, new, _ = _reference_build(engine, side, dict(zip(used, images)))
-        before = len(engine.terms)
-        assert engine.build(compiled, images) == [*images, *steps]
-        assert [(engine.terms[i].op, engine.node_args[i])
-                for i in range(before, len(engine.terms))] == new
-        runs.append((steps, new))
-    (first, registered), _, repeat = runs
-    assert len(registered) == len(set(first)) and repeat == (first, [])
+    side = variety._compile_side(m(X, Y), dict.fromkeys(("x", "y"), 0))
+    with pytest.raises(KeyError):
+        engine.build(side, (0, 1))
+    assert len(engine.terms) == 2
 
 
-def test_build_takes_the_node_filed_under_its_child_roots(monkeypatch):
+def test_build_takes_the_node_filed_under_its_child_roots():
     """Once x1 and x2 are joined, m(x2, x2) misses the exact-children table
     but m(x1, x2) is filed under the same operation and child roots:
     ``build`` returns that node and registers nothing."""
     engine = _Engine(gens(2))
-    held = engine.node("m", (0, 1))
+    engine._register("m", (0, 1))
+    held = engine.nodes[("m", (0, 1))]
     engine.union(0, 1, CONGRUENCE)
     engine.drain()
     assert ("m", (1, 1)) not in engine.nodes
-
-    def refused(*args):
-        raise AssertionError("registered a node its class already holds")
-
-    monkeypatch.setattr(_Engine, "_register", refused)
     terms = len(engine.terms)
     side = variety._compile_side(m(X, X), {"x": 0})
     assert engine.build(side, (1,)) == [1, held]
     assert len(engine.terms) == terms
+
+
+RANDOM_OPS = (("e", 0), ("u", 1), ("m", 2), ("t", 3))
+
+
+def _random_terms(sig, height):
+    """Terms over ``sig`` and the variables x and y of height at most
+    ``height``."""
+    leaves = st.sampled_from([X, Y] + [Node(op, ()) for op, k in sig if k == 0])
+    if height == 0:
+        return leaves
+    sub = _random_terms(sig, height - 1)
+    return st.one_of(leaves, *[
+        st.tuples(*[sub] * k).map(lambda args, op=op: Node(op, args)) for op, k in sig if k
+    ])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_presentations_build_every_instance_by_lookup(data):
+    """On small random presentations (ops of arity 0-3, 1-3 identities of
+    height at most 2, 0-2 generators, depth at most 4) saturation either
+    refuses the universe or returns a result the audit accepts: ``build``
+    never misses a node, since only the frontier registers them."""
+    ops = data.draw(st.lists(st.sampled_from(RANDOM_OPS), min_size=1, max_size=4, unique=True))
+    sig = Signature(tuple(ops))
+    sides = _random_terms(sig, 2)
+    pairs = data.draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=3))
+    ids = [ident(sig, left, right, ("x", "y")) for left, right in pairs]
+    n, depth = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 4))
+    try:
+        res = saturate(sig, ids, gens(n), depth, max_universe=2_000)
+    except ResourceLimitError:
+        return
+    assert audit_derivations(res)
 
 
 def test_components_match_a_reference_depth_walk():
@@ -1049,7 +1088,9 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
     state is read: every live node holds its operation and current child
     roots in ``sig_table`` and is in the parent list of each of those
     roots, every retired node's current key is held by a live node of its
-    own class, and no node was filed again after it was retired."""
+    own class, and no node was filed again after it was retired.  No node
+    is retired when it is registered, and each has the height of the depth
+    whose frontier registered it."""
     engines = _engines_left(monkeypatch)
     refiled = []
     file = _Engine._file
@@ -1059,7 +1100,29 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
             refiled.append(nid)
         return file(engine, nid)
 
+    # ``saturate`` sorts all the roots, with no height, once per depth, for
+    # its frontier.
+    depths = {}
+    least_ids = _Engine.least_ids
+
+    def counted(engine, height=None):
+        if height is None:
+            depths[engine] = depths.get(engine, 0) + 1
+        return least_ids(engine, height)
+
+    registered, misfiled = [], []
+    register = _Engine._register
+
+    def checked(engine, op, arg_ids):
+        nid = len(engine.terms)
+        register(engine, op, arg_ids)
+        registered.append(nid)
+        if engine.retired[nid] or engine.key[nid][0] != depths[engine]:
+            misfiled.append((op, arg_ids))
+
     monkeypatch.setattr(_Engine, "_file", recorded)
+    monkeypatch.setattr(_Engine, "least_ids", counted)
+    monkeypatch.setattr(_Engine, "_register", checked)
     trajectory = parse_spec(TRAJECTORY_SPEC)
     runs = [(trajectory, name, n, 6) for name, n in TRAJECTORY_RESULTS]
     model, cases = _matrix_cases()
@@ -1070,6 +1133,7 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
         saturate(sig, spec.presentation_identities(name), gens(n), depth)
     assert len(engines) == len(runs)
     assert not refiled
+    assert not misfiled and len(registered) > 10_000
     retired_count = 0
     for engine in engines:
         find, retired = engine.find, engine.retired
