@@ -346,15 +346,23 @@ def dalg_check(algebra: FinAlgebra, identity: NaturalIdentity, bound: int) -> bo
     agree at every height, so ``_first_difference`` decides; at bound 0,
     where the stage holds only variables, whose folds agree, it holds.
 
-    An algebra over another signature is refused; then an over-large or
-    too-deep stage at ``bound`` from the sizes alone, over the signature and
-    then the domain ops (at bound 0, stage 1 of each); no stage is built."""
+    An algebra over another signature is refused; then, by
+    ``_dalg_bounds``, an over-large or too-deep stage at ``bound``; no
+    stage is built.  ``variety_vs_dalg`` makes the same refusals once per
+    carrier size, at the first algebra of the size, where this check would
+    make them."""
     if algebra.sig is not identity.sig and algebra.sig != identity.sig:
         raise ValidationError("algebra signature differs from the diagram")
-    x, gsig = algebra.carrier, domain_signature(identity.domain)
-    for sig in (algebra.sig, gsig):
-        _stage_bounds(sig, x, bound or 1)
+    _dalg_bounds(identity, algebra.carrier, bound)
     return bound == 0 or _first_difference(algebra, identity) is None
+
+
+def _dalg_bounds(identity: NaturalIdentity, x: FinSet, bound: int) -> None:
+    """Refuse an over-large or too-deep stage at ``bound`` over ``x`` from
+    the sizes alone, over the identity's signature and then its domain ops
+    (at bound 0, stage 1 of each).  Only the size of ``x`` matters."""
+    for sig in (identity.sig, domain_signature(identity.domain)):
+        _stage_bounds(sig, x, bound or 1)
 
 
 def dalg_violation(algebra: FinAlgebra, identity: NaturalIdentity,
@@ -370,10 +378,18 @@ def dalg_violation(algebra: FinAlgebra, identity: NaturalIdentity,
 
 def variety_vs_dalg(ident: NaturalIdentity, max_size: int, bound: int) -> ClassComparison:
     """Compare direct satisfaction with diagram-algebra compatibility over
-    every algebra with carrier ≤ max_size."""
-    return compare_classes(
-        ident.sig,
-        max_size,
-        lambda alg: satisfies(alg, ident),
-        lambda alg: dalg_check(alg, ident, bound),
-    )
+    every algebra with carrier ≤ max_size.
+
+    Every algebra is over ``ident.sig``, and ``dalg_check``'s refusals
+    depend only on the carrier size, so they are made once per size, at
+    the size's first algebra, as ``dalg_check`` would make them there; each
+    later algebra of the size only walks stage 1."""
+    admitted: set[int] = set()
+
+    def compatible(alg: FinAlgebra) -> bool:
+        if len(alg.carrier) not in admitted:
+            _dalg_bounds(ident, alg.carrier, bound)
+            admitted.add(len(alg.carrier))
+        return bound == 0 or _first_difference(alg, ident) is None
+
+    return compare_classes(ident.sig, max_size, lambda alg: satisfies(alg, ident), compatible)

@@ -37,10 +37,10 @@ key, which orders a class, begins with the height.  Each registered id's
 key, built from its children's keys, begins with its term's height and
 size, so it orders classes and bounds instance pools without asking a
 ``Term``: an instance pool, which holds the roots of height at most the
-depth less a variable's offset, is a prefix of the sorted roots, and an
-instance pass sorts only the roots no higher than the depth less the
-least offset.  The keys of ``rep`` are exactly the live union-find
-roots, each mapped to the id of its class's least term.  ``parents``
+depth less a variable's offset, is a prefix of the sorted roots, and
+the one instance pass of a depth sorts only the roots no higher than the
+depth less the least offset.  The keys of ``rep`` are exactly the live
+union-find roots, each mapped to the id of its class's least term.  ``parents``
 holds, per id, the list of parent nodes of that root's class.  A union
 keeps the root with the longer list (Downey, Sethi & Tarjan, 1980) and
 marks the nodes it moves dirty; a drain files each dirty node again once
@@ -455,30 +455,32 @@ def saturate(
         # keeps one of its two roots, and the old one against a class this
         # depth made, which has no parent nodes, so those keys hold until
         # the next drain.
-        while True:
-            merges_before = len(engine.union_log)
-            reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids(depth - least_offset)]
-            for comp_id, (deepest, left, right, ground) in enumerate(components):
-                if ground > depth:
+        #
+        # One pass per depth applies every instance the depth can: ``build``
+        # registers nothing, and a union keeps one of the two classes' least
+        # ids, so during the pass the least ids only shrink, with their
+        # heights.  A second pass would read pools within these ones, whose
+        # every tuple is already in ``applied``.
+        reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids(depth - least_offset)]
+        for comp_id, (deepest, left, right, ground) in enumerate(components):
+            if ground > depth:
+                continue
+            pools = [
+                [tid for tid, height in reps if height + offset <= depth]
+                for offset in deepest.values()
+            ]
+            for images in itertools.product(*pools):
+                key = (comp_id, images)
+                if key in applied:
                     continue
-                pools = [
-                    [tid for tid, height in reps if height + offset <= depth]
-                    for offset in deepest.values()
-                ]
-                for images in itertools.product(*pools):
-                    key = (comp_id, images)
-                    if key in applied:
-                        continue
-                    applied.add(key)
-                    left_regs, right_regs = build(left, images), build(right, images)
-                    a, b = left_regs[left[1]], right_regs[right[1]]
-                    if find(a) != find(b):
-                        k = len(images)
-                        engine.union(a, b, (comp_id, images,
-                                            tuple(left_regs[k:]), tuple(right_regs[k:])))
-                engine.drain()
-            if len(engine.union_log) == merges_before:
-                break
+                applied.add(key)
+                left_regs, right_regs = build(left, images), build(right, images)
+                a, b = left_regs[left[1]], right_regs[right[1]]
+                if find(a) != find(b):
+                    k = len(images)
+                    engine.union(a, b, (comp_id, images,
+                                        tuple(left_regs[k:]), tuple(right_regs[k:])))
+            engine.drain()
 
         counts.append(len(engine.rep))
         if len(prev_roots) == len({engine.find(r) for r in prev_roots}) == len(engine.rep):

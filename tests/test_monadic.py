@@ -760,6 +760,47 @@ def test_variety_vs_dalg_associativity(assoc):
     assert variety_vs_dalg(assoc, 2, 2).equal
 
 
+def test_variety_vs_dalg_checks_the_stage_bounds_once_per_size(monkeypatch, comm):
+    """The refusals depend only on the carrier size, so they are checked
+    at each size's first algebra, over the signature and the domain ops:
+    4 checks for 2 sizes, not 2 per orbit representative."""
+    calls = []
+    real = monadic._stage_bounds
+
+    def counted(sig, x, n, *rest):
+        calls.append((sig, len(x), n))
+        return real(sig, x, n, *rest)
+
+    monkeypatch.setattr(monadic, "_stage_bounds", counted)
+    assert variety_vs_dalg(comm, 2, 2).equal
+    assert calls == [(MAGMA, 1, 2), (domain_signature((2,)), 1, 2),
+                     (MAGMA, 2, 2), (domain_signature((2,)), 2, 2)]
+
+
+# 13 variables: the domain chain's stage 1 is 2^13 + 2 = 8,194 terms on
+# 2 points and 3^13 + 3 = 1,594,326 on 3, over the stage limit.
+THIRTEEN = FinSet(tuple(f"x{i:02d}" for i in range(13)))
+
+
+def test_variety_vs_dalg_returns_a_witness_before_a_larger_size_is_refused():
+    """The check of a size is made at its first algebra, so a witness on 2
+    points is found before 3 points could be refused."""
+    x, y = Var("x00"), Var("x01")
+    found = variety_vs_dalg(from_sigma(MAGMA, m(x, y), m(y, x), THIRTEEN), 3, 0)
+    assert not found.equal
+    assert len(found.witness.carrier) == 2
+
+
+def test_variety_vs_dalg_refuses_a_size_at_its_first_algebra():
+    """With no witness, the size whose domain stage 1 is over the limit is
+    refused with ``dalg_check``'s message."""
+    x, y = Var("x00"), Var("x01")
+    trivial = from_sigma(MAGMA, m(x, y), m(x, y), THIRTEEN)
+    with pytest.raises(ResourceLimitError,
+                       match="^stage 1 over 3 variables: needs 1594326, limit is 1000000$"):
+        variety_vs_dalg(trivial, 3, 0)
+
+
 def test_a_negative_level_is_refused(comm):
     left_projection = two_element((0, 0, 1, 1))
     assert not satisfies(left_projection, comm)

@@ -1042,8 +1042,8 @@ def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
     is read nothing is pending or dirty, and every registered node is filed
     in ``sig_table`` under its operation and its children's current roots,
     in its own class; and every capped sort of an instance pass returns the
-    full order of the roots, cut at its height.  With no identities, or an
-    offset-0 variable, the cap keeps every root."""
+    full order of the roots, cut at its height, once per processed depth.
+    With no identities, or an offset-0 variable, the cap keeps every root."""
     engines = _engines_left(monkeypatch)
     sorts = []
     least_ids = _Engine.least_ids
@@ -1060,14 +1060,17 @@ def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
     model, cases = _matrix_cases()
     assert len(cases) == 50
     runs += [(model, name, n, depth) for name, n, depth in cases]
+    results = []
     for spec, name, n, depth in runs:
         sig = spec.signatures[spec.presentations[name].sig_name]
-        saturate(sig, spec.presentation_identities(name), gens(n), depth)
+        results.append(saturate(sig, spec.presentation_identities(name), gens(n), depth))
     uncapped = set()
     for ids in ([], [ident(MONOID_SIG, X, e(), ("x",))]):
-        saturate(MONOID_SIG, ids, gens(2), 3)
+        results.append(saturate(MONOID_SIG, ids, gens(2), 3))
         uncapped.add(id(engines[-1]))
     assert len(engines) == len(runs) + 2
+    for engine, res in zip(engines, results):
+        assert sum(owner is engine for owner, *_ in sorts) == len(res.state.class_counts)
     for engine in engines:
         assert not engine.pending and not engine.dirty
         find = engine.find
