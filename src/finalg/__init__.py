@@ -14,7 +14,6 @@ from .core import (
     Partition,
     coproduct,
     enumerate_maps,
-    kernel_pair,
     quotient,
 )
 from .equations import (

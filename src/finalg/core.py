@@ -137,7 +137,10 @@ class FinMap:
 
 
 class Partition:
-    """A partition of a finite set; each block is keyed by its least atom."""
+    """A partition of a finite set: each block's atoms in canonical order,
+    the blocks ordered by their least atoms.  The constructor refuses an
+    empty block, an atom outside the base or in two blocks, and blocks
+    that do not cover the base."""
 
     __slots__ = ("base", "blocks")
 
@@ -160,13 +163,6 @@ class Partition:
         canon.sort(key=lambda items: atom_key(items[0]))
         self.base = base
         self.blocks = tuple(canon)
-
-    def representatives(self) -> FinSet:
-        return FinSet(tuple(items[0] for items in self.blocks))
-
-    def projection(self) -> FinMap:
-        return FinMap(self.base, self.representatives(),
-                      {a: items[0] for items in self.blocks for a in items})
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -193,11 +189,12 @@ def coproduct(a: FinSet, b: FinSet) -> tuple[FinSet, FinMap, FinMap]:
     return total, inl, inr
 
 
-def quotient(base: FinSet, pairs: Iterable[tuple]) -> tuple[Partition, FinMap]:
-    """Finest partition of ``base`` merging every given pair, with its projection.
+def quotient(base: FinSet, pairs: Iterable[tuple]) -> Partition:
+    """The finest partition of ``base`` merging every given pair.
 
-    The projection sends each atom to the least atom of its block, so it
-    coequalizes the two coordinates of every pair.
+    The partition is the quotient: its blocks are the classes of the
+    equivalence the pairs generate, and no projection map is built.  An
+    atom of a pair outside ``base`` is refused.
     """
     parent = {a: a for a in base}
 
@@ -221,20 +218,7 @@ def quotient(base: FinSet, pairs: Iterable[tuple]) -> tuple[Partition, FinMap]:
     groups: dict = {}
     for a in base:
         groups.setdefault(find(a), []).append(a)
-    part = Partition(base, groups.values())
-    return part, part.projection()
-
-
-def kernel_pair(proj: FinMap) -> list[tuple]:
-    """All ordered pairs of domain atoms with equal image (diagonal included)."""
-    fibers: dict = {}
-    for a in proj.dom:
-        fibers.setdefault(proj.table[a], []).append(a)
-    pairs = []
-    for a in proj.dom:
-        for b in fibers[proj.table[a]]:
-            pairs.append((a, b))
-    return pairs
+    return Partition(base, groups.values())
 
 
 def bounded_power(what: str, base: int, exp: int, limit: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebras import FinAlgebra, compile_term
-from .core import FinSet, Partition, atom_key, count_maps, kernel_pair, quotient
+from .core import FinSet, Partition, count_maps, quotient
 from .errors import ValidationError
 from .functors import Signature
 from .identities import (
@@ -23,7 +23,7 @@ from .identities import (
     canonical_vars,
     equivalent_upto,
 )
-from .terms import Var, relabel, stage, substitute, variables
+from .terms import Var, stage, substitute, variables
 
 
 @dataclass(frozen=True, eq=True)
@@ -79,31 +79,28 @@ def identity_to_equation(ident: NaturalIdentity, x: FinSet) -> EquationArrow:
         for images in itertools.product(x.elements, repeat=k):
             g = {v: Var(a) for v, a in zip(names, images)}
             pairs.append((substitute(left, g), substitute(right, g)))
-    part, _ = quotient(st.terms, pairs)
-    return EquationArrow(ident.sig, x, ident.arity, part)
+    return EquationArrow(ident.sig, x, ident.arity, quotient(st.terms, pairs))
 
 
 def equation_to_identity(eq: EquationArrow) -> NaturalIdentity:
-    """Read the arrow back as a natural identity: one component per
-    off-diagonal kernel pair of the projection, over hom(|X|, -).
+    """Read the arrow back as a natural identity over hom(|X|, -): one
+    component per off-diagonal kernel pair ``(s, t)`` of the quotient,
+    read off the blocks with ``s`` before ``t`` in its block, ordered by
+    the stage position of ``s`` and then of ``t``.
 
-    Diagonal pairs are dropped and symmetric duplicates are kept once;
-    both are satisfaction-neutral.
+    Diagonal pairs and the reverse of each pair are left out; both are
+    satisfaction-neutral.
     """
-    proj = eq.part.projection()
     names = canonical_vars(len(eq.var_object))
-    renaming = dict(zip(eq.var_object.elements, names))
-    components = []
-    for s, t in kernel_pair(proj):
-        if s == t:
-            continue
-        if atom_key(s) > atom_key(t):
-            continue
-        components.append((relabel(s, renaming), relabel(t, renaming)))
-    k = len(eq.var_object)
-    domain = tuple(k for _ in components)
-    lhs = NaturalTerm(eq.sig, domain, eq.arity, tuple(s for s, _ in components))
-    rhs = NaturalTerm(eq.sig, domain, eq.arity, tuple(t for _, t in components))
+    renaming = {a: Var(v) for a, v in zip(eq.var_object.elements, names)}
+    pairs = [(s, t) for block in eq.part.blocks
+             for i, s in enumerate(block) for t in block[i + 1:]]
+    # Each s lies in one block, whose atoms are in stage order, so a stable
+    # sort on s alone leaves each s's partners in stage order too.
+    pairs.sort(key=lambda pair: eq.part.base.position[pair[0]])
+    domain = (len(eq.var_object),) * len(pairs)
+    lhs = NaturalTerm(eq.sig, domain, eq.arity, tuple(substitute(s, renaming) for s, _ in pairs))
+    rhs = NaturalTerm(eq.sig, domain, eq.arity, tuple(substitute(t, renaming) for _, t in pairs))
     return NaturalIdentity(lhs, rhs)
 
 

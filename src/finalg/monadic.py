@@ -336,25 +336,9 @@ def em_structures(m: PowersetMonadInstance) -> list[FinMap]:
 def dalg_check(algebra: FinAlgebra, identity: NaturalIdentity, bound: int) -> bool:
     """Whether the algebra is compatible with both arrows of the diagram
     induced by ``identity`` (translation along ``identity.lhs`` and
-    ``identity.rhs``) on every domain-chain element up to ``bound``.
-
-    The algebra's tables are its one structure map for the signature's
-    free monad, and a fold along an arrow is its structure map for the
-    domain's: a fold obeys the monad laws, so a node's fold along an arrow
-    is its component's ``NaturalTerm.compiled`` closure on its children's
-    folds.  Arrows that agree on each one-node ``ci(a1..ak)`` therefore
-    agree at every height, so ``_first_difference`` decides; at bound 0,
-    where the stage holds only variables, whose folds agree, it holds.
-
-    An algebra over another signature is refused; then, by
-    ``_dalg_bounds``, an over-large or too-deep stage at ``bound``; no
-    stage is built.  ``variety_vs_dalg`` makes the same refusals once per
-    carrier size, at the first algebra of the size, where this check would
-    make them."""
-    if algebra.sig is not identity.sig and algebra.sig != identity.sig:
-        raise ValidationError("algebra signature differs from the diagram")
-    _dalg_bounds(identity, algebra.carrier, bound)
-    return bound == 0 or _first_difference(algebra, identity) is None
+    ``identity.rhs``) on every domain-chain element up to ``bound``:
+    ``dalg_violation`` finds no witness, and refuses as it refuses."""
+    return dalg_violation(algebra, identity, bound) is None
 
 
 def _dalg_bounds(identity: NaturalIdentity, x: FinSet, bound: int) -> None:
@@ -368,11 +352,31 @@ def _dalg_bounds(identity: NaturalIdentity, x: FinSet, bound: int) -> None:
 def dalg_violation(algebra: FinAlgebra, identity: NaturalIdentity,
                    bound: int) -> Optional[Term]:
     """The first element of the domain chain's stage ``bound`` on which
-    ``dalg_check`` fails, or None, refused as it refuses: stage 1 sorts
-    first in every stage, so it is the walk's first difference."""
-    if dalg_check(algebra, identity, bound):
+    the translations along ``identity.lhs`` and ``identity.rhs`` fold to
+    different values in the algebra, or None.
+
+    The algebra's tables are its one structure map for the signature's
+    free monad, and a fold along an arrow is its structure map for the
+    domain's: a fold obeys the monad laws, so a node's fold along an arrow
+    is its component's ``NaturalTerm.compiled`` closure on its children's
+    folds.  Arrows that agree on each one-node ``ci(a1..ak)`` therefore
+    agree at every height, and stage 1 sorts first in every stage, so one
+    ``_first_difference`` walk of stage 1 finds the witness, which is built
+    from its result; at bound 0, where the stage holds only variables,
+    whose folds agree, there is none.
+
+    An algebra over another signature is refused; then, by
+    ``_dalg_bounds``, an over-large or too-deep stage at ``bound``; no
+    stage is built.  ``variety_vs_dalg`` makes the same refusals once per
+    carrier size, at the first algebra of the size, where this check would
+    make them."""
+    if algebra.sig is not identity.sig and algebra.sig != identity.sig:
+        raise ValidationError("algebra signature differs from the diagram")
+    _dalg_bounds(identity, algebra.carrier, bound)
+    found = None if bound == 0 else _first_difference(algebra, identity)
+    if found is None:
         return None
-    i, positions = _first_difference(algebra, identity)
+    i, positions = found
     return Node(f"c{i}", tuple([Var(algebra.carrier.elements[p]) for p in positions]))
 
 

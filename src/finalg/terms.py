@@ -123,16 +123,10 @@ def substitute(t: Term, mapping: Mapping[object, Term]) -> Term:
 
 
 def relabel(t: Term, f: Mapping[object, object]) -> Term:
-    """Rename variables by ``f``, preserving the tree shape."""
-    match t:
-        case Var(name):
-            try:
-                return Var(f[name])
-            except KeyError:
-                raise ValidationError(f"unbound variable {name!r}") from None
-        case Node(op, args):
-            return Node(op, tuple(relabel(a, f) for a in args))
-    raise ValidationError(f"not a term: {t!r}")
+    """Rename variables by ``f``, preserving the tree shape: substitution
+    of ``Var(f[a])`` for each variable ``a``, refused as ``substitute``
+    refuses an unbound variable or a value that is not a term."""
+    return substitute(t, {a: Var(b) for a, b in f.items()})
 
 
 def format_term(t: Term) -> str:

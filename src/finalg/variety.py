@@ -164,7 +164,18 @@ class _Engine:
         node of the step's operation over the ids in its slots, or over ids
         of their classes.  A step takes the node with exactly those children
         if there is one, else the node ``sig_table`` files under their roots;
-        it registers nothing, and raises ``KeyError`` when neither exists."""
+        it registers nothing, and raises ``KeyError`` when neither exists.
+
+        The exact ``nodes`` lookup comes first and stays.  Taking the
+        ``sig_table`` holder in place of the exact node hands later steps
+        other ids, and the instance's unions then merge other ids in the
+        middle of a pass, so a later step's key is not filed yet: with
+        every step built through ``sig_table`` alone, the test
+        ``test_universal_property_by_generation_matches_enumeration``
+        raises ``KeyError: ('m', (30, 0))``.  With the exact lookup first,
+        no step finds its exact node while its ``sig_table`` key is
+        missing, over a free_variety round, ``tests/test_variety.py``, the
+        CLI goldens and ``tests/test_acceptance.py``."""
         steps, _ = side
         regs = list(images)
         nodes, filed, find = self.nodes, self.sig_table, self.find

@@ -4,6 +4,12 @@ other names only the tests use: ``is_injective``, ``is_surjective``,
 ``domain_expr``, ``format_model``, ``then``, ``identity_map``,
 ``block_rep``, ``structure_map`` and ``em_to_algebra``.
 
+A quotient is its partition in finalg.  ``representatives``,
+``projection`` and ``kernel_pair`` give it as the map onto the least atom
+of each block and that map's kernel pair, and ``kernel_pair_identity``
+reads an equation arrow back through them, as the reference for
+``equation_to_identity``, which reads the pairs off the blocks.
+
 ``dalg_violation_full_walk`` walks every stage up to the bound, where
 ``monadic.dalg_violation`` compares the arrows on stage 1 only, as the
 reference for that cut.
@@ -37,6 +43,7 @@ from finalg.core import atom_key
 from finalg.dsl import SpecModel
 from finalg.identities import NaturalIdentity, NaturalTerm, canonical_vars
 from finalg.monadic import domain_signature, mu_flatten, rho_level
+from finalg.terms import relabel
 
 
 def translate(nt: NaturalTerm, elem: Term) -> Term:
@@ -77,6 +84,44 @@ def block_rep(part: Partition, atom):
         if atom in items:
             return items[0]
     raise ValidationError(f"{atom!r} not in base")
+
+
+def representatives(part: Partition) -> FinSet:
+    """The least atom of each block of ``part``."""
+    return FinSet(tuple(items[0] for items in part.blocks))
+
+
+def projection(part: Partition) -> FinMap:
+    """The map from ``part``'s base onto its representatives sending each
+    atom to the least atom of its block; it coequalizes every pair the
+    partition merges."""
+    return FinMap(part.base, representatives(part),
+                  {a: items[0] for items in part.blocks for a in items})
+
+
+def kernel_pair(proj: FinMap) -> list[tuple]:
+    """All ordered pairs of domain atoms with equal image (diagonal
+    included), by the domain position of the first, then of the second."""
+    fibers: dict = {}
+    for a in proj.dom:
+        fibers.setdefault(proj.table[a], []).append(a)
+    pairs = []
+    for a in proj.dom:
+        for b in fibers[proj.table[a]]:
+            pairs.append((a, b))
+    return pairs
+
+
+def kernel_pair_identity(eq) -> NaturalIdentity:
+    """An equation arrow read back as a natural identity through the
+    kernel pair of its projection: one component over hom(|X|, -) per
+    pair ``(s, t)`` with ``s`` sorting strictly before ``t``."""
+    renaming = dict(zip(eq.var_object.elements, canonical_vars(len(eq.var_object))))
+    pairs = [(s, t) for s, t in kernel_pair(projection(eq.part)) if atom_key(s) < atom_key(t)]
+    domain = tuple(len(eq.var_object) for _ in pairs)
+    return NaturalIdentity(
+        NaturalTerm(eq.sig, domain, eq.arity, tuple(relabel(s, renaming) for s, _ in pairs)),
+        NaturalTerm(eq.sig, domain, eq.arity, tuple(relabel(t, renaming) for _, t in pairs)))
 
 
 def structure_map(alg: FinAlgebra) -> FinMap:

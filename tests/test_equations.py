@@ -1,6 +1,8 @@
 import itertools
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as hst
 
 from finalg import (
     EquationArrow,
@@ -23,9 +25,12 @@ from finalg import (
     substitute,
 )
 from finalg import equations
+from finalg.dsl import parse_spec
 from finalg.identities import canonical_vars
 from conftest import MAGMA, MONOID_SIG, ident, m, v
-from oracles import fold
+from oracles import fold, kernel_pair_identity
+
+REPO = Path(__file__).resolve().parents[1]
 
 TWO = FinSet(("x", "y"))
 
@@ -215,3 +220,46 @@ def test_roundtrip_refuses_nonsense_sizes_before_any_stage(comm, sizes, max_size
     with pytest.raises(ValidationError) as exc:
         roundtrip_class_equal(comm, sizes, max_size)
     assert str(exc.value) == message
+
+
+def _same_reading(eq):
+    """``equation_to_identity`` gives the kernel-pair reading of ``eq``:
+    the same domain and the same component terms in the same order."""
+    got, want = equation_to_identity(eq), kernel_pair_identity(eq)
+    assert got.domain == want.domain
+    assert got.lhs.data == want.lhs.data
+    assert got.rhs.data == want.rhs.data
+
+
+def _spec_identities():
+    for path in ("workbench.alg", "perfbench/corpus/corpus.alg"):
+        model = parse_spec((REPO / path).read_text("utf-8"))
+        for name in model.identities:
+            yield pytest.param(model, name, id=f"{Path(path).stem}-{name}")
+
+
+@pytest.mark.parametrize("model, name", list(_spec_identities()))
+@pytest.mark.parametrize("generators", [0, 1, 2, 3])
+def test_blocks_read_as_the_kernel_pair(model, name, generators):
+    """Each declared identity's arrow over 0-3 generators reads back from
+    its blocks as through the kernel pair of its projection."""
+    x = FinSet(tuple(f"x{i + 1}" for i in range(generators)))
+    _same_reading(identity_to_equation(model.natural_identity(name), x))
+
+
+SMALL_STAGES = [(MAGMA, 1, 1), (MAGMA, 2, 1), (MAGMA, 3, 1), (MAGMA, 1, 2),
+                (MONOID_SIG, 2, 1), (Signature((("s", 1),)), 2, 3)]
+
+
+@given(hst.sampled_from(SMALL_STAGES), hst.data())
+def test_any_partition_reads_as_the_kernel_pair(shape, data):
+    """On a random partition of a small stage the blocks give the
+    kernel-pair reading."""
+    sig, generators, arity = shape
+    x = FinSet(tuple(f"x{i + 1}" for i in range(generators)))
+    terms = stage(sig, x, arity).terms
+    labels = data.draw(hst.lists(hst.integers(0, 3), min_size=len(terms), max_size=len(terms)))
+    blocks: dict = {}
+    for t, label in zip(terms, labels):
+        blocks.setdefault(label, []).append(t)
+    _same_reading(EquationArrow(sig, x, arity, Partition(terms, blocks.values())))

@@ -653,6 +653,25 @@ def test_dalg_rejects_algebra_of_another_signature(comm, algebra, bound):
         dalg_violation(algebra, comm, bound)
 
 
+def test_dalg_walks_stage_1_once(monkeypatch, comm, or_magma, left_projection):
+    """Finding a witness walks stage 1 once: the witness is built from the
+    walk's first difference, not from a second walk after the check."""
+    calls = []
+    real = monadic._first_difference
+
+    def counted(alg, identity):
+        calls.append(alg)
+        return real(alg, identity)
+
+    monkeypatch.setattr(monadic, "_first_difference", counted)
+    assert dalg_violation(left_projection, comm, 2) == Node("c0", (Var(0), Var(1)))
+    assert calls == [left_projection]
+    assert not dalg_check(left_projection, comm, 2)
+    assert dalg_violation(or_magma, comm, 2) is None
+    assert dalg_violation(left_projection, comm, 0) is None
+    assert calls == [left_projection, left_projection, or_magma]
+
+
 def test_dalg_accepts_an_equal_signature_that_is_another_object(comm, left_projection):
     """Signatures are compared by value: the left projection over a fresh
     copy of the magma signature gives the same witness as over MAGMA."""
