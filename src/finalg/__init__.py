@@ -49,7 +49,6 @@ from .monadic import (
 )
 from .terms import (
     Node,
-    Stage,
     Term,
     Var,
     format_term,

@@ -249,10 +249,10 @@ def is_morphism(src: FinAlgebra, dst: FinAlgebra, h: FinMap) -> bool:
     return True
 
 
-def count_algebras(sig: Signature, carrier: FinSet, max_count: int = MAX_ENUMERATION) -> int:
-    """The number Π_σ |A|^(|A|^ar(σ)) of algebras on the carrier, or a
-    :class:`ResourceLimitError` when it exceeds ``max_count``."""
-    n = len(carrier)
+def count_algebras(sig: Signature, n: int, max_count: int = MAX_ENUMERATION) -> int:
+    """The number Π_σ n^(n^ar(σ)) of algebras on a carrier of ``n`` atoms,
+    or a :class:`ResourceLimitError` when it exceeds ``max_count``; so a
+    caller can refuse a carrier before it builds one."""
     cells = sum(n**arity for _, arity in sig)
     return bounded_power("algebra enumeration", n, cells, max_count)
 
@@ -265,8 +265,8 @@ def enumerate_algebras(
 
     Raises :class:`ResourceLimitError` at the call, before any algebra is
     built, when there are more than ``max_count`` of them."""
-    count_algebras(sig, carrier, max_count)
     n = len(carrier)
+    count_algebras(sig, n, max_count)
     cells_per_op = [itertools.product(range(n), repeat=n**arity) for _, arity in sig]
     return map(partial(FinAlgebra._trusted, sig, carrier), itertools.product(*cells_per_op))
 

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Optional, Sequence, TextIO
 
 from . import variety as variety_mod
-from .algebras import enumerate_algebras, evaluate
+from .algebras import count_algebras, enumerate_algebras, evaluate
 from .core import MAX_ENUMERATION, FinSet, bounded_power, count_maps
 from .dsl import SpecModel, _declared, parse_spec, parse_term
 from .equations import (
@@ -38,7 +38,15 @@ from .monadic import (
     equi_check,
     powerset_instance,
 )
-from .terms import MAX_STAGE_SIZE, _stage_bounds, format_term, iter_stage_sizes, stage
+from .terms import (
+    MAX_STAGE_SIZE,
+    MAX_TERM_DEPTH,
+    _stage_bounds,
+    format_term,
+    generators,
+    iter_stage_sizes,
+    stage,
+)
 
 # ``chain`` refuses to print a stage size above this (the sizes grow doubly
 # exponentially, so each step past it would cost more than the last).
@@ -63,14 +71,6 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
     return value
-
-
-def _generators(n: int) -> FinSet:
-    """The generator set ``x1..xn``, which is stage 0: refused, before it is
-    built, above the bound every stage has."""
-    if n > MAX_STAGE_SIZE:
-        raise ResourceLimitError(f"stage 0 over {n} variables", n, MAX_STAGE_SIZE)
-    return FinSet(tuple(f"x{i + 1}" for i in range(n)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -99,16 +99,17 @@ def _format_subset(s: tuple) -> str:
 
 def _cmd_chain(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     sig = _declared(model.signatures, "signature", args.signature)
-    x = _generators(args.generators)
+    x = generators(args.generators)
     sizes = []
-    for k, size in zip(range(args.upto + 1), iter_stage_sizes(sig, x)):
+    for k, size in zip(range(min(args.upto, MAX_TERM_DEPTH) + 1), iter_stage_sizes(sig, x)):
         if size > MAX_PRINTED_STAGE_SIZE:
             raise ResourceLimitError(f"printed size of stage {k}", size, MAX_PRINTED_STAGE_SIZE)
         sizes.append(size)
+    if args.upto > MAX_TERM_DEPTH:  # as ``stage`` refuses it
+        raise ResourceLimitError(f"term height of stage {args.upto}", args.upto, MAX_TERM_DEPTH)
     print("sizes: " + " ".join(str(s) for s in sizes), file=out)
     if args.terms:
-        st = stage(sig, x, args.upto, args.max_stage_size)
-        for t in st.terms:
+        for t in stage(sig, x, args.upto, args.max_stage_size):
             print(f"term: {format_term(t)}", file=out)
     return 0
 
@@ -139,7 +140,7 @@ def _cmd_check(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     alg = _declared(model.algebras, "algebra", args.algebra).algebra
     ident = model.natural_identity(args.identity)
     if args.equation_generators is not None:
-        x = _generators(args.equation_generators)
+        x = generators(args.equation_generators)
         # Both demands are known from N and the carrier, so they are refused
         # before the stage and its quotient are built, in the order the
         # conversion and then ``satisfies_equation`` would refuse them.
@@ -165,6 +166,12 @@ def _cmd_check(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     sig = _declared(model.signatures, "signature", args.signature)
+    # Both demands are known from the size, so they are refused before the
+    # carrier is built: its algebras as ``enumerate_algebras`` counts them,
+    # then the carrier itself, which bounds a signature with no operations.
+    count_algebras(sig, args.size, args.max_count)
+    if args.size > MAX_ENUMERATION:
+        raise ResourceLimitError(f"carrier of {args.size} atoms", args.size, MAX_ENUMERATION)
     carrier = FinSet(tuple(str(i) for i in range(args.size)))
     idents = [model.natural_identity(name) for name in args.identity or []]
     count = 0
@@ -183,7 +190,7 @@ def _cmd_enumerate(args: argparse.Namespace, model: SpecModel, out: TextIO) -> i
 
 def _cmd_convert(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     ident = model.natural_identity(args.identity)
-    x = _generators(args.generators)
+    x = generators(args.generators)
     if args.mode == "to-equation":
         arrow = identity_to_equation(ident, x)
         print(f"generators: {args.generators}", file=out)
@@ -213,7 +220,7 @@ def _saturate_presentation(args: argparse.Namespace, model: SpecModel):
     decl = _declared(model.presentations, "presentation", args.presentation)
     sig = model.signatures[decl.sig_name]
     ids = model.presentation_identities(args.presentation)
-    x = _generators(args.generators)
+    x = generators(args.generators)
     return sig, ids, variety_mod.saturate(sig, ids, x, args.max_depth, args.max_universe)
 
 
@@ -262,7 +269,7 @@ def _cmd_uprop(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
 def _cmd_rho_chain(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     ident = model.natural_identity(args.identity)
     source = ident.lhs if args.side == "lhs" else ident.rhs
-    report = check_monad_map(source, args.bound, _generators(args.generators))
+    report = check_monad_map(source, args.bound, generators(args.generators))
     print(f"checked: {report.checked}", file=out)
     print(f"holds: {'true' if report.holds else 'false'}", file=out)
     if not report.holds:

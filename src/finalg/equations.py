@@ -23,7 +23,7 @@ from .identities import (
     canonical_vars,
     equivalent_upto,
 )
-from .terms import Var, stage, substitute, variables
+from .terms import Var, generators, stage, substitute, variables
 
 
 @dataclass(frozen=True, eq=True)
@@ -36,8 +36,7 @@ class EquationArrow:
     part: Partition
 
     def __post_init__(self):
-        expected = stage(self.sig, self.var_object, self.arity).terms
-        if self.part.base != expected:
+        if self.part.base != stage(self.sig, self.var_object, self.arity):
             raise ValidationError("partition base is not the full stage set")
 
     __hash__ = None
@@ -79,7 +78,7 @@ def identity_to_equation(ident: NaturalIdentity, x: FinSet) -> EquationArrow:
         for images in itertools.product(x.elements, repeat=k):
             g = {v: Var(a) for v, a in zip(names, images)}
             pairs.append((substitute(left, g), substitute(right, g)))
-    return EquationArrow(ident.sig, x, ident.arity, quotient(st.terms, pairs))
+    return EquationArrow(ident.sig, x, ident.arity, quotient(st, pairs))
 
 
 def equation_to_identity(eq: EquationArrow) -> NaturalIdentity:
@@ -136,8 +135,7 @@ def roundtrip_class_equal(
         raise ValidationError("max size must be at least 1")
     outcomes = []
     for size in x_sizes:
-        x = FinSet(tuple(f"x{i + 1}" for i in range(size)))
-        arrow = identity_to_equation(ident, x)
+        arrow = identity_to_equation(ident, generators(size))
         back = equation_to_identity(arrow)
         outcomes.append((size, equivalent_upto(ident, back, max_size)))
     return RoundtripReport(tuple(outcomes))

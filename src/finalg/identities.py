@@ -39,8 +39,8 @@ from .algebras import (
     compile_term,
     count_algebras,
 )
-from .core import FinSet
-from .errors import ValidationError
+from .core import MAX_ENUMERATION, FinSet
+from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .terms import Term, check_term, relabel, variables
 
@@ -380,15 +380,22 @@ def compare_classes(
     the first such algebra is the lex-least member of its isomorphism
     orbit, so only those members are evaluated, in the same order.
     ``checked`` is nominal, the carrier's count of algebras up to the
-    witness's rank; each size's count is bounded before its walk starts.
+    witness's rank.  Each size's count is bounded before its carrier is
+    built, and so is the whole walk: each size adds its carrier and its
+    count to a running total, refused above ``MAX_ENUMERATION`` before the
+    size is walked.
     """
     if max_size < 1:
         raise ValidationError("max size must be at least 1")
-    checked = 0
+    checked = walked = 0
     for size in range(1, max_size + 1):
+        total = count_algebras(sig, size)
+        walked += size + total
+        if walked > MAX_ENUMERATION:
+            raise ResourceLimitError(f"carriers and algebras of sizes 1..{size}",
+                                     walked, MAX_ENUMERATION)
         # Ints in range order are distinct and canonically sorted.
         carrier = FinSet._trusted(tuple(range(size)))
-        total = count_algebras(sig, carrier)
         for rank, alg in _orbit_representatives(sig, carrier):
             if in_left(alg) != in_right(alg):
                 return ClassComparison(False, alg, checked + rank + 1)

@@ -1,9 +1,11 @@
 """Terms over a signature and the stage sets of the free-algebra chain.
 
-Stage n over a variable set X is the set of all terms of height ≤ n;
-stage 0 is the variables alone.  The connecting maps of the chain are
-the variable embedding ``iota``, the node constructor ``q_node``, the
-stage inclusions ``w_embed``, and the one-step injection ``y_inject``.
+Stage n over a variable set X is the set of all terms of height ≤ n, a
+:class:`FinSet`; stage 0 is the variables alone.  The connecting maps of
+the chain are the variable embedding ``iota``, the node constructor
+``q_node``, the stage inclusions ``w_embed``, and the one-step injection
+``y_inject``; each takes the signature, X and the stage indices, as
+``stage_map`` takes the signature, a variable map and the index.
 In this finite-set instantiation all connecting maps are injections, so
 stages are literally nested sets of terms and ``w_embed`` is inclusion:
 stage n is built from the cached stage n-1's own terms and the nodes of
@@ -155,16 +157,6 @@ def check_term(sig: Signature, t: Term) -> None:
     raise ValidationError(f"not a term: {t!r}")
 
 
-@dataclass(frozen=True)
-class Stage:
-    """Stage n of the chain: all terms over ``sig`` and ``x`` of height ≤ n."""
-
-    sig: Signature
-    x: FinSet
-    n: int
-    terms: FinSet
-
-
 def iter_stage_sizes(sig: Signature, x: FinSet) -> Iterator[int]:
     """Stage cardinalities 0, 1, 2, ... via |S_{k+1}| = Σ_σ |S_k|^{ar(σ)} + |x|.
 
@@ -199,42 +191,52 @@ def _stage_terms(sig: Signature, x: FinSet, n: int) -> FinSet:
 
 def _stage_bounds(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> None:
     """Refuse stage ``n`` over ``x`` as ``stage`` does, from the sizes alone:
-    when a size up to stage ``n`` exceeds ``max_size``, and then when ``n``
-    exceeds ``MAX_TERM_DEPTH``."""
+    when a size up to stage ``min(n, MAX_TERM_DEPTH)`` exceeds ``max_size``,
+    and then when ``n`` exceeds ``MAX_TERM_DEPTH``.  So the walk is at most
+    ``MAX_TERM_DEPTH + 1`` sizes long, whatever ``n`` is."""
     if n < 0:
         raise ValidationError("negative stage index")
-    for k, size in zip(range(n + 1), iter_stage_sizes(sig, x)):
+    for k, size in zip(range(min(n, MAX_TERM_DEPTH) + 1), iter_stage_sizes(sig, x)):
         if size > max_size:
             raise ResourceLimitError(f"stage {k} over {len(x)} variables", size, max_size)
     if n > MAX_TERM_DEPTH:
         raise ResourceLimitError(f"term height of stage {n}", n, MAX_TERM_DEPTH)
 
 
-def stage(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> Stage:
-    """Build stage ``n`` over variable set ``x``, once ``_stage_bounds``
-    admits it."""
+def generators(n: int) -> FinSet:
+    """The variable set ``x1..xn``, which is stage 0: refused, before it is
+    built, above the bound every stage has."""
+    if n > MAX_STAGE_SIZE:
+        raise ResourceLimitError(f"stage 0 over {n} variables", n, MAX_STAGE_SIZE)
+    return FinSet(tuple(f"x{i + 1}" for i in range(n)))
+
+
+def stage(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> FinSet:
+    """Stage ``n`` over variable set ``x``: the set of all terms over ``sig``
+    and ``x`` of height ≤ n, in stage order, once ``_stage_bounds`` admits
+    it."""
     _stage_bounds(sig, x, n, max_size)
-    return Stage(sig, x, n, _stage_terms(sig, x, n))
+    return _stage_terms(sig, x, n)
 
 
-def iota(st: Stage) -> FinMap:
+def iota(sig: Signature, x: FinSet, n: int) -> FinMap:
     """The variable embedding X → stage n."""
-    return FinMap(st.x, st.terms, {a: Var(a) for a in st.x})
+    return FinMap(x, stage(sig, x, n), {a: Var(a) for a in x})
 
 
 def q_node(sig: Signature, x: FinSet, n: int) -> FinMap:
     """The node constructor F(stage n) → stage n+1, sending a tuple to its node."""
-    src = apply_obj(sig, stage(sig, x, n).terms)
-    dst = stage(sig, x, n + 1).terms
+    src = apply_obj(sig, stage(sig, x, n))
+    dst = stage(sig, x, n + 1)
     return FinMap(src, dst, {(name, args): Node(name, args) for (name, args) in src})
 
 
-def w_embed(st_m: Stage, n: int) -> FinMap:
-    """The inclusion stage m ⊆ stage n for m ≤ n."""
-    if n < st_m.n:
-        raise ValidationError(f"cannot embed stage {st_m.n} into lower stage {n}")
-    dst = stage(st_m.sig, st_m.x, n).terms
-    return FinMap(st_m.terms, dst, {t: t for t in st_m.terms})
+def w_embed(sig: Signature, x: FinSet, m: int, n: int) -> FinMap:
+    """The inclusion stage m ⊆ stage n over ``x``, refused when n < m."""
+    if n < m:
+        raise ValidationError(f"cannot embed stage {m} into lower stage {n}")
+    src = stage(sig, x, m)
+    return FinMap(src, stage(sig, x, n), {t: t for t in src})
 
 
 def y_inject(sig: Signature, x: FinSet, n: int) -> FinMap:
@@ -243,7 +245,7 @@ def y_inject(sig: Signature, x: FinSet, n: int) -> FinMap:
     if n < 1:
         raise ValidationError("y_inject needs stage index ≥ 1")
     src = apply_obj(sig, x)
-    dst = stage(sig, x, n).terms
+    dst = stage(sig, x, n)
     table = {
         (name, args): Node(name, tuple(Var(a) for a in args)) for (name, args) in src
     }
@@ -252,6 +254,6 @@ def y_inject(sig: Signature, x: FinSet, n: int) -> FinMap:
 
 def stage_map(sig: Signature, f: FinMap, n: int) -> FinMap:
     """Functorial action of stage n on a variable map: relabel variables."""
-    src = stage(sig, f.dom, n).terms
-    dst = stage(sig, f.cod, n).terms
+    src = stage(sig, f.dom, n)
+    dst = stage(sig, f.cod, n)
     return FinMap(src, dst, {t: relabel(t, f.table) for t in src})

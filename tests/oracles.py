@@ -223,7 +223,7 @@ def satisfies_transform(alg, ident):
     G(A) → stage(A) and compare the literal composites with term
     evaluation stage(A) → A."""
     ga = apply_obj(domain_expr(ident), alg.carrier)
-    st = stage(ident.sig, alg.carrier, ident.arity).terms
+    st = stage(ident.sig, alg.carrier, ident.arity)
 
     def component(nt):
         table = {}
@@ -244,7 +244,7 @@ def satisfies_level_enumerated(alg, ident, k):
     each element through both level maps, and evaluate.  Feasible only for
     small domains."""
     binding = {a: a for a in alg.carrier}
-    for elem in stage(domain_signature(ident.domain), alg.carrier, k).terms:
+    for elem in stage(domain_signature(ident.domain), alg.carrier, k):
         lhs = fold(alg, rho_level(ident.lhs, k, elem), binding)
         rhs = fold(alg, rho_level(ident.rhs, k, elem), binding)
         if lhs != rhs:
@@ -280,7 +280,7 @@ def dalg_violation_full_walk(algebra, identity, bound):
     the bound is walked, not only stage 1, and each element is translated
     and folded as a whole."""
     binding = {a: a for a in algebra.carrier}
-    for t in stage(domain_signature(identity.domain), algebra.carrier, bound).terms:
+    for t in stage(domain_signature(identity.domain), algebra.carrier, bound):
         if fold(algebra, translate(identity.lhs, t), binding) != fold(
                 algebra, translate(identity.rhs, t), binding):
             return t

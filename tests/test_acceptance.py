@@ -62,9 +62,9 @@ def test_criterion_1_evaluation_identities():
                 a = FinSet(tuple(range(size)))
                 binding = {x: x for x in a}
                 q_maps = [q_node(sig, a, n) for n in range(3)]
-                iotas = [iota(stage(sig, a, n)) for n in range(4)]
+                iotas = [iota(sig, a, n) for n in range(4)]
                 w_maps = [
-                    (stage(sig, a, m_idx), w_embed(stage(sig, a, m_idx), n_idx))
+                    (stage(sig, a, m_idx), w_embed(sig, a, m_idx, n_idx))
                     for m_idx in range(4)
                     for n_idx in range(m_idx, 4)
                 ]
@@ -79,7 +79,7 @@ def test_criterion_1_evaluation_identities():
                         for x in a:
                             assert evaluate(alg, emb(x), binding) == x
                     for st, w in w_maps:
-                        for t in st.terms:
+                        for t in st:
                             assert evaluate(alg, w(t), binding) == evaluate(
                                 alg, t, binding
                             )
@@ -95,12 +95,11 @@ def test_criterion_2_chain_law():
             for x in (FinSet(("x1",)), two):
                 for m_idx in range(3):
                     for n_idx in range(m_idx, 3):
-                        st_m = stage(sig, x, m_idx)
                         left = then(
-                            q_node(sig, x, m_idx), w_embed(stage(sig, x, m_idx + 1), n_idx + 1)
+                            q_node(sig, x, m_idx), w_embed(sig, x, m_idx + 1, n_idx + 1)
                         )
                         right = then(
-                            apply_map(sig, w_embed(st_m, n_idx)), q_node(sig, x, n_idx)
+                            apply_map(sig, w_embed(sig, x, m_idx, n_idx)), q_node(sig, x, n_idx)
                         )
                         assert left == right
 

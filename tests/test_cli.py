@@ -152,9 +152,12 @@ def test_convert_deep_identity_is_refused_promptly(tmp_path):
 
 UNARY_SPEC = """\
 signature Un { op s : 1 }
+signature K { op e : 0 }
 vars x
 identity inv over Un : s(s(x)) = x
+identity c over K : e() = e()
 algebra Flip over Un { carrier { 0 1 } op s { (0) -> 1 (1) -> 0 } }
+algebra A over K { carrier { 0 1 } op e { () -> 0 } }
 """
 
 
@@ -164,11 +167,16 @@ algebra Flip over Un { carrier { 0 1 } op s { (0) -> 1 (1) -> 0 } }
         (["chain", "--signature", "Un", "--generators", "1", "--terms", "--upto", "300"], 300),
         (["dalg-check", "--identity", "inv", "--algebra", "Flip", "--bound", "300"], 300),
         (["rho-chain", "--identity", "inv", "--bound", "3000"], 3000),
+        (["rho-chain", "--identity", "c", "--bound", "3000000"], 3000000),
+        (["dalg-check", "--identity", "c", "--algebra", "A", "--bound", "3000000"], 3000000),
+        (["chain", "--signature", "K", "--generators", "1", "--upto", "3000000"], 3000000),
+        (["chain", "--signature", "Un", "--generators", "1", "--upto", "3000000"], 3000000),
     ],
 )
 def test_unary_stage_index_is_bounded(argv, stage_index, tmp_path):
-    """On a unary signature the stage sizes stay small at any index, so the
-    term height bound is what refuses these, at once and without a traceback."""
+    """On a unary or nullary-only signature the stage sizes stay small at
+    any index, so the term height bound is what refuses these, at once,
+    after at most ``MAX_TERM_DEPTH + 1`` sizes, and without a traceback."""
     spec = tmp_path / "unary.alg"
     spec.write_text(UNARY_SPEC, encoding="utf-8")
     start = time.monotonic()
@@ -596,13 +604,16 @@ def test_equation_check_is_bounded_before_the_conversion(argv, err, corpus_file,
     [
         (["enumerate", "--spec", "{corpus}", "--signature", "Magma", "--size", "3000"],
          "resource limit: algebra enumeration: needs at least 10^29801969, limit is 1000000\n"),
+        (["enumerate", "--spec", "{corpus}", "--signature", "Magma", "--size", "3000000"],
+         "resource limit: algebra enumeration: needs at least 10^56894669179740, "
+         "limit is 1000000\n"),
         (["em-check", "--size", "18"],
          "resource limit: map enumeration from 262144 into 18 atoms: "
          "needs at least 10^315652, limit is 1000000\n"),
         (["em-check", "--size", "25"],
          "resource limit: subsets of 25 atoms: needs 33554432, limit is 1000000\n"),
     ],
-    ids=["enumerate-3000", "em-check-18", "em-check-25"],
+    ids=["enumerate-3000", "enumerate-3000000", "em-check-18", "em-check-25"],
 )
 def test_large_enumerations_are_refused_before_any_work(argv, err, corpus_file):
     """The count is compared with its bound before the power is built and
@@ -706,6 +717,39 @@ def test_generator_sets_are_bounded_before_they_are_built(argv, corpus_file):
     assert time.monotonic() - start < 1
     assert result == (2, "", f"resource limit: stage 0 over {_GIANT} variables: "
                              f"needs {_GIANT}, limit is 1000000\n")
+
+
+def test_enumerate_refuses_a_carrier_before_it_is_built(tmp_path):
+    """With no operations there is one algebra at every size, so it is the
+    carrier itself that is bounded, before a single atom is made."""
+    spec = tmp_path / "empty.alg"
+    spec.write_text("signature E { }\n", encoding="utf-8")
+    start = time.monotonic()
+    result = invoke(["enumerate", "--spec", str(spec), "--signature", "E", "--size", "3000000"])
+    assert time.monotonic() - start < 1
+    assert result == (2, "", "resource limit: carrier of 3000000 atoms: needs 3000000, "
+                             "limit is 1000000\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equi", "--identity", "c", "--level", "1", "--max-size", "3000"],
+        ["convert", "roundtrip", "--identity", "c", "--generators", "1", "--max-size", "3000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_class_oracles_bound_their_whole_walk(argv, tmp_path):
+    """Over constants alone each carrier size holds few algebras, so the
+    number of sizes is what grows: the walk is refused once its carriers
+    and counts together pass the enumeration bound."""
+    spec = tmp_path / "unary.alg"
+    spec.write_text(UNARY_SPEC, encoding="utf-8")
+    start = time.monotonic()
+    result = invoke([argv[0], "--spec", str(spec), *argv[1:]])
+    assert time.monotonic() - start < 1
+    assert result == (2, "", "resource limit: carriers and algebras of sizes 1..1000: "
+                             "needs 1001000, limit is 1000000\n")
 
 
 _EXTRA = """

@@ -121,8 +121,8 @@ def test_quotient_transitivity():
 
 def test_quotient_on_stage_set():
     st = stage(MAGMA, FinSet(("x", "y")), 1)
-    assert len(st.terms) == 6
-    part = quotient(st.terms, [(m(v("x"), v("y")), m(v("y"), v("x")))])
+    assert len(st) == 6
+    part = quotient(st, [(m(v("x"), v("y")), m(v("y"), v("x")))])
     assert len(part) == 5
     assert (m(v("x"), v("y")), m(v("y"), v("x"))) in part.blocks
     assert block_rep(part, m(v("y"), v("x"))) == m(v("x"), v("y"))
@@ -146,7 +146,7 @@ def test_kernel_pair_of_constant():
 
 def test_kernel_pair_of_stage_quotient():
     st = stage(MAGMA, FinSet(("x", "y")), 1)
-    part = quotient(st.terms, [(m(v("x"), v("y")), m(v("y"), v("x")))])
+    part = quotient(st, [(m(v("x"), v("y")), m(v("y"), v("x")))])
     pairs = kernel_pair(projection(part))
     assert len(pairs) == 8
     assert [(s, t) for s, t in pairs if s != t] == [

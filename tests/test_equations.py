@@ -1,4 +1,5 @@
 import itertools
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from finalg import (
     FinSet,
     Node,
     Partition,
+    ResourceLimitError,
     ValidationError,
     Signature,
     Var,
@@ -37,14 +39,14 @@ TWO = FinSet(("x", "y"))
 
 def discrete_arrow(sig, x, n):
     st = stage(sig, x, n)
-    return EquationArrow(sig, x, n, Partition(st.terms, [[t] for t in st.terms]))
+    return EquationArrow(sig, x, n, Partition(st, [[t] for t in st]))
 
 
 def naive_instance_partition(identity, x):
     """Independent pairwise-merge closure: repeatedly sweep the instance
     pairs, merging blocks held as plain sets, until nothing changes."""
     st = stage(identity.sig, x, identity.arity)
-    blocks = [{t} for t in st.terms]
+    blocks = [{t} for t in st]
     pairs = []
     for i, k in enumerate(identity.domain):
         names = canonical_vars(k)
@@ -63,13 +65,13 @@ def naive_instance_partition(identity, x):
                 bs.update(bt)
                 blocks.remove(bt)
                 changed = True
-    return Partition(st.terms, blocks)
+    return Partition(st, blocks)
 
 
 def test_arrow_requires_full_stage_partition(comm):
     st = stage(MAGMA, TWO, 1)
     with pytest.raises(ValidationError):
-        EquationArrow(MAGMA, TWO, 1, Partition(FinSet(st.terms.elements[:3]), [st.terms.elements[:3]]))
+        EquationArrow(MAGMA, TWO, 1, Partition(FinSet(st.elements[:3]), [st.elements[:3]]))
 
 
 def test_discrete_arrow_satisfied_by_all():
@@ -131,8 +133,8 @@ def test_equation_to_identity_unit_law():
     one = FinSet(("x",))
     st = stage(MONOID_SIG, one, 1)
     blocks = [{Node("e", ()), v("x")}]
-    rest = [[t] for t in st.terms if t not in blocks[0]]
-    arrow = EquationArrow(MONOID_SIG, one, 1, Partition(st.terms, list(blocks) + rest))
+    rest = [[t] for t in st if t not in blocks[0]]
+    arrow = EquationArrow(MONOID_SIG, one, 1, Partition(st, list(blocks) + rest))
     back = equation_to_identity(arrow)
     assert back.domain == (1,)
     assert back.lhs.data == (v("v1"),)
@@ -222,6 +224,16 @@ def test_roundtrip_refuses_nonsense_sizes_before_any_stage(comm, sizes, max_size
     assert str(exc.value) == message
 
 
+def test_roundtrip_refuses_its_generators_before_it_builds_them(comm):
+    """The variable object of each size is stage 0, so a size above the
+    stage bound is refused before a single variable is made."""
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError) as exc:
+        roundtrip_class_equal(comm, [3000000], 2)
+    assert time.monotonic() - start < 1
+    assert str(exc.value) == "stage 0 over 3000000 variables: needs 3000000, limit is 1000000"
+
+
 def _same_reading(eq):
     """``equation_to_identity`` gives the kernel-pair reading of ``eq``:
     the same domain and the same component terms in the same order."""
@@ -257,7 +269,7 @@ def test_any_partition_reads_as_the_kernel_pair(shape, data):
     kernel-pair reading."""
     sig, generators, arity = shape
     x = FinSet(tuple(f"x{i + 1}" for i in range(generators)))
-    terms = stage(sig, x, arity).terms
+    terms = stage(sig, x, arity)
     labels = data.draw(hst.lists(hst.integers(0, 3), min_size=len(terms), max_size=len(terms)))
     blocks: dict = {}
     for t, label in zip(terms, labels):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -333,6 +334,26 @@ def test_orbit_comparison_matches_plain_enumeration(case):
     witness = None if cmp.witness is None else cmp.witness.tables
     assert (cmp.equal, cmp.checked, witness) == expected
     assert cmp.checked == checked
+
+
+@pytest.mark.parametrize(
+    "sig, size, needs, checked",
+    [(Signature(()), 1413, 1000404, 1412), (Signature((("e", 0),)), 1000, 1001000, 499500)],
+    ids=["no-operations", "one-constant"],
+)
+def test_class_comparison_bounds_its_whole_walk(sig, size, needs, checked):
+    """With no operation of positive arity a carrier size holds few
+    algebras, so the number of sizes is what grows: each size adds its
+    carrier and its count to one total, and the walk is refused at the
+    first size that takes the total past the enumeration bound."""
+    trivial = ident(sig, v("x"), v("x"), ("x",))
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError) as exc:
+        equivalent_upto(trivial, trivial, 3000)
+    assert time.monotonic() - start < 1
+    assert str(exc.value) == (
+        f"carriers and algebras of sizes 1..{size}: needs {needs}, limit is 1000000")
+    assert equivalent_upto(trivial, trivial, size - 1) == ClassComparison(True, None, checked)
 
 
 @pytest.mark.parametrize("size, orbits", [(1, 1), (2, 10), (3, 3330)])

@@ -77,15 +77,15 @@ def test_mu_flatten_substitution():
 
 def test_mu_flatten_unit_laws():
     view = FreeMonadView(MAGMA)
-    for t in stage(MAGMA, TWO, 2).terms:
+    for t in stage(MAGMA, TWO, 2):
         assert view.mu(TWO, wrap_term(t)) == t
         wrapped_vars = _map_vars(t, lambda name: wrap_term(Var(name)))
         assert view.mu(TWO, wrapped_vars) == t
 
 
 def test_mu_flatten_associativity():
-    inner = list(stage(MAGMA, TWO, 1).terms)
-    shapes = list(stage(MAGMA, FinSet(("s1", "s2")), 1).terms)
+    inner = list(stage(MAGMA, TWO, 1))
+    shapes = list(stage(MAGMA, FinSet(("s1", "s2")), 1))
     middles = []
     for shape in shapes:
         for t1, t2 in itertools.islice(itertools.product(inner, repeat=2), 4):
@@ -250,7 +250,7 @@ def test_rho_chain_of_signature_injection():
                 return Node("m", tuple(rename(a) for a in args))
 
     for k in range(3):
-        for elem in stage(domain_signature(chain.domain), TWO, k).terms:
+        for elem in stage(domain_signature(chain.domain), TWO, k):
             assert rho_level(chain, k, elem) == rename(elem)
 
 
@@ -262,8 +262,8 @@ def test_monad_map_commutes_with_substitution(comm):
     chain = comm.lhs
     gsig = domain_signature(chain.domain)
     assert translate(chain, v("x")) == v("x")
-    inner = list(stage(gsig, TWO, 1).terms)
-    shapes = stage(gsig, FinSet(("s1", "s2")), 1).terms
+    inner = list(stage(gsig, TWO, 1))
+    shapes = stage(gsig, FinSet(("s1", "s2")), 1)
     for shape in shapes:
         for t1, t2 in itertools.product(inner, repeat=2):
             tt = _map_vars(shape, lambda nm: wrap_term(t1 if nm == "s1" else t2))
@@ -349,8 +349,8 @@ def test_evaluation_is_em_structure(or_magma, left_projection):
         binding = {a: a for a in alg.carrier}
         for a in alg.carrier:
             assert evaluate(alg, Var(a), binding) == a
-        inner = stage(MAGMA, alg.carrier, 1).terms
-        shapes = stage(MAGMA, FinSet(("s1", "s2")), 1).terms
+        inner = stage(MAGMA, alg.carrier, 1)
+        shapes = stage(MAGMA, FinSet(("s1", "s2")), 1)
         for shape in shapes:
             for t1, t2 in itertools.product(inner, repeat=2):
                 tt = _map_vars(shape, lambda nm: wrap_term(t1 if nm == "s1" else t2))

@@ -135,7 +135,7 @@ def test_bundle_and_equivalent_upto_refuse_mixed_signatures(comm):
 
 def test_satisfies_equation_refuses_an_algebra_of_another_signature(or_monoid):
     x = FinSet(("x",))
-    terms = stage(MAGMA, x, 0).terms
+    terms = stage(MAGMA, x, 0)
     eq = EquationArrow(MAGMA, x, 0, Partition(terms, [terms.elements]))
     with pytest.raises(ValidationError,
                        match="^signature mismatch between algebra and equation$"):

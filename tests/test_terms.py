@@ -81,7 +81,7 @@ def test_stage_sizes_magma_one_generator():
         sizes.append(sizes[-1] ** 2 + 1)
     assert sizes == [1, 2, 5, 26]
     assert list(itertools.islice(iter_stage_sizes(MAGMA, ONE), 4)) == sizes
-    assert [len(stage(MAGMA, ONE, n).terms) for n in range(4)] == sizes
+    assert [len(stage(MAGMA, ONE, n)) for n in range(4)] == sizes
 
 
 def test_stage_sizes_monoid_sig_no_generators():
@@ -90,20 +90,20 @@ def test_stage_sizes_monoid_sig_no_generators():
         sizes.append(sizes[-1] ** 2 + 1 + 0)
     assert sizes == [0, 1, 2]
     empty = FinSet(())
-    assert [len(stage(MONOID_SIG, empty, n).terms) for n in range(3)] == sizes
+    assert [len(stage(MONOID_SIG, empty, n)) for n in range(3)] == sizes
 
 
 def test_stage_empty_signature():
     sig = Signature(())
     for n in range(4):
-        assert stage(sig, TWO, n).terms == FinSet((v("x"), v("y")))
+        assert stage(sig, TWO, n) == FinSet((v("x"), v("y")))
 
 
 def test_stage_contains_exactly_bounded_heights():
     st = stage(MAGMA, TWO, 2)
-    assert all(t.height <= 2 for t in st.terms)
-    assert m(m(v("x"), v("y")), v("x")) in st.terms
-    assert m(m(m(v("x"), v("x")), v("y")), v("x")) not in st.terms
+    assert all(t.height <= 2 for t in st)
+    assert m(m(v("x"), v("y")), v("x")) in st
+    assert m(m(m(v("x"), v("x")), v("y")), v("x")) not in st
 
 
 def test_stage_resource_guard():
@@ -122,14 +122,11 @@ def test_stage_refuses_at_the_first_size_over_the_bound():
 
 
 def test_iota():
-    st = stage(MAGMA, ONE, 2)
-    emb = iota(st)
+    emb = iota(MAGMA, ONE, 2)
     assert emb("u") == v("u")
     assert is_injective(emb)
-    empty_st = stage(MAGMA, FinSet(()), 1)
-    assert iota(empty_st).table == {}
-    st0 = stage(MAGMA, TWO, 0)
-    assert is_surjective(iota(st0))
+    assert iota(MAGMA, FinSet(()), 1).table == {}
+    assert is_surjective(iota(MAGMA, TWO, 0))
 
 
 def test_q_node_examples():
@@ -139,31 +136,28 @@ def test_q_node_examples():
     assert q0e(("e", ())) == Node("e", ())
     q1 = q_node(MAGMA, ONE, 1)
     tall = q1(("m", (m(v("u"), v("u")), v("u"))))
-    assert tall.height == 2 and tall in stage(MAGMA, ONE, 2).terms
+    assert tall.height == 2 and tall in stage(MAGMA, ONE, 2)
 
 
 def test_iota_q_jointly_bijective():
     for sig in (MAGMA, MONOID_SIG):
         for n in range(3):
             st1 = stage(sig, TWO, n + 1)
-            images = set(iota(st1).table.values()) | set(q_node(sig, TWO, n).table.values())
-            assert images == set(st1.terms)
+            images = set(iota(sig, TWO, n + 1).table.values()) | set(q_node(sig, TWO, n).table.values())
+            assert images == set(st1)
 
 
 def test_w_embed_identity_and_iota():
-    st = stage(MAGMA, TWO, 2)
-    assert w_embed(st, 2) == identity_map(st.terms)
-    st0 = stage(MAGMA, TWO, 0)
-    w03 = w_embed(st0, 3)
-    emb3 = iota(stage(MAGMA, TWO, 3))
+    assert w_embed(MAGMA, TWO, 2, 2) == identity_map(stage(MAGMA, TWO, 2))
+    w03 = w_embed(MAGMA, TWO, 0, 3)
+    emb3 = iota(MAGMA, TWO, 3)
     assert all(w03(v(a)) == emb3(a) for a in TWO)
     with pytest.raises(ValidationError):
-        w_embed(st, 1)
+        w_embed(MAGMA, TWO, 2, 1)
 
 
 def test_w_embed_counts():
-    st1 = stage(MAGMA, ONE, 1)
-    included = w_embed(st1, 2)
+    included = w_embed(MAGMA, ONE, 1, 2)
     assert is_injective(included)
     assert len(included.dom) == 2 and len(included.cod) == 5
 
@@ -172,21 +166,20 @@ def test_w_cocone_coherence():
     for k in range(3):
         for mid in range(k, 3):
             for n in range(mid, 3):
-                st_k = stage(MAGMA, TWO, k)
-                st_m = stage(MAGMA, TWO, mid)
-                assert then(w_embed(st_k, mid), w_embed(st_m, n)) == w_embed(st_k, n)
+                assert then(w_embed(MAGMA, TWO, k, mid), w_embed(MAGMA, TWO, mid, n)) == w_embed(
+                    MAGMA, TWO, k, n
+                )
 
 
 def test_chain_square_law():
     for sig in (MAGMA, MONOID_SIG):
         for m_idx in range(3):
             for n_idx in range(m_idx, 3):
-                st_m = stage(sig, TWO, m_idx)
                 left = then(
-                    q_node(sig, TWO, m_idx), w_embed(stage(sig, TWO, m_idx + 1), n_idx + 1)
+                    q_node(sig, TWO, m_idx), w_embed(sig, TWO, m_idx + 1, n_idx + 1)
                 )
                 right = then(
-                    apply_map(sig, w_embed(st_m, n_idx)), q_node(sig, TWO, n_idx)
+                    apply_map(sig, w_embed(sig, TWO, m_idx, n_idx)), q_node(sig, TWO, n_idx)
                 )
                 assert left == right
 
@@ -207,15 +200,15 @@ def test_y_inject_is_w_after_q0():
         for n in (1, 2, 3):
             y = y_inject(sig, TWO, n)
             q0 = q_node(sig, TWO, 0)
-            w1n = w_embed(stage(sig, TWO, 1), n)
+            w1n = w_embed(sig, TWO, 1, n)
             fx = apply_obj(sig, TWO)
-            var_iso = apply_map(sig, iota(stage(sig, TWO, 0)))
+            var_iso = apply_map(sig, iota(sig, TWO, 0))
             assert y == then(then(var_iso, q0), w1n)
 
 
 def test_stage_map_identity_and_relabel():
     ident = identity_map(TWO)
-    assert stage_map(MAGMA, ident, 1) == identity_map(stage(MAGMA, TWO, 1).terms)
+    assert stage_map(MAGMA, ident, 1) == identity_map(stage(MAGMA, TWO, 1))
     collapse = FinMap(TWO, ONE, {"x": "u", "y": "u"})
     sm = stage_map(MAGMA, collapse, 1)
     assert sm(m(v("x"), v("y"))) == m(v("u"), v("u"))
@@ -234,14 +227,14 @@ def test_stage_map_functorial():
 def test_stage_map_commutes_with_chain_maps():
     for f in enumerate_maps(TWO, ONE):
         n = 2
-        assert then(iota(stage(MAGMA, TWO, n)), stage_map(MAGMA, f, n)) == then(
-            f, iota(stage(MAGMA, ONE, n))
+        assert then(iota(MAGMA, TWO, n), stage_map(MAGMA, f, n)) == then(
+            f, iota(MAGMA, ONE, n)
         )
         q_then_map = then(q_node(MAGMA, TWO, 1), stage_map(MAGMA, f, 2))
         map_then_q = then(apply_map(MAGMA, stage_map(MAGMA, f, 1)), q_node(MAGMA, ONE, 1))
         assert q_then_map == map_then_q
-        w_then_map = then(w_embed(stage(MAGMA, TWO, 1), 2), stage_map(MAGMA, f, 2))
-        map_then_w = then(stage_map(MAGMA, f, 1), w_embed(stage(MAGMA, ONE, 1), 2))
+        w_then_map = then(w_embed(MAGMA, TWO, 1, 2), stage_map(MAGMA, f, 2))
+        map_then_w = then(stage_map(MAGMA, f, 1), w_embed(MAGMA, ONE, 1, 2))
         assert w_then_map == map_then_w
 
 
@@ -269,8 +262,8 @@ def test_stages_hold_the_earlier_stages_terms(sig):
     """Stage n is built on stage n-1's own terms, so a memo keyed on one
     stage's terms is hit by the next stage's by identity."""
     for n in range(1, 4):
-        earlier = stage(sig, TWO, n - 1).terms
-        later = {id(t) for t in stage(sig, TWO, n).terms}
+        earlier = stage(sig, TWO, n - 1)
+        later = {id(t) for t in stage(sig, TWO, n)}
         assert all(id(t) in later for t in earlier)
 
 
@@ -311,7 +304,7 @@ def test_stages_are_in_checked_order(name, n_gens):
     with pytest.raises(ResourceLimitError):
         stage(sig, x, admitted + 1, bound)
     for n in range(admitted + 1):
-        built = stage(sig, x, n, bound).terms
+        built = stage(sig, x, n, bound)
         checked = FinSet(tuple(reversed(built.elements)))
         assert built.elements == checked.elements
         assert dict(built.position) == dict(checked.position)
