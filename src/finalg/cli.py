@@ -245,7 +245,7 @@ def _cmd_free(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     print("status: unstabilized", file=out)
     print(f"depth-bound: {result.depth_bound}", file=out)
     print(counts, file=out)
-    print(f"universe-size: {len(result.state.terms)}", file=out)
+    print(f"universe-size: {len(result.state.node_args)}", file=out)
     return 1
 
 
@@ -398,11 +398,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--bound", type=_non_negative, required=True)
 
+    parser.commands = sub.choices
     return parser
 
 
 def run(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
     """Entry point; returns the process exit code instead of exiting.
+
+    The arguments are parsed once: after a known command word they go
+    straight to that command's parser, which is what the top-level parser
+    would hand them to; no words, ``-h``/``--help`` and an unknown word go
+    to the top-level parser, for its help and its messages.
 
     The declaration file is read on every call and each distinct text is
     parsed once per process: ``_parse`` keeps the last few models, keyed on
@@ -413,9 +419,11 @@ def run(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
+    argv = list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
         with contextlib.redirect_stdout(out):
-            args = parser.parse_args(list(argv))
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 2

@@ -66,8 +66,11 @@ congruence closure and extensions", 2007).  A step's id is a node of the
 step's operation whose children are its slots' registers or in their
 classes when the union is logged, so each side is a proof by congruence
 from the classes of that moment.  The result's :class:`CongruenceState`
-keeps the engine's plain arrays and that log, and builds the canonical
-universe and partition only when they are first read.
+keeps the engine's plain arrays and that log: each id's operation and
+child ids, not its term.  It builds a term the first time it is read,
+once per id, and the canonical universe and partition only when they are
+first read; saturation itself reads only the terms of the classes' least
+ids, for the operation tables, the carrier and the unit.
 ``audit_derivations`` checks this certificate with its own union-find
 and no engine code.  Once it has shown that every carrier term folds to
 itself under the unit, a morphism extending an assignment can only be
@@ -100,7 +103,7 @@ from .core import FinMap, FinSet, Partition, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, canonical_vars, satisfies_all
-from .terms import Node, Term, Var, check_term, variables
+from .terms import MAX_TERM_DEPTH, Node, Term, Var, check_term, variables
 
 MAX_UNIVERSE = 500_000
 
@@ -111,9 +114,11 @@ CONGRUENCE = "congruence"
 
 
 class _Engine:
-    """Union-find over registered terms with congruence closure; ``nodes``
-    (the one term store) is keyed on exact child ids, ``sig_table`` on
-    child roots, ``rep`` maps each root to its least term's id, and
+    """Union-find over registered ids with congruence closure; an id is its
+    operation ``ops[i]`` (None for a generator) over the ids
+    ``node_args[i]``, and the engine builds no ``Node``.  ``nodes`` (the
+    one term store) is keyed on exact child ids, ``sig_table`` on child
+    roots, ``rep`` maps each root to its least term's id, and
     ``union_log`` holds every union with its reason.  ``key`` holds, per
     id, its term's ``sort_key()``, which begins ``(height, size, ...)``,
     computed from the children's keys when the id is registered;
@@ -134,8 +139,8 @@ class _Engine:
     pools read."""
 
     def __init__(self, x: FinSet):
-        self.terms: list[Term] = [Var(a) for a in x]
-        self.key: list[tuple] = [t.sort_key() for t in self.terms]
+        self.ops: list[Optional[str]] = [None] * len(x)
+        self.key: list[tuple] = [Var(a).sort_key() for a in x]
         self.parent: list[int] = list(range(len(x)))
         self.rep: dict[int, int] = {i: i for i in self.parent}
         self.node_args: list[Optional[tuple[int, ...]]] = [None] * len(x)
@@ -189,12 +194,12 @@ class _Engine:
 
     def _register(self, op: str, arg_ids: tuple[int, ...]) -> None:
         """Register the node ``op`` over ``arg_ids``, which ``nodes`` does not
-        hold: make its term, its key from its children's keys, file it (the
-        frontier never registers a node that filing retires), and add it to
-        the parent list of each of its distinct child roots."""
-        terms, key = self.terms, self.key
-        nid = len(terms)
-        terms.append(Node(op, tuple([terms[a] for a in arg_ids])))
+        hold: record its operation, its key from its children's keys, file it
+        (the frontier never registers a node that filing retires), and add it
+        to the parent list of each of its distinct child roots."""
+        key = self.key
+        nid = len(key)
+        self.ops.append(op)
         height = size = 0
         for a in arg_ids:
             k = key[a]
@@ -222,7 +227,7 @@ class _Engine:
         ``nid`` and queue a congruence with that node if in another class."""
         find = self.find
         roots = tuple([find(a) for a in self.node_args[nid]])
-        other = self.sig_table.setdefault((self.terms[nid].op, roots), nid)
+        other = self.sig_table.setdefault((self.ops[nid], roots), nid)
         if other != nid:
             self.retired[nid] = 1
             if find(other) != find(nid):
@@ -282,36 +287,74 @@ class _Engine:
 class CongruenceState:
     """What a saturation run leaves: its certificate and its partial tables.
 
-    Id ``i`` names the registered term ``terms[i]``; the generators are
-    ids 0..|x|-1, with ``node_args[i]`` None, and every other id is the
-    node ``terms[i].op`` over the ids ``node_args[i]``.  ``least[i]``
-    is the id of the least term of ``i``'s class.  Each ``union_log``
-    entry ``(a, b, reason)`` joined the classes of ``a`` and ``b``; its
-    reason is ``CONGRUENCE``, or ``(component, images, left_steps,
-    right_steps)`` for an instance of the identity component with that
-    index, the components of all identities numbered in order, its used
-    variables bound in canonical order to the ids ``images``.  The steps
-    are the ids each side's nodes resolved to, in post-order, left to
-    right: each a node over its slots' ids or ids of their classes, and
-    the last, or the image of a side that is a variable, ``a`` for the
-    left side and ``b`` for the right.  ``op_tables`` are the operation
-    tables on the classes' least terms, and ``class_counts`` the class
-    count after each processed depth.
+    The certificate is ids and operations.  The generators are ids
+    0..|x|-1, with ``ops[i]`` and ``node_args[i]`` None, and every other
+    id is the node of operation ``ops[i]`` over the ids ``node_args[i]``,
+    each lower than ``i``.  ``term(i)`` builds the term an id names the
+    first time it is read and keeps it, so every reader of a state shares
+    one term object per id; ``terms`` is every id's term, in id order.
+    ``least[i]`` is the id of the least term of ``i``'s class.  Each
+    ``union_log`` entry ``(a, b, reason)`` joined the classes of ``a`` and
+    ``b``; its reason is ``CONGRUENCE``, or ``(component, images,
+    left_steps, right_steps)`` for an instance of the identity component
+    with that index, the components of all identities numbered in order,
+    its used variables bound in canonical order to the ids ``images``.
+    The steps are the ids each side's nodes resolved to, in post-order,
+    left to right: each a node over its slots' ids or ids of their
+    classes, and the last, or the image of a side that is a variable,
+    ``a`` for the left side and ``b`` for the right.  ``op_tables`` are
+    the operation tables on the classes' least terms, and
+    ``class_counts`` the class count after each processed depth.
 
-    ``universe``, ``classes`` and ``instance_pairs`` are read off these
-    arrays on first access and kept.
+    ``terms``, ``universe``, ``classes`` and ``instance_pairs`` are read
+    off these arrays on first access and kept.
     """
 
     sig: Signature
     x: FinSet
     identities: tuple[NaturalIdentity, ...]
     depth: int
-    terms: tuple[Term, ...]
+    ops: tuple[Optional[str], ...]
     node_args: tuple[Optional[tuple[int, ...]], ...]
     least: tuple[int, ...]
     union_log: tuple[tuple[int, int, object], ...]
     op_tables: dict
     class_counts: tuple[int, ...]
+
+    @cached_property
+    def _built(self) -> list[Optional[Term]]:
+        """The one term cache of this state: per id, its term once built."""
+        return [None] * len(self.ops)
+
+    def term(self, i: int) -> Term:
+        """The term id ``i`` names: built once, from its children's terms,
+        with an explicit stack rather than recursion, and kept."""
+        built = self._built
+        if built[i] is not None:
+            return built[i]
+        ops, kids, names = self.ops, self.node_args, self.x.elements
+        stack = [i]
+        while stack:
+            j = stack[-1]
+            # Two parents may both push a child; the second finds it built.
+            if built[j] is None:
+                args = kids[j]
+                if args is None:
+                    built[j] = Var(names[j])
+                else:
+                    missing = [c for c in args if built[c] is None]
+                    if missing:
+                        stack.extend(missing)
+                        continue
+                    built[j] = Node(ops[j], tuple([built[c] for c in args]))
+            stack.pop()
+        return built[i]
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """Every id's term, in id order."""
+        term = self.term
+        return tuple([term(i) for i in range(len(self.ops))])
 
     @cached_property
     def universe(self) -> FinSet:
@@ -331,9 +374,9 @@ class CongruenceState:
         """For each identity instance that merged classes, in the order of
         the merges, the terms of the nodes its two sides resolved to, each
         congruent to the literal instance side when the union was made."""
-        terms = self.terms
+        term = self.term
         return tuple(
-            (terms[a], terms[b]) for a, b, reason in self.union_log if reason != CONGRUENCE
+            (term(a), term(b)) for a, b, reason in self.union_log if reason != CONGRUENCE
         )
 
 
@@ -402,18 +445,22 @@ def _state(engine: _Engine, sig: Signature, x: FinSet, ids: Sequence[NaturalIden
     """The engine's arrays and log as a state, with each operation's table
     on the least terms of the classes: every live node sends the classes
     of its children to its own class.  A retired node has the operation,
-    the child classes and the class of a live node, so it adds no entry."""
-    rep, find, terms, kids, retired = (
-        engine.rep, engine.find, engine.terms, engine.node_args, engine.retired)
-    least = tuple([rep[find(i)] for i in range(len(terms))])
+    the child classes and the class of a live node, so it adds no entry.
+    The tables are filled once the state exists, from its term cache, so
+    they hold the state's own term objects, and only the least ids'."""
+    rep, find, ops, kids, retired = (
+        engine.rep, engine.find, engine.ops, engine.node_args, engine.retired)
+    least = tuple([rep[find(i)] for i in range(len(ops))])
     tables: dict = {name: {} for name, _ in sig}
-    for nid in range(len(x), len(terms)):
-        if not retired[nid]:
-            tables[terms[nid].op][tuple([terms[least[a]] for a in kids[nid]])] = terms[least[nid]]
-    return CongruenceState(
-        sig, x, tuple(ids), depth, tuple(terms), tuple(kids), least,
+    state = CongruenceState(
+        sig, x, tuple(ids), depth, tuple(ops), tuple(kids), least,
         tuple(engine.union_log), tables, tuple(counts),
     )
+    term = {c: state.term(c) for c in rep.values()}
+    for nid in range(len(x), len(ops)):
+        if not retired[nid]:
+            tables[ops[nid]][tuple([term[least[a]] for a in kids[nid]])] = term[least[nid]]
+    return state
 
 
 def saturate(
@@ -427,10 +474,15 @@ def saturate(
 
     Returns :class:`Stabilized` with the quotient algebra and its unit, or
     :class:`Unstabilized` with the last state if ``depth_bound`` depths did
-    not suffice.
+    not suffice.  Depth d registers terms of height d, so a ``depth_bound``
+    above ``MAX_TERM_DEPTH`` is refused before anything is built, as
+    ``stage`` refuses a stage that high.
     """
     if depth_bound < 1:
         raise ValidationError("depth bound must be at least 1")
+    if depth_bound > MAX_TERM_DEPTH:
+        raise ResourceLimitError(
+            f"term height of depth {depth_bound}", depth_bound, MAX_TERM_DEPTH)
     components = _components(ids, sig)
     # A pool holds the roots of height at most depth - offset, so no pool
     # reads a root higher than depth - (the least offset).
@@ -445,7 +497,7 @@ def saturate(
         frontier = engine.least_ids()
         # The frontier adds every node over it that is not registered yet;
         # the registered ones are counted only when the plain bound is over.
-        needed = len(engine.terms) + sum(len(frontier) ** arity for _, arity in sig)
+        needed = len(engine.ops) + sum(len(frontier) ** arity for _, arity in sig)
         if needed > max_universe:
             inside = set(frontier)
             needed -= sum(all(a in inside for a in arg_ids) for _, arg_ids in nodes)
@@ -458,7 +510,7 @@ def saturate(
         engine.drain()
 
         # ``build`` finds every step's node, so the check above bounds
-        # ``terms``.  After the frontier every term of height < depth lies
+        # the universe.  After the frontier every term of height < depth lies
         # in an old class, one that held a frontier id, and the frontier
         # built every operation over the old classes.  A proper subterm of
         # an instance side has height < depth, so every step's children lie
@@ -501,10 +553,10 @@ def saturate(
             # and child classes are a live node's.  So every table is total;
             # an instance too high for this depth may not be applied yet.
             state = _state(engine, sig, x, ids, depth, counts)
-            carrier = FinSet(tuple(engine.terms[i] for i in engine.rep.values()))
+            carrier = FinSet(tuple([state.term(i) for i in engine.rep.values()]))
             algebra = FinAlgebra(sig, carrier, state.op_tables)
             if satisfies_all(algebra, ids):
-                unit = FinMap(x, carrier, {a: state.terms[state.least[i]] for i, a in enumerate(x)})
+                unit = FinMap(x, carrier, {a: state.term(state.least[i]) for i, a in enumerate(x)})
                 return Stabilized(algebra, unit, depth, state)
         prev_roots = set(engine.rep)
 
@@ -531,7 +583,7 @@ def word_equal(res, t1: Term, t2: Term) -> bool:
         if type(t) is Var:
             if t.name not in state.x:
                 raise ValidationError(f"variable {t!r} outside the generators")
-            return state.terms[state.least[state.x.position[t.name]]]
+            return state.term(state.least[state.x.position[t.name]])
         found = state.op_tables[t.op].get(tuple([normalize(a) for a in t.args]))
         if found is None:
             raise ValidationError(f"term not resolvable at depth {state.depth}: {t!r}")
@@ -544,20 +596,24 @@ def audit_derivations(res) -> bool:
     """Check the certificate a saturation result carries, with a plain
     union-find and none of the engine's code.
 
-    It checks that the generators are the first ids and that each other
-    id's term is its operation applied to its children's terms, each child
-    registered before it; that each logged union is justified when it is
-    replayed: for an identity reason, each side of the recorded component,
-    compiled here, is replayed over the recorded images and steps, each
-    step id a node of the step's operation whose children are its slots'
-    registers or in their replayed classes, no step id left over, and the
-    side ending in its logged id; a congruence reason joins two nodes of
-    one operation whose children are already joined; that the replayed
-    classes are the claimed ones, each named by a member; that the classes
-    are closed under congruence and every registered node agrees with the
-    operation tables, which hold nothing else.  For a stabilized result it
-    also checks that the carrier is the set of class representatives, the
-    unit sends each generator to its class, the algebra satisfies every
+    The certificate is ids and operations: it checks that the first ids
+    are the generators, with no operation and no children, and that each
+    other id is an operation of the signature over as many children as its
+    arity, each registered before it, so the term the state builds for an
+    id when it is first read is well formed; that each logged union is
+    justified when it is replayed: for an identity reason, each side of
+    the recorded component, compiled here, is replayed over the recorded
+    images and steps, each step id a node of the step's operation whose
+    children are its slots' registers or in their replayed classes, no
+    step id left over, and the side ending in its logged id; a congruence
+    reason joins two nodes of one operation whose children are already
+    joined; that the replayed classes are the claimed ones, each named by
+    a member; that the classes are closed under congruence and every
+    registered node agrees with the operation tables, which hold nothing
+    else.  Only the terms of the classes' least ids are read, for the
+    tables, the carrier and the unit.  For a stabilized result it also
+    checks that the carrier is the set of class representatives, the unit
+    sends each generator to its class, the algebra satisfies every
     identity, and every carrier term folds to itself under the unit, so
     the unit generates the algebra.
     """
@@ -569,19 +625,15 @@ def audit_derivations(res) -> bool:
 
 
 def _certified(res, state: CongruenceState) -> bool:
-    terms, kids, least = state.terms, state.node_args, state.least
-    n, gens, arity = len(terms), state.x.elements, dict(state.sig)
+    ops, kids, least = state.ops, state.node_args, state.least
+    n, gens, arity = len(ops), state.x.elements, dict(state.sig)
     if not len(kids) == len(least) == n >= len(gens):
         return False
-    if any(terms[i] != Var(a) or kids[i] is not None for i, a in enumerate(gens)):
+    if any(ops[i] is not None or kids[i] is not None for i in range(len(gens))):
         return False
     for i in range(len(gens), n):
-        t, args = terms[i], kids[i]
-        if (
-            type(t) is not Node or arity.get(t.op) != len(args)
-            or args and not 0 <= min(args) <= max(args) < i
-            or t.args != tuple([terms[c] for c in args])
-        ):
+        args = kids[i]
+        if arity.get(ops[i]) != len(args) or args and not 0 <= min(args) <= max(args) < i:
             return False
 
     def compiled(t: Term, slot: dict, steps: list) -> int:
@@ -623,7 +675,7 @@ def _certified(res, state: CongruenceState) -> bool:
             return False
         regs = [*images, *built]
         for (op, slots), nid in zip(steps, built):
-            if nid not in ids or kids[nid] is None or terms[nid].op != op:
+            if nid not in ids or kids[nid] is None or ops[nid] != op:
                 return False
             for c, s in zip(kids[nid], slots):
                 if c != regs[s] and find(c) != find(regs[s]):
@@ -634,7 +686,7 @@ def _certified(res, state: CongruenceState) -> bool:
         if a not in ids or b not in ids:
             return False
         if reason == CONGRUENCE:
-            if kids[a] is None or kids[b] is None or terms[a].op != terms[b].op or any(
+            if kids[a] is None or kids[b] is None or ops[a] != ops[b] or any(
                 find(p) != find(q) for p, q in zip(kids[a], kids[b])
             ):
                 return False
@@ -659,24 +711,27 @@ def _certified(res, state: CongruenceState) -> bool:
 
     closure: dict[tuple, int] = {}
     for i in range(len(gens), n):
-        key = (terms[i].op, tuple([least[c] for c in kids[i]]))
+        key = (ops[i], tuple([least[c] for c in kids[i]]))
         if closure.setdefault(key, least[i]) != least[i]:
             return False
+    # Every id's term is its operation over its children's, by the checks
+    # above and by construction; only the least ids' terms are read.
+    term = {c: state.term(c) for c in reps}
     stabilized = isinstance(res, Stabilized)
     for tables in (state.op_tables, res.algebra.tables) if stabilized else (state.op_tables,):
         if sum(len(table) for table in tables.values()) != len(closure):
             return False
         for (op, args), c in closure.items():
-            if tables[op][tuple([terms[a] for a in args])] != terms[c]:
+            if tables[op][tuple([term[a] for a in args])] != term[c]:
                 return False
     if not stabilized:
         return True
     algebra, unit = res.algebra, res.unit
     return (
         algebra.sig == state.sig
-        and set(algebra.carrier) == {terms[c] for c in reps}
+        and set(algebra.carrier) == set(term.values())
         and unit.dom == state.x
-        and all(unit.table[a] == terms[least[i]] for i, a in enumerate(gens))
+        and all(unit.table[a] == term[least[i]] for i, a in enumerate(gens))
         and satisfies_all(algebra, state.identities)
         and _unit_folds(res) is not None
     )

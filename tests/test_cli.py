@@ -190,6 +190,35 @@ def test_unary_stage_index_is_bounded(argv, stage_index, tmp_path):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", ["free", "uprop"])
+def test_saturation_depth_is_bounded_by_the_term_height(command, tmp_path):
+    """Depth d of ``free`` and ``uprop`` registers terms of height d: on
+    s(x) = s(x), which never merges, ``--max-depth`` past the term height
+    bound is refused at once, and the bound itself still answers."""
+    spec = tmp_path / "unary.alg"
+    spec.write_text(
+        UNARY_SPEC + "identity same over Un : s(x) = s(x)\npresentation Still = Un with same\n",
+        encoding="utf-8",
+    )
+    argv = [command, "--spec", str(spec), "--presentation", "Still", "--generators", "1"]
+    if command == "uprop":
+        argv += ["--target", "Flip"]
+    start = time.monotonic()
+    code, out, err = invoke(argv + ["--max-depth", str(MAX_TERM_DEPTH + 1)])
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        f"resource limit: term height of depth {MAX_TERM_DEPTH + 1}: "
+        f"needs {MAX_TERM_DEPTH + 1}, limit is {MAX_TERM_DEPTH}\n"
+    )
+    code, out, err = invoke(argv + ["--max-depth", str(MAX_TERM_DEPTH)])
+    if command == "free":
+        assert code == 1
+        assert out.endswith(f"universe-size: {MAX_TERM_DEPTH + 1}\n")
+    else:
+        assert (code, err) == (2, "error: saturation did not stabilize; cannot test freeness\n")
+
+
 @pytest.mark.parametrize("bound", [17, 40])
 def test_rho_chain_refuses_translations_past_the_height_bound(bound, tmp_path):
     """A translation is up to bound × 8 high here; past the term height bound

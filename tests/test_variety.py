@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from finalg import (
 from finalg.core import MAX_ENUMERATION
 from finalg.dsl import parse_spec
 from finalg import variety
+from finalg.terms import MAX_TERM_DEPTH
 from finalg.identities import satisfies_all
 from finalg.variety import (
     CONGRUENCE,
@@ -288,8 +290,86 @@ def test_saturate_refuses_a_depth_before_building_it(monkeypatch):
     # The engine makes the generators; every other term is registered.
     engine = registered[0]
     assert registered == [engine] * 27
-    assert len(engine.terms) == 3 + 27
-    assert max(t.height for t in engine.terms) == 1
+    assert len(engine.ops) == 3 + 27
+    assert max(k[0] for k in engine.key) == 1
+
+
+def test_saturate_refuses_a_depth_above_the_term_height_bound(monkeypatch):
+    """Depth d registers terms of height d, so with s(x) = s(x), which never
+    merges, depth ``MAX_TERM_DEPTH`` answers with terms that high, and one
+    depth more is refused at once, before a node is registered."""
+    unary = Signature((("s", 1),))
+    sx = Node("s", (X,))
+    ids = [ident(unary, sx, sx, ("x",))]
+    res = saturate(unary, ids, gens(1), MAX_TERM_DEPTH)
+    assert isinstance(res, Unstabilized)
+    assert len(res.state.classes) == MAX_TERM_DEPTH + 1
+    assert max(t.height for t in res.state.terms) == MAX_TERM_DEPTH
+
+    def refused(engine, op, arg_ids):
+        raise AssertionError("a node was registered")
+
+    monkeypatch.setattr(_Engine, "_register", refused)
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError,
+                       match=f"^term height of depth 129: needs 129, limit is {MAX_TERM_DEPTH}$"):
+        saturate(unary, ids, gens(1), MAX_TERM_DEPTH + 1)
+    assert time.monotonic() - start < 1
+
+
+def _nodes_built(monkeypatch):
+    """The list every ``Node`` constructed from now on is appended to."""
+    built = []
+    post_init = Node.__post_init__
+
+    def counted(node):
+        built.append(node)
+        post_init(node)
+
+    monkeypatch.setattr(Node, "__post_init__", counted)
+    return built
+
+
+def test_saturate_builds_only_the_carrier_terms(monkeypatch):
+    """The engine and the state keep ids and operations; a term is built
+    only when it is read.  Saturating BoolGroup on three generators
+    registers 2,708 ids but builds only carrier terms and their subterms,
+    each once."""
+    model = parse_spec(TRAJECTORY_SPEC)
+    ids = model.presentation_identities("BoolGroup")
+    built = _nodes_built(monkeypatch)
+    res = saturate(model.signatures["Monoid"], ids, gens(3), 6)
+    monkeypatch.undo()
+    assert len(res.state.ops) == 2708
+    subterms, todo = set(), list(res.algebra.carrier)
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Node) and t not in subterms:
+            subterms.add(t)
+            todo.extend(t.args)
+    assert len(built) <= len(subterms)
+    assert len(set(built)) == len(built)
+
+
+def test_state_builds_each_term_once_in_any_order(monkeypatch):
+    """A state builds an id's term from its children's, once: read from the
+    highest id down on a fresh copy of the state, where shared children
+    are pushed by two parents before either is built, the terms equal
+    those read in id order, and each node's children are by identity the
+    terms of its child ids."""
+    model = parse_spec(TRAJECTORY_SPEC)
+    res = saturate(model.signatures["Monoid"], model.presentation_identities("BoolGroup"),
+                   gens(2), 3)
+    state = res.state
+    fresh = dataclasses.replace(state)
+    built = _nodes_built(monkeypatch)
+    down = [fresh.term(i) for i in reversed(range(len(state.ops)))][::-1]
+    monkeypatch.undo()
+    assert tuple(down) == state.terms
+    assert len(built) == len(state.ops) - len(state.x)
+    for i, args in enumerate(state.node_args):
+        if args is not None:
+            assert all(t is fresh.term(c) for t, c in zip(down[i].args, args))
 
 
 def _unary(t):
@@ -551,7 +631,7 @@ def _band_result():
 def _tampered(res, identity):
     """Tampered copies of a stabilized result, each by what was changed."""
     state = res.state
-    log, least, terms = state.union_log, state.least, state.terms
+    log, least, ops = state.union_log, state.least, state.ops
     congruences = [k for k, (_, _, reason) in enumerate(log) if reason == CONGRUENCE]
     kids = state.node_args
     # An instance joining two nodes whose children end in different classes,
@@ -570,7 +650,7 @@ def _tampered(res, identity):
     reps = sorted(set(least))
     largest = max(reps, key=least.count)
     member = next(i for i, c in enumerate(least) if c == largest and i != largest)
-    n = len(terms)
+    n = len(ops)
     components = sum(len(i.domain) for i in state.identities)
     x1, x2 = Var("x1"), Var("x2")
     tables = {op: dict(table) for op, table in res.algebra.tables.items()}
@@ -592,9 +672,8 @@ def _tampered(res, identity):
         "an instance's images corrupted": relogged(
             (component, tuple(i + 1 for i in images), left, right)),
         "an instance given as a congruence": relogged(CONGRUENCE),
-        "a node's term changed": dataclasses.replace(
-            state, terms=terms[:-1] + (m(terms[-1], x1),)),
-        "a node's term a variable": dataclasses.replace(state, terms=terms[:-1] + (x1,)),
+        "a node's op outside the signature or of another arity": dataclasses.replace(
+            state, ops=ops[:-1] + ("e",)),
         "an identity the algebra fails added": dataclasses.replace(
             state, identities=state.identities + (identity,)),
         "a generator sent to another class": FinMap(
@@ -606,6 +685,7 @@ def _tampered(res, identity):
         # one test refuses it.
         "a class entry for no id": dataclasses.replace(state, least=least + (0,)),
         "a generator given children": dataclasses.replace(state, node_args=((),) + kids[1:]),
+        "a generator given an op": dataclasses.replace(state, ops=("m",) + ops[1:]),
         "a union naming an id by a negative index": dataclasses.replace(
             state, union_log=log + ((3, 3 - n, CONGRUENCE),)),
         "an instance naming its component by a negative index": relogged(
@@ -627,7 +707,7 @@ def _tampered(res, identity):
         "a step over children of other classes": _step_replaced(
             state, lambda nid, find: next(
                 (o for o in range(len(state.x), n) if find(o) == find(nid)
-                 and terms[o].op == terms[nid].op
+                 and ops[o] == ops[nid]
                  and any(find(c) != find(d) for c, d in zip(kids[o], kids[nid]))), None)),
         "a table entry added": dataclasses.replace(
             state, op_tables={**state.op_tables,
@@ -724,19 +804,46 @@ def _unclosed(state):
     return dataclasses.replace(state, union_log=log, least=least, op_tables=tables)
 
 
+def _op_changed(state, op):
+    """The state with ``op`` as the operation of the last node that no
+    union names, as an end or a step, and tables read off the changed
+    operations: consistent everywhere except that node's operation."""
+    named = set()
+    for a, b, reason in state.union_log:
+        named.update((a, b), *([] if reason == CONGRUENCE else reason[2:]))
+    i = max(set(range(len(state.x), len(state.ops))) - named)
+    changed = dataclasses.replace(state, ops=state.ops[:i] + (op,) + state.ops[i + 1:])
+    term, least = changed.term, state.least
+    tables = {name: {} for name in (*state.op_tables, op)}
+    for j in range(len(state.x), len(state.ops)):
+        args = tuple(term(least[c]) for c in state.node_args[j])
+        tables[changed.ops[j]].setdefault(args, term(least[j]))
+    return dataclasses.replace(changed, op_tables=tables)
+
+
 def test_derivation_audit_refuses_tampered_unstabilized_states():
     """Without a carrier, unit or variety check to fall back on, the
-    identity signature check and the congruence closure check each refuse
-    their tamper alone."""
+    identity signature check, the congruence closure check and the check
+    of each node's operation against the signature each refuse their
+    tamper alone."""
     state = _band_result().state
     assert audit_derivations(Unstabilized(state, state.depth))
+    # At depth 2 on two generators, some nodes of Band and of BoolGroup
+    # are named by no union.
+    model = parse_spec(TRAJECTORY_SPEC)
+    band, group = (
+        saturate(model.signatures[sig], model.presentation_identities(name), gens(2), 2).state
+        for name, sig in (("Band", "Magma"), ("BoolGroup", "Monoid")))
+    assert all(audit_derivations(Unstabilized(s, s.depth)) for s in (band, group))
     other = ident(MONOID_SIG, m(X, Y), m(Y, X), ("x", "y"))
     for what, tampered in {
         "an identity over another signature added": dataclasses.replace(
             state, identities=state.identities + (other,)),
         "a congruence union dropped, the rest made consistent": _unclosed(state),
+        "a node's op outside the signature, the rest made consistent": _op_changed(band, "e"),
+        "a node's op of another arity, the rest made consistent": _op_changed(group, "e"),
     }.items():
-        assert not audit_derivations(Unstabilized(tampered, state.depth)), what
+        assert not audit_derivations(Unstabilized(tampered, tampered.depth)), what
 
 
 def _matrix_cases():
@@ -763,8 +870,7 @@ def _engines_left(monkeypatch):
     return engines
 
 
-def _check_engine_keys(engine):
-    terms = engine.terms
+def _check_engine_keys(engine, terms):
     assert len(engine.key) == len(terms)
     for i, t in enumerate(terms):
         assert engine.key[i] == t.sort_key()
@@ -787,12 +893,13 @@ def test_engine_keys_are_the_terms_own(monkeypatch):
     model, cases = _matrix_cases()
     assert len(cases) == 50
     runs += [(model, name, n, depth) for name, n, depth in cases]
+    results = []
     for spec, name, n, depth in runs:
         sig = spec.signatures[spec.presentations[name].sig_name]
-        saturate(sig, spec.presentation_identities(name), gens(n), depth)
+        results.append(saturate(sig, spec.presentation_identities(name), gens(n), depth))
     assert len(engines) == len(runs)
-    for engine in engines:
-        _check_engine_keys(engine)
+    for engine, res in zip(engines, results):
+        _check_engine_keys(engine, res.state.terms)
 
 
 def _reference_build(engine, side, g):
@@ -838,10 +945,10 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
     def checked(engine, side, images):
         term, used = compiled[id(side)]
         steps, from_table = _reference_build(engine, term, dict(zip(used, images)))
-        before = len(engine.terms)
+        before = len(engine.ops)
         got = build(engine, side, images)
         assert got == [*images, *steps]
-        assert len(engine.terms) == before
+        assert len(engine.ops) == before
         built.append(got)
         by_roots.append(from_table)
         return got
@@ -864,7 +971,7 @@ def test_build_registers_nothing():
     side = variety._compile_side(m(X, Y), dict.fromkeys(("x", "y"), 0))
     with pytest.raises(KeyError):
         engine.build(side, (0, 1))
-    assert len(engine.terms) == 2
+    assert len(engine.ops) == 2
 
 
 def test_build_takes_the_node_filed_under_its_child_roots():
@@ -877,10 +984,10 @@ def test_build_takes_the_node_filed_under_its_child_roots():
     engine.union(0, 1, CONGRUENCE)
     engine.drain()
     assert ("m", (1, 1)) not in engine.nodes
-    terms = len(engine.terms)
+    registered = len(engine.ops)
     side = variety._compile_side(m(X, X), {"x": 0})
     assert engine.build(side, (1,)) == [1, held]
-    assert len(engine.terms) == terms
+    assert len(engine.ops) == registered
 
 
 RANDOM_OPS = (("e", 0), ("u", 1), ("m", 2), ("t", 3))
@@ -1076,7 +1183,7 @@ def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
         find = engine.find
         for i, args in enumerate(engine.node_args):
             if args is not None:
-                filed = engine.sig_table[(engine.terms[i].op, tuple(find(a) for a in args))]
+                filed = engine.sig_table[(engine.ops[i], tuple(find(a) for a in args))]
                 assert find(filed) == find(i)
     assert {id(engine) for engine, *_ in sorts} == {id(engine) for engine in engines}
     for engine, height, got, full in sorts:
@@ -1117,7 +1224,7 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
     register = _Engine._register
 
     def checked(engine, op, arg_ids):
-        nid = len(engine.terms)
+        nid = len(engine.ops)
         register(engine, op, arg_ids)
         registered.append(nid)
         if engine.retired[nid] or engine.key[nid][0] != depths[engine]:
@@ -1140,13 +1247,13 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
     retired_count = 0
     for engine in engines:
         find, retired = engine.find, engine.retired
-        assert len(retired) == len(engine.terms)
+        assert len(retired) == len(engine.ops)
         parents = {root: set(engine.parents[root]) for root in engine.rep}
         for i, args in enumerate(engine.node_args):
             if args is None:
                 continue
             roots = tuple(find(a) for a in args)
-            holder = engine.sig_table[(engine.terms[i].op, roots)]
+            holder = engine.sig_table[(engine.ops[i], roots)]
             assert not retired[holder] and find(holder) == find(i)
             if retired[i]:
                 retired_count += 1
