@@ -152,17 +152,12 @@ def compile_term(sig: Signature, t: Term, names: Sequence) -> Compiled:
     wrong number of arguments or a variable outside ``names`` is refused
     now, not when the closure runs.
     """
-    return _compile(t, _operations(sig), {name: j for j, name in enumerate(names)})
-
-
-def _operations(sig: Signature) -> dict:
-    """Each operation name of ``sig`` to its index and arity."""
-    return {name: (i, arity) for i, (name, arity) in enumerate(sig)}
+    return _compile(t, sig.index, {name: j for j, name in enumerate(names)})
 
 
 def _resolve(t: Term, ops: Mapping, index: Mapping) -> tuple[int, tuple | None]:
     """``(j, None)`` for a variable with ``index[name] = j``, or ``(i, args)``
-    for a node whose operation has index ``i`` in ``ops`` (``_operations``).
+    for a node whose operation has index ``i`` in ``ops`` (``Signature.index``).
     A non-term, an unbound variable, an unknown operation and a node with
     the wrong number of arguments are refused."""
     if type(t) is Var:

@@ -11,7 +11,8 @@ the paper's accessibility assumption.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .core import FinMap, FinSet
 from .errors import ValidationError
@@ -19,25 +20,28 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Signature:
-    """Operation symbols with finite arities; names must be distinct."""
+    """Operation symbols with finite arities; names must be distinct.
+    ``index`` maps each name, read-only, to its position and its arity."""
 
     ops: tuple[tuple[str, int], ...]
+    index: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         canon = tuple((str(name), int(arity)) for name, arity in self.ops)
-        names = [name for name, _ in canon]
-        if len(set(names)) != len(names):
+        index = {name: (i, arity) for i, (name, arity) in enumerate(canon)}
+        if len(index) != len(canon):
             raise ValidationError("duplicate operation name")
         for name, arity in canon:
             if arity < 0:
                 raise ValidationError(f"negative arity for {name}")
         object.__setattr__(self, "ops", canon)
+        object.__setattr__(self, "index", MappingProxyType(index))
 
     def arity(self, name: str) -> int:
-        for op, k in self.ops:
-            if op == name:
-                return k
-        raise ValidationError(f"unknown operation {name!r}")
+        try:
+            return self.index[name][1]
+        except KeyError:
+            raise ValidationError(f"unknown operation {name!r}") from None
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.ops)
@@ -46,7 +50,7 @@ class Signature:
         return iter(self.ops)
 
     def __contains__(self, name) -> bool:
-        return any(op == name for op, _ in self.ops)
+        return name in self.index
 
 
 def apply_obj(sig: Signature, x: FinSet) -> FinSet:

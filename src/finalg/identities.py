@@ -27,13 +27,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .algebras import (
     Compiled,
     FinAlgebra,
     Flat,
-    _operations,
     _orbit_representatives,
     _resolve,
     compile_term,
@@ -164,7 +163,7 @@ class _CheckSource:
     through ``algebras._resolve``, with ``compile_term``'s refusals.
     """
 
-    def __init__(self, ops: dict):
+    def __init__(self, ops: Mapping):
         self.ops = ops
         self.tables: set[int] = set()
         self.strides = 0
@@ -235,7 +234,7 @@ def _source(sig: Signature, domain: tuple, lhs: tuple, rhs: tuple) -> str:
     A component that differs from an earlier one only by a renaming of
     its variables is left out: it fails only where the earlier one,
     checked first, has already failed."""
-    ops, seen = _operations(sig), set()
+    ops, seen = sig.index, set()
     src = _CheckSource(ops)
     for i, (k, left, right) in enumerate(zip(domain, lhs, rhs)):
         names, order = canonical_vars(k), {}
@@ -249,7 +248,7 @@ def _source(sig: Signature, domain: tuple, lhs: tuple, rhs: tuple) -> str:
     return src.text()
 
 
-def _shape(t: Term, ops: dict, index: dict, order: dict):
+def _shape(t: Term, ops: Mapping, index: dict, order: dict):
     """``t`` as nested tuples of table indices, each variable numbered in
     order of first occurrence: ``order`` maps its position in ``index``
     to that number, and is shared by both sides."""

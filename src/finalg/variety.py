@@ -32,16 +32,16 @@ registered, so by induction the tuple holds a node of height d-1 and the
 new node has height d.  A node filed under the same operation and child
 roots would be this depth's node over the same least ids, which
 ``nodes`` holds, or an older one, lower than d, whose child in the class
-of that least id of height d-1 is lower than the class's least; but a
-key, which orders a class, begins with the height.  Each registered id's
-key, built from its children's keys, begins with its term's height and
-size, so it orders classes and bounds instance pools without asking a
-``Term``: an instance pool, which holds the roots of height at most the
-depth less a variable's offset, is a prefix of the sorted roots, and
-the one instance pass of a depth sorts only the roots no higher than the
-depth less the least offset.  The keys of ``rep`` are exactly the live
-union-find roots, each mapped to the id of its class's least term.  ``parents``
-holds, per id, the list of parent nodes of that root's class.  A union
+of that least id of height d-1 is lower than the class's least; but
+terms are ordered by height first.  Each depth registers its new nodes
+by size, operation and child ids, as ``terms._stage_terms`` orders a
+stage's, so by induction ids are in canonical term order, and the engine
+keeps only each id's height and size: an instance pool, the roots of
+height at most the depth less a variable's offset, is a prefix of the
+sorted roots, and a depth's one instance pass sorts only the roots no
+higher than the depth less the least offset.  The keys of ``rep`` are
+exactly the live union-find roots, each mapped to its class's lowest id.
+``parents`` holds, per id, the list of parent nodes of that root's class.  A union
 keeps the root with the longer list (Downey, Sethi & Tarjan, 1980) and
 marks the nodes it moves dirty; a drain files each dirty node again once
 per round, after that round's pending unions, as egg's deferred rebuild
@@ -93,13 +93,14 @@ that embedding as its unit.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebras import FinAlgebra, compile_term, is_morphism
-from .core import FinMap, FinSet, Partition, enumerate_maps
+from .core import MAX_ENUMERATION, FinMap, FinSet, Partition, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import NaturalIdentity, canonical_vars, satisfies_all
@@ -118,13 +119,13 @@ class _Engine:
     operation ``ops[i]`` (None for a generator) over the ids
     ``node_args[i]``, and the engine builds no ``Node``.  ``nodes`` (the
     one term store) is keyed on exact child ids, ``sig_table`` on child
-    roots, ``rep`` maps each root to its least term's id, and
-    ``union_log`` holds every union with its reason.  ``key`` holds, per
-    id, its term's ``sort_key()``, which begins ``(height, size, ...)``,
-    computed from the children's keys when the id is registered;
-    ``build`` runs a side compiled by ``_compile_side``, taking a node
-    ``nodes`` or else ``sig_table`` holds for each step, and only the
-    frontier registers nodes, through ``_register``.
+    roots, ``rep`` maps each root to its class's lowest id, and
+    ``union_log`` holds every union with its reason.  Ids are in
+    canonical term order, and ``height`` and ``size`` hold each id's
+    term's height (the depth that registered it) and size.  ``build``
+    runs a side compiled by ``_compile_side``, taking a node ``nodes`` or
+    else ``sig_table`` holds for each step, and only the frontier
+    registers nodes, through ``_register``.
 
     ``parents`` holds, per id, the parent nodes of that root's class, and
     ``retired`` flags, per id, a node whose operation and child roots a
@@ -140,7 +141,8 @@ class _Engine:
 
     def __init__(self, x: FinSet):
         self.ops: list[Optional[str]] = [None] * len(x)
-        self.key: list[tuple] = [Var(a).sort_key() for a in x]
+        self.height: list[int] = [0] * len(x)
+        self.size: list[int] = [1] * len(x)
         self.parent: list[int] = list(range(len(x)))
         self.rep: dict[int, int] = {i: i for i in self.parent}
         self.node_args: list[Optional[tuple[int, ...]]] = [None] * len(x)
@@ -192,21 +194,15 @@ class _Engine:
             regs.append(nid)
         return regs
 
-    def _register(self, op: str, arg_ids: tuple[int, ...]) -> None:
+    def _register(self, height: int, size: int, op: str, arg_ids: tuple[int, ...]) -> None:
         """Register the node ``op`` over ``arg_ids``, which ``nodes`` does not
-        hold: record its operation, its key from its children's keys, file it
+        hold, as the next id: record its operation, height and size, file it
         (the frontier never registers a node that filing retires), and add it
         to the parent list of each of its distinct child roots."""
-        key = self.key
-        nid = len(key)
+        nid = len(self.ops)
         self.ops.append(op)
-        height = size = 0
-        for a in arg_ids:
-            k = key[a]
-            if k[0] > height:
-                height = k[0]
-            size += k[1]
-        key.append((height + 1, size + 1, (1, op, tuple([key[a] for a in arg_ids]))))
+        self.height.append(height)
+        self.size.append(size)
         self.parent.append(nid)
         self.rep[nid] = nid
         self.node_args.append(arg_ids)
@@ -247,8 +243,8 @@ class _Engine:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.union_log.append((a, b, reason))
-        rep, key = self.rep, self.key
-        if key[rep[rb]] < key[rep[ra]]:
+        rep = self.rep
+        if rep[rb] < rep[ra]:
             rep[ra] = rep[rb]
         del rep[rb]
         moved, parents[rb] = parents[rb], ()
@@ -272,15 +268,13 @@ class _Engine:
                 file(nid)
 
     def least_ids(self, height: Optional[int] = None) -> list[int]:
-        """The id of each class's least term, in canonical term order; with
-        ``height``, only those of classes whose least term is no higher,
-        which are a prefix of the full order, since a key begins with the
-        height."""
-        key = self.key
+        """The ids of the classes' least terms, in increasing (canonical term)
+        order; with ``height``, only those no higher, which are a prefix of
+        the full order, since terms are ordered by height first."""
         ids = self.rep.values()
         if height is not None:
-            ids = [i for i in ids if key[i][0] <= height]
-        return sorted(ids, key=key.__getitem__)
+            ids = [i for i in ids if self.height[i] <= height]
+        return sorted(ids)
 
 
 @dataclass(frozen=True)
@@ -292,8 +286,8 @@ class CongruenceState:
     id is the node of operation ``ops[i]`` over the ids ``node_args[i]``,
     each lower than ``i``.  ``term(i)`` builds the term an id names the
     first time it is read and keeps it, so every reader of a state shares
-    one term object per id; ``terms`` is every id's term, in id order.
-    ``least[i]`` is the id of the least term of ``i``'s class.  Each
+    one term object per id.  Ids are in term order: ``terms``, in id order,
+    is sorted, and ``least[i]`` is the lowest id of ``i``'s class.  Each
     ``union_log`` entry ``(a, b, reason)`` joined the classes of ``a`` and
     ``b``; its reason is ``CONGRUENCE``, or ``(component, images,
     left_steps, right_steps)`` for an instance of the identity component
@@ -488,7 +482,7 @@ def saturate(
     # reads a root higher than depth - (the least offset).
     least_offset = min((o for deepest, *_ in components for o in deepest.values()), default=0)
     engine = _Engine(x)
-    sort_keys, build, find, nodes = engine.key, engine.build, engine.find, engine.nodes
+    sizes, build, find, nodes = engine.size, engine.build, engine.find, engine.nodes
     counts: list[int] = []
     prev_roots = set(engine.rep)
     applied: set = set()
@@ -503,10 +497,12 @@ def saturate(
             needed -= sum(all(a in inside for a in arg_ids) for _, arg_ids in nodes)
             if needed > max_universe:
                 raise ResourceLimitError("saturation universe", needed, max_universe)
-        for name, arity in sig:
-            for arg_ids in itertools.product(frontier, repeat=arity):
-                if (name, arg_ids) not in nodes:
-                    engine._register(name, arg_ids)
+        # The new nodes, all of height ``depth``, in canonical term order.
+        for size, name, args in sorted(
+            (sum([sizes[a] for a in args]) + 1, name, args) for name, arity in sig
+            for args in itertools.product(frontier, repeat=arity) if (name, args) not in nodes
+        ):
+            engine._register(depth, size, name, args)
         engine.drain()
 
         # ``build`` finds every step's node, so the check above bounds
@@ -524,7 +520,7 @@ def saturate(
         # ids, so during the pass the least ids only shrink, with their
         # heights.  A second pass would read pools within these ones, whose
         # every tuple is already in ``applied``.
-        reps = [(tid, sort_keys[tid][0]) for tid in engine.least_ids(depth - least_offset)]
+        reps = [(tid, engine.height[tid]) for tid in engine.least_ids(depth - least_offset)]
         for comp_id, (deepest, left, right, ground) in enumerate(components):
             if ground > depth:
                 continue
@@ -532,6 +528,9 @@ def saturate(
                 [tid for tid, height in reps if height + offset <= depth]
                 for offset in deepest.values()
             ]
+            if (instances := math.prod(map(len, pools))) > MAX_ENUMERATION:
+                what = f"instances of identity component {comp_id} at depth {depth}"
+                raise ResourceLimitError(what, instances, MAX_ENUMERATION)
             for images in itertools.product(*pools):
                 key = (comp_id, images)
                 if key in applied:
@@ -608,7 +607,7 @@ def audit_derivations(res) -> bool:
     step id left over, and the side ending in its logged id; a congruence
     reason joins two nodes of one operation whose children are already
     joined; that the replayed classes are the claimed ones, each named by
-    a member; that the classes are closed under congruence and every
+    its lowest member; that the classes are closed under congruence and every
     registered node agrees with the operation tables, which hold nothing
     else.  Only the terms of the classes' least ids are read, for the
     tables, the carrier and the unit.  For a stabilized result it also
@@ -703,7 +702,7 @@ def _certified(res, state: CongruenceState) -> bool:
 
     claimed: dict[int, int] = {}
     for i in ids:
-        if claimed.setdefault(find(i), least[i]) != least[i]:
+        if not 0 <= least[i] <= i or claimed.setdefault(find(i), least[i]) != least[i]:
             return False
     reps = set(claimed.values())
     if len(reps) != len(claimed) or any(least[c] != c for c in reps):

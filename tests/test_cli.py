@@ -219,6 +219,39 @@ def test_saturation_depth_is_bounded_by_the_term_height(command, tmp_path):
         assert (code, err) == (2, "error: saturation did not stabilize; cannot test freeness\n")
 
 
+WIDE_SPEC = """\
+signature Magma { op m : 2 }
+vars a b c d e f g h i j k l n o p q x y
+identity lzero over Magma : m(x,y) = x
+identity wide over Magma :
+  m(m(m(m(a,b),m(c,d)),m(m(e,f),m(g,h))),m(m(m(i,j),m(k,l)),m(m(n,o),m(p,q)))) = q
+presentation Wide = Magma with lzero wide
+"""
+
+
+def test_saturation_bounds_the_instances_of_a_depth(tmp_path):
+    """Under m(x,y) = x every class's least term is a generator, so at
+    depth 4, where the 16-variable ``wide`` fits, its instances are every
+    16-tuple of generators: 3^16 on three generators are refused before
+    the pass starts, and the 2^16 on two are applied and stabilize.  The
+    right side of ``wide`` is the variable the identity check varies
+    first, so each earlier depth's stop test fails at once."""
+    spec = tmp_path / "wide.alg"
+    spec.write_text(WIDE_SPEC, encoding="utf-8")
+    argv = ["free", "--spec", str(spec), "--presentation", "Wide", "--max-depth", "5"]
+    start = time.monotonic()
+    code, out, err = invoke(argv + ["--generators", "3"])
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "resource limit: instances of identity component 1 at depth 4: "
+        "needs 43046721, limit is 1000000\n"
+    )
+    code, out, _ = invoke(argv + ["--generators", "2"])
+    assert code == 0
+    assert out.startswith("status: stabilized\nat-depth: 5\n")
+
+
 @pytest.mark.parametrize("bound", [17, 40])
 def test_rho_chain_refuses_translations_past_the_height_bound(bound, tmp_path):
     """A translation is up to bound × 8 high here; past the term height bound

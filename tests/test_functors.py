@@ -24,6 +24,20 @@ def test_signature_validation():
         MAGMA.arity("nope")
 
 
+def test_signature_index_is_read_only_and_outside_equality():
+    """``index`` maps each name to its position and arity, refuses writes,
+    and leaves equality, hashing and ``repr`` to ``ops``."""
+    sig = Signature((("m", 2), ("e", 0)))
+    assert dict(sig.index) == {"m": (0, 2), "e": (1, 0)}
+    assert (sig.arity("e"), "e" in sig, "u" in sig) == (0, True, False)
+    with pytest.raises(ValidationError, match="^unknown operation 'u'$"):
+        sig.arity("u")
+    with pytest.raises(TypeError):
+        sig.index["u"] = (2, 1)
+    assert sig == MONOID_SIG and hash(sig) == hash(MONOID_SIG)
+    assert repr(sig) == "Signature(ops=(('m', 2), ('e', 0)))"
+
+
 def test_sigf_object_sizes():
     two = FinSet((0, 1))
     assert len(apply_obj(MAGMA, two)) == 4

@@ -31,7 +31,7 @@ from finalg import (
     substitute,
     word_equal,
 )
-from finalg.core import MAX_ENUMERATION
+from finalg.core import MAX_ENUMERATION, atom_key
 from finalg.dsl import parse_spec
 from finalg import variety
 from finalg.terms import MAX_TERM_DEPTH
@@ -280,9 +280,9 @@ def test_saturate_refuses_a_depth_before_building_it(monkeypatch):
     registered = []
     register = _Engine._register
 
-    def counted(self, op, arg_ids):
+    def counted(self, height, size, op, arg_ids):
         registered.append(self)
-        return register(self, op, arg_ids)
+        return register(self, height, size, op, arg_ids)
 
     monkeypatch.setattr(_Engine, "_register", counted)
     with pytest.raises(ResourceLimitError, match="needs 19686, limit is 100$"):
@@ -291,7 +291,7 @@ def test_saturate_refuses_a_depth_before_building_it(monkeypatch):
     engine = registered[0]
     assert registered == [engine] * 27
     assert len(engine.ops) == 3 + 27
-    assert max(k[0] for k in engine.key) == 1
+    assert max(engine.height) == 1
 
 
 def test_saturate_refuses_a_depth_above_the_term_height_bound(monkeypatch):
@@ -306,7 +306,7 @@ def test_saturate_refuses_a_depth_above_the_term_height_bound(monkeypatch):
     assert len(res.state.classes) == MAX_TERM_DEPTH + 1
     assert max(t.height for t in res.state.terms) == MAX_TERM_DEPTH
 
-    def refused(engine, op, arg_ids):
+    def refused(engine, height, size, op, arg_ids):
         raise AssertionError("a node was registered")
 
     monkeypatch.setattr(_Engine, "_register", refused)
@@ -821,11 +821,23 @@ def _op_changed(state, op):
     return dataclasses.replace(changed, op_tables=tables)
 
 
+def _class_renamed(state, old, new):
+    """The state with the class named ``old`` named ``new``, and tables
+    read off the renamed classes: consistent everywhere except that name."""
+    least = tuple(new if c == old else c for c in state.least)
+    term = state.term
+    tables = {name: {} for name in state.op_tables}
+    for j in range(len(state.x), len(state.ops)):
+        args = tuple(term(least[c]) for c in state.node_args[j])
+        tables[state.ops[j]].setdefault(args, term(least[j]))
+    return dataclasses.replace(state, least=least, op_tables=tables)
+
+
 def test_derivation_audit_refuses_tampered_unstabilized_states():
     """Without a carrier, unit or variety check to fall back on, the
-    identity signature check, the congruence closure check and the check
-    of each node's operation against the signature each refuse their
-    tamper alone."""
+    identity signature check, the congruence closure check, the check of
+    each node's operation against the signature and the check that each
+    class is named by its lowest id each refuse their tamper alone."""
     state = _band_result().state
     assert audit_derivations(Unstabilized(state, state.depth))
     # At depth 2 on two generators, some nodes of Band and of BoolGroup
@@ -836,12 +848,20 @@ def test_derivation_audit_refuses_tampered_unstabilized_states():
         for name, sig in (("Band", "Magma"), ("BoolGroup", "Monoid")))
     assert all(audit_derivations(Unstabilized(s, s.depth)) for s in (band, group))
     other = ident(MONOID_SIG, m(X, Y), m(Y, X), ("x", "y"))
+    singleton = min(c for c in set(band.least) if band.least.count(c) == 1)
+    largest = max(sorted(set(band.least)), key=band.least.count)
     for what, tampered in {
         "an identity over another signature added": dataclasses.replace(
             state, identities=state.identities + (other,)),
         "a congruence union dropped, the rest made consistent": _unclosed(state),
         "a node's op outside the signature, the rest made consistent": _op_changed(band, "e"),
         "a node's op of another arity, the rest made consistent": _op_changed(group, "e"),
+        # A negative index reads the tuple from its end, so it aliases a
+        # real id, here the class's one member.
+        "a class named by a negative index": _class_renamed(
+            band, singleton, singleton - len(band.ops)),
+        "a class named by a later member, the rest made consistent": _class_renamed(
+            band, largest, max(i for i, c in enumerate(band.least) if c == largest)),
     }.items():
         assert not audit_derivations(Unstabilized(tampered, tampered.depth)), what
 
@@ -870,22 +890,21 @@ def _engines_left(monkeypatch):
     return engines
 
 
-def _check_engine_keys(engine, terms):
-    assert len(engine.key) == len(terms)
-    for i, t in enumerate(terms):
-        assert engine.key[i] == t.sort_key()
-    members: dict = {}
-    for i in range(len(terms)):
-        members.setdefault(engine.find(i), []).append(i)
-    assert set(members) == set(engine.rep)
-    for root, ids in members.items():
-        assert engine.rep[root] == min(ids, key=lambda i: terms[i].sort_key())
+def _check_canonical_ids(state):
+    """The state's ids are in canonical term order, so its terms are sorted,
+    and each class is named by its lowest id."""
+    terms = state.terms
+    assert terms == tuple(sorted(terms, key=atom_key))
+    classes: dict = {}
+    for i, c in enumerate(state.least):
+        classes.setdefault(c, []).append(i)
+    assert all(c == members[0] for c, members in classes.items())
 
 
-def test_engine_keys_are_the_terms_own(monkeypatch):
-    """The sort key the engine keeps per id, which begins with the term's
-    height and size, is that of the id's term, and each class is named by
-    its least term, on the trajectory presentations and on the 50-case
+def test_ids_are_in_canonical_term_order(monkeypatch):
+    """Each run registers its ids in canonical term order and names each
+    class by its lowest id, and the height and size the engine keeps per id
+    are its term's, on the trajectory presentations and on the 50-case
     matrix."""
     engines = _engines_left(monkeypatch)
     trajectory = parse_spec(TRAJECTORY_SPEC)
@@ -899,7 +918,14 @@ def test_engine_keys_are_the_terms_own(monkeypatch):
         results.append(saturate(sig, spec.presentation_identities(name), gens(n), depth))
     assert len(engines) == len(runs)
     for engine, res in zip(engines, results):
-        _check_engine_keys(engine, res.state.terms)
+        _check_canonical_ids(res.state)
+        terms = res.state.terms
+        assert engine.height == [t.height for t in terms]
+        assert engine.size == [t.size for t in terms]
+        members: dict = {}
+        for i in range(len(terms)):
+            members.setdefault(engine.find(i), []).append(i)
+        assert {root: ids[0] for root, ids in members.items()} == engine.rep
 
 
 def _reference_build(engine, side, g):
@@ -979,7 +1005,7 @@ def test_build_takes_the_node_filed_under_its_child_roots():
     but m(x1, x2) is filed under the same operation and child roots:
     ``build`` returns that node and registers nothing."""
     engine = _Engine(gens(2))
-    engine._register("m", (0, 1))
+    engine._register(1, 3, "m", (0, 1))
     held = engine.nodes[("m", (0, 1))]
     engine.union(0, 1, CONGRUENCE)
     engine.drain()
@@ -1005,13 +1031,10 @@ def _random_terms(sig, height):
     ])
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_random_presentations_build_every_instance_by_lookup(data):
-    """On small random presentations (ops of arity 0-3, 1-3 identities of
-    height at most 2, 0-2 generators, depth at most 4) saturation either
-    refuses the universe or returns a result the audit accepts: ``build``
-    never misses a node, since only the frontier registers them."""
+def _random_saturation(data):
+    """The result of saturating a small random presentation (ops of arity
+    0-3, 1-3 identities of height at most 2, 0-2 generators, depth at most
+    4), or None when the universe is refused."""
     ops = data.draw(st.lists(st.sampled_from(RANDOM_OPS), min_size=1, max_size=4, unique=True))
     sig = Signature(tuple(ops))
     sides = _random_terms(sig, 2)
@@ -1019,10 +1042,30 @@ def test_random_presentations_build_every_instance_by_lookup(data):
     ids = [ident(sig, left, right, ("x", "y")) for left, right in pairs]
     n, depth = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 4))
     try:
-        res = saturate(sig, ids, gens(n), depth, max_universe=2_000)
+        return saturate(sig, ids, gens(n), depth, max_universe=2_000)
     except ResourceLimitError:
-        return
-    assert audit_derivations(res)
+        return None
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_presentations_build_every_instance_by_lookup(data):
+    """On small random presentations saturation either refuses the universe
+    or returns a result the audit accepts: ``build`` never misses a node,
+    since only the frontier registers them."""
+    res = _random_saturation(data)
+    if res is not None:
+        assert audit_derivations(res)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_presentations_register_ids_in_canonical_term_order(data):
+    """On small random presentations every saturation result's terms are
+    sorted in id order and each class is named by its lowest id."""
+    res = _random_saturation(data)
+    if res is not None:
+        _check_canonical_ids(res.state)
 
 
 def test_components_match_a_reference_depth_walk():
@@ -1078,53 +1121,53 @@ MATRIX_RESULTS = {
     ('Band', 0, 3): 'c7757c0896cbfe61',
     ('Band', 1, 3): '2af17537dfd36242',
     ('Band', 1, 6): '2af17537dfd36242',
-    ('Band', 2, 3): 'd311f33886cc2c0d',
-    ('Band', 2, 6): '138555c864472d13',
+    ('Band', 2, 3): '1d73ee9009fcd249',
+    ('Band', 2, 6): '10e03799f4b3972e',
     ('BoolGroup', 0, 3): '25d84a4ea1eb2888',
-    ('BoolGroup', 1, 3): 'b8991d9221208832',
-    ('BoolGroup', 1, 6): 'b8991d9221208832',
-    ('BoolGroup', 2, 3): '93ec798d763c2424',
-    ('BoolGroup', 2, 6): 'befa6c3ebd1226f9',
-    ('BoolGroup', 3, 6): '879b02535b374a2b',
+    ('BoolGroup', 1, 3): '86087caf2207b176',
+    ('BoolGroup', 1, 6): '86087caf2207b176',
+    ('BoolGroup', 2, 3): '96c6a334bfb97e68',
+    ('BoolGroup', 2, 6): '980aecdb1bcfcf75',
+    ('BoolGroup', 3, 6): 'e8506c9fbc653e31',
     ('CommMonoid', 0, 3): 'a9421d08bbd18496',
-    ('CommMonoid', 1, 3): 'd8719284850eecdd',
-    ('CommMonoid', 2, 3): '22255b771116f75a',
+    ('CommMonoid', 1, 3): '2705e134a534d670',
+    ('CommMonoid', 2, 3): '6d992ee6543e54e7',
     ('CommSemigroup', 0, 3): 'c7757c0896cbfe61',
-    ('CommSemigroup', 1, 3): 'd16dcf383179f8cb',
-    ('CommSemigroup', 1, 5): 'c4a957cd948911c0',
-    ('CommSemigroup', 2, 3): '087b2ccef0697310',
+    ('CommSemigroup', 1, 3): 'f270838624fdb603',
+    ('CommSemigroup', 1, 5): 'bfd0fc743691b4ee',
+    ('CommSemigroup', 2, 3): '4b4b2049823e24de',
     ('DistLat', 0, 3): 'c7757c0896cbfe61',
-    ('DistLat', 1, 3): '4e2a138d3365f8ce',
-    ('DistLat', 1, 6): '0106cc1ce02e07cb',
-    ('DistLat', 2, 3): '84ae739dbd43cc11',
-    ('DistLat', 2, 6): 'f67e39c4f48a6519',
+    ('DistLat', 1, 3): '5facb5a8467ed14a',
+    ('DistLat', 1, 6): '23769341d35da599',
+    ('DistLat', 2, 3): 'ffddaa9c4dac1c5f',
+    ('DistLat', 2, 6): '73e8b525f6627eb8',
     ('LeftZero', 0, 3): 'c7757c0896cbfe61',
     ('LeftZero', 1, 3): '939d63d15fb15559',
     ('LeftZero', 2, 3): '45400d9f3259b5e6',
     ('LeftZero', 4, 6): 'eeaf2eaa28c99608',
     ('MonoidPres', 0, 3): '25d84a4ea1eb2888',
-    ('MonoidPres', 1, 3): '2049ed68d42b2e9b',
-    ('MonoidPres', 1, 4): '91bfc4c0cbc6c4d9',
-    ('MonoidPres', 1, 5): 'e91cb2a2d1cfe07e',
-    ('MonoidPres', 2, 3): '8fee1e3e38e7c3be',
+    ('MonoidPres', 1, 3): 'a8da617eb1a7a82e',
+    ('MonoidPres', 1, 4): 'db75330103bcc14c',
+    ('MonoidPres', 1, 5): '5ad39f8fc8fefc86',
+    ('MonoidPres', 2, 3): '3dc6bbf6eecc42ec',
     ('RectBand', 0, 3): 'c7757c0896cbfe61',
     ('RectBand', 1, 3): '2af17537dfd36242',
     ('RectBand', 1, 6): '2af17537dfd36242',
-    ('RectBand', 2, 3): 'fc6a2c252e9543bd',
-    ('RectBand', 2, 6): 'fc6a2c252e9543bd',
-    ('RectBand', 3, 6): '9db0d0139d47f082',
+    ('RectBand', 2, 3): 'b2c3caeb2221eb68',
+    ('RectBand', 2, 6): 'b2c3caeb2221eb68',
+    ('RectBand', 3, 6): '2fb6bed5dcce0543',
     ('Semigroup', 0, 3): 'c7757c0896cbfe61',
-    ('Semigroup', 1, 3): '34d20b6513c49efe',
-    ('Semigroup', 2, 3): '35e28576487cab22',
+    ('Semigroup', 1, 3): '1b4a18b8dd6f6dc2',
+    ('Semigroup', 2, 3): 'e6af7453c6c2032f',
     ('Semilattice', 0, 3): 'c7757c0896cbfe61',
     ('Semilattice', 1, 3): '6b375a43b67a715b',
     ('Semilattice', 1, 6): '6b375a43b67a715b',
     ('Semilattice', 2, 3): '67d502d8938f0c62',
     ('Semilattice', 2, 6): '67d502d8938f0c62',
-    ('Semilattice', 3, 6): 'b20e8b389b0027b0',
+    ('Semilattice', 3, 6): 'ace6b7bf0596a697',
     ('SemilatticeUnit', 0, 3): '867e33846c4d480e',
-    ('SemilatticeUnit', 1, 3): 'cbbd1e615a438085',
-    ('SemilatticeUnit', 2, 3): '04c2b9e3218aa977',
+    ('SemilatticeUnit', 1, 3): 'a1770c59065e29c1',
+    ('SemilatticeUnit', 2, 3): '7e4514855cde5c27',
 }
 
 
@@ -1187,7 +1230,7 @@ def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
                 assert find(filed) == find(i)
     assert {id(engine) for engine, *_ in sorts} == {id(engine) for engine in engines}
     for engine, height, got, full in sorts:
-        assert got == [i for i in full if engine.key[i][0] <= height]
+        assert got == [i for i in full if engine.height[i] <= height]
         if id(engine) in uncapped:
             assert got == full
     assert any(len(got) < len(full) for _, _, got, full in sorts)
@@ -1223,11 +1266,14 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
     registered, misfiled = [], []
     register = _Engine._register
 
-    def checked(engine, op, arg_ids):
+    def checked(engine, height, size, op, arg_ids):
         nid = len(engine.ops)
-        register(engine, op, arg_ids)
+        register(engine, height, size, op, arg_ids)
         registered.append(nid)
-        if engine.retired[nid] or engine.key[nid][0] != depths[engine]:
+        depth = depths[engine]
+        if engine.retired[nid] or engine.height[nid] != depth or depth != 1 + max(
+            (engine.height[a] for a in arg_ids), default=0
+        ):
             misfiled.append((op, arg_ids))
 
     monkeypatch.setattr(_Engine, "_file", recorded)
