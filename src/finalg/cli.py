@@ -229,7 +229,7 @@ def _cmd_free(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
     counts = "class-counts: " + " ".join(str(c) for c in result.state.class_counts)
     if isinstance(result, variety_mod.Stabilized):
         print("status: stabilized", file=out)
-        print(f"at-depth: {result.at_depth}", file=out)
+        print(f"at-depth: {result.state.depth}", file=out)
         print(counts, file=out)
         print(f"carrier: {len(result.algebra.carrier)}", file=out)
         for t in result.algebra.carrier:
@@ -243,7 +243,7 @@ def _cmd_free(args: argparse.Namespace, model: SpecModel, out: TextIO) -> int:
                 print(f"table {op}: ({rendered}) -> {format_term(image)}", file=out)
         return 0
     print("status: unstabilized", file=out)
-    print(f"depth-bound: {result.depth_bound}", file=out)
+    print(f"depth-bound: {result.state.depth}", file=out)
     print(counts, file=out)
     print(f"universe-size: {len(result.state.node_args)}", file=out)
     return 1

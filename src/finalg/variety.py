@@ -52,9 +52,7 @@ the two have the same child classes from then on, so it is never filed
 again and a union drops it from the parent list it moves.  Congruence
 closure is confluent, so neither which root survives nor the filing
 order changes ``rep`` or the classes after any drain; they change only
-which congruence unions are logged, and in what order.  One pass over
-the live nodes reads the operation tables off these: each retired node
-has the operation, child classes and class of a live one.
+which congruence unions are logged, and in what order.
 
 Every union the engine performs goes into a log with its reason: an
 identity instance, given as ``(component, images, left_steps,
@@ -69,8 +67,9 @@ from the classes of that moment.  The result's :class:`CongruenceState`
 keeps the engine's plain arrays and that log: each id's operation and
 child ids, not its term.  It builds a term the first time it is read,
 once per id, and the canonical universe and partition only when they are
-first read; saturation itself reads only the terms of the classes' least
-ids, for the operation tables, the carrier and the unit.
+first read.  The state stores no operation table: a stabilized run
+reads each cell of its algebra off the frontier node over the carrier
+ids, and builds only the carrier's terms.
 ``audit_derivations`` checks this certificate with its own union-find
 and no engine code.  Once it has shown that every carrier term folds to
 itself under the unit, a morphism extending an assignment can only be
@@ -279,7 +278,7 @@ class _Engine:
 
 @dataclass(frozen=True)
 class CongruenceState:
-    """What a saturation run leaves: its certificate and its partial tables.
+    """What a saturation run leaves: its certificate, and nothing else.
 
     The certificate is ids and operations.  The generators are ids
     0..|x|-1, with ``ops[i]`` and ``node_args[i]`` None, and every other
@@ -296,9 +295,10 @@ class CongruenceState:
     The steps are the ids each side's nodes resolved to, in post-order,
     left to right: each a node over its slots' ids or ids of their
     classes, and the last, or the image of a side that is a variable,
-    ``a`` for the left side and ``b`` for the right.  ``op_tables`` are
-    the operation tables on the classes' least terms, and
-    ``class_counts`` the class count after each processed depth.
+    ``a`` for the left side and ``b`` for the right.  ``class_counts``
+    holds the class count after each of the ``depth`` processed depths.
+    An operation's table on the classes is read off the arrays: each
+    node sends its children's classes to its own.
 
     ``terms``, ``universe``, ``classes`` and ``instance_pairs`` are read
     off these arrays on first access and kept.
@@ -312,7 +312,6 @@ class CongruenceState:
     node_args: tuple[Optional[tuple[int, ...]], ...]
     least: tuple[int, ...]
     union_log: tuple[tuple[int, int, object], ...]
-    op_tables: dict
     class_counts: tuple[int, ...]
 
     @cached_property
@@ -378,14 +377,12 @@ class CongruenceState:
 class Stabilized:
     algebra: FinAlgebra
     unit: FinMap
-    at_depth: int
     state: CongruenceState
 
 
 @dataclass(frozen=True)
 class Unstabilized:
     state: CongruenceState
-    depth_bound: int
 
 
 FreeAlgebraResult = Union[Stabilized, Unstabilized]
@@ -436,25 +433,14 @@ def _compile_side(side: Term, deepest: dict) -> tuple:
 
 def _state(engine: _Engine, sig: Signature, x: FinSet, ids: Sequence[NaturalIdentity],
            depth: int, counts: list[int]) -> CongruenceState:
-    """The engine's arrays and log as a state, with each operation's table
-    on the least terms of the classes: every live node sends the classes
-    of its children to its own class.  A retired node has the operation,
-    the child classes and the class of a live node, so it adds no entry.
-    The tables are filled once the state exists, from its term cache, so
-    they hold the state's own term objects, and only the least ids'."""
-    rep, find, ops, kids, retired = (
-        engine.rep, engine.find, engine.ops, engine.node_args, engine.retired)
-    least = tuple([rep[find(i)] for i in range(len(ops))])
-    tables: dict = {name: {} for name, _ in sig}
-    state = CongruenceState(
-        sig, x, tuple(ids), depth, tuple(ops), tuple(kids), least,
-        tuple(engine.union_log), tables, tuple(counts),
+    """The engine's arrays and log as a state, each id's class named by its
+    lowest id; it builds no term."""
+    rep, find = engine.rep, engine.find
+    least = tuple([rep[find(i)] for i in range(len(engine.ops))])
+    return CongruenceState(
+        sig, x, tuple(ids), depth, tuple(engine.ops), tuple(engine.node_args), least,
+        tuple(engine.union_log), tuple(counts),
     )
-    term = {c: state.term(c) for c in rep.values()}
-    for nid in range(len(x), len(ops)):
-        if not retired[nid]:
-            tables[ops[nid]][tuple([term[least[a]] for a in kids[nid]])] = term[least[nid]]
-    return state
 
 
 def saturate(
@@ -546,20 +532,25 @@ def saturate(
 
         counts.append(len(engine.rep))
         if len(prev_roots) == len({engine.find(r) for r in prev_roots}) == len(engine.rep):
-            # Each class now holds exactly one id of this depth's frontier,
-            # which holds one id per class of ``prev_roots``, and the frontier
-            # built every operation over itself; a retired node's operation
-            # and child classes are a live node's.  So every table is total;
-            # an instance too high for this depth may not be applied yet.
+            # No two old classes merged and every class holds one.  This
+            # depth's nodes are higher than every old id, so each class's
+            # least id is its old class's, a frontier id, and the frontier
+            # built, or found in ``nodes``, each operation over each tuple of
+            # those: a table cell is that node's class.  An instance too high
+            # for this depth may not be applied yet.
             state = _state(engine, sig, x, ids, depth, counts)
-            carrier = FinSet(tuple([state.term(i) for i in engine.rep.values()]))
-            algebra = FinAlgebra(sig, carrier, state.op_tables)
+            least, term = state.least, {i: state.term(i) for i in engine.least_ids()}
+            carrier = FinSet(tuple(term.values()))
+            tables = {name: {tuple([term[c] for c in args]): term[least[nodes[(name, args)]]]
+                             for args in itertools.product(term, repeat=arity)}
+                      for name, arity in sig}
+            algebra = FinAlgebra(sig, carrier, tables)
             if satisfies_all(algebra, ids):
-                unit = FinMap(x, carrier, {a: state.term(state.least[i]) for i, a in enumerate(x)})
-                return Stabilized(algebra, unit, depth, state)
+                unit = FinMap(x, carrier, {a: term[least[i]] for i, a in enumerate(x)})
+                return Stabilized(algebra, unit, state)
         prev_roots = set(engine.rep)
 
-    return Unstabilized(_state(engine, sig, x, ids, depth_bound, counts), depth_bound)
+    return Unstabilized(_state(engine, sig, x, ids, depth_bound, counts))
 
 
 def _state_of(res: FreeAlgebraResult) -> CongruenceState:
@@ -571,19 +562,23 @@ def _state_of(res: FreeAlgebraResult) -> CongruenceState:
 def word_equal(res, t1: Term, t2: Term) -> bool:
     """Whether two terms denote the same element of the (partial) quotient.
 
-    Both terms are checked against the signature first.  A stabilized
-    state's operation tables are total on its classes, so normalizing
-    through them resolves every well-formed term there."""
+    Both terms are checked against the signature first, then normalized
+    to class ids through the table each node gives: its operation over its
+    children's classes to its own class.  A stabilized state's table is
+    total on its classes, so this resolves every well-formed term there."""
     state = _state_of(res)
     check_term(state.sig, t1)
     check_term(state.sig, t2)
+    ops, kids, least = state.ops, state.node_args, state.least
+    table = {(ops[i], tuple([least[c] for c in kids[i]])): least[i]
+             for i in range(len(state.x), len(ops))}
 
-    def normalize(t: Term) -> Term:
+    def normalize(t: Term) -> int:
         if type(t) is Var:
             if t.name not in state.x:
                 raise ValidationError(f"variable {t!r} outside the generators")
-            return state.term(state.least[state.x.position[t.name]])
-        found = state.op_tables[t.op].get(tuple([normalize(a) for a in t.args]))
+            return least[state.x.position[t.name]]
+        found = table.get((t.op, tuple([normalize(a) for a in t.args])))
         if found is None:
             raise ValidationError(f"term not resolvable at depth {state.depth}: {t!r}")
         return found
@@ -607,14 +602,16 @@ def audit_derivations(res) -> bool:
     step id left over, and the side ending in its logged id; a congruence
     reason joins two nodes of one operation whose children are already
     joined; that the replayed classes are the claimed ones, each named by
-    its lowest member; that the classes are closed under congruence and every
-    registered node agrees with the operation tables, which hold nothing
-    else.  Only the terms of the classes' least ids are read, for the
-    tables, the carrier and the unit.  For a stabilized result it also
-    checks that the carrier is the set of class representatives, the unit
-    sends each generator to its class, the algebra satisfies every
-    identity, and every carrier term folds to itself under the unit, so
-    the unit generates the algebra.
+    its lowest member; that the classes are closed under congruence: nodes
+    of one operation over the same child classes lie in one class; and
+    that ``class_counts`` holds one count per depth of ``depth``, the last
+    the number of classes.  An unstabilized result reads no term.  For a
+    stabilized result it also checks that the algebra's tables hold
+    exactly the closure's entries on the terms of the classes' least ids,
+    the only terms it reads, that the carrier is the set of those terms,
+    the unit sends each generator to its class, the algebra satisfies
+    every identity, and every carrier term folds to itself under the
+    unit, so the unit generates the algebra.
     """
     state = _state_of(res)
     try:
@@ -707,25 +704,25 @@ def _certified(res, state: CongruenceState) -> bool:
     reps = set(claimed.values())
     if len(reps) != len(claimed) or any(least[c] != c for c in reps):
         return False
+    if len(state.class_counts) != state.depth or state.class_counts[-1] != len(reps):
+        return False
 
     closure: dict[tuple, int] = {}
     for i in range(len(gens), n):
         key = (ops[i], tuple([least[c] for c in kids[i]]))
         if closure.setdefault(key, least[i]) != least[i]:
             return False
+    if not isinstance(res, Stabilized):
+        return True
     # Every id's term is its operation over its children's, by the checks
     # above and by construction; only the least ids' terms are read.
     term = {c: state.term(c) for c in reps}
-    stabilized = isinstance(res, Stabilized)
-    for tables in (state.op_tables, res.algebra.tables) if stabilized else (state.op_tables,):
-        if sum(len(table) for table in tables.values()) != len(closure):
-            return False
-        for (op, args), c in closure.items():
-            if tables[op][tuple([term[a] for a in args])] != term[c]:
-                return False
-    if not stabilized:
-        return True
     algebra, unit = res.algebra, res.unit
+    if sum(len(table) for table in algebra.tables.values()) != len(closure):
+        return False
+    for (op, args), c in closure.items():
+        if algebra.tables[op][tuple([term[a] for a in args])] != term[c]:
+            return False
     return (
         algebra.sig == state.sig
         and set(algebra.carrier) == set(term.values())

@@ -178,7 +178,7 @@ def test_monoid_on_one_generator_does_not_stabilize(monoid_ids):
 def test_empty_generators_without_constants_stabilize_empty(comm):
     res = saturate(MAGMA, [comm], FinSet(()), 3)
     assert isinstance(res, Stabilized)
-    assert res.at_depth == 1
+    assert res.state.depth == 1
     assert len(res.algebra.carrier) == 0
 
 
@@ -334,7 +334,8 @@ def test_saturate_builds_only_the_carrier_terms(monkeypatch):
     """The engine and the state keep ids and operations; a term is built
     only when it is read.  Saturating BoolGroup on three generators
     registers 2,708 ids but builds only carrier terms and their subterms,
-    each once."""
+    each once.  An unstabilized run builds none: saturating Semigroup on
+    two generators to depth 3 and auditing the result build no ``Node``."""
     model = parse_spec(TRAJECTORY_SPEC)
     ids = model.presentation_identities("BoolGroup")
     built = _nodes_built(monkeypatch)
@@ -349,6 +350,14 @@ def test_saturate_builds_only_the_carrier_terms(monkeypatch):
             todo.extend(t.args)
     assert len(built) <= len(subterms)
     assert len(set(built)) == len(built)
+
+    corpus = parse_spec(CORPUS.read_text())
+    ids = corpus.presentation_identities("Semigroup")
+    built = _nodes_built(monkeypatch)
+    res = saturate(corpus.signatures["Magma"], ids, gens(2), 3)
+    assert isinstance(res, Unstabilized) and audit_derivations(res)
+    monkeypatch.undo()
+    assert built == []
 
 
 def test_state_builds_each_term_once_in_any_order(monkeypatch):
@@ -392,7 +401,7 @@ def test_saturate_stabilizes_only_inside_the_variety(sig, sides):
     ids = [ident(sig, left, right, ("x", "y")) for left, right in sides]
     assert isinstance(saturate(sig, ids, gens(1), 3), Unstabilized)
     res = saturate(sig, ids, gens(1), 6)
-    assert res.at_depth == 4 and res.state.class_counts == (2, 2, 1, 1)
+    assert res.state.depth == 4 and res.state.class_counts == (2, 2, 1, 1)
     assert res.algebra.carrier.elements == (Var("x1"),)
     assert audit_derivations(res)
 
@@ -605,7 +614,7 @@ def test_saturation_trajectory(presentation, n, bound, at_depth, counts, univers
     sig = model.signatures[model.presentations[presentation].sig_name]
     res = saturate(sig, model.presentation_identities(presentation), gens(n), bound)
     assert isinstance(res, Stabilized)
-    assert res.at_depth == at_depth
+    assert res.state.depth == at_depth
     assert res.state.class_counts == counts
     assert len(res.state.universe) == universe
     assert len(res.state.instance_pairs) == instances
@@ -678,9 +687,8 @@ def _tampered(res, identity):
             state, identities=state.identities + (identity,)),
         "a generator sent to another class": FinMap(
             res.unit.dom, res.algebra.carrier, {"x1": x1, "x2": x1}),
-        "a table entry changed": (
-            FinAlgebra(res.algebra.sig, res.algebra.carrier, tables),
-            dataclasses.replace(state, op_tables=tables)),
+        "a table entry changed": FinAlgebra(res.algebra.sig, res.algebra.carrier, tables),
+        "the depth claimed as another": dataclasses.replace(state, depth=9),
         # Each row below passes every other test of the checker, so exactly
         # one test refuses it.
         "a class entry for no id": dataclasses.replace(state, least=least + (0,)),
@@ -709,9 +717,6 @@ def _tampered(res, identity):
                 (o for o in range(len(state.x), n) if find(o) == find(nid)
                  and ops[o] == ops[nid]
                  and any(find(c) != find(d) for c, d in zip(kids[o], kids[nid]))), None)),
-        "a table entry added": dataclasses.replace(
-            state, op_tables={**state.op_tables,
-                              "m": {**state.op_tables["m"], (Var("x3"), x1): x1}}),
     }
 
 
@@ -753,10 +758,9 @@ def test_derivation_audit_refuses_tampered_states(comm):
     for what, tampered in _tampered(res, comm).items():
         if isinstance(tampered, FinMap):
             tampered = dataclasses.replace(res, unit=tampered)
-        elif isinstance(tampered, tuple):
-            algebra, state = tampered
-            assert evaluate(algebra, m(x1, x2), res.unit.table) != m(x1, x2)
-            tampered = dataclasses.replace(res, algebra=algebra, state=state)
+        elif isinstance(tampered, FinAlgebra):
+            assert evaluate(tampered, m(x1, x2), res.unit.table) != m(x1, x2)
+            tampered = dataclasses.replace(res, algebra=tampered)
         else:
             tampered = dataclasses.replace(res, state=tampered)
         assert not audit_derivations(tampered), what
@@ -778,12 +782,28 @@ def test_derivation_audit_refuses_a_step_of_another_operation():
     assert not audit_derivations(dataclasses.replace(res, state=tampered))
 
 
+def test_derivation_audit_refuses_table_cells_no_node_holds():
+    """Left-zero semigroups on two generators stabilize at depth 1 with the
+    generators as carrier.  With every node and the log dropped, the
+    classes, the depth and the class count still agree, but no node holds
+    any of the algebra's four table cells, and the count of the tables'
+    entries against the closure's refuses it."""
+    model = parse_spec(TRAJECTORY_SPEC)
+    res = saturate(model.signatures["Magma"], model.presentation_identities("LeftZero"),
+                   gens(2), 6)
+    state = res.state
+    assert isinstance(res, Stabilized) and state.depth == 1 and audit_derivations(res)
+    bare = dataclasses.replace(state, ops=state.ops[:2], node_args=state.node_args[:2],
+                               least=state.least[:2], union_log=())
+    assert not audit_derivations(dataclasses.replace(res, state=bare))
+
+
 def _unclosed(state):
     """The state with its last congruence union dropped, each class renamed
-    to its least id once the log is replayed without it, and tables read
-    off the first node of each operation and child classes: consistent
-    everywhere except that two nodes over joined children stay apart."""
-    log, kids, terms = state.union_log, state.node_args, state.terms
+    to its least id once the log is replayed without it, and its last class
+    count made the number of those classes: consistent everywhere except
+    that two nodes over joined children stay apart."""
+    log, terms = state.union_log, state.terms
     last = max(k for k, (_, _, reason) in enumerate(log) if reason == CONGRUENCE)
     log = log[:last] + log[last + 1:]
     parent = list(range(len(terms)))
@@ -797,56 +817,43 @@ def _unclosed(state):
         p, q = find(p), find(q)
         parent[max(p, q)] = min(p, q)
     least = tuple(find(i) for i in range(len(terms)))
-    tables = {op: {} for op in state.op_tables}
-    for i in range(len(state.x), len(terms)):
-        args = tuple(terms[least[c]] for c in kids[i])
-        tables[terms[i].op].setdefault(args, terms[least[i]])
-    return dataclasses.replace(state, union_log=log, least=least, op_tables=tables)
+    counts = state.class_counts[:-1] + (len(set(least)),)
+    return dataclasses.replace(state, union_log=log, least=least, class_counts=counts)
 
 
 def _op_changed(state, op):
     """The state with ``op`` as the operation of the last node that no
-    union names, as an end or a step, and tables read off the changed
-    operations: consistent everywhere except that node's operation."""
+    union names, as an end or a step: consistent everywhere except that
+    node's operation."""
     named = set()
     for a, b, reason in state.union_log:
         named.update((a, b), *([] if reason == CONGRUENCE else reason[2:]))
     i = max(set(range(len(state.x), len(state.ops))) - named)
-    changed = dataclasses.replace(state, ops=state.ops[:i] + (op,) + state.ops[i + 1:])
-    term, least = changed.term, state.least
-    tables = {name: {} for name in (*state.op_tables, op)}
-    for j in range(len(state.x), len(state.ops)):
-        args = tuple(term(least[c]) for c in state.node_args[j])
-        tables[changed.ops[j]].setdefault(args, term(least[j]))
-    return dataclasses.replace(changed, op_tables=tables)
+    return dataclasses.replace(state, ops=state.ops[:i] + (op,) + state.ops[i + 1:])
 
 
 def _class_renamed(state, old, new):
-    """The state with the class named ``old`` named ``new``, and tables
-    read off the renamed classes: consistent everywhere except that name."""
-    least = tuple(new if c == old else c for c in state.least)
-    term = state.term
-    tables = {name: {} for name in state.op_tables}
-    for j in range(len(state.x), len(state.ops)):
-        args = tuple(term(least[c]) for c in state.node_args[j])
-        tables[state.ops[j]].setdefault(args, term(least[j]))
-    return dataclasses.replace(state, least=least, op_tables=tables)
+    """The state with the class named ``old`` named ``new``: consistent
+    everywhere except that name."""
+    return dataclasses.replace(state, least=tuple(new if c == old else c for c in state.least))
 
 
 def test_derivation_audit_refuses_tampered_unstabilized_states():
     """Without a carrier, unit or variety check to fall back on, the
     identity signature check, the congruence closure check, the check of
-    each node's operation against the signature and the check that each
-    class is named by its lowest id each refuse their tamper alone."""
+    each node's operation against the signature, the check that each
+    class is named by its lowest id and the checks of the depth and the
+    last class count each refuse their tamper alone."""
     state = _band_result().state
-    assert audit_derivations(Unstabilized(state, state.depth))
+    assert audit_derivations(Unstabilized(state))
     # At depth 2 on two generators, some nodes of Band and of BoolGroup
     # are named by no union.
     model = parse_spec(TRAJECTORY_SPEC)
-    band, group = (
-        saturate(model.signatures[sig], model.presentation_identities(name), gens(2), 2).state
-        for name, sig in (("Band", "Magma"), ("BoolGroup", "Monoid")))
-    assert all(audit_derivations(Unstabilized(s, s.depth)) for s in (band, group))
+    band, group, band3 = (
+        saturate(model.signatures[sig], model.presentation_identities(name), gens(2), depth).state
+        for name, sig, depth in (("Band", "Magma", 2), ("BoolGroup", "Monoid", 2),
+                                 ("Band", "Magma", 3)))
+    assert all(audit_derivations(Unstabilized(s)) for s in (band, group, band3))
     other = ident(MONOID_SIG, m(X, Y), m(Y, X), ("x", "y"))
     singleton = min(c for c in set(band.least) if band.least.count(c) == 1)
     largest = max(sorted(set(band.least)), key=band.least.count)
@@ -862,8 +869,15 @@ def test_derivation_audit_refuses_tampered_unstabilized_states():
             band, singleton, singleton - len(band.ops)),
         "a class named by a later member, the rest made consistent": _class_renamed(
             band, largest, max(i for i, c in enumerate(band.least) if c == largest)),
+        "a depth other than the depths processed": dataclasses.replace(band, depth=3),
+        # Band's class count is 8 after depths 2 and 3, so only the depth
+        # tells a run one depth past its bound from a run to the bound.
+        "a run one depth past its bound, claimed at the bound": dataclasses.replace(
+            band3, depth=2),
+        "a last class count other than the classes": dataclasses.replace(
+            band, class_counts=band.class_counts[:-1] + (band.class_counts[-1] + 1,)),
     }.items():
-        assert not audit_derivations(Unstabilized(tampered, tampered.depth)), what
+        assert not audit_derivations(Unstabilized(tampered)), what
 
 
 def _matrix_cases():
@@ -1098,21 +1112,25 @@ def test_components_match_a_reference_depth_walk():
 def _state_lines(state):
     """What a saturation run decides, one line per item: the registered
     terms in id order, each id's least class member, the identity instances
-    that merged classes with their reasons, the operation tables in a
-    canonical order, and the class count after each depth.  The congruence
-    entries of the union log are left out: their order and pairs depend on
-    the engine's filing order, not on the classes."""
+    that merged classes with their reasons, the operation tables read off
+    the certificate (each node's operation over its children's least
+    terms, to its own least term), deduplicated and in a canonical order,
+    and the class count after each depth.  The congruence entries of the
+    union log are left out: their order and pairs depend on the engine's
+    filing order, not on the classes."""
     yield from (format_term(t) for t in state.terms)
     yield " ".join(map(str, state.least))
     yield from (
         f"{format_term(state.terms[a])} = {format_term(state.terms[b])} {reason}"
         for a, b, reason in state.union_log if reason != CONGRUENCE
     )
-    for op, table in sorted(state.op_tables.items()):
-        yield from sorted(
-            f"{op}({','.join(map(format_term, args))}) = {format_term(value)}"
-            for args, value in table.items()
-        )
+    cells: dict = {}
+    for i in range(len(state.x), len(state.ops)):
+        args = ",".join(format_term(state.terms[state.least[c]]) for c in state.node_args[i])
+        cells.setdefault(state.ops[i], set()).add(
+            f"{state.ops[i]}({args}) = {format_term(state.terms[state.least[i]])}")
+    for op in sorted(cells):
+        yield from sorted(cells[op])
     yield " ".join(map(str, state.class_counts))
 
 
