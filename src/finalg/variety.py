@@ -14,15 +14,16 @@ The engine keeps one term store and one class record.  ``nodes``, the
 hashcons of its terms, maps ``(op, child ids)`` to the id of the node
 with exactly those children (the generators are ids 0..|x|-1), so
 identity instances and frontier nodes are built on integer ids.  Each
-identity component is prepared once: one walk per side compiles it into
-a post-order list of steps over registers that start with the images of
-the component's variables, and records each variable's deepest
-occurrence, which bounds the height of its images.  An instance runs
-those lists, each step taking the node of its operation with exactly the
-children in its slots, or else, as egg's ``add`` canonicalizes an
-e-node's children before its hashcons lookup (Willsey et al., POPL
-2021), the node ``sig_table`` files under the roots of those children:
-in ``saturate`` one exists (the argument is at the instance loop).
+identity component's instance pass is generated once as straight-line
+code and ``exec``'d (``_PassSource``, held by ``_generated_pass``, a
+bounded cache keyed by the component's data): one ``for`` per variable,
+then per node of the sides one step, which takes the node of its
+operation with exactly its children, or else, as egg's ``add``
+canonicalizes an e-node's children before its hashcons lookup (Willsey
+et al., POPL 2021), the node ``sig_table`` files under the roots of
+those children: in ``saturate`` one exists (the argument is at
+``_instance_passes``).  The walk that emits the steps records each
+variable's deepest occurrence, which bounds the height of its images.
 
 Only the frontier registers nodes, and filing one never retires it.  At
 depth d it registers each operation over each tuple of least ids that
@@ -39,11 +40,18 @@ stage's, so by induction ids are in canonical term order, and the engine
 keeps only each id's height and size: an instance pool, the roots of
 height at most the depth less a variable's offset, is a prefix of the
 sorted roots, and a depth's one instance pass sorts only the roots no
-higher than the depth less the least offset.  The keys of ``rep`` are
-exactly the live union-find roots, each mapped to its class's lowest id.
-``parents`` holds, per id, the list of parent nodes of that root's class.  A union
-keeps the root with the longer list (Downey, Sethi & Tarjan, 1980) and
-marks the nodes it moves dirty; a drain files each dirty node again once
+higher than the depth less the least offset.  The pool's roots of a
+lower height are a prefix of it too, those the previous depth's pool
+held, so a pass reads past that prefix only: each instance is tried
+once, at the first depth it fits in, as semi-naive evaluation applies a
+rule only to tuples with a new fact (egglog, Zhang et al., "Better
+Together: Unifying Datalog and Equality Saturation", PLDI 2023).
+
+The keys of ``rep`` are exactly the live union-find roots, each mapped
+to its class's lowest id.  ``parents`` holds, per id, the list of
+parent nodes of that root's class.  A union keeps the root with the
+longer list (Downey, Sethi & Tarjan, 1980) and marks the nodes it moves
+dirty; a drain files each dirty node again once
 per round, after that round's pending unions, as egg's deferred rebuild
 does (Willsey et al., "egg: Fast and Extensible Equality Saturation",
 POPL 2021).  As egg's rebuild also does, a node whose operation and
@@ -93,16 +101,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebras import FinAlgebra, compile_term, is_morphism
 from .core import MAX_ENUMERATION, FinMap, FinSet, Partition, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
-from .identities import NaturalIdentity, canonical_vars, satisfies_all
+from .identities import _MAX_NESTING, NaturalIdentity, canonical_vars, satisfies_all
 from .terms import MAX_TERM_DEPTH, Node, Term, Var, check_term, variables
 
 MAX_UNIVERSE = 500_000
@@ -121,10 +130,10 @@ class _Engine:
     roots, ``rep`` maps each root to its class's lowest id, and
     ``union_log`` holds every union with its reason.  Ids are in
     canonical term order, and ``height`` and ``size`` hold each id's
-    term's height (the depth that registered it) and size.  ``build``
-    runs a side compiled by ``_compile_side``, taking a node ``nodes`` or
-    else ``sig_table`` holds for each step, and only the frontier
-    registers nodes, through ``_register``.
+    term's height (the depth that registered it) and size.  An instance
+    pass (``_PassSource``) takes for each step a node ``nodes`` or else
+    ``sig_table`` holds, and only the frontier registers nodes, through
+    ``_register``.
 
     ``parents`` holds, per id, the parent nodes of that root's class, and
     ``retired`` flags, per id, a node whose operation and child roots a
@@ -163,35 +172,6 @@ class _Engine:
         while parent[i] != root:
             parent[i], i = root, parent[i]
         return root
-
-    def build(self, side: tuple, images: tuple[int, ...]) -> list[int]:
-        """The registers of a side compiled by ``_compile_side``, its variables
-        bound to the ids ``images``: the images, then per step the id of a
-        node of the step's operation over the ids in its slots, or over ids
-        of their classes.  A step takes the node with exactly those children
-        if there is one, else the node ``sig_table`` files under their roots;
-        it registers nothing, and raises ``KeyError`` when neither exists.
-
-        The exact ``nodes`` lookup comes first and stays.  Taking the
-        ``sig_table`` holder in place of the exact node hands later steps
-        other ids, and the instance's unions then merge other ids in the
-        middle of a pass, so a later step's key is not filed yet: with
-        every step built through ``sig_table`` alone, the test
-        ``test_universal_property_by_generation_matches_enumeration``
-        raises ``KeyError: ('m', (30, 0))``.  With the exact lookup first,
-        no step finds its exact node while its ``sig_table`` key is
-        missing, over a free_variety round, ``tests/test_variety.py``, the
-        CLI goldens and ``tests/test_acceptance.py``."""
-        steps, _ = side
-        regs = list(images)
-        nodes, filed, find = self.nodes, self.sig_table, self.find
-        for op, slots in steps:
-            args = tuple([regs[s] for s in slots])
-            nid = nodes.get((op, args))
-            if nid is None:
-                nid = filed[(op, tuple([find(a) for a in args]))]
-            regs.append(nid)
-        return regs
 
     def _register(self, height: int, size: int, op: str, arg_ids: tuple[int, ...]) -> None:
         """Register the node ``op`` over ``arg_ids``, which ``nodes`` does not
@@ -350,9 +330,36 @@ class CongruenceState:
         return tuple([term(i) for i in range(len(self.ops))])
 
     @cached_property
+    def _table(self) -> dict[tuple, int]:
+        """Each node's operation and child classes, to its own class."""
+        ops, kids, least = self.ops, self.node_args, self.least
+        return {(ops[i], tuple([least[c] for c in kids[i]])): least[i]
+                for i in range(len(self.x), len(ops))}
+
+    @cached_property
     def universe(self) -> FinSet:
-        """The registered terms as a canonical set."""
-        return FinSet(self.terms)
+        """The registered terms as a canonical set.  One pass checks that
+        the ids are in canonical term order, sorting nothing: the
+        generators first, then each id's height, size, operation and child
+        ids above the previous id's.  Children of lower ids in that order
+        compare as their terms do, so the terms are sorted and distinct."""
+        ops, kids, n = self.ops, self.node_args, len(self.x)
+        height, size, last = [0] * n, [1] * n, ()
+        for i, args in enumerate(kids):
+            if i < n:
+                ordered = ops[i] is None and args is None
+            else:
+                ordered = type(ops[i]) is str and args is not None and all(
+                    0 <= c < i for c in args)
+                if ordered:
+                    key = (1 + max([height[c] for c in args], default=0),
+                           1 + sum([size[c] for c in args]), ops[i], args)
+                    ordered, last = last < key, key
+                    height.append(key[0])
+                    size.append(key[1])
+            if not ordered:
+                raise ValidationError(f"id {i} is out of canonical term order")
+        return FinSet._trusted(self.terms)
 
     @cached_property
     def classes(self) -> Partition:
@@ -389,46 +396,197 @@ FreeAlgebraResult = Union[Stabilized, Unstabilized]
 
 
 def _components(ids: Iterable[NaturalIdentity], sig: Signature) -> list[tuple]:
-    """One entry per identity component, in order: ``(deepest, left,
-    right, ground)``.  ``deepest`` maps the component's used variables, in
-    canonical order, to their deepest occurrence in either side, ``left``
-    and ``right`` are the sides compiled over those variables by
-    ``_compile_side``, and ``ground`` is the height of the taller side."""
+    """One entry per identity component, in order, from ``_generated_pass``:
+    ``(deepest, ground, run, ops)``."""
     components = []
     for ident in ids:
         if ident.sig != sig:
             raise ValidationError("identity signature differs from presentation")
         for k, left, right in zip(ident.domain, ident.lhs.data, ident.rhs.data):
-            occurring = variables(left) | variables(right)
-            deepest = {v: 0 for v in canonical_vars(k) if v in occurring}
-            components.append((deepest, _compile_side(left, deepest),
-                               _compile_side(right, deepest), max(left.height, right.height)))
+            components.append(_generated_pass(k, left, right))
     return components
 
 
-def _compile_side(side: Term, deepest: dict) -> tuple:
-    """``side`` as ``(steps, out)``: its nodes in post-order, left to right,
-    each step ``(op, slots)`` reading the registers at ``slots`` and writing
-    the next one, and the register of the side's value.  The registers
-    start with the images of the variables of ``deepest``, in its order.
+def _tuple(items: Sequence[str]) -> str:
+    """The text of a tuple display of the names ``items``."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return f"({', '.join(items)})"
 
-    The same walk raises each variable's entry in ``deepest`` to the depth
-    of its deepest occurrence, measured from the root.  The height of
-    side[g] is max(side.height, max_v(deepest_v + height(g(v)))), so these
-    depths turn the fits-in-stage test into a per-variable bound."""
-    slot = {v: i for i, v in enumerate(deepest)}
-    steps: list[tuple[str, tuple[int, ...]]] = []
 
-    def walk(t: Term, depth: int) -> int:
+class _PassSource:
+    """The text of ``run(pools, olds, engine, comp, ops)``, the instance pass
+    of the identity component ``left = right`` over the canonical variables
+    of ``k`` at one depth, with ``deepest``, the used variables in
+    canonical order, each mapped to the depth of its deepest occurrence in
+    either side, and ``ops``, the operations the text reads as ``oI``.
+
+    ``pools[i]`` holds, in id order, the least ids variable ``i`` may be
+    bound to, and its first ``olds[i]`` are those it was bound to at the
+    previous depth.  One ``for`` per variable walks ``itertools.product``
+    order, leaving out each tuple whose every image is old: while every
+    outer image is old, a loop reads its pool's old ids ``OI`` and then its
+    new ids ``NI``, and the innermost loop only the new ones.  Past
+    ``_MAX_NESTING`` loops, one ``product`` loop binds the remaining
+    variables and skips a tuple whose images are each at most their pool's
+    last old id ``mI``.  Innermost, per node of the sides in post-order,
+    one step takes the node with exactly its children, else the node
+    ``sig_table`` files under their roots, and when the sides' ids lie in
+    distinct classes the pass joins them with the reason ``(comp, images,
+    left_steps, right_steps)``.
+
+    The text holds only integers and fixed local names: the parameters,
+    ``get``, ``filed``, ``find``, ``union``, ``product``, ``oI``, the pools
+    ``PI`` and old counts ``nI``, ``OI``, ``NI``, ``mI``, the images ``aI``
+    and the node ids ``xK``.  Operation names reach it only through
+    ``ops``."""
+
+    def __init__(self, k: int, left: Term, right: Term):
+        occurring = variables(left) | variables(right)
+        self.deepest = {v: 0 for v in canonical_vars(k) if v in occurring}
+        self.image = {v: f"a{i}" for i, v in enumerate(self.deepest)}
+        self.ops: dict[str, int] = {}
+        self.steps: list[str] = []
+        sides = ([], [])
+        a, b = self.side(left, 0, sides[0]), self.side(right, 0, sides[1])
+        body = self.steps + [
+            f"if find({a}) != find({b}):",
+            f"    union({a}, {b}, (comp, {_tuple(list(self.image.values()))}, "
+            f"{_tuple(sides[0])}, {_tuple(sides[1])}))",
+        ]
+        used = len(self.deepest)
+        cut = used if used <= _MAX_NESTING else _MAX_NESTING - 1
+        lines = ["def run(pools, olds, engine, comp, ops):",
+                 "    get, filed, find, union = "
+                 "engine.nodes.get, engine.sig_table, engine.find, engine.union"]
+        if self.ops:
+            lines.append(f"    {''.join(f'o{i}, ' for i in range(len(self.ops)))}= ops")
+        if used:
+            lines.append(f"    {''.join(f'P{i}, ' for i in range(used))}= pools")
+            lines.append(f"    {''.join(f'n{i}, ' for i in range(used))}= olds")
+            lines += [f"    O{i}, N{i} = P{i}[:n{i}], P{i}[n{i}:]" for i in range(cut)]
+            lines += [f"    m{i} = P{i}[n{i} - 1] if n{i} else -1" for i in range(cut, used)]
+        self.loops(lines, body, 0, cut, used, True, "    ")
+        self.text = "\n".join(lines) + "\n"
+
+    def side(self, t: Term, depth: int, taken: list) -> str:
+        """The name of ``t``'s id, ``t`` at ``depth`` below its side's root.
+        Appends the names of its nodes' ids to ``taken`` in post-order, left
+        to right, and raises each variable's ``deepest`` entry to the depth
+        of its deepest occurrence: the height of side[g] is max(side.height,
+        max_v(deepest_v + height(g(v)))), so these depths turn the
+        fits-in-stage test into a per-variable bound."""
         if not isinstance(t, Node):
-            deepest[t.name] = max(deepest[t.name], depth)
-            return slot[t.name]
-        slots = tuple([walk(a, depth + 1) for a in t.args])
-        steps.append((t.op, slots))
-        return len(slot) + len(steps) - 1
+            self.deepest[t.name] = max(self.deepest[t.name], depth)
+            return self.image[t.name]
+        args = [self.side(a, depth + 1, taken) for a in t.args]
+        op, name = f"o{self.ops.setdefault(t.op, len(self.ops))}", f"x{len(self.steps) // 2}"
+        roots = _tuple([f"find({a})" for a in args])
+        self.steps += [f"{name} = get(({op}, {_tuple(args)}))",
+                       f"if {name} is None: {name} = filed[({op}, {roots})]"]
+        taken.append(name)
+        return name
 
-    out = walk(side, 0)
-    return tuple(steps), out
+    def loops(self, lines: list, body: list, i: int, cut: int, k: int, old: bool,
+              pad: str) -> None:
+        """Append the loops of variables ``i`` on, ``old`` when every outer
+        image is old, and ``body`` innermost."""
+        if i == cut:
+            if i < k:
+                lines.append(f"{pad}for {', '.join(f'a{j}' for j in range(i, k))} in "
+                             f"product({', '.join(f'P{j}' for j in range(i, k))}):")
+                pad += "    "
+                if old:
+                    lines.append(
+                        f"{pad}if {' and '.join(f'a{j} <= m{j}' for j in range(i, k))}: continue")
+            lines += [pad + line for line in body]
+        elif old:
+            if i < k - 1:
+                lines.append(f"{pad}for a{i} in O{i}:")
+                self.loops(lines, body, i + 1, cut, k, True, pad + "    ")
+            lines.append(f"{pad}for a{i} in N{i}:")
+            self.loops(lines, body, i + 1, cut, k, False, pad + "    ")
+        else:
+            lines.append(f"{pad}for a{i} in P{i}:")
+            self.loops(lines, body, i + 1, cut, k, False, pad + "    ")
+
+
+# Generated instance passes by component data, so a presentation saturated
+# again reuses them; bounded for the process's life.
+@lru_cache(maxsize=256)
+def _generated_pass(k: int, left: Term, right: Term) -> tuple:
+    """``(deepest, ground, run, ops)`` for the identity component ``left =
+    right`` over the canonical variables of ``k``: ``deepest`` pairs its
+    used variables, in canonical order, with their deepest occurrence,
+    ``ground`` is the height of the taller side, and ``run`` is its
+    ``_PassSource`` pass, which reads the operations ``ops``."""
+    src = _PassSource(k, left, right)
+    namespace = {"__builtins__": {}, "product": itertools.product}
+    exec(compile(src.text, "<instance pass>", "exec"), namespace)
+    return (tuple(src.deepest.items()), max(left.height, right.height), namespace["run"],
+            tuple(src.ops))
+
+
+def _instance_passes(ids: Sequence[NaturalIdentity], sig: Signature) -> Callable:
+    """``apply(engine, depth)``, the instance pass of one saturation run at
+    each depth: per identity component, in order, the generated pass over
+    the instances that fit in the depth and no earlier depth applied, then
+    a drain.  ``saturate`` makes its passes only through this.
+
+    A pool holds the least ids whose height plus the variable's offset is
+    at most the depth.  Ids are in canonical term order, so the ids of
+    height at most h are a prefix of the ids, and of each pool, and a
+    class's least id was its least id since it was registered.  So a
+    tuple whose every image is no higher than depth - 1 less its offset was
+    in the previous depth's pools, applied there if the component was,
+    and a tuple with a higher image was in no earlier pool: each instance
+    is tried once, at the first depth it fits in, and in product order.
+    A component with no variables is applied once, at its first depth.
+
+    Every step finds its node, so no pass registers one and the
+    universe check bounds the depth.  After the frontier every term of
+    height < depth lies in an old class, one that held a frontier id, and
+    the frontier built every operation over the old classes.  A proper
+    subterm of an instance side has height < depth, so every step's
+    children lie in old classes and it finds its node in ``sig_table``.
+    A union keeps one of its two roots, and the old one against a class
+    this depth made, which has no parent nodes, so those keys hold until
+    the next drain.  The exact ``nodes`` lookup comes first and stays:
+    taking the ``sig_table`` holder in its place hands later steps other
+    ids, and the instance's unions then merge other ids in the middle of
+    a pass, so a later step's key is not filed yet (with every step through
+    ``sig_table`` alone, the test
+    ``test_universal_property_by_generation_matches_enumeration`` raises
+    ``KeyError: ('m', (30, 0))``).
+
+    One pass per depth applies every instance the depth can: no pass
+    registers a node, and a union keeps one of the two classes' least
+    ids, so during the pass the least ids only shrink, with their heights,
+    and a second pass would read pools within these ones."""
+    components = _components(ids, sig)
+    # No pool reads a root higher than depth - (the least offset).
+    least_offset = min((o for deepest, *_ in components for _, o in deepest), default=0)
+
+    def apply(engine: _Engine, depth: int) -> None:
+        reps, height = engine.least_ids(depth - least_offset), engine.height
+
+        def count(h: int) -> int:
+            """The number of roots no higher than ``h``."""
+            return bisect_left(reps, bisect_right(height, h))
+
+        for comp, (deepest, ground, run, ops) in enumerate(components):
+            ran = depth > max(ground, 1)  # the component's pass ran at depth - 1
+            if ground > depth or ran and not deepest:
+                continue
+            pools = [reps[:count(depth - o)] for _, o in deepest]
+            if (instances := math.prod(map(len, pools))) > MAX_ENUMERATION:
+                what = f"instances of identity component {comp} at depth {depth}"
+                raise ResourceLimitError(what, instances, MAX_ENUMERATION)
+            olds = [count(depth - 1 - o) if ran else 0 for _, o in deepest]
+            run(pools, olds, engine, comp, ops)
+            engine.drain()
+
+    return apply
 
 
 def _state(engine: _Engine, sig: Signature, x: FinSet, ids: Sequence[NaturalIdentity],
@@ -463,15 +621,11 @@ def saturate(
     if depth_bound > MAX_TERM_DEPTH:
         raise ResourceLimitError(
             f"term height of depth {depth_bound}", depth_bound, MAX_TERM_DEPTH)
-    components = _components(ids, sig)
-    # A pool holds the roots of height at most depth - offset, so no pool
-    # reads a root higher than depth - (the least offset).
-    least_offset = min((o for deepest, *_ in components for o in deepest.values()), default=0)
+    instance_pass = _instance_passes(ids, sig)
     engine = _Engine(x)
-    sizes, build, find, nodes = engine.size, engine.build, engine.find, engine.nodes
+    sizes, nodes = engine.size, engine.nodes
     counts: list[int] = []
     prev_roots = set(engine.rep)
-    applied: set = set()
 
     for depth in range(1, depth_bound + 1):
         frontier = engine.least_ids()
@@ -490,45 +644,7 @@ def saturate(
         ):
             engine._register(depth, size, name, args)
         engine.drain()
-
-        # ``build`` finds every step's node, so the check above bounds
-        # the universe.  After the frontier every term of height < depth lies
-        # in an old class, one that held a frontier id, and the frontier
-        # built every operation over the old classes.  A proper subterm of
-        # an instance side has height < depth, so every step's children lie
-        # in old classes and it finds its node in ``sig_table``.  A union
-        # keeps one of its two roots, and the old one against a class this
-        # depth made, which has no parent nodes, so those keys hold until
-        # the next drain.
-        #
-        # One pass per depth applies every instance the depth can: ``build``
-        # registers nothing, and a union keeps one of the two classes' least
-        # ids, so during the pass the least ids only shrink, with their
-        # heights.  A second pass would read pools within these ones, whose
-        # every tuple is already in ``applied``.
-        reps = [(tid, engine.height[tid]) for tid in engine.least_ids(depth - least_offset)]
-        for comp_id, (deepest, left, right, ground) in enumerate(components):
-            if ground > depth:
-                continue
-            pools = [
-                [tid for tid, height in reps if height + offset <= depth]
-                for offset in deepest.values()
-            ]
-            if (instances := math.prod(map(len, pools))) > MAX_ENUMERATION:
-                what = f"instances of identity component {comp_id} at depth {depth}"
-                raise ResourceLimitError(what, instances, MAX_ENUMERATION)
-            for images in itertools.product(*pools):
-                key = (comp_id, images)
-                if key in applied:
-                    continue
-                applied.add(key)
-                left_regs, right_regs = build(left, images), build(right, images)
-                a, b = left_regs[left[1]], right_regs[right[1]]
-                if find(a) != find(b):
-                    k = len(images)
-                    engine.union(a, b, (comp_id, images,
-                                        tuple(left_regs[k:]), tuple(right_regs[k:])))
-            engine.drain()
+        instance_pass(engine, depth)
 
         counts.append(len(engine.rep))
         if len(prev_roots) == len({engine.find(r) for r in prev_roots}) == len(engine.rep):
@@ -564,14 +680,13 @@ def word_equal(res, t1: Term, t2: Term) -> bool:
 
     Both terms are checked against the signature first, then normalized
     to class ids through the table each node gives: its operation over its
-    children's classes to its own class.  A stabilized state's table is
-    total on its classes, so this resolves every well-formed term there."""
+    children's classes to its own class, built once per state.  A
+    stabilized state's table is total on its classes, so this resolves
+    every well-formed term there."""
     state = _state_of(res)
     check_term(state.sig, t1)
     check_term(state.sig, t2)
-    ops, kids, least = state.ops, state.node_args, state.least
-    table = {(ops[i], tuple([least[c] for c in kids[i]])): least[i]
-             for i in range(len(state.x), len(ops))}
+    table, least = state._table, state.least
 
     def normalize(t: Term) -> int:
         if type(t) is Var:

@@ -14,6 +14,13 @@ reads an equation arrow back through them, as the reference for
 ``monadic.dalg_violation`` compares the arrows on stage 1 only, as the
 reference for that cut.
 
+``reference_instance_passes`` is the saturation engine's instance pass
+as an interpreter: each identity side compiled once to a step list
+(``compile_side``), run per instance by ``build``, with a set of the
+instances applied so far, as the reference for the generated passes of
+``finalg.variety._instance_passes``, which try each instance once by
+reading only the new part of each pool.
+
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
 of the closures in ``NaturalTerm.compiled``.  The universal-property
@@ -21,13 +28,16 @@ oracles try every map out of a free algebra's carrier, where
 ``finalg.variety`` folds the carrier terms once it knows they generate.
 """
 import itertools
+import math
 from dataclasses import dataclass
 
 from finalg import (
     FinAlgebra,
     FinMap,
     FinSet,
+    Node,
     Partition,
+    ResourceLimitError,
     Signature,
     Term,
     ValidationError,
@@ -39,11 +49,11 @@ from finalg import (
     stage,
     substitute,
 )
-from finalg.core import atom_key
+from finalg.core import MAX_ENUMERATION, atom_key
 from finalg.dsl import SpecModel
 from finalg.identities import NaturalIdentity, NaturalTerm, canonical_vars
 from finalg.monadic import domain_signature, mu_flatten, rho_level
-from finalg.terms import relabel
+from finalg.terms import relabel, variables
 
 
 def translate(nt: NaturalTerm, elem: Term) -> Term:
@@ -285,3 +295,95 @@ def dalg_violation_full_walk(algebra, identity, bound):
                 algebra, translate(identity.rhs, t), binding):
             return t
     return None
+
+
+def compile_side(side: Term, deepest: dict) -> tuple:
+    """``side`` as ``(steps, out)``: its nodes in post-order, left to right,
+    each step ``(op, slots)`` reading the registers at ``slots`` and writing
+    the next one, and the register of the side's value.  The registers
+    start with the images of the variables of ``deepest``, in its order.
+
+    The same walk raises each variable's entry in ``deepest`` to the depth
+    of its deepest occurrence, measured from the root.  The height of
+    side[g] is max(side.height, max_v(deepest_v + height(g(v)))), so these
+    depths turn the fits-in-stage test into a per-variable bound."""
+    slot = {v: i for i, v in enumerate(deepest)}
+    steps: list[tuple[str, tuple[int, ...]]] = []
+
+    def walk(t: Term, depth: int) -> int:
+        if not isinstance(t, Node):
+            deepest[t.name] = max(deepest[t.name], depth)
+            return slot[t.name]
+        slots = tuple([walk(a, depth + 1) for a in t.args])
+        steps.append((t.op, slots))
+        return len(slot) + len(steps) - 1
+
+    out = walk(side, 0)
+    return tuple(steps), out
+
+
+def build(engine, side: tuple, images: tuple[int, ...]) -> list[int]:
+    """The registers of a side compiled by ``compile_side``, its variables
+    bound to the ids ``images``: the images, then per step the id of a
+    node of the step's operation over the ids in its slots, or over ids
+    of their classes.  A step takes the node with exactly those children
+    if there is one, else the node ``sig_table`` files under their roots;
+    it registers nothing, and raises ``KeyError`` when neither exists."""
+    steps, _ = side
+    regs = list(images)
+    nodes, filed, find = engine.nodes, engine.sig_table, engine.find
+    for op, slots in steps:
+        args = tuple([regs[s] for s in slots])
+        nid = nodes.get((op, args))
+        if nid is None:
+            nid = filed[(op, tuple([find(a) for a in args]))]
+        regs.append(nid)
+    return regs
+
+
+def reference_instance_passes(ids, sig):
+    """The reference for ``finalg.variety._instance_passes``: the instance
+    pass of one saturation run, which, at each depth, per identity
+    component whose taller side fits, runs both compiled sides through
+    ``build`` on every tuple of the pools' product that is not in the
+    run's ``applied`` set yet, adds it there, and joins the sides' ids
+    when their classes differ; then it drains."""
+    components = []
+    for ident in ids:
+        if ident.sig != sig:
+            raise ValidationError("identity signature differs from presentation")
+        for k, left, right in zip(ident.domain, ident.lhs.data, ident.rhs.data):
+            occurring = variables(left) | variables(right)
+            deepest = {v: 0 for v in canonical_vars(k) if v in occurring}
+            components.append((deepest, compile_side(left, deepest),
+                               compile_side(right, deepest), max(left.height, right.height)))
+    least_offset = min((o for deepest, *_ in components for o in deepest.values()), default=0)
+    applied: set = set()
+
+    def instance_pass(engine, depth):
+        find = engine.find
+        reps = [(tid, engine.height[tid]) for tid in engine.least_ids(depth - least_offset)]
+        for comp_id, (deepest, left, right, ground) in enumerate(components):
+            if ground > depth:
+                continue
+            pools = [
+                [tid for tid, height in reps if height + offset <= depth]
+                for offset in deepest.values()
+            ]
+            if (instances := math.prod(map(len, pools))) > MAX_ENUMERATION:
+                what = f"instances of identity component {comp_id} at depth {depth}"
+                raise ResourceLimitError(what, instances, MAX_ENUMERATION)
+            for images in itertools.product(*pools):
+                key = (comp_id, images)
+                if key in applied:
+                    continue
+                applied.add(key)
+                left_regs, right_regs = build(engine, left, images), build(engine, right, images)
+                a, b = left_regs[left[1]], right_regs[right[1]]
+                if find(a) != find(b):
+                    k = len(images)
+                    engine.union(a, b, (comp_id, images,
+                                        tuple(left_regs[k:]), tuple(right_regs[k:])))
+            engine.drain()
+
+    return instance_pass

@@ -329,12 +329,14 @@ def _exec_calls(tree, path, scope="<module>"):
 
 
 def test_exec_is_called_only_where_the_check_is_generated():
-    """The emitter's safety argument (the text holds only integers and
-    fixed names) covers the one call site in ``identities._generated``."""
+    """The emitters' safety argument (the text holds only integers and
+    fixed names) covers the two call sites: ``identities._generated``, for
+    the identity checks, and ``variety._generated_pass``, for the
+    saturation engine's instance passes."""
     calls = []
     for path in sorted(Path(identities.__file__).parent.glob("*.py")):
         calls += _exec_calls(ast.parse(path.read_text(encoding="utf-8")), path)
-    assert calls == [("identities.py", "_generated")]
+    assert calls == [("identities.py", "_generated"), ("variety.py", "_generated_pass")]
 
 
 # --- the cache --------------------------------------------------------------

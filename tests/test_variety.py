@@ -4,7 +4,10 @@ import itertools
 import json
 import re
 import time
+from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -42,10 +45,13 @@ from finalg.variety import (
     audit_derivations,
     universal_property_witness,
 )
+import oracles
 from oracles import (
     block_rep,
+    compile_side,
     extension_count_enumerated,
     identity_map,
+    reference_instance_passes,
     universal_property_witness_enumerated,
 )
 from conftest import MAGMA, MONOID_SIG, X, Y, Z, e, ident, m, two_element, v
@@ -264,6 +270,48 @@ def test_word_equal_on_unstabilized_state(monoid_ids):
     unresolved = m(m(x1, x1), m(m(x1, x1), m(x1, x1)))
     with pytest.raises(ValidationError, match="term not resolvable at depth 2"):
         word_equal(res, unresolved, x1)
+
+
+def test_word_equal_builds_its_table_once_per_state(monkeypatch, monoid_ids):
+    """Two ``word_equal`` calls on one state build its class table once."""
+    builds = []
+    table = variety.CongruenceState._table.func
+
+    def counted(state):
+        builds.append(state)
+        return table(state)
+
+    prop = cached_property(counted)
+    prop.__set_name__(variety.CongruenceState, "_table")
+    monkeypatch.setattr(variety.CongruenceState, "_table", prop)
+    res = saturate(MONOID_SIG, monoid_ids, gens(1), 2)
+    x1 = v("x1")
+    assert word_equal(res, m(x1, e()), x1)
+    assert not word_equal(res, x1, m(x1, x1))
+    assert builds == [res.state]
+
+
+def test_universe_refuses_ids_out_of_canonical_term_order():
+    """``universe`` checks the canonical id order in one pass rather than
+    sorting: a state with two node ids swapped, a generator past the
+    first ids or a node over a child not below it is refused."""
+    state = _band_result().state
+    assert state.universe.elements == state.terms
+    n = len(state.x)
+    ops, kids = list(state.ops), list(state.node_args)
+    i = next(i for i in range(n + 1, len(ops)) if kids[i - 1] != kids[i])
+    swapped = dataclasses.replace(
+        state, ops=(*ops[:i - 1], ops[i], ops[i - 1], *ops[i + 1:]),
+        node_args=(*kids[:i - 1], kids[i], kids[i - 1], *kids[i + 1:]))
+    tampered = [
+        swapped,
+        dataclasses.replace(state, ops=(*ops[:n], None, *ops[n + 1:]),
+                            node_args=(*kids[:n], None, *kids[n + 1:])),
+        dataclasses.replace(state, node_args=(*kids[:n + 1], (n + 1, 0), *kids[n + 2:])),
+    ]
+    for bad in tampered:
+        with pytest.raises(ValidationError, match="out of canonical term order"):
+            bad.universe
 
 
 def test_saturate_resource_guard(monoid_ids):
@@ -966,13 +1014,14 @@ def _reference_build(engine, side, g):
 
 
 def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
-    """For every identity instance built, each compiled side returns the ids
-    the recursive reference finds for the side term's nodes, in post-order.
-    No instance registers a node, which ``saturate``'s universe bound relies
-    on, and many steps take a node that ``sig_table`` holds over their
-    children's roots."""
+    """With the reference pass, for every identity instance built, each
+    compiled side returns the ids the recursive reference finds for the
+    side term's nodes, in post-order.  No instance registers a node, which
+    ``saturate``'s universe bound relies on, and many steps take a node
+    that ``sig_table`` holds over their children's roots.  The generated
+    passes log the reference pass's unions, reasons included (see
+    ``test_generated_passes_match_the_reference_pass``)."""
     compiled = {}
-    compile_side = variety._compile_side
 
     def recorded(side, deepest):
         out = compile_side(side, deepest)
@@ -980,7 +1029,7 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
         return out
 
     built, by_roots = [], []
-    build = _Engine.build
+    build = oracles.build
 
     def checked(engine, side, images):
         term, used = compiled[id(side)]
@@ -993,8 +1042,9 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
         by_roots.append(from_table)
         return got
 
-    monkeypatch.setattr(variety, "_compile_side", recorded)
-    monkeypatch.setattr(_Engine, "build", checked)
+    monkeypatch.setattr(oracles, "compile_side", recorded)
+    monkeypatch.setattr(oracles, "build", checked)
+    monkeypatch.setattr(variety, "_instance_passes", reference_instance_passes)
     model = parse_spec(TRAJECTORY_SPEC)
     for name, n in TRAJECTORY_RESULTS:
         sig = model.signatures[model.presentations[name].sig_name]
@@ -1004,20 +1054,35 @@ def test_compiled_sides_build_what_recursive_instantiation_builds(monkeypatch):
     assert sum(by_roots) > 1_000
 
 
-def test_build_registers_nothing():
-    """``build`` is a lookup: on a fresh engine no node of m(x1, x2) exists,
-    so it raises ``KeyError`` and registers nothing."""
+def _pass_text(identity):
+    """The text of the generated pass of ``identity``'s one component."""
+    [k], [left], [right] = identity.domain, identity.lhs.data, identity.rhs.data
+    return variety._PassSource(k, left, right).text
+
+
+def _generated_run(identity):
+    """The generated pass of ``identity``'s one component, as ``run(pools,
+    olds, engine)`` for component 0."""
+    [(_, _, run, ops)] = variety._components([identity], identity.sig)
+    return lambda pools, olds, engine: run(pools, olds, engine, 0, ops)
+
+
+def test_a_pass_registers_nothing():
+    """A pass is a lookup: on a fresh engine no node of m(x1, x2) exists,
+    so the pass of m(x, y) = x on the pools [x1] and [x2] raises
+    ``KeyError`` and registers nothing."""
     engine = _Engine(gens(2))
-    side = variety._compile_side(m(X, Y), dict.fromkeys(("x", "y"), 0))
+    run = _generated_run(ident(MAGMA, m(X, Y), X, ("x", "y")))
     with pytest.raises(KeyError):
-        engine.build(side, (0, 1))
-    assert len(engine.ops) == 2
+        run([[0], [1]], [0, 0], engine)
+    assert len(engine.ops) == 2 and not engine.union_log
 
 
-def test_build_takes_the_node_filed_under_its_child_roots():
+def test_a_pass_takes_the_node_filed_under_its_child_roots():
     """Once x1 and x2 are joined, m(x2, x2) misses the exact-children table
-    but m(x1, x2) is filed under the same operation and child roots:
-    ``build`` returns that node and registers nothing."""
+    but m(x1, x2) is filed under the same operation and child roots: the
+    pass of m(x, x) = x on the pool [x2] takes that node, registers
+    nothing, and logs it as its left side's step."""
     engine = _Engine(gens(2))
     engine._register(1, 3, "m", (0, 1))
     held = engine.nodes[("m", (0, 1))]
@@ -1025,8 +1090,8 @@ def test_build_takes_the_node_filed_under_its_child_roots():
     engine.drain()
     assert ("m", (1, 1)) not in engine.nodes
     registered = len(engine.ops)
-    side = variety._compile_side(m(X, X), {"x": 0})
-    assert engine.build(side, (1,)) == [1, held]
+    _generated_run(ident(MAGMA, m(X, X), X, ("x",)))([[1]], [0], engine)
+    assert engine.union_log[-1] == (held, 1, (0, (1,), (held,), ()))
     assert len(engine.ops) == registered
 
 
@@ -1045,18 +1110,22 @@ def _random_terms(sig, height):
     ])
 
 
-def _random_saturation(data):
-    """The result of saturating a small random presentation (ops of arity
-    0-3, 1-3 identities of height at most 2, 0-2 generators, depth at most
-    4), or None when the universe is refused."""
+def _random_presentation(data):
+    """A small random presentation (ops of arity 0-3, 1-3 identities of
+    height at most 2) with 0-2 generators and a depth at most 4."""
     ops = data.draw(st.lists(st.sampled_from(RANDOM_OPS), min_size=1, max_size=4, unique=True))
     sig = Signature(tuple(ops))
     sides = _random_terms(sig, 2)
     pairs = data.draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=3))
     ids = [ident(sig, left, right, ("x", "y")) for left, right in pairs]
-    n, depth = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 4))
+    return sig, ids, gens(data.draw(st.integers(0, 2))), data.draw(st.integers(1, 4))
+
+
+def _random_saturation(data):
+    """The result of saturating a small random presentation, or None when
+    the universe is refused."""
     try:
-        return saturate(sig, ids, gens(n), depth, max_universe=2_000)
+        return saturate(*_random_presentation(data), max_universe=2_000)
     except ResourceLimitError:
         return None
 
@@ -1082,6 +1151,171 @@ def test_random_presentations_register_ids_in_canonical_term_order(data):
         _check_canonical_ids(res.state)
 
 
+def _outcome(sig, ids, x, depth, **bounds):
+    """What a saturation run decides, ids and union log with its reasons
+    included, or the text of its refusal."""
+    try:
+        res = saturate(sig, ids, x, depth, **bounds)
+    except ResourceLimitError as err:
+        return str(err)
+    s = res.state
+    return type(res), s.depth, s.class_counts, s.ops, s.node_args, s.least, s.union_log
+
+
+def _against_reference(sig, ids, x, depth, **bounds):
+    """The outcome of a run with the generated passes and of one with the
+    reference pass."""
+    got = _outcome(sig, ids, x, depth, **bounds)
+    with mock.patch.object(variety, "_instance_passes", reference_instance_passes):
+        return got, _outcome(sig, ids, x, depth, **bounds)
+
+
+U = Signature((("u", 1), ("m", 2), ("e", 0)))
+
+
+def u(a):
+    return Node("u", (a,))
+
+
+# Components with no variable, with sides of height 0, with a unary
+# operation, and one whose variable occurs on one side only.
+EDGE_PRESENTATIONS = [
+    (MONOID_SIG, [ident(MONOID_SIG, m(e(), e()), e(), ("x",)),
+                  ident(MONOID_SIG, m(X, e()), X, ("x",))], 2, 4),
+    (MAGMA, [ident(MAGMA, X, Y, ("x", "y"))], 2, 3),
+    (U, [ident(U, u(u(X)), X, ("x",)), ident(U, m(X, u(X)), e(), ("x",))], 2, 4),
+    (U, [ident(U, u(m(X, Y)), m(u(Y), u(X)), ("x", "y")), ident(U, u(e()), e(), ("x",))], 1, 4),
+    (MAGMA, [ident(MAGMA, m(m(X, Y), Z), m(X, m(Y, Z)), ("x", "y", "z")),
+             ident(MAGMA, m(X, X), m(X, m(X, X)), ("x",))], 1, 5),
+]
+
+
+def _reference_runs():
+    """The trajectory cases at depth 6, the 50-case matrix and the edge
+    presentations, as ``(sig, ids, x, depth)``."""
+    trajectory = parse_spec(TRAJECTORY_SPEC)
+    runs = [(trajectory, name, n, 6) for name, n in TRAJECTORY_RESULTS]
+    model, cases = _matrix_cases()
+    assert len(cases) == 50
+    runs += [(model, name, n, depth) for name, n, depth in cases]
+    return [
+        (spec.signatures[spec.presentations[name].sig_name], spec.presentation_identities(name),
+         gens(n), depth)
+        for spec, name, n, depth in runs
+    ] + [(sig, ids, gens(n), depth) for sig, ids, n, depth in EDGE_PRESENTATIONS]
+
+
+def test_generated_passes_match_the_reference_pass():
+    """On the trajectory cases, the 50-case matrix and the edge
+    presentations, the generated passes, which try each instance once by
+    reading only the new part of each pool, and the reference pass, which
+    tries every instance of every depth's pools against a set of those
+    applied, make the same ids, unions in the same order with the same
+    reasons, classes, class counts, depth and status."""
+    outcomes = []
+    for sig, ids, x, depth in _reference_runs():
+        got, want = _against_reference(sig, ids, x, depth)
+        assert got == want, (sig, ids, x, depth)
+        outcomes.append(got)
+    # Every edge presentation logs an identity union.
+    assert all(any(reason != CONGRUENCE for *_, reason in got[-1])
+               for got in outcomes[-len(EDGE_PRESENTATIONS):])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_presentations_match_the_reference_pass(data):
+    """On small random presentations the generated passes and the
+    reference pass decide the same, or refuse the same universe."""
+    got, want = _against_reference(*_random_presentation(data), max_universe=2_000)
+    assert got == want
+
+
+@pytest.mark.parametrize("nesting", [1, 2])
+def test_passes_past_the_nesting_cut_match_the_reference_pass(monkeypatch, nesting):
+    """With the nesting limit at one or two loops, the variables past the
+    cut share one ``product`` loop, which skips the tuples whose images are
+    all old, and every run decides what the reference pass does.  The
+    passes are generated afresh, so none comes from the cache."""
+    monkeypatch.setattr(variety, "_MAX_NESTING", nesting)
+    variety._generated_pass.cache_clear()
+    try:
+        assoc = ident(MAGMA, m(m(X, Y), Z), m(X, m(Y, Z)), ("x", "y", "z"))
+        assert "product(" in _pass_text(assoc)
+        for sig, ids, x, depth in _reference_runs():
+            got, want = _against_reference(sig, ids, x, depth)
+            assert got == want, (sig, ids, x, depth)
+    finally:
+        variety._generated_pass.cache_clear()
+
+
+class _Lookups:
+    """A stand-in for an engine's ``nodes`` that records each key a pass
+    looks up and answers id 0."""
+
+    def __init__(self):
+        self.keys = []
+
+    def get(self, key):
+        self.keys.append(key)
+        return 0
+
+
+@pytest.mark.parametrize("nesting", [1, 2, variety._MAX_NESTING])
+def test_a_pass_tries_only_the_tuples_with_a_new_image(monkeypatch, nesting):
+    """A pass of t(x, y, z) = x tries, in product order, exactly the tuples
+    of its pools with an image past its pool's old prefix, with every loop
+    nested and with the loops past the first one or two in one
+    ``product`` loop; with no old prefix it tries every tuple."""
+    monkeypatch.setattr(variety, "_MAX_NESTING", nesting)
+    variety._generated_pass.cache_clear()
+    try:
+        sig = Signature((("t", 3),))
+        run = _generated_run(ident(sig, Node("t", (X, Y, Z)), X, ("x", "y", "z")))
+        pools = [[0, 4], [1, 2, 5], [3, 6]]
+        for olds in ([1, 2, 1], [0, 0, 0], [2, 3, 2], [2, 0, 1]):
+            # Every id is in one class, so the pass joins nothing.
+            engine = SimpleNamespace(nodes=_Lookups(), sig_table={}, find=lambda i: 0, union=None)
+            run(pools, olds, engine)
+            assert [args for _, args in engine.nodes.keys] == [
+                images for images in itertools.product(*pools)
+                if any(i not in pool[:n] for i, pool, n in zip(images, pools, olds))
+            ]
+    finally:
+        variety._generated_pass.cache_clear()
+
+
+def test_a_component_past_sixteen_variables_matches_the_reference_pass():
+    """A 17-ary operation's identity nests 15 loops and binds its last two
+    variables in one ``product`` loop; on one generator, with pools of one
+    id, it decides what the reference pass does."""
+    sig = Signature((("t", 17),))
+    names = tuple(f"y{i:02}" for i in range(17))
+    wide = ident(sig, Node("t", tuple(Var(a) for a in names)), Var(names[0]), names)
+    loops = [line for line in _pass_text(wide).splitlines() if line.lstrip().startswith("for ")]
+    assert max(len(line) - len(line.lstrip()) for line in loops) == 4 * 16
+    assert loops[-1].lstrip() == "for a15, a16 in product(P15, P16):"
+    got, want = _against_reference(sig, [wide], gens(1), 3)
+    assert got == want and got[0] is Stabilized and len(got[-1]) == 1
+
+
+def test_pass_text_names_no_operation():
+    """Operation names reach a generated pass only through its ``ops``
+    parameter: the text of a pass over operations with arbitrary names
+    holds none of them, and the run decides what the reference does."""
+    names = ("x); import os; (", "__import__('os')", "Ω\nraise", "o0")
+    sig = Signature(((names[0], 2), (names[1], 1), (names[2], 0), (names[3], 2)))
+    op = lambda name, *args: Node(name, args)
+    ids = [ident(sig, op(names[0], op(names[1], X), op(names[2])), op(names[3], X, X), ("x",)),
+           ident(sig, op(names[3], X, Y), op(names[0], Y, X), ("x", "y"))]
+    for identity in ids:
+        text = _pass_text(identity)
+        assert not any(name in text for name in names[:3])
+        assert "o0, o1" in text
+    got, want = _against_reference(sig, ids, gens(1), 3)
+    assert got == want and len(got[-1]) > 0
+
+
 def test_components_match_a_reference_depth_walk():
     """Per identity component, the saturation engine's used variables, in
     order, their offsets and the ground height are those a plain depth walk
@@ -1098,14 +1332,14 @@ def test_components_match_a_reference_depth_walk():
     ]
     unused_y = ident(MAGMA, m(m(X, Z), Z), m(Z, X), ("x", "y", "z"))
     presentations.append((MAGMA, [unused_y]))
-    assert tuple(variety._components([unused_y], MAGMA)[0][0].items()) == (("v1", 2), ("v3", 2))
+    assert variety._components([unused_y], MAGMA)[0][0] == (("v1", 2), ("v3", 2))
     for sig, ids in presentations:
         got = variety._components(ids, sig)
         want = reference_components(ids)
         assert len(got) == len(want) > 0
-        for (deepest, _, _, ground), (used, offsets, _, _, height) in zip(got, want):
-            assert tuple(deepest) == used
-            assert deepest == offsets
+        for (deepest, ground, _, _), (used, offsets, _, _, height) in zip(got, want):
+            assert tuple(v for v, _ in deepest) == used
+            assert dict(deepest) == offsets
             assert ground == height
 
 
