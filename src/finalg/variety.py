@@ -25,22 +25,24 @@ those children: in ``saturate`` one exists (the argument is at
 ``_instance_passes``).  The walk that emits the steps records each
 variable's deepest occurrence, which bounds the height of its images.
 
-Only the frontier registers nodes, and filing one never retires it.  At
-depth d it registers each operation over each tuple of least ids that
-``nodes`` does not hold.  The least ids are among the previous
-frontier's, over which it built every operation, and the nodes it
-registered, so by induction the tuple holds a node of height d-1 and the
-new node has height d.  A node filed under the same operation and child
-roots would be this depth's node over the same least ids, which
-``nodes`` holds, or an older one, lower than d, whose child in the class
-of that least id of height d-1 is lower than the class's least; but
-terms are ordered by height first.  Each depth registers its new nodes
-by size, operation and child ids, as ``terms._stage_terms`` orders a
-stage's, so by induction ids are in canonical term order, and the engine
-keeps only each id's height and size: an instance pool, the roots of
-height at most the depth less a variable's offset, is a prefix of the
-sorted roots, and a depth's one instance pass sorts only the roots no
-higher than the depth less the least offset.  The pool's roots of a
+Only the frontier registers nodes, a whole depth at once
+(``_Engine.register_depth``), and filing one never retires it, which
+that method checks.  At depth d it registers each operation over each
+tuple of least ids that ``nodes`` does not hold.  The least ids are
+among the previous frontier's, over which it built every operation, and
+the nodes it registered, so by induction the tuple holds a node of
+height d-1 and the new node has height d.  A node filed under the same
+operation and child roots would be this depth's node over the same least
+ids, which ``nodes`` holds, or an older one, lower than d, whose child
+in the class of that least id of height d-1 is lower than the class's
+least; but terms are ordered by height first.  Each depth registers its
+new nodes by size, operation and child ids, as ``terms._stage_terms``
+orders a stage's (a stable sort by size of the operations' products,
+taken in name order), so by induction ids are in canonical term order,
+and the engine keeps only each id's height and size: an instance pool,
+the roots of height at most the depth less a variable's offset, is a
+prefix of the sorted roots, and a depth's one instance pass sorts only
+the roots no higher than the depth less the least offset.  The pool's roots of a
 lower height are a prefix of it too, those the previous depth's pool
 held, so a pass reads past that prefix only: each instance is tried
 once, at the first depth it fits in, as semi-naive evaluation applies a
@@ -105,6 +107,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebras import FinAlgebra, compile_term, is_morphism
@@ -132,8 +135,8 @@ class _Engine:
     canonical term order, and ``height`` and ``size`` hold each id's
     term's height (the depth that registered it) and size.  An instance
     pass (``_PassSource``) takes for each step a node ``nodes`` or else
-    ``sig_table`` holds, and only the frontier registers nodes, through
-    ``_register``.
+    ``sig_table`` holds, and only the frontier registers nodes, a depth at
+    a time, through ``register_depth``.
 
     ``parents`` holds, per id, the parent nodes of that root's class, and
     ``retired`` flags, per id, a node whose operation and child roots a
@@ -173,33 +176,63 @@ class _Engine:
             parent[i], i = root, parent[i]
         return root
 
-    def _register(self, height: int, size: int, op: str, arg_ids: tuple[int, ...]) -> None:
-        """Register the node ``op`` over ``arg_ids``, which ``nodes`` does not
-        hold, as the next id: record its operation, height and size, file it
-        (the frontier never registers a node that filing retires), and add it
-        to the parent list of each of its distinct child roots."""
-        nid = len(self.ops)
-        self.ops.append(op)
-        self.height.append(height)
-        self.size.append(size)
-        self.parent.append(nid)
-        self.rep[nid] = nid
-        self.node_args.append(arg_ids)
-        self.parents.append(())
-        self.retired.append(0)
-        self.nodes[(op, arg_ids)] = nid
-        parents = self.parents
-        for root in self._file(nid):
-            filed = parents[root]
-            if not filed:
-                parents[root] = [nid]
-            elif filed[-1] != nid:
-                filed.append(nid)
+    def register_depth(self, depth: int, frontier: Sequence[int], sig: Signature) -> None:
+        """Register, as the next ids, every operation of ``sig`` over every
+        tuple of the ascending ids ``frontier`` that ``nodes`` does not hold,
+        all of height ``depth``, in canonical term order; file each, and add
+        it to the parent list of each of its distinct child roots.
 
-    def _file(self, nid: int) -> tuple[int, ...]:
+        Each frontier id's root and size is read once.  Per operation, in
+        name order, one pass zips the products of the frontier's sizes, ids
+        and roots: each tuple's children's size, ``nodes`` key and
+        ``sig_table`` key.  A product is lexicographic over ascending ids,
+        so a stable sort by that size alone gives the order of size,
+        operation and child ids, and compares no tuples.  Each array is
+        then extended once and each table updated once.  Filing never
+        retires a frontier node (the argument is in the module docstring),
+        so every ``sig_table`` key is new; this raises when the table did
+        not grow by one entry per node."""
+        find, nodes = self.find, self.nodes
+        roots = [find(a) for a in frontier]
+        sizes = [self.size[a] for a in frontier]
+        new: list[tuple[int, tuple, tuple]] = []
+        for name, arity in sorted(sig):
+            op = itertools.repeat(name)
+            new += [entry for entry in zip(
+                map(sum, itertools.product(sizes, repeat=arity)),
+                zip(op, itertools.product(frontier, repeat=arity)),
+                zip(op, itertools.product(roots, repeat=arity)),
+            ) if entry[1] not in nodes]
+        new.sort(key=itemgetter(0))
+        first, count = len(self.ops), len(new)
+        # One int object per new id, shared by every array and table.
+        ids = list(range(first, first + count))
+        self.ops += [key[0] for _, key, _ in new]
+        self.node_args += [key[1] for _, key, _ in new]
+        self.height += itertools.repeat(depth, count)
+        self.size += [size + 1 for size, _, _ in new]
+        self.parent += ids
+        self.parents += itertools.repeat((), count)
+        self.retired += bytes(count)
+        self.rep.update(zip(ids, ids))
+        nodes.update(zip([key for _, key, _ in new], ids))
+        filed = len(self.sig_table) + count
+        self.sig_table.update(zip([sig_key for _, _, sig_key in new], ids))
+        if len(self.sig_table) != filed:
+            raise AssertionError(f"filing retired a frontier node of depth {depth}")
+        parents = self.parents
+        for nid, (_, _, (_, key_roots)) in zip(ids, new):
+            for root in key_roots:
+                held = parents[root]
+                if not held:
+                    parents[root] = [nid]
+                elif held[-1] != nid:
+                    held.append(nid)
+
+    def _file(self, nid: int) -> None:
         """File node ``nid`` in ``sig_table`` under its operation and child
-        roots and return those roots; when another node holds them, retire
-        ``nid`` and queue a congruence with that node if in another class."""
+        roots; when another node holds them, retire ``nid`` and queue a
+        congruence with that node if in another class."""
         find = self.find
         roots = tuple([find(a) for a in self.node_args[nid]])
         other = self.sig_table.setdefault((self.ops[nid], roots), nid)
@@ -207,7 +240,6 @@ class _Engine:
             self.retired[nid] = 1
             if find(other) != find(nid):
                 self.pending.append((other, nid))
-        return roots
 
     def union(self, a: int, b: int, reason) -> None:
         """Join the classes of ``a`` and ``b``, logging ``reason`` when they
@@ -623,7 +655,7 @@ def saturate(
             f"term height of depth {depth_bound}", depth_bound, MAX_TERM_DEPTH)
     instance_pass = _instance_passes(ids, sig)
     engine = _Engine(x)
-    sizes, nodes = engine.size, engine.nodes
+    nodes = engine.nodes
     counts: list[int] = []
     prev_roots = set(engine.rep)
 
@@ -637,13 +669,7 @@ def saturate(
             needed -= sum(all(a in inside for a in arg_ids) for _, arg_ids in nodes)
             if needed > max_universe:
                 raise ResourceLimitError("saturation universe", needed, max_universe)
-        # The new nodes, all of height ``depth``, in canonical term order.
-        for size, name, args in sorted(
-            (sum([sizes[a] for a in args]) + 1, name, args) for name, arity in sig
-            for args in itertools.product(frontier, repeat=arity) if (name, args) not in nodes
-        ):
-            engine._register(depth, size, name, args)
-        engine.drain()
+        engine.register_depth(depth, frontier, sig)
         instance_pass(engine, depth)
 
         counts.append(len(engine.rep))

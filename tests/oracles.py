@@ -21,6 +21,12 @@ instances applied so far, as the reference for the generated passes of
 ``finalg.variety._instance_passes``, which try each instance once by
 reading only the new part of each pool.
 
+``reference_register_depth`` is the saturation engine's frontier as a
+comparison sort of ``(size, operation, child ids)`` tuples, then one
+``register`` per node, which files it through ``file_node``, as the
+reference for ``finalg.variety._Engine.register_depth``, which walks the
+operations in name order and sorts by size alone.
+
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
 of the closures in ``NaturalTerm.compiled``.  The universal-property
@@ -387,3 +393,55 @@ def reference_instance_passes(ids, sig):
             engine.drain()
 
     return instance_pass
+
+
+def file_node(engine, nid: int) -> tuple[int, ...]:
+    """File node ``nid`` in ``sig_table`` under its operation and child
+    roots and return those roots; when another node holds them, retire
+    ``nid`` and queue a congruence with that node if in another class."""
+    find = engine.find
+    roots = tuple([find(a) for a in engine.node_args[nid]])
+    other = engine.sig_table.setdefault((engine.ops[nid], roots), nid)
+    if other != nid:
+        engine.retired[nid] = 1
+        if find(other) != find(nid):
+            engine.pending.append((other, nid))
+    return roots
+
+
+def register(engine, height: int, size: int, op: str, arg_ids: tuple[int, ...]) -> None:
+    """Register the node ``op`` over ``arg_ids``, which ``nodes`` does not
+    hold, as the next id: record its operation, height and size, file it
+    (the frontier never registers a node that filing retires), and add it
+    to the parent list of each of its distinct child roots."""
+    nid = len(engine.ops)
+    engine.ops.append(op)
+    engine.height.append(height)
+    engine.size.append(size)
+    engine.parent.append(nid)
+    engine.rep[nid] = nid
+    engine.node_args.append(arg_ids)
+    engine.parents.append(())
+    engine.retired.append(0)
+    engine.nodes[(op, arg_ids)] = nid
+    parents = engine.parents
+    for root in file_node(engine, nid):
+        filed = parents[root]
+        if not filed:
+            parents[root] = [nid]
+        elif filed[-1] != nid:
+            filed.append(nid)
+
+
+def reference_register_depth(engine, depth: int, frontier, sig: Signature) -> None:
+    """The reference for ``finalg.variety._Engine.register_depth``: the new
+    nodes, all of height ``depth``, sorted as ``(size, operation, child
+    ids)`` tuples into canonical term order, each registered by
+    ``register``; then a drain."""
+    sizes, nodes = engine.size, engine.nodes
+    for size, name, args in sorted(
+        (sum([sizes[a] for a in args]) + 1, name, args) for name, arity in sig
+        for args in itertools.product(frontier, repeat=arity) if (name, args) not in nodes
+    ):
+        register(engine, depth, size, name, args)
+    engine.drain()

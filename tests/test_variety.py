@@ -52,6 +52,7 @@ from oracles import (
     extension_count_enumerated,
     identity_map,
     reference_instance_passes,
+    reference_register_depth,
     universal_property_witness_enumerated,
 )
 from conftest import MAGMA, MONOID_SIG, X, Y, Z, e, ident, m, two_element, v
@@ -326,18 +327,19 @@ def test_saturate_refuses_a_depth_before_building_it(monkeypatch):
     x = v("x")
     ids = [ident(ternary, Node("t", (x, x, x)), x, ("x",))]
     registered = []
-    register = _Engine._register
+    register_depth = _Engine.register_depth
 
-    def counted(self, height, size, op, arg_ids):
-        registered.append(self)
-        return register(self, height, size, op, arg_ids)
+    def counted(self, depth, frontier, sig):
+        registered.append((self, depth, len(self.ops)))
+        register_depth(self, depth, frontier, sig)
 
-    monkeypatch.setattr(_Engine, "_register", counted)
+    monkeypatch.setattr(_Engine, "register_depth", counted)
     with pytest.raises(ResourceLimitError, match="needs 19686, limit is 100$"):
         saturate(ternary, ids, gens(3), 2, max_universe=100)
-    # The engine makes the generators; every other term is registered.
-    engine = registered[0]
-    assert registered == [engine] * 27
+    # The engine makes the generators; every other term is registered, all
+    # 27 of them by depth 1's frontier, and depth 2's is never entered.
+    engine = registered[0][0]
+    assert registered == [(engine, 1, 3)]
     assert len(engine.ops) == 3 + 27
     assert max(engine.height) == 1
 
@@ -354,10 +356,10 @@ def test_saturate_refuses_a_depth_above_the_term_height_bound(monkeypatch):
     assert len(res.state.classes) == MAX_TERM_DEPTH + 1
     assert max(t.height for t in res.state.terms) == MAX_TERM_DEPTH
 
-    def refused(engine, height, size, op, arg_ids):
+    def refused(engine, depth, frontier, sig):
         raise AssertionError("a node was registered")
 
-    monkeypatch.setattr(_Engine, "_register", refused)
+    monkeypatch.setattr(_Engine, "register_depth", refused)
     start = time.monotonic()
     with pytest.raises(ResourceLimitError,
                        match=f"^term height of depth 129: needs 129, limit is {MAX_TERM_DEPTH}$"):
@@ -1080,12 +1082,14 @@ def test_a_pass_registers_nothing():
 
 def test_a_pass_takes_the_node_filed_under_its_child_roots():
     """Once x1 and x2 are joined, m(x2, x2) misses the exact-children table
-    but m(x1, x2) is filed under the same operation and child roots: the
-    pass of m(x, x) = x on the pool [x2] takes that node, registers
-    nothing, and logs it as its left side's step."""
+    but m(x1, x1), which a frontier over [x1] registered, is filed under
+    the same operation and child roots: the pass of m(x, x) = x on the
+    pool [x2] takes that node, registers nothing, and logs it as its left
+    side's step."""
     engine = _Engine(gens(2))
-    engine._register(1, 3, "m", (0, 1))
-    held = engine.nodes[("m", (0, 1))]
+    engine.register_depth(1, [0], MAGMA)
+    held = engine.nodes[("m", (0, 0))]
+    assert len(engine.ops) == 3
     engine.union(0, 1, CONGRUENCE)
     engine.drain()
     assert ("m", (1, 1)) not in engine.nodes
@@ -1247,6 +1251,84 @@ def test_passes_past_the_nesting_cut_match_the_reference_pass(monkeypatch, nesti
             assert got == want, (sig, ids, x, depth)
     finally:
         variety._generated_pass.cache_clear()
+
+
+def _against_reference_frontier(sig, ids, x, depth, **bounds):
+    """The outcome of a run with ``register_depth`` and of one with the
+    reference frontier."""
+    got = _outcome(sig, ids, x, depth, **bounds)
+    with mock.patch.object(_Engine, "register_depth", reference_register_depth):
+        return got, _outcome(sig, ids, x, depth, **bounds)
+
+
+TERNARY = Signature((("t", 3), ("u", 1), ("e", 0)))
+
+
+def t3(a, b, c):
+    return Node("t", (a, b, c))
+
+
+def test_register_depth_matches_the_reference_frontier(monkeypatch):
+    """On the trajectory cases, the 50-case matrix, the edge presentations
+    and a presentation over a ternary, a unary and a nullary operation
+    declared out of name order, the one-pass frontier and the reference
+    frontier, which sorts ``(size, op, child ids)`` tuples and registers
+    one node at a time, make the same ids, unions in the same order with
+    the same reasons, classes, class counts, depth and status.  Frontiers
+    past depth 1 drop tuples ``nodes`` already holds."""
+    frontiers = []
+    register_depth = _Engine.register_depth
+
+    def spied(engine, depth, frontier, sig):
+        held = sum((name, args) in engine.nodes for name, arity in sig
+                   for args in itertools.product(frontier, repeat=arity))
+        frontiers.append((depth, held))
+        register_depth(engine, depth, frontier, sig)
+
+    monkeypatch.setattr(_Engine, "register_depth", spied)
+    unary = [ident(TERNARY, u(u(X)), X, ("x",)), ident(TERNARY, u(e()), e(), ("x",))]
+    xyz = ("x", "y", "z")
+    maltsev = unary + [
+        ident(TERNARY, t3(X, Y, Y), X, ("x", "y")), ident(TERNARY, t3(X, X, Y), Y, ("x", "y")),
+        ident(TERNARY, t3(X, Y, Z), t3(Z, Y, X), xyz),
+        ident(TERNARY, t3(X, Y, Z), t3(Y, X, Z), xyz),
+    ]
+    first = unary + [ident(TERNARY, t3(X, Y, Z), X, xyz)]
+    ternary = [(TERNARY, maltsev, gens(1), 4), (TERNARY, first, gens(2), 3)]
+    for sig, ids, x, depth in _reference_runs() + ternary:
+        got, want = _against_reference_frontier(sig, ids, x, depth)
+        assert got == want, (sig, ids, x, depth)
+        if sig is TERNARY:
+            assert got[0] in (Stabilized, Unstabilized) and len(got[4]) > 100
+    assert all(held == 0 for depth, held in frontiers if depth == 1)
+    assert sum(held for depth, held in frontiers if depth > 1) > 1_000
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_presentations_match_the_reference_frontier(data):
+    """On small random presentations over nullary, unary, binary and
+    ternary operations at depths up to 4, the one-pass frontier and the
+    reference frontier decide the same, or refuse the same universe."""
+    got, want = _against_reference_frontier(*_random_presentation(data), max_universe=2_000)
+    assert got == want
+
+
+def test_register_depth_refuses_a_frontier_node_that_filing_would_retire():
+    """Filing never retires a frontier node, and ``register_depth`` checks
+    it: a key planted in ``sig_table`` on a fresh engine, or a frontier of
+    two ids of one class, whose nodes share their keys, makes it raise."""
+    planted = _Engine(gens(2))
+    planted.sig_table[("m", (0, 1))] = 0
+    joined = _Engine(gens(2))
+    joined.union(0, 1, CONGRUENCE)
+    for engine in (planted, joined):
+        with pytest.raises(AssertionError,
+                           match="^filing retired a frontier node of depth 1$"):
+            engine.register_depth(1, [0, 1], MAGMA)
+    fresh = _Engine(gens(2))
+    fresh.register_depth(1, [0, 1], MAGMA)
+    assert len(fresh.sig_table) == 4 and not any(fresh.retired)
 
 
 class _Lookups:
@@ -1516,21 +1598,25 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
         return least_ids(engine, height)
 
     registered, misfiled = [], []
-    register = _Engine._register
+    register_depth = _Engine.register_depth
 
-    def checked(engine, height, size, op, arg_ids):
-        nid = len(engine.ops)
-        register(engine, height, size, op, arg_ids)
-        registered.append(nid)
-        depth = depths[engine]
-        if engine.retired[nid] or engine.height[nid] != depth or depth != 1 + max(
-            (engine.height[a] for a in arg_ids), default=0
-        ):
-            misfiled.append((op, arg_ids))
+    def checked(engine, depth, frontier, sig):
+        first = len(engine.ops)
+        register_depth(engine, depth, frontier, sig)
+        assert depth == depths[engine]
+        find = engine.find
+        for nid in range(first, len(engine.ops)):
+            registered.append(nid)
+            op, arg_ids = engine.ops[nid], engine.node_args[nid]
+            key = (op, tuple(find(a) for a in arg_ids))
+            if engine.retired[nid] or engine.sig_table[key] != nid or (
+                engine.height[nid] != depth
+            ) or depth != 1 + max((engine.height[a] for a in arg_ids), default=0):
+                misfiled.append((op, arg_ids))
 
     monkeypatch.setattr(_Engine, "_file", recorded)
     monkeypatch.setattr(_Engine, "least_ids", counted)
-    monkeypatch.setattr(_Engine, "_register", checked)
+    monkeypatch.setattr(_Engine, "register_depth", checked)
     trajectory = parse_spec(TRAJECTORY_SPEC)
     runs = [(trajectory, name, n, 6) for name, n in TRAJECTORY_RESULTS]
     model, cases = _matrix_cases()
