@@ -184,9 +184,10 @@ def _matches(pattern: Term, t: Term, slots: dict) -> bool:
 
 @lru_cache(maxsize=64)
 def _stage_1_order(domain: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Each ``(i, kᵢ)`` of ``domain`` as stage 1 lists the nodes of ``ci``:
-    by arity, then by name as a string, so ``c10`` comes before ``c2``."""
-    return tuple(sorted(enumerate(domain), key=lambda c: (c[1], f"c{c[0]}")))
+    """Each ``(i, kᵢ)`` of ``domain`` in the order stage 1 lists the nodes of
+    ``ci``: that of ``ci``'s one node over one variable (see ``terms``)."""
+    gsig = domain_signature(domain)
+    return tuple(gsig.index[name] for _, (name, _) in terms.nodes_in_order(gsig, [1], [0]))
 
 
 def _first_difference(alg: FinAlgebra, ident: NaturalIdentity) -> Optional[tuple]:

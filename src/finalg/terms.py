@@ -8,10 +8,16 @@ the chain are the variable embedding ``iota``, the node constructor
 ``stage_map`` takes the signature, a variable map and the index.
 In this finite-set instantiation all connecting maps are injections, so
 stages are literally nested sets of terms and ``w_embed`` is inclusion:
-stage n is built from the cached stage n-1's own terms and the nodes of
-height exactly n over them, so it holds stage n-1's term objects.  The
-new nodes all sort after stage n-1, so only they are sorted, by size,
-operation and their children's positions in stage n-1.
+stage n is the cached stage n-1's own term objects, then the nodes of
+height exactly n over them.
+
+The canonical term order, of every stage and of a saturation run's ids,
+is defined here alone: by height, then size; variables first, by name;
+two nodes of one height and size by operation name, then children left
+to right.  Over children in this order, ``nodes_in_order`` takes the
+operations in name order and each one's tuples in ``itertools.product``
+order, then sorts stably by size alone, which orders the nodes of one
+height.  ``check_id_order`` checks the order on ids.
 
 A term's hash is fixed at construction: a :class:`Var`'s from its name,
 a :class:`Node`'s from its operation and its children's stored hashes,
@@ -23,7 +29,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 from .core import FinMap, FinSet, atom_key
 from .errors import ResourceLimitError, ValidationError
@@ -168,25 +175,50 @@ def iter_stage_sizes(sig: Signature, x: FinSet) -> Iterator[int]:
         size = sum(size**arity for _, arity in sig) + len(x)
 
 
+def nodes_in_order(sig: Signature, sizes: Sequence[int], *columns: Sequence) -> list[tuple]:
+    """Every node of ``sig`` over the children ``columns`` name, position by
+    position, as ``(children's size, (op, tuple of the first column), ...)``,
+    in the order of the module docstring; ``sizes`` holds each child's size."""
+    new: list[tuple] = []
+    for name, arity in sorted(sig):
+        op = itertools.repeat(name)
+        new += zip(map(sum, itertools.product(sizes, repeat=arity)),
+                   *[zip(op, itertools.product(column, repeat=arity)) for column in columns])
+    new.sort(key=itemgetter(0))
+    return new
+
+
+def check_id_order(ops: Sequence, node_args: Sequence, n: int) -> None:
+    """Refuse, sorting nothing, ids 0..n-1 that are not variables, or a later
+    id that is not a node over lower ids above the previous id's node in
+    height, size, operation and child ids, as its term must be."""
+    height, size, last = [0] * n, [1] * n, ()
+    for i, args in enumerate(node_args):
+        if i < n:
+            ordered = ops[i] is None and args is None
+        else:
+            ordered = type(ops[i]) is str and args is not None and all(0 <= c < i for c in args)
+            if ordered:
+                key = (1 + max([height[c] for c in args], default=0),
+                       1 + sum([size[c] for c in args]), ops[i], args)
+                ordered, last = last < key, key
+                height.append(key[0])
+                size.append(key[1])
+        if not ordered:
+            raise ValidationError(f"id {i} is out of canonical term order")
+
+
 # One call caches at most 2 * (MAX_TERM_DEPTH + 1) stages (the two chains
 # ``stage_map`` walks), and the bound stops growth for the process's life.
 @lru_cache(maxsize=512)
 def _stage_terms(sig: Signature, x: FinSet, n: int) -> FinSet:
     if n == 0:
-        return FinSet(tuple(Var(a) for a in x))
-    prev = _stage_terms(sig, x, n - 1)
-    position = prev.position
-    # Every node of height n sorts after every term of stage n-1, and two
-    # of them compare by size, operation and then their children, whose
-    # order is their order in stage n-1.
-    new = []
-    for name, arity in sig:
-        for args in itertools.product(prev.elements, repeat=arity):
-            if 1 + max((a.height for a in args), default=0) == n:
-                new.append((1 + sum([a.size for a in args]), name,
-                            tuple([position[a] for a in args]), args))
-    new.sort(key=lambda entry: entry[:3])
-    return FinSet._trusted(prev.elements + tuple([Node(name, args) for _, name, _, args in new]))
+        # ``x`` is in canonical order, and so are its variables.
+        return FinSet._trusted(tuple([Var(a) for a in x]))
+    prev = _stage_terms(sig, x, n - 1).elements
+    new = [Node(*node) for _, node in nodes_in_order(sig, [t.size for t in prev], prev)
+           if 1 + max([a.height for a in node[1]], default=0) == n]
+    return FinSet._trusted(prev + tuple(new))
 
 
 def _stage_bounds(sig: Signature, x: FinSet, n: int, max_size: int = MAX_STAGE_SIZE) -> None:

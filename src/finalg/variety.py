@@ -35,19 +35,18 @@ height d-1 and the new node has height d.  A node filed under the same
 operation and child roots would be this depth's node over the same least
 ids, which ``nodes`` holds, or an older one, lower than d, whose child
 in the class of that least id of height d-1 is lower than the class's
-least; but terms are ordered by height first.  Each depth registers its
-new nodes by size, operation and child ids, as ``terms._stage_terms``
-orders a stage's (a stable sort by size of the operations' products,
-taken in name order), so by induction ids are in canonical term order,
-and the engine keeps only each id's height and size: an instance pool,
-the roots of height at most the depth less a variable's offset, is a
-prefix of the sorted roots, and a depth's one instance pass sorts only
-the roots no higher than the depth less the least offset.  The pool's roots of a
-lower height are a prefix of it too, those the previous depth's pool
-held, so a pass reads past that prefix only: each instance is tried
-once, at the first depth it fits in, as semi-naive evaluation applies a
-rule only to tuples with a new fact (egglog, Zhang et al., "Better
-Together: Unifying Datalog and Equality Saturation", PLDI 2023).
+least; but terms are ordered by height first.  Each depth orders its
+new nodes as a stage's are, with ``terms.nodes_in_order``, so by
+induction ids are in canonical term order, and the engine keeps only
+each id's height and size: an instance pool, the roots of height at
+most the depth less a variable's offset, is a prefix of the sorted
+roots, and a depth's one instance pass sorts only the roots no higher
+than the depth less the least offset.  The pool's roots of a lower
+height are a prefix of it too, those the previous depth's pool held, so
+a pass reads past that prefix only: each instance is tried once, at
+the first depth it fits in, as semi-naive evaluation applies a rule
+only to tuples with a new fact (egglog, Zhang et al., "Better Together:
+Unifying Datalog and Equality Saturation", PLDI 2023).
 
 The keys of ``rep`` are exactly the live union-find roots, each mapped
 to its class's lowest id.  ``parents`` holds, per id, the list of
@@ -107,7 +106,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebras import FinAlgebra, compile_term, is_morphism
@@ -115,7 +113,8 @@ from .core import MAX_ENUMERATION, FinMap, FinSet, Partition, enumerate_maps
 from .errors import ResourceLimitError, ValidationError
 from .functors import Signature
 from .identities import _MAX_NESTING, NaturalIdentity, canonical_vars, satisfies_all
-from .terms import MAX_TERM_DEPTH, Node, Term, Var, check_term, variables
+from .terms import (MAX_TERM_DEPTH, Node, Term, Var, check_id_order, check_term,
+                    nodes_in_order, variables)
 
 MAX_UNIVERSE = 500_000
 
@@ -179,31 +178,16 @@ class _Engine:
     def register_depth(self, depth: int, frontier: Sequence[int], sig: Signature) -> None:
         """Register, as the next ids, every operation of ``sig`` over every
         tuple of the ascending ids ``frontier`` that ``nodes`` does not hold,
-        all of height ``depth``, in canonical term order; file each, and add
-        it to the parent list of each of its distinct child roots.
-
-        Each frontier id's root and size is read once.  Per operation, in
-        name order, one pass zips the products of the frontier's sizes, ids
-        and roots: each tuple's children's size, ``nodes`` key and
-        ``sig_table`` key.  A product is lexicographic over ascending ids,
-        so a stable sort by that size alone gives the order of size,
-        operation and child ids, and compares no tuples.  Each array is
-        then extended once and each table updated once.  Filing never
-        retires a frontier node (the argument is in the module docstring),
-        so every ``sig_table`` key is new; this raises when the table did
-        not grow by one entry per node."""
+        all of height ``depth``, in the order ``terms.nodes_in_order`` gives
+        over the frontier's ids and roots (their ``nodes`` and ``sig_table``
+        keys); file each, extending each array and table once, and add it to
+        the parent list of each of its distinct child roots.  Filing never
+        retires a frontier node (see the module docstring), so this raises
+        unless ``sig_table`` grew by one entry per node."""
         find, nodes = self.find, self.nodes
-        roots = [find(a) for a in frontier]
-        sizes = [self.size[a] for a in frontier]
-        new: list[tuple[int, tuple, tuple]] = []
-        for name, arity in sorted(sig):
-            op = itertools.repeat(name)
-            new += [entry for entry in zip(
-                map(sum, itertools.product(sizes, repeat=arity)),
-                zip(op, itertools.product(frontier, repeat=arity)),
-                zip(op, itertools.product(roots, repeat=arity)),
-            ) if entry[1] not in nodes]
-        new.sort(key=itemgetter(0))
+        new = [entry for entry in nodes_in_order(
+            sig, [self.size[a] for a in frontier], frontier, [find(a) for a in frontier])
+            if entry[1] not in nodes]
         first, count = len(self.ops), len(new)
         # One int object per new id, shared by every array and table.
         ids = list(range(first, first + count))
@@ -370,27 +354,8 @@ class CongruenceState:
 
     @cached_property
     def universe(self) -> FinSet:
-        """The registered terms as a canonical set.  One pass checks that
-        the ids are in canonical term order, sorting nothing: the
-        generators first, then each id's height, size, operation and child
-        ids above the previous id's.  Children of lower ids in that order
-        compare as their terms do, so the terms are sorted and distinct."""
-        ops, kids, n = self.ops, self.node_args, len(self.x)
-        height, size, last = [0] * n, [1] * n, ()
-        for i, args in enumerate(kids):
-            if i < n:
-                ordered = ops[i] is None and args is None
-            else:
-                ordered = type(ops[i]) is str and args is not None and all(
-                    0 <= c < i for c in args)
-                if ordered:
-                    key = (1 + max([height[c] for c in args], default=0),
-                           1 + sum([size[c] for c in args]), ops[i], args)
-                    ordered, last = last < key, key
-                    height.append(key[0])
-                    size.append(key[1])
-            if not ordered:
-                raise ValidationError(f"id {i} is out of canonical term order")
+        """The registered terms as a canonical set, their ids' order checked."""
+        check_id_order(self.ops, self.node_args, len(self.x))
         return FinSet._trusted(self.terms)
 
     @cached_property
@@ -682,7 +647,8 @@ def saturate(
             # for this depth may not be applied yet.
             state = _state(engine, sig, x, ids, depth, counts)
             least, term = state.least, {i: state.term(i) for i in engine.least_ids()}
-            carrier = FinSet(tuple(term.values()))
+            # Least ids ascend, so their terms are in canonical order.
+            carrier = FinSet._trusted(tuple(term.values()))
             tables = {name: {tuple([term[c] for c in args]): term[least[nodes[(name, args)]]]
                              for args in itertools.product(term, repeat=arity)}
                       for name, arity in sig}

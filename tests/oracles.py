@@ -24,8 +24,9 @@ reading only the new part of each pool.
 ``reference_register_depth`` is the saturation engine's frontier as a
 comparison sort of ``(size, operation, child ids)`` tuples, then one
 ``register`` per node, which files it through ``file_node``, as the
-reference for ``finalg.variety._Engine.register_depth``, which walks the
-operations in name order and sorts by size alone.
+reference for ``finalg.variety._Engine.register_depth``, which orders
+its nodes with ``finalg.terms.nodes_in_order`` (the canonical order is
+stated once, in the ``finalg.terms`` docstring).
 
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and

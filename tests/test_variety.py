@@ -37,7 +37,7 @@ from finalg import (
 from finalg.core import MAX_ENUMERATION, atom_key
 from finalg.dsl import parse_spec
 from finalg import variety
-from finalg.terms import MAX_TERM_DEPTH
+from finalg.terms import MAX_TERM_DEPTH, iter_stage_sizes
 from finalg.identities import satisfies_all
 from finalg.variety import (
     CONGRUENCE,
@@ -1329,6 +1329,24 @@ def test_register_depth_refuses_a_frontier_node_that_filing_would_retire():
     fresh = _Engine(gens(2))
     fresh.register_depth(1, [0, 1], MAGMA)
     assert len(fresh.sig_table) == 4 and not any(fresh.retired)
+
+
+def test_a_run_with_no_identities_registers_each_stage_in_stage_order():
+    """With no identities nothing merges, so the ids of a run to depth d
+    name stage d's terms, and the frontier and ``stage`` order their new
+    nodes with one builder: the universe is stage d, element by element.
+    Over a unary, a binary and two signatures declared out of name order,
+    on 0-2 generators, at depths 1-3, each stage under 50,000 terms."""
+    mixed = Signature((("e", 0), ("s", 1), ("m", 2)))
+    cases = 0
+    for sig, n, depth in itertools.product(
+            (Signature((("s", 1),)), MAGMA, mixed, TERNARY), range(3), range(1, 4)):
+        if next(itertools.islice(iter_stage_sizes(sig, gens(n)), depth, None)) > 50_000:
+            continue
+        cases += 1
+        universe = saturate(sig, [], gens(n), depth).state.universe
+        assert universe.elements == stage(sig, gens(n), depth).elements, (sig, n, depth)
+    assert cases == 34
 
 
 class _Lookups:

@@ -22,6 +22,9 @@ its children's least terms, to its own least term); the class counts,
 the status and depth, and for a stabilized result its carrier, unit and
 algebra tables; ``word_equal`` on the pairs of the first registered
 terms; and the audit's verdict.  A refused case renders as its refusal.
+A last section prints one line per stage of each signature of both files
+on 0-3 generators, each stage up to 50,000 terms until one equals the
+last: the stage's name and a digest of its formatted terms in order.
 Run it at two commits and compare the outputs with ``diff``.
 """
 from __future__ import annotations
@@ -40,11 +43,12 @@ from finalg import FinSet, Node, Signature, Stabilized, Var, format_term, satura
 from finalg.dsl import parse_spec  # noqa: E402
 from finalg.errors import FinalgError  # noqa: E402
 from finalg.identities import from_sigma  # noqa: E402
-from finalg.terms import generators  # noqa: E402
+from finalg.terms import MAX_TERM_DEPTH, generators, iter_stage_sizes, stage  # noqa: E402
 from finalg.variety import CONGRUENCE, audit_derivations, word_equal  # noqa: E402
 
 SPECS = (ROOT / "perfbench" / "corpus" / "corpus.alg", ROOT / "workbench.alg")
 RANDOM_OPS = (("e", 0), ("u", 1), ("m", 2), ("t", 3))
+STAGE_TERMS = 50_000
 X, Y = Var("x"), Var("y")
 
 
@@ -133,6 +137,18 @@ def main(argv=None) -> int:
     for k in range(args.random):
         name, (sig, ids, x, depth) = random_case(rng)
         print(f"random {k} [{name}] {outcome(sig, ids, x, depth, max_universe=2_000)}")
+    for path in SPECS:
+        for name, sig in parse_spec(path.read_text()).signatures.items():
+            for n in range(4):
+                x = generators(n)
+                last = None
+                for k, size in zip(range(MAX_TERM_DEPTH + 1), iter_stage_sizes(sig, x)):
+                    # A stage no larger than the last equals it, and so do all later ones.
+                    if size > STAGE_TERMS or size == last:
+                        break
+                    last = size
+                    terms = map(format_term, stage(sig, x, k, STAGE_TERMS))
+                    print(f"{path.name} stage {name}/{n}/{k} {digest(terms)}")
     return 0
 
 
