@@ -338,12 +338,12 @@ def build(engine, side: tuple, images: tuple[int, ...]) -> list[int]:
     it registers nothing, and raises ``KeyError`` when neither exists."""
     steps, _ = side
     regs = list(images)
-    nodes, filed, find = engine.nodes, engine.sig_table, engine.find
+    nodes, filed, root = engine.nodes, engine.sig_table, engine.root
     for op, slots in steps:
         args = tuple([regs[s] for s in slots])
         nid = nodes.get((op, args))
         if nid is None:
-            nid = filed[(op, tuple([find(a) for a in args]))]
+            nid = filed[(op, tuple([root[a] for a in args]))]
         regs.append(nid)
     return regs
 
@@ -368,7 +368,7 @@ def reference_instance_passes(ids, sig):
     applied: set = set()
 
     def instance_pass(engine, depth):
-        find = engine.find
+        root = engine.root
         reps = [(tid, engine.height[tid]) for tid in engine.least_ids(depth - least_offset)]
         for comp_id, (deepest, left, right, ground) in enumerate(components):
             if ground > depth:
@@ -387,7 +387,7 @@ def reference_instance_passes(ids, sig):
                 applied.add(key)
                 left_regs, right_regs = build(engine, left, images), build(engine, right, images)
                 a, b = left_regs[left[1]], right_regs[right[1]]
-                if find(a) != find(b):
+                if root[a] != root[b]:
                     k = len(images)
                     engine.union(a, b, (comp_id, images,
                                         tuple(left_regs[k:]), tuple(right_regs[k:])))
@@ -400,12 +400,12 @@ def file_node(engine, nid: int) -> tuple[int, ...]:
     """File node ``nid`` in ``sig_table`` under its operation and child
     roots and return those roots; when another node holds them, retire
     ``nid`` and queue a congruence with that node if in another class."""
-    find = engine.find
-    roots = tuple([find(a) for a in engine.node_args[nid]])
+    root = engine.root
+    roots = tuple([root[a] for a in engine.node_args[nid]])
     other = engine.sig_table.setdefault((engine.ops[nid], roots), nid)
     if other != nid:
         engine.retired[nid] = 1
-        if find(other) != find(nid):
+        if root[other] != root[nid]:
             engine.pending.append((other, nid))
     return roots
 
@@ -419,7 +419,8 @@ def register(engine, height: int, size: int, op: str, arg_ids: tuple[int, ...]) 
     engine.ops.append(op)
     engine.height.append(height)
     engine.size.append(size)
-    engine.parent.append(nid)
+    engine.root.append(nid)
+    engine.members.append(None)
     engine.rep[nid] = nid
     engine.node_args.append(arg_ids)
     engine.parents.append(())

@@ -832,6 +832,42 @@ def test_derivation_audit_refuses_a_step_of_another_operation():
     assert not audit_derivations(dataclasses.replace(res, state=tampered))
 
 
+def test_derivation_audit_refuses_ids_out_of_range_and_step_lists_of_another_length():
+    """The audit reads ids by list subscript, so it refuses a negative id
+    before Python reads it from the end: a step id of -1 or of its own node
+    counted from the end, an image of -1, of its own id counted from the
+    end or of one past the last id, a generator used as a step, and a step
+    list one step longer or shorter than its side are each refused."""
+    res = _band_result()
+    assert audit_derivations(res)
+    state = res.state
+    log, n = state.union_log, len(state.ops)
+    k = next(k for k, (_, _, reason) in enumerate(log)
+             if reason != CONGRUENCE and reason[1] and reason[2] and reason[3])
+    a, b, (component, images, left, right) = log[k]
+
+    def relogged(reason):
+        return dataclasses.replace(state, union_log=log[:k] + ((a, b, reason),) + log[k + 1:])
+
+    rows = {
+        "a step id of -1": _step_replaced(state, lambda nid, find: -1),
+        "a step id of its own node from the end": _step_replaced(state, lambda nid, find: nid - n),
+        "a generator used as a step": _step_replaced(state, lambda nid, find: 0),
+        "an image of -1": relogged((component, (-1,) + images[1:], left, right)),
+        "an image of its own id from the end": relogged(
+            (component, (images[0] - n,) + images[1:], left, right)),
+        "an image one past the last id": relogged((component, (n,) + images[1:], left, right)),
+        "the left steps one step longer": relogged((component, images, left + left[-1:], right)),
+        "the left steps one step shorter": relogged((component, images, left[:-1], right)),
+        "the right steps one step longer": relogged(
+            (component, images, left, right + right[-1:])),
+        "the right steps one step shorter": relogged((component, images, left, right[:-1])),
+    }
+    for what, tampered in rows.items():
+        assert tampered != state, what
+        assert not audit_derivations(dataclasses.replace(res, state=tampered)), what
+
+
 def test_derivation_audit_refuses_table_cells_no_node_holds():
     """Left-zero semigroups on two generators stabilize at depth 1 with the
     generators as carrier.  With every node and the log dropped, the
@@ -988,7 +1024,7 @@ def test_ids_are_in_canonical_term_order(monkeypatch):
         assert engine.size == [t.size for t in terms]
         members: dict = {}
         for i in range(len(terms)):
-            members.setdefault(engine.find(i), []).append(i)
+            members.setdefault(engine.root[i], []).append(i)
         assert {root: ids[0] for root, ids in members.items()} == engine.rep
 
 
@@ -1006,7 +1042,7 @@ def _reference_build(engine, side, g):
         args = tuple(walk(a) for a in t.args)
         nid = engine.nodes.get((t.op, args))
         if nid is None:
-            nid = engine.sig_table[(t.op, tuple(engine.find(a) for a in args))]
+            nid = engine.sig_table[(t.op, tuple(engine.root[a] for a in args))]
             by_roots.append(nid)
         steps.append(nid)
         return nid
@@ -1143,6 +1179,70 @@ def test_random_presentations_build_every_instance_by_lookup(data):
     res = _random_saturation(data)
     if res is not None:
         assert audit_derivations(res)
+
+
+def _check_class_labels(engine):
+    """Each id's ``root`` names its class: the keys of ``rep`` are the ids
+    that are their own root, each mapped to its class's lowest id; each
+    root's ``members``, or the root alone when it is None, are exactly the
+    ids of its class, and no other id keeps members; and a plain
+    union-find replaying ``union_log`` gives the same partition."""
+    root, members, rep = engine.root, engine.members, engine.rep
+    classes: dict = {}
+    for i, r in enumerate(root):
+        classes.setdefault(r, []).append(i)
+    assert set(rep) == set(root) == set(classes)
+    for r, ids in classes.items():
+        assert root[r] == r and rep[r] == ids[0]
+        assert sorted(members[r] or [r]) == ids
+    assert all(members[i] is None for i in range(len(root)) if i not in rep)
+    parent = list(range(len(root)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for a, b, _ in engine.union_log:
+        parent[find(a)] = find(b)
+    replayed: dict = {}
+    for i in range(len(root)):
+        replayed.setdefault(find(i), []).append(i)
+    assert sorted(replayed.values()) == sorted(classes.values())
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_presentations_keep_class_labels_in_step_with_the_log(data):
+    """On small random presentations, after each depth's instance pass, the
+    engine's class labels agree with its roots, members and ``rep`` and
+    with the partition its union log makes, and each state it leaves names
+    each id's class by ``rep`` of that id's root."""
+    passes, state_of = variety._instance_passes, variety._state
+    depths, states = [], []
+
+    def checked_passes(ids, sig):
+        apply = passes(ids, sig)
+
+        def checked(engine, depth):
+            apply(engine, depth)
+            _check_class_labels(engine)
+            depths.append(depth)
+
+        return checked
+
+    def recorded(engine, *rest):
+        state = state_of(engine, *rest)
+        assert state.least == tuple(engine.rep[r] for r in engine.root)
+        states.append(state)
+        return state
+
+    with mock.patch.object(variety, "_instance_passes", checked_passes), \
+            mock.patch.object(variety, "_state", recorded):
+        res = _random_saturation(data)
+    if res is not None:
+        assert states[-1] is res.state
+        assert depths == list(range(1, res.state.depth + 1))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1375,7 +1475,7 @@ def test_a_pass_tries_only_the_tuples_with_a_new_image(monkeypatch, nesting):
         pools = [[0, 4], [1, 2, 5], [3, 6]]
         for olds in ([1, 2, 1], [0, 0, 0], [2, 3, 2], [2, 0, 1]):
             # Every id is in one class, so the pass joins nothing.
-            engine = SimpleNamespace(nodes=_Lookups(), sig_table={}, find=lambda i: 0, union=None)
+            engine = SimpleNamespace(nodes=_Lookups(), sig_table={}, root=[0] * 7, union=None)
             run(pools, olds, engine)
             assert [args for _, args in engine.nodes.keys] == [
                 images for images in itertools.product(*pools)
@@ -1575,11 +1675,11 @@ def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
         assert sum(owner is engine for owner, *_ in sorts) == len(res.state.class_counts)
     for engine in engines:
         assert not engine.pending and not engine.dirty
-        find = engine.find
+        root = engine.root
         for i, args in enumerate(engine.node_args):
             if args is not None:
-                filed = engine.sig_table[(engine.ops[i], tuple(find(a) for a in args))]
-                assert find(filed) == find(i)
+                filed = engine.sig_table[(engine.ops[i], tuple(root[a] for a in args))]
+                assert root[filed] == root[i]
     assert {id(engine) for engine, *_ in sorts} == {id(engine) for engine in engines}
     for engine, height, got, full in sorts:
         assert got == [i for i in full if engine.height[i] <= height]
@@ -1622,11 +1722,11 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
         first = len(engine.ops)
         register_depth(engine, depth, frontier, sig)
         assert depth == depths[engine]
-        find = engine.find
+        root = engine.root
         for nid in range(first, len(engine.ops)):
             registered.append(nid)
             op, arg_ids = engine.ops[nid], engine.node_args[nid]
-            key = (op, tuple(find(a) for a in arg_ids))
+            key = (op, tuple(root[a] for a in arg_ids))
             if engine.retired[nid] or engine.sig_table[key] != nid or (
                 engine.height[nid] != depth
             ) or depth != 1 + max((engine.height[a] for a in arg_ids), default=0):
@@ -1648,18 +1748,18 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
     assert not misfiled and len(registered) > 10_000
     retired_count = 0
     for engine in engines:
-        find, retired = engine.find, engine.retired
+        root, retired = engine.root, engine.retired
         assert len(retired) == len(engine.ops)
-        parents = {root: set(engine.parents[root]) for root in engine.rep}
+        parents = {r: set(engine.parents[r]) for r in engine.rep}
         for i, args in enumerate(engine.node_args):
             if args is None:
                 continue
-            roots = tuple(find(a) for a in args)
+            roots = tuple(root[a] for a in args)
             holder = engine.sig_table[(engine.ops[i], roots)]
-            assert not retired[holder] and find(holder) == find(i)
+            assert not retired[holder] and root[holder] == root[i]
             if retired[i]:
                 retired_count += 1
             else:
                 assert holder == i
-                assert all(i in parents[root] for root in roots)
+                assert all(i in parents[r] for r in roots)
     assert retired_count > 10_000
