@@ -34,12 +34,14 @@ and so refuses the same terms.
 ``FinAlgebra(...)`` checks that every table is total with values in the
 carrier and that no table names an unknown operation, then stores the
 tables flat.  ``FinAlgebra._trusted`` takes flat tables and checks
-nothing; its callers are ``enumerate_algebras`` and
-``_orbit_representatives``, whose tables are total by construction, and
-the declaration parser, which has already checked each table, reported
-any fault with its position, and flattens it with ``_flatten_tables``.
-Algebras built from other values (a quotient, an Eilenberg-Moore
-structure) go through the checked constructor.
+nothing; its callers are ``enumerate_algebras``,
+``_orbit_representatives`` and ``variety.saturate``'s quotient, whose
+tables are total by construction (the quotient's are checked by
+``variety.audit_derivations``), and the declaration parser, which has
+already checked each table, reported any fault with its position, and
+flattens it with ``_flatten_tables``.  Algebras built from other values
+(a caller's tables, an Eilenberg-Moore structure) go through the
+checked constructor.
 """
 from __future__ import annotations
 

@@ -40,13 +40,12 @@ new nodes as a stage's are, with ``terms.nodes_in_order``, so by
 induction ids are in canonical term order, and the engine keeps only
 each id's height and size: an instance pool, the roots of height at
 most the depth less a variable's offset, is a prefix of the sorted
-roots, and a depth's one instance pass sorts only the roots no higher
-than the depth less the least offset.  The pool's roots of a lower
-height are a prefix of it too, those the previous depth's pool held, so
-a pass reads past that prefix only: each instance is tried once, at
-the first depth it fits in, as semi-naive evaluation applies a rule
-only to tuples with a new fact (egglog, Zhang et al., "Better Together:
-Unifying Datalog and Equality Saturation", PLDI 2023).
+roots.  The pool's roots of a lower height are a prefix of it too, those
+the previous depth's pool held, so a pass reads past that prefix only:
+each instance is tried once, at the first depth it fits in, as
+semi-naive evaluation applies a rule only to tuples with a new fact
+(egglog, Zhang et al., "Better Together: Unifying Datalog and Equality
+Saturation", PLDI 2023).
 
 ``root`` names each id's class by one of its ids, and the keys of ``rep``
 are exactly the live roots, each mapped to its class's lowest id.
@@ -78,8 +77,8 @@ keeps the engine's plain arrays and that log: each id's operation and
 child ids, not its term.  It builds a term the first time it is read,
 once per id, and the canonical universe and partition only when they are
 first read.  The state stores no operation table: a stabilized run
-reads each cell of its algebra off the frontier node over the carrier
-ids, and builds only the carrier's terms.
+reads each cell of its algebra, as a carrier position, off the frontier
+node over the carrier ids, and builds only the carrier's terms.
 ``audit_derivations`` checks this certificate with its own class labels
 and no engine code.  Once it has shown that every carrier term folds to
 itself under the unit, a morphism extending an assignment can only be
@@ -87,17 +86,16 @@ the fold of each carrier term under it, so the universal property is
 checked by that fold alone, and refused for a result whose unit does not
 generate.
 
-Saturation stabilizes at depth d when the roots after depth d-1 still
-name distinct classes after depth d, those are all the classes (the
-images of the earlier roots are always among the current roots, so
-equal counts make the map a bijection), and the quotient satisfies the
-identities.  Every class then holds one id of depth d's frontier, which
-built every operation over itself, so every operation table over the
-classes is total.  An instance is applied only once it fits in the
-depth, so such a quotient can still break an identity; one that keeps
-them all is in the variety, generated by the variable embedding, and
-merged only what the identities derive, so it is the free algebra with
-that embedding as its unit.
+Saturation stabilizes at depth d when the classes before depth d are
+still distinct after it and are all the classes, which ``saturate``
+decides by a count of ids, and the quotient satisfies the identities.
+Every class then holds one id of depth d's frontier, which built every
+operation over itself, so every operation table over the classes is
+total.  An instance is applied only once it fits in the depth, so such
+a quotient can still break an identity; one that keeps them all is in
+the variety, generated by the variable embedding, and merged only what
+the identities derive, so it is the free algebra with that embedding as
+its unit.
 """
 from __future__ import annotations
 
@@ -151,9 +149,7 @@ class _Engine:
     onto the surviving root, dropping the retired ones, and marks them
     ``dirty``; ``drain`` files each dirty node again once per round, after
     the round's pending unions, so a node is not filed again for every
-    child class that merges.  ``least_ids`` given a height sorts only the
-    roots whose least term is no higher, the prefix an instance pass's
-    pools read."""
+    child class that merges."""
 
     def __init__(self, x: FinSet):
         self.ops: list[Optional[str]] = [None] * len(x)
@@ -265,14 +261,9 @@ class _Engine:
             for nid in dict.fromkeys(dirty):
                 file(nid)
 
-    def least_ids(self, height: Optional[int] = None) -> list[int]:
-        """The ids of the classes' least terms, in increasing (canonical term)
-        order; with ``height``, only those no higher, which are a prefix of
-        the full order, since terms are ordered by height first."""
-        ids = self.rep.values()
-        if height is not None:
-            ids = [i for i in ids if self.height[i] <= height]
-        return sorted(ids)
+    def least_ids(self) -> list[int]:
+        """The classes' least ids, in increasing (canonical term) order."""
+        return sorted(self.rep.values())
 
 
 @dataclass(frozen=True)
@@ -320,7 +311,8 @@ class CongruenceState:
 
     def term(self, i: int) -> Term:
         """The term id ``i`` names: built once, from its children's terms,
-        with an explicit stack rather than recursion, and kept."""
+        with an explicit stack rather than recursion, and kept; a child id
+        not below its node is refused, or the stack would never empty."""
         built = self._built
         if built[i] is not None:
             return built[i]
@@ -334,6 +326,8 @@ class CongruenceState:
                 if args is None:
                     built[j] = Var(names[j])
                 else:
+                    if args and not 0 <= min(args) <= max(args) < j:
+                        raise ValidationError(f"id {j} has a child not below it: {args!r}")
                     missing = [c for c in args if built[c] is None]
                     if missing:
                         stack.extend(missing)
@@ -564,11 +558,9 @@ def _instance_passes(ids: Sequence[NaturalIdentity], sig: Signature) -> Callable
     ids, so during the pass the least ids only shrink, with their heights,
     and a second pass would read pools within these ones."""
     components = _components(ids, sig)
-    # No pool reads a root higher than depth - (the least offset).
-    least_offset = min((o for deepest, *_ in components for _, o in deepest), default=0)
 
     def apply(engine: _Engine, depth: int) -> None:
-        reps, height = engine.least_ids(depth - least_offset), engine.height
+        reps, height = engine.least_ids(), engine.height
 
         def count(h: int) -> int:
             """The number of roots no higher than ``h``."""
@@ -622,9 +614,8 @@ def saturate(
             f"term height of depth {depth_bound}", depth_bound, MAX_TERM_DEPTH)
     instance_pass = _instance_passes(ids, sig)
     engine = _Engine(x)
-    nodes, root = engine.nodes, engine.root
+    nodes, root, rep = engine.nodes, engine.root, engine.rep
     counts: list[int] = []
-    prev_roots = set(engine.rep)
 
     for depth in range(1, depth_bound + 1):
         frontier = engine.least_ids()
@@ -636,29 +627,33 @@ def saturate(
             needed -= sum(all(a in inside for a in arg_ids) for _, arg_ids in nodes)
             if needed > max_universe:
                 raise ResourceLimitError("saturation universe", needed, max_universe)
+        first = len(engine.ops)
         engine.register_depth(depth, frontier, sig)
         instance_pass(engine, depth)
 
-        counts.append(len(engine.rep))
-        if len(prev_roots) == len({root[r] for r in prev_roots}) == len(engine.rep):
-            # No two old classes merged and every class holds one.  This
-            # depth's nodes are higher than every old id, so each class's
-            # least id is its old class's, a frontier id, and the frontier
-            # built, or found in ``nodes``, each operation over each tuple of
-            # those: a table cell is that node's class.  An instance too high
-            # for this depth may not be applied yet.
-            state = _state(engine, sig, x, ids, depth, counts)
-            least, term = state.least, {i: state.term(i) for i in engine.least_ids()}
-            # Least ids ascend, so their terms are in canonical order.
-            carrier = FinSet._trusted(tuple(term.values()))
-            tables = {name: {tuple([term[c] for c in args]): term[least[nodes[(name, args)]]]
-                             for args in itertools.product(term, repeat=arity)}
-                      for name, arity in sig}
-            algebra = FinAlgebra(sig, carrier, tables)
-            if satisfies_all(algebra, ids):
-                unit = FinMap(x, carrier, {a: term[least[i]] for i, a in enumerate(x)})
-                return Stabilized(algebra, unit, state)
-        prev_roots = set(engine.rep)
+        counts.append(len(rep))
+        # The frontier holds one id per old class (a class before this
+        # depth), and classes only merge.  When every least id is older than
+        # this depth's nodes, every class holds an old id, so it contains an
+        # old class, and equal counts mean exactly one: no two old classes
+        # merged (``default`` passes a run with no class).  Each least id is
+        # then its old class's, a frontier id, and ``nodes`` holds each
+        # operation over those, as the frontier built what it lacked: a cell
+        # is that node's class's position.  An instance too high for this
+        # depth may not be applied yet.
+        if len(rep) == len(frontier) and max(rep.values(), default=-1) < first:
+            position = {c: j for j, c in enumerate(frontier)}
+            flat = tuple([tuple([position[rep[root[nodes[(name, args)]]]]
+                                 for args in itertools.product(frontier, repeat=arity)])
+                          for name, arity in sig])
+            points = FinSet._trusted(tuple(range(len(frontier))))
+            if satisfies_all(FinAlgebra._trusted(sig, points, flat), ids):
+                state = _state(engine, sig, x, ids, depth, counts)
+                term, least = state.term, state.least
+                # Least ids ascend, so their terms are in canonical order.
+                carrier = FinSet._trusted(tuple([term(c) for c in frontier]))
+                unit = FinMap(x, carrier, {a: term(least[i]) for i, a in enumerate(x)})
+                return Stabilized(FinAlgebra._trusted(sig, carrier, flat), unit, state)
 
     return Unstabilized(_state(engine, sig, x, ids, depth_bound, counts))
 

@@ -28,6 +28,14 @@ reference for ``finalg.variety._Engine.register_depth``, which orders
 its nodes with ``finalg.terms.nodes_in_order`` (the canonical order is
 stated once, in the ``finalg.terms`` docstring).
 
+``reference_stable`` is the first part of the stop test of
+``finalg.variety.saturate`` as it was stated on two sets of roots: the
+roots before a depth still name distinct classes after it, and they are
+all the classes; ``saturate`` decides it by a count instead.
+``reference_stabilized`` builds a stabilized result's algebra from its
+state's closure through the checked ``FinAlgebra`` constructor, where
+``saturate`` reads the flat tables off the frontier nodes.
+
 The oracles evaluate terms with ``fold``, a plain recursive walk written
 here, so they stay independent of the evaluator that finalg compiles and
 of the closures in ``NaturalTerm.compiled``.  The universal-property
@@ -369,7 +377,9 @@ def reference_instance_passes(ids, sig):
 
     def instance_pass(engine, depth):
         root = engine.root
-        reps = [(tid, engine.height[tid]) for tid in engine.least_ids(depth - least_offset)]
+        height = engine.height
+        reps = [(tid, height[tid]) for tid in engine.least_ids()
+                if height[tid] <= depth - least_offset]
         for comp_id, (deepest, left, right, ground) in enumerate(components):
             if ground > depth:
                 continue
@@ -447,3 +457,28 @@ def reference_register_depth(engine, depth: int, frontier, sig: Signature) -> No
     ):
         register(engine, depth, size, name, args)
     engine.drain()
+
+
+def reference_stable(prev_roots, engine) -> bool:
+    """The reference for the count condition of ``finalg.variety.saturate``:
+    the roots ``prev_roots`` of the classes before a depth still name
+    distinct classes of ``engine`` after it, and those are all its classes."""
+    root = engine.root
+    return len(prev_roots) == len({root[r] for r in prev_roots}) == len(engine.rep)
+
+
+def reference_stabilized(state):
+    """The reference for a stabilized result's algebra and unit: the
+    state's closure ``{(op, least children): least}`` over the terms of
+    the classes' least ids, as tables through the checked ``FinAlgebra``
+    constructor, and the unit sending each generator to its class's term."""
+    least = state.least
+    term = {c: state.term(c) for c in set(least)}
+    carrier = FinSet(tuple(term.values()))
+    tables = {name: {} for name, _ in state.sig}
+    for i in range(len(state.x), len(state.ops)):
+        args = tuple([term[least[c]] for c in state.node_args[i]])
+        assert tables[state.ops[i]].setdefault(args, term[least[i]]) == term[least[i]]
+    algebra = FinAlgebra(state.sig, carrier, tables)
+    unit = FinMap(state.x, carrier, {a: term[least[i]] for i, a in enumerate(state.x)})
+    return algebra, unit

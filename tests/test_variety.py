@@ -3,7 +3,9 @@ import hashlib
 import itertools
 import json
 import re
+import signal
 import time
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -41,6 +43,7 @@ from finalg.terms import MAX_TERM_DEPTH, iter_stage_sizes
 from finalg.identities import satisfies_all
 from finalg.variety import (
     CONGRUENCE,
+    CongruenceState,
     _Engine,
     audit_derivations,
     universal_property_witness,
@@ -53,6 +56,8 @@ from oracles import (
     identity_map,
     reference_instance_passes,
     reference_register_depth,
+    reference_stabilized,
+    reference_stable,
     universal_property_witness_enumerated,
 )
 from conftest import MAGMA, MONOID_SIG, X, Y, Z, e, ident, m, two_element, v
@@ -1255,6 +1260,147 @@ def test_random_presentations_register_ids_in_canonical_term_order(data):
         _check_canonical_ids(res.state)
 
 
+@contextmanager
+def _stop_tests_compared():
+    """Within it, after each depth's instance pass of each saturation run,
+    the count condition as ``saturate`` states it, over the frontier and
+    first new id ``register_depth`` was given, and ``reference_stable``,
+    over the roots before the frontier, must agree.  Yields the list of
+    verdicts, one per depth, and the list of candidates ``saturate``
+    checked with ``satisfies_all``."""
+    verdicts, candidates, before = [], [], {}
+    register_depth, passes, check = (
+        _Engine.register_depth, variety._instance_passes, variety.satisfies_all)
+
+    def recorded(engine, depth, frontier, sig):
+        before[engine] = (set(engine.rep), list(frontier), len(engine.ops))
+        register_depth(engine, depth, frontier, sig)
+
+    def compared_passes(ids, sig):
+        apply = passes(ids, sig)
+
+        def compared(engine, depth):
+            apply(engine, depth)
+            prev_roots, frontier, first = before.pop(engine)
+            rep = engine.rep
+            counted = len(rep) == len(frontier) and max(rep.values(), default=-1) < first
+            assert counted == reference_stable(prev_roots, engine), depth
+            verdicts.append(counted)
+
+        return compared
+
+    def checked(algebra, ids):
+        candidates.append(algebra)
+        return check(algebra, ids)
+
+    with mock.patch.object(_Engine, "register_depth", recorded), \
+            mock.patch.object(variety, "_instance_passes", compared_passes), \
+            mock.patch.object(variety, "satisfies_all", checked):
+        yield verdicts, candidates
+
+
+def _reference_results():
+    """The result of each of ``_reference_runs``, or None where its universe
+    is refused."""
+    results = []
+    for run in _reference_runs():
+        try:
+            results.append(saturate(*run))
+        except ResourceLimitError:
+            results.append(None)
+    return results
+
+
+def test_stop_test_count_agrees_with_the_root_sets():
+    """On the trajectory cases, the 50-case matrix and the edge
+    presentations, at every depth, the stop test's count condition agrees
+    with the condition on the roots before the depth, and ``saturate``
+    checks a candidate exactly at the depths where it holds; both verdicts
+    occur."""
+    with _stop_tests_compared() as (verdicts, candidates):
+        _reference_results()
+    assert len(candidates) == sum(verdicts)
+    assert True in verdicts and False in verdicts
+
+
+def test_stop_test_count_refuses_a_class_of_new_nodes_only():
+    """At depth 1 of ``m(x,y) = x`` and ``m(x,y) = y`` on 2 generators both
+    generators merge and ``e()`` stays alone: as many classes as before,
+    but one holds no old id, so the depth is not stable."""
+    ids = [ident(MONOID_SIG, m(X, Y), X, ("x", "y")), ident(MONOID_SIG, m(X, Y), Y, ("x", "y"))]
+    with _stop_tests_compared() as (verdicts, candidates):
+        res = saturate(MONOID_SIG, ids, gens(2), 3)
+    assert res.state.class_counts == (2, 1, 1)
+    assert verdicts == [False, False, True] and len(candidates) == 1
+    assert isinstance(res, Stabilized) and audit_derivations(res)
+
+
+def _check_stabilized(res):
+    """A stabilized result's algebra and unit are those the checked
+    construction builds from its state."""
+    if isinstance(res, Stabilized):
+        algebra, unit = reference_stabilized(res.state)
+        assert res.algebra == algebra
+        assert res.unit == unit
+
+
+def test_stabilized_algebra_matches_the_checked_construction():
+    """On the trajectory cases, the 50-case matrix and the edge
+    presentations, each stabilized result's algebra and unit equal those
+    built from its state's closure through the checked ``FinAlgebra``
+    constructor."""
+    results = _reference_results()
+    assert sum(isinstance(res, Stabilized) for res in results) > 20
+    for res in results:
+        _check_stabilized(res)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_presentations_stop_as_the_root_sets_and_checked_construction_say(data):
+    """On small random presentations, some on no generators, the stop
+    test's count condition agrees with the condition on the roots at every
+    depth, and a stabilized result's algebra and unit are the checked
+    construction's."""
+    with _stop_tests_compared() as (verdicts, candidates):
+        res = _random_saturation(data)
+    assert len(candidates) == sum(verdicts)
+    if res is not None:
+        assert len(verdicts) == res.state.depth
+        _check_stabilized(res)
+
+
+@contextmanager
+def _within(seconds):
+    """Raise ``TimeoutError`` in the body after ``seconds``, so a loop that
+    never ends fails the test instead of growing without bound."""
+    def expired(*_):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("args", [(1, 1), (0, 1), (-1, 0)])
+def test_a_child_not_below_its_node_is_refused_when_terms_are_built(args):
+    """A hand-built state whose node has a child id that is not below it is
+    refused with ``ValidationError`` by ``term``, ``terms`` and
+    ``instance_pairs``, rather than looping, and the audit rejects it."""
+    state = CongruenceState(
+        Signature((("m", 2),)), FinSet(("x1",)), (), 1, (None, "m"), (None, args), (0, 1),
+        ((1, 0, (0, (0,), (1,), ())),), (2,))
+    for read in (lambda s: s.term(1), lambda s: s.terms, lambda s: s.instance_pairs):
+        with _within(5), pytest.raises(ValidationError, match="not below"):
+            read(dataclasses.replace(state))
+    with _within(5):
+        assert not audit_derivations(Unstabilized(state))
+
+
 def _outcome(sig, ids, x, depth, **bounds):
     """What a saturation run decides, ids and union log with its reasons
     included, or the text of its refusal."""
@@ -1638,41 +1784,24 @@ def test_matrix_results_are_pinned():
     assert got == MATRIX_RESULTS
 
 
-def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
+def test_engine_is_closed_when_its_state_is_read(monkeypatch):
     """On the trajectory cases, the 50-case matrix, a presentation with no
     identities and one with a variable of offset 0: when an engine's state
     is read nothing is pending or dirty, and every registered node is filed
     in ``sig_table`` under its operation and its children's current roots,
-    in its own class; and every capped sort of an instance pass returns the
-    full order of the roots, cut at its height, once per processed depth.
-    With no identities, or an offset-0 variable, the cap keeps every root."""
+    in its own class."""
     engines = _engines_left(monkeypatch)
-    sorts = []
-    least_ids = _Engine.least_ids
-
-    def recorded(engine, height=None):
-        got = least_ids(engine, height)
-        if height is not None:
-            sorts.append((engine, height, got, least_ids(engine)))
-        return got
-
-    monkeypatch.setattr(_Engine, "least_ids", recorded)
     trajectory = parse_spec(TRAJECTORY_SPEC)
     runs = [(trajectory, name, n, 6) for name, n in TRAJECTORY_RESULTS]
     model, cases = _matrix_cases()
     assert len(cases) == 50
     runs += [(model, name, n, depth) for name, n, depth in cases]
-    results = []
     for spec, name, n, depth in runs:
         sig = spec.signatures[spec.presentations[name].sig_name]
-        results.append(saturate(sig, spec.presentation_identities(name), gens(n), depth))
-    uncapped = set()
+        saturate(sig, spec.presentation_identities(name), gens(n), depth)
     for ids in ([], [ident(MONOID_SIG, X, e(), ("x",))]):
-        results.append(saturate(MONOID_SIG, ids, gens(2), 3))
-        uncapped.add(id(engines[-1]))
+        saturate(MONOID_SIG, ids, gens(2), 3)
     assert len(engines) == len(runs) + 2
-    for engine, res in zip(engines, results):
-        assert sum(owner is engine for owner, *_ in sorts) == len(res.state.class_counts)
     for engine in engines:
         assert not engine.pending and not engine.dirty
         root = engine.root
@@ -1680,12 +1809,6 @@ def test_engine_is_closed_and_sorts_only_what_pools_read(monkeypatch):
             if args is not None:
                 filed = engine.sig_table[(engine.ops[i], tuple(root[a] for a in args))]
                 assert root[filed] == root[i]
-    assert {id(engine) for engine, *_ in sorts} == {id(engine) for engine in engines}
-    for engine, height, got, full in sorts:
-        assert got == [i for i in full if engine.height[i] <= height]
-        if id(engine) in uncapped:
-            assert got == full
-    assert any(len(got) < len(full) for _, _, got, full in sorts)
 
 
 def test_engine_retires_only_congruent_duplicates(monkeypatch):
@@ -1705,20 +1828,13 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
             refiled.append(nid)
         return file(engine, nid)
 
-    # ``saturate`` sorts all the roots, with no height, once per depth, for
-    # its frontier.
+    # ``saturate`` registers one frontier per depth, in depth order.
     depths = {}
-    least_ids = _Engine.least_ids
-
-    def counted(engine, height=None):
-        if height is None:
-            depths[engine] = depths.get(engine, 0) + 1
-        return least_ids(engine, height)
-
     registered, misfiled = [], []
     register_depth = _Engine.register_depth
 
     def checked(engine, depth, frontier, sig):
+        depths[engine] = depths.get(engine, 0) + 1
         first = len(engine.ops)
         register_depth(engine, depth, frontier, sig)
         assert depth == depths[engine]
@@ -1733,7 +1849,6 @@ def test_engine_retires_only_congruent_duplicates(monkeypatch):
                 misfiled.append((op, arg_ids))
 
     monkeypatch.setattr(_Engine, "_file", recorded)
-    monkeypatch.setattr(_Engine, "least_ids", counted)
     monkeypatch.setattr(_Engine, "register_depth", checked)
     trajectory = parse_spec(TRAJECTORY_SPEC)
     runs = [(trajectory, name, n, 6) for name, n in TRAJECTORY_RESULTS]
